@@ -63,32 +63,46 @@ def validate_output(doc: dict) -> bool:
 # configuration
 
 
+class ConfigError(ValueError):
+    """A config file or environment value that cannot be used."""
+
+
 def _read_config_file(path: str) -> dict:
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot read config file {path!r}: not UTF-8 text") from None
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#") or "=" not in line:
+            continue
+        key, value = line.split("=", 1)
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
     cfg = dict(DEFAULTS)
     path = getattr(args, "config", None) or os.environ.get(ENV_PREFIX + "CONFIG")
-    file_values = _read_config_file(path) if path and os.path.exists(path) else {}
+    file_values = _read_config_file(path) if path else {}
     for key, default in DEFAULTS.items():
         value = getattr(args, key, None)
+        source = None
         if value is None:
             env = os.environ.get(ENV_PREFIX + key.upper())
             if env is not None:
-                value = env
+                value, source = env, ENV_PREFIX + key.upper()
             elif key in file_values:
-                value = file_values[key]
+                value, source = file_values[key], f"{key} in config file {path!r}"
         if value is not None:
-            cfg[key] = type(default)(value)
+            try:
+                cfg[key] = type(default)(value)
+            except ValueError:
+                raise ConfigError(f"{source} must be an integer, got {value!r}") from None
     vars_opt = getattr(args, "vars", None) or os.environ.get(ENV_PREFIX + "VARS") or file_values.get("vars")
     cfg["vars"] = vars_opt
     return cfg
@@ -587,7 +601,10 @@ def _expand_stdin(args: argparse.Namespace) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = resolve_config(args)
+    try:
+        cfg = resolve_config(args)
+    except ConfigError as exc:
+        parser.error(str(exc))
     command = args.command
     _expand_stdin(args)
     try:

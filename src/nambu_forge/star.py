@@ -6,6 +6,11 @@ cochain lowers the total derivative order, so no truncation is involved.  The
 sign conventions are pinned by two testable constraints: the antisymmetrized
 first cochain equals twice the Poisson bivector, and the su(2) product closes
 on L_i * L_j = L_i L_j + nu eps_ijk L_k + 2 nu^2 delta_ij.
+
+The su(2) product writes the factor of lower degree in star monomials
+L_{i1} * ... * L_{in} and applies their letters to the other factor through
+the closed formula for L_i * F and F * L_i; the Moyal product of the R^6
+lifts is kept as an independent oracle for it.
 """
 
 from __future__ import annotations
@@ -172,32 +177,64 @@ def _l_monomials(d: int) -> list:
     return got
 
 
-_SU2_CACHE: dict = {}
+def _unit(i: int, k: int = 1) -> tuple:
+    return tuple(k if j == i else 0 for j in range(3))
 
 
-def _su2_right_linear(f: Poly, g: Poly) -> NuObject:
-    """f * g for g of degree <= 1 via the closed covariant product formula.
+def _shift(e: tuple, d: tuple) -> tuple:
+    return tuple(map(int.__add__, e, d))
 
-    L_i * F = L_i F + nu eps_ijk L_k dF/dL_j + nu^2 (2 dF/dL_i
-              + sum_j L_j d2F/dL_i dL_j); the mirror product F * L_i flips the
-    sign of the nu^1 term.
+
+# per axis i: u_i, -u_i and (j, eps_ijk, u_k - u_j) for the two j != i
+_AXES = tuple(
+    (_unit(i), _unit(i, -1),
+     tuple((j, s, _shift(_unit(k), _unit(j, -1))) for (i2, j, k), s in _EPS.items() if i2 == i))
+    for i in range(3)
+)
+
+
+def _degree(x: NuObject) -> int:
+    return max((p.total_degree() for p in x.coeffs.values()), default=-1)
+
+
+def _bump(row: dict, e: tuple, v) -> None:
+    cur = row.get(e)
+    row[e] = v if cur is None else cur + v
+
+
+def _add_into(acc: dict, x: NuObject, shift: int, c) -> None:
+    """acc[m + shift][e] += c * (nu^m coefficient of x)[e]."""
+    for m, poly in x.coeffs.items():
+        row = acc.setdefault(m + shift, {})
+        for e, v in poly.terms.items():
+            _bump(row, e, v * c)
+
+
+def _freeze(acc: dict) -> NuObject:
+    return NuObject(_L_SPACE, {m: Poly(_L_SPACE, row) for m, row in acc.items()})
+
+
+def _var_mul(i: int, x: NuObject, sign: int) -> NuObject:
+    """L_i * x (sign +1) or x * L_i (sign -1), term by term.
+
+    The closed covariant formula L_i * F = L_i F + nu eps_ijk L_k dF/dL_j
+    + nu^2 (2 dF/dL_i + sum_j L_j d2F/dL_i dL_j), whose mirror F * L_i flips
+    the sign of the nu^1 term, sends c L^e at nu^m to c L^(e+u_i) at nu^m,
+    sign eps_ijk e_j c L^(e-u_j+u_k) at nu^(m+1) for j != i, and, by Euler's
+    relation on the nu^2 part, (1 + |e|) e_i c L^(e-u_i) at nu^(m+2).
     """
-    out = NuObject.from_poly(f * g)
-    for i in range(3):
-        ci = g.terms.get(tuple(1 if k == i else 0 for k in range(3)))
-        if not ci:
-            continue
-        nu1 = Poly.zero(_L_SPACE)
-        for j in range(3):
-            for k in range(3):
-                s = _EPS.get((i, j, k))
-                if s:
-                    nu1 = nu1 + Poly.variable(_L_SPACE, k) * f.diff(j) * s
-        nu2 = 2 * f.diff(i)
-        for j in range(3):
-            nu2 = nu2 + Poly.variable(_L_SPACE, j) * f.diff(i).diff(j)
-        out = out + NuObject(_L_SPACE, {1: -nu1 * ci, 2: nu2 * ci})
-    return out
+    up, down, cross = _AXES[i]
+    acc: dict = {}
+    for m, poly in x.coeffs.items():
+        a0, a1, a2 = (acc.setdefault(m + d, {}) for d in range(3))
+        for e, c in poly.terms.items():
+            _bump(a0, _shift(e, up), c)
+            for j, s, d in cross:
+                if e[j]:
+                    _bump(a1, _shift(e, d), c * (sign * s * e[j]))
+            if e[i]:
+                _bump(a2, _shift(e, down), c * ((1 + sum(e)) * e[i]))
+    return _freeze(acc)
 
 
 def su2_left_mul(i: int, f: Poly) -> NuObject:
@@ -206,107 +243,63 @@ def su2_left_mul(i: int, f: Poly) -> NuObject:
         raise InvalidArgumentError("axis index must be 1, 2 or 3")
     if f.space != _L_SPACE:
         raise InvalidArgumentError("su2_left_mul expects a polynomial in L1, L2, L3")
-    i = i - 1
-    nu1 = Poly.zero(_L_SPACE)
-    for j in range(3):
-        for k in range(3):
-            s = _EPS.get((i, j, k))
-            if s:
-                nu1 = nu1 + Poly.variable(_L_SPACE, k) * f.diff(j) * s
-    nu2 = 2 * f.diff(i)
-    for j in range(3):
-        nu2 = nu2 + Poly.variable(_L_SPACE, j) * f.diff(i).diff(j)
-    return NuObject(
-        _L_SPACE,
-        {0: Poly.variable(_L_SPACE, i) * f, 1: nu1, 2: nu2},
-    )
+    return _var_mul(i - 1, NuObject.from_poly(f), 1)
 
 
-_SM_CACHE: dict = {}
+def _word(e: tuple, sign: int, memo: dict) -> NuObject:
+    """The word L_{i1} * ... * L_{in} of e acting on memo[(0, 0, 0)].
 
-
-def _left_var_mul(i: int, x: NuObject) -> NuObject:
-    out = NuObject.zero(_L_SPACE)
-    for k, p in x.coeffs.items():
-        out = out + su2_left_mul(i + 1, p).nu_shift(k)
-    return out
-
-
-def _right_var_mul(x: NuObject, i: int) -> NuObject:
-    var = Poly.variable(_L_SPACE, i)
-    out = NuObject.zero(_L_SPACE)
-    for k, p in x.coeffs.items():
-        out = out + _su2_right_linear(p, var).nu_shift(k)
-    return out
-
-
-def _star_monomial(e: tuple) -> NuObject:
-    """L_{i1} * (L_{i2} * (...)) for the word of the exponent tuple.
-
-    Its classical part is exactly the plain monomial; every other term has
-    strictly smaller total degree, which makes the basis triangular.
+    From the left (sign +1) it is L_first * word(e - u_first), from the right
+    (sign -1) word(e - u_last) * L_last; every prefix value stays in memo.
     """
-    got = _SM_CACHE.get(e)
+    got = memo.get(e)
     if got is None:
-        i = next((j for j, k in enumerate(e) if k), None)
-        if i is None:
-            got = NuObject.one(_L_SPACE)
-        else:
-            rest = tuple(k - (1 if j == i else 0) for j, k in enumerate(e))
-            got = _left_var_mul(i, _star_monomial(rest))
-        _SM_CACHE[e] = got
+        used = [j for j, k in enumerate(e) if k]
+        i = used[0] if sign > 0 else used[-1]
+        got = memo[e] = _var_mul(i, _word(_shift(e, _AXES[i][1]), sign, memo), sign)
     return got
 
 
-def _to_star_coefficients(g: Poly) -> list:
-    """Write g as sum of nu^k c * star-monomials, by descending degree."""
-    residual = NuObject.from_poly(g)
+# star monomials SM(e) = L_{i1} * ... * L_{in}: the classical part of SM(e) is
+# exactly L^e and every other term has smaller total degree, which makes the
+# basis triangular
+_SM_CACHE: dict = {(0, 0, 0): NuObject.one(_L_SPACE)}
+
+
+def _to_star_coefficients(x: NuObject) -> list:
+    """Write x as sum of nu^k c * star-monomials, by descending degree."""
+    residual = x
     out = []
     while not residual.is_zero():
-        level = max(p.total_degree() for p in residual.coeffs.values())
-        batch = []
-        for k, poly in residual.coeffs.items():
-            for e, c in poly.terms.items():
-                if sum(e) == level:
-                    batch.append((e, k, c))
-        sub = NuObject.zero(_L_SPACE)
+        level = _degree(residual)
+        batch = [(e, k, c) for k, poly in residual.coeffs.items()
+                 for e, c in poly.terms.items() if sum(e) == level]
+        out.extend(batch)
+        acc: dict = {}
+        _add_into(acc, residual, 0, 1)
         for e, k, c in batch:
-            out.append((e, k, c))
-            sub = sub + _star_monomial(e).nu_shift(k) * c
-        residual = residual - sub
+            _add_into(acc, _word(e, 1, _SM_CACHE), k, -c)
+        residual = _freeze(acc)
     return out
 
 
-def _su2_mul_poly(f: Poly, g: Poly) -> NuObject:
-    """Covariant product by star-monomial decomposition of the right factor.
+def _su2_mul(f: NuObject, g: NuObject) -> NuObject:
+    """Covariant product by star-monomial decomposition of the smaller factor.
 
-    Each summand folds the closed-form linear multiplications, so the whole
-    product stays on three variables; the R^6 lift below serves as an
+    The factor of lower total degree (the right one on a tie) is written in
+    star monomials, and each word acts on the whole other series one letter
+    at a time through the closed linear formula, sharing word prefixes within
+    the call.  The product stays on three variables; the R^6 lift below is an
     independent oracle for this route.
     """
-    key = (f, g)
-    got = _SU2_CACHE.get(key)
-    if got is not None:
-        return got
-    if g.total_degree() <= 1:
-        out = _su2_right_linear(f, g)
-    elif f.total_degree() <= 1:
-        # mirror of the right-linear case: swap and flip odd cochains
-        mirrored = _su2_right_linear(g, f)
-        out = NuObject(
-            _L_SPACE,
-            {k: (p if k % 2 == 0 else -p) for k, p in mirrored.coeffs.items()},
-        )
+    if _degree(f) < _degree(g):
+        words, memo, sign = _to_star_coefficients(f), {(0, 0, 0): g}, 1
     else:
-        out = NuObject.zero(_L_SPACE)
-        for e, k, c in _to_star_coefficients(g):
-            acc = NuObject.from_poly(f)
-            for i, count in enumerate(e):
-                for _ in range(count):
-                    acc = _right_var_mul(acc, i)
-            out = out + acc.nu_shift(k) * c
-    _SU2_CACHE[key] = out
-    return out
+        words, memo, sign = _to_star_coefficients(g), {(0, 0, 0): f}, -1
+    acc: dict = {}
+    for e, k, c in words:
+        _add_into(acc, _word(e, sign, memo), k, c)
+    return _freeze(acc)
 
 
 def su2_star_via_lift(f: Poly, g: Poly) -> NuObject:
@@ -437,6 +430,8 @@ def star_mul(s: StarProduct, f, g) -> NuObject:
     go = _as_nu(g, s.space)
     if fo.space != s.space or go.space != s.space:
         raise InvalidArgumentError("star operands must live on the product's space")
+    if s.kind == "su2":
+        return _su2_mul(fo, go)
     out = NuObject.zero(s.space)
     for a, fp in sorted(fo.coeffs.items()):
         for b, gp in sorted(go.coeffs.items()):
@@ -444,8 +439,6 @@ def star_mul(s: StarProduct, f, g) -> NuObject:
                 part = _moyal_poly(fp, gp, s.pairs)
             elif s.kind == "standard_ordering":
                 part = _standard_poly(fp, gp, s.pairs[0])
-            elif s.kind == "su2":
-                part = _su2_mul_poly(fp, gp)
             else:
                 raise InvalidArgumentError(f"unknown star product kind {s.kind!r}")
             out = out + part.nu_shift(a + b)

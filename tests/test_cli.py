@@ -96,6 +96,43 @@ def test_usage_error_exit_code(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("key", ["SEED", "T_ORDER"])
+def test_non_integer_env_value_is_usage_error(capsys, monkeypatch, key):
+    monkeypatch.setenv("NAMBU_FORGE_" + key, "abc")
+    with pytest.raises(SystemExit) as err:
+        main(["check-fi", "--trials", "1"])
+    assert err.value.code == 2
+    assert f"NAMBU_FORGE_{key} must be an integer, got 'abc'" in capsys.readouterr().err
+
+
+def test_non_integer_config_value_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "forge.conf"
+    cfg.write_text("seed=1.5\n")
+    with pytest.raises(SystemExit) as err:
+        main(["--config", str(cfg), "check-fi", "--trials", "1"])
+    assert err.value.code == 2
+    assert f"seed in config file '{cfg}' must be an integer, got '1.5'" in capsys.readouterr().err
+
+
+def test_unreadable_config_file_is_usage_error(tmp_path, capsys, monkeypatch):
+    missing = tmp_path / "absent.conf"
+    with pytest.raises(SystemExit) as err:
+        main(["--config", str(missing), "star", "--product", "su2", "L1", "L2"])
+    assert err.value.code == 2
+    assert f"cannot read config file '{missing}'" in capsys.readouterr().err
+    monkeypatch.setenv("NAMBU_FORGE_CONFIG", str(missing))
+    with pytest.raises(SystemExit) as err:
+        main(["star", "--product", "su2", "L1", "L2"])
+    assert err.value.code == 2
+    assert str(missing) in capsys.readouterr().err
+    binary = tmp_path / "binary.conf"
+    binary.write_bytes(b"\xff\xfeseed=1\n")
+    with pytest.raises(SystemExit) as err:
+        main(["--config", str(binary), "star", "--product", "su2", "L1", "L2"])
+    assert err.value.code == 2
+    assert f"cannot read config file '{binary}': not UTF-8 text" in capsys.readouterr().err
+
+
 def test_zariski_qnambu(capsys):
     code, out, _ = run(capsys, "zariski", "qnambu", "J(Z[x1])", "J(Z[x2])", "J(Z[x3])")
     assert code == 0

@@ -17,6 +17,7 @@ from nambu_forge.star import (
     su2_left_mul,
     su2_lift,
     su2_product,
+    su2_star_via_lift,
 )
 from nambu_forge.zariski import zariski_space
 
@@ -26,6 +27,8 @@ QP = qp_space()
 L = su2_space()
 q, p = Poly.variable(QP, 0), Poly.variable(QP, 1)
 L1, L2, L3 = (Poly.variable(L, i) for i in range(3))
+EPS = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
+       (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
 
 ALL_PRODUCTS = [
     ("moyal", moyal_product(QP), QP),
@@ -106,10 +109,8 @@ def test_su2_first_cochain_is_linear_poisson(rng):
     for _ in range(6):
         f = random_poly(L, rng, degree=2, terms=3)
         g = random_poly(L, rng, degree=2, terms=3)
-        eps = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
-               (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
         bracket = Poly.zero(L)
-        for (i, j, k), s in eps.items():
+        for (i, j, k), s in EPS.items():
             bracket = bracket + Poly.variable(L, k) * f.diff(i) * g.diff(j) * s
         c1fg = star_mul(SU, f, g).coefficient(1)
         c1gf = star_mul(SU, g, f).coefficient(1)
@@ -140,13 +141,70 @@ def test_su2_faithful_to_lift(rng):
 
 
 def test_su2_production_route_matches_lift_oracle(rng):
-    from nambu_forge.star import su2_star_via_lift
-
     SU = su2_product()
     for _ in range(8):
         f = random_poly(L, rng, degree=3, terms=3)
         g = random_poly(L, rng, degree=3, terms=3)
         assert star_mul(SU, f, g) == su2_star_via_lift(f, g)
+
+
+def _of_degree(rng, d: int) -> Poly:
+    """A random L-polynomial of total degree exactly d."""
+    a = rng.randint(0, d)
+    b = rng.randint(0, d - a)
+    top = {(a, b, d - a - b): Fraction(rng.choice([-2, 1, 3]))}
+    return Poly(L, {**random_poly(L, rng, degree=d, terms=3).terms, **top})
+
+
+@pytest.mark.parametrize("df, dg", [(1, 4), (4, 1), (2, 5), (5, 2), (0, 3), (3, 0), (2, 2), (4, 4)])
+def test_su2_unequal_degrees_match_lift_oracle(rng, df, dg):
+    # the route decomposes the factor of lower degree, the right one on a tie
+    SU = su2_product()
+    for _ in range(3):
+        f, g = _of_degree(rng, df), _of_degree(rng, dg)
+        assert star_mul(SU, f, g) == su2_star_via_lift(f, g)
+
+
+@pytest.mark.parametrize("fdeg, gdeg", [
+    ((1, 0, 2), (3, 2, 0)),  # left factor smaller, its top degree at nu^2
+    ((3, 2, 1), (0, 2, 1)),  # right factor smaller, its top degree at nu^1
+    ((2, 1, 0), (1, 2, 0)),  # tie
+])
+def test_su2_nu_series_operands_match_bilinear_lift(rng, fdeg, gdeg):
+    SU = su2_product()
+    F = NuObject(L, {a: _of_degree(rng, d) for a, d in enumerate(fdeg)})
+    G = NuObject(L, {b: _of_degree(rng, d) for b, d in enumerate(gdeg)})
+    expected = NuObject.zero(L)
+    for a, fa in F.coeffs.items():
+        for b, gb in G.coeffs.items():
+            expected = expected + su2_star_via_lift(fa, gb).nu_shift(a + b)
+    assert star_mul(SU, F, G) == expected
+
+
+def _linear_reference(i: int, f: Poly, sign: int) -> NuObject:
+    """L_i F + sign nu eps_ijk L_k dF/dL_j + nu^2 (2 dF/dL_i + sum_j L_j d2F/dL_i dL_j),
+    the closed covariant formula for L_i * F (sign +1) and F * L_i (sign -1)."""
+    nu1 = Poly.zero(L)
+    for (i2, j, k), s in EPS.items():
+        if i2 == i:
+            nu1 = nu1 + Poly.variable(L, k) * f.diff(j) * s
+    nu2 = 2 * f.diff(i)
+    for j in range(3):
+        nu2 = nu2 + Poly.variable(L, j) * f.diff(i).diff(j)
+    return NuObject(L, {0: Poly.variable(L, i) * f, 1: nu1 * sign, 2: nu2})
+
+
+def test_su2_linear_products_match_derivative_formula(rng):
+    SU = su2_product()
+    for d in range(6):
+        for _ in range(2):
+            f = random_poly(L, rng, degree=d, terms=4)
+            for i in range(3):
+                li = Poly.variable(L, i)
+                left = _linear_reference(i, f, 1)
+                assert star_mul(SU, li, f) == left
+                assert su2_left_mul(i + 1, f) == left
+                assert star_mul(SU, f, li) == _linear_reference(i, f, -1)
 
 
 def test_commutator_jacobi(rng):
