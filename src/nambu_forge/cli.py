@@ -13,7 +13,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from importlib import resources
 
@@ -28,7 +27,7 @@ from .expr import parse_expr, render
 from .poly import NuObject, Poly, VarSpace, qp_space, su2_space
 
 ENV_PREFIX = "NAMBU_FORGE_"
-DEFAULTS = {"nu_order": 8, "t_order": 6, "seed": 0, "jobs": 1, "degree_bound": 12}
+DEFAULTS = {"nu_order": 8, "t_order": 6, "seed": 0, "degree_bound": 12}
 
 
 def load_schema() -> dict:
@@ -227,18 +226,11 @@ def _cmd_check_fi(args, cfg):
     bracket = _bracket_by_name(args.bracket)
     trials = args.trials
     arity = 2 * bracket.order - 1
-
-    def one_trial(t: int) -> bool:
+    passes = 0
+    for t in range(trials):
         rng = random.Random(cfg["seed"] * 1_000_003 + t)
         fs = [_rand_poly(bracket.space, args.degree, rng) for _ in range(arity)]
-        return nambu_mod.check_fi(bracket, fs).is_zero()
-
-    if cfg["jobs"] > 1:
-        with ThreadPoolExecutor(max_workers=cfg["jobs"]) as pool:
-            results = list(pool.map(one_trial, range(trials)))
-    else:
-        results = [one_trial(t) for t in range(trials)]
-    passes = sum(results)
+        passes += nambu_mod.check_fi(bracket, fs).is_zero()
     ok = passes == trials
     text = f"{'PASS' if ok else 'FAIL'} residual={'0' if ok else 'nonzero'} ({passes}/{trials})"
     data = {"bracket": args.bracket, "trials": trials, "passes": passes, "all_zero": ok}
@@ -487,7 +479,6 @@ def _common_options() -> argparse.ArgumentParser:
     common.add_argument("--nu-order", dest="nu_order", type=int, help="truncation order in nu")
     common.add_argument("--t-order", dest="t_order", type=int, help="truncation order in t")
     common.add_argument("--seed", type=int, help="seed for randomized checkers")
-    common.add_argument("--jobs", type=int, help="parallel trial execution")
     common.add_argument("--degree-bound", dest="degree_bound", type=int,
                         help="total-degree bound for factorization")
     return common

@@ -270,7 +270,11 @@ class Poly:
     def __hash__(self):
         h = object.__getattribute__(self, "_hash")
         if h is None:
-            h = hash((self.space, frozenset(self.terms.items())))
+            # a constant equals its Fraction value, so it hashes as one
+            if self.is_constant():
+                h = hash(self.constant_value())
+            else:
+                h = hash((self.space, frozenset(self.terms.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -507,7 +511,11 @@ class NuObject:
     def __hash__(self):
         h = object.__getattribute__(self, "_hash")
         if h is None:
-            h = hash((self.space, frozenset((k, p) for k, p in self.coeffs.items())))
+            # a nu^0-only object equals its classical Poly, so it hashes as one
+            if self.coeffs.keys() <= {0}:
+                h = hash(self.classical())
+            else:
+                h = hash((self.space, frozenset((k, p) for k, p in self.coeffs.items())))
             object.__setattr__(self, "_hash", h)
         return h
 

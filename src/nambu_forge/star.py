@@ -92,7 +92,7 @@ def _as_nu(x, space: VarSpace) -> NuObject:
         return NuObject.from_poly(x)
     if isinstance(x, (int, Fraction)):
         return NuObject.from_poly(Poly.const(space, x))
-    raise InvalidArgumentError(f"cannot interpret {type(x).__name__} as a star operand")
+    raise InvalidArgumentError(f"cannot interpret {type(x).__name__} as an operand")
 
 
 def _pair_degree(f: Poly, pairs) -> int:

@@ -1,7 +1,8 @@
 """Sun products: Abelian quantizations built by symmetrizing a star product
-over monomial decompositions, their closed form on su(2)* through Euler and
-Bernoulli coefficient tables, the quantized Nambu bracket they induce, and
-the equivalence / triviality framework for generalized deformations.
+over monomial decompositions, their closed form on su(2)* as Laplacian
+powers scaled per homogeneous degree by Euler and Bernoulli coefficients,
+the quantized Nambu bracket they induce, and the equivalence / triviality
+framework for generalized deformations.
 
 A sun product annihilates nonzero nu powers of its operands, so it factors
 through the ordinary product of classical parts: F sun G = lift(FG) where
@@ -12,15 +13,14 @@ Moyal-standard split).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .numbers import secant_coefficient, tangent_coefficient
-from .poly import NuObject, Poly, TSeries, VarSpace, jacobian_det, qp_space, su2_space
-from .star import StarProduct, moyal_product, star_mul, su2_product
+from .poly import NuObject, Poly, TSeries, VarSpace, _compositions, jacobian_det, qp_space, su2_space
+from .star import StarProduct, _as_nu, moyal_product, star_mul, su2_product
 from .zariski import eval_T
 
 __all__ = [
@@ -80,16 +80,6 @@ def sun_su2() -> SunProduct:
 
 def sun_moyal_standard() -> SunProduct:
     return SunProduct(moyal_product(qp_space()), "moyal_standard_split")
-
-
-def _as_nu(x, space: VarSpace) -> NuObject:
-    if isinstance(x, NuObject):
-        return x
-    if isinstance(x, Poly):
-        return NuObject.from_poly(x)
-    if isinstance(x, (int, Fraction)):
-        return NuObject.from_poly(Poly.const(space, x))
-    raise InvalidArgumentError(f"cannot interpret {type(x).__name__} as an operand")
 
 
 def _coordinate_factors(space: VarSpace, e: tuple) -> tuple:
@@ -167,19 +157,6 @@ def sun_exponential(sp: SunProduct, h: Poly, t_order: int) -> TSeries:
 
 # ---------------------------------------------------------------------------
 # Coefficient tables: recursion and Euler/Bernoulli closed form
-
-
-def _compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
 
 
 def _partitions_exact(k: int, p: int, cap: int = None):
@@ -292,155 +269,82 @@ def sun_coefficients(n_max: int, r_max: int) -> SunCoefficients:
 
 
 # ---------------------------------------------------------------------------
-# Differential operators and the closed form
+# The closed form: scaled Laplacian powers
 
 
+def _laplacian(f: Poly) -> Poly:
+    out: dict = {}
+    for e, c in f.terms.items():
+        for i, k in enumerate(e):
+            if k > 1:
+                e2 = e[:i] + (k - 2,) + e[i + 1:]
+                out[e2] = out.get(e2, 0) + k * (k - 1) * c
+    return Poly(f.space, out)
+
+
+def _eta_terms(f: Poly, r_max: int) -> list:
+    """[eta_0(f), ..., eta_{r_max}(f)], eta_0 being the identity.
+
+    eta_r = (A_r + sum_p z_{p,r} D(D-1)...(D-p+1)) Delta^r with D the Euler
+    operator acts on a homogeneous degree-m part as a(m, r) Delta^r, so the
+    r-th Laplacian of each part is scaled by a(m, r).  Parts of different
+    degree land on different degrees at each r, so their terms never meet.
+    """
+    parts: dict = {}
+    for e, c in f.terms.items():
+        parts.setdefault(sum(e), {})[e] = c
+    acc = [{} for _ in range(r_max + 1)]
+    for m, terms in parts.items():
+        cur = Poly(f.space, terms)
+        for r in range(1, min(r_max, m // 2) + 1):
+            cur = _laplacian(cur)
+            if cur.is_zero():
+                break
+            a = a_recursion(m, r)
+            acc[r].update((e, a * c) for e, c in cur.terms.items())
+    return [f] + [Poly(f.space, t) for t in acc[1:]]
+
+
+@dataclass(frozen=True)
 class DiffOp:
-    """Finite sum of (polynomial coefficient, derivative multi-index) terms."""
+    """a(m, order) Delta^order on each homogeneous degree-m part; order 0 is
+    the identity and order None the zero operator."""
 
-    __slots__ = ("space", "terms")
-
-    def __init__(self, space: VarSpace, terms: dict):
-        clean = {}
-        for idx, c in terms.items():
-            if isinstance(c, (int, Fraction)):
-                c = Poly.const(space, c)
-            if not c.is_zero():
-                clean[tuple(idx)] = c
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("DiffOp is immutable")
+    space: VarSpace
+    order: int
 
     @classmethod
     def identity(cls, space: VarSpace) -> "DiffOp":
-        return cls(space, {(0,) * space.nvars: Poly.const(space, 1)})
-
-    @classmethod
-    def laplacian(cls, space: VarSpace) -> "DiffOp":
-        terms = {}
-        for i in range(space.nvars):
-            e = [0] * space.nvars
-            e[i] = 2
-            terms[tuple(e)] = Poly.const(space, 1)
-        return cls(space, terms)
-
-    @classmethod
-    def euler(cls, space: VarSpace) -> "DiffOp":
-        terms = {}
-        for i in range(space.nvars):
-            e = [0] * space.nvars
-            e[i] = 1
-            terms[tuple(e)] = Poly.variable(space, i)
-        return cls(space, terms)
+        return cls(space, 0)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.order is None
 
     def apply(self, f: Poly) -> Poly:
-        out = Poly.zero(self.space)
-        for idx, c in self.terms.items():
-            d = f.diff_multi(idx)
-            if not d.is_zero():
-                out = out + c * d
-        return out
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = DiffOp(self.space, {(0,) * self.space.nvars: other})
-        out = dict(self.terms)
-        for idx, c in other.terms.items():
-            s = out.get(idx, Poly.zero(self.space)) + c
-            if s.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = s
-        return DiffOp(self.space, out)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = DiffOp(self.space, {(0,) * self.space.nvars: other})
-        return self + DiffOp(self.space, {i: -c for i, c in other.terms.items()})
-
-    def scale(self, c) -> "DiffOp":
-        return DiffOp(self.space, {i: p * c for i, p in self.terms.items()})
-
-    def compose(self, other: "DiffOp") -> "DiffOp":
-        """Operator composition: (self o other)(f) = self(other(f))."""
-        out: dict = {}
-        nv = self.space.nvars
-        for i1, c1 in self.terms.items():
-            for i2, c2 in other.terms.items():
-                # d^{i1} (c2 * d^{i2} f) expands by the Leibniz rule
-                for split in itertools.product(*(range(k + 1) for k in i1)):
-                    dc2 = c2.diff_multi(split)
-                    if dc2.is_zero():
-                        continue
-                    coeff = c1 * dc2
-                    for axis in range(nv):
-                        coeff = coeff * comb(i1[axis], split[axis])
-                    idx = tuple(i1[a] - split[a] + i2[a] for a in range(nv))
-                    cur = out.get(idx)
-                    cur = coeff if cur is None else cur + coeff
-                    if cur.is_zero():
-                        out.pop(idx, None)
-                    else:
-                        out[idx] = cur
-        return DiffOp(self.space, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DiffOp)
-            and self.space == other.space
-            and self.terms == other.terms
-        )
+        if self.order is None:
+            return Poly.zero(self.space)
+        if f.space != self.space:
+            raise InvalidArgumentError("polynomials live on different variable spaces")
+        return _eta_terms(f, self.order)[self.order]
 
 
 def eta_operator(r: int, space: VarSpace = None) -> DiffOp:
-    """The nu^{2r} cochain of the su(2)* sun product as a differential
-    operator: (A_r + sum_p z_{p,r} D(D-1)...(D-p+1)) Delta^r."""
+    """The nu^{2r} cochain of the su(2)* sun product,
+    (A_r + sum_p z_{p,r} D(D-1)...(D-p+1)) Delta^r with D the Euler operator;
+    it acts on each homogeneous degree-m part as a(m, r) Delta^r."""
     if space is None:
         space = su2_space()
     if r < 1:
         raise InvalidArgumentError("eta_operator is defined for r >= 1")
-    euler_op = DiffOp.euler(space)
-    head = DiffOp.identity(space).scale(big_a(r))
-    for p in range(1, r + 1):
-        ff = euler_op - (p - 1)
-        for t in range(p - 2, -1, -1):
-            ff = (euler_op - t).compose(ff)
-        head = head + ff.scale(z_coefficient(p, r))
-    lap = DiffOp.laplacian(space)
-    lap_r = DiffOp.identity(space)
-    for _ in range(r):
-        lap_r = lap.compose(lap_r)
-    return head.compose(lap_r)
-
-
-_ETA_CACHE: dict = {}
-
-
-def _eta(r: int, space: VarSpace) -> DiffOp:
-    got = _ETA_CACHE.get((r, space))
-    if got is None:
-        got = eta_operator(r, space)
-        _ETA_CACHE[(r, space)] = got
-    return got
+    return DiffOp(space, r)
 
 
 def _su2_closed_lift(prod: Poly) -> NuObject:
-    out = {0: prod}
-    r = 1
-    while 2 * r <= prod.total_degree():
-        term = _eta(r, prod.space).apply(prod)
-        if not term.is_zero():
-            out[2 * r] = term
-        r += 1
-    return NuObject(prod.space, out)
+    etas = _eta_terms(prod, max(prod.total_degree(), 0) // 2)
+    return NuObject(prod.space, {2 * r: eta for r, eta in enumerate(etas)})
 
 
-def sun_closed_form(f: Poly, g: Poly, coeffs: SunCoefficients = None) -> NuObject:
+def sun_closed_form(f: Poly, g: Poly) -> NuObject:
     """F sun G = FG + sum_r nu^{2r} eta_r(FG), exact (the series stops once
     the iterated Laplacian kills the product)."""
     if g.space != f.space:
@@ -450,27 +354,14 @@ def sun_closed_form(f: Poly, g: Poly, coeffs: SunCoefficients = None) -> NuObjec
 
 def sun_homogeneous_form(f: Poly, g: Poly) -> NuObject:
     """The simpler display for homogeneous operands of equal degree n:
-    sum_r nu^{2r} a(2n, r) Delta^r(FG)."""
-    space = f.space
+    sum_r nu^{2r} a(2n, r) Delta^r(FG), which is the closed form."""
     for h in (f, g):
         degs = {sum(e) for e in h.terms}
         if len(degs) > 1:
             raise InvalidArgumentError("operands must be homogeneous")
-    n = f.total_degree()
-    if g.total_degree() != n:
+    if g.total_degree() != f.total_degree():
         raise InvalidArgumentError("operands must have equal degree")
-    prod = f * g
-    lap = DiffOp.laplacian(space)
-    out = {0: prod}
-    cur = prod
-    r = 1
-    while True:
-        cur = lap.apply(cur)
-        if cur.is_zero():
-            break
-        out[2 * r] = cur * a_recursion(2 * n, r)
-        r += 1
-    return NuObject(space, out)
+    return sun_closed_form(f, g)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +427,7 @@ class DiffOpSeries:
         for k, op in self.terms:
             if k == r:
                 return op
-        return DiffOp(self.space, {})
+        return DiffOp(self.space, None)
 
     def orders(self) -> tuple:
         return (0,) + tuple(r for r, _ in self.terms)
@@ -566,7 +457,7 @@ def weak_trivializer(r_max: int, space: VarSpace = None) -> DiffOpSeries:
     """S with S_{2r} = eta_r; satisfies S(F G) = F sun G on su(2)*."""
     if space is None:
         space = su2_space()
-    return DiffOpSeries(space, tuple((2 * r, _eta(r, space)) for r in range(1, r_max + 1)))
+    return DiffOpSeries(space, tuple((2 * r, eta_operator(r, space)) for r in range(1, r_max + 1)))
 
 
 def _product_apply(prod, x: NuObject, y: NuObject) -> NuObject:

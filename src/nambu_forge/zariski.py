@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidArgumentError
 from .factor import factorize, is_irreducible, normalize
-from .poly import NuObject, Poly, VarSpace, coordinate_space, grlex_key
+from .poly import NuObject, Poly, VarSpace, _render_terms, _term_text, coordinate_space, grlex_key
 from .star import StarProduct, moyal_product, partial_moyal_product, star_mul
 
 __all__ = [
@@ -739,27 +739,6 @@ def classical_nambu(a: TaylorElem, b: TaylorElem, c: TaylorElem) -> TaylorElem:
 # Rendering
 
 
-def _fmt_coeff(c: Fraction, body: str) -> tuple:
-    neg = c < 0
-    mag = -c if neg else c
-    if body and mag == 1:
-        return neg, body
-    text = str(mag) if not body else f"{mag}*{body}"
-    return neg, text
-
-
-def _join(parts: list) -> str:
-    if not parts:
-        return "0"
-    out = []
-    for i, (neg, body) in enumerate(parts):
-        if i == 0:
-            out.append(("-" if neg else "") + body)
-        else:
-            out.append((" - " if neg else " + ") + body)
-    return "".join(out)
-
-
 def _zmono_text(m: ZMonomial) -> str:
     return "Z[" + "; ".join(str(f) for f in m.factors) + "]"
 
@@ -767,8 +746,8 @@ def _zmono_text(m: ZMonomial) -> str:
 def render_zelem(z: ZElem) -> str:
     parts = []
     for m in sorted(z.terms, key=lambda m: m.sort_key(), reverse=True):
-        parts.append(_fmt_coeff(z.terms[m], _zmono_text(m)))
-    return _join(parts)
+        parts.append(_term_text(z.terms[m], _zmono_text(m)))
+    return _render_terms(parts)
 
 
 def render_znu(x: ZNu) -> str:
@@ -778,8 +757,8 @@ def render_znu(x: ZNu) -> str:
         z = x.coeffs[k]
         for m in sorted(z.terms, key=lambda m: m.sort_key(), reverse=True):
             body = "*".join(s for s in (nu, _zmono_text(m)) if s)
-            parts.append(_fmt_coeff(z.terms[m], body))
-    return _join(parts)
+            parts.append(_term_text(z.terms[m], body))
+    return _render_terms(parts)
 
 
 def render_taylor(t: TaylorElem) -> str:
@@ -795,5 +774,5 @@ def render_taylor(t: TaylorElem) -> str:
             z = x.coeffs[knu]
             for m in sorted(z.terms, key=lambda m: m.sort_key(), reverse=True):
                 body = "*".join(s for s in (ymono, nu, _zmono_text(m)) if s)
-                parts.append(_fmt_coeff(z.terms[m], body))
-    return _join(parts)
+                parts.append(_term_text(z.terms[m], body))
+    return _render_terms(parts)

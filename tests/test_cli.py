@@ -28,10 +28,13 @@ def test_check_fi_pass_line(capsys):
     assert out.strip() == "PASS residual=0 (25/25)"
 
 
-def test_check_fi_jobs_deterministic(capsys):
-    _, out1, _ = run(capsys, "check-fi", "--trials", "10", "--seed", "3")
-    _, out2, _ = run(capsys, "check-fi", "--trials", "10", "--seed", "3", "--jobs", "4")
+def test_check_fi_seed_deterministic(capsys):
+    _, out1, _ = run(capsys, "--json", "check-fi", "--trials", "10", "--seed", "3")
+    _, out2, _ = run(capsys, "--json", "check-fi", "--trials", "10", "--seed", "3")
     assert out1 == out2
+    with pytest.raises(SystemExit) as err:
+        main(["check-fi", "--trials", "10", "--jobs", "4"])
+    assert err.value.code == 2
 
 
 def test_coeffs_agreement(capsys):

@@ -145,3 +145,16 @@ def test_compose():
     f = x * y
     images = [Poly.variable(QP, 0), Poly.variable(QP, 1), Poly.const(QP, 1)]
     assert f.compose(images, QP) == Poly.variable(QP, 0) * Poly.variable(QP, 1)
+
+
+def test_hash_agrees_with_equality():
+    for c in (0, 1, Fraction(-3, 4)):
+        const = Poly.const(X3, c)
+        assert const == c and hash(const) == hash(c)
+        assert len({const, c}) == 1
+        nu = NuObject.from_poly(const)
+        assert nu == const and hash(nu) == hash(const)
+        assert len({nu, const}) == 1
+    x1 = xs()[0]
+    assert hash(NuObject.from_poly(x1)) == hash(x1)
+    assert NuObject(X3, {1: x1}) != x1

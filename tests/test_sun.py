@@ -188,6 +188,43 @@ def test_eta_operator_shape():
     assert op.apply(f).is_zero()  # Delta kills L1 L2
     g = L3 * L3
     assert op.apply(g) == Poly.const(L, 2)
+    with pytest.raises(InvalidArgumentError):
+        eta_operator(0)
+
+
+def _laplacian_power(f, r):
+    for _ in range(r):
+        f = sum((f.diff_multi(tuple(2 * (j == i) for j in range(3))) for i in range(3)),
+                Poly.zero(L))
+    return f
+
+
+def test_eta_operator_matches_az_form(rng):
+    # eta_r = (A_r + sum_p z_{p,r} D(D-1)...(D-p+1)) Delta^r, with the Euler
+    # operator D read off as the degree m - 2r of Delta^r f_m
+    for r in range(1, 5):
+        op = eta_operator(r)
+        for _ in range(4):
+            f = sum((random_poly(L, rng, degree=d, terms=2) for d in range(11)), Poly.zero(L))
+            expect = Poly.zero(L)
+            for m in {sum(e) for e in f.terms}:
+                f_m = Poly(L, {e: c for e, c in f.terms.items() if sum(e) == m})
+                scale = big_a(r) + sum(
+                    z_coefficient(p, r) * falling_factorial(m - 2 * r, p) for p in range(1, r + 1)
+                )
+                expect = expect + _laplacian_power(f_m, r) * scale
+            assert op.apply(f) == expect, (r, str(f))
+
+
+def test_series_operator_identity_and_absent_orders(rng):
+    s = weak_trivializer(2)
+    assert s.orders() == (0, 2, 4)
+    for _ in range(4):
+        f = random_poly(L, rng, degree=6, terms=5)
+        assert s.operator(0).apply(f) == f
+        for absent in (1, 3, 5, 6):
+            assert s.operator(absent).is_zero()
+            assert s.operator(absent).apply(f).is_zero()
 
 
 # -- quantized Nambu bracket ------------------------------------------------------
