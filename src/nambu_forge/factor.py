@@ -1,13 +1,16 @@
 """Factorization of multivariate rational polynomials into irreducibles.
 
-Pipeline: rational content and monomial content come out first, the input is
-compressed onto its active variables, and the residue is factored either
-directly (univariate) or through a Kronecker substitution that maps it to a
-single-variable integer polynomial.  Univariate integer factorization is
-classic Zassenhaus: squarefree part via a primitive PRS gcd, distinct-degree
-and equal-degree splitting modulo a small odd prime, quadratic Hensel lifting
-to a power of p beyond the Mignotte bound, then subset recombination with
-exact trial division.
+Pipeline: the input is scaled to a primitive integer polynomial on the
+variables it uses and monomial content comes out.  Several variables: the
+content in a main variable x divides lc_x, which is factored recursively in
+fewer variables; the other variables are evaluated at seeded small integers,
+the image is factored as below, and subsets of the image factors are
+Hensel-lifted back over all evaluated variables at once and confirmed by
+exact trial division (Wang's method, with lc_x imposed on both sides).
+Univariate integer factorization is classic Zassenhaus: squarefree part via
+a primitive PRS gcd, distinct-degree and equal-degree splitting modulo a
+small odd prime, quadratic Hensel lifting to a power of p beyond the
+Mignotte bound, then subset recombination with exact trial division.
 
 Irreducibility here means irreducibility over the rationals.  Real
 irreducibles of degree 2 such as x^2 - 2 would split further over R; every
@@ -21,10 +24,10 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import comb, gcd, isqrt, lcm, perm
 
 from .errors import InvalidArgumentError, ResourceLimitError
-from .poly import Poly, VarSpace
+from .poly import Poly, VarSpace, grlex_key
 
 __all__ = ["Factorization", "normalize", "factorize", "is_irreducible", "DEFAULT_DEGREE_BOUND"]
 
@@ -142,124 +145,55 @@ def _zz_div_exact(a: list, b: list) -> list | None:
 
 
 # ---------------------------------------------------------------------------
-# Arithmetic modulo an integer (a small prime, or a prime power for the
-# lifting stage), with packed-integer multiplication: coefficients are packed
-# into one big integer so CPython's fast multiply performs the convolution.
+# Arithmetic modulo an integer m: a small prime, a prime power for the lifting
+# stage, or a large prime for the multivariate lift.
 
 
-def _packed_mul(a: list, b: list, mod: int) -> list:
-    if not a or not b:
-        return []
-    n = len(a) + len(b) - 1
+def _zp_mul(a: list, b: list, m: int) -> list:
     if len(a) * len(b) <= 64:
-        out = [0] * n
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return _trim([c % mod for c in out])
-    # byte-aligned digit width with room for the carry-free convolution sum
-    width = 2 * (mod - 1).bit_length() + min(len(a), len(b)).bit_length() + 1
+        return _zp_norm(_zz_mul(a, b), m)
+    # pack the coefficients into one big integer so CPython's fast multiply
+    # performs the convolution; byte-aligned digits leave room for its sums
+    width = 2 * (m - 1).bit_length() + min(len(a), len(b)).bit_length() + 1
     nbytes = (width + 7) // 8
     pa = int.from_bytes(b"".join(c.to_bytes(nbytes, "little") for c in a), "little")
     pb = int.from_bytes(b"".join(c.to_bytes(nbytes, "little") for c in b), "little")
     raw = (pa * pb).to_bytes((len(a) + len(b)) * nbytes, "little")
     out = [
-        int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little") % mod
-        for i in range(n)
+        int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little") % m
+        for i in range(len(a) + len(b) - 1)
     ]
     return _trim(out)
 
 
-class _ModCtx:
-    """Fast reduction modulo a fixed monic polynomial over Z/mZ.
-
-    Uses the reversal trick: the quotient of u by f is read off from a
-    product with the power-series inverse of the reversed divisor, extended
-    by Newton iteration on demand.
-    """
-
-    __slots__ = ("f", "m", "n", "rf", "inv", "prec")
-
-    def __init__(self, f: list, m: int):
-        self.f = f
-        self.m = m
-        self.n = _deg(f)
-        self.rf = list(reversed(f))  # constant term 1 since f is monic
-        self.inv = [1]
-        self.prec = 1
-
-    def _ensure(self, k: int) -> None:
-        while self.prec < k:
-            k2 = 2 * self.prec
-            t = _packed_mul(self.rf[:k2], self.inv, self.m)[:k2]
-            corr = [(-c) % self.m for c in t]
-            if corr:
-                corr[0] = (2 - t[0]) % self.m
-            else:
-                corr = [2 % self.m]
-            self.inv = _packed_mul(self.inv, corr, self.m)[:k2]
-            self.prec = k2
-
-    def divrem(self, u: list) -> tuple:
-        du = _deg(u)
-        if du < self.n:
-            return [], list(u)
-        k = du - self.n + 1
-        self._ensure(k)
-        ru = list(reversed(u))[:k]
-        qrev = _packed_mul(ru, self.inv[:k], self.m)[:k]
-        qrev = qrev + [0] * (k - len(qrev))
-        q = list(reversed(qrev))
-        qf = _packed_mul(q, self.f, self.m)
-        r = [
-            (u[i] - (qf[i] if i < len(qf) else 0)) % self.m
-            for i in range(min(self.n, len(u)))
-        ]
-        return _trim(q), _trim(r)
-
-    def rem(self, u: list) -> list:
-        return self.divrem(u)[1]
-
-    def mulrem(self, a: list, b: list) -> list:
-        return self.rem(_packed_mul(a, b, self.m))
-
-    def powmod(self, a: list, e: int) -> list:
-        result = [1]
-        base = self.rem(a)
-        while e:
-            if e & 1:
-                result = self.mulrem(result, base)
-            base = self.mulrem(base, base)
-            e >>= 1
-        return result
+def _zp_norm(a: list, m: int) -> list:
+    return _trim([c % m for c in a])
 
 
-def _zp_norm(a: list, p: int) -> list:
-    return _trim([c % p for c in a])
+def _zp_add(a: list, b: list, m: int) -> list:
+    n = max(len(a), len(b))
+    return _trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % m for i in range(n)])
 
 
-def _zp_mul(a: list, b: list, p: int) -> list:
-    return _packed_mul(a, b, p)
+def _zp_sub(a: list, b: list, m: int) -> list:
+    n = max(len(a), len(b))
+    return _trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m for i in range(n)])
 
 
-def _zp_divmod(a: list, b: list, p: int) -> tuple:
-    inv = pow(b[-1], -1, p)
+def _zp_divmod(a: list, b: list, m: int) -> tuple:
+    """Quotient and remainder modulo m; lc(b) must be a unit mod m."""
+    inv = pow(b[-1], -1, m)
     r = list(a)
     db = _deg(b)
     q = [0] * max(len(a) - len(b) + 1, 0)
     while r and _deg(r) >= db:
-        c = (r[-1] * inv) % p
+        c = (r[-1] * inv) % m
         shift = _deg(r) - db
         q[shift] = c
         for i, cb in enumerate(b):
-            r[shift + i] = (r[shift + i] - c * cb) % p
+            r[shift + i] = (r[shift + i] - c * cb) % m
         _trim(r)
-    return _trim(q), r
-
-
-def _zp_rem(a: list, b: list, p: int) -> list:
-    return _zp_divmod(a, b, p)[1]
+    return _trim(q), _trim(r)
 
 
 def _zp_monic(a: list, p: int) -> list:
@@ -272,64 +206,40 @@ def _zp_monic(a: list, p: int) -> list:
 def _zp_gcd(a: list, b: list, p: int) -> list:
     a, b = _zp_norm(a, p), _zp_norm(b, p)
     while b:
-        a, b = b, _zp_rem(a, b, p)
+        a, b = b, _zp_divmod(a, b, p)[1]
     return _zp_monic(a, p)
-
-
-def _zp_sub(a: list, b: list, p: int) -> list:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ca = a[i] if i < len(a) else 0
-        cb = b[i] if i < len(b) else 0
-        out[i] = (ca - cb) % p
-    return _trim(out)
 
 
 # ---------------------------------------------------------------------------
 # Factorization modulo p of a monic squarefree polynomial.
 
-_DDD_BLOCK = 6
+
+def _zp_powmod(a: list, e: int, f: list, p: int) -> list:
+    """a^e modulo f and p."""
+    result, base = [1], _zp_divmod(a, f, p)[1]
+    while e:
+        if e & 1:
+            result = _zp_divmod(_zp_mul(result, base, p), f, p)[1]
+        base = _zp_divmod(_zp_mul(base, base, p), f, p)[1]
+        e >>= 1
+    return result
 
 
 def _distinct_degree(f: list, p: int) -> list:
-    """Split monic squarefree f mod p into (degree, product-of-factors) parts.
-
-    Frobenius powers accumulate over blocks so one gcd covers several degrees;
-    a block with a nontrivial gcd is refined degree by degree.
-    """
+    """Split monic squarefree f mod p into (degree, product-of-factors) parts."""
     out = []
-    v = list(f)
-    ctx = _ModCtx(v, p)
-    h = ctx.rem([0, 1])
+    h = [0, 1]
     d = 0
-    while _deg(v) > 0:
-        if 2 * (d + 1) > _deg(v):
-            out.append((_deg(v), v))
-            break
-        dmax = min(d + _DDD_BLOCK, _deg(v) // 2)
-        block = []
-        prod = [1]
-        for dd in range(d + 1, dmax + 1):
-            h = ctx.powmod(h, p)
-            block.append((dd, h))
-            prod = ctx.mulrem(prod, _zp_sub(h, [0, 1], p) or [0])
-        g = _zp_gcd(prod, v, p)
+    while 2 * (d + 1) <= _deg(f):
+        d += 1
+        h = _zp_powmod(h, p, f, p)
+        g = _zp_gcd(_zp_sub(h, [0, 1], p), f, p)
         if _deg(g) > 0:
-            removed = [1]
-            for dd, hh in block:
-                gd = _zp_gcd(_zp_sub(hh, [0, 1], p), g, p)
-                if _deg(gd) > 0:
-                    out.append((dd, gd))
-                    g = _zp_divmod(g, gd, p)[0]
-                    removed = _zp_mul(removed, gd, p)
-            if _deg(removed) > 0:
-                v = _zp_divmod(v, removed, p)[0]
-                if _deg(v) == 0:
-                    break
-                ctx = _ModCtx(v, p)
-                h = ctx.rem(h)
-        d = dmax
+            out.append((d, g))
+            f = _zp_divmod(f, g, p)[0]
+            h = _zp_divmod(h, f, p)[1]
+    if _deg(f) > 0:
+        out.append((_deg(f), f))
     return out
 
 
@@ -339,68 +249,25 @@ def _equal_degree(f: list, d: int, p: int, rng: random.Random) -> list:
     if n == d:
         return [f]
     exp = (p**d - 1) // 2
-    ctx = _ModCtx(f, p)
     while True:
         r = [rng.randrange(p) for _ in range(n)]
         r = _trim(r)
         if _deg(r) < 1:
             continue
-        b = ctx.powmod(r, exp)
+        b = _zp_powmod(r, exp, f, p)
         g = _zp_gcd(_zp_sub(b, [1], p), f, p)
         if 0 < _deg(g) < n:
             rest = _zp_divmod(f, g, p)[0]
             return _equal_degree(g, d, p, rng) + _equal_degree(rest, d, p, rng)
 
 
-def _factor_mod_p(f: list, p: int, pieces: list = None) -> list:
-    rng = random.Random(0x5EED ^ (p * 7919) ^ _deg(f))
-    out = []
-    for d, part in pieces if pieces is not None else _distinct_degree(f, p):
-        out.extend(_equal_degree(part, d, p, rng))
-    out.sort()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Quadratic Hensel lifting (two factors plus Bezout data, then a binary tree).
 
 
-def _mod_poly(a: list, m: int) -> list:
-    return _trim([c % m for c in a])
-
-
-def _m_mul(a, b, m):
-    return _packed_mul(a, b, m)
-
-
-def _m_add(a, b, m):
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % m for i in range(n)])
-
-
-def _m_sub(a, b, m):
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m for i in range(n)])
-
-
-def _m_divmod_monic(a, b, m):
-    if _deg(b) >= 32 and _deg(a) - _deg(b) >= 16:
-        return _ModCtx(b, m).divrem(_trim([c % m for c in a]))
-    r = list(a)
-    db = _deg(b)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    while r and _deg(r) >= db:
-        c = r[-1] % m
-        shift = _deg(r) - db
-        q[shift] = c
-        for i, cb in enumerate(b):
-            r[shift + i] = (r[shift + i] - c * cb) % m
-        _trim(r)
-    return _trim(q), _trim(r)
-
-
-def _bezout_mod_p(g: list, h: list, p: int) -> tuple:
-    """s, t with s*g + t*h = 1 mod p, deg s < deg h, deg t < deg g."""
+def _bezout_mod_p(g: list, h: list, p: int) -> tuple | None:
+    """s, t with s*g + t*h = 1 mod p, deg s < deg h, deg t < deg g; None
+    when g and h are not coprime mod p."""
     r0, r1 = _zp_norm(g, p), _zp_norm(h, p)
     s0, s1 = [1], []
     t0, t1 = [], [1]
@@ -409,10 +276,12 @@ def _bezout_mod_p(g: list, h: list, p: int) -> tuple:
         r0, r1 = r1, r
         s0, s1 = s1, _zp_sub(s0, _zp_mul(q, s1, p), p)
         t0, t1 = t1, _zp_sub(t0, _zp_mul(q, t1, p), p)
+    if _deg(r0) > 0:
+        return None
     inv = pow(r0[0], -1, p)
     s = [(c * inv) % p for c in s0]
     t = [(c * inv) % p for c in t0]
-    s = _zp_rem(s, h, p)
+    s = _zp_divmod(s, h, p)[1]
     num = _zp_sub([1], _zp_mul(s, g, p), p)
     t = _zp_divmod(num, h, p)[0]
     return s, t
@@ -421,14 +290,14 @@ def _bezout_mod_p(g: list, h: list, p: int) -> tuple:
 def _hensel_step(m, f, g, h, s, t):
     """Lift f = g*h (mod m), s*g + t*h = 1 (mod m), h monic, to modulus m^2."""
     mm = m * m
-    e = _m_sub(_mod_poly(f, mm), _m_mul(g, h, mm), mm)
-    q, r = _m_divmod_monic(_m_mul(s, e, mm), h, mm)
-    g1 = _m_add(g, _m_add(_m_mul(t, e, mm), _m_mul(q, g, mm), mm), mm)
-    h1 = _m_add(h, r, mm)
-    b = _m_sub(_m_add(_m_mul(s, g1, mm), _m_mul(t, h1, mm), mm), [1], mm)
-    c, d = _m_divmod_monic(_m_mul(s, b, mm), h1, mm)
-    s1 = _m_sub(s, d, mm)
-    t1 = _m_sub(t, _m_add(_m_mul(t, b, mm), _m_mul(c, g1, mm), mm), mm)
+    e = _zp_sub(_zp_norm(f, mm), _zp_mul(g, h, mm), mm)
+    q, r = _zp_divmod(_zp_mul(s, e, mm), h, mm)
+    g1 = _zp_add(g, _zp_add(_zp_mul(t, e, mm), _zp_mul(q, g, mm), mm), mm)
+    h1 = _zp_add(h, r, mm)
+    b = _zp_sub(_zp_add(_zp_mul(s, g1, mm), _zp_mul(t, h1, mm), mm), [1], mm)
+    c, d = _zp_divmod(_zp_mul(s, b, mm), h1, mm)
+    s1 = _zp_sub(s, d, mm)
+    t1 = _zp_sub(t, _zp_add(_zp_mul(t, b, mm), _zp_mul(c, g1, mm), mm), mm)
     return g1, h1, s1, t1
 
 
@@ -438,7 +307,7 @@ def _hensel_lift_list(f: list, factors: list, p: int, target: int) -> list:
     rides along in the left half of each split."""
     if len(factors) == 1:
         inv = pow(f[-1] % target, -1, target)
-        return [_mod_poly([c * inv for c in f], target)]
+        return [_zp_norm([c * inv for c in f], target)]
     mid = len(factors) // 2
     g = [f[-1] % p]
     for u in factors[:mid]:
@@ -451,7 +320,7 @@ def _hensel_lift_list(f: list, factors: list, p: int, target: int) -> list:
     while m < target:
         g, h, s, t = _hensel_step(m, f, g, h, s, t)
         m = m * m
-    g, h = _mod_poly(g, target), _mod_poly(h, target)
+    g, h = _zp_norm(g, target), _zp_norm(h, target)
     return _hensel_lift_list(g, factors[:mid], p, target) + _hensel_lift_list(
         h, factors[mid:], p, target
     )
@@ -488,8 +357,8 @@ def _pick_prime(f: list) -> tuple:
         raise ResourceLimitError("no suitable small prime for modular factorization")
     found.sort(key=lambda item: item[0])
     count, p, pieces = found[0]
-    fp = _zp_monic(_zp_norm(f, p), p)
-    return p, _factor_mod_p(fp, p, pieces)
+    rng = random.Random(0x5EED ^ (p * 7919) ^ _deg(f))
+    return p, sorted(u for d, part in pieces for u in _equal_degree(part, d, p, rng))
 
 
 def _primitive_pos(a: list) -> list:
@@ -514,7 +383,7 @@ def _factor_squarefree_zz(f: list) -> list:
     target = p
     while target < 2 * bound + 1:
         target = target * target
-    lifted = _hensel_lift_list(_mod_poly(f, target), modular, p, target)
+    lifted = _hensel_lift_list(_zp_norm(f, target), modular, p, target)
     result = []
     remaining = list(lifted)
     fcur = list(f)
@@ -547,7 +416,7 @@ def _factor_squarefree_zz(f: list) -> list:
                 continue
             prod = [lc_cur % target]
             for i in combo:
-                prod = _m_mul(prod, remaining[i], target)
+                prod = _zp_mul(prod, remaining[i], target)
             cand = _primitive_pos(_sym(prod, target))
             q = _zz_div_exact(fcur, cand)
             if q is not None:
@@ -609,28 +478,300 @@ def _factor_univariate_int(f: list) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Multivariate layer: Kronecker substitution and exact division.
+# Multivariate layer.  An integer polynomial is a term map {exponent tuple:
+# int}.  One variable is the main variable x, the others are evaluated at
+# small integers, the univariate image is factored, and image factors are
+# Hensel-lifted back to factors of the polynomial.
+
+
+def _divide_terms(r: dict, g: dict) -> dict | None:
+    """Quotient r/g of term maps when the division is exact, else None.
+
+    Graded-lex division that consumes ``r`` as the remainder.  Integer
+    coefficients must divide over Z, Fractions over Q.
+    """
+    glm = max(g, key=grlex_key)
+    glc = g[glm]
+    tail = [(e, c) for e, c in g.items() if e != glm]
+    q = {}
+    while r:
+        lm = max(r, key=grlex_key)
+        d = tuple(map(int.__sub__, lm, glm))
+        if min(d) < 0:
+            return None
+        c = r.pop(lm)
+        if type(c) is int:
+            c, rem = divmod(c, glc)
+            if rem:
+                return None
+        else:
+            c = c / glc
+        q[d] = c
+        for e, gc in tail:
+            m = tuple(map(int.__add__, d, e))
+            s = r.get(m, 0) - c * gc
+            if s:
+                r[m] = s
+            else:
+                del r[m]
+    return q
 
 
 def poly_divide_exact(f: Poly, g: Poly) -> Poly | None:
     """Quotient f/g when the division is exact, else None."""
     if g.is_zero():
         raise InvalidArgumentError("division by the zero polynomial")
-    if f.is_zero():
-        return f
-    glm = g.leading_monomial()
-    glc = g.terms[glm]
-    q: dict = {}
-    r = f
-    while not r.is_zero():
-        rlm = r.leading_monomial()
-        diff = tuple(a - b for a, b in zip(rlm, glm))
-        if any(d < 0 for d in diff):
-            return None
-        c = r.terms[rlm] / glc
-        q[diff] = q.get(diff, Fraction(0)) + c
-        r = r - Poly.monomial(f.space, diff, c) * g
-    return Poly(f.space, q)
+    q = _divide_terms(dict(f.terms), g.terms)
+    return None if q is None else Poly(f.space, q)
+
+
+def _t_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(int.__add__, ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _t_shift(f: dict, a: list) -> dict:
+    """f with each variable y_j replaced by y_j + a_j."""
+    for j, aj in enumerate(a):
+        if aj:
+            out: dict = {}
+            for e, c in f.items():
+                for i in range(e[j] + 1):
+                    e2 = e[:j] + (i,) + e[j + 1 :]
+                    out[e2] = out.get(e2, 0) + c * comb(e[j], i) * aj ** (e[j] - i)
+            f = {e: c for e, c in out.items() if c}
+    return f
+
+
+def _t_lc(f: dict, v: int) -> dict:
+    """Leading coefficient in variable v, as a term map free of v."""
+    d = max(e[v] for e in f)
+    return {e[:v] + (0,) + e[v + 1 :]: c for e, c in f.items() if e[v] == d}
+
+
+def _t_image(f: dict, v: int, a: list) -> list:
+    """f with every variable but v evaluated at a, as a dense list in v."""
+    out = [0] * (max(e[v] for e in f) + 1)
+    for e, c in f.items():
+        for j, k in enumerate(e):
+            if k and j != v:
+                c *= a[j] ** k
+        out[e[v]] += c
+    return _trim(out)
+
+
+def _t_primitive(f: dict) -> dict:
+    c = _zz_content(list(f.values()))
+    return f if c == 1 else {e: x // c for e, x in f.items()}
+
+
+# Mersenne primes for the multivariate lift: the first one above twice the
+# coefficient bound makes symmetric residues exact integers.
+_LIFT_PRIMES = tuple(
+    (1 << k) - 1 for k in (61, 89, 107, 127, 521, 607, 1279, 2203, 4423, 9689, 19937)
+)
+# evaluation points tried for one multivariate factorization
+_EVAL_TRIES = 64
+_POINT_SEED = 0x5EED
+
+
+def _factor_terms(f: dict) -> list:
+    """Irreducible factors with multiplicity of a nonzero integer term map.
+
+    Returns [(primitive term map, multiplicity)]; integer content and signs
+    are left to the caller.
+    """
+    f = _t_primitive(f)
+    n = len(next(iter(f)))
+    out = []
+    mins = [min(e[i] for e in f) for i in range(n)]
+    if any(mins):
+        f = {tuple(map(int.__sub__, e, mins)): c for e, c in f.items()}
+        out += [({tuple(int(j == i) for j in range(n)): 1}, k) for i, k in enumerate(mins) if k]
+    degs = [max(e[i] for e in f) for i in range(n)]
+    used = [i for i in range(n) if degs[i]]
+    if len(used) < 2:
+        for v in used:
+            for g, k in _factor_univariate_int(_t_image(f, v, [0] * n)):
+                terms = {tuple(i if j == v else 0 for j in range(n)): c for i, c in enumerate(g)}
+                out.append(({e: c for e, c in terms.items() if c}, k))
+        return out
+    # main variable of least degree; a linear primitive part is irreducible
+    v = min(used, key=lambda i: (degs[i], sum(1 for e in f if e[i] == degs[i])))
+    # the content in v divides lc_v(f), so only the lc's factors can be in it
+    lc_factors = [g for g, _ in _factor_terms(_t_lc(f, v))]
+    for t in lc_factors:
+        k = 0
+        while (q := _divide_terms(dict(f), t)) is not None:
+            f, k = q, k + 1
+        if k:
+            return out + [(t, k)] + _factor_terms(f)
+    if degs[v] == 1:
+        return out + [(f, 1)]
+    return out + _factor_wang(f, v, lc_factors)
+
+
+def _factor_wang(f: dict, v: int, lc_factors: list) -> list:
+    """Factor f, primitive and of degree >= 2 in the main variable x = var v.
+
+    The other variables are evaluated at seeded small integers until the
+    image keeps deg_x.  Subsets of the image factors are then lifted,
+    smallest first; a subset whose factors all have multiplicity m in the
+    image is lifted on the (m-1)-th x-derivative of f, where G^m | f leaves
+    exactly one factor G.  A leftover whose image factors all have
+    multiplicity 1, no half of which lifted, is irreducible (an irreducible
+    image proves it at once); any other leftover means the point merged
+    factors and is retried at fresh points.
+    """
+    n = len(next(iter(f)))
+    rng = random.Random(_POINT_SEED)
+    seen = set()
+    out = []
+    for tries in range(_EVAL_TRIES):
+        others = [i for i in range(n) if i != v and any(e[i] for e in f)]
+        if not others:
+            return out + _factor_terms(f)
+        a = [0] * n
+        if tries:
+            for i in others:
+                a[i] = rng.randint(-1 - tries // 8, 1 + tries // 8)
+        if tuple(a) in seen:
+            continue
+        seen.add(tuple(a))
+        image = _t_image(f, v, a)
+        if _deg(image) != max(e[v] for e in f):
+            continue
+        remaining = _factor_univariate_int(image)
+        size = 1
+        while True:
+            squarefree = all(k == 1 for _, k in remaining)
+            if size > len(remaining) or (squarefree and 2 * size > len(remaining)):
+                break
+            for combo in itertools.combinations(range(len(remaining)), size):
+                m = remaining[combo[0]][1]
+                if any(remaining[i][1] != m for i in combo):
+                    continue
+                u = [1]
+                for i in combo:
+                    u = _zz_mul(u, remaining[i][0])
+                fd = {
+                    e[:v] + (e[v] - m + 1,) + e[v + 1 :]: c * perm(e[v], m - 1)
+                    for e, c in f.items()
+                    if e[v] >= m - 1
+                }
+                g = gm = _lift_factor(fd, v, a, u, lc_factors)
+                if g is None:
+                    continue
+                for _ in range(m - 1):
+                    gm = _t_mul(gm, g)
+                if (rest := _divide_terms(dict(f), gm)) is not None:
+                    out.append((g, m))
+                    f = rest
+                    remaining = [r for i, r in enumerate(remaining) if i not in combo]
+                    break
+            else:
+                size += 1
+        if squarefree:
+            return out + ([(f, 1)] if any(e[v] for e in f) else [])
+    raise ResourceLimitError(
+        f"no evaluation point settled the factorization within the cap of {_EVAL_TRIES} tries"
+    )
+
+
+def _lift_factor(f: dict, v: int, a: list, u: list, lc_factors: list) -> dict | None:
+    """The factor G of f whose image at a is u (up to a constant), or None.
+
+    Lifts F = lc_x(f) * f, shifted so that the point is 0, to A*B with A(0)
+    a multiple of u and lc_x(f) imposed as the leading coefficient of A and
+    of B, so a true factor comes out as A = (lc_x(f) / lc_x(G)) * G; G is its
+    primitive part.  Factors of F have coefficients of at most
+    2^(sum of its degrees) * |F|_2, and A is rejected beyond that.
+    """
+    lc = _t_lc(f, v)
+    big = _t_shift(_t_mul(lc, f), a)
+    lcs = _t_shift(lc, a)
+    degs = sum(max(e[i] for e in big) for i in range(len(a)))
+    bound = (isqrt(sum(c * c for c in big.values())) + 1) << degs
+    width = max(e[v] for e in f) + 1
+    rows: dict = {}
+    for e, c in big.items():
+        rows.setdefault(e[:v] + (0,) + e[v + 1 :], [0] * width)[e[v]] = c
+    zero = (0,) * len(a)
+    a0 = [c * (lcs[zero] // u[-1]) for c in u]
+    b0 = _zz_div_exact(_trim(rows[zero]), a0)
+    for p in _LIFT_PRIMES:
+        if p > 2 * bound and (lifted := _hensel_multi(rows, lcs, a0, b0, p)) is not None:
+            break
+    else:
+        raise ResourceLimitError("coefficient bound exceeds the largest lifting modulus 2^19937 - 1")
+    shifted = {}
+    for alpha, row in lifted.items():
+        for i, c in enumerate(row):
+            c = c - p if c > p // 2 else c
+            if abs(c) > bound:
+                return None
+            if c:
+                shifted[alpha[:v] + (i,) + alpha[v + 1 :]] = c
+    g = _t_primitive(_t_shift(shifted, [-x for x in a]))
+    for t in lc_factors:
+        while (q := _divide_terms(dict(g), t)) is not None:
+            g = q
+    return g
+
+
+def _hensel_multi(rows: dict, lcs: dict, a0: list, b0: list, p: int) -> dict | None:
+    """A with A*B = F mod p, A(0) = a0, B(0) = b0, lc_x(A) = lc_x(B) = L.
+
+    F is ``rows`` ({alpha: dense list in x}, alpha a monomial in the shifted
+    variables) and L is ``lcs``.  All shifted variables are lifted together,
+    one total degree k at a time: the part E of the degree-k error at each
+    monomial gets corrections with b0*dA + a0*dB = E from one Bezout pair.
+    None when a0 and b0 are not coprime mod p.
+    """
+    a0, b0 = _zp_norm(a0, p), _zp_norm(b0, p)
+    bez = _bezout_mod_p(a0, b0, p)
+    if bez is None:
+        return None
+    s, t = bez
+    top = max(map(sum, rows))
+    zero = (0,) * len(next(iter(rows)))
+    # each factor as {alpha: dense list in x}, and its monomials by degree
+    sides = []
+    for base in (a0, b0):
+        polys, by_deg = {zero: base}, [[(zero, base)]] + [[] for _ in range(top)]
+        for alpha, c in lcs.items():
+            if 0 < sum(alpha) <= top:
+                polys[alpha] = [0] * _deg(base) + [c % p]
+                by_deg[sum(alpha)].append((alpha, polys[alpha]))
+        sides.append((base, polys, by_deg))
+    (_, big, big_by), (_, _, small_by) = sides
+    for k in range(1, top + 1):
+        err = {alpha: list(row) for alpha, row in rows.items() if sum(alpha) == k}
+        for j in range(k + 1):
+            for alpha, ra in big_by[j]:
+                for beta, rb in small_by[k - j]:
+                    key = tuple(map(int.__add__, alpha, beta))
+                    acc = err.setdefault(key, [0] * (len(a0) + len(b0) - 1))
+                    for i, ca in enumerate(ra):
+                        if ca:
+                            for jj, cb in enumerate(rb):
+                                acc[i + jj] -= ca * cb
+        for alpha, acc in err.items():
+            if e := _zp_norm(acc, p):
+                q, fix_a = _zp_divmod(_zp_mul(t, e, p), a0, p)
+                fix_b = _zp_add(_zp_mul(s, e, p), _zp_mul(q, b0, p), p)
+                for fix, (base, polys, by_deg) in zip((fix_a, fix_b), sides):
+                    if alpha not in polys:
+                        polys[alpha] = [0] * len(base)
+                        by_deg[k].append((alpha, polys[alpha]))
+                    row = polys[alpha]
+                    for i, c in enumerate(fix):
+                        row[i] = (row[i] + c) % p
+    return big
 
 
 @dataclass(frozen=True)
@@ -668,141 +809,11 @@ def normalize(f: Poly):
 _factor_cache: dict = {}
 
 
-def _embed_univariate(coeffs: list, space: VarSpace, var: int) -> Poly:
-    terms = {}
-    for k, c in enumerate(coeffs):
-        if c:
-            e = [0] * space.nvars
-            e[var] = k
-            terms[tuple(e)] = Fraction(c)
-    return Poly(space, terms)
-
-
-def _kronecker_strides(degs: list) -> list:
-    strides = []
-    acc = 1
-    for d in degs:
-        strides.append(acc)
-        acc *= d + 1
-    return strides
-
-
-def _kronecker_image(f: Poly, active: list, strides: list) -> list:
-    n = 1 + max(
-        sum(e[v] * s for v, s in zip(active, strides)) for e in f.terms
-    )
-    out = [0] * n
-    for e, c in f.terms.items():
-        out[sum(e[v] * s for v, s in zip(active, strides))] = int(c)
-    return _trim(out)
-
-
-def _kronecker_preimage(coeffs: list, space: VarSpace, active: list, degs: list) -> Poly:
-    terms = {}
-    for k, c in enumerate(coeffs):
-        if not c:
-            continue
-        e = [0] * space.nvars
-        rem = k
-        for v, d in zip(active, degs):
-            e[v] = rem % (d + 1)
-            rem //= d + 1
-        terms[tuple(e)] = Fraction(c)
-    return Poly(space, terms)
-
-
-def _primitive_sign(f: Poly) -> Poly:
-    """Integer-primitive representative with positive leading coefficient."""
-    nums = [c.numerator for c in f.terms.values()]
-    dens = [c.denominator for c in f.terms.values()]
-    g = 0
-    for x in nums:
-        g = gcd(g, x)
-    l = 1
-    for x in dens:
-        l = l * x // gcd(l, x)
-    scaled = f * Fraction(l, g)
-    if scaled.leading_coeff() < 0:
-        scaled = -scaled
-    return scaled
-
-
-def _multiset_candidates(counts: list, degrees: list):
-    """Sub-multisets ordered by total degree, then lexicographically."""
-    ranges = [range(c + 1) for c in counts]
-    options = []
-    for take in itertools.product(*ranges):
-        total = sum(t * d for t, d in zip(take, degrees))
-        if total == 0:
-            continue
-        options.append((total, take))
-    options.sort()
-    return [take for _, take in options]
-
-
 def _factor_int_poly(f: Poly) -> list:
-    """Factor a primitive integer Poly; returns [(primitive factor Poly, mult)]."""
-    space = f.space
-    active = list(f.variables_used())
-    if len(active) == 1:
-        parts = _factor_univariate_int(
-            [int(c) for c in _univariate_coeffs(f, active[0])]
-        )
-        return [(_embed_univariate(g, space, active[0]), m) for g, m in parts]
-
-    degs = [f.degree_in(v) for v in active]
-    strides = _kronecker_strides(degs)
-    image = _kronecker_image(f, active, strides)
-    uni = _factor_univariate_int(image)
-    factor_polys = [g for g, _ in uni]
-    counts = [m for _, m in uni]
-    degrees = [_deg(g) for g in factor_polys]
-
-    result = []
-    fcur = f
-    while True:
-        total_deg_left = sum(c * d for c, d in zip(counts, degrees))
-        if total_deg_left == 0:
-            break
-        accepted = False
-        for take in _multiset_candidates(counts, degrees):
-            if 2 * sum(t * d for t, d in zip(take, degrees)) > total_deg_left:
-                break
-            prod = [1]
-            for g, t in zip(factor_polys, take):
-                for _ in range(t):
-                    prod = _zz_mul(prod, g)
-            cand = _primitive_sign(_kronecker_preimage(prod, space, active, degs))
-            if cand.is_constant():
-                continue
-            q = poly_divide_exact(fcur, cand)
-            if q is None:
-                continue
-            mult = 1
-            while True:
-                q2 = poly_divide_exact(q, cand)
-                if q2 is None:
-                    break
-                q = q2
-                mult += 1
-            result.append((cand, mult))
-            fcur = q
-            counts = [c - mult * t for c, t in zip(counts, take)]
-            accepted = True
-            break
-        if not accepted:
-            leftover = _primitive_sign(fcur)
-            result.append((leftover, 1))
-            break
-    return result
-
-
-def _univariate_coeffs(f: Poly, var: int) -> list:
-    d = f.degree_in(var)
-    out = [Fraction(0)] * (d + 1)
-    for e, c in f.terms.items():
-        out[e[var]] = c
-    return out
+    """Factor a nonconstant Poly; returns [(primitive factor Poly, mult)]."""
+    scale = lcm(*(c.denominator for c in f.terms.values()))
+    terms = {e: int(c * scale) for e, c in f.terms.items()}
+    return [(Poly(f.space, g), m) for g, m in _factor_terms(terms)]
 
 
 def factorize(f: Poly, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Factorization:
@@ -823,23 +834,7 @@ def factorize(f: Poly, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Factorizatio
         _factor_cache[f] = result
         return result
 
-    work = _primitive_sign(f)
-    pieces: list = []
-
-    # monomial content: each variable with a uniformly positive exponent
-    mins = [min(e[i] for e in work.terms) for i in range(space.nvars)]
-    if any(mins):
-        shifted = {
-            tuple(a - b for a, b in zip(e, mins)): c for e, c in work.terms.items()
-        }
-        work = Poly(space, shifted)
-        for i, m in enumerate(mins):
-            if m:
-                pieces.append((Poly.variable(space, i), m))
-
-    if not work.is_constant():
-        pieces.extend(_factor_int_poly(work))
-
+    pieces = _factor_int_poly(f)
     unit = Fraction(1)
     normalized = []
     for g, m in pieces:

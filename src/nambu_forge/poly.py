@@ -502,9 +502,8 @@ class NuObject:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, Poly):
-            other = NuObject.from_poly(other)
-        if not isinstance(other, NuObject):
+        other = self._coerce(other, self.space)
+        if other is None:
             return NotImplemented
         return self.space == other.space and self.coeffs == other.coeffs
 

@@ -1,9 +1,11 @@
 """Factorization: contract examples, round-trips, multiplicativity."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from nambu_forge import factor as factor_mod
 from nambu_forge.errors import InvalidArgumentError, ResourceLimitError
 from nambu_forge.factor import Factorization, factorize, is_irreducible, normalize, poly_divide_exact
 from nambu_forge.poly import Poly, coordinate_space
@@ -66,6 +68,14 @@ def test_degree_bound():
     with pytest.raises(ResourceLimitError) as err:
         factorize(x1**13)
     assert "12" in str(err.value)
+    # the bound is on the total degree, also for several variables
+    with pytest.raises(ResourceLimitError) as err:
+        factorize((x1 * x2 + x3) ** 4 * (x1 * x3 + x2 + 1) ** 3)
+    assert "14" in str(err.value) and "12" in str(err.value)
+    f = (x1 * x2 + x3) ** 4 * (x1 * x3 + x2 + 1) ** 2
+    assert sorted(m for _, m in factorize(f).factors) == [2, 4]
+    with pytest.raises(ResourceLimitError):
+        factorize(f, degree_bound=11)
 
 
 def test_zero_rejected():
@@ -120,6 +130,46 @@ def test_exact_division():
     f = (x1 + x2) * (x1 - x3) * 3
     assert poly_divide_exact(f, x1 + x2) == (x1 - x3) * 3
     assert poly_divide_exact(f, x1 + 1) is None
+    g = x1 * Fraction(1, 2) - x2 * x3 + 1
+    assert poly_divide_exact(f * g, g) == f
+    assert poly_divide_exact(Poly.zero(X3), g).is_zero()
+    # x1^2 + x2 = (x1 + 1)(x1 - 1) + x2 + 1: two quotient terms succeed, then
+    # the remainder's leading term x2 would need the exponent x1^-1
+    assert poly_divide_exact(x1 * x1 + x2, x1 + 1) is None
+    with pytest.raises(InvalidArgumentError):
+        poly_divide_exact(f, Poly.zero(X3))
+
+
+def test_split_image_does_not_split_the_input():
+    # at x2 = 4 the image of x1^2 - x2 in x1 is (x1 - 2)(x1 + 2), but
+    # neither image factor lifts to a factor
+    assert factor_mod._lift_factor({(2, 0): 1, (0, 1): -1}, 0, [0, 4], [-2, 1], []) is None
+    assert is_irreducible(x1 * x1 - x2)
+    # here the first evaluation point, x2 = 0, gives the split image x1^2 - 4
+    assert is_irreducible(x1 * x1 - x2**3 - 4)
+    f = (x1 * x1 - x2**3 - 4) * (x1 + x2 * x3)
+    assert sorted(str(g) for g, _ in factorize(f).factors) == ["x2*x3 + x1", "x2^3 - x1^2 + 4"]
+
+
+def test_two_variable_inputs():
+    f = (x1 * x1 + x2) * (x1 - x2 * x2) ** 2 * (x1 * x2 + 1)
+    fac = factorize(f)
+    assert fac.unit == 1
+    assert [(str(g), m) for g, m in fac.factors] == [
+        ("x2^2 - x1", 2), ("x1*x2 + 1", 1), ("x1^2 + x2", 1)
+    ]
+
+
+def test_leading_coefficient_vanishing_at_first_point(monkeypatch):
+    # lc in x1 is x2*x3, which vanishes at the first point (x2, x3) = (0, 0)
+    f = (x1 * x2 + x3) * (x1 * x3 + x2 + 1)
+    monkeypatch.setattr(factor_mod, "_factor_cache", {})
+    assert sorted(str(g) for g, _ in factorize(f).factors) == ["x1*x2 + x3", "x1*x3 + x2 + 1"]
+    monkeypatch.setattr(factor_mod, "_factor_cache", {})
+    monkeypatch.setattr(factor_mod, "_EVAL_TRIES", 1)
+    with pytest.raises(ResourceLimitError) as err:
+        factorize(f)
+    assert "cap of 1 tries" in str(err.value)
 
 
 def test_univariate_path():
@@ -127,3 +177,55 @@ def test_univariate_path():
     fac = factorize(f)
     assert fac.expand() == f
     assert sorted(m for _, m in fac.factors) == [1, 2]
+
+
+def _sympy_terms(f, syms):
+    import sympy
+
+    return sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s**k for s, k in zip(syms, e)))
+        for e, c in f.terms.items()
+    ))
+
+
+def _differential_products():
+    """About 200 seeded products: fixed shapes, then random factors (not
+    necessarily irreducible) with a unit and occasional squares."""
+    products = [
+        (x2 + 1) * (x1 + x3),
+        (x1 * x2 + x3) * (x1 * x3 + x2 + 1),
+        (x1 * x2 + x3) ** 2 * (x1 * x3 + x2 + 1) * 3,
+        (x2 + 1) ** 2 * (x1 + x3) * (x1 * x1 - x2),
+        (x1 * x2 * x3 + 1) * (x1 * x2 - x3) * (x1 + x2 * x3),
+        (x1 * x1 - x2**3 - 4) * (x2 * x3 - x1) ** 3,
+    ]
+    rng = random.Random(5)
+    while len(products) < 200:
+        prod = Poly.const(X3, Fraction(rng.choice([-2, -1, 1, 2, 3])))
+        for _ in range(rng.randint(1, 3)):
+            p = random_poly(X3, rng, degree=rng.randint(1, 3), terms=rng.randint(2, 4))
+            if not p.is_constant():
+                prod = prod * p ** rng.choice([1, 1, 1, 2])
+        if not prod.is_constant() and prod.total_degree() <= 12:
+            products.append(prod)
+    return products
+
+
+def test_factors_agree_with_sympy():
+    """Independent oracle: every normalized factor, multiplicity and unit
+    agrees with sympy.factor_list."""
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols("x1 x2 x3")
+    for f in _differential_products():
+        coeff, pairs = sympy.factor_list(_sympy_terms(f, syms), *syms)
+        unit = Fraction(int(coeff.p), int(coeff.q))
+        want = []
+        for g, m in pairs:
+            terms = sympy.Poly(g, *syms).terms()
+            c, gn = normalize(Poly(X3, {e: Fraction(int(k.p), int(k.q)) for e, k in terms}))
+            unit *= c**m
+            want.append((gn, m))
+        want.sort(key=lambda item: (item[0].sort_key(), item[1]))
+        fac = factorize(f)
+        assert fac.factors == tuple(want), str(f)
+        assert fac.unit == unit, str(f)

@@ -154,7 +154,11 @@ def test_hash_agrees_with_equality():
         assert len({const, c}) == 1
         nu = NuObject.from_poly(const)
         assert nu == const and hash(nu) == hash(const)
-        assert len({nu, const}) == 1
+        assert nu == c and c == nu
+        assert len({nu, const, c}) == 1
+    one = NuObject.one(X3)
+    assert one == 1 and one == Fraction(1) and one != 2
+    assert len({one, Poly.const(X3, 1), 1}) == 1
     x1 = xs()[0]
     assert hash(NuObject.from_poly(x1)) == hash(x1)
     assert NuObject(X3, {1: x1}) != x1
