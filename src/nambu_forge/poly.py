@@ -116,7 +116,7 @@ def su2_lift_space() -> VarSpace:
 class Poly:
     """Immutable sparse polynomial over Fraction coefficients."""
 
-    __slots__ = ("space", "terms", "_hash")
+    __slots__ = ("space", "terms", "_hash", "_sort_key")
 
     def __init__(self, space: VarSpace, terms: Mapping[Exponent, Scalar]):
         clean = {}
@@ -128,9 +128,21 @@ class Poly:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_sort_key", None)
 
     def __setattr__(self, *a):  # pragma: no cover - guard rail
         raise AttributeError("Poly is immutable")
+
+    @classmethod
+    def _frozen(cls, space: VarSpace, row: dict) -> "Poly":
+        """A Poly over an accumulator row of exact Fractions, taken as it is
+        apart from its zero entries (no conversion hides a stray int or float)."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "space", space)
+        object.__setattr__(out, "terms", {e: c for e, c in row.items() if c})
+        object.__setattr__(out, "_hash", None)
+        object.__setattr__(out, "_sort_key", None)
+        return out
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -190,9 +202,11 @@ class Poly:
 
     def sort_key(self):
         """Canonical total order on polynomials of one space (leading first)."""
-        return tuple(
-            (e, c) for e, c in sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
-        )
+        key = self._sort_key
+        if key is None:
+            key = tuple(sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True))
+            object.__setattr__(self, "_sort_key", key)
+        return key
 
     # -- arithmetic --------------------------------------------------------
     def _check_space(self, other: "Poly") -> None:
@@ -557,6 +571,45 @@ class TSeries:
 
 
 # ---------------------------------------------------------------------------
+# Accumulators: {nu-power: {exponent: Fraction}} maps, filled in place and
+# frozen into a NuObject once
+
+
+def _bump(row: dict, e: Exponent, v: Fraction) -> None:
+    cur = row.get(e)
+    row[e] = v if cur is None else cur + v
+
+
+def _add_into(acc: dict, x: NuObject, shift: int, c) -> None:
+    """acc[m + shift][e] += c * (nu^m coefficient of x)[e]."""
+    for m, poly in x.coeffs.items():
+        row = acc.setdefault(m + shift, {})
+        if c == 1:
+            for e, v in poly.terms.items():
+                _bump(row, e, v)
+        else:
+            for e, v in poly.terms.items():
+                _bump(row, e, v * c)
+
+
+def _mul_into(row: dict, f: Poly, g: Poly, w: Fraction) -> None:
+    """row[e1 + e2] += w * f[e1] * g[e2], term by term."""
+    gterms = g.terms.items()
+    for e1, c1 in f.terms.items():
+        c1 = c1 * w
+        for e2, c2 in gterms:
+            e = tuple(map(int.__add__, e1, e2))
+            v = c1 * c2
+            cur = row.get(e)
+            row[e] = v if cur is None else cur + v
+
+
+def _freeze(space: VarSpace, acc: dict) -> NuObject:
+    """The NuObject an accumulator holds; zero entries are dropped."""
+    return NuObject(space, {m: Poly._frozen(space, row) for m, row in acc.items()})
+
+
+# ---------------------------------------------------------------------------
 # Poisson bivector powers and Jacobians
 
 
@@ -574,6 +627,7 @@ class _DerivativeCache:
     """Mixed partial derivatives of one polynomial, computed on demand."""
 
     def __init__(self, f: Poly):
+        self.f = f
         self.cache = {(0,) * f.space.nvars: f}
 
     def get(self, orders: tuple) -> Poly:
@@ -603,9 +657,16 @@ def poisson_power(f: Poly, g: Poly, r: int, pairs: Iterable = None) -> Poly:
     pairs = tuple(pairs) if pairs is not None else f.space.pairs
     if not pairs:
         raise InvalidArgumentError("poisson_power needs at least one symplectic pair")
-    nv = f.space.nvars
-    df, dg = _DerivativeCache(f), _DerivativeCache(g)
-    out = Poly.zero(f.space)
+    row: dict = {}
+    _poisson_into(row, _DerivativeCache(f), _DerivativeCache(g), r, pairs, Fraction(1))
+    return Poly._frozen(f.space, row)
+
+
+def _poisson_into(row: dict, df: "_DerivativeCache", dg: "_DerivativeCache", r: int,
+                  pairs: tuple, w: Fraction) -> None:
+    """row += w * P^r(f, g) for the polynomials behind df and dg (r >= 0),
+    one term product at a time."""
+    nv = df.f.space.nvars
     for comp in _compositions(r, len(pairs)):
         base = factorial(r)
         for s in comp:
@@ -627,8 +688,7 @@ def poisson_power(f: Poly, g: Poly, r: int, pairs: Iterable = None) -> Poly:
             rg = dg.get(tuple(right))
             if rg.is_zero():
                 continue
-            out = out + (lf * rg) * coeff
-    return out
+            _mul_into(row, lf, rg, w * coeff)
 
 
 _PERM_CACHE: dict = {}

@@ -25,8 +25,13 @@ from .poly import (
     Poly,
     TSeries,
     VarSpace,
+    _DerivativeCache,
+    _add_into,
+    _bump,
+    _freeze,
+    _mul_into,
+    _poisson_into,
     grlex_key,
-    poisson_power,
     su2_lift_space,
     su2_space,
 )
@@ -102,32 +107,26 @@ def _pair_degree(f: Poly, pairs) -> int:
     return max(sum(e[i] for i in idx) for e in f.terms)
 
 
-def _moyal_poly(f: Poly, g: Poly, pairs) -> NuObject:
+def _moyal_into(acc: dict, f: Poly, g: Poly, pairs, shift: int) -> None:
+    """acc[shift + r] += P^r(f, g) / r! for every r the pairs allow."""
     rmax = min(_pair_degree(f, pairs), _pair_degree(g, pairs))
-    coeffs = {}
+    df, dg = _DerivativeCache(f), _DerivativeCache(g)
     for r in range(rmax + 1):
-        term = poisson_power(f, g, r, pairs)
-        if not term.is_zero():
-            coeffs[r] = term * Fraction(1, factorial(r))
-    return NuObject(f.space, coeffs)
+        _poisson_into(acc.setdefault(shift + r, {}), df, dg, r, pairs, Fraction(1, factorial(r)))
 
 
-def _standard_poly(f: Poly, g: Poly, pair) -> NuObject:
+def _standard_into(acc: dict, f: Poly, g: Poly, pair, shift: int) -> None:
     # f *_S g = sum_r (-2 nu)^r / r! (d^r f / dp^r)(d^r g / dq^r); the sign is
     # forced by C1(f,g) - C1(g,f) = 2 P(f,g) and matches the ordering with all
     # q-operators to the left under nu = i hbar / 2.
     a, b = pair
-    coeffs = {}
     df, dg = f, g
     r = 0
     while not (df.is_zero() or dg.is_zero()):
-        term = df * dg
-        if not term.is_zero():
-            coeffs[r] = term * Fraction((-2) ** r, factorial(r))
+        _mul_into(acc.setdefault(shift + r, {}), df, dg, Fraction((-2) ** r, factorial(r)))
         df = df.diff(b)
         dg = dg.diff(a)
         r += 1
-    return NuObject(f.space, coeffs)
 
 
 # -- su(2)* covariant product ------------------------------------------------
@@ -197,23 +196,6 @@ def _degree(x: NuObject) -> int:
     return max((p.total_degree() for p in x.coeffs.values()), default=-1)
 
 
-def _bump(row: dict, e: tuple, v) -> None:
-    cur = row.get(e)
-    row[e] = v if cur is None else cur + v
-
-
-def _add_into(acc: dict, x: NuObject, shift: int, c) -> None:
-    """acc[m + shift][e] += c * (nu^m coefficient of x)[e]."""
-    for m, poly in x.coeffs.items():
-        row = acc.setdefault(m + shift, {})
-        for e, v in poly.terms.items():
-            _bump(row, e, v * c)
-
-
-def _freeze(acc: dict) -> NuObject:
-    return NuObject(_L_SPACE, {m: Poly(_L_SPACE, row) for m, row in acc.items()})
-
-
 def _var_mul(i: int, x: NuObject, sign: int) -> NuObject:
     """L_i * x (sign +1) or x * L_i (sign -1), term by term.
 
@@ -234,7 +216,7 @@ def _var_mul(i: int, x: NuObject, sign: int) -> NuObject:
                     _bump(a1, _shift(e, d), c * (sign * s * e[j]))
             if e[i]:
                 _bump(a2, _shift(e, down), c * ((1 + sum(e)) * e[i]))
-    return _freeze(acc)
+    return _freeze(_L_SPACE, acc)
 
 
 def su2_left_mul(i: int, f: Poly) -> NuObject:
@@ -279,7 +261,7 @@ def _to_star_coefficients(x: NuObject) -> list:
         _add_into(acc, residual, 0, 1)
         for e, k, c in batch:
             _add_into(acc, _word(e, 1, _SM_CACHE), k, -c)
-        residual = _freeze(acc)
+        residual = _freeze(_L_SPACE, acc)
     return out
 
 
@@ -299,13 +281,14 @@ def _su2_mul(f: NuObject, g: NuObject) -> NuObject:
     acc: dict = {}
     for e, k, c in words:
         _add_into(acc, _word(e, sign, memo), k, c)
-    return _freeze(acc)
+    return _freeze(_L_SPACE, acc)
 
 
 def su2_star_via_lift(f: Poly, g: Poly) -> NuObject:
     """Reference route: Moyal product of the R^6 lifts, re-expressed in L."""
-    lift = _moyal_poly(su2_lift(f), su2_lift(g), _R6.pairs)
-    return NuObject(_L_SPACE, {k: _su2_project(p) for k, p in lift.coeffs.items()})
+    acc: dict = {}
+    _moyal_into(acc, su2_lift(f), su2_lift(g), _R6.pairs, 0)
+    return NuObject(_L_SPACE, {k: _su2_project(Poly(_R6, row)) for k, row in acc.items()})
 
 
 def _su2_project(f: Poly) -> Poly:
@@ -432,17 +415,16 @@ def star_mul(s: StarProduct, f, g) -> NuObject:
         raise InvalidArgumentError("star operands must live on the product's space")
     if s.kind == "su2":
         return _su2_mul(fo, go)
-    out = NuObject.zero(s.space)
+    acc: dict = {}
     for a, fp in sorted(fo.coeffs.items()):
         for b, gp in sorted(go.coeffs.items()):
             if s.kind in ("moyal", "partial_moyal"):
-                part = _moyal_poly(fp, gp, s.pairs)
+                _moyal_into(acc, fp, gp, s.pairs, a + b)
             elif s.kind == "standard_ordering":
-                part = _standard_poly(fp, gp, s.pairs[0])
+                _standard_into(acc, fp, gp, s.pairs[0], a + b)
             else:
                 raise InvalidArgumentError(f"unknown star product kind {s.kind!r}")
-            out = out + part.nu_shift(a + b)
-    return out
+    return _freeze(s.space, acc)
 
 
 def star_commutator(s: StarProduct, f, g) -> NuObject:

@@ -4,11 +4,20 @@ their Frobenius failure, and the Taylor algebra that repairs it.
 
 The basis element Z_u of the classical algebra is a multiset of normalized
 irreducible polynomials (the factorization of u); the empty multiset is the
-unit.  The deformed product of two basis elements evaluates a symmetrized
-star product over the combined factor multiset and re-factors every nu
-coefficient of the result back into the algebra.  By construction the
-deformed product discards positive nu powers of its operands: it is
-R-linear, not linear over series in nu.
+unit.  The deformed product discards positive nu powers of its operands (it
+is R-linear, not linear over series in nu), so it is one fixed linear map D
+applied to the classical product:
+
+    D(Z_u) = Z_u + sum_{r>0} nu^r Z(T_r(u)),
+
+where T(u) is the symmetrized star product over the factor multiset of u
+(``eval_T``) and Z(.) re-factors each nu coefficient back into the algebra
+(Dito-Flato-Sternheimer-Takhtajan, CMP 183 (1997), hep-th/9602016).  The nu^0
+part of D is the identity, so a nested deformed product (x*y)*z equals
+D(x_0 y_0 z_0).  ``z_mul_nu``, ``a_mul_nu`` (y-degree by y-degree) and
+``quantum_nambu`` (the alternating sum of triple products of y-derivatives)
+therefore build the classical product in one mutable map and apply D once;
+terms that cancel classically never reach ``eval_T``.
 """
 
 from __future__ import annotations
@@ -16,11 +25,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, ResourceLimitError
 from .factor import factorize, is_irreducible, normalize
-from .poly import NuObject, Poly, VarSpace, _render_terms, _term_text, coordinate_space, grlex_key
+from .poly import (
+    NuObject,
+    Poly,
+    VarSpace,
+    _add_into,
+    _freeze,
+    _render_terms,
+    _term_text,
+    coordinate_space,
+    grlex_key,
+)
 from .star import StarProduct, moyal_product, partial_moyal_product, star_mul
 
 __all__ = [
@@ -78,7 +98,7 @@ class ZMonomial:
     __slots__ = ("factors", "_hash")
 
     def __init__(self, factors: Iterable[Poly], trusted: bool = False):
-        factors = sorted(factors, key=lambda f: f.sort_key(), reverse=True)
+        factors = sorted(factors, key=Poly.sort_key, reverse=True)
         if not trusted:
             for f in factors:
                 if f.is_zero() or f.is_constant():
@@ -138,13 +158,22 @@ class ZElem:
     def __init__(self, terms: Mapping[ZMonomial, Fraction]):
         clean = {}
         for m, c in terms.items():
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c:
                 clean[m] = c
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("ZElem is immutable")
+
+    @classmethod
+    def _frozen(cls, row: dict) -> "ZElem":
+        """A ZElem over an accumulator row of exact Fractions, taken as it is
+        apart from its zero entries."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "terms", {m: c for m, c in row.items() if c})
+        return out
 
     @classmethod
     def zero(cls) -> "ZElem":
@@ -188,7 +217,9 @@ class ZElem:
         return ZElem({m: v * c for m, v in self.terms.items()})
 
     def __eq__(self, other):
-        return isinstance(other, ZElem) and self.terms == other.terms
+        if not isinstance(other, ZElem):
+            return NotImplemented
+        return self.terms == other.terms
 
     def __repr__(self):
         return f"ZElem({render_zelem(self)})"
@@ -275,7 +306,9 @@ class ZNu:
     def __eq__(self, other):
         if isinstance(other, ZElem):
             other = ZNu.from_zelem(other)
-        return isinstance(other, ZNu) and self.coeffs == other.coeffs
+        if not isinstance(other, ZNu):
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     def __repr__(self):
         return f"ZNu({render_znu(self)})"
@@ -327,14 +360,21 @@ def alpha(p, space: VarSpace = None):
 
 _T_CACHE: dict = {}
 
+# eval_T visits every sub-multiset of its input, prod(mult + 1) of them; on a
+# 2-vCPU x86_64 host eight distinct quadratic factors (256) take about 1.4 s,
+# ten distinct linear ones (1024) about 4.5 s
+EVAL_T_SUBSET_BOUND = 256
+
 
 def eval_T(factors: Sequence[Poly], s: StarProduct) -> NuObject:
     """Symmetrized star product over all orderings of the factor multiset.
 
     Computed by the recursion T(S) = sum over distinct u of
-    (mult(u)/|S|) T(S - u) * u, which shares every sub-multiset.
+    (mult(u)/|S|) T(S - u) * u, which shares every sub-multiset; the terms
+    are summed in place and scaled by 1/|S| once.  A multiset with more than
+    EVAL_T_SUBSET_BOUND sub-multisets raises ResourceLimitError.
     """
-    key = (s, tuple(sorted(factors, key=lambda f: f.sort_key())))
+    key = (s, tuple(sorted(factors, key=Poly.sort_key)))
     got = _T_CACHE.get(key)
     if got is not None:
         return got
@@ -342,16 +382,22 @@ def eval_T(factors: Sequence[Poly], s: StarProduct) -> NuObject:
     if not factors:
         out = NuObject.one(s.space)
     else:
+        subsets = prod(len(tuple(run)) + 1 for _, run in itertools.groupby(factors))
+        if subsets > EVAL_T_SUBSET_BOUND:
+            raise ResourceLimitError(
+                f"factor multiset has {subsets} sub-multisets, over the eval_T bound "
+                f"{EVAL_T_SUBSET_BOUND}"
+            )
         k = len(factors)
-        out = NuObject.zero(s.space)
+        acc: dict = {}
         prev = None
         for i, u in enumerate(factors):
             if u == prev:
                 continue
             prev = u
-            mult = factors.count(u)
             rest = factors[:i] + factors[i + 1 :]
-            out = out + star_mul(s, eval_T(rest, s), u) * Fraction(mult, k)
+            _add_into(acc, star_mul(s, eval_T(rest, s), u), 0, factors.count(u))
+        out = _freeze(s.space, acc) * Fraction(1, k)
     _T_CACHE[key] = out
     return out
 
@@ -375,47 +421,64 @@ def zeta(x: NuObject) -> ZNu:
     return ZNu(out)
 
 
+def _z_mul_into(row: dict, a: Mapping, b: Mapping, c=1) -> None:
+    """row[mu ∪ mv] += c * a[mu] * b[mv] over {ZMonomial: Fraction} maps."""
+    bterms = b.items()
+    for mu, cu in a.items():
+        if c != 1:
+            cu = cu * c
+        for mv, cv in bterms:
+            m = mu.union(mv)
+            v = cu * cv
+            cur = row.get(m)
+            row[m] = v if cur is None else cur + v
+
+
 def z_mul_classical(a: ZElem, b: ZElem) -> ZElem:
     """Z_u . Z_v = Z_{uv}: multiset union, extended bilinearly."""
-    out: dict = {}
-    for mu, cu in a.terms.items():
-        for mv, cv in b.terms.items():
-            m = mu.union(mv)
-            s = out.get(m, Fraction(0)) + cu * cv
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-    return ZElem(out)
+    row: dict = {}
+    _z_mul_into(row, a.terms, b.terms)
+    return ZElem._frozen(row)
 
 
 _ZBASIS_CACHE: dict = {}
 
 
-def _z_basis_mul_nu(mu: ZMonomial, mv: ZMonomial, s: StarProduct) -> ZNu:
-    union = mu.union(mv)
-    key = (s, union)
+def _deformation_tail(m: ZMonomial, s: StarProduct) -> tuple:
+    """(r, Z(T_r(m))) for each r > 0: the nu^r part of D(Z_m)."""
+    key = (s, m)
     got = _ZBASIS_CACHE.get(key)
     if got is None:
-        t = eval_T(union.factors, s)
-        coeffs = {0: ZElem.basis(union)}
-        for r, p in t.coeffs.items():
-            if r > 0:
-                coeffs[r] = zelem_from_poly(p)
-        got = ZNu(coeffs)
+        t = eval_T(m.factors, s)
+        got = tuple((r, zelem_from_poly(p)) for r, p in t.coeffs.items() if r > 0)
         _ZBASIS_CACHE[key] = got
     return got
 
 
+def _deform(row: Mapping, s: StarProduct) -> ZNu:
+    """D(sum c_m Z_m) = sum c_m (Z_m + sum_{r>0} nu^r Z(T_r(m))).
+
+    Cancelled (zero) entries of ``row`` are skipped, so they never reach
+    eval_T.
+    """
+    classical = {m: c for m, c in row.items() if c}
+    acc: dict = {0: classical}
+    for m, c in classical.items():
+        for r, z in _deformation_tail(m, s):
+            sub = acc.setdefault(r, {})
+            for m2, c2 in z.terms.items():
+                v = c * c2
+                cur = sub.get(m2)
+                sub[m2] = v if cur is None else cur + v
+    return ZNu({r: ZElem._frozen(sub) for r, sub in acc.items()})
+
+
 def z_mul_nu(a, b, s: StarProduct) -> ZNu:
-    """Deformed product; positive nu powers of the operands are discarded."""
-    a0 = _as_znu(a).classical()
-    b0 = _as_znu(b).classical()
-    out = ZNu.zero()
-    for mu, cu in a0.terms.items():
-        for mv, cv in b0.terms.items():
-            out = out + _z_basis_mul_nu(mu, mv, s).scale(cu * cv)
-    return out
+    """Deformed product D(a_0 . b_0); positive nu powers of the operands are
+    discarded."""
+    row: dict = {}
+    _z_mul_into(row, _as_znu(a).classical().terms, _as_znu(b).classical().terms)
+    return _deform(row, s)
 
 
 def znu_mul_classical(a: ZNu, b: ZNu) -> ZNu:
@@ -665,26 +728,36 @@ def taylor_mul_classical(a: TaylorElem, b: TaylorElem) -> TaylorElem:
     return TaylorElem(a.space, out, in_a=a.in_a and b.in_a)
 
 
-def a_mul_nu(a: TaylorElem, b: TaylorElem, s: StarProduct) -> TaylorElem:
-    """Deformed Abelian product on the Taylor subalgebra, y-graded."""
+def _check_deformable(a: TaylorElem, b: TaylorElem) -> None:
     if a.space != b.space:
         raise InvalidArgumentError("TaylorElem spaces differ")
     if not (a.in_a and b.in_a):
         raise InvalidArgumentError("the deformed product is defined on the Taylor subalgebra only")
-    out: dict = {}
-    for ea, za in a.terms.items():
-        for eb, zb in b.terms.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            prod = z_mul_nu(za, zb, s)
-            if prod.is_zero():
-                continue
-            cur = out.get(e)
-            cur = prod if cur is None else cur + prod
-            if cur.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = cur
-    return TaylorElem(a.space, out, in_a=True)
+
+
+def _y_classical(a: TaylorElem) -> dict:
+    """{y-exponent: {ZMonomial: Fraction}} of the nu^0 parts of a."""
+    return {e: z.coeffs[0].terms for e, z in a.terms.items() if 0 in z.coeffs}
+
+
+def _y_mul_into(acc: dict, a: dict, b: dict, c=1) -> None:
+    """The y-graded classical product c * a . b, added into acc."""
+    for ea, ra in a.items():
+        for eb, rb in b.items():
+            _z_mul_into(acc.setdefault(tuple(map(int.__add__, ea, eb)), {}), ra, rb, c)
+
+
+def _deform_taylor(acc: dict, space: VarSpace, s: StarProduct) -> TaylorElem:
+    return TaylorElem(space, {e: _deform(row, s) for e, row in acc.items()}, in_a=True)
+
+
+def a_mul_nu(a: TaylorElem, b: TaylorElem, s: StarProduct) -> TaylorElem:
+    """Deformed Abelian product on the Taylor subalgebra: D applied to each
+    y-degree of the classical product of the nu^0 parts."""
+    _check_deformable(a, b)
+    acc: dict = {}
+    _y_mul_into(acc, _y_classical(a), _y_classical(b))
+    return _deform_taylor(acc, a.space, s)
 
 
 def delta_y(axis: int, a: TaylorElem) -> TaylorElem:
@@ -711,16 +784,18 @@ _S3 = tuple(
 
 
 def quantum_nambu(a: TaylorElem, b: TaylorElem, c: TaylorElem, s: StarProduct) -> TaylorElem:
-    """Alternating sum of deformed triple products of y-derivatives."""
+    """Alternating sum of deformed triple products of y-derivatives, computed
+    as D of the alternating sum of the classical triple products."""
     args = (a, b, c)
-    out = TaylorElem.zero(a.space)
+    acc: dict = {}
     for perm, sign in _S3:
-        d1 = delta_y(perm[0] + 1, args[0])
-        d2 = delta_y(perm[1] + 1, args[1])
-        d3 = delta_y(perm[2] + 1, args[2])
-        term = a_mul_nu(a_mul_nu(d1, d2, s), d3, s)
-        out = out + (term if sign > 0 else -term)
-    return out
+        d1, d2, d3 = (delta_y(k + 1, x) for k, x in zip(perm, args))
+        _check_deformable(d1, d2)
+        _check_deformable(d1, d3)
+        pair: dict = {}
+        _y_mul_into(pair, _y_classical(d1), _y_classical(d2))
+        _y_mul_into(acc, pair, _y_classical(d3), sign)
+    return _deform_taylor(acc, a.space, s)
 
 
 def classical_nambu(a: TaylorElem, b: TaylorElem, c: TaylorElem) -> TaylorElem:

@@ -7,10 +7,17 @@ from fractions import Fraction
 
 import pytest
 
-from nambu_forge.errors import InvalidArgumentError
+from nambu_forge import zariski
+from nambu_forge.errors import InvalidArgumentError, ResourceLimitError
 from nambu_forge.factor import normalize
-from nambu_forge.poly import NuObject, Poly
-from nambu_forge.star import star_power
+from nambu_forge.poly import NuObject, Poly, qp_space
+from nambu_forge.star import (
+    moyal_product,
+    standard_ordering_product,
+    star_mul,
+    star_power,
+    su2_product,
+)
 from nambu_forge.zariski import (
     FrobeniusWitness,
     TaylorElem,
@@ -374,3 +381,179 @@ def test_dimension_four_theorem(rng):
         b = ZElem.basis(zmonomial([rand_irr()]))
         assert z_mul_nu(a, b, st4) == z_mul_nu(b, a, st4)
         assert z_mul_nu(a, b, st4).classical() == z_mul_classical(a, b)
+
+
+# -- equality across ZElem and ZNu ----------------------------------------------
+
+
+def test_zelem_znu_equality_is_symmetric(rng):
+    u = random_zelem(rng)
+    lifted = ZNu.from_zelem(u)
+    assert lifted == u and u == lifted
+    assert not (lifted != u) and not (u != lifted)
+    tail = ZNu({0: u, 1: ZElem.unit()})
+    assert tail != u and u != tail
+    assert not (tail == u) and not (u == tail)
+    other = u + ZElem.unit()
+    assert other != lifted and lifted != other
+
+
+# -- oracles: the deformed products pair by pair ---------------------------------
+#
+# Before the products became one deformation map D applied to the classical
+# product, they were computed per pair of basis elements (z_mul_nu), per pair
+# of y-degrees (a_mul_nu) and as nested deformed triple products
+# (quantum_nambu).  These routes are rebuilt here from eval_T and
+# zelem_from_poly alone.
+
+S3 = (
+    ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+    ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1),
+)
+
+
+def oracle_z_mul_nu(a, b, s):
+    a0 = a.classical() if isinstance(a, ZNu) else a
+    b0 = b.classical() if isinstance(b, ZNu) else b
+    out = ZNu.zero()
+    for mu, cu in a0.terms.items():
+        for mv, cv in b0.terms.items():
+            union = mu.union(mv)
+            coeffs = {0: ZElem.basis(union)}
+            for r, p in eval_T(union.factors, s).coeffs.items():
+                if r > 0:
+                    coeffs[r] = zelem_from_poly(p)
+            out = out + ZNu(coeffs).scale(cu * cv)
+    return out
+
+
+def oracle_a_mul_nu(a, b, s):
+    out = TaylorElem.zero(a.space)
+    for ea, za in a.terms.items():
+        for eb, zb in b.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out = out + TaylorElem(a.space, {e: oracle_z_mul_nu(za, zb, s)}, in_a=True)
+    return out
+
+
+def oracle_quantum_nambu(a, b, c, s):
+    args = (a, b, c)
+    out = TaylorElem.zero(a.space)
+    for perm, sign in S3:
+        d1, d2, d3 = (delta_y(k + 1, x) for k, x in zip(perm, args))
+        term = oracle_a_mul_nu(oracle_a_mul_nu(d1, d2, s), d3, s)
+        out = out + (term if sign > 0 else -term)
+    return out
+
+
+def _zelem_on(space, rng, nterms):
+    from nambu_forge.factor import is_irreducible
+
+    pool = []
+    while len(pool) < 4:
+        p = random_poly(space, rng, degree=2, terms=rng.randint(2, 3))
+        if not p.is_constant() and is_irreducible(p):
+            pool.append(normalize(p)[1])
+    out = ZElem.zero()
+    for _ in range(nterms):
+        factors = [rng.choice(pool) for _ in range(rng.randint(1, 2))]
+        out = out + ZElem.basis(zmonomial(factors), Fraction(rng.choice([-2, -1, 1, 3])))
+    return out
+
+
+@pytest.mark.parametrize("n, rounds, nterms, qn_terms", [(3, 3, 3, 2), (4, 2, 1, 1)])
+def test_products_match_pairwise_oracles(n, rounds, nterms, qn_terms):
+    rng = random.Random(500 + n)
+    space, star = zariski_space(n), zariski_star(n)
+    for _ in range(rounds):
+        a, b, c = (_zelem_on(space, rng, nterms) for _ in range(3))
+        assert z_mul_nu(a, b, star) == oracle_z_mul_nu(a, b, star)
+        # positive nu powers of the operands are discarded
+        a_nu = ZNu({0: a, 1: b, 2: c})
+        b_nu = ZNu({0: b, 3: a})
+        assert z_mul_nu(a_nu, b_nu, star) == oracle_z_mul_nu(a_nu, b_nu, star)
+        assert z_mul_nu(ZNu({1: a}), b, star).is_zero()
+        # a cancelling sum: a . b + (-a) . b is zero before the deformation
+        assert z_mul_nu(a + b, b, star) - z_mul_nu(b, b, star) == oracle_z_mul_nu(a, b, star)
+
+        ja, jb, jc = (jmap(x, space) for x in (a, b, c))
+        assert a_mul_nu(ja, jb, star) == oracle_a_mul_nu(ja, jb, star)
+        ja_nu = ja + jb.nu_shift(1)
+        jc_nu = jc + ja.nu_shift(2)
+        assert a_mul_nu(ja_nu, jc_nu, star) == oracle_a_mul_nu(ja_nu, jc_nu, star)
+        assert a_mul_nu(ja_nu, jc_nu, star) == a_mul_nu(ja, jc, star)
+
+    for _ in range(rounds - 1):
+        a, b, c = (jmap(_zelem_on(space, rng, qn_terms), space) for _ in range(3))
+        assert quantum_nambu(a, b, c, star) == oracle_quantum_nambu(a, b, c, star)
+        got = quantum_nambu(a, a, c, star)
+        assert got == oracle_quantum_nambu(a, a, c, star)
+        assert got.is_zero()
+        a_nu = a + b.nu_shift(1)
+        assert quantum_nambu(a_nu, b, c, star) == oracle_quantum_nambu(a_nu, b, c, star)
+
+
+def test_quantum_nambu_keeps_error_messages():
+    sp4 = zariski_space(4)
+    j3 = jmap(zelem_from_poly(x1), SP)
+    j4 = jmap(ZElem.unit(), sp4)
+    with pytest.raises(InvalidArgumentError, match="spaces differ"):
+        quantum_nambu(j3, j4, j3, ST)
+    with pytest.raises(InvalidArgumentError, match="spaces differ"):
+        a_mul_nu(j3, j4, ST)
+    raw = TaylorElem(SP, {(1, 1, 1): ZNu.from_zelem(ZElem.unit())}, in_a=False)
+    with pytest.raises(InvalidArgumentError, match="Taylor subalgebra only"):
+        quantum_nambu(j3, j3, raw, ST)
+
+
+# -- exactness: every coefficient stays a Fraction ------------------------------
+
+
+def _poly_coeffs(x):
+    polys = x.coeffs.values() if isinstance(x, NuObject) else [x]
+    return [c for p in polys for c in p.terms.values()]
+
+
+def _taylor_coeffs(t):
+    return [c for z in t.terms.values() for ze in z.coeffs.values() for c in ze.terms.values()]
+
+
+def test_coefficients_stay_fractions(rng):
+    qp = qp_space()
+    q, p = (Poly.variable(qp, i) for i in range(2))
+    f = q * q * p + 3 * p * p - q
+    g = 2 * q * p * p + p - 5
+    L = su2_product().space
+    l1, l2, l3 = (Poly.variable(L, i) for i in range(3))
+    u, v = random_z_irreducible(rng), random_z_irreducible(rng)
+    products = [
+        star_mul(moyal_product(qp), f, g),
+        star_mul(standard_ordering_product(qp), f, g),
+        star_mul(ST, u * x3, v + x1),
+        star_mul(su2_product(), l1 * l2 + l3, l3 * l3 - 2 * l1),
+        eval_T((u, v, u, x1 + x3), ST),
+        eval_T((H, H), ST),
+    ]
+    for x in products:
+        coeffs = _poly_coeffs(x)
+        assert coeffs and all(type(c) is Fraction for c in coeffs)
+
+    a, b, c = (jmap(random_zelem(rng)) for _ in range(3))
+    for t in (a_mul_nu(a, b, ST), quantum_nambu(a, b, c, ST)):
+        coeffs = _taylor_coeffs(t)
+        assert coeffs and all(type(k) is Fraction for k in coeffs)
+
+
+# -- the eval_T resource bound --------------------------------------------------
+
+
+def test_eval_T_subset_bound(monkeypatch):
+    monkeypatch.setattr(zariski, "EVAL_T_SUBSET_BOUND", 4)
+    f, g, h = x1 + 5 * x3, x2 + 7 * x3, x1 + x2 + 11 * x3
+    assert eval_T((f, g), ST) == NuObject.from_poly(f * g)  # 4 sub-multisets
+    assert eval_T((f, f, f), ST).classical() == f * f * f  # 4 sub-multisets
+    with pytest.raises(ResourceLimitError, match="eval_T bound 4") as err:
+        eval_T((f, g, h), ST)  # 8 sub-multisets
+    assert "8 sub-multisets" in str(err.value)
+    with pytest.raises(ResourceLimitError, match="eval_T bound 4"):
+        eval_T((f, f, g), ST)  # 6 sub-multisets
