@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import InvalidArgumentError
@@ -296,13 +296,7 @@ class Poly:
     def diff(self, i: int) -> "Poly":
         if not 0 <= i < self.space.nvars:
             raise InvalidArgumentError(f"variable index {i} out of range")
-        out = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                e2 = list(e)
-                e2[i] -= 1
-                out[tuple(e2)] = c * e[i]
-        return Poly(self.space, out)
+        return Poly(self.space, _diff_terms(self.terms, i))
 
     def diff_multi(self, orders: Sequence[int]) -> "Poly":
         p = self
@@ -592,21 +586,49 @@ def _add_into(acc: dict, x: NuObject, shift: int, c) -> None:
                 _bump(row, e, v * c)
 
 
-def _mul_into(row: dict, f: Poly, g: Poly, w: Fraction) -> None:
-    """row[e1 + e2] += w * f[e1] * g[e2], term by term."""
-    gterms = g.terms.items()
-    for e1, c1 in f.terms.items():
-        c1 = c1 * w
-        for e2, c2 in gterms:
-            e = tuple(map(int.__add__, e1, e2))
-            v = c1 * c2
-            cur = row.get(e)
-            row[e] = v if cur is None else cur + v
-
-
 def _freeze(space: VarSpace, acc: dict) -> NuObject:
     """The NuObject an accumulator holds; zero entries are dropped."""
     return NuObject(space, {m: Poly._frozen(space, row) for m, row in acc.items()})
+
+
+# Term maps with integer numerators: the product kernels multiply and add
+# plain ints and divide by the common denominator once per output term.
+
+
+def _int_terms(f: Poly) -> tuple:
+    """(numerators, d) with f = numerators / d and d the least common
+    denominator of f's coefficients."""
+    d = lcm(*(c.denominator for c in f.terms.values()))
+    return {e: c.numerator * (d // c.denominator) for e, c in f.terms.items()}, d
+
+
+def _add_over(row: dict, ints: dict, d: int) -> None:
+    """row[e] += ints[e] / d for an integer term map."""
+    for e, n in ints.items():
+        if n:
+            _bump(row, e, Fraction(n, d))
+
+
+def _diff_terms(terms: dict, i: int) -> dict:
+    """d/dx_i of a term map, with the coefficients' own arithmetic."""
+    out = {}
+    for e, c in terms.items():
+        k = e[i]
+        if k:
+            e2 = list(e)
+            e2[i] = k - 1
+            out[tuple(e2)] = c * k
+    return out
+
+
+def _mul_into(row: dict, f: dict, g: dict, w: int) -> None:
+    """row[e1 + e2] += w * f[e1] * g[e2] over two integer term maps."""
+    gterms = g.items()
+    for e1, c1 in f.items():
+        c1 *= w
+        for e2, c2 in gterms:
+            e = tuple(map(int.__add__, e1, e2))
+            row[e] = row.get(e, 0) + c1 * c2
 
 
 # ---------------------------------------------------------------------------
@@ -624,20 +646,20 @@ def _compositions(total: int, parts: int):
 
 
 class _DerivativeCache:
-    """Mixed partial derivatives of one polynomial, computed on demand."""
+    """Mixed partial derivatives of one term map, computed on demand."""
 
-    def __init__(self, f: Poly):
-        self.f = f
-        self.cache = {(0,) * f.space.nvars: f}
+    def __init__(self, terms: dict, nvars: int):
+        self.nvars = nvars
+        self.cache = {(0,) * nvars: terms}
 
-    def get(self, orders: tuple) -> Poly:
+    def get(self, orders: tuple) -> dict:
         got = self.cache.get(orders)
         if got is not None:
             return got
         i = next(j for j, k in enumerate(orders) if k)
         lower = list(orders)
         lower[i] -= 1
-        got = self.get(tuple(lower)).diff(i)
+        got = _diff_terms(self.get(tuple(lower)), i)
         self.cache[orders] = got
         return got
 
@@ -657,16 +679,18 @@ def poisson_power(f: Poly, g: Poly, r: int, pairs: Iterable = None) -> Poly:
     pairs = tuple(pairs) if pairs is not None else f.space.pairs
     if not pairs:
         raise InvalidArgumentError("poisson_power needs at least one symplectic pair")
-    row: dict = {}
-    _poisson_into(row, _DerivativeCache(f), _DerivativeCache(g), r, pairs, Fraction(1))
-    return Poly._frozen(f.space, row)
+    (ft, fd), (gt, gd) = _int_terms(f), _int_terms(g)
+    nv = f.space.nvars
+    ints: dict = {}
+    _poisson_into(ints, _DerivativeCache(ft, nv), _DerivativeCache(gt, nv), r, pairs)
+    return Poly(f.space, {e: Fraction(n, fd * gd) for e, n in ints.items()})
 
 
-def _poisson_into(row: dict, df: "_DerivativeCache", dg: "_DerivativeCache", r: int,
-                  pairs: tuple, w: Fraction) -> None:
-    """row += w * P^r(f, g) for the polynomials behind df and dg (r >= 0),
+def _poisson_into(row: dict, df: _DerivativeCache, dg: _DerivativeCache, r: int,
+                  pairs: tuple) -> None:
+    """row += P^r(f, g) for the integer term maps behind df and dg (r >= 0),
     one term product at a time."""
-    nv = df.f.space.nvars
+    nv = df.nvars
     for comp in _compositions(r, len(pairs)):
         base = factorial(r)
         for s in comp:
@@ -683,12 +707,12 @@ def _poisson_into(row: dict, df: "_DerivativeCache", dg: "_DerivativeCache", r: 
                 right[b] += k
                 right[a] += s - k
             lf = df.get(tuple(left))
-            if lf.is_zero():
+            if not lf:
                 continue
             rg = dg.get(tuple(right))
-            if rg.is_zero():
+            if not rg:
                 continue
-            _mul_into(row, lf, rg, w * coeff)
+            _mul_into(row, lf, rg, coeff)
 
 
 _PERM_CACHE: dict = {}

@@ -27,8 +27,11 @@ from .poly import (
     VarSpace,
     _DerivativeCache,
     _add_into,
+    _add_over,
     _bump,
+    _diff_terms,
     _freeze,
+    _int_terms,
     _mul_into,
     _poisson_into,
     grlex_key,
@@ -110,9 +113,13 @@ def _pair_degree(f: Poly, pairs) -> int:
 def _moyal_into(acc: dict, f: Poly, g: Poly, pairs, shift: int) -> None:
     """acc[shift + r] += P^r(f, g) / r! for every r the pairs allow."""
     rmax = min(_pair_degree(f, pairs), _pair_degree(g, pairs))
-    df, dg = _DerivativeCache(f), _DerivativeCache(g)
+    (ft, fd), (gt, gd) = _int_terms(f), _int_terms(g)
+    nv = f.space.nvars
+    df, dg = _DerivativeCache(ft, nv), _DerivativeCache(gt, nv)
     for r in range(rmax + 1):
-        _poisson_into(acc.setdefault(shift + r, {}), df, dg, r, pairs, Fraction(1, factorial(r)))
+        ints: dict = {}
+        _poisson_into(ints, df, dg, r, pairs)
+        _add_over(acc.setdefault(shift + r, {}), ints, fd * gd * factorial(r))
 
 
 def _standard_into(acc: dict, f: Poly, g: Poly, pair, shift: int) -> None:
@@ -120,12 +127,14 @@ def _standard_into(acc: dict, f: Poly, g: Poly, pair, shift: int) -> None:
     # forced by C1(f,g) - C1(g,f) = 2 P(f,g) and matches the ordering with all
     # q-operators to the left under nu = i hbar / 2.
     a, b = pair
-    df, dg = f, g
+    (df, fd), (dg, gd) = _int_terms(f), _int_terms(g)
     r = 0
-    while not (df.is_zero() or dg.is_zero()):
-        _mul_into(acc.setdefault(shift + r, {}), df, dg, Fraction((-2) ** r, factorial(r)))
-        df = df.diff(b)
-        dg = dg.diff(a)
+    while df and dg:
+        ints: dict = {}
+        _mul_into(ints, df, dg, (-2) ** r)
+        _add_over(acc.setdefault(shift + r, {}), ints, fd * gd * factorial(r))
+        df = _diff_terms(df, b)
+        dg = _diff_terms(dg, a)
         r += 1
 
 
