@@ -128,7 +128,6 @@ class Poly:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_sort_key", None)
 
     def __setattr__(self, *a):  # pragma: no cover - guard rail
         raise AttributeError("Poly is immutable")
@@ -141,7 +140,6 @@ class Poly:
         object.__setattr__(out, "space", space)
         object.__setattr__(out, "terms", {e: c for e, c in row.items() if c})
         object.__setattr__(out, "_hash", None)
-        object.__setattr__(out, "_sort_key", None)
         return out
 
     # -- constructors ------------------------------------------------------
@@ -202,11 +200,12 @@ class Poly:
 
     def sort_key(self):
         """Canonical total order on polynomials of one space (leading first)."""
-        key = self._sort_key
-        if key is None:
+        try:
+            return self._sort_key  # set on first use; Poly is immutable
+        except AttributeError:
             key = tuple(sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True))
             object.__setattr__(self, "_sort_key", key)
-        return key
+            return key
 
     # -- arithmetic --------------------------------------------------------
     def _check_space(self, other: "Poly") -> None:
