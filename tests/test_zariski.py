@@ -400,11 +400,10 @@ def test_zelem_znu_equality_is_symmetric(rng):
 
 # -- oracles: the deformed products pair by pair ---------------------------------
 #
-# Before the products became one deformation map D applied to the classical
-# product, they were computed per pair of basis elements (z_mul_nu), per pair
-# of y-degrees (a_mul_nu) and as nested deformed triple products
-# (quantum_nambu).  These routes are rebuilt here from eval_T and
-# zelem_from_poly alone.
+# Reference routes built from eval_T and zelem_from_poly alone: per pair of
+# basis elements (z_mul_nu), per pair of y-degrees (a_mul_nu) and as nested
+# deformed triple products (quantum_nambu).  The production routes instead
+# apply the deformation map D once to the whole classical product.
 
 S3 = (
     ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
@@ -473,7 +472,7 @@ def test_products_match_pairwise_oracles(n, rounds, nterms, qn_terms):
         b_nu = ZNu({0: b, 3: a})
         assert z_mul_nu(a_nu, b_nu, star) == oracle_z_mul_nu(a_nu, b_nu, star)
         assert z_mul_nu(ZNu({1: a}), b, star).is_zero()
-        # a cancelling sum: a . b + (-a) . b is zero before the deformation
+        # D is linear, so (a + b).b - b.b deforms like a.b
         assert z_mul_nu(a + b, b, star) - z_mul_nu(b, b, star) == oracle_z_mul_nu(a, b, star)
 
         ja, jb, jc = (jmap(x, space) for x in (a, b, c))
