@@ -20,7 +20,6 @@ from . import factor as factor_mod
 from . import nambu as nambu_mod
 from . import star as star_mod
 from . import sun as sun_mod
-from . import weyl as weyl_mod
 from . import zariski as zariski_mod
 from .errors import ExprSyntaxError, InvalidArgumentError, NambuForgeError
 from .expr import parse_expr, render
@@ -390,6 +389,8 @@ def _cmd_equiv(args, cfg):
 
 
 def _cmd_spectrum(args, cfg):
+    from . import weyl as weyl_mod  # numpy is imported only for this command
+
     trunc = weyl_mod.FockTruncation(args.dim, args.hbar)
     if args.deviation:
         space = qp_space()

@@ -24,6 +24,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, gcd, isqrt, lcm, perm
 
 from .errors import InvalidArgumentError, ResourceLimitError
@@ -806,9 +807,6 @@ def normalize(f: Poly):
     return c, f * (Fraction(1) / c)
 
 
-_factor_cache: dict = {}
-
-
 def _factor_int_poly(f: Poly) -> list:
     """Factor a nonconstant Poly; returns [(primitive factor Poly, mult)]."""
     scale = lcm(*(c.denominator for c in f.terms.values()))
@@ -824,15 +822,14 @@ def factorize(f: Poly, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Factorizatio
         raise ResourceLimitError(
             f"total degree {f.total_degree()} exceeds the configured bound {degree_bound}"
         )
-    cached = _factor_cache.get(f)
-    if cached is not None:
-        return cached
+    return _factorize(f)
 
+
+@cache
+def _factorize(f: Poly) -> Factorization:
     space = f.space
     if f.is_constant():
-        result = Factorization(f.constant_value(), (), space)
-        _factor_cache[f] = result
-        return result
+        return Factorization(f.constant_value(), (), space)
 
     pieces = _factor_int_poly(f)
     unit = Fraction(1)
@@ -848,9 +845,7 @@ def factorize(f: Poly, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Factorizatio
         total = total * g**m
     ratio = _constant_ratio(f, total)
     unit *= ratio
-    result = Factorization(unit, tuple(normalized), space)
-    _factor_cache[f] = result
-    return result
+    return Factorization(unit, tuple(normalized), space)
 
 
 def _constant_ratio(f: Poly, g: Poly) -> Fraction:

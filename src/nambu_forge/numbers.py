@@ -17,6 +17,7 @@ tables):
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 
 from .errors import InvalidArgumentError
@@ -27,56 +28,46 @@ __all__ = [
     "falling_factorial",
     "secant_coefficient",
     "tangent_coefficient",
-    "reset_caches",
 ]
 
-# sec-series coefficients s_k = [t^{2k}] sec t; E_{2k} = s_k (2k)!
-_sec_cache: list[Fraction] = [Fraction(1)]
-_bernoulli_cache: list[Fraction] = [Fraction(1)]
+
+# Each coefficient sums over all smaller indices in ascending order, so a cold
+# call fills the table from the bottom and recursion never goes past depth 2.
 
 
-def reset_caches() -> None:
-    """Drop memoised sequences; used to test deterministic regeneration."""
-    del _sec_cache[1:]
-    del _bernoulli_cache[1:]
-
-
-def _extend_sec(k: int) -> None:
+@cache
+def _secant(k: int) -> Fraction:
+    """s_k = [t^{2k}] sec t; E_{2k} = s_k (2k)!."""
     # Invert cos t = sum (-1)^i t^{2i}/(2i)! exactly: sum_j s_j c_{k-j} = [k=0].
-    while len(_sec_cache) <= k:
-        m = len(_sec_cache)
-        acc = Fraction(0)
-        for j in range(m):
-            c = Fraction((-1) ** (m - j), factorial(2 * (m - j)))
-            acc += _sec_cache[j] * c
-        _sec_cache.append(-acc)
+    if k == 0:
+        return Fraction(1)
+    acc = Fraction(0)
+    for j in range(k):
+        acc += _secant(j) * Fraction((-1) ** (k - j), factorial(2 * (k - j)))
+    return -acc
 
 
-def _extend_bernoulli(n: int) -> None:
+@cache
+def _bernoulli(n: int) -> Fraction:
     # sum_{k=0}^{n} C(n+1,k) B_k = 0 for n >= 1, with B_0 = 1.
-    while len(_bernoulli_cache) <= n:
-        m = len(_bernoulli_cache)
-        acc = sum(
-            Fraction(comb(m + 1, k)) * _bernoulli_cache[k] for k in range(m)
-        )
-        _bernoulli_cache.append(-acc / (m + 1))
+    if n == 0:
+        return Fraction(1)
+    acc = sum(Fraction(comb(n + 1, k)) * _bernoulli(k) for k in range(n))
+    return -acc / (n + 1)
 
 
 def euler_number(n: int) -> Fraction:
     """E_n in the secant (all-positive) convention; ``n`` must be even."""
     if n < 0 or n % 2 != 0:
         raise InvalidArgumentError(f"Euler numbers are defined for even n >= 0, got {n}")
-    k = n // 2
-    _extend_sec(k)
-    return _sec_cache[k] * factorial(n)
+    return _secant(n // 2) * factorial(n)
 
 
 def bernoulli_number(n: int) -> Fraction:
     """B_n with the B_1 = -1/2 convention."""
     if n < 0:
         raise InvalidArgumentError(f"Bernoulli numbers are defined for n >= 0, got {n}")
-    _extend_bernoulli(n)
-    return _bernoulli_cache[n]
+    return _bernoulli(n)
 
 
 def falling_factorial(a: int, r: int) -> int:
@@ -91,12 +82,15 @@ def falling_factorial(a: int, r: int) -> int:
 
 def secant_coefficient(n: int) -> Fraction:
     """gamma_n = E_{2n}/(2n)! = [t^{2n}] sec t."""
-    _extend_sec(n)
-    return _sec_cache[n]
+    if n < 0:
+        raise InvalidArgumentError(f"secant coefficients are defined for n >= 0, got {n}")
+    return _secant(n)
 
 
 def tangent_coefficient(n: int) -> Fraction:
     """tau_n = [t^{2n+1}] tan t, via Bernoulli numbers (all positive)."""
+    if n < 0:
+        raise InvalidArgumentError(f"tangent coefficients are defined for n >= 0, got {n}")
     b = bernoulli_number(2 * n + 2)
     value = Fraction(2 ** (2 * n + 2) * (2 ** (2 * n + 2) - 1)) * b / factorial(2 * n + 2)
     # sign(B_{2n+2}) = (-1)^n, so this is exactly the absolute value

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -176,19 +177,6 @@ class Poly:
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def degree_in(self, i: int) -> int:
-        if not self.terms:
-            return -1
-        return max(e[i] for e in self.terms)
-
-    def variables_used(self) -> tuple:
-        used = set()
-        for e in self.terms:
-            for i, k in enumerate(e):
-                if k:
-                    used.add(i)
-        return tuple(sorted(used))
 
     def leading_monomial(self) -> Exponent:
         if not self.terms:
@@ -714,29 +702,24 @@ def _poisson_into(row: dict, df: _DerivativeCache, dg: _DerivativeCache, r: int,
             _mul_into(row, lf, rg, coeff)
 
 
-_PERM_CACHE: dict = {}
-
-
-def _signed_permutations(n: int):
-    got = _PERM_CACHE.get(n)
-    if got is None:
-        got = []
-        for perm in itertools.permutations(range(n)):
-            sign = 1
-            seen = [False] * n
-            for i in range(n):
-                if seen[i]:
-                    continue
-                j, length = i, 0
-                while not seen[j]:
-                    seen[j] = True
-                    j = perm[j]
-                    length += 1
-                if length % 2 == 0:
-                    sign = -sign
-            got.append((perm, sign))
-        _PERM_CACHE[n] = got
-    return got
+@cache
+def _signed_permutations(n: int) -> tuple:
+    out = []
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        seen = [False] * n
+        for i in range(n):
+            if seen[i]:
+                continue
+            j, length = i, 0
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+                length += 1
+            if length % 2 == 0:
+                sign = -sign
+        out.append((perm, sign))
+    return tuple(out)
 
 
 def jacobian_det(fs: Sequence[Poly], var_indices: Sequence[int]) -> Poly:

@@ -34,7 +34,6 @@ from .poly import (
     _int_terms,
     _mul_into,
     _poisson_into,
-    grlex_key,
     su2_lift_space,
     su2_space,
 )
@@ -170,21 +169,6 @@ def su2_lift(f: Poly) -> Poly:
     return f.compose(_L_GENS, _R6)
 
 
-_L_MONOMIALS: dict = {}
-
-
-def _l_monomials(d: int) -> list:
-    got = _L_MONOMIALS.get(d)
-    if got is None:
-        got = []
-        for a in range(d + 1):
-            for b in range(d + 1 - a):
-                got.append((a, b, d - a - b))
-        got.sort(key=grlex_key, reverse=True)
-        _L_MONOMIALS[d] = got
-    return got
-
-
 def _unit(i: int, k: int = 1) -> tuple:
     return tuple(k if j == i else 0 for j in range(3))
 
@@ -301,116 +285,32 @@ def su2_star_via_lift(f: Poly, g: Poly) -> NuObject:
 
 
 def _su2_project(f: Poly) -> Poly:
-    """Express an R^6 polynomial in the image of the L-substitution exactly."""
-    if f.is_zero():
-        return Poly.zero(_L_SPACE)
-    blocks: dict = {}
-    for e, c in f.terms.items():
-        pdeg, qdeg = sum(e[:3]), sum(e[3:])
-        if pdeg != qdeg:
-            raise InvalidArgumentError("su2 product left the L-image (unbalanced block)")
-        blocks.setdefault(pdeg, {})[e] = c
-    out = Poly.zero(_L_SPACE)
-    for d, terms in blocks.items():
-        out = out + _solve_block(d, terms)
-    return out
+    """Express an R^6 polynomial in the image of the L-substitution exactly.
 
-
-_BLOCK_SOLVERS: dict = {}
-
-# fixed rational probe points on R^6 certify each solve exactly; a failed
-# probe means the product left the span of the L-monomial lifts (a bug)
-_PROBES = (
-    (Fraction(2), Fraction(-3), Fraction(5), Fraction(7), Fraction(1, 2), Fraction(-4)),
-    (Fraction(1, 3), Fraction(2), Fraction(-1), Fraction(3), Fraction(5, 2), Fraction(1)),
-)
-
-
-def _block_solver(d: int):
-    """Pivot-row inverse for expressing degree-d lifts in the L-monomials."""
-    got = _BLOCK_SOLVERS.get(d)
-    if got is None:
-        monos = _l_monomials(d)
-        images = [su2_lift(Poly.monomial(_L_SPACE, e)) for e in monos]
-        valid_rows = {e for img in images for e in img.terms}
-        ncols = len(monos)
-        # square up: greedily pick independent rows
-        pivot_rows = []
-        matrix = []  # rows of the growing square system, reduced copy
-        reduced: list = []
-        for e in sorted(valid_rows, key=grlex_key, reverse=True):
-            if len(pivot_rows) == ncols:
-                break
-            row = [img.terms.get(e, Fraction(0)) for img in images]
-            work = list(row)
-            for prow, pc in reduced:
-                fac = work[pc]
-                if fac:
-                    work = [a - fac * b for a, b in zip(work, prow)]
-            pcol = next((i for i, v in enumerate(work) if v), None)
-            if pcol is None:
-                continue
-            inv = Fraction(1) / work[pcol]
-            work = [v * inv for v in work]
-            reduced.append((work, pcol))
-            pivot_rows.append(e)
-            matrix.append(row)
-        if len(pivot_rows) != ncols:
-            raise InvalidArgumentError("su2 monomial lifts degenerate (bug)")
-        # invert the square pivot matrix once
-        n = ncols
-        aug = [list(matrix[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            sel = next(r for r in range(col, n) if aug[r][col])
-            aug[col], aug[sel] = aug[sel], aug[col]
-            inv = Fraction(1) / aug[col][col]
-            aug[col] = [v * inv for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    fac = aug[r][col]
-                    aug[r] = [a - fac * b for a, b in zip(aug[r], aug[col])]
-        inverse = [row[n:] for row in aug]
-        probe_l = []
-        for pt in _PROBES:
-            lvals = [g.evaluate(pt) for g in _L_GENS]
-            powers = [[v**k for k in range(2 * d + 1)] for v in pt]
-            probe_l.append(
-                (powers, [lvals[0] ** a * lvals[1] ** b * lvals[2] ** c for a, b, c in monos])
-            )
-        got = (monos, {e: i for i, e in enumerate(pivot_rows)}, valid_rows, inverse, probe_l)
-        _BLOCK_SOLVERS[d] = got
-    return got
-
-
-def _solve_block(d: int, terms: dict) -> Poly:
-    monos, pivot_index, valid_rows, inverse, probe_l = _block_solver(d)
-    rhs = [Fraction(0)] * len(monos)
-    for e, c in terms.items():
-        if e not in valid_rows:
-            raise InvalidArgumentError("su2 product left the L-image (unknown monomial)")
-        idx = pivot_index.get(e)
-        if idx is not None:
-            rhs[idx] = c
-    solution = [
-        sum(row[i] * rhs[i] for i in range(len(rhs)) if rhs[i]) for row in inverse
-    ]
-    # exact probe check covers the rows not used by the solve
-    for powers, mono_values in probe_l:
-        direct = Fraction(0)
-        for e, c in terms.items():
-            term = c
-            for var, k in enumerate(e):
-                if k:
-                    term *= powers[var][k]
-            direct += term
-        recon = sum(s * mv for s, mv in zip(solution, mono_values) if s)
-        if direct != recon:
-            raise InvalidArgumentError("su2 product left the L-image (inconsistent block)")
-    coeffs = {}
-    for col, v in enumerate(solution):
-        if v:
-            coeffs[monos[col]] = v
-    return Poly(_L_SPACE, coeffs)
+    A leading-term reduction in lex order p1 > p2 > p3 > q1 > q2 > q3, the
+    tuple order of R^6 exponents: the lift of L^(a, b, c) leads with
+    (-1)^b p1^(b+c) p2^a q2^c q3^(a+b), and this map is injective, so the
+    leading term of what is left names the next L-monomial.  Reaching zero
+    certifies the result; a leading term of any other shape means the
+    product left the image (a bug).
+    """
+    rest = dict(f.terms)
+    out = {}
+    while rest:
+        e = max(rest)
+        a, c = e[1], e[4]
+        b = e[0] - c
+        if e[2] or e[3] or b < 0 or e[5] != a + b:
+            raise InvalidArgumentError("su2 product left the L-image")
+        k = rest[e] if b % 2 == 0 else -rest[e]
+        out[(a, b, c)] = k
+        for e2, c2 in su2_lift(Poly.monomial(_L_SPACE, (a, b, c))).terms.items():
+            v = rest.get(e2, 0) - k * c2
+            if v:
+                rest[e2] = v
+            else:
+                del rest[e2]
+    return Poly(_L_SPACE, out)
 
 
 # -- public operations -------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from .errors import InvalidArgumentError, ResourceLimitError
@@ -48,7 +49,6 @@ __all__ = [
     "weak_trivializer",
     "apply_equivalence",
     "sun_exponential",
-    "sun_power",
 ]
 
 SYMMETRIZATION_BOUND = 7  # largest factor multiset expanded by brute force
@@ -127,17 +127,6 @@ def sun_mul(sp: SunProduct, f, g) -> NuObject:
     return sun_lift(sp, fo.classical() * go.classical())
 
 
-def sun_power(sp: SunProduct, h: Poly, r: int) -> NuObject:
-    """r-fold product of h with itself; one factor means h itself (the unit
-    is not neutral here, so folding in an extra 1 would add quantum terms)."""
-    if r == 0:
-        return NuObject.one(sp.space)
-    out = NuObject.from_poly(h)
-    for _ in range(r - 1):
-        out = sun_mul(sp, out, h)
-    return out
-
-
 def sun_exponential(sp: SunProduct, h: Poly, t_order: int) -> TSeries:
     """Formal exponential with the sun product replacing the star product.
 
@@ -172,22 +161,19 @@ def _partitions_exact(k: int, p: int, cap: int = None):
             yield (first,) + rest
 
 
-_A_REC: dict = {}
-
-
+@cache
 def a_recursion(n: int, r: int) -> Fraction:
     """a(n, r) from a(n,0) = 1 = a(0,r) and
-    a(n,r) = ((n-2r) a(n-1,r) + (n-2r+2) a(n-1,r-1)) / n."""
-    if r == 0 or n == 0:
-        return Fraction(1)
-    got = _A_REC.get((n, r))
-    if got is None:
-        got = (
-            Fraction(n - 2 * r) * a_recursion(n - 1, r)
-            + Fraction(n - 2 * r + 2) * a_recursion(n - 1, r - 1)
-        ) / n
-        _A_REC[(n, r)] = got
-    return got
+    a(n,r) = ((n-2r) a(n-1,r) + (n-2r+2) a(n-1,r-1)) / n, row by row in n."""
+    if n < 0 or r < 0:
+        raise InvalidArgumentError(f"a(n, r) needs n >= 0 and r >= 0, got a({n}, {r})")
+    row = [Fraction(1)] * (r + 1)  # a(m, 0..r), starting at m = 0
+    for m in range(1, n + 1):
+        row = [Fraction(1)] + [
+            (Fraction(m - 2 * k) * row[k] + Fraction(m - 2 * k + 2) * row[k - 1]) / m
+            for k in range(1, r + 1)
+        ]
+    return row[r]
 
 
 def a_closed_form(n: int, r: int) -> Fraction:

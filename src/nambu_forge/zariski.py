@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import prod
 from typing import Iterable, Mapping, Sequence
 
@@ -359,8 +360,6 @@ def alpha(p, space: VarSpace = None):
     return fac.factor_multiset()
 
 
-_T_CACHE: dict = {}
-
 # eval_T visits every sub-multiset of its input, prod(mult + 1) of them; on a
 # 2-vCPU x86_64 host eight distinct quadratic factors (256) take about 0.6 s,
 # nine (512) about 1.5 s, and each further factor roughly triples the time
@@ -375,32 +374,30 @@ def eval_T(factors: Sequence[Poly], s: StarProduct) -> NuObject:
     are summed in place and scaled by 1/|S| once.  A multiset with more than
     EVAL_T_SUBSET_BOUND sub-multisets raises ResourceLimitError.
     """
-    key = (s, tuple(sorted(factors, key=Poly.sort_key)))
-    got = _T_CACHE.get(key)
-    if got is not None:
-        return got
-    factors = key[1]
+    return _eval_T(tuple(sorted(factors, key=Poly.sort_key)), s)
+
+
+@cache
+def _eval_T(factors: tuple, s: StarProduct) -> NuObject:
+    """eval_T on a sorted factor tuple; the recursion goes back through eval_T."""
     if not factors:
-        out = NuObject.one(s.space)
-    else:
-        subsets = prod(len(tuple(run)) + 1 for _, run in itertools.groupby(factors))
-        if subsets > EVAL_T_SUBSET_BOUND:
-            raise ResourceLimitError(
-                f"factor multiset has {subsets} sub-multisets, over the eval_T bound "
-                f"{EVAL_T_SUBSET_BOUND}"
-            )
-        k = len(factors)
-        acc: dict = {}
-        prev = None
-        for i, u in enumerate(factors):
-            if u == prev:
-                continue
-            prev = u
-            rest = factors[:i] + factors[i + 1 :]
-            _add_into(acc, star_mul(s, eval_T(rest, s), u), 0, factors.count(u))
-        out = _freeze(s.space, acc) * Fraction(1, k)
-    _T_CACHE[key] = out
-    return out
+        return NuObject.one(s.space)
+    subsets = prod(len(tuple(run)) + 1 for _, run in itertools.groupby(factors))
+    if subsets > EVAL_T_SUBSET_BOUND:
+        raise ResourceLimitError(
+            f"factor multiset has {subsets} sub-multisets, over the eval_T bound "
+            f"{EVAL_T_SUBSET_BOUND}"
+        )
+    k = len(factors)
+    acc: dict = {}
+    prev = None
+    for i, u in enumerate(factors):
+        if u == prev:
+            continue
+        prev = u
+        rest = factors[:i] + factors[i + 1 :]
+        _add_into(acc, star_mul(s, eval_T(rest, s), u), 0, factors.count(u))
+    return _freeze(s.space, acc) * Fraction(1, k)
 
 
 def times_alpha(p, q, s: StarProduct) -> NuObject:
@@ -442,18 +439,11 @@ def z_mul_classical(a: ZElem, b: ZElem) -> ZElem:
     return ZElem._frozen(row)
 
 
-_ZBASIS_CACHE: dict = {}
-
-
+@cache
 def _deformation_tail(m: ZMonomial, s: StarProduct) -> tuple:
     """(r, Z(T_r(m))) for each r > 0: the nu^r part of D(Z_m)."""
-    key = (s, m)
-    got = _ZBASIS_CACHE.get(key)
-    if got is None:
-        t = eval_T(m.factors, s)
-        got = tuple((r, zelem_from_poly(p)) for r, p in t.coeffs.items() if r > 0)
-        _ZBASIS_CACHE[key] = got
-    return got
+    t = eval_T(m.factors, s)
+    return tuple((r, zelem_from_poly(p)) for r, p in t.coeffs.items() if r > 0)
 
 
 def _deform(row: Mapping, s: StarProduct) -> ZNu:

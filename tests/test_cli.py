@@ -1,9 +1,14 @@
 """CLI contract: subcommands, exit codes, JSON envelope, config precedence."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import nambu_forge
 from nambu_forge.cli import load_schema, main, validate_output
 
 
@@ -41,6 +46,25 @@ def test_coeffs_agreement(capsys):
     code, out, _ = run(capsys, "coeffs", "--a", "6", "3")
     assert code == 0
     assert "recursion=17/45" in out and "closed-form=17/45" in out and "agree=True" in out
+
+
+def test_coeffs_rejects_negative_index(capsys):
+    code, _, err = run(capsys, "coeffs", "--a", "-1", "1")
+    assert code == 1
+    assert err.startswith("error[coeffs.invalid-argument]")
+    code, out, _ = run(capsys, "--json", "coeffs", "--a", "2", "-1")
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "coeffs.invalid-argument"
+
+
+def test_cli_import_leaves_numpy_out():
+    # numpy is loaded by the spectrum command only
+    code = "import sys, nambu_forge.cli; print('numpy' in sys.modules)"
+    src = str(pathlib.Path(nambu_forge.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_factor_text(capsys):

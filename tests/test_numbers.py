@@ -76,6 +76,13 @@ def test_tangent_coefficients_match_tan_series():
         assert numbers.tangent_coefficient(n) > 0
 
 
+def test_series_coefficients_reject_negative_index():
+    numbers.secant_coefficient(5)  # a filled table must not change the answer
+    for fn in (numbers.secant_coefficient, numbers.tangent_coefficient):
+        with pytest.raises(InvalidArgumentError):
+            fn(-1)
+
+
 def test_falling_factorial():
     assert numbers.falling_factorial(5, 2) == 20
     assert numbers.falling_factorial(3, 0) == 1
@@ -86,7 +93,9 @@ def test_falling_factorial():
 def test_cache_regeneration_is_deterministic():
     before = [numbers.euler_number(2 * k) for k in range(8)]
     before_b = [numbers.bernoulli_number(k) for k in range(12)]
-    numbers.reset_caches()
+    numbers._secant.cache_clear()
+    numbers._bernoulli.cache_clear()
+    assert numbers._secant.cache_info().currsize == 0
     assert [numbers.euler_number(2 * k) for k in range(8)] == before
     assert [numbers.bernoulli_number(k) for k in range(12)] == before_b
 

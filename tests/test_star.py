@@ -7,6 +7,7 @@ import pytest
 from nambu_forge.errors import InvalidArgumentError
 from nambu_forge.poly import NuObject, Poly, qp_space, su2_lift_space, su2_space
 from nambu_forge.star import (
+    _su2_project,
     moyal_product,
     partial_moyal_product,
     standard_ordering_product,
@@ -138,6 +139,23 @@ def test_su2_faithful_to_lift(rng):
         lifted = star_mul(M6, su2_lift(f), su2_lift(g))
         relift = NuObject(R6, {k: su2_lift(c) for k, c in direct.coeffs.items()})
         assert lifted == relift
+
+
+def test_su2_project_inverts_the_lift(rng):
+    for deg in range(9):
+        for terms in (1, 4, 10):
+            f = random_poly(L, rng, deg, terms)
+            assert _su2_project(su2_lift(f)) == f
+    for f in (Poly.zero(L), Poly.const(L, 1), Poly.const(L, Fraction(-5, 3))):
+        assert _su2_project(su2_lift(f)) == f
+
+
+def test_su2_project_rejects_polynomials_outside_the_image():
+    R6 = su2_lift_space()
+    p1, p2, p3, q1, q2, q3 = (Poly.variable(R6, i) for i in range(6))
+    for g in (p1, p3 * q2, p1 * p2 * q3, su2_lift(L1 * L2) + p3 * q2):
+        with pytest.raises(InvalidArgumentError, match="left the L-image"):
+            _su2_project(g)
 
 
 def test_su2_production_route_matches_lift_oracle(rng):

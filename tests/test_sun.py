@@ -147,6 +147,16 @@ def test_theorem_coefficient_identity():
             assert a_recursion(m, r) == expect, (m, r)
 
 
+def test_a_recursion_domain_and_large_n():
+    for n, r in ((-1, 1), (1, -1), (-3, 0)):
+        with pytest.raises(InvalidArgumentError):
+            a_recursion(n, r)
+    # filled row by row, so n far past the interpreter's recursion limit works
+    m = 5000
+    expect = big_a(2) + sum(z_coefficient(p, 2) * falling_factorial(m - 4, p) for p in (1, 2))
+    assert a_recursion(m, 2) == expect
+
+
 def test_su2_diagonal_pins_a21():
     # L3 sun L3 = L3^2 + nu^2 a(2,1) Delta(L3^2) requires a(2,1) = 1
     got = sun_mul(SU, L3, L3).coefficient(2)
