@@ -164,16 +164,23 @@ def _partitions_exact(k: int, p: int, cap: int = None):
 @cache
 def a_recursion(n: int, r: int) -> Fraction:
     """a(n, r) from a(n,0) = 1 = a(0,r) and
-    a(n,r) = ((n-2r) a(n-1,r) + (n-2r+2) a(n-1,r-1)) / n, row by row in n."""
+    a(n,r) = ((n-2r) a(n-1,r) + (n-2r+2) a(n-1,r-1)) / n, row by row in n.
+
+    a(n, r) needs a(m, k) only for k >= r - (n - m), so row m keeps the
+    window k = lo..r with lo = max(0, r - n + m): O(min(n, r)) entries."""
     if n < 0 or r < 0:
         raise InvalidArgumentError(f"a(n, r) needs n >= 0 and r >= 0, got a({n}, {r})")
-    row = [Fraction(1)] * (r + 1)  # a(m, 0..r), starting at m = 0
+    lo = max(0, r - n)
+    row = [Fraction(1)] * (r - lo + 1)  # a(0, lo..r)
     for m in range(1, n + 1):
-        row = [Fraction(1)] + [
-            (Fraction(m - 2 * k) * row[k] + Fraction(m - 2 * k + 2) * row[k - 1]) / m
-            for k in range(1, r + 1)
+        new_lo = max(0, r - n + m)
+        row = [
+            Fraction(1) if k == 0 else
+            (Fraction(m - 2 * k) * row[k - lo] + Fraction(m - 2 * k + 2) * row[k - 1 - lo]) / m
+            for k in range(new_lo, r + 1)
         ]
-    return row[r]
+        lo = new_lo
+    return row[-1]
 
 
 def a_closed_form(n: int, r: int) -> Fraction:

@@ -57,11 +57,18 @@ def test_coeffs_rejects_negative_index(capsys):
     assert json.loads(out)["error"]["code"] == "coeffs.invalid-argument"
 
 
+def test_coeffs_with_r_far_past_n(capsys):
+    # only the recursion is evaluated for n < 2r, and it keeps min(n, r) entries
+    code, out, _ = run(capsys, "coeffs", "--a", "0", "1000000000")
+    assert code == 0
+    assert "recursion=1 " in out and "agree=None" in out
+
+
 def test_cli_import_leaves_numpy_out():
     # numpy is loaded by the spectrum command only
     code = "import sys, nambu_forge.cli; print('numpy' in sys.modules)"
     src = str(pathlib.Path(nambu_forge.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False"

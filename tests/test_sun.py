@@ -157,6 +157,21 @@ def test_a_recursion_domain_and_large_n():
     assert a_recursion(m, 2) == expect
 
 
+def test_a_recursion_with_r_far_past_n():
+    # the plain recursion: n levels deep, so cheap for small n and any r
+    def reference(n, r):
+        if n == 0 or r == 0:
+            return Fraction(1)
+        return (Fraction(n - 2 * r) * reference(n - 1, r)
+                + Fraction(n - 2 * r + 2) * reference(n - 1, r - 1)) / n
+
+    for n in range(8):
+        for r in range(12):
+            assert a_recursion(n, r) == reference(n, r), (n, r)
+    assert a_recursion(0, 10**9) == 1
+    assert a_recursion(3, 10**9) == reference(3, 10**9)
+
+
 def test_su2_diagonal_pins_a21():
     # L3 sun L3 = L3^2 + nu^2 a(2,1) Delta(L3^2) requires a(2,1) = 1
     got = sun_mul(SU, L3, L3).coefficient(2)
