@@ -21,7 +21,7 @@ from . import nambu as nambu_mod
 from . import star as star_mod
 from . import sun as sun_mod
 from . import zariski as zariski_mod
-from .errors import ExprSyntaxError, InvalidArgumentError, NambuForgeError
+from .errors import InvalidArgumentError, NambuForgeError
 from .expr import parse_expr, render
 from .poly import NuObject, Poly, VarSpace, qp_space, su2_space
 
@@ -32,29 +32,6 @@ DEFAULTS = {"nu_order": 8, "t_order": 6, "seed": 0, "degree_bound": 12}
 def load_schema() -> dict:
     with resources.files("nambu_forge").joinpath("schema.json").open() as fh:
         return json.load(fh)
-
-
-def validate_output(doc: dict) -> bool:
-    """Minimal structural validation against the shipped schema."""
-    if not isinstance(doc, dict):
-        return False
-    if set(doc) - {"tool", "command", "status", "data", "error"}:
-        return False
-    if doc.get("tool") != "nambu-forge":
-        return False
-    if not isinstance(doc.get("command"), str):
-        return False
-    if doc.get("status") not in ("ok", "error"):
-        return False
-    if "data" in doc and not isinstance(doc["data"], dict):
-        return False
-    if "error" in doc:
-        err = doc["error"]
-        if not isinstance(err, dict) or set(err) != {"code", "message"}:
-            return False
-        if not all(isinstance(err[k], str) for k in ("code", "message")):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +96,6 @@ def _default_space(product: str, vars_opt, paired: bool) -> VarSpace:
         return qp_space()
     if product == "su2":
         return su2_space()
-    if product == "partial":
-        return zariski_mod.zariski_space(3)
     return zariski_mod.zariski_space(3)
 
 
@@ -189,18 +164,10 @@ def _cmd_star(args, cfg):
     f = parse_expr(args.exprs[0], product.space)
     g = parse_expr(args.exprs[1], product.space)
     op = star_mod.star_commutator if args.commutator else star_mod.star_mul
-    result = op(product, _to_nu(f, product.space), _to_nu(g, product.space))
+    result = op(product, f, g)
     text = render(result)
     return [text], {"product": args.product, "result": text,
                     "operation": "commutator" if args.commutator else "mul"}
-
-
-def _to_nu(value, space) -> NuObject:
-    if isinstance(value, Poly):
-        return NuObject.from_poly(value)
-    if isinstance(value, NuObject):
-        return value
-    raise InvalidArgumentError("expected a polynomial or nu-polynomial")
 
 
 def _bracket_by_name(name: str):
@@ -601,8 +568,6 @@ def main(argv=None) -> int:
     _expand_stdin(args)
     try:
         result = args.handler(args, cfg)
-    except ExprSyntaxError as exc:
-        return _emit_error(args, command, f"{command}.{exc.code}", str(exc))
     except NambuForgeError as exc:
         return _emit_error(args, command, f"{command}.{exc.code}", str(exc))
     if len(result) == 3:

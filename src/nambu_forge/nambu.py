@@ -5,7 +5,9 @@ Supported bracket kinds:
 
 * canonical(n) on R^n -- the Jacobian determinant of n functions;
 * linear(n) on R^{n+1} -- sum over permutations of n+1 indices of
-  eps(sigma) df1/dx_{s1} ... dfn/dx_{sn} x_{s(n+1)};
+  eps(sigma) df1/dx_{s1} ... dfn/dx_{sn} x_{s(n+1)}, evaluated as the Laplace
+  expansion sum_k (-1)^(n-k) x_k J_k with J_k the Jacobian determinant over
+  every variable but x_k (k = 0..n);
 * custom -- an explicit n-vector field given by coefficients on ascending
   index tuples, extended alternately.
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import IntegrationFailureError, InvalidArgumentError
-from .poly import Poly, VarSpace, coordinate_space, jacobian_det, _signed_permutations
+from .poly import Poly, VarSpace, coordinate_space, jacobian_det
 
 __all__ = [
     "NambuBracket",
@@ -89,18 +91,9 @@ def bracket_eval(b: NambuBracket, fs: Sequence[Poly]) -> Poly:
     if b.kind == "linear":
         n = b.order
         out = Poly.zero(b.space)
-        partials = [[f.diff(i) for i in range(n + 1)] for f in fs]
-        for perm, sign in _signed_permutations(n + 1):
-            term = Poly.const(b.space, sign)
-            for i in range(n):
-                p = partials[i][perm[i]]
-                if p.is_zero():
-                    term = None
-                    break
-                term = term * p
-            if term is None:
-                continue
-            out = out + term * Poly.variable(b.space, perm[n])
+        for k in range(n + 1):
+            det = jacobian_det(fs, [j for j in range(n + 1) if j != k])
+            out = out + det * Poly.variable(b.space, k) * (-1) ** (n - k)
         return out
     if b.kind == "custom":
         out = Poly.zero(b.space)

@@ -206,15 +206,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_space(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            cur = out.get(e)
-            s = c if cur is None else cur + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Poly(self.space, out)
+        return Poly._frozen(self.space, _summed(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -346,13 +338,7 @@ class Poly:
 
 
 def _render_monomial(names: Sequence[str], e: Exponent) -> str:
-    parts = []
-    for name, k in zip(names, e):
-        if k == 1:
-            parts.append(name)
-        elif k:
-            parts.append(f"{name}^{k}")
-    return "*".join(parts)
+    return "*".join(name if k == 1 else f"{name}^{k}" for name, k in zip(names, e) if k)
 
 
 def _render_terms(parts: list) -> str:
@@ -377,11 +363,26 @@ def _term_text(c: Fraction, mono: str) -> tuple:
     return neg, body
 
 
+def _joined(*texts: str) -> str:
+    """The non-empty texts, joined by '*'."""
+    return "*".join(t for t in texts if t)
+
+
+def _nu_label(k: int) -> str:
+    return "" if k == 0 else ("nu" if k == 1 else f"nu^{k}")
+
+
+def _poly_parts(f: Poly, prefix: str = "") -> list:
+    """(sign, body) pairs of f's terms, leading term first, each body led by
+    ``prefix``."""
+    return [
+        _term_text(f.terms[e], _joined(prefix, _render_monomial(f.space.names, e)))
+        for e in sorted(f.terms, key=grlex_key, reverse=True)
+    ]
+
+
 def render_poly(f: Poly) -> str:
-    parts = []
-    for e in sorted(f.terms, key=grlex_key, reverse=True):
-        parts.append(_term_text(f.terms[e], _render_monomial(f.space.names, e)))
-    return _render_terms(parts)
+    return _render_terms(_poly_parts(f))
 
 
 class NuObject:
@@ -456,14 +457,7 @@ class NuObject:
         o = self._coerce(other, self.space)
         if o is None:
             return NotImplemented
-        out = dict(self.coeffs)
-        for k, p in o.coeffs.items():
-            s = out.get(k, Poly.zero(self.space)) + p
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return NuObject(self.space, out)
+        return NuObject(self.space, _summed(self.coeffs, o.coeffs))
 
     __radd__ = __add__
 
@@ -521,15 +515,9 @@ class NuObject:
 
 
 def render_nuobject(x: NuObject) -> str:
-    parts = []
-    for k in sorted(x.coeffs):
-        poly = x.coeffs[k]
-        nu = "" if k == 0 else ("nu" if k == 1 else f"nu^{k}")
-        for e in sorted(poly.terms, key=grlex_key, reverse=True):
-            mono = _render_monomial(x.space.names, e)
-            body = "*".join(s for s in (nu, mono) if s)
-            parts.append(_term_text(poly.terms[e], body))
-    return _render_terms(parts)
+    return _render_terms(
+        [part for k in sorted(x.coeffs) for part in _poly_parts(x.coeffs[k], _nu_label(k))]
+    )
 
 
 @dataclass(frozen=True)
@@ -552,13 +540,23 @@ class TSeries:
 
 
 # ---------------------------------------------------------------------------
-# Accumulators: {nu-power: {exponent: Fraction}} maps, filled in place and
+# Accumulators: sparse maps summed in place with _bump, whatever their values
+# (Fractions, Polys, ZElems, ZNus), and {nu-power: {exponent: Fraction}} maps
 # frozen into a NuObject once
 
 
-def _bump(row: dict, e: Exponent, v: Fraction) -> None:
+def _bump(row: dict, e, v) -> None:
     cur = row.get(e)
     row[e] = v if cur is None else cur + v
+
+
+def _summed(a: Mapping, b: Mapping) -> dict:
+    """A copy of a with each entry of b added in.  Entries that cancel stay
+    as zeros: every value constructor drops them."""
+    out = dict(a)
+    for k, v in b.items():
+        _bump(out, k, v)
+    return out
 
 
 def _add_into(acc: dict, x: NuObject, shift: int, c) -> None:

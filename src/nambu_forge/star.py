@@ -93,13 +93,10 @@ def su2_product() -> StarProduct:
 
 
 def _as_nu(x, space: VarSpace) -> NuObject:
-    if isinstance(x, NuObject):
-        return x
-    if isinstance(x, Poly):
-        return NuObject.from_poly(x)
-    if isinstance(x, (int, Fraction)):
-        return NuObject.from_poly(Poly.const(space, x))
-    raise InvalidArgumentError(f"cannot interpret {type(x).__name__} as an operand")
+    out = NuObject._coerce(x, space)
+    if out is None:
+        raise InvalidArgumentError(f"cannot interpret {type(x).__name__} as an operand")
+    return out
 
 
 def _pair_degree(f: Poly, pairs) -> int:

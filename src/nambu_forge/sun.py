@@ -20,7 +20,7 @@ from math import factorial
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .numbers import secant_coefficient, tangent_coefficient
-from .poly import NuObject, Poly, TSeries, VarSpace, _compositions, jacobian_det, qp_space, su2_space
+from .poly import NuObject, Poly, TSeries, VarSpace, _bump, jacobian_det, qp_space, su2_space
 from .star import StarProduct, _as_nu, moyal_product, star_mul, su2_product
 from .zariski import eval_T
 
@@ -183,19 +183,35 @@ def a_recursion(n: int, r: int) -> Fraction:
     return row[-1]
 
 
+def _series_mul(a: list, b: list) -> list:
+    """Product of two power series given by coefficient lists of equal
+    length, truncated to that length."""
+    out = [Fraction(0)] * len(a)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b[: len(a) - i]):
+                out[i + j] += x * y
+    return out
+
+
 def a_closed_form(n: int, r: int) -> Fraction:
-    """Sum over compositions of r of two secant and n-2r tangent coefficients;
-    defined for n >= 2r."""
-    if n < 2 * r:
-        raise InvalidArgumentError("closed form requires n >= 2r")
-    slots = n - 2 * r + 2
-    total = Fraction(0)
-    for js in _compositions(r, slots):
-        term = secant_coefficient(js[0]) * secant_coefficient(js[1])
-        for j in js[2:]:
-            term *= tangent_coefficient(j)
-        total += term
-    return total
+    """[x^r] G(x)^2 T(x)^(n-2r) with G = sum gamma_j x^j (secant) and
+    T = sum tau_j x^j (tangent): the sum over compositions of r of two secant
+    and n-2r tangent coefficients.  Every product is truncated at degree r
+    and the power is taken by squaring.  Defined for n >= 2r."""
+    if r < 0 or n < 2 * r:
+        raise InvalidArgumentError(f"closed form requires n >= 2r >= 0, got a({n}, {r})")
+    gamma = [secant_coefficient(j) for j in range(r + 1)]
+    tau = [tangent_coefficient(j) for j in range(r + 1)]
+    out = _series_mul(gamma, gamma)
+    k = n - 2 * r
+    while k:
+        if k & 1:
+            out = _series_mul(out, tau)
+        k >>= 1
+        if k:
+            tau = _series_mul(tau, tau)
+    return out[r]
 
 
 def big_a(k: int) -> Fraction:
@@ -430,15 +446,7 @@ class DiffOpSeries:
         out = dict(xo.coeffs)
         for r, op in self.terms:
             for k, p in xo.coeffs.items():
-                v = op.apply(p)
-                if v.is_zero():
-                    continue
-                cur = out.get(r + k, Poly.zero(self.space))
-                cur = cur + v
-                if cur.is_zero():
-                    out.pop(r + k, None)
-                else:
-                    out[r + k] = cur
+                _bump(out, r + k, op.apply(p))
         return NuObject(self.space, out)
 
 

@@ -38,7 +38,11 @@ from .poly import (
     _add_into,
     _bump,
     _freeze,
+    _joined,
+    _nu_label,
+    _render_monomial,
     _render_terms,
+    _summed,
     _term_text,
     coordinate_space,
     grlex_key,
@@ -195,14 +199,7 @@ class ZElem:
     def __add__(self, other):
         if not isinstance(other, ZElem):
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return ZElem(out)
+        return ZElem._frozen(_summed(self.terms, other.terms))
 
     def __neg__(self):
         return ZElem({m: -c for m, c in self.terms.items()})
@@ -283,14 +280,7 @@ class ZNu:
             other = ZNu.from_zelem(other)
         if not isinstance(other, ZNu):
             return NotImplemented
-        out = dict(self.coeffs)
-        for k, z in other.coeffs.items():
-            s = out.get(k, ZElem.zero()) + z
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return ZNu(out)
+        return ZNu(_summed(self.coeffs, other.coeffs))
 
     def __neg__(self):
         return ZNu({k: -z for k, z in self.coeffs.items()})
@@ -426,10 +416,7 @@ def _z_mul_into(row: dict, a: Mapping, b: Mapping, c=1) -> None:
         if c != 1:
             cu = cu * c
         for mv, cv in bterms:
-            m = mu.union(mv)
-            v = cu * cv
-            cur = row.get(m)
-            row[m] = v if cur is None else cur + v
+            _bump(row, mu.union(mv), cu * cv)
 
 
 def z_mul_classical(a: ZElem, b: ZElem) -> ZElem:
@@ -472,11 +459,11 @@ def z_mul_nu(a, b, s: StarProduct) -> ZNu:
 
 def znu_mul_classical(a: ZNu, b: ZNu) -> ZNu:
     """nu-bilinear extension of the classical product."""
-    out = ZNu.zero()
+    acc: dict = {}
     for r, za in a.coeffs.items():
         for t, zb in b.coeffs.items():
-            out = out + ZNu({r + t: z_mul_classical(za, zb)})
-    return out
+            _z_mul_into(acc.setdefault(r + t, {}), za.terms, zb.terms)
+    return ZNu({k: ZElem._frozen(row) for k, row in acc.items()})
 
 
 def znu_power_nu(a, m: int, s: StarProduct) -> ZNu:
@@ -496,7 +483,7 @@ def znu_power_nu(a, m: int, s: StarProduct) -> ZNu:
 def delta(i: int, a: ZElem) -> ZElem:
     """Derivation fixed by d(Z_u) = Z_{du} on irreducibles plus the Leibniz
     rule across each factor multiset (1-based axis index)."""
-    out = ZElem.zero()
+    row: dict = {}
     for mono, c in a.terms.items():
         factors = mono.factors
         seen = None
@@ -509,10 +496,8 @@ def delta(i: int, a: ZElem) -> ZElem:
             if d.is_zero():
                 continue
             rest = ZMonomial(factors[:j] + factors[j + 1 :], trusted=True)
-            out = out + z_mul_classical(
-                zelem_from_poly(d), ZElem.basis(rest)
-            ).scale(c * mult)
-    return out
+            _z_mul_into(row, zelem_from_poly(d).terms, {rest: c * mult})
+    return ZElem._frozen(row)
 
 
 @dataclass(frozen=True)
@@ -626,14 +611,7 @@ class TaylorElem:
             return NotImplemented
         if self.space != other.space:
             raise InvalidArgumentError("TaylorElem spaces differ")
-        out = dict(self.terms)
-        for e, z in other.terms.items():
-            s = out.get(e, ZNu.zero()) + z
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return TaylorElem(self.space, out, in_a=self.in_a and other.in_a)
+        return TaylorElem(self.space, _summed(self.terms, other.terms), in_a=self.in_a and other.in_a)
 
     def __neg__(self):
         return TaylorElem(self.space, {e: -z for e, z in self.terms.items()}, in_a=self.in_a)
@@ -674,17 +652,13 @@ def jmap(z: ZElem, space: VarSpace = None) -> TaylorElem:
     if space is None:
         space = zariski_space(3)
     n = space.nvars
-    out: dict = {}
+    rows: dict = {}
 
     def accumulate(u: Poly, c: Fraction, e: tuple, fact: int, start: int):
-        val = zelem_from_poly(u).scale(Fraction(c, fact))
-        if not val.is_zero():
-            prev = out.get(e, ZElem.zero())
-            s = prev + val
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
+        row = rows.setdefault(e, {})
+        scale = Fraction(c, fact)
+        for m, v in zelem_from_poly(u).terms.items():
+            _bump(row, m, v * scale)
         for i in range(start, n):
             d = u.diff(i)
             if d.is_zero():
@@ -696,7 +670,7 @@ def jmap(z: ZElem, space: VarSpace = None) -> TaylorElem:
     for mono, c in z.terms.items():
         u = mono.product_poly(space)
         accumulate(u, c, (0,) * n, 1, 0)
-    return TaylorElem(space, {e: ZNu.from_zelem(v) for e, v in out.items()}, in_a=True)
+    return TaylorElem(space, {e: ZNu.from_zelem(ZElem._frozen(row)) for e, row in rows.items()}, in_a=True)
 
 
 def taylor_mul_classical(a: TaylorElem, b: TaylorElem) -> TaylorElem:
@@ -706,14 +680,7 @@ def taylor_mul_classical(a: TaylorElem, b: TaylorElem) -> TaylorElem:
     out: dict = {}
     for ea, za in a.terms.items():
         for eb, zb in b.terms.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            prod = znu_mul_classical(za, zb)
-            s = out.get(e)
-            s = prod if s is None else s + prod
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
+            _bump(out, tuple(map(int.__add__, ea, eb)), znu_mul_classical(za, zb))
     return TaylorElem(a.space, out, in_a=a.in_a and b.in_a)
 
 
@@ -803,40 +770,38 @@ def classical_nambu(a: TaylorElem, b: TaylorElem, c: TaylorElem) -> TaylorElem:
 # Rendering
 
 
-def _zmono_text(m: ZMonomial) -> str:
-    return "Z[" + "; ".join(str(f) for f in m.factors) + "]"
+def _zelem_parts(z: ZElem, prefix: str = "") -> list:
+    """(sign, body) pairs of z's terms, leading multiset first, each body led
+    by ``prefix``."""
+    return [
+        _term_text(z.terms[m], _joined(prefix, repr(m)))
+        for m in sorted(z.terms, key=ZMonomial.sort_key, reverse=True)
+    ]
+
+
+def _znu_parts(x: ZNu, prefix: str = "") -> list:
+    """The term walk of ``_zelem_parts`` over x's nu powers, lowest first."""
+    return [
+        part
+        for k in sorted(x.coeffs)
+        for part in _zelem_parts(x.coeffs[k], _joined(prefix, _nu_label(k)))
+    ]
 
 
 def render_zelem(z: ZElem) -> str:
-    parts = []
-    for m in sorted(z.terms, key=lambda m: m.sort_key(), reverse=True):
-        parts.append(_term_text(z.terms[m], _zmono_text(m)))
-    return _render_terms(parts)
+    return _render_terms(_zelem_parts(z))
 
 
 def render_znu(x: ZNu) -> str:
-    parts = []
-    for k in sorted(x.coeffs):
-        nu = "" if k == 0 else ("nu" if k == 1 else f"nu^{k}")
-        z = x.coeffs[k]
-        for m in sorted(z.terms, key=lambda m: m.sort_key(), reverse=True):
-            body = "*".join(s for s in (nu, _zmono_text(m)) if s)
-            parts.append(_term_text(z.terms[m], body))
-    return _render_terms(parts)
+    return _render_terms(_znu_parts(x))
 
 
 def render_taylor(t: TaylorElem) -> str:
-    parts = []
     names = tuple(f"y{i + 1}" for i in range(t.space.nvars))
-    for e in sorted(t.terms, key=grlex_key):
-        ymono = "*".join(
-            (n if k == 1 else f"{n}^{k}") for n, k in zip(names, e) if k
-        )
-        x = t.terms[e]
-        for knu in sorted(x.coeffs):
-            nu = "" if knu == 0 else ("nu" if knu == 1 else f"nu^{knu}")
-            z = x.coeffs[knu]
-            for m in sorted(z.terms, key=lambda m: m.sort_key(), reverse=True):
-                body = "*".join(s for s in (ymono, nu, _zmono_text(m)) if s)
-                parts.append(_term_text(z.terms[m], body))
-    return _render_terms(parts)
+    return _render_terms(
+        [
+            part
+            for e in sorted(t.terms, key=grlex_key)
+            for part in _znu_parts(t.terms[e], _render_monomial(names, e))
+        ]
+    )

@@ -9,13 +9,19 @@ import sys
 import pytest
 
 import nambu_forge
-from nambu_forge.cli import load_schema, main, validate_output
+from nambu_forge.cli import load_schema, main
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def validate(doc):
+    """Validate a JSON envelope against the shipped schema."""
+    jsonschema = pytest.importorskip("jsonschema")
+    jsonschema.validate(doc, load_schema())
 
 
 def test_star_su2_display(capsys):
@@ -64,6 +70,13 @@ def test_coeffs_with_r_far_past_n(capsys):
     assert "recursion=1 " in out and "agree=None" in out
 
 
+def test_coeffs_closed_form_at_large_n(capsys):
+    # the closed form is a truncated series product, so n = 3000 is immediate
+    code, out, _ = run(capsys, "coeffs", "--a", "3000", "1")
+    assert code == 0
+    assert "agree=True" in out
+
+
 def test_cli_import_leaves_numpy_out():
     # numpy is loaded by the spectrum command only
     code = "import sys, nambu_forge.cli; print('numpy' in sys.modules)"
@@ -92,8 +105,21 @@ def test_json_envelope_validates(capsys):
         code, out, _ = run(capsys, *argv)
         assert code == 0, argv
         doc = json.loads(out)
-        assert validate_output(doc), argv
+        validate(doc)
         assert doc["status"] == "ok"
+
+
+@pytest.mark.parametrize("change", [
+    pytest.param({"extra": 1}, id="extra-key"),
+    pytest.param({"status": "maybe"}, id="unknown-status"),
+    pytest.param({"status": "error", "error": {"code": "factor.syntax"}}, id="error-without-message"),
+])
+def test_schema_rejects_malformed_envelopes(change):
+    jsonschema = pytest.importorskip("jsonschema")
+    doc = {"tool": "nambu-forge", "command": "factor", "status": "ok", "data": {}}
+    validate(doc)
+    with pytest.raises(jsonschema.ValidationError):
+        validate({**doc, **change})
 
 
 def test_json_and_text_encode_same_data(capsys):
@@ -119,9 +145,20 @@ def test_json_error_envelope(capsys):
     code, out, _ = run(capsys, "--json", "factor", "x1^20")
     assert code == 1
     doc = json.loads(out)
-    assert validate_output(doc)
+    validate(doc)
     assert doc["status"] == "error"
     assert doc["error"]["code"] == "factor.resource-limit"
+
+
+def test_star_rejects_zariski_operand(capsys):
+    code, _, err = run(capsys, "star", "Z[q]", "p")
+    assert code == 1
+    assert err == "error[star.invalid-argument]: cannot interpret ZElem as an operand\n"
+    code, out, _ = run(capsys, "--json", "star", "Z[q]", "p")
+    assert code == 1
+    doc = json.loads(out)
+    validate(doc)
+    assert doc["error"]["code"] == "star.invalid-argument"
 
 
 def test_usage_error_exit_code(capsys):

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from nambu_forge.errors import InvalidArgumentError, ResourceLimitError
-from nambu_forge.numbers import falling_factorial
-from nambu_forge.poly import NuObject, Poly, qp_space, su2_space
+from nambu_forge.numbers import falling_factorial, secant_coefficient, tangent_coefficient
+from nambu_forge.poly import NuObject, Poly, _compositions, qp_space, su2_space
 from nambu_forge.star import star_exponential, star_mul, su2_product
 from nambu_forge.sun import (
     USUAL_PRODUCT,
@@ -134,6 +134,22 @@ def test_tables_agree():
 def test_closed_form_domain():
     with pytest.raises(InvalidArgumentError):
         a_closed_form(1, 1)
+    with pytest.raises(InvalidArgumentError):
+        a_closed_form(3, -1)
+
+
+def test_closed_form_matches_composition_sum():
+    # oracle: the sum over compositions of r into n - 2r + 2 parts of two
+    # secant and n - 2r tangent coefficients
+    for n in range(16):
+        for r in range(n // 2 + 1):
+            total = Fraction(0)
+            for js in _compositions(r, n - 2 * r + 2):
+                term = secant_coefficient(js[0]) * secant_coefficient(js[1])
+                for j in js[2:]:
+                    term *= tangent_coefficient(j)
+                total += term
+            assert a_closed_form(n, r) == total, (n, r)
 
 
 def test_theorem_coefficient_identity():

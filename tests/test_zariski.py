@@ -189,6 +189,48 @@ def test_zmonomial_validation():
     assert len(m) == 2
 
 
+# -- sums store no zero entry ---------------------------------------------------
+
+
+def _sum_cases():
+    """(a, b, a + b built directly) with a + b partly cancelling, one whole
+    entry of every nested level included."""
+    z1, z2, z3 = (zmonomial([f]) for f in (x1, x2, H))
+    y0, y1 = (0, 0, 0), (1, 0, 0)
+    zn = (ZNu({0: ZElem({z1: 1}), 1: ZElem({z2: 2})}),
+          ZNu({1: ZElem({z2: -2}), 2: ZElem({z3: 1})}),
+          ZNu({0: ZElem({z1: 1}), 2: ZElem({z3: 1})}))
+    cases = {
+        "Poly": (x1 + 2 * x2 + 3, x3 - x1, 2 * x2 + x3 + 3),
+        "NuObject": (NuObject(SP, {0: x1, 1: x2}), NuObject(SP, {1: -x2, 2: x1 - x3}),
+                     NuObject(SP, {0: x1, 2: x1 - x3})),
+        "ZElem": (ZElem({z1: 1, z2: 2}), ZElem({z1: -1, z3: 5}), ZElem({z2: 2, z3: 5})),
+        "ZNu": zn,
+        "TaylorElem": (TaylorElem(SP, {y0: zn[0], y1: zn[1]}),
+                       TaylorElem(SP, {y1: -zn[1], y0: zn[1]}), TaylorElem(SP, {y0: zn[2]})),
+    }
+    return [pytest.param(*case, id=name) for name, case in cases.items()]
+
+
+def _storage(x) -> dict:
+    return x.coeffs if isinstance(x, (NuObject, ZNu)) else x.terms
+
+
+def _is_zero(v) -> bool:
+    return v == 0 if isinstance(v, Fraction) else v.is_zero()
+
+
+@pytest.mark.parametrize("a, b, direct", _sum_cases())
+def test_sums_store_no_zero_entry(a, b, direct):
+    zero = a + (-a)
+    assert _storage(zero) == {} and zero.is_zero()
+    total = a + b
+    assert not any(_is_zero(v) for v in _storage(total).values())
+    assert total == direct and _storage(total) == _storage(direct)
+    if isinstance(total, (Poly, NuObject)):
+        assert hash(total) == hash(direct)
+
+
 # -- derivations --------------------------------------------------------------
 
 
