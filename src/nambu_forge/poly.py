@@ -672,14 +672,15 @@ def poisson_power(f: Poly, g: Poly, r: int, pairs: Iterable = None) -> Poly:
 
 
 def _poisson_into(row: dict, df: _DerivativeCache, dg: _DerivativeCache, r: int,
-                  pairs: tuple) -> None:
-    """row += P^r(f, g) for the integer term maps behind df and dg (r >= 0),
-    one term product at a time."""
+                  pairs: tuple, w: int = 1) -> None:
+    """row += w * P^r(f, g) for the integer term maps behind df and dg
+    (r >= 0), one term product at a time."""
     nv = df.nvars
     for comp in _compositions(r, len(pairs)):
         base = factorial(r)
         for s in comp:
             base //= factorial(s)
+        base *= w
         ranges = [range(s + 1) for s in comp]
         for ks in itertools.product(*ranges):
             coeff = base

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, ResourceLimitError
 from .poly import NuObject, Poly, TSeries, qp_space
 
 __all__ = [
@@ -29,6 +29,11 @@ __all__ = [
 ]
 
 
+# every check builds several dense complex dim x dim matrices and multiplies
+# them; the spectrum at dim 512 takes 2-3 s and 56 MB on a 2-vCPU x86_64 host
+FOCK_DIM_BOUND = 512
+
+
 @dataclass(frozen=True)
 class FockTruncation:
     dim: int
@@ -37,6 +42,10 @@ class FockTruncation:
     def __post_init__(self):
         if self.dim < 2:
             raise InvalidArgumentError("truncation needs dim >= 2")
+        if self.dim > FOCK_DIM_BOUND:
+            raise ResourceLimitError(
+                f"truncation dim {self.dim} is over the Fock dimension bound {FOCK_DIM_BOUND}"
+            )
         if self.hbar <= 0:
             raise InvalidArgumentError("hbar must be positive")
 

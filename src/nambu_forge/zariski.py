@@ -18,6 +18,15 @@ D(x_0 y_0 z_0).  ``z_mul_nu``, ``a_mul_nu`` (y-degree by y-degree) and
 ``quantum_nambu`` (the alternating sum of triple products of y-derivatives)
 therefore build the classical product in one mutable map and apply D once;
 terms that cancel classically never reach ``eval_T``.
+
+T is even in nu: reversing every ordering leaves it unchanged, and on the
+Moyal, partial-Moyal and su(2)* products g * f is f * g with nu replaced by
+-nu.  So ``eval_T`` keeps only the even part of each step of its recursion,
+
+    T(S) = (1/|S|) sum_u mult(u) sum_{r even} nu^(a+r) P^r(T_a(S - u), u) / r!,
+
+summed on integer rows over one denominator for the Moyal kinds; the
+standard-ordering product lacks the symmetry and is refused.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import prod
+from math import factorial, lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidArgumentError, ResourceLimitError
@@ -35,11 +44,14 @@ from .poly import (
     NuObject,
     Poly,
     VarSpace,
+    _DerivativeCache,
     _add_into,
     _bump,
     _freeze,
+    _int_terms,
     _joined,
     _nu_label,
+    _poisson_into,
     _render_monomial,
     _render_terms,
     _summed,
@@ -47,7 +59,7 @@ from .poly import (
     coordinate_space,
     grlex_key,
 )
-from .star import StarProduct, moyal_product, partial_moyal_product, star_mul
+from .star import StarProduct, _pair_degree, moyal_product, partial_moyal_product, star_mul
 
 __all__ = [
     "ZMonomial",
@@ -351,19 +363,37 @@ def alpha(p, space: VarSpace = None):
 
 
 # eval_T visits every sub-multiset of its input, prod(mult + 1) of them; on a
-# 2-vCPU x86_64 host eight distinct quadratic factors (256) take about 0.6 s,
-# nine (512) about 1.5 s, and each further factor roughly triples the time
+# 2-vCPU x86_64 host, with the factors x1^2 + k x1 x2 + (k+1) x2^2 + k x3 for
+# k = 1..8 (256 sub-multisets) a cold call takes about 0.6 s, for k = 1..9
+# (512) 1.8 s and for k = 1..10 (1024) 3.6 s
 EVAL_T_SUBSET_BOUND = 256
+
+# the star products with g * f = (f * g)(-nu), which makes T even in nu
+_MOYAL_KINDS = ("moyal", "partial_moyal")
+_EVEN_KINDS = _MOYAL_KINDS + ("su2",)
 
 
 def eval_T(factors: Sequence[Poly], s: StarProduct) -> NuObject:
     """Symmetrized star product over all orderings of the factor multiset.
 
-    Computed by the recursion T(S) = sum over distinct u of
-    (mult(u)/|S|) T(S - u) * u, which shares every sub-multiset; the terms
-    are summed in place and scaled by 1/|S| once.  A multiset with more than
-    EVAL_T_SUBSET_BOUND sub-multisets raises ResourceLimitError.
+    Reversing every ordering leaves T(S) unchanged, and g * f = (f * g)(-nu)
+    on the Moyal, partial-Moyal and su(2)* products, so T is even in nu and
+    (T * u + u * T) / 2 is the even part of T * u.  T is computed by the
+    recursion
+
+        T(S) = (1/|S|) sum over distinct u of mult(u) * even part of T(S - u) * u,
+
+    which shares every sub-multiset.  For the Moyal kinds the even part is
+    sum_{r even} nu^(a+r) P^r(T_a(S - u), u) / r!, summed as integers over
+    one common denominator and turned into Fractions once; for su(2)* it is
+    star_mul with its odd powers dropped.  The standard-ordering product has
+    no such symmetry and raises InvalidArgumentError.  A multiset with more
+    than EVAL_T_SUBSET_BOUND sub-multisets raises ResourceLimitError.
     """
+    if s.kind not in _EVEN_KINDS:
+        raise InvalidArgumentError(
+            f"eval_T needs a star product with g * f = (f * g)(-nu); {s.kind!r} has none"
+        )
     return _eval_T(tuple(sorted(factors, key=Poly.sort_key)), s)
 
 
@@ -379,15 +409,43 @@ def _eval_T(factors: tuple, s: StarProduct) -> NuObject:
             f"{EVAL_T_SUBSET_BOUND}"
         )
     k = len(factors)
-    acc: dict = {}
+    steps = []  # (mult(u), T(S - u), u) per distinct u
     prev = None
     for i, u in enumerate(factors):
         if u == prev:
             continue
         prev = u
-        rest = factors[:i] + factors[i + 1 :]
-        _add_into(acc, star_mul(s, eval_T(rest, s), u), 0, factors.count(u))
-    return _freeze(s.space, acc) * Fraction(1, k)
+        steps.append((factors.count(u), eval_T(factors[:i] + factors[i + 1 :], s), u))
+    if s.kind in _MOYAL_KINDS:
+        return _even_poisson_sum(steps, s, k)
+    acc: dict = {}
+    for mult, rest, u in steps:
+        _add_into(acc, star_mul(s, rest, u), 0, mult)
+    return _freeze(s.space, {r: row for r, row in acc.items() if r % 2 == 0}) * Fraction(1, k)
+
+
+def _even_poisson_sum(steps: list, s: StarProduct, k: int) -> NuObject:
+    """(1/k) sum mult(u) sum_{r even} nu^(a+r) P^r(T_a, u) / r! over the steps
+    (mult(u), T, u), on integer rows over one common denominator."""
+    nv = s.space.nvars
+    jobs = []  # (a, top even r, mult, denominator of T_a * u, T_a, u)
+    for mult, rest, u in steps:
+        ut, ud = _int_terms(u)
+        du = _DerivativeCache(ut, nv)
+        top_u = _pair_degree(u, s.pairs)
+        for a, ta in rest.coeffs.items():
+            tt, td = _int_terms(ta)
+            top = min(top_u, _pair_degree(ta, s.pairs))
+            jobs.append((a, top - top % 2, mult, td * ud, _DerivativeCache(tt, nv), du))
+    den = lcm(*(d * factorial(top) for _, top, _, d, _, _ in jobs))
+    acc: dict = {}
+    for a, top, mult, d, dt, du in jobs:
+        for r in range(0, top + 1, 2):
+            w = mult * (den // (d * factorial(r)))
+            _poisson_into(acc.setdefault(a + r, {}), dt, du, r, s.pairs, w)
+    den *= k
+    return _freeze(s.space, {m: {e: Fraction(n, den) for e, n in row.items() if n}
+                             for m, row in acc.items()})
 
 
 def times_alpha(p, q, s: StarProduct) -> NuObject:

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import nambu_forge
+from nambu_forge import nambu, sun, weyl
 from nambu_forge.cli import load_schema, main
 
 
@@ -133,6 +134,29 @@ def test_domain_error_exit_code(capsys):
     code, out, err = run(capsys, "factor", "x1^20")
     assert code == 1
     assert "factor.resource-limit" in err
+
+
+@pytest.mark.parametrize(
+    "module, bound, argv, code",
+    [
+        (weyl, "FOCK_DIM_BOUND", ("spectrum", "--dim", "9"), "spectrum.resource-limit"),
+        (nambu, "EVOLVE_STEP_BOUND", ("evolve", "--horizon", "0.011"), "evolve.resource-limit"),
+        (sun, "A_RECURSION_BOUND", ("coeffs", "--a", "9", "2"), "coeffs.resource-limit"),
+    ],
+)
+def test_resource_bounds_exit_1(capsys, monkeypatch, module, bound, argv, code):
+    monkeypatch.setattr(module, bound, 8)
+    sun.a_recursion.cache_clear()  # a cached value would skip the check
+    exit_code, out, err = run(capsys, *argv)
+    assert exit_code == 1
+    assert out == ""
+    assert err.startswith(f"error[{code}]: ") and err.count("\n") == 1
+    assert "bound 8" in err
+    exit_code, out, _ = run(capsys, "--json", *argv)
+    assert exit_code == 1
+    doc = json.loads(out)
+    validate(doc)
+    assert doc["error"]["code"] == code
 
 
 def test_syntax_error_code(capsys):

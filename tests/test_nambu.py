@@ -5,7 +5,8 @@ import pathlib
 
 import pytest
 
-from nambu_forge.errors import IntegrationFailureError, InvalidArgumentError
+from nambu_forge import nambu
+from nambu_forge.errors import IntegrationFailureError, InvalidArgumentError, ResourceLimitError
 from nambu_forge.nambu import (
     Dynamics,
     bracket_eval,
@@ -143,3 +144,18 @@ def test_csv_export():
     lines = csv_text.strip().splitlines()
     assert lines[0] == "t,x1,x2,x3,H1,H2"
     assert len(lines) == res.steps + 2
+
+
+def test_evolve_step_bound(monkeypatch):
+    monkeypatch.setattr(nambu, "EVOLVE_STEP_BOUND", 10)
+    d = nahm_dynamics()
+    assert evolve(d, 0.01, 1e-3).steps == 10
+    for horizon in (0.011, float("inf"), 1e300):
+        with pytest.raises(ResourceLimitError, match="evolve bound 10"):
+            evolve(d, horizon, 1e-3)
+    with pytest.raises(ResourceLimitError, match="evolve bound 10"):
+        evolve(d, 1.0, 1e-300)
+    with pytest.raises(InvalidArgumentError, match="horizon"):
+        evolve(d, float("nan"), 1e-3)
+    with pytest.raises(InvalidArgumentError, match="step"):
+        evolve(d, 0.01, float("nan"))

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from nambu_forge import sun
 from nambu_forge.errors import InvalidArgumentError, ResourceLimitError
 from nambu_forge.numbers import falling_factorial, secant_coefficient, tangent_coefficient
 from nambu_forge.poly import NuObject, Poly, _compositions, qp_space, su2_space
@@ -118,6 +119,19 @@ def test_base_cases():
         assert a_recursion(n, 0) == 1
     for r in range(6):
         assert a_recursion(0, r) == 1
+
+
+def test_a_recursion_bound(monkeypatch):
+    monkeypatch.setattr(sun, "A_RECURSION_BOUND", 12)
+    a_recursion.cache_clear()  # a cached value would skip the check
+    assert a_recursion(0, 10**9) == 1  # no recursion step at all
+    assert a_recursion(12, 1) == a_closed_form(12, 1)  # 12 steps
+    # 9 steps; by hand a(1, r) = 4 - 4r, a(2, 3) = 20, a(2, 4) = 52
+    assert a_recursion(3, 4) == Fraction(-5 * 52 - 3 * 20, 3)
+    for n, r in ((13, 1), (4, 4), (5, 3)):
+        with pytest.raises(ResourceLimitError, match="a_recursion bound 12") as err:
+            a_recursion(n, r)
+        assert f"{n * min(n, r)} recursion steps" in str(err.value)
 
 
 def test_pinned_value():

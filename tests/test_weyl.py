@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nambu_forge.errors import InvalidArgumentError
+from nambu_forge import weyl
+from nambu_forge.errors import InvalidArgumentError, ResourceLimitError
 from nambu_forge.poly import Poly, qp_space
 from nambu_forge.star import moyal_product, star_exponential
 from nambu_forge.weyl import (
@@ -108,3 +109,16 @@ def test_truncation_validation():
         FockTruncation(1, 1.0)
     with pytest.raises(InvalidArgumentError):
         FockTruncation(10, -1.0)
+
+
+def test_fock_dim_bound(monkeypatch):
+    monkeypatch.setattr(weyl, "FOCK_DIM_BOUND", 8)
+    assert ho_spectrum(FockTruncation(8, 1.0), 2) == pytest.approx([0.5, 1.5])
+
+    def refuse(*_, **__):
+        raise AssertionError("matrix allocated")
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    with pytest.raises(ResourceLimitError, match="Fock dimension bound 8") as err:
+        FockTruncation(9, 1.0)
+    assert "dim 9" in str(err.value)

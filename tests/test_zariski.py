@@ -108,21 +108,65 @@ def test_eval_T_examples():
     assert eval_T((), ST) == NuObject.one(SP)
 
 
-def test_eval_T_is_symmetrization(rng):
-    # oracle: explicit sum over all orderings, divided by the factor count
+def _symmetrized(factors, s):
+    # oracle: explicit star product along every ordering, divided by their count
     from itertools import permutations
 
-    from nambu_forge.star import star_mul
+    orders = list(permutations(factors))
+    total = NuObject.zero(s.space)
+    for perm in orders:
+        acc = NuObject.from_poly(perm[0])
+        for f in perm[1:]:
+            acc = star_mul(s, acc, f)
+        total = total + acc
+    return total * Fraction(1, len(orders))
 
-    for _ in range(4):
-        factors = [random_z_irreducible(rng, 2) for _ in range(3)]
-        total = NuObject.zero(SP)
-        for perm in permutations(factors):
-            acc = NuObject.from_poly(perm[0])
-            for f in perm[1:]:
-                acc = star_mul(ST, acc, f)
-            total = total + acc
-        assert eval_T(tuple(factors), ST) == total * Fraction(1, 6)
+
+def _nonconstant(space, rng):
+    while True:
+        p = random_poly(space, rng, degree=2, terms=rng.randint(2, 3))
+        if not p.is_constant():
+            return p
+
+
+def test_eval_T_is_symmetrization(rng):
+    st4 = zariski_star(4)
+    sp4 = st4.space
+    su2 = su2_product()
+    l1, l2, l3 = (Poly.variable(su2.space, i) for i in range(3))
+    cases = []
+    for _ in range(3):
+        u, v, w = (random_z_irreducible(rng, 2) for _ in range(3))
+        cases += [((u, v, w), ST), ((u, u, v), ST), ((u, v, u, v), ST)]
+        f, g = _nonconstant(sp4, rng), _nonconstant(sp4, rng)
+        cases += [((f, g, _nonconstant(sp4, rng)), st4), ((f, g, f), st4)]
+    cases += [((l1, l1, l2, l3), su2), ((l3, l3, l3), su2), ((l1, l2, l3, l2), su2)]
+    for factors, s in cases:
+        t = eval_T(factors, s)
+        assert t == _symmetrized(factors, s), factors
+        # T is even in nu, so the recursion never needs an odd Poisson power
+        assert all(r % 2 == 0 for r in t.coeffs), t
+
+
+def test_eval_T_calls_no_star_mul_for_moyal_kinds(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("star_mul called")
+
+    monkeypatch.setattr(zariski, "star_mul", refuse)
+    st4 = zariski_star(4)
+    y1, y2, y3, y4 = (Poly.variable(st4.space, i) for i in range(4))
+    u, v = x1 * x2 + 17 * x3, x1 + 19 * x2 * x3  # not met elsewhere, so not cached
+    for factors, s in (((u, v, u), ST), ((y1 * y2 + 23 * y3, y2 * y4, y1 * y2 + 23 * y3), st4)):
+        t = eval_T(factors, s)
+        assert any(r > 0 for r in t.coeffs)
+        assert t == _symmetrized(factors, s)  # the oracle's star_mul is not patched
+
+
+def test_eval_T_rejects_standard_ordering():
+    qp = qp_space()
+    q, p = Poly.variable(qp, 0), Poly.variable(qp, 1)
+    with pytest.raises(InvalidArgumentError, match="standard_ordering"):
+        eval_T((q, p), standard_ordering_product(qp))
 
 
 def test_times_alpha():
