@@ -190,7 +190,11 @@ def _cmd_nambu(args, cfg):
 
 def _cmd_check_fi(args, cfg):
     bracket = _bracket_by_name(args.bracket)
+    if args.degree < 0:
+        raise InvalidArgumentError(f"--degree must be at least 0, got {args.degree}")
     trials = args.trials
+    if trials < 1:
+        raise InvalidArgumentError(f"--trials must be at least 1, got {trials}")
     arity = 2 * bracket.order - 1
     passes = 0
     for t in range(trials):

@@ -722,7 +722,13 @@ def _signed_permutations(n: int) -> tuple:
 
 
 def jacobian_det(fs: Sequence[Poly], var_indices: Sequence[int]) -> Poly:
-    """Determinant of the matrix of partials d f_i / d x_{var_indices[j]}."""
+    """Determinant of the matrix of partials d f_i / d x_{var_indices[j]}.
+
+    Each f_i is taken once as integer numerators over its least common
+    denominator d_i, and the partials are taken on those integer maps.  Every
+    signed permutation product is multiplied out in ints, its last factor
+    straight into one row, and the row becomes Fractions over prod d_i once
+    per output term."""
     fs = list(fs)
     idx = list(var_indices)
     if len(fs) != len(idx):
@@ -733,20 +739,29 @@ def jacobian_det(fs: Sequence[Poly], var_indices: Sequence[int]) -> Poly:
     for f in fs:
         if f.space != space:
             raise InvalidArgumentError("jacobian_det arguments live on different spaces")
+    for i in idx:
+        if not 0 <= i < space.nvars:
+            raise InvalidArgumentError(f"variable index {i} out of range")
     n = len(fs)
-    partials = [[f.diff(i) for i in idx] for f in fs]
-    out = Poly.zero(space)
+    den = 1
+    partials = []
+    for f in fs:
+        terms, d = _int_terms(f)
+        den *= d
+        partials.append([_diff_terms(terms, i) for i in idx])
+    one = {(0,) * space.nvars: 1}
+    row: dict = {}
     for perm, sign in _signed_permutations(n):
-        term = Poly.const(space, sign)
-        for i in range(n):
-            p = partials[i][perm[i]]
-            if p.is_zero():
-                term = None
-                break
-            term = term * p
-        if term is not None:
-            out = out + term
-    return out
+        factors = [partials[i][perm[i]] for i in range(n)]
+        if not all(factors):
+            continue
+        term = one
+        for p in factors[:-1]:
+            nxt: dict = {}
+            _mul_into(nxt, term, p, 1)
+            term = nxt
+        _mul_into(row, term, factors[-1], sign)
+    return Poly._frozen(space, {e: Fraction(c, den) for e, c in row.items() if c})
 
 
 def leading_monomial(f: Poly) -> Exponent:

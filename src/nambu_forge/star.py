@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import itemgetter
 
 from .errors import InvalidArgumentError
 from .poly import (
@@ -99,16 +100,22 @@ def _as_nu(x, space: VarSpace) -> NuObject:
     return out
 
 
-def _pair_degree(f: Poly, pairs) -> int:
-    idx = {i for p in pairs for i in p}
-    if not f.terms:
-        return 0
-    return max(sum(e[i] for i in idx) for e in f.terms)
+def _paired(pairs) -> itemgetter:
+    """exponent -> the tuple of its entries at the pairs' variables; built
+    once per product call, not per term."""
+    return itemgetter(*(i for p in pairs for i in p))
+
+
+def _pair_degree(f: Poly, paired) -> int:
+    """Largest degree of f's terms in the paired variables, given the getter
+    ``paired`` from _paired (0 for the zero polynomial)."""
+    return max(map(sum, map(paired, f.terms)), default=0)
 
 
 def _moyal_into(acc: dict, f: Poly, g: Poly, pairs, shift: int) -> None:
     """acc[shift + r] += P^r(f, g) / r! for every r the pairs allow."""
-    rmax = min(_pair_degree(f, pairs), _pair_degree(g, pairs))
+    paired = _paired(pairs)
+    rmax = min(_pair_degree(f, paired), _pair_degree(g, paired))
     (ft, fd), (gt, gd) = _int_terms(f), _int_terms(g)
     nv = f.space.nvars
     df, dg = _DerivativeCache(ft, nv), _DerivativeCache(gt, nv)

@@ -20,7 +20,18 @@ from math import factorial
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .numbers import secant_coefficient, tangent_coefficient
-from .poly import NuObject, Poly, TSeries, VarSpace, _bump, jacobian_det, qp_space, su2_space
+from .poly import (
+    NuObject,
+    Poly,
+    TSeries,
+    VarSpace,
+    _add_into,
+    _bump,
+    _freeze,
+    jacobian_det,
+    qp_space,
+    su2_space,
+)
 from .star import StarProduct, _as_nu, moyal_product, star_mul, su2_product
 from .zariski import eval_T
 
@@ -82,19 +93,27 @@ def sun_moyal_standard() -> SunProduct:
     return SunProduct(moyal_product(qp_space()), "moyal_standard_split")
 
 
-def _coordinate_factors(space: VarSpace, e: tuple) -> tuple:
-    out = []
-    for i, k in enumerate(e):
-        out.extend([Poly.variable(space, i)] * k)
-    return tuple(out)
+@cache
+def _variables(space: VarSpace) -> tuple:
+    """The coordinate Polys of a space, built once, so that the eval_T
+    factor tuples made from them hash through each Poly's stored hash and
+    compare by identity."""
+    return tuple(Poly.variable(space, i) for i in range(space.nvars))
 
 
 def sun_lift(sp: SunProduct, x) -> NuObject:
     """The unary map underlying the product: monomially symmetrized star
-    evaluation of the classical part."""
+    evaluation of the classical part.
+
+    Each monomial c x^e lifts to c eval_T(x^e as a multiset of coordinate
+    factors) for the coordinate-monomial kind (to the su(2)* closed form
+    past SYMMETRIZATION_BOUND), and to c q^a * p^b for the Moyal-standard
+    split.  The lifts are summed into one {nu-power: {exponent: Fraction}}
+    map, frozen once."""
     xo = _as_nu(x, sp.space)
     f = xo.classical()
-    out = NuObject.zero(sp.space)
+    xs = _variables(sp.space)
+    acc: dict = {}
     if sp.alpha_kind == "coordinate_monomial":
         high = {}
         for e, c in f.terms.items():
@@ -106,17 +125,17 @@ def sun_lift(sp: SunProduct, x) -> NuObject:
                     )
                 high[e] = c
                 continue
-            out = out + eval_T(_coordinate_factors(sp.space, e), sp.star) * c
+            factors = tuple(v for v, k in zip(xs, e) for _ in range(k))
+            _add_into(acc, eval_T(factors, sp.star), 0, c)
         if high:
             # past the brute-force bound the closed form is the product
-            out = out + _su2_closed_lift(Poly(sp.space, high))
-        return out
+            _add_into(acc, _su2_closed_lift(Poly(sp.space, high)), 0, 1)
+        return _freeze(sp.space, acc)
     if sp.alpha_kind == "moyal_standard_split":
-        q = Poly.variable(sp.space, 0)
-        p = Poly.variable(sp.space, 1)
+        q, p = xs[:2]
         for e, c in f.terms.items():
-            out = out + star_mul(sp.star, q ** e[0], p ** e[1]) * c
-        return out
+            _add_into(acc, star_mul(sp.star, q ** e[0], p ** e[1]), 0, c)
+        return _freeze(sp.space, acc)
     raise InvalidArgumentError(f"unknown sun-product kind {sp.alpha_kind!r}")
 
 

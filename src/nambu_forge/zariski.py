@@ -59,7 +59,14 @@ from .poly import (
     coordinate_space,
     grlex_key,
 )
-from .star import StarProduct, _pair_degree, moyal_product, partial_moyal_product, star_mul
+from .star import (
+    StarProduct,
+    _pair_degree,
+    _paired,
+    moyal_product,
+    partial_moyal_product,
+    star_mul,
+)
 
 __all__ = [
     "ZMonomial",
@@ -428,14 +435,15 @@ def _even_poisson_sum(steps: list, s: StarProduct, k: int) -> NuObject:
     """(1/k) sum mult(u) sum_{r even} nu^(a+r) P^r(T_a, u) / r! over the steps
     (mult(u), T, u), on integer rows over one common denominator."""
     nv = s.space.nvars
+    paired = _paired(s.pairs)
     jobs = []  # (a, top even r, mult, denominator of T_a * u, T_a, u)
     for mult, rest, u in steps:
         ut, ud = _int_terms(u)
         du = _DerivativeCache(ut, nv)
-        top_u = _pair_degree(u, s.pairs)
+        top_u = _pair_degree(u, paired)
         for a, ta in rest.coeffs.items():
             tt, td = _int_terms(ta)
-            top = min(top_u, _pair_degree(ta, s.pairs))
+            top = min(top_u, _pair_degree(ta, paired))
             jobs.append((a, top - top % 2, mult, td * ud, _DerivativeCache(tt, nv), du))
     den = lcm(*(d * factorial(top) for _, top, _, d, _, _ in jobs))
     acc: dict = {}

@@ -49,6 +49,35 @@ def test_check_fi_seed_deterministic(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--degree", "-1", "--degree must be at least 0, got -1"),
+        ("--trials", "0", "--trials must be at least 1, got 0"),
+        ("--trials", "-3", "--trials must be at least 1, got -3"),
+    ],
+)
+def test_check_fi_rejects_bad_counts(capsys, flag, value, message):
+    argv = ("check-fi", "--bracket", "canonical3", flag, value)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error[check-fi.invalid-argument]: {message}\n"
+    code, out, err = run(capsys, "--json", *argv)
+    assert code == 1
+    assert err == ""
+    doc = json.loads(out)
+    validate(doc)
+    assert doc["status"] == "error"
+    assert doc["error"] == {"code": "check-fi.invalid-argument", "message": message}
+
+
+def test_check_fi_degree_zero_runs(capsys):
+    code, out, _ = run(capsys, "check-fi", "--degree", "0", "--trials", "1")
+    assert code == 0
+    assert out.strip() == "PASS residual=0 (1/1)"
+
+
 def test_coeffs_agreement(capsys):
     code, out, _ = run(capsys, "coeffs", "--a", "6", "3")
     assert code == 0

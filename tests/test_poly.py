@@ -1,5 +1,6 @@
 """Polynomial arithmetic, Poisson bivector powers and Jacobians."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -66,6 +67,60 @@ def test_jacobian_examples():
     assert jacobian_det([x, y, z], (0, 1, 2)) == Poly.const(X3, 1)
     assert jacobian_det([x, x, z], (0, 1, 2)).is_zero()
     assert jacobian_det([x * x, y, z], (0, 1, 2)) == 2 * x
+
+
+def _det_oracle(fs, idx):
+    """Leibniz sum over permutations of Fraction-coefficient Poly products,
+    the sign read off from the inversion count."""
+    space = fs[0].space
+    total = Poly.zero(space)
+    for perm in itertools.permutations(range(len(fs))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = Poly.const(space, (-1) ** inversions)
+        for f, j in zip(fs, perm):
+            term = term * f.diff(idx[j])
+        total = total + term
+    return total
+
+
+def _rational_poly(space, rng, degree):
+    """Random polynomial whose coefficients have denominators up to 6."""
+    f = random_poly(space, rng, degree=degree, terms=rng.randint(1, 4))
+    return Poly(space, {e: c / rng.randint(1, 6) for e, c in f.terms.items()})
+
+
+@pytest.mark.parametrize(
+    "nvars, idx",
+    [
+        (1, (0,)),
+        (3, (2,)),
+        (2, (0, 1)),
+        (4, (3, 0)),
+        (3, (0, 1, 2)),
+        (5, (4, 1, 3)),
+        (4, (0, 1, 2, 3)),
+        (6, (5, 0, 3, 2)),
+    ],
+)
+def test_jacobian_matches_permutation_sum(rng, nvars, idx):
+    space = coordinate_space(nvars)
+    zero, const = Poly.zero(space), Poly.const(space, Fraction(-7, 3))
+    for trial in range(12):
+        fs = [_rational_poly(space, rng, degree=3) for _ in idx]
+        if trial % 4 == 1:
+            fs[rng.randrange(len(fs))] = zero
+        elif trial % 4 == 2:
+            fs[rng.randrange(len(fs))] = const
+        det = jacobian_det(fs, idx)
+        assert det == _det_oracle(fs, idx)
+        assert all(type(c) is Fraction for c in det.terms.values())
+
+
+def test_jacobian_out_of_range_index_rejected():
+    x, y, z = xs()
+    for bad in ((0, 3), (-1, 0)):
+        with pytest.raises(InvalidArgumentError, match="out of range"):
+            jacobian_det([x, y], bad)
 
 
 def test_jacobian_repeated_variable_rejected():

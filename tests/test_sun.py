@@ -14,6 +14,7 @@ from nambu_forge.star import star_exponential, star_mul, su2_product
 from nambu_forge.sun import (
     USUAL_PRODUCT,
     DiffOp,
+    SunProduct,
     a_closed_form,
     a_recursion,
     apply_equivalence,
@@ -34,6 +35,7 @@ from nambu_forge.sun import (
     weak_trivializer,
     z_coefficient,
 )
+from nambu_forge.zariski import eval_T, zariski_star
 
 from conftest import random_poly
 
@@ -95,6 +97,63 @@ def test_sun_lift_not_order_preserving_invertible():
     witness = NuObject(L, {1: L1})
     assert sun_lift(SU, witness).is_zero()
     assert not witness.is_zero()
+
+
+def _folded_lift(sp, x):
+    """The lift folded one NuObject at a time: c * eval_T over the monomial's
+    coordinate factors (fresh Poly objects), the su(2)* closed form past
+    SYMMETRIZATION_BOUND, and c * q^a * p^b for the Moyal-standard split."""
+    space = sp.space
+    out = NuObject.zero(space)
+    for e, c in x.classical().terms.items():
+        if sp.alpha_kind == "moyal_standard_split":
+            q, p = Poly.variable(space, 0), Poly.variable(space, 1)
+            term = star_mul(sp.star, q ** e[0], p ** e[1])
+        elif sum(e) > sun.SYMMETRIZATION_BOUND:
+            term = sun_closed_form(Poly.monomial(space, e), Poly.const(space, 1))
+        else:
+            factors = [Poly.variable(space, i) for i, k in enumerate(e) for _ in range(k)]
+            term = eval_T(factors, sp.star)
+        out = out + term * c
+    return out
+
+
+def _rational(rng, space, exponents):
+    """A NuObject whose classical part has the given monomials with rational
+    coefficients, plus a nu^1 part that the lift must drop."""
+    f = Poly(space, {e: Fraction(rng.choice([-5, -2, 1, 3]), rng.randint(1, 7)) for e in exponents})
+    return NuObject(space, {0: f, 1: Poly.variable(space, 0)})
+
+
+def _assert_lift_matches_fold(sp, x):
+    got = sun_lift(sp, x)
+    assert got == _folded_lift(sp, x)
+    assert all(type(c) is Fraction for p in got.coeffs.values() for c in p.terms.values())
+
+
+def test_sun_lift_su2_matches_fold(rng):
+    bound = sun.SYMMETRIZATION_BOUND
+    low = monomials_up_to(bound)
+    high = [e for e in monomials_up_to(bound + 2) if sum(e) > bound]
+    for _ in range(8):
+        mix = rng.sample(low, 3) + rng.sample(high, 2)
+        _assert_lift_matches_fold(SU, _rational(rng, L, mix))
+    _assert_lift_matches_fold(SU, _rational(rng, L, low[:10]))
+    _assert_lift_matches_fold(SU, _rational(rng, L, high[:4]))
+
+
+def test_sun_lift_moyal_coordinate_monomial_matches_fold(rng):
+    for n in (3, 4):
+        sp = SunProduct(zariski_star(n), "coordinate_monomial")
+        exponents = list(_compositions(3, n)) + list(_compositions(2, n))
+        for _ in range(4):
+            _assert_lift_matches_fold(sp, _rational(rng, sp.space, rng.sample(exponents, 4)))
+
+
+def test_sun_lift_moyal_standard_matches_fold(rng):
+    exponents = [(a, b) for a in range(5) for b in range(5)]
+    for _ in range(8):
+        _assert_lift_matches_fold(MS, _rational(rng, QP, rng.sample(exponents, 5)))
 
 
 def test_symmetrization_bound():
