@@ -171,11 +171,12 @@ def _cmd_star(args, cfg):
 
 
 def _bracket_by_name(name: str):
-    if name.startswith("canonical"):
-        return nambu_mod.canonical_bracket(int(name[len("canonical"):]))
-    if name.startswith("linear"):
-        return nambu_mod.linear_bracket(int(name[len("linear"):]))
-    raise InvalidArgumentError(f"unknown bracket {name!r} (use canonicalN or linearN)")
+    for kind, make in (("canonical", nambu_mod.canonical_bracket),
+                       ("linear", nambu_mod.linear_bracket)):
+        order = name[len(kind):]
+        if name.startswith(kind) and order.isascii() and order.isdigit():
+            return make(int(order))
+    raise InvalidArgumentError(f"unknown --bracket {name!r} (use canonicalN or linearN)")
 
 
 def _cmd_nambu(args, cfg):
@@ -378,13 +379,20 @@ def _cmd_spectrum(args, cfg):
     return lines, {"dim": args.dim, "hbar": args.hbar, "eigenvalues": values}
 
 
+def _numbers(option: str, text: str, kind) -> tuple:
+    try:
+        return tuple(kind(s) for s in text.split(","))
+    except (ValueError, ZeroDivisionError):
+        raise InvalidArgumentError(f"{option} takes comma-separated numbers, got {text!r}") from None
+
+
 def _cmd_evolve(args, cfg):
     if args.system == "euler":
-        inertia = tuple(Fraction(s) for s in args.inertia.split(","))
-        state = tuple(float(s) for s in args.state.split(",")) if args.state else (1.0, 1.0, 1.0)
+        inertia = _numbers("--inertia", args.inertia, Fraction)
+        state = _numbers("--state", args.state, float) if args.state else (1.0, 1.0, 1.0)
         dyn = nambu_mod.euler_top_dynamics(inertia, state, args.step)
     elif args.system == "nahm":
-        state = tuple(float(s) for s in args.state.split(",")) if args.state else (0.2, 0.3, 0.4)
+        state = _numbers("--state", args.state, float) if args.state else (0.2, 0.3, 0.4)
         dyn = nambu_mod.nahm_dynamics(state, args.step)
     else:
         raise InvalidArgumentError(f"unknown system {args.system!r}")
@@ -394,8 +402,13 @@ def _cmd_evolve(args, cfg):
         if args.csv == "-":
             sys.stdout.write(csv_text)
         else:
-            with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(csv_text)
+            try:
+                with open(args.csv, "w", encoding="utf-8") as fh:
+                    fh.write(csv_text)
+            except OSError as exc:
+                raise InvalidArgumentError(
+                    f"--csv cannot write {args.csv!r}: {exc.strerror}"
+                ) from None
     report = result.report()
     lines = [
         f"steps: {report['steps']}",
@@ -568,8 +581,20 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
     except ConfigError as exc:
         parser.error(str(exc))
-    command = args.command
     _expand_stdin(args)
+    try:
+        code = _run(args, cfg)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (say, a pipe into head); stdout goes
+        # to devnull so that the flush at interpreter exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run(args, cfg) -> int:
+    command = args.command
     try:
         result = args.handler(args, cfg)
     except NambuForgeError as exc:

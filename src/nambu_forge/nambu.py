@@ -51,19 +51,34 @@ class NambuBracket:
     eta: tuple = ()  # ((ascending index tuple, Poly), ...) for custom kind
 
 
+# every bracket evaluation walks the n! signed permutations of jacobian_det:
+# building them takes 0.09 s at n = 8 and 0.86 s at n = 9 on a 2-vCPU x86_64 host
+BRACKET_ORDER_BOUND = 8
+
+
+def _check_order(n: int) -> None:
+    if n > BRACKET_ORDER_BOUND:
+        raise ResourceLimitError(
+            f"bracket order {n} exceeds the bracket order bound {BRACKET_ORDER_BOUND}"
+        )
+
+
 def canonical_bracket(n: int) -> NambuBracket:
     if n < 2:
         raise InvalidArgumentError("canonical bracket needs order >= 2")
+    _check_order(n)
     return NambuBracket("canonical", n, coordinate_space(n))
 
 
 def linear_bracket(n: int) -> NambuBracket:
     if n < 2:
         raise InvalidArgumentError("linear bracket needs order >= 2")
+    _check_order(n)
     return NambuBracket("linear", n, coordinate_space(n + 1))
 
 
 def custom_bracket(space: VarSpace, order: int, eta: dict) -> NambuBracket:
+    _check_order(order)
     entries = []
     for idx, coeff in eta.items():
         idx = tuple(idx)
@@ -262,6 +277,10 @@ def _compile(f: Poly):
 
 def euler_top_dynamics(inertia=(1.0, 2.0, 3.0), state=(1.0, 1.0, 1.0), step=1e-3) -> Dynamics:
     """Rigid-body dynamics: Hamiltonians are the kinetic energy and |L|^2."""
+    if len(inertia) != 3 or not all(inertia):
+        raise InvalidArgumentError(
+            f"the Euler top needs three nonzero moments of inertia, got {','.join(map(str, inertia))}"
+        )
     b = canonical_bracket(3)
     sp = b.space
     from fractions import Fraction

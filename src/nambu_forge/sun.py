@@ -48,13 +48,11 @@ __all__ = [
     "a_closed_form",
     "big_a",
     "z_coefficient",
-    "eta_operator",
     "sun_closed_form",
     "sun_homogeneous_form",
     "quantized_nambu_sun",
     "fi_residual_sun",
     "weak_leibniz_residual",
-    "DiffOp",
     "DiffOpSeries",
     "identity_series",
     "weak_trivializer",
@@ -344,40 +342,6 @@ def _eta_terms(f: Poly, r_max: int) -> list:
     return [f] + [Poly(f.space, t) for t in acc[1:]]
 
 
-@dataclass(frozen=True)
-class DiffOp:
-    """a(m, order) Delta^order on each homogeneous degree-m part; order 0 is
-    the identity and order None the zero operator."""
-
-    space: VarSpace
-    order: int
-
-    @classmethod
-    def identity(cls, space: VarSpace) -> "DiffOp":
-        return cls(space, 0)
-
-    def is_zero(self) -> bool:
-        return self.order is None
-
-    def apply(self, f: Poly) -> Poly:
-        if self.order is None:
-            return Poly.zero(self.space)
-        if f.space != self.space:
-            raise InvalidArgumentError("polynomials live on different variable spaces")
-        return _eta_terms(f, self.order)[self.order]
-
-
-def eta_operator(r: int, space: VarSpace = None) -> DiffOp:
-    """The nu^{2r} cochain of the su(2)* sun product,
-    (A_r + sum_p z_{p,r} D(D-1)...(D-p+1)) Delta^r with D the Euler operator;
-    it acts on each homogeneous degree-m part as a(m, r) Delta^r."""
-    if space is None:
-        space = su2_space()
-    if r < 1:
-        raise InvalidArgumentError("eta_operator is defined for r >= 1")
-    return DiffOp(space, r)
-
-
 def _su2_closed_lift(prod: Poly) -> NuObject:
     etas = _eta_terms(prod, max(prod.total_degree(), 0) // 2)
     return NuObject(prod.space, {2 * r: eta for r, eta in enumerate(etas)})
@@ -443,52 +407,49 @@ def weak_leibniz_residual(sp: SunProduct, f: Poly, g: Poly, h: Poly, axis: int) 
 
 
 # ---------------------------------------------------------------------------
-# Equivalence and triviality
+# Equivalence and triviality.  An intertwiner S is stored as its r_max and
+# applied by one _eta_terms pass per polynomial, which gives every S_k at once.
 
 
 @dataclass(frozen=True)
 class DiffOpSeries:
-    """Formally invertible series Id + sum_{r>=1} nu^r S_r of operators."""
+    """S = Id + sum_{r=1..r_max} nu^{2r} eta_r, eta_r being the nu^{2r}
+    cochain of the su(2)* sun product, a(m, r) Delta^r on each homogeneous
+    degree-m part; r_max = 0 is the identity."""
 
     space: VarSpace
-    terms: tuple  # ((r, DiffOp), ...) with r >= 1
+    r_max: int
 
     def __post_init__(self):
-        for r, op in self.terms:
-            if r < 1:
-                raise InvalidArgumentError("series terms start at nu^1")
-            if op.space != self.space:
-                raise InvalidArgumentError("operator space mismatch")
+        if self.r_max < 0:
+            raise InvalidArgumentError("r_max must be non-negative")
 
-    def operator(self, r: int) -> DiffOp:
-        if r == 0:
-            return DiffOp.identity(self.space)
-        for k, op in self.terms:
-            if k == r:
-                return op
-        return DiffOp(self.space, None)
-
-    def orders(self) -> tuple:
-        return (0,) + tuple(r for r, _ in self.terms)
+    def components(self, f: Poly) -> list:
+        """Every nonzero (k, S_k(f)), all from one _eta_terms pass."""
+        if f.space != self.space:
+            raise InvalidArgumentError("polynomials live on different variable spaces")
+        return [(2 * r, eta) for r, eta in enumerate(_eta_terms(f, self.r_max)) if not eta.is_zero()]
 
     def apply(self, x) -> NuObject:
-        xo = _as_nu(x, self.space)
-        out = dict(xo.coeffs)
-        for r, op in self.terms:
-            for k, p in xo.coeffs.items():
-                _bump(out, r + k, op.apply(p))
+        out: dict = {}
+        for k, p in _as_nu(x, self.space).coeffs.items():
+            for s, v in self.components(p):
+                _bump(out, k + s, v)
         return NuObject(self.space, out)
 
 
 def identity_series(space: VarSpace) -> DiffOpSeries:
-    return DiffOpSeries(space, ())
+    return DiffOpSeries(space, 0)
 
 
 def weak_trivializer(r_max: int, space: VarSpace = None) -> DiffOpSeries:
-    """S with S_{2r} = eta_r; satisfies S(F G) = F sun G on su(2)*."""
+    """S with S_{2r} = eta_r for r <= r_max; S(F G) = F sun G on su(2)* up to
+    nu^{2 r_max}."""
     if space is None:
         space = su2_space()
-    return DiffOpSeries(space, tuple((2 * r, eta_operator(r, space)) for r in range(1, r_max + 1)))
+    if r_max < 1:
+        raise InvalidArgumentError("weak_trivializer needs r_max >= 1")
+    return DiffOpSeries(space, r_max)
 
 
 def _product_apply(prod, x: NuObject, y: NuObject) -> NuObject:
@@ -499,11 +460,13 @@ def _product_apply(prod, x: NuObject, y: NuObject) -> NuObject:
     raise InvalidArgumentError("expected a sun product or the usual product")
 
 
-def _product_cochain(prod, r: int, h: Poly) -> Poly:
+def _product_cochains(prod, h: Poly) -> dict:
+    """{r: rho_r(h)}: rho_0 = id for the usual product, and every nonzero
+    cochain of a sun product from one sun_lift."""
     if prod is USUAL_PRODUCT:
-        return h if r == 0 else Poly.zero(h.space)
+        return {0: h}
     if isinstance(prod, SunProduct):
-        return sun_lift(prod, h).coefficient(r)
+        return sun_lift(prod, h).coeffs
     raise InvalidArgumentError("expected a sun product or the usual product")
 
 
@@ -531,32 +494,16 @@ def apply_equivalence(
         rhs = _product_apply(p2, s.apply(f), s.apply(g))
         return (lhs - rhs).truncate(nu_order)
     if mode == "A":
-        fg = f * g
-        out = NuObject.zero(space)
-        for r in range(nu_order + 1):
-            rho = _product_cochain(p1, r, fg)
-            if rho.is_zero():
-                continue
-            for ss in s.orders():
-                if r + ss > nu_order:
-                    continue
-                v = s.operator(ss).apply(rho)
-                if not v.is_zero():
-                    out = out + NuObject(space, {r + ss: v})
-        for ss in s.orders():
-            sf = s.operator(ss).apply(f)
-            if sf.is_zero():
-                continue
-            for tt in s.orders():
-                if ss + tt > nu_order:
-                    continue
-                sg = s.operator(tt).apply(g)
-                if sg.is_zero():
-                    continue
-                prod = sf * sg
-                for r in range(nu_order + 1 - ss - tt):
-                    rho = _product_cochain(p2, r, prod)
-                    if not rho.is_zero():
-                        out = out - NuObject(space, {r + ss + tt: rho})
-        return out.truncate(nu_order)
+        out: dict = {}
+        for r, rho in _product_cochains(p1, f * g).items():
+            if r <= nu_order:
+                for ss, v in s.components(rho):
+                    _bump(out, r + ss, v)
+        sg = s.components(g)
+        for ss, a in s.components(f):
+            for tt, b in sg:
+                if ss + tt <= nu_order:
+                    for r, rho in _product_cochains(p2, a * b).items():
+                        _bump(out, r + ss + tt, -rho)
+        return NuObject(space, out).truncate(nu_order)
     raise InvalidArgumentError("mode must be 'A' or 'B'")

@@ -107,13 +107,17 @@ def test_coeffs_closed_form_at_large_n(capsys):
     assert "agree=True" in out
 
 
+def _child_env() -> dict:
+    """The environment for a child interpreter that imports this nambu_forge."""
+    src = str(pathlib.Path(nambu_forge.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_cli_import_leaves_numpy_out():
     # numpy is loaded by the spectrum command only
     code = "import sys, nambu_forge.cli; print('numpy' in sys.modules)"
-    src = str(pathlib.Path(nambu_forge.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
+                         env=_child_env(), check=True)
     assert out.stdout.strip() == "False"
 
 
@@ -171,6 +175,10 @@ def test_domain_error_exit_code(capsys):
         (weyl, "FOCK_DIM_BOUND", ("spectrum", "--dim", "9"), "spectrum.resource-limit"),
         (nambu, "EVOLVE_STEP_BOUND", ("evolve", "--horizon", "0.011"), "evolve.resource-limit"),
         (sun, "A_RECURSION_BOUND", ("coeffs", "--a", "9", "2"), "coeffs.resource-limit"),
+        (nambu, "BRACKET_ORDER_BOUND", ("nambu", "--bracket", "canonical9", "x1"),
+         "nambu.resource-limit"),
+        (nambu, "BRACKET_ORDER_BOUND", ("check-fi", "--bracket", "linear1000000"),
+         "check-fi.resource-limit"),
     ],
 )
 def test_resource_bounds_exit_1(capsys, monkeypatch, module, bound, argv, code):
@@ -186,6 +194,45 @@ def test_resource_bounds_exit_1(capsys, monkeypatch, module, bound, argv, code):
     doc = json.loads(out)
     validate(doc)
     assert doc["error"]["code"] == code
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        pytest.param(("nambu", "--bracket", "canonicalX", "x1"), "--bracket", id="bracket-suffix"),
+        pytest.param(("nambu", "--bracket", "canonical", "x1"), "--bracket", id="bracket-no-order"),
+        pytest.param(("evolve", "--inertia", "1,0,3"), "inertia", id="inertia-zero"),
+        pytest.param(("evolve", "--inertia", "a,b,c"), "--inertia", id="inertia-not-numbers"),
+        pytest.param(("evolve", "--state", "x,y,z"), "--state", id="state-not-numbers"),
+        pytest.param(("evolve", "--horizon", "0.01", "--csv", "{missing}"), "--csv",
+                     id="csv-missing-directory"),
+    ],
+)
+def test_bad_option_values_exit_1(tmp_path, capsys, argv, option):
+    argv = tuple(a.format(missing=tmp_path / "absent" / "f.csv") for a in argv)
+    code = f"{argv[0]}.invalid-argument"
+    exit_code, out, err = run(capsys, *argv)
+    assert exit_code == 1
+    assert out == ""
+    assert err.startswith(f"error[{code}]: ") and err.count("\n") == 1
+    assert option in err
+    exit_code, out, err = run(capsys, "--json", *argv)
+    assert exit_code == 1
+    assert err == ""
+    doc = json.loads(out)
+    validate(doc)
+    assert doc["error"]["code"] == code
+    assert option in doc["error"]["message"]
+
+
+def test_closed_stdout_prints_no_traceback():
+    proc = subprocess.Popen([sys.executable, "-m", "nambu_forge.cli", "coeffs", "--table", "8", "4"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(), text=True)
+    proc.stdout.close()  # before the child has started, let alone written
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
 
 
 def test_syntax_error_code(capsys):

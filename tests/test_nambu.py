@@ -159,3 +159,23 @@ def test_evolve_step_bound(monkeypatch):
         evolve(d, float("nan"), 1e-3)
     with pytest.raises(InvalidArgumentError, match="step"):
         evolve(d, 0.01, float("nan"))
+
+
+class _UnreadTensor(dict):
+    def items(self):
+        raise AssertionError("the tensor was read before the order check")
+
+
+@pytest.mark.parametrize("order", [9, 1_000_000])
+def test_bracket_order_bound(monkeypatch, order):
+    space = coordinate_space(3)
+
+    def no_space(n):
+        raise AssertionError(f"a space of {n} variables was built before the order check")
+
+    monkeypatch.setattr(nambu, "coordinate_space", no_space)
+    for make in (canonical_bracket, linear_bracket):
+        with pytest.raises(ResourceLimitError, match="bracket order bound 8"):
+            make(order)
+    with pytest.raises(ResourceLimitError, match="bracket order bound 8"):
+        custom_bracket(space, order, _UnreadTensor())
