@@ -14,7 +14,6 @@ import os
 import random
 import sys
 from fractions import Fraction
-from importlib import resources
 
 from . import factor as factor_mod
 from . import nambu as nambu_mod
@@ -30,6 +29,8 @@ DEFAULTS = {"nu_order": 8, "t_order": 6, "seed": 0, "degree_bound": 12}
 
 
 def load_schema() -> dict:
+    from importlib import resources  # only the schema needs it; keep it out of start-up
+
     with resources.files("nambu_forge").joinpath("schema.json").open() as fh:
         return json.load(fh)
 
@@ -320,16 +321,8 @@ def _cmd_sun(args, cfg):
     g = parse_expr(args.exprs[1], sp.space)
     if not (isinstance(f, (Poly, NuObject)) and isinstance(g, (Poly, NuObject))):
         raise InvalidArgumentError("sun operands must be polynomials or nu-polynomials")
-    if args.closed_form:
-        if not (isinstance(f, Poly) and isinstance(g, Poly)):
-            raise InvalidArgumentError("the closed form takes plain polynomials")
-        result = sun_mod.sun_closed_form(f, g)
-        route = "closed"
-    else:
-        result = sun_mod.sun_mul(sp, f, g)
-        route = "brute"
-    text = render(result)
-    return [text], {"product": args.product, "result": text, "route": route}
+    text = render(sun_mod.sun_mul(sp, f, g))
+    return [text], {"product": args.product, "result": text}
 
 
 def _cmd_equiv(args, cfg):
@@ -338,7 +331,9 @@ def _cmd_equiv(args, cfg):
     def product_by_name(name):
         if name == "usual":
             return sun_mod.USUAL_PRODUCT
-        return _sun_product_by_name(name)
+        if name == "su2":
+            return sun_mod.sun_su2()
+        raise InvalidArgumentError(f"equiv compares the usual and su2 products on su(2)*, not {name!r}")
 
     p1 = product_by_name(args.left)
     p2 = product_by_name(args.right)
@@ -514,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("sun", help="sun products and exponentials")
     p.add_argument("--product", default="su2", choices=["su2", "ms"])
-    p.add_argument("--closed-form", dest="closed_form", action="store_true")
     p.add_argument("--exp", help="sun exponential of this Hamiltonian")
     p.add_argument("exprs", nargs="*")
     p.set_defaults(handler=_cmd_sun)

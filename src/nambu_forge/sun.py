@@ -5,10 +5,12 @@ the quantized Nambu bracket they induce, and the equivalence / triviality
 framework for generalized deformations.
 
 A sun product annihilates nonzero nu powers of its operands, so it factors
-through the ordinary product of classical parts: F sun G = lift(FG) where
-lift replaces each monomial by the symmetrized star product of its
-coordinate factors (or by the q-power / p-power recombination rule for the
-Moyal-standard split).
+through the ordinary product of classical parts: F sun G = lift(FG).  The
+lift of the coordinate-monomial kind, which symmetrizes the star product
+over each monomial's coordinate factors, is computed in closed form: on
+su(2)* it is the scaled Laplacian series, and on the Moyal and partial-Moyal
+products it is the identity (Weyl ordering).  The Moyal-standard split lifts
+q^a p^b to q^a * p^b.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .poly import (
     su2_space,
 )
 from .star import StarProduct, _as_nu, moyal_product, star_mul, su2_product
-from .zariski import eval_T
 
 __all__ = [
     "SunProduct",
@@ -59,9 +60,6 @@ __all__ = [
     "apply_equivalence",
     "sun_exponential",
 ]
-
-SYMMETRIZATION_BOUND = 7  # largest factor multiset expanded by brute force
-
 
 @dataclass(frozen=True)
 class SunProduct:
@@ -91,46 +89,29 @@ def sun_moyal_standard() -> SunProduct:
     return SunProduct(moyal_product(qp_space()), "moyal_standard_split")
 
 
-@cache
-def _variables(space: VarSpace) -> tuple:
-    """The coordinate Polys of a space, built once, so that the eval_T
-    factor tuples made from them hash through each Poly's stored hash and
-    compare by identity."""
-    return tuple(Poly.variable(space, i) for i in range(space.nvars))
-
-
 def sun_lift(sp: SunProduct, x) -> NuObject:
-    """The unary map underlying the product: monomially symmetrized star
-    evaluation of the classical part.
+    """The unary map underlying the product, applied to the classical part.
 
-    Each monomial c x^e lifts to c eval_T(x^e as a multiset of coordinate
-    factors) for the coordinate-monomial kind (to the su(2)* closed form
-    past SYMMETRIZATION_BOUND), and to c q^a * p^b for the Moyal-standard
-    split.  The lifts are summed into one {nu-power: {exponent: Fraction}}
-    map, frozen once."""
+    For the coordinate-monomial kind it symmetrizes the star product over
+    each monomial's coordinate factors.  On su(2)* that is the closed form
+    FG + sum_r nu^{2r} a(m, r) Delta^r on each homogeneous degree-m part.
+    On the Moyal and partial-Moyal products it is the identity: the graph
+    expansion of linear factors has only matchings, whose ordering signs
+    average to zero.  The Moyal-standard split lifts c q^a p^b to
+    c q^a * p^b, summed into one {nu-power: {exponent: Fraction}} map."""
     xo = _as_nu(x, sp.space)
     f = xo.classical()
-    xs = _variables(sp.space)
-    acc: dict = {}
     if sp.alpha_kind == "coordinate_monomial":
-        high = {}
-        for e, c in f.terms.items():
-            if sum(e) > SYMMETRIZATION_BOUND:
-                if sp.star.kind != "su2":
-                    raise ResourceLimitError(
-                        f"monomial degree {sum(e)} exceeds the symmetrization bound "
-                        f"{SYMMETRIZATION_BOUND}"
-                    )
-                high[e] = c
-                continue
-            factors = tuple(v for v, k in zip(xs, e) for _ in range(k))
-            _add_into(acc, eval_T(factors, sp.star), 0, c)
-        if high:
-            # past the brute-force bound the closed form is the product
-            _add_into(acc, _su2_closed_lift(Poly(sp.space, high)), 0, 1)
-        return _freeze(sp.space, acc)
+        if sp.star.kind == "su2":
+            return _su2_closed_lift(f)
+        if sp.star.kind in ("moyal", "partial_moyal"):
+            return NuObject.from_poly(f)
+        raise InvalidArgumentError(
+            f"the coordinate-monomial lift needs g * f = (f * g)(-nu); {sp.star.kind!r} has none"
+        )
     if sp.alpha_kind == "moyal_standard_split":
-        q, p = xs[:2]
+        q, p = Poly.variable(sp.space, 0), Poly.variable(sp.space, 1)
+        acc: dict = {}
         for e, c in f.terms.items():
             _add_into(acc, star_mul(sp.star, q ** e[0], p ** e[1]), 0, c)
         return _freeze(sp.space, acc)
@@ -330,7 +311,7 @@ def _eta_terms(f: Poly, r_max: int) -> list:
     parts: dict = {}
     for e, c in f.terms.items():
         parts.setdefault(sum(e), {})[e] = c
-    acc = [{} for _ in range(r_max + 1)]
+    acc = [{} for _ in range(min(r_max, max(f.total_degree(), 0) // 2) + 1)]
     for m, terms in parts.items():
         cur = Poly(f.space, terms)
         for r in range(1, min(r_max, m // 2) + 1):

@@ -393,9 +393,12 @@ def eval_T(factors: Sequence[Poly], s: StarProduct) -> NuObject:
     which shares every sub-multiset.  For the Moyal kinds the even part is
     sum_{r even} nu^(a+r) P^r(T_a(S - u), u) / r!, summed as integers over
     one common denominator and turned into Fractions once; for su(2)* it is
-    star_mul with its odd powers dropped.  The standard-ordering product has
-    no such symmetry and raises InvalidArgumentError.  A multiset with more
-    than EVAL_T_SUBSET_BOUND sub-multisets raises ResourceLimitError.
+    star_mul with its odd powers dropped.  No production route takes the
+    su(2)* branch: it is kept as the brute-force oracle that the tests hold
+    the closed-form sun product (sun.sun_lift) against.  The
+    standard-ordering product has no such symmetry and raises
+    InvalidArgumentError.  A multiset with more than EVAL_T_SUBSET_BOUND
+    sub-multisets raises ResourceLimitError.
     """
     if s.kind not in _EVEN_KINDS:
         raise InvalidArgumentError(

@@ -30,7 +30,7 @@ from nambu_forge.star import (
     su2_product,
 )
 
-from conftest import random_poly
+from conftest import brute_sun_lift, random_poly
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SP3 = zmod.zariski_space(3)
@@ -168,7 +168,9 @@ def test_ac06_closed_form_theorem():
                 if sum(m1) + sum(m2) > 4:
                     continue
                 f, g = Poly.monomial(L, m1), Poly.monomial(L, m2)
-                assert sun_mod.sun_mul(SU, f, g) == sun_mod.sun_closed_form(f, g), (m1, m2)
+                expect = brute_sun_lift(SU, f * g)
+                assert sun_mod.sun_closed_form(f, g) == expect, (m1, m2)
+                assert sun_mod.sun_mul(SU, f, g) == expect, (m1, m2)
                 checked += 1
         assert checked == 210
 
@@ -295,6 +297,8 @@ def test_ac13_triviality():
                 s, "B", sun_mod.USUAL_PRODUCT, SU, f, g, 6
             )
             assert residual.is_zero()
+            # S(FG) = F sun G up to nu^6, the sun product by brute force
+            assert s.apply(f * g).truncate(6) == brute_sun_lift(SU, f * g).truncate(6)
         L3 = Poly.variable(L, 2)
         diff = sun_mod.sun_mul(SU, L3, L3) - NuObject.from_poly(L3 * L3)
         assert diff == NuObject(L, {2: Poly.const(L, 2)})

@@ -361,6 +361,35 @@ def test_equiv_weak_trivializer(capsys):
     assert "residual: 0" in out
 
 
+@pytest.mark.parametrize("side", ["--left", "--right"])
+def test_equiv_refuses_ms_by_name(capsys, side):
+    argv = ("equiv", "--mode", "B", side, "ms", "L3^2", "L1*L2")
+    message = "equiv compares the usual and su2 products on su(2)*, not 'ms'"
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error[equiv.invalid-argument]: {message}\n"
+    code, out, err = run(capsys, "--json", *argv)
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    validate(doc)
+    assert doc["error"] == {"code": "equiv.invalid-argument", "message": message}
+
+
+def test_sun_products_by_name(capsys):
+    code, out, _ = run(capsys, "sun", "--product", "ms", "q^2", "p^2")
+    assert (code, out) == (0, "q^2*p^2 + 4*nu*q*p + 2*nu^2\n")
+    code, out, _ = run(capsys, "--json", "sun", "L1^2", "L2^2")
+    doc = json.loads(out)
+    validate(doc)
+    assert doc["data"] == {
+        "product": "su2",
+        "result": "L1^2*L2^2 + 10/3*nu^2*L1^2 + 10/3*nu^2*L2^2 + 16/3*nu^4",
+    }
+    with pytest.raises(SystemExit) as exc:
+        main(["sun", "--closed-form", "L1", "L2"])
+    assert exc.value.code == 2
+
+
 def test_spectrum_deviation(capsys):
     code, out, _ = run(
         capsys, "spectrum", "--dim", "30", "--deviation", "q", "p", "--band", "15"

@@ -10,7 +10,12 @@ from nambu_forge import sun
 from nambu_forge.errors import InvalidArgumentError, ResourceLimitError
 from nambu_forge.numbers import falling_factorial, secant_coefficient, tangent_coefficient
 from nambu_forge.poly import NuObject, Poly, _compositions, qp_space, su2_space
-from nambu_forge.star import star_exponential, star_mul, su2_product
+from nambu_forge.star import (
+    star_exponential,
+    star_mul,
+    standard_ordering_product,
+    su2_product,
+)
 from nambu_forge.sun import (
     USUAL_PRODUCT,
     SunProduct,
@@ -33,9 +38,9 @@ from nambu_forge.sun import (
     weak_trivializer,
     z_coefficient,
 )
-from nambu_forge.zariski import eval_T, zariski_star
+from nambu_forge.zariski import zariski_star
 
-from conftest import random_poly
+from conftest import brute_sun_lift, random_poly
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 L = su2_space()
@@ -97,25 +102,6 @@ def test_sun_lift_not_order_preserving_invertible():
     assert not witness.is_zero()
 
 
-def _folded_lift(sp, x):
-    """The lift folded one NuObject at a time: c * eval_T over the monomial's
-    coordinate factors (fresh Poly objects), the su(2)* closed form past
-    SYMMETRIZATION_BOUND, and c * q^a * p^b for the Moyal-standard split."""
-    space = sp.space
-    out = NuObject.zero(space)
-    for e, c in x.classical().terms.items():
-        if sp.alpha_kind == "moyal_standard_split":
-            q, p = Poly.variable(space, 0), Poly.variable(space, 1)
-            term = star_mul(sp.star, q ** e[0], p ** e[1])
-        elif sum(e) > sun.SYMMETRIZATION_BOUND:
-            term = sun_closed_form(Poly.monomial(space, e), Poly.const(space, 1))
-        else:
-            factors = [Poly.variable(space, i) for i, k in enumerate(e) for _ in range(k)]
-            term = eval_T(factors, sp.star)
-        out = out + term * c
-    return out
-
-
 def _rational(rng, space, exponents):
     """A NuObject whose classical part has the given monomials with rational
     coefficients, plus a nu^1 part that the lift must drop."""
@@ -123,21 +109,42 @@ def _rational(rng, space, exponents):
     return NuObject(space, {0: f, 1: Poly.variable(space, 0)})
 
 
-def _assert_lift_matches_fold(sp, x):
+def _assert_lift_matches_brute(sp, x):
     got = sun_lift(sp, x)
-    assert got == _folded_lift(sp, x)
+    assert got == brute_sun_lift(sp, x)
     assert all(type(c) is Fraction for p in got.coeffs.values() for c in p.terms.values())
 
 
 def test_sun_lift_su2_matches_fold(rng):
-    bound = sun.SYMMETRIZATION_BOUND
-    low = monomials_up_to(bound)
-    high = [e for e in monomials_up_to(bound + 2) if sum(e) > bound]
+    low = monomials_up_to(5)
+    high = [e for e in monomials_up_to(9) if sum(e) > 5]
     for _ in range(8):
         mix = rng.sample(low, 3) + rng.sample(high, 2)
-        _assert_lift_matches_fold(SU, _rational(rng, L, mix))
-    _assert_lift_matches_fold(SU, _rational(rng, L, low[:10]))
-    _assert_lift_matches_fold(SU, _rational(rng, L, high[:4]))
+        _assert_lift_matches_brute(SU, _rational(rng, L, mix))
+    _assert_lift_matches_brute(SU, _rational(rng, L, low[:10]))
+    _assert_lift_matches_brute(SU, _rational(rng, L, high[-4:]))
+
+
+def test_su2_lift_equals_brute_on_every_monomial_to_degree_10():
+    monos = monomials_up_to(10)
+    assert len(monos) == 286
+    for e in monos:
+        f = Poly.monomial(L, e)
+        expect = brute_sun_lift(SU, f)
+        assert sun_lift(SU, f) == expect, e
+        assert sun_closed_form(f, Poly.const(L, 1)) == expect, e
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_moyal_coordinate_monomial_lift_is_identity(n):
+    # Weyl ordering: the symmetrized product of coordinate factors is the
+    # classical monomial on the partial-Moyal (n = 3) and Moyal (n = 4) stars
+    sp = SunProduct(zariski_star(n), "coordinate_monomial")
+    for d in range(7):
+        for e in _compositions(d, n):
+            f = Poly.monomial(sp.space, e)
+            assert brute_sun_lift(sp, f) == NuObject.from_poly(f), e
+            assert sun_lift(sp, f) == NuObject.from_poly(f), e
 
 
 def test_sun_lift_moyal_coordinate_monomial_matches_fold(rng):
@@ -145,27 +152,21 @@ def test_sun_lift_moyal_coordinate_monomial_matches_fold(rng):
         sp = SunProduct(zariski_star(n), "coordinate_monomial")
         exponents = list(_compositions(3, n)) + list(_compositions(2, n))
         for _ in range(4):
-            _assert_lift_matches_fold(sp, _rational(rng, sp.space, rng.sample(exponents, 4)))
+            _assert_lift_matches_brute(sp, _rational(rng, sp.space, rng.sample(exponents, 4)))
 
 
 def test_sun_lift_moyal_standard_matches_fold(rng):
     exponents = [(a, b) for a in range(5) for b in range(5)]
     for _ in range(8):
-        _assert_lift_matches_fold(MS, _rational(rng, QP, rng.sample(exponents, 5)))
+        _assert_lift_matches_brute(MS, _rational(rng, QP, rng.sample(exponents, 5)))
 
 
-def test_symmetrization_bound():
-    sp = sun_moyal_standard()
-    # the MS split has no closed-form fallback: high degrees must not be
-    # silently accepted for the coordinate-monomial kind on other stars
-    from nambu_forge.star import partial_moyal_product
-    from nambu_forge.sun import SunProduct
-    from nambu_forge.zariski import zariski_space, zariski_star
-
-    cm = SunProduct(zariski_star(3), "coordinate_monomial")
-    x1 = Poly.variable(cm.space, 0)
-    with pytest.raises(ResourceLimitError):
-        sun_lift(cm, x1**8)
+def test_coordinate_monomial_refuses_standard_ordering():
+    # the standard-ordering product has no g * f = (f * g)(-nu) symmetry
+    sp = SunProduct(standard_ordering_product(QP), "coordinate_monomial")
+    q = Poly.variable(QP, 0)
+    with pytest.raises(InvalidArgumentError, match="'standard_ordering' has none"):
+        sun_lift(sp, q * q)
 
 
 # -- coefficient tables ----------------------------------------------------------
@@ -275,20 +276,24 @@ def test_closed_form_equals_brute_on_monomials():
             if sum(m1) + sum(m2) > 3:
                 continue
             f, g = Poly.monomial(L, m1), Poly.monomial(L, m2)
-            assert sun_mul(SU, f, g) == sun_closed_form(f, g), (m1, m2)
+            expect = brute_sun_lift(SU, f * g)
+            assert sun_closed_form(f, g) == expect, (m1, m2)
+            assert sun_mul(SU, f, g) == expect, (m1, m2)
 
 
 def test_closed_form_inhomogeneous(rng):
     for _ in range(5):
         f = random_poly(L, rng, degree=3, terms=3)
         g = random_poly(L, rng, degree=2, terms=3)
-        assert sun_closed_form(f, g) == sun_mul(SU, f, g)
+        expect = brute_sun_lift(SU, f * g)
+        assert sun_closed_form(f, g) == expect
+        assert sun_mul(SU, f, g) == expect
 
 
 def test_homogeneous_display(rng):
     f = L1 * L1 + L2 * L3
     g = L2 * L2 - L1 * L3
-    assert sun_homogeneous_form(f, g) == sun_mul(SU, f, g)
+    assert sun_homogeneous_form(f, g) == brute_sun_lift(SU, f * g)
     with pytest.raises(InvalidArgumentError):
         sun_homogeneous_form(L1 + L2 * L2, L3)
 
@@ -329,6 +334,13 @@ def test_eta_operator_matches_az_form(rng):
                 )
                 expect = expect + _laplacian_power(f_m, r) * scale
             assert _eta(r, f) == expect, (r, str(f))
+
+
+def test_eta_terms_stop_at_half_the_degree():
+    # eta_r vanishes past r = deg f / 2, however large r_max is
+    assert len(sun._eta_terms(L1 * L2, 10**6)) == 2
+    assert len(sun._eta_terms(L3**5 + L1, 10**6)) == 3
+    assert sun._eta_terms(Poly.zero(L), 10**6) == [Poly.zero(L)]
 
 
 def test_series_operator_identity_and_absent_orders(rng):
