@@ -21,7 +21,7 @@ from . import star as star_mod
 from . import sun as sun_mod
 from . import zariski as zariski_mod
 from .errors import InvalidArgumentError, NambuForgeError
-from .expr import parse_expr, render
+from .expr import parse_expr
 from .poly import NuObject, Poly, VarSpace, qp_space, su2_space
 
 ENV_PREFIX = "NAMBU_FORGE_"
@@ -90,26 +90,14 @@ def _space_from_names(names: str, paired: bool) -> VarSpace:
     return VarSpace(parts, pairs)
 
 
-def _default_space(product: str, vars_opt, paired: bool) -> VarSpace:
-    if vars_opt:
-        return _space_from_names(vars_opt, paired)
-    if product in ("moyal", "standard"):
-        return qp_space()
-    if product == "su2":
-        return su2_space()
-    return zariski_mod.zariski_space(3)
-
-
-def _star_product(name: str, space: VarSpace):
-    if name == "moyal":
-        return star_mod.moyal_product(space)
-    if name == "partial":
-        return star_mod.partial_moyal_product(space)
-    if name == "standard":
-        return star_mod.standard_ordering_product(space)
-    if name == "su2":
-        return star_mod.su2_product()
-    raise InvalidArgumentError(f"unknown star product {name!r}")
+# star --product name -> (default space, constructor on a space); --vars
+# replaces the default space, and su2 ignores it
+_STAR_PRODUCTS = {
+    "moyal": (qp_space, star_mod.moyal_product),
+    "partial": (zariski_mod.zariski_space, star_mod.partial_moyal_product),
+    "standard": (qp_space, star_mod.standard_ordering_product),
+    "su2": (su2_space, lambda space: star_mod.su2_product()),
+}
 
 
 def _rand_poly(space: VarSpace, degree: int, rng: random.Random) -> Poly:
@@ -138,35 +126,35 @@ def _cmd_factor(args, cfg):
         pieces.append(f"({g})" + (f"^{m}" if m > 1 else ""))
     text = " * ".join(pieces)
     data = {
-        "input": render(value),
+        "input": str(value),
         "unit": str(fac.unit),
         "factors": [{"poly": str(g), "multiplicity": m} for g, m in fac.factors],
     }
     return [text], data
 
 
+def _exponential(exponential, product, args, cfg):
+    """Text lines and JSON data of exponential(product, h, t_order), the
+    t-series of the --exp Hamiltonian h."""
+    h = parse_expr(args.exp, product.space)
+    if not isinstance(h, Poly):
+        raise InvalidArgumentError("the exponential argument must be a plain polynomial")
+    series = exponential(product, h, cfg["t_order"])
+    lines = [f"t^{r}: {c}" for r, c in enumerate(series.coeffs)]
+    return lines, {"product": args.product, "t_order": series.truncation_order,
+                   "coefficients": [str(c) for c in series.coeffs]}
+
+
 def _cmd_star(args, cfg):
-    space = _default_space(args.product, cfg["vars"], paired=True)
-    product = _star_product(args.product, space)
+    default_space, make = _STAR_PRODUCTS[args.product]
+    product = make(_space_from_names(cfg["vars"], True) if cfg["vars"] else default_space())
     if args.exp is not None:
-        h = parse_expr(args.exp, product.space)
-        if not isinstance(h, Poly):
-            raise InvalidArgumentError("the exponential argument must be a plain polynomial")
-        series = star_mod.star_exponential(product, h, cfg["t_order"])
-        lines = [f"t^{r}: {render(series.coefficient(r))}" for r in range(series.truncation_order + 1)]
-        data = {
-            "product": args.product,
-            "t_order": series.truncation_order,
-            "coefficients": [render(c) for c in series.coeffs],
-        }
-        return lines, data
+        return _exponential(star_mod.star_exponential, product, args, cfg)
     if len(args.exprs) != 2:
         raise InvalidArgumentError("star needs exactly two expressions")
-    f = parse_expr(args.exprs[0], product.space)
-    g = parse_expr(args.exprs[1], product.space)
+    f, g = (parse_expr(e, product.space) for e in args.exprs)
     op = star_mod.star_commutator if args.commutator else star_mod.star_mul
-    result = op(product, f, g)
-    text = render(result)
+    text = str(op(product, f, g))
     return [text], {"product": args.product, "result": text,
                     "operation": "commutator" if args.commutator else "mul"}
 
@@ -185,8 +173,7 @@ def _cmd_nambu(args, cfg):
     fs = [parse_expr(e, bracket.space) for e in args.exprs]
     if not all(isinstance(f, Poly) for f in fs):
         raise InvalidArgumentError("bracket arguments must be plain polynomials")
-    result = nambu_mod.bracket_eval(bracket, fs)
-    text = render(result)
+    text = str(nambu_mod.bracket_eval(bracket, fs))
     return [text], {"bracket": args.bracket, "result": text}
 
 
@@ -209,23 +196,35 @@ def _cmd_check_fi(args, cfg):
     return [text], data, (0 if ok else 1)
 
 
-_ZARISKI_ARITY = {"mul": 2, "cmul": 2, "power": 1, "delta": 1, "jmap": 1,
-                  "amul": 2, "qnambu": 3, "frobenius": 0}
+# zariski op -> (operand kind, arity, option, operation).  An operand is
+# parsed and taken as a ZNu ("znu"), as its nu^0 part ("classical") or as the
+# J-image of that part unless it already is a TaylorElem ("taylor").  An
+# option (JSON key, argument name) is passed to the operation after the
+# operands and reported in the JSON data.
+_ZARISKI_OPS = {
+    "mul": ("znu", 2, None, lambda star, a, b: zariski_mod.z_mul_nu(a, b, star)),
+    "cmul": ("znu", 2, None, lambda star, a, b: zariski_mod.znu_mul_classical(a, b)),
+    "power": ("znu", 1, ("m", "power"), lambda star, a, m: zariski_mod.znu_power_nu(a, m, star)),
+    "delta": ("classical", 1, ("axis", "axis"), lambda star, a, i: zariski_mod.delta(i, a)),
+    "jmap": ("classical", 1, None, lambda star, a: zariski_mod.jmap(a, star.space)),
+    "amul": ("taylor", 2, None, lambda star, a, b: zariski_mod.a_mul_nu(a, b, star)),
+    "qnambu": ("taylor", 3, None, lambda star, a, b, c: zariski_mod.quantum_nambu(a, b, c, star)),
+}
+
+
+def _zariski_operand(kind: str, value, space: VarSpace):
+    if kind == "taylor" and isinstance(value, zariski_mod.TaylorElem):
+        return value
+    x = zariski_mod._as_znu(value)
+    if kind == "znu":
+        return x
+    return x.classical() if kind == "classical" else zariski_mod.jmap(x.classical(), space)
 
 
 def _cmd_zariski(args, cfg):
-    n = args.dim
-    space = zariski_mod.zariski_space(n)
-    star = zariski_mod.zariski_star(n)
-    op = args.op
-    need = _ZARISKI_ARITY[op]
-    if len(args.exprs) < need:
-        raise InvalidArgumentError(f"zariski {op} needs {need} expression(s)")
-
-    def parse_z(src: str):
-        return parse_expr(src, space, space)
-
-    if op == "frobenius":
+    space = zariski_mod.zariski_space(args.dim)
+    star = zariski_mod.zariski_star(args.dim)
+    if args.op == "frobenius":
         witness = zariski_mod.frobenius_counterexample_search(args.max_degree, space)
         if witness is None:
             text = f"not-found (degree bound {args.max_degree})"
@@ -234,109 +233,47 @@ def _cmd_zariski(args, cfg):
             "found": True,
             "u": str(witness.u),
             "axes": [witness.i, witness.j],
-            "lhs": render(witness.lhs),
-            "rhs": render(witness.rhs),
+            "lhs": str(witness.lhs),
+            "rhs": str(witness.rhs),
         }
         lines = [
             f"witness: {witness.u}",
-            f"delta_{witness.i} delta_{witness.j}: {render(witness.lhs)}",
-            f"delta_{witness.j} delta_{witness.i}: {render(witness.rhs)}",
+            f"delta_{witness.i} delta_{witness.j}: {witness.lhs}",
+            f"delta_{witness.j} delta_{witness.i}: {witness.rhs}",
         ]
         return lines, data
-    if op == "mul":
-        a, b = (_to_znu_value(parse_z(e)) for e in args.exprs[:2])
-        result = zariski_mod.z_mul_nu(a, b, star)
-        text = render(result)
-        return [text], {"op": op, "result": text}
-    if op == "cmul":
-        a, b = (_to_znu_value(parse_z(e)) for e in args.exprs[:2])
-        result = zariski_mod.znu_mul_classical(a, b)
-        text = render(result)
-        return [text], {"op": op, "result": text}
-    if op == "power":
-        a = _to_znu_value(parse_z(args.exprs[0]))
-        result = zariski_mod.znu_power_nu(a, args.power, star)
-        text = render(result)
-        return [text], {"op": op, "m": args.power, "result": text}
-    if op == "delta":
-        a = _to_znu_value(parse_z(args.exprs[0])).classical()
-        result = zariski_mod.delta(args.axis, a)
-        text = render(result)
-        return [text], {"op": op, "axis": args.axis, "result": text}
-    if op == "jmap":
-        a = _to_znu_value(parse_z(args.exprs[0])).classical()
-        result = zariski_mod.jmap(a, space)
-        text = render(result)
-        return [text], {"op": op, "result": text}
-    if op == "amul":
-        a, b = (_to_taylor_value(parse_z(e), space) for e in args.exprs[:2])
-        result = zariski_mod.a_mul_nu(a, b, star)
-        text = render(result)
-        return [text], {"op": op, "result": text}
-    if op == "qnambu":
-        xs = [_to_taylor_value(parse_z(e), space) for e in args.exprs[:3]]
-        result = zariski_mod.quantum_nambu(xs[0], xs[1], xs[2], star)
-        text = render(result)
-        return [text], {"op": op, "result": text}
-    raise InvalidArgumentError(f"unknown zariski operation {op!r}")
-
-
-def _to_znu_value(value) -> zariski_mod.ZNu:
-    if isinstance(value, zariski_mod.ZNu):
-        return value
-    if isinstance(value, zariski_mod.ZElem):
-        return zariski_mod.ZNu.from_zelem(value)
-    if isinstance(value, Poly):
-        return zariski_mod.ZNu.from_zelem(zariski_mod.zelem_from_poly(value))
-    raise InvalidArgumentError("expected a Zariski-algebra element")
-
-
-def _to_taylor_value(value, space) -> zariski_mod.TaylorElem:
-    if isinstance(value, zariski_mod.TaylorElem):
-        return value
-    return zariski_mod.jmap(_to_znu_value(value).classical(), space)
-
-
-def _sun_product_by_name(name: str):
-    if name == "su2":
-        return sun_mod.sun_su2()
-    if name == "ms":
-        return sun_mod.sun_moyal_standard()
-    raise InvalidArgumentError(f"unknown sun product {name!r} (use su2 or ms)")
+    kind, arity, option, operation = _ZARISKI_OPS[args.op]
+    if len(args.exprs) < arity:
+        raise InvalidArgumentError(f"zariski {args.op} needs {arity} expression(s)")
+    operands = [_zariski_operand(kind, parse_expr(e, space, space), space) for e in args.exprs[:arity]]
+    data = {"op": args.op}
+    if option:
+        key, name = option
+        data[key] = getattr(args, name)
+        operands.append(data[key])
+    data["result"] = text = str(operation(star, *operands))
+    return [text], data
 
 
 def _cmd_sun(args, cfg):
-    sp = _sun_product_by_name(args.product)
+    sp = sun_mod.sun_su2() if args.product == "su2" else sun_mod.sun_moyal_standard()
     if args.exp is not None:
-        h = parse_expr(args.exp, sp.space)
-        if not isinstance(h, Poly):
-            raise InvalidArgumentError("the exponential argument must be a plain polynomial")
-        series = sun_mod.sun_exponential(sp, h, cfg["t_order"])
-        lines = [f"t^{r}: {render(series.coefficient(r))}" for r in range(series.truncation_order + 1)]
-        return lines, {"product": args.product, "t_order": series.truncation_order,
-                       "coefficients": [render(c) for c in series.coeffs]}
+        return _exponential(sun_mod.sun_exponential, sp, args, cfg)
     if len(args.exprs) != 2:
         raise InvalidArgumentError("sun needs exactly two expressions")
-    f = parse_expr(args.exprs[0], sp.space)
-    g = parse_expr(args.exprs[1], sp.space)
+    f, g = (parse_expr(e, sp.space) for e in args.exprs)
     if not (isinstance(f, (Poly, NuObject)) and isinstance(g, (Poly, NuObject))):
         raise InvalidArgumentError("sun operands must be polynomials or nu-polynomials")
-    text = render(sun_mod.sun_mul(sp, f, g))
+    text = str(sun_mod.sun_mul(sp, f, g))
     return [text], {"product": args.product, "result": text}
 
 
 def _cmd_equiv(args, cfg):
     space = su2_space()
-
-    def product_by_name(name):
-        if name == "usual":
-            return sun_mod.USUAL_PRODUCT
-        if name == "su2":
-            return sun_mod.sun_su2()
-        raise InvalidArgumentError(f"equiv compares the usual and su2 products on su(2)*, not {name!r}")
-
-    p1 = product_by_name(args.left)
-    p2 = product_by_name(args.right)
+    products = {"usual": sun_mod.USUAL_PRODUCT, "su2": sun_mod.sun_su2()}
+    for name in (args.left, args.right):
+        if name not in products:
+            raise InvalidArgumentError(f"equiv compares the usual and su2 products on su(2)*, not {name!r}")
     if args.s == "identity":
         series = sun_mod.identity_series(space)
     elif args.s == "weak-trivializer":
@@ -347,8 +284,9 @@ def _cmd_equiv(args, cfg):
     g = parse_expr(args.exprs[1], space)
     if not (isinstance(f, Poly) and isinstance(g, Poly)):
         raise InvalidArgumentError("equivalence checks take plain polynomials")
-    residual = sun_mod.apply_equivalence(series, args.mode, p1, p2, f, g, cfg["nu_order"])
-    text = render(residual)
+    residual = sun_mod.apply_equivalence(series, args.mode, products[args.left], products[args.right],
+                                         f, g, cfg["nu_order"])
+    text = str(residual)
     zero = residual.is_zero()
     lines = [f"residual: {text}", "equivalent to this order" if zero else "not equivalent"]
     return lines, {"mode": args.mode, "left": args.left, "right": args.right,
@@ -473,76 +411,73 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add_parser(name, handler, help):
+        p = sub.add_parser(name, parents=[common], help=help)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = add_parser("factor", help="factor a polynomial into irreducibles")
+    def add_exprs(p, nargs="*"):
+        # main appends the expressions that follow an option (see there)
+        p.add_argument("exprs", nargs=nargs)
+        p.set_defaults(trailing_exprs=True)
+
+    p = add_parser("factor", _cmd_factor, "factor a polynomial into irreducibles")
     p.add_argument("expr")
-    p.set_defaults(handler=_cmd_factor)
 
-    p = add_parser("star", help="star products, commutators, exponentials")
-    p.add_argument("--product", default="moyal", choices=["moyal", "partial", "standard", "su2"])
+    p = add_parser("star", _cmd_star, "star products, commutators, exponentials")
+    p.add_argument("--product", default="moyal", choices=list(_STAR_PRODUCTS))
     p.add_argument("--commutator", action="store_true")
     p.add_argument("--exp", help="star exponential of this Hamiltonian")
-    p.add_argument("exprs", nargs="*")
-    p.set_defaults(handler=_cmd_star)
+    add_exprs(p)
 
-    p = add_parser("nambu", help="evaluate a Nambu bracket")
+    p = add_parser("nambu", _cmd_nambu, "evaluate a Nambu bracket")
     p.add_argument("--bracket", default="canonical3")
-    p.add_argument("exprs", nargs="+")
-    p.set_defaults(handler=_cmd_nambu)
+    add_exprs(p, "+")
 
-    p = add_parser("check-fi", help="randomized Fundamental Identity check")
+    p = add_parser("check-fi", _cmd_check_fi, "randomized Fundamental Identity check")
     p.add_argument("--bracket", default="canonical3")
     p.add_argument("--degree", type=int, default=2)
     p.add_argument("--trials", type=int, default=100)
-    p.set_defaults(handler=_cmd_check_fi)
 
-    p = add_parser("zariski", help="operations in the Zariski algebra")
-    p.add_argument("op", choices=["mul", "cmul", "power", "delta", "jmap", "amul", "qnambu", "frobenius"])
-    p.add_argument("exprs", nargs="*")
+    p = add_parser("zariski", _cmd_zariski, "operations in the Zariski algebra")
+    p.add_argument("op", choices=[*_ZARISKI_OPS, "frobenius"])
+    add_exprs(p)
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--axis", type=int, default=1)
     p.add_argument("--power", type=int, default=2)
     p.add_argument("--max-degree", dest="max_degree", type=int, default=4)
-    p.set_defaults(handler=_cmd_zariski)
 
-    p = add_parser("sun", help="sun products and exponentials")
+    p = add_parser("sun", _cmd_sun, "sun products and exponentials")
     p.add_argument("--product", default="su2", choices=["su2", "ms"])
     p.add_argument("--exp", help="sun exponential of this Hamiltonian")
-    p.add_argument("exprs", nargs="*")
-    p.set_defaults(handler=_cmd_sun)
+    add_exprs(p)
 
-    p = add_parser("equiv", help="equivalence / triviality residuals")
+    p = add_parser("equiv", _cmd_equiv, "equivalence / triviality residuals")
     p.add_argument("--mode", choices=["A", "B"], required=True)
     p.add_argument("--left", default="usual")
     p.add_argument("--right", default="su2")
     p.add_argument("--s", default="identity", help="identity or weak-trivializer")
     p.add_argument("exprs", nargs=2)
-    p.set_defaults(handler=_cmd_equiv)
 
-    p = add_parser("spectrum", help="harmonic-oscillator spectrum and Weyl checks")
+    p = add_parser("spectrum", _cmd_spectrum, "harmonic-oscillator spectrum and Weyl checks")
     p.add_argument("--dim", type=int, default=40)
     p.add_argument("--hbar", type=float, default=1.0)
     p.add_argument("--levels", type=int, default=5)
     p.add_argument("--band", type=int)
     p.add_argument("--deviation", nargs=2, metavar=("F", "G"))
-    p.set_defaults(handler=_cmd_spectrum)
 
-    p = add_parser("evolve", help="integrate Nambu dynamics with RK4")
+    p = add_parser("evolve", _cmd_evolve, "integrate Nambu dynamics with RK4")
     p.add_argument("--system", choices=["euler", "nahm"], default="euler")
     p.add_argument("--inertia", default="1,2,3")
     p.add_argument("--state")
     p.add_argument("--horizon", type=float, default=10.0)
     p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--csv", help="write the trajectory CSV here ('-' for stdout)")
-    p.set_defaults(handler=_cmd_evolve)
 
-    p = add_parser("coeffs", help="sun-product coefficient tables")
+    p = add_parser("coeffs", _cmd_coeffs, "sun-product coefficient tables")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--a", nargs=2, type=int, metavar=("N", "R"))
     group.add_argument("--table", nargs=2, type=int, metavar=("NMAX", "RMAX"))
-    p.set_defaults(handler=_cmd_coeffs)
 
     return parser
 
@@ -568,9 +503,24 @@ def _expand_stdin(args: argparse.Namespace) -> None:
             setattr(args, attr, [sub(v) for v in values])
 
 
+def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """parse_args, except that expressions may also follow options.
+
+    argparse fills a subcommand's positionals together at the first of them,
+    so an expression given after an option (``zariski power --power 3 EXPR``)
+    comes back unparsed; such leftovers are appended to the expressions.
+    """
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        if not getattr(args, "trailing_exprs", False) or any(a.startswith("-") and a != "-" for a in extra):
+            parser.error("unrecognized arguments: " + " ".join(extra))
+        args.exprs += extra
+    return args
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(parser, argv)
     try:
         cfg = resolve_config(args)
     except ConfigError as exc:
@@ -587,38 +537,29 @@ def main(argv=None) -> int:
         return 1
 
 
+def _envelope(command: str, status: str, **body) -> str:
+    """The JSON document of one call: ``data`` when ok, ``error`` otherwise."""
+    return json.dumps({"tool": "nambu-forge", "command": command, "status": status, **body},
+                      sort_keys=True)
+
+
 def _run(args, cfg) -> int:
     command = args.command
     try:
-        result = args.handler(args, cfg)
+        lines, data, *code = args.handler(args, cfg)
     except NambuForgeError as exc:
-        return _emit_error(args, command, f"{command}.{exc.code}", str(exc))
-    if len(result) == 3:
-        lines, data, code = result
-    else:
-        lines, data = result
-        code = 0
+        error = {"code": f"{command}.{exc.code}", "message": str(exc)}
+        if getattr(args, "json", False):
+            print(_envelope(command, "error", error=error))
+        else:
+            print(f"error[{error['code']}]: {error['message']}", file=sys.stderr)
+        return 1
     if getattr(args, "json", False):
-        doc = {"tool": "nambu-forge", "command": command, "status": "ok", "data": data}
-        print(json.dumps(doc, sort_keys=True))
+        print(_envelope(command, "ok", data=data))
     else:
         for line in lines:
             print(line)
-    return code
-
-
-def _emit_error(args, command: str, code: str, message: str) -> int:
-    if getattr(args, "json", False):
-        doc = {
-            "tool": "nambu-forge",
-            "command": command,
-            "status": "error",
-            "error": {"code": code, "message": message},
-        }
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        print(f"error[{code}]: {message}", file=sys.stderr)
-    return 1
+    return code[0] if code else 0
 
 
 if __name__ == "__main__":

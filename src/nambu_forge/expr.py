@@ -306,18 +306,7 @@ def parse_expr(src: str, space: VarSpace = None, zspace: VarSpace = None):
 
 
 def render(value) -> str:
-    """Canonical text for any value parse_expr can return."""
-    from .poly import render_nuobject, render_poly
-    from .zariski import render_taylor, render_zelem, render_znu
-
-    if isinstance(value, Poly):
-        return render_poly(value)
-    if isinstance(value, NuObject):
-        return render_nuobject(value)
-    if isinstance(value, ZElem):
-        return render_zelem(value)
-    if isinstance(value, ZNu):
-        return render_znu(value)
-    if isinstance(value, TaylorElem):
-        return render_taylor(value)
-    raise InvalidArgumentError(f"cannot render {type(value).__name__}")
+    """Canonical text for any value parse_expr can return: its ``str``."""
+    if not isinstance(value, (Poly, NuObject, ZElem, ZNu, TaylorElem)):
+        raise InvalidArgumentError(f"cannot render {type(value).__name__}")
+    return str(value)

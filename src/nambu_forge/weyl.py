@@ -8,7 +8,6 @@ the caller.  The deformation parameter identification is nu = i hbar / 2.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +31,10 @@ __all__ = [
 # every check builds several dense complex dim x dim matrices and multiplies
 # them; the spectrum at dim 512 takes 2-3 s and 56 MB on a 2-vCPU x86_64 host
 FOCK_DIM_BOUND = 512
+# weyl_quantize makes 2ab + a + b matrix products for a monomial q^a p^b, each
+# about 13 ms at dim 512 on the same host: q^22 p^21 (967 products) takes
+# 12.6 s there and 0.02 s at dim 40
+WEYL_PRODUCT_BOUND = 1000
 
 
 @dataclass(frozen=True)
@@ -75,26 +78,28 @@ def position_momentum(t: FockTruncation) -> tuple:
 
 def weyl_quantize(f: Poly, t: FockTruncation) -> OperatorMatrix:
     """Totally symmetric ordering: each monomial q^a p^b becomes the average
-    of all distinct arrangements of a Q factors and b P factors."""
+    of all C(a+b, a) distinct arrangements of a Q factors and b P factors.
+
+    The sum S(i, j) of the words with i Q's and j P's is S(i-1, j) Q +
+    S(i, j-1) P, so S(a, b) takes (a+1)(b+1) sums, not C(a+b, a) words."""
     if f.space != qp_space():
         raise InvalidArgumentError("weyl_quantize expects a polynomial in (q, p)")
+    products = sum(2 * a * b + a + b for a, b in f.terms)
+    if products > WEYL_PRODUCT_BOUND:
+        raise ResourceLimitError(f"Weyl quantization needs {products} matrix products, "
+                                 f"over the Weyl product bound {WEYL_PRODUCT_BOUND}")
     qm, pm = position_momentum(t)
     out = np.zeros((t.dim, t.dim), dtype=complex)
-    warning = False
     for (a, b), c in f.terms.items():
-        if a + b >= t.dim:
-            warning = True
-        # distinct arrangements = choices of the Q positions among a+b slots
-        count = 0
-        acc = np.zeros_like(out)
-        for q_slots in itertools.combinations(range(a + b), a):
-            m = np.eye(t.dim, dtype=complex)
-            for pos in range(a + b):
-                m = m @ (qm if pos in q_slots else pm)
-            acc += m
-            count += 1
-        out += complex(c) * acc / max(count, 1)
-    return OperatorMatrix(out, t, warning)
+        row = [np.eye(t.dim, dtype=complex)]  # row[j] = S(i, j), here for i = 0
+        for _ in range(b):
+            row.append(row[-1] @ pm)
+        for _ in range(a):
+            row[0] = row[0] @ qm
+            for j in range(1, b + 1):
+                row[j] = row[j] @ qm + row[j - 1] @ pm
+        out += complex(c) * row[b] / math.comb(a + b, a)
+    return OperatorMatrix(out, t, any(a + b >= t.dim for a, b in f.terms))
 
 
 def _nu_value(t: FockTruncation) -> complex:

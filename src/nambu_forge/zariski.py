@@ -333,7 +333,9 @@ def _as_znu(x) -> ZNu:
         return x
     if isinstance(x, ZElem):
         return ZNu.from_zelem(x)
-    raise InvalidArgumentError(f"expected a Zariski element, got {type(x).__name__}")
+    if isinstance(x, Poly):
+        return ZNu.from_zelem(zelem_from_poly(x))
+    raise InvalidArgumentError("expected a Zariski-algebra element")
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,19 @@
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import nambu_forge
-from nambu_forge import nambu, sun, weyl
+from nambu_forge import nambu, star, sun, weyl
 from nambu_forge.cli import load_schema, main
+
+
+ROOT = pathlib.Path(__file__).parents[1]
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden" / "cli_outputs.json").read_text())
 
 
 def run(capsys, *argv):
@@ -179,6 +184,12 @@ def test_domain_error_exit_code(capsys):
          "nambu.resource-limit"),
         (nambu, "BRACKET_ORDER_BOUND", ("check-fi", "--bracket", "linear1000000"),
          "check-fi.resource-limit"),
+        (star, "STAR_DEGREE_BOUND", ("star", "--product", "su2", "L1^9", "L2"), "star.resource-limit"),
+        # the t^6 coefficient multiplies a degree-10 coefficient by q^2
+        (star, "STAR_DEGREE_BOUND", ("star", "--exp", "q^2", "--t-order", "6"), "star.resource-limit"),
+        # the nu^0 part q^2*p^2 of q^2*p * p needs 2*2*2 + 2 + 2 = 12 products
+        (weyl, "WEYL_PRODUCT_BOUND", ("spectrum", "--dim", "20", "--deviation", "q^2*p", "p"),
+         "spectrum.resource-limit"),
     ],
 )
 def test_resource_bounds_exit_1(capsys, monkeypatch, module, bound, argv, code):
@@ -223,6 +234,84 @@ def test_bad_option_values_exit_1(tmp_path, capsys, argv, option):
     validate(doc)
     assert doc["error"]["code"] == code
     assert option in doc["error"]["message"]
+
+
+def test_star_operand_over_the_degree_bound(capsys):
+    # the bound is checked before any work, so this call is cheap; without
+    # it the su(2)* word recursion overflows with a RecursionError traceback
+    argv = ("star", "--product", "su2", "L1^1100", "L2^1100")
+    message = f"star operand of degree 1100 is over the star degree bound {star.STAR_DEGREE_BOUND}"
+    assert run(capsys, *argv) == (1, "", f"error[star.resource-limit]: {message}\n")
+    code, out, err = run(capsys, "--json", *argv)
+    assert (code, err) == (1, "")
+    assert json.loads(out)["error"] == {"code": "star.resource-limit", "message": message}
+
+
+@pytest.mark.parametrize(
+    "record", GOLDEN, ids=[" ".join(r["argv"]) for r in GOLDEN],
+)
+def test_golden_outputs(capsys, record):
+    # captured from the branch-per-name CLI that the tables replaced: every
+    # zariski op, every star, sun and equiv product name, and error paths
+    code, out, err = run(capsys, *record["argv"])
+    assert (code, out, err) == (record["exit"], record["stdout"], record["stderr"])
+    if record["argv"][0] == "--json":
+        validate(json.loads(out))
+
+
+@pytest.mark.parametrize(
+    "op, options, exprs, text",
+    [
+        ("power", ["--power", "3"], ["Z[x1]"], "Z[x1; x1; x1]"),
+        ("delta", ["--axis", "2"], ["Z[x1; x2^2 + 1]"], "2*Z[x1; x2]"),
+        ("mul", ["--dim", "2"], ["Z[x1]", "Z[x2]"], "Z[x1; x2]"),
+    ],
+)
+def test_zariski_options_before_expressions(capsys, op, options, exprs, text):
+    # argparse fills op and an empty expression list together, so main must
+    # append the expressions that follow an option
+    assert run(capsys, "zariski", op, *options, *exprs) == (0, text + "\n", "")
+    assert run(capsys, "zariski", op, *exprs, *options) == (0, text + "\n", "")
+    code, out, err = run(capsys, "zariski", op, "--json", *options, *exprs)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    validate(doc)
+    assert doc["data"]["result"] == text
+    assert run(capsys, "zariski", op, *exprs, "--json", *options)[1] == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("zariski", "mul", "--bogus", "Z[x1]", "Z[x2]"),
+        ("zariski", "mul", "Z[x1]", "Z[x2]", "--bogus"),
+        ("equiv", "--mode", "A", "L1", "L2", "L3"),
+        ("factor", "x1", "x2"),
+    ],
+)
+def test_leftover_arguments_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(list(argv))
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _readme_cli_lines() -> list:
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("nambu-forge ")]
+
+
+def test_readme_has_cli_examples():
+    assert len(_readme_cli_lines()) >= 13
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys, line):
+    monkeypatch.chdir(tmp_path)  # for the evolve CSV
+    code, out, err = run(capsys, *shlex.split(line, comments=True)[1:])
+    assert (code, err) == (0, "")
+    assert out
 
 
 def test_closed_stdout_prints_no_traceback():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nambu_forge.errors import ExprSyntaxError
+from nambu_forge.errors import ExprSyntaxError, InvalidArgumentError
 from nambu_forge.expr import parse_expr, render
 from nambu_forge.poly import NuObject, Poly, qp_space
 from nambu_forge.zariski import (
@@ -116,3 +116,12 @@ def test_znu_parse():
     v = parse_expr("nu*Z[x1] + Z[x2]")
     assert isinstance(v, ZNu)
     assert v.coefficient(1) == zelem_from_poly(Poly.variable(SP, 0))
+
+
+def test_render_is_str_on_parsed_values_only():
+    for text in ["x1^2 - x2", "nu*x1 + 1", "Z[x1]", "nu*Z[x1] + Z[]", "J(Z[x1])"]:
+        value = parse_expr(text)
+        assert render(value) == str(value)
+    for value in (3, "x1", None):
+        with pytest.raises(InvalidArgumentError, match=f"cannot render {type(value).__name__}"):
+            render(value)

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from nambu_forge.errors import InvalidArgumentError
+from nambu_forge import star
+from nambu_forge.errors import InvalidArgumentError, ResourceLimitError
 from nambu_forge.poly import NuObject, Poly, qp_space, su2_lift_space, su2_space
 from nambu_forge.star import (
+    _star_monomial,
     _su2_project,
     moyal_product,
     partial_moyal_product,
@@ -269,3 +271,28 @@ def test_space_mismatch_rejected():
     M = moyal_product(QP)
     with pytest.raises(InvalidArgumentError):
         star_mul(M, q, L1)
+
+
+def test_star_monomials_are_words_in_axis_order():
+    S = su2_product()
+    gens = (L1, L2, L3)
+    for e in [(0, 0, 0), (1, 0, 0), (0, 2, 1), (2, 1, 2), (1, 3, 0)]:
+        word = NuObject.one(L)
+        for i, k in enumerate(e):
+            for _ in range(k):
+                word = star_mul(S, word, gens[i])
+        assert _star_monomial(e) == word, e
+    assert _star_monomial.cache_info().currsize > 0
+
+
+def test_star_degree_bound(monkeypatch):
+    monkeypatch.setattr(star, "STAR_DEGREE_BOUND", 3)
+    for s, x in [(moyal_product(QP), q), (standard_ordering_product(QP), p), (su2_product(), L1)]:
+        star_mul(s, x**3, x)
+        with pytest.raises(ResourceLimitError, match="degree 4 is over the star degree bound 3"):
+            star_mul(s, x, x**4)
+    with pytest.raises(ResourceLimitError, match="star degree bound 3"):
+        star_mul(su2_product(), NuObject(L, {1: L1**4}), L2)
+    star_exponential(moyal_product(QP), q, 4)  # the t^4 coefficient multiplies q^3 by q
+    with pytest.raises(ResourceLimitError, match="star degree bound 3"):
+        star_exponential(moyal_product(QP), q, 5)

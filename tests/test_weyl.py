@@ -1,5 +1,7 @@
 """Weyl quantization oracle: spectra, operator products, exponentials."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -122,3 +124,26 @@ def test_fock_dim_bound(monkeypatch):
     with pytest.raises(ResourceLimitError, match="Fock dimension bound 8") as err:
         FockTruncation(9, 1.0)
     assert "dim 9" in str(err.value)
+
+
+@pytest.mark.parametrize("a, b", [(0, 0), (3, 0), (0, 2), (1, 1), (2, 2), (3, 1), (2, 4)])
+def test_weyl_quantize_averages_every_arrangement(a, b):
+    # the oracle multiplies out each of the C(a+b, a) words
+    t = FockTruncation(12, 1.0)
+    qm, pm = position_momentum(t)
+    words = [
+        np.linalg.multi_dot([np.eye(t.dim)] * 2 + [qm if k in slots else pm for k in range(a + b)])
+        for slots in itertools.combinations(range(a + b), a)
+    ]
+    expected = sum(words) * Fraction(-3, 7).__float__() / math.comb(a + b, a)
+    got = weyl_quantize(q**a * p**b * Fraction(-3, 7), t).entries
+    assert np.abs(got - expected).max() < 1e-9 * max(1.0, np.abs(expected).max())
+
+
+def test_weyl_product_bound(monkeypatch):
+    # q^2 p^3 takes 2*2*3 + 2 + 3 = 17 products, q takes 1
+    monkeypatch.setattr(weyl, "WEYL_PRODUCT_BOUND", 18)
+    t = FockTruncation(8, 1.0)
+    weyl_quantize(q**2 * p**3 + q, t)
+    with pytest.raises(ResourceLimitError, match="needs 19 matrix products, over the Weyl product bound 18"):
+        weyl_quantize(q**2 * p**3 + q + p, t)

@@ -195,6 +195,15 @@ def test_z_mul_examples():
     assert z_mul_nu(ZNu({1: zx1}), zelem_from_poly(x2), ST).is_zero()
 
 
+def test_operands_may_be_polynomials():
+    # a Poly u stands for Z_u; anything else is refused by name
+    zH = zelem_from_poly(H)
+    assert z_mul_nu(H, H, ST) == z_mul_nu(zH, zH, ST)
+    assert znu_power_nu(x1 * x2, 2, ST) == znu_power_nu(zelem_from_poly(x1 * x2), 2, ST)
+    with pytest.raises(InvalidArgumentError, match="expected a Zariski-algebra element"):
+        z_mul_nu(NuObject.from_poly(H), zH, ST)
+
+
 def test_theorem_abelian_associative_deformation(rng):
     for _ in range(12):
         a, b, c = (random_zelem(rng) for _ in range(3))
