@@ -243,9 +243,10 @@ def _cmd_zariski(args, cfg):
         ]
         return lines, data
     kind, arity, option, operation = _ZARISKI_OPS[args.op]
-    if len(args.exprs) < arity:
-        raise InvalidArgumentError(f"zariski {args.op} needs {arity} expression(s)")
-    operands = [_zariski_operand(kind, parse_expr(e, space, space), space) for e in args.exprs[:arity]]
+    if len(args.exprs) != arity:
+        exactly = "exactly " if len(args.exprs) > arity else ""
+        raise InvalidArgumentError(f"zariski {args.op} needs {exactly}{arity} expression(s)")
+    operands = [_zariski_operand(kind, parse_expr(e, space, space), space) for e in args.exprs]
     data = {"op": args.op}
     if option:
         key, name = option

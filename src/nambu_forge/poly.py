@@ -587,6 +587,19 @@ def _int_terms(f: Poly) -> tuple:
     return {e: c.numerator * (d // c.denominator) for e, c in f.terms.items()}, d
 
 
+def _int_rows(rows: Mapping) -> tuple:
+    """(numerators, d) with rows[k][x] = numerators[k][x] / d for a map of
+    Fraction rows, d the least common denominator of all their entries."""
+    d = lcm(*(c.denominator for row in rows.values() for c in row.values()))
+    return {k: {x: c.numerator * (d // c.denominator) for x, c in row.items()}
+            for k, row in rows.items()}, d
+
+
+def _over(rows: Mapping, d: int) -> dict:
+    """The Fraction rows numerators / d of integer rows, zero entries dropped."""
+    return {k: {x: Fraction(n, d) for x, n in row.items() if n} for k, row in rows.items()}
+
+
 def _add_over(row: dict, ints: dict, d: int) -> None:
     """row[e] += ints[e] / d for an integer term map."""
     for e, n in ints.items():

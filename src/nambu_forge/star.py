@@ -115,16 +115,16 @@ def _paired(pairs) -> itemgetter:
     return itemgetter(*(i for p in pairs for i in p))
 
 
-def _pair_degree(f: Poly, paired) -> int:
-    """Largest degree of f's terms in the paired variables, given the getter
-    ``paired`` from _paired (0 for the zero polynomial)."""
-    return max(map(sum, map(paired, f.terms)), default=0)
+def _pair_degree(terms, paired) -> int:
+    """Largest degree of a term map's exponents in the paired variables, given
+    the getter ``paired`` from _paired (0 for an empty map)."""
+    return max(map(sum, map(paired, terms)), default=0)
 
 
 def _moyal_into(acc: dict, f: Poly, g: Poly, pairs, shift: int) -> None:
     """acc[shift + r] += P^r(f, g) / r! for every r the pairs allow."""
     paired = _paired(pairs)
-    rmax = min(_pair_degree(f, paired), _pair_degree(g, paired))
+    rmax = min(_pair_degree(f.terms, paired), _pair_degree(g.terms, paired))
     (ft, fd), (gt, gd) = _int_terms(f), _int_terms(g)
     nv = f.space.nvars
     df, dg = _DerivativeCache(ft, nv), _DerivativeCache(gt, nv)

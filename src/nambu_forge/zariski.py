@@ -27,6 +27,16 @@ Moyal, partial-Moyal and su(2)* products g * f is f * g with nu replaced by
 
 summed on integer rows over one denominator for the Moyal kinds; the
 standard-ordering product lacks the symmetry and is refused.
+
+The products run on integer numerators.  ``_eval_T`` caches T(S) as integer
+rows over one denominator, which the next recursion step reads as they are;
+``_deformation_tail`` keeps the nu^r parts of D(Z_m) as integer multiples of
+one Z-monomial each over one denominator.  Every classical product (plain,
+nu-graded, y-graded, and the y-derivatives in ``quantum_nambu``) multiplies
+{ZMonomial: numerator} rows with one denominator per operand, and Fractions
+are built once per output term.  ``zelem_from_poly`` interns the factors it
+puts in a ZMonomial, so equal factors are one object and comparing factor
+multisets stops at identity.
 """
 
 from __future__ import annotations
@@ -35,7 +45,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidArgumentError, ResourceLimitError
@@ -48,9 +59,11 @@ from .poly import (
     _add_into,
     _bump,
     _freeze,
+    _int_rows,
     _int_terms,
     _joined,
     _nu_label,
+    _over,
     _poisson_into,
     _render_monomial,
     _render_terms,
@@ -117,8 +130,17 @@ def zariski_star(n: int = 3) -> StarProduct:
 # The semigroup algebra
 
 
+_stored_hash = attrgetter("_hash")
+
+
 class ZMonomial:
-    """Canonical multiset of normalized irreducible factors."""
+    """Canonical multiset of normalized irreducible factors.
+
+    Factors from zelem_from_poly are interned, so equal factors are usually
+    one object and tuple equality stops at identity.  The hash is that of
+    the tuple of the factors' hashes, which every factor of a ZMonomial has
+    stored.
+    """
 
     __slots__ = ("factors", "_hash")
 
@@ -133,7 +155,16 @@ class ZMonomial:
                 if not is_irreducible(f):
                     raise InvalidArgumentError(f"factor {f} is not irreducible")
         object.__setattr__(self, "factors", tuple(factors))
-        object.__setattr__(self, "_hash", hash(tuple(factors)))
+        object.__setattr__(self, "_hash", hash(tuple(map(hash, factors))))
+
+    @classmethod
+    def _sorted(cls, factors: tuple) -> "ZMonomial":
+        """A ZMonomial over factors already in canonical order, each of them
+        taken from another ZMonomial."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "factors", factors)
+        object.__setattr__(out, "_hash", hash(tuple(map(_stored_hash, factors))))
+        return out
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("ZMonomial is immutable")
@@ -142,7 +173,7 @@ class ZMonomial:
         return len(self.factors)
 
     def __eq__(self, other):
-        return isinstance(other, ZMonomial) and self.factors == other.factors
+        return self is other or (isinstance(other, ZMonomial) and self.factors == other.factors)
 
     def __hash__(self):
         return object.__getattribute__(self, "_hash")
@@ -157,7 +188,19 @@ class ZMonomial:
         return out
 
     def union(self, other: "ZMonomial") -> "ZMonomial":
-        return ZMonomial(self.factors + other.factors, trusted=True)
+        """The multiset sum.  When one side's factors all come before the
+        other's, the two tuples are joined without sorting."""
+        a, b = self.factors, other.factors
+        if not b:
+            return self
+        if not a:
+            return other
+        key = Poly.sort_key
+        if key(a[-1]) >= key(b[0]):
+            return ZMonomial._sorted(a + b)
+        if key(b[-1]) >= key(a[0]):
+            return ZMonomial._sorted(b + a)
+        return ZMonomial._sorted(tuple(sorted(a + b, key=key, reverse=True)))
 
     def sort_key(self):
         return (self.degree(), tuple(f.sort_key() for f in self.factors))
@@ -246,6 +289,14 @@ class ZElem:
         return render_zelem(self)
 
 
+@cache
+def _interned(f: Poly) -> Poly:
+    """The first factor equal to f that zelem_from_poly met, so that equal
+    factors of different factorizations are one object in every ZMonomial
+    it builds."""
+    return f
+
+
 def zelem_from_poly(u: Poly) -> ZElem:
     """The image Z_u, using Z_{cu} = c Z_u and a full factorization of u."""
     if u.is_zero():
@@ -253,7 +304,7 @@ def zelem_from_poly(u: Poly) -> ZElem:
     if u.is_constant():
         return ZElem.unit(u.constant_value())
     fac = factorize(u)
-    mono = ZMonomial(fac.factor_multiset(), trusted=True)
+    mono = ZMonomial(map(_interned, fac.factor_multiset()), trusted=True)
     return ZElem.basis(mono, fac.unit)
 
 
@@ -394,14 +445,20 @@ def eval_T(factors: Sequence[Poly], s: StarProduct) -> NuObject:
 
     which shares every sub-multiset.  For the Moyal kinds the even part is
     sum_{r even} nu^(a+r) P^r(T_a(S - u), u) / r!, summed as integers over
-    one common denominator and turned into Fractions once; for su(2)* it is
-    star_mul with its odd powers dropped.  No production route takes the
-    su(2)* branch: it is kept as the brute-force oracle that the tests hold
-    the closed-form sun product (sun.sun_lift) against.  The
-    standard-ordering product has no such symmetry and raises
-    InvalidArgumentError.  A multiset with more than EVAL_T_SUBSET_BOUND
+    one common denominator; for su(2)* it is star_mul with its odd powers
+    dropped.  Each T(S) is cached as integer rows over one denominator, which
+    the larger multisets read as they are, and turned into Fractions only
+    here.  No production route takes the su(2)* branch: it is kept as the
+    brute-force oracle that the tests hold the closed-form sun product
+    (sun.sun_lift) against.  The standard-ordering product has no such
+    symmetry and raises InvalidArgumentError.  A multiset with more than EVAL_T_SUBSET_BOUND
     sub-multisets raises ResourceLimitError.
     """
+    return _freeze(s.space, _over(*_T_rows(factors, s)))
+
+
+def _T_rows(factors: Sequence[Poly], s: StarProduct) -> tuple:
+    """eval_T as the integer rows that _eval_T caches."""
     if s.kind not in _EVEN_KINDS:
         raise InvalidArgumentError(
             f"eval_T needs a star product with g * f = (f * g)(-nu); {s.kind!r} has none"
@@ -410,55 +467,61 @@ def eval_T(factors: Sequence[Poly], s: StarProduct) -> NuObject:
 
 
 @cache
-def _eval_T(factors: tuple, s: StarProduct) -> NuObject:
-    """eval_T on a sorted factor tuple; the recursion goes back through eval_T."""
+def _eval_T(factors: tuple, s: StarProduct) -> tuple:
+    """eval_T on a sorted factor tuple as integer rows (numerators, d): T_r
+    has coefficient numerators[r][e] / d at x^e, and d is the least common
+    denominator of every coefficient."""
     if not factors:
-        return NuObject.one(s.space)
-    subsets = prod(len(tuple(run)) + 1 for _, run in itertools.groupby(factors))
+        return {0: {(0,) * s.space.nvars: 1}}, 1
+    runs = [(u, len(tuple(run))) for u, run in itertools.groupby(factors)]
+    subsets = prod(mult + 1 for _, mult in runs)
     if subsets > EVAL_T_SUBSET_BOUND:
         raise ResourceLimitError(
             f"factor multiset has {subsets} sub-multisets, over the eval_T bound "
             f"{EVAL_T_SUBSET_BOUND}"
         )
+    steps = []  # (mult(u), T(S - u) as integer rows, u) per distinct u
+    i = 0
+    for u, mult in runs:
+        steps.append((mult, _eval_T(factors[:i] + factors[i + 1 :], s), u))
+        i += mult
     k = len(factors)
-    steps = []  # (mult(u), T(S - u), u) per distinct u
-    prev = None
-    for i, u in enumerate(factors):
-        if u == prev:
-            continue
-        prev = u
-        steps.append((factors.count(u), eval_T(factors[:i] + factors[i + 1 :], s), u))
     if s.kind in _MOYAL_KINDS:
         return _even_poisson_sum(steps, s, k)
     acc: dict = {}
     for mult, rest, u in steps:
-        _add_into(acc, star_mul(s, rest, u), 0, mult)
-    return _freeze(s.space, {r: row for r, row in acc.items() if r % 2 == 0}) * Fraction(1, k)
+        _add_into(acc, star_mul(s, _freeze(s.space, _over(*rest)), u), 0, mult)
+    rows, d = _int_rows({r: row for r, row in acc.items() if r % 2 == 0})
+    return _reduced(rows, d * k)
 
 
-def _even_poisson_sum(steps: list, s: StarProduct, k: int) -> NuObject:
+def _even_poisson_sum(steps: list, s: StarProduct, k: int) -> tuple:
     """(1/k) sum mult(u) sum_{r even} nu^(a+r) P^r(T_a, u) / r! over the steps
-    (mult(u), T, u), on integer rows over one common denominator."""
+    (mult(u), rows of T, u), on integer rows over one common denominator."""
     nv = s.space.nvars
     paired = _paired(s.pairs)
     jobs = []  # (a, top even r, mult, denominator of T_a * u, T_a, u)
-    for mult, rest, u in steps:
+    for mult, (rows, td), u in steps:
         ut, ud = _int_terms(u)
         du = _DerivativeCache(ut, nv)
-        top_u = _pair_degree(u, paired)
-        for a, ta in rest.coeffs.items():
-            tt, td = _int_terms(ta)
+        top_u = _pair_degree(ut, paired)
+        for a, ta in rows.items():
             top = min(top_u, _pair_degree(ta, paired))
-            jobs.append((a, top - top % 2, mult, td * ud, _DerivativeCache(tt, nv), du))
+            jobs.append((a, top - top % 2, mult, td * ud, _DerivativeCache(ta, nv), du))
     den = lcm(*(d * factorial(top) for _, top, _, d, _, _ in jobs))
     acc: dict = {}
     for a, top, mult, d, dt, du in jobs:
         for r in range(0, top + 1, 2):
             w = mult * (den // (d * factorial(r)))
             _poisson_into(acc.setdefault(a + r, {}), dt, du, r, s.pairs, w)
-    den *= k
-    return _freeze(s.space, {m: {e: Fraction(n, den) for e, n in row.items() if n}
-                             for m, row in acc.items()})
+    return _reduced(acc, den * k)
+
+
+def _reduced(rows: dict, d: int) -> tuple:
+    """Integer rows over d in lowest terms, zero entries and rows dropped."""
+    g = gcd(d, *(n for row in rows.values() for n in row.values()))
+    return {m: {e: n // g for e, n in row.items() if n} for m, row in rows.items()
+            if any(row.values())}, d // g
 
 
 def times_alpha(p, q, s: StarProduct) -> NuObject:
@@ -480,61 +543,96 @@ def zeta(x: NuObject) -> ZNu:
     return ZNu(out)
 
 
-def _z_mul_into(row: dict, a: Mapping, b: Mapping, c=1) -> None:
-    """row[mu ∪ mv] += c * a[mu] * b[mv] over {ZMonomial: Fraction} maps."""
+# The product kernel works on integer rows: {key: {ZMonomial: numerator}}
+# over one denominator per operand, with tuple keys that add under the
+# product (y-exponents, nu powers or both, () for a single row).  Coefficients
+# become Fractions once per output term.
+
+
+def _z_mul_into(row: dict, a: Mapping, b: Mapping, c: int = 1) -> None:
+    """row[mu ∪ mv] += c * a[mu] * b[mv] over {ZMonomial: int} maps."""
     bterms = b.items()
     for mu, cu in a.items():
-        if c != 1:
-            cu = cu * c
+        if not cu:
+            continue
+        cu *= c
         for mv, cv in bterms:
-            _bump(row, mu.union(mv), cu * cv)
+            m = mu.union(mv)
+            row[m] = row.get(m, 0) + cu * cv
+
+
+def _y_mul_into(acc: dict, a: dict, b: dict, c: int = 1) -> None:
+    """The graded classical product c * a . b of integer rows, added into acc."""
+    for ea, ra in a.items():
+        for eb, rb in b.items():
+            _z_mul_into(acc.setdefault(tuple(map(int.__add__, ea, eb)), {}), ra, rb, c)
+
+
+def _classical_product(a: Mapping, b: Mapping) -> tuple:
+    """(rows, d): the graded classical product of two maps of Fraction rows,
+    as integer rows over d."""
+    (ra, da), (rb, db) = _int_rows(a), _int_rows(b)
+    acc: dict = {}
+    _y_mul_into(acc, ra, rb)
+    return acc, da * db
 
 
 def z_mul_classical(a: ZElem, b: ZElem) -> ZElem:
     """Z_u . Z_v = Z_{uv}: multiset union, extended bilinearly."""
-    row: dict = {}
-    _z_mul_into(row, a.terms, b.terms)
-    return ZElem._frozen(row)
+    rows = _over(*_classical_product({(): a.terms}, {(): b.terms}))
+    return ZElem._frozen(rows.get((), {}))
 
 
 @cache
 def _deformation_tail(m: ZMonomial, s: StarProduct) -> tuple:
-    """(r, Z(T_r(m))) for each r > 0: the nu^r part of D(Z_m)."""
-    t = eval_T(m.factors, s)
-    return tuple((r, zelem_from_poly(p)) for r, p in t.coeffs.items() if r > 0)
+    """(d, ((r, m_r, n_r), ...)): the nu^r part of D(Z_m) for r > 0 is
+    n_r / d * Z(m_r), the factorization of T_r(m)."""
+    rows, den = _T_rows(m.factors, s)
+    parts = []
+    for r, row in rows.items():
+        if r > 0:
+            z = zelem_from_poly(Poly._frozen(s.space, {e: Fraction(n, den) for e, n in row.items()}))
+            parts.extend((r, m_r, c) for m_r, c in z.terms.items())
+    d = lcm(*(c.denominator for _, _, c in parts))
+    return d, tuple((r, m_r, c.numerator * (d // c.denominator)) for r, m_r, c in parts)
 
 
-def _deform(row: Mapping, s: StarProduct) -> ZNu:
-    """D(sum c_m Z_m) = sum c_m (Z_m + sum_{r>0} nu^r Z(T_r(m))).
+def _deform(row: Mapping, d: int, s: StarProduct) -> ZNu:
+    """D(sum c_m Z_m) = sum c_m (Z_m + sum_{r>0} nu^r Z(T_r(m))) for the
+    integer row {m: c_m * d}.
 
     Cancelled (zero) entries of ``row`` are skipped, so they never reach
     eval_T.
     """
     classical = {m: c for m, c in row.items() if c}
-    acc: dict = {0: classical}
-    for m, c in classical.items():
-        for r, z in _deformation_tail(m, s):
+    tails = [(c, _deformation_tail(m, s)) for m, c in classical.items()]
+    dt = lcm(*(t for _, (t, _) in tails))
+    acc: dict = {}
+    for c, (t, parts) in tails:
+        c *= dt // t
+        for r, m_r, n in parts:
             sub = acc.setdefault(r, {})
-            for m2, c2 in z.terms.items():
-                _bump(sub, m2, c * c2)
-    return ZNu({r: ZElem._frozen(sub) for r, sub in acc.items()})
+            sub[m_r] = sub.get(m_r, 0) + c * n
+    rows = _over({0: classical}, d)
+    rows.update(_over(acc, d * dt))
+    return ZNu({r: ZElem._frozen(row) for r, row in rows.items()})
 
 
 def z_mul_nu(a, b, s: StarProduct) -> ZNu:
     """Deformed product D(a_0 . b_0); positive nu powers of the operands are
     discarded."""
-    row: dict = {}
-    _z_mul_into(row, _as_znu(a).classical().terms, _as_znu(b).classical().terms)
-    return _deform(row, s)
+    a0, b0 = _as_znu(a).classical().terms, _as_znu(b).classical().terms
+    rows, d = _classical_product({(): a0}, {(): b0})
+    return _deform(rows.get((), {}), d, s)
 
 
 def znu_mul_classical(a: ZNu, b: ZNu) -> ZNu:
     """nu-bilinear extension of the classical product."""
-    acc: dict = {}
-    for r, za in a.coeffs.items():
-        for t, zb in b.coeffs.items():
-            _z_mul_into(acc.setdefault(r + t, {}), za.terms, zb.terms)
-    return ZNu({k: ZElem._frozen(row) for k, row in acc.items()})
+    rows, d = _classical_product(
+        {(r,): z.terms for r, z in a.coeffs.items()},
+        {(r,): z.terms for r, z in b.coeffs.items()},
+    )
+    return ZNu({r: ZElem._frozen(row) for (r,), row in _over(rows, d).items()})
 
 
 def znu_power_nu(a, m: int, s: StarProduct) -> ZNu:
@@ -567,7 +665,8 @@ def delta(i: int, a: ZElem) -> ZElem:
             if d.is_zero():
                 continue
             rest = ZMonomial(factors[:j] + factors[j + 1 :], trusted=True)
-            _z_mul_into(row, zelem_from_poly(d).terms, {rest: c * mult})
+            for m, v in zelem_from_poly(d).terms.items():
+                _bump(row, m.union(rest), v * c * mult)
     return ZElem._frozen(row)
 
 
@@ -744,15 +843,20 @@ def jmap(z: ZElem, space: VarSpace = None) -> TaylorElem:
     return TaylorElem(space, {e: ZNu.from_zelem(ZElem._frozen(row)) for e, row in rows.items()}, in_a=True)
 
 
+def _y_nu_rows(a: TaylorElem) -> dict:
+    """{y-exponent + (nu power,): {ZMonomial: Fraction}} of a."""
+    return {e + (r,): z.terms for e, x in a.terms.items() for r, z in x.coeffs.items()}
+
+
 def taylor_mul_classical(a: TaylorElem, b: TaylorElem) -> TaylorElem:
     """The undeformed product: y-graded with nu-bilinear coefficients."""
     if a.space != b.space:
         raise InvalidArgumentError("TaylorElem spaces differ")
+    rows, d = _classical_product(_y_nu_rows(a), _y_nu_rows(b))
     out: dict = {}
-    for ea, za in a.terms.items():
-        for eb, zb in b.terms.items():
-            _bump(out, tuple(map(int.__add__, ea, eb)), znu_mul_classical(za, zb))
-    return TaylorElem(a.space, out, in_a=a.in_a and b.in_a)
+    for key, row in _over(rows, d).items():
+        out.setdefault(key[:-1], {})[key[-1]] = ZElem._frozen(row)
+    return TaylorElem(a.space, {e: ZNu(x) for e, x in out.items()}, in_a=a.in_a and b.in_a)
 
 
 def _check_deformable(a: TaylorElem, b: TaylorElem) -> None:
@@ -767,24 +871,27 @@ def _y_classical(a: TaylorElem) -> dict:
     return {e: z.coeffs[0].terms for e, z in a.terms.items() if 0 in z.coeffs}
 
 
-def _y_mul_into(acc: dict, a: dict, b: dict, c=1) -> None:
-    """The y-graded classical product c * a . b, added into acc."""
-    for ea, ra in a.items():
-        for eb, rb in b.items():
-            _z_mul_into(acc.setdefault(tuple(map(int.__add__, ea, eb)), {}), ra, rb, c)
-
-
-def _deform_taylor(acc: dict, space: VarSpace, s: StarProduct) -> TaylorElem:
-    return TaylorElem(space, {e: _deform(row, s) for e, row in acc.items()}, in_a=True)
+def _deform_taylor(rows: dict, d: int, space: VarSpace, s: StarProduct) -> TaylorElem:
+    return TaylorElem(space, {e: _deform(row, d, s) for e, row in rows.items()}, in_a=True)
 
 
 def a_mul_nu(a: TaylorElem, b: TaylorElem, s: StarProduct) -> TaylorElem:
     """Deformed Abelian product on the Taylor subalgebra: D applied to each
     y-degree of the classical product of the nu^0 parts."""
     _check_deformable(a, b)
-    acc: dict = {}
-    _y_mul_into(acc, _y_classical(a), _y_classical(b))
-    return _deform_taylor(acc, a.space, s)
+    rows, d = _classical_product(_y_classical(a), _y_classical(b))
+    return _deform_taylor(rows, d, a.space, s)
+
+
+def _y_lowered(terms: Mapping, i: int):
+    """(e - 1_i, e_i, value) for each entry of a map keyed by y-exponent e
+    with e_i > 0: the pieces of d/dy_i."""
+    for e, v in terms.items():
+        k = e[i]
+        if k:
+            e2 = list(e)
+            e2[i] = k - 1
+            yield tuple(e2), k, v
 
 
 def delta_y(axis: int, a: TaylorElem) -> TaylorElem:
@@ -792,12 +899,7 @@ def delta_y(axis: int, a: TaylorElem) -> TaylorElem:
     i = axis - 1
     if not 0 <= i < a.space.nvars:
         raise InvalidArgumentError("axis out of range")
-    out = {}
-    for e, z in a.terms.items():
-        if e[i]:
-            e2 = list(e)
-            e2[i] -= 1
-            out[tuple(e2)] = z.scale(e[i])
+    out = {e: z.scale(k) for e, k, z in _y_lowered(a.terms, i)}
     return TaylorElem(a.space, out, in_a=a.in_a)
 
 
@@ -810,19 +912,30 @@ _S3 = tuple(
 )
 
 
+def _y_diff(rows: dict, i: int) -> dict:
+    """d/dy_i of integer rows keyed by y-exponent."""
+    return {e: {m: n * k for m, n in row.items()} for e, k, row in _y_lowered(rows, i)}
+
+
 def quantum_nambu(a: TaylorElem, b: TaylorElem, c: TaylorElem, s: StarProduct) -> TaylorElem:
     """Alternating sum of deformed triple products of y-derivatives, computed
-    as D of the alternating sum of the classical triple products."""
+    as D of the alternating sum of the classical triple products.  The
+    y-derivatives are taken on the integer rows of the nu^0 parts, which
+    share one denominator per operand."""
     args = (a, b, c)
+    for i, x in enumerate(args):  # the axes of the first product, as delta_y checks them
+        if i >= x.space.nvars:
+            raise InvalidArgumentError("axis out of range")
+    _check_deformable(a, b)
+    _check_deformable(a, c)
+    rows = [_int_rows(_y_classical(x)) for x in args]
+    diffs = [[_y_diff(r, i) for i in range(3)] for r, _ in rows]
     acc: dict = {}
     for perm, sign in _S3:
-        d1, d2, d3 = (delta_y(k + 1, x) for k, x in zip(perm, args))
-        _check_deformable(d1, d2)
-        _check_deformable(d1, d3)
         pair: dict = {}
-        _y_mul_into(pair, _y_classical(d1), _y_classical(d2))
-        _y_mul_into(acc, pair, _y_classical(d3), sign)
-    return _deform_taylor(acc, a.space, s)
+        _y_mul_into(pair, diffs[0][perm[0]], diffs[1][perm[1]])
+        _y_mul_into(acc, pair, diffs[2][perm[2]], sign)
+    return _deform_taylor(acc, prod(d for _, d in rows), a.space, s)
 
 
 def classical_nambu(a: TaylorElem, b: TaylorElem, c: TaylorElem) -> TaylorElem:

@@ -281,6 +281,29 @@ def test_zariski_options_before_expressions(capsys, op, options, exprs, text):
 
 
 @pytest.mark.parametrize(
+    "op, exprs",
+    [
+        ("mul", ["Z[x1]", "Z[x2]", "Z[x3]"]),
+        ("jmap", ["Z[x1]", "Z[x2]"]),
+        ("power", ["Z[x1]", "Z[x2]"]),
+        ("qnambu", ["J(Z[x1])", "J(Z[x2])", "J(Z[x3])", "J(Z[x1])"]),
+    ],
+)
+def test_zariski_refuses_extra_expressions(capsys, op, exprs):
+    # like star and sun, an expression beyond the op's arity is an error,
+    # not silently dropped
+    arity = len(exprs) - 1
+    message = f"zariski {op} needs exactly {arity} expression(s)"
+    assert run(capsys, "zariski", op, *exprs) == (
+        1, "", f"error[zariski.invalid-argument]: {message}\n")
+    code, out, err = run(capsys, "--json", "zariski", op, *exprs)
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    validate(doc)
+    assert doc["error"] == {"code": "zariski.invalid-argument", "message": message}
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("zariski", "mul", "--bogus", "Z[x1]", "Z[x2]"),

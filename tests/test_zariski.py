@@ -1,5 +1,6 @@
 """The semigroup algebra, its deformation, derivations and Taylor algebra."""
 
+import hashlib
 import json
 import pathlib
 import random
@@ -9,7 +10,8 @@ import pytest
 
 from nambu_forge import zariski
 from nambu_forge.errors import InvalidArgumentError, ResourceLimitError
-from nambu_forge.factor import normalize
+from nambu_forge.expr import parse_expr
+from nambu_forge.factor import is_irreducible, normalize
 from nambu_forge.poly import NuObject, Poly, qp_space
 from nambu_forge.star import (
     moyal_product,
@@ -22,6 +24,7 @@ from nambu_forge.zariski import (
     FrobeniusWitness,
     TaylorElem,
     ZElem,
+    ZMonomial,
     ZNu,
     a_mul_nu,
     alpha,
@@ -587,6 +590,68 @@ def test_products_match_pairwise_oracles(n, rounds, nterms, qn_terms):
         assert quantum_nambu(a_nu, b, c, star) == oracle_quantum_nambu(a_nu, b, c, star)
 
 
+def test_products_with_fractional_coefficients_match_pairwise_oracles():
+    # mixed denominators across y-degrees (the 1/I! of jmap times 1/3, 7/6,
+    # -5/2) and across nu powers, which the products bring over one
+    # denominator per operand
+    f, g, h = x1 * x2 + x3, x1 * x1 + x2 * x3, x2 * x2 + 2 * x3
+    zf, zg, zh = (zelem_from_poly(p) for p in (f, g, h))
+    a = zf.scale(Fraction(1, 3)) + zelem_from_poly(f * g).scale(Fraction(-5, 2))
+    b = zg.scale(Fraction(7, 6)) + zh.scale(Fraction(-5, 2))
+    c = zh.scale(Fraction(1, 3)) + ZElem.unit(Fraction(7, 6))
+    assert z_mul_nu(a, b, ST) == oracle_z_mul_nu(a, b, ST)
+    a_nu = ZNu({0: a, 1: b.scale(Fraction(7, 6)), 2: c})
+    assert z_mul_nu(a_nu, c, ST) == oracle_z_mul_nu(a_nu, c, ST)
+
+    ja, jb, jc = (jmap(x) for x in (a, b, c))
+    ta = ja + jb.nu_shift(1).scale(Fraction(7, 6))
+    tb = jb.scale(Fraction(-5, 2)) + jc.nu_shift(2).scale(Fraction(1, 3))
+    assert a_mul_nu(ta, tb, ST) == oracle_a_mul_nu(ta, tb, ST)
+    assert quantum_nambu(ta, jb, jc, ST) == oracle_quantum_nambu(ta, jb, jc, ST)
+
+    # classical terms that cancel: 1/3 * 15/2 Z[f; g] - 5/2 Z[g; f] = 0, so
+    # Z[f; g] is in no nu power of the product
+    p = zf.scale(Fraction(1, 3)) + zg.scale(Fraction(-5, 2))
+    q = zg.scale(Fraction(15, 2)) + zf
+    got = z_mul_nu(p, q, ST)
+    assert got == oracle_z_mul_nu(p, q, ST)
+    fg = zmonomial([f, g])
+    assert all(fg not in z.terms for z in got.coeffs.values())
+    assert got.classical() == z_mul_classical(p, q)
+    jp, jq = jmap(p), jmap(q)
+    assert a_mul_nu(jp, jq, ST) == oracle_a_mul_nu(jp, jq, ST)
+    got = quantum_nambu(ta, tb, ta, ST)
+    assert got.is_zero() and got == oracle_quantum_nambu(ta, tb, ta, ST)
+
+
+def test_equal_factors_are_one_object():
+    # the same factor out of two different factorizations
+    u = x1 + 13 * x2
+    (interned,) = zelem_from_poly(u * (x3 + 1)).terms
+    (other_product,) = zelem_from_poly(3 * u * (x2 - x3 * x3)).terms
+    (mu,) = [g for g in interned.factors if g == u]
+    (again,) = [g for g in other_product.factors if g == u]
+    assert mu is again
+    (single,) = zelem_from_poly(u).terms
+    assert single.factors[0] is mu
+
+    # a trusted ZMonomial over freshly parsed equal polynomials, as the
+    # benchmark's J-images are built, still equals the interned one
+    fresh = [parse_expr(t, SP) for t in ("x1 + 13*x2", "x3 + 1")]
+    assert fresh[0] == mu and fresh[0] is not mu
+    loose = ZMonomial(fresh, trusted=True)
+    assert loose == interned and interned == loose
+    assert hash(loose) == hash(interned)
+    other = zmonomial([x1 * x1 + x2 * x3])
+    assert loose.union(other) == interned.union(other)
+    assert hash(loose.union(other)) == hash(interned.union(other))
+
+    # so ZElem terms keyed by either are found by the other
+    assert ZElem.basis(loose, 5).terms[interned] == 5
+    assert ZElem.basis(interned, 5).terms[loose] == 5
+    assert ZElem.basis(loose, 5) == ZElem.basis(interned, 5)
+
+
 def test_quantum_nambu_keeps_error_messages():
     sp4 = zariski_space(4)
     j3 = jmap(zelem_from_poly(x1), SP)
@@ -655,3 +720,49 @@ def test_eval_T_subset_bound(monkeypatch):
     assert "8 sub-multisets" in str(err.value)
     with pytest.raises(ResourceLimitError, match="eval_T bound 4"):
         eval_T((f, f, g), ST)  # 6 sub-multisets
+
+
+# -- pinned digest: canonical text of the products over a fixed operand set ----
+
+# recorded from the Fraction-based products that the integer kernel replaced,
+# so it pins outputs, not an implementation; a change of any coefficient,
+# monomial or nu power in these results changes the digest
+PINNED_DIGEST = "b77cda72d51c4e7adf30565cefdb5469efe218672318d1ca3822591a6d85419b"
+_PINNED_COEFFS = (Fraction(1, 3), Fraction(-5, 2), Fraction(7, 6), Fraction(2), Fraction(-1))
+
+
+def _pinned_texts() -> list:
+    rng = random.Random(1309)
+    texts = []
+    for n, qn_terms in ((3, 2), (4, 1)):
+        space, star = zariski_space(n), zariski_star(n)
+        pool = []
+        while len(pool) < 4:
+            p = _nonconstant(space, rng)
+            if is_irreducible(p):
+                pool.append(normalize(p)[1])
+
+        def zelem(nterms):
+            out = ZElem.zero()
+            for _ in range(nterms):
+                factors = [rng.choice(pool) for _ in range(rng.randint(1, 2))]
+                out = out + ZElem.basis(zmonomial(factors), rng.choice(_PINNED_COEFFS))
+            return out
+
+        for k in range(1, 5):
+            texts.append(str(eval_T([rng.choice(pool) for _ in range(k)], star)))
+        a, b, c = (zelem(3) for _ in range(3))
+        texts.append(str(z_mul_nu(a, b, star)))
+        texts.append(str(z_mul_nu(ZNu({0: a, 1: c}), b + c, star)))
+        ja, jb, jc = (jmap(x, space) for x in (a, b, c))
+        texts.append(str(a_mul_nu(ja, jb, star)))
+        texts.append(str(a_mul_nu(ja.scale(Fraction(-5, 2)) + jc.nu_shift(1), jb, star)))
+        qa, qb, qc = (jmap(zelem(qn_terms), space) for _ in range(3))
+        texts.append(str(quantum_nambu(qa, qb, qc, star)))
+        texts.append(str(quantum_nambu(qa.scale(Fraction(7, 6)), qb, qa + qc, star)))
+    return texts
+
+
+def test_products_match_pinned_digest():
+    text = "\n".join(_pinned_texts())
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIGEST
