@@ -18,9 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, lcm
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, ResourceLimitError
 
 Exponent = tuple  # tuple[int, ...], one entry per variable
 Scalar = Union[int, Fraction]
@@ -46,6 +47,15 @@ def grlex_key(e: Exponent):
     return (sum(e), e)
 
 
+# the largest number of variables of a space.  A Poisson power of order r
+# runs over every composition of r into the symplectic pairs, so its cost
+# grows with the pair count: on a 2-vCPU x86_64 host, zariski mul on the
+# factors x1^2 + x2^2 and x3^2 + x4^2 takes 0.5 s at 128 variables, 2.5 s at
+# 192 and 66 s at 512; on the degree-4 factors x1^4 + x2^4 + x1 and
+# x3^4 + x4^4 + x3 it already takes 1.7 s at 32 variables and 37 s at 64
+VARIABLE_BOUND = 128
+
+
 @dataclass(frozen=True)
 class VarSpace:
     """An ordered set of variables plus its symplectic pairing.
@@ -59,6 +69,10 @@ class VarSpace:
     pairs: tuple = ()
 
     def __post_init__(self):
+        if len(self.names) > VARIABLE_BOUND:
+            raise ResourceLimitError(
+                f"space of {len(self.names)} variables is over the variable bound {VARIABLE_BOUND}"
+            )
         seen = set()
         for a, b in self.pairs:
             for i in (a, b):
@@ -114,10 +128,63 @@ def su2_lift_space() -> VarSpace:
     return VarSpace(names, ((0, 3), (1, 4), (2, 5)))
 
 
-class Poly:
+class _Sparse:
+    """+, -, negation, is_zero, == and repr of the immutable sparse values
+    (Poly, NuObject, ZElem, ZNu, TaylorElem).  Each supplies ``_parts``, its
+    map of nonzero values; ``_like(other)``, the operand of its own type that
+    other stands for, or None; and ``_rebuild(row, other)``, the value of a
+    summed row, with the type's space check.  == compares ``space`` (None
+    where a type has none), so it is False where + and - raise."""
+
+    __slots__ = ()
+    space = None
+
+    def __setattr__(self, *a):  # pragma: no cover - guard rail
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def is_zero(self) -> bool:
+        return not self._parts
+
+    def _check_space(self, other) -> None:
+        if self.space != other.space:
+            raise InvalidArgumentError("polynomials live on different variable spaces")
+
+    def _signed(self, other, sign: int):
+        o = self._like(other)
+        if o is None:
+            return NotImplemented
+        return self._rebuild(_summed(self._parts, o._parts, sign), o)
+
+    def __add__(self, other):
+        return self._signed(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._signed(other, -1)
+
+    def __rsub__(self, other):
+        o = self._like(other)
+        return NotImplemented if o is None else o._signed(self, -1)
+
+    def __neg__(self):
+        return self._rebuild({k: -v for k, v in self._parts.items()}, self)
+
+    def __eq__(self, other):
+        o = self._like(other)
+        if o is None:
+            return NotImplemented
+        return self.space == o.space and self._parts == o._parts
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class Poly(_Sparse):
     """Immutable sparse polynomial over Fraction coefficients."""
 
     __slots__ = ("space", "terms", "_hash", "_sort_key")
+    _parts = property(attrgetter("terms"))
 
     def __init__(self, space: VarSpace, terms: Mapping[Exponent, Scalar]):
         clean = {}
@@ -129,9 +196,6 @@ class Poly:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, *a):  # pragma: no cover - guard rail
-        raise AttributeError("Poly is immutable")
 
     @classmethod
     def _frozen(cls, space: VarSpace, row: dict) -> "Poly":
@@ -163,9 +227,6 @@ class Poly:
         return cls(space, {tuple(e): Fraction(c)})
 
     # -- basic queries -----------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
@@ -196,30 +257,16 @@ class Poly:
             return key
 
     # -- arithmetic --------------------------------------------------------
-    def _check_space(self, other: "Poly") -> None:
-        if self.space != other.space:
-            raise InvalidArgumentError("polynomials live on different variable spaces")
-
-    def __add__(self, other):
+    def _like(self, other):
+        if isinstance(other, Poly):
+            return other
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.space, other)
-        if not isinstance(other, Poly):
-            return NotImplemented
+            return Poly.const(self.space, other)
+        return None
+
+    def _rebuild(self, row: dict, other: "Poly") -> "Poly":
         self._check_space(other)
-        return Poly._frozen(self.space, _summed(self.terms, other.terms))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly(self.space, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.space, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return Poly._frozen(self.space, row)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -252,13 +299,6 @@ class Poly:
             base = base * base if k > 1 else base
             k >>= 1
         return out
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_constant() and self.constant_value() == other
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.space == other.space and self.terms == other.terms
 
     def __hash__(self):
         h = object.__getattribute__(self, "_hash")
@@ -333,9 +373,6 @@ class Poly:
     def __str__(self) -> str:
         return render_poly(self)
 
-    def __repr__(self) -> str:
-        return f"Poly({render_poly(self)})"
-
 
 def _render_monomial(names: Sequence[str], e: Exponent) -> str:
     return "*".join(name if k == 1 else f"{name}^{k}" for name, k in zip(names, e) if k)
@@ -385,7 +422,7 @@ def render_poly(f: Poly) -> str:
     return _render_terms(_poly_parts(f))
 
 
-class NuObject:
+class NuObject(_Sparse):
     """Finite Laurent object in nu with Poly coefficients.
 
     Ordinary polynomials embed at nu-power 0; negative powers appear only in
@@ -393,6 +430,7 @@ class NuObject:
     """
 
     __slots__ = ("space", "coeffs", "_hash")
+    _parts = property(attrgetter("coeffs"))
 
     def __init__(self, space: VarSpace, coeffs: Mapping[int, Poly]):
         clean = {}
@@ -407,9 +445,6 @@ class NuObject:
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "_hash", None)
 
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("NuObject is immutable")
-
     @classmethod
     def from_poly(cls, p: Poly) -> "NuObject":
         return cls(p.space, {0: p})
@@ -421,9 +456,6 @@ class NuObject:
     @classmethod
     def one(cls, space: VarSpace) -> "NuObject":
         return cls(space, {0: Poly.const(space, 1)})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def classical(self) -> Poly:
         """The nu^0 coefficient."""
@@ -453,25 +485,12 @@ class NuObject:
             return NuObject.from_poly(Poly.const(space, other))
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other, self.space)
-        if o is None:
-            return NotImplemented
-        return NuObject(self.space, _summed(self.coeffs, o.coeffs))
+    def _like(self, other):
+        return self._coerce(other, self.space)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return NuObject(self.space, {k: -p for k, p in self.coeffs.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other, self.space)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    def _rebuild(self, row: dict, other: "NuObject") -> "NuObject":
+        self._check_space(other)
+        return NuObject(self.space, row)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -490,12 +509,6 @@ class NuObject:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        other = self._coerce(other, self.space)
-        if other is None:
-            return NotImplemented
-        return self.space == other.space and self.coeffs == other.coeffs
-
     def __hash__(self):
         h = object.__getattribute__(self, "_hash")
         if h is None:
@@ -509,9 +522,6 @@ class NuObject:
 
     def __str__(self) -> str:
         return render_nuobject(self)
-
-    def __repr__(self) -> str:
-        return f"NuObject({render_nuobject(self)})"
 
 
 def render_nuobject(x: NuObject) -> str:
@@ -550,12 +560,18 @@ def _bump(row: dict, e, v) -> None:
     row[e] = v if cur is None else cur + v
 
 
-def _summed(a: Mapping, b: Mapping) -> dict:
-    """A copy of a with each entry of b added in.  Entries that cancel stay
-    as zeros: every value constructor drops them."""
+def _summed(a: Mapping, b: Mapping, sign: int = 1) -> dict:
+    """A copy of a with each entry of b added in (sign 1) or subtracted
+    (sign -1); only the entries of b missing from a are negated.  Entries
+    that cancel stay as zeros: every value constructor drops them."""
     out = dict(a)
-    for k, v in b.items():
-        _bump(out, k, v)
+    if sign > 0:
+        for k, v in b.items():
+            _bump(out, k, v)
+    else:
+        for k, v in b.items():
+            cur = out.get(k)
+            out[k] = -v if cur is None else cur - v
     return out
 
 
@@ -634,13 +650,12 @@ def _mul_into(row: dict, f: dict, g: dict, w: int) -> None:
 
 
 def _compositions(total: int, parts: int):
-    """All tuples of ``parts`` non-negative ints summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    """All tuples of ``parts`` non-negative ints summing to ``total``, in
+    lexicographic order: each choice of parts - 1 bar positions among
+    total + parts - 1 slots, taken in order, is one composition."""
+    end = (total + parts - 1,)
+    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + end))
 
 
 class _DerivativeCache:

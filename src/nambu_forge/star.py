@@ -60,6 +60,11 @@ __all__ = [
 # near 1000 would overflow Python's recursion limit.
 STAR_DEGREE_BOUND = 16
 
+# the star products with g * f = (f * g)(-nu), whose symmetrizations are even
+# in nu; the Moyal kinds take their terms from powers of the Poisson bivector
+_MOYAL_KINDS = ("moyal", "partial_moyal")
+_EVEN_KINDS = _MOYAL_KINDS + ("su2",)
+
 _EPS = {
     (0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
     (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1,
@@ -352,7 +357,7 @@ def star_mul(s: StarProduct, f, g) -> NuObject:
     acc: dict = {}
     for a, fp in sorted(fo.coeffs.items()):
         for b, gp in sorted(go.coeffs.items()):
-            if s.kind in ("moyal", "partial_moyal"):
+            if s.kind in _MOYAL_KINDS:
                 _moyal_into(acc, fp, gp, s.pairs, a + b)
             elif s.kind == "standard_ordering":
                 _standard_into(acc, fp, gp, s.pairs[0], a + b)

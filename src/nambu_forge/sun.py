@@ -34,7 +34,7 @@ from .poly import (
     qp_space,
     su2_space,
 )
-from .star import StarProduct, _as_nu, moyal_product, star_mul, su2_product
+from .star import _MOYAL_KINDS, StarProduct, _as_nu, moyal_product, star_mul, su2_product
 
 __all__ = [
     "SunProduct",
@@ -104,7 +104,7 @@ def sun_lift(sp: SunProduct, x) -> NuObject:
     if sp.alpha_kind == "coordinate_monomial":
         if sp.star.kind == "su2":
             return _su2_closed_lift(f)
-        if sp.star.kind in ("moyal", "partial_moyal"):
+        if sp.star.kind in _MOYAL_KINDS:
             return NuObject.from_poly(f)
         raise InvalidArgumentError(
             f"the coordinate-monomial lift needs g * f = (f * g)(-nu); {sp.star.kind!r} has none"
@@ -179,6 +179,8 @@ def a_recursion(n: int, r: int) -> Fraction:
             f"a({n}, {r}) needs {n * min(n, r)} recursion steps, over the a_recursion bound "
             f"{A_RECURSION_BOUND}"
         )
+    if r == 0:
+        return Fraction(1)  # the row loop below would still take n passes
     lo = max(0, r - n)
     row = [Fraction(1)] * (r - lo + 1)  # a(0, lo..r)
     for m in range(1, n + 1):
@@ -269,9 +271,30 @@ class SunCoefficients:
         return all(self.recursion[key] == val for key, val in self.closed.items())
 
 
+# the largest r_max of sun_coefficients, whose z_{p,r} enumerate the
+# partitions of every k <= r_max: on a 2-vCPU x86_64 host the z table takes
+# 0.6-0.9 s at order 20, 3.1 s at 24 and 10 s at 30, and the largest table
+# that this bound and A_RECURSION_BOUND admit, coeffs --table 28 20, 1.8 s
+TABLE_ORDER_BOUND = 20
+
+
 def sun_coefficients(n_max: int, r_max: int) -> SunCoefficients:
+    """The tables up to (n_max, r_max); entry (n, r) counts n * (min(n, r) + 1)
+    steps, its recursion grid, against A_RECURSION_BOUND."""
     if n_max < 0 or r_max < 0:
         raise InvalidArgumentError("table bounds must be non-negative")
+    if r_max > TABLE_ORDER_BOUND:
+        raise ResourceLimitError(
+            f"table order {r_max} is over the table order bound {TABLE_ORDER_BOUND}"
+        )
+    steps = 0
+    for n in range(n_max + 1):
+        steps += sum(n * (min(n, r) + 1) for r in range(r_max + 1))
+        if steps > A_RECURSION_BOUND:
+            raise ResourceLimitError(
+                f"the table up to a({n_max}, {r_max}) takes more recursion steps than the "
+                f"a_recursion bound {A_RECURSION_BOUND}"
+            )
     rec = {(n, r): a_recursion(n, r) for n in range(n_max + 1) for r in range(r_max + 1)}
     closed = {
         (n, r): a_closed_form(n, r)

@@ -67,12 +67,14 @@ from .poly import (
     _poisson_into,
     _render_monomial,
     _render_terms,
-    _summed,
+    _Sparse,
     _term_text,
     coordinate_space,
     grlex_key,
 )
 from .star import (
+    _EVEN_KINDS,
+    _MOYAL_KINDS,
     StarProduct,
     _pair_degree,
     _paired,
@@ -218,10 +220,11 @@ def zmonomial(factors: Iterable[Poly]) -> ZMonomial:
 _Z_UNIT = ZMonomial((), trusted=True)
 
 
-class ZElem:
+class ZElem(_Sparse):
     """Finite rational combination of factor multisets."""
 
     __slots__ = ("terms",)
+    _parts = property(attrgetter("terms"))
 
     def __init__(self, terms: Mapping[ZMonomial, Fraction]):
         clean = {}
@@ -231,9 +234,6 @@ class ZElem:
             if c:
                 clean[m] = c
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("ZElem is immutable")
 
     @classmethod
     def _frozen(cls, row: dict) -> "ZElem":
@@ -255,35 +255,17 @@ class ZElem:
     def basis(cls, m: ZMonomial, c: Fraction = Fraction(1)) -> "ZElem":
         return cls({m: Fraction(c)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _like(self, other):
+        return other if isinstance(other, ZElem) else None
 
-    def __add__(self, other):
-        if not isinstance(other, ZElem):
-            return NotImplemented
-        return ZElem._frozen(_summed(self.terms, other.terms))
-
-    def __neg__(self):
-        return ZElem({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, ZElem):
-            return NotImplemented
-        return self + (-other)
+    def _rebuild(self, row: dict, other: "ZElem") -> "ZElem":
+        return ZElem._frozen(row)
 
     def scale(self, c) -> "ZElem":
         c = Fraction(c)
         if not c:
             return ZElem.zero()
         return ZElem({m: v * c for m, v in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, ZElem):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self):
-        return f"ZElem({render_zelem(self)})"
 
     def __str__(self):
         return render_zelem(self)
@@ -308,10 +290,11 @@ def zelem_from_poly(u: Poly) -> ZElem:
     return ZElem.basis(mono, fac.unit)
 
 
-class ZNu:
+class ZNu(_Sparse):
     """Polynomial in nu with ZElem coefficients (non-negative powers)."""
 
     __slots__ = ("coeffs",)
+    _parts = property(attrgetter("coeffs"))
 
     def __init__(self, coeffs: Mapping[int, ZElem]):
         clean = {}
@@ -322,9 +305,6 @@ class ZNu:
                 clean[int(k)] = z
         object.__setattr__(self, "coeffs", clean)
 
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("ZNu is immutable")
-
     @classmethod
     def zero(cls) -> "ZNu":
         return cls({})
@@ -332,9 +312,6 @@ class ZNu:
     @classmethod
     def from_zelem(cls, z: ZElem) -> "ZNu":
         return cls({0: z})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def coefficient(self, k: int) -> ZElem:
         return self.coeffs.get(k, ZElem.zero())
@@ -345,35 +322,16 @@ class ZNu:
     def nu_shift(self, k: int) -> "ZNu":
         return ZNu({r + k: z for r, z in self.coeffs.items()})
 
-    def __add__(self, other):
-        if isinstance(other, ZElem):
-            other = ZNu.from_zelem(other)
-        if not isinstance(other, ZNu):
-            return NotImplemented
-        return ZNu(_summed(self.coeffs, other.coeffs))
+    def _like(self, other):
+        if isinstance(other, ZNu):
+            return other
+        return ZNu.from_zelem(other) if isinstance(other, ZElem) else None
 
-    def __neg__(self):
-        return ZNu({k: -z for k, z in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, ZElem):
-            other = ZNu.from_zelem(other)
-        if not isinstance(other, ZNu):
-            return NotImplemented
-        return self + (-other)
+    def _rebuild(self, row: dict, other: "ZNu") -> "ZNu":
+        return ZNu(row)
 
     def scale(self, c) -> "ZNu":
         return ZNu({k: z.scale(c) for k, z in self.coeffs.items()})
-
-    def __eq__(self, other):
-        if isinstance(other, ZElem):
-            other = ZNu.from_zelem(other)
-        if not isinstance(other, ZNu):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"ZNu({render_znu(self)})"
 
     def __str__(self):
         return render_znu(self)
@@ -427,10 +385,6 @@ def alpha(p, space: VarSpace = None):
 # k = 1..8 (256 sub-multisets) a cold call takes about 0.6 s, for k = 1..9
 # (512) 1.8 s and for k = 1..10 (1024) 3.6 s
 EVAL_T_SUBSET_BOUND = 256
-
-# the star products with g * f = (f * g)(-nu), which makes T even in nu
-_MOYAL_KINDS = ("moyal", "partial_moyal")
-_EVEN_KINDS = _MOYAL_KINDS + ("su2",)
 
 
 def eval_T(factors: Sequence[Poly], s: StarProduct) -> NuObject:
@@ -741,7 +695,7 @@ def frobenius_counterexample_search(max_degree: int, space: VarSpace = None):
 # The Taylor algebra
 
 
-class TaylorElem:
+class TaylorElem(_Sparse):
     """Polynomial in formal translation variables y with ZNu coefficients.
 
     ``in_a`` marks elements constructed from images of the Taylor expansion
@@ -750,6 +704,7 @@ class TaylorElem:
     """
 
     __slots__ = ("space", "terms", "in_a")
+    _parts = property(attrgetter("terms"))
 
     def __init__(self, space: VarSpace, terms: Mapping[tuple, ZNu], in_a: bool = False):
         clean = {}
@@ -760,15 +715,9 @@ class TaylorElem:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "in_a", in_a)
 
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("TaylorElem is immutable")
-
     @classmethod
     def zero(cls, space: VarSpace) -> "TaylorElem":
         return cls(space, {}, in_a=True)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def coefficient(self, e: tuple) -> ZNu:
         return self.terms.get(tuple(e), ZNu.zero())
@@ -776,36 +725,19 @@ class TaylorElem:
     def y_constant(self) -> ZNu:
         return self.coefficient((0,) * self.space.nvars)
 
-    def __add__(self, other):
-        if not isinstance(other, TaylorElem):
-            return NotImplemented
+    def _like(self, other):
+        return other if isinstance(other, TaylorElem) else None
+
+    def _rebuild(self, row: dict, other: "TaylorElem") -> "TaylorElem":
         if self.space != other.space:
             raise InvalidArgumentError("TaylorElem spaces differ")
-        return TaylorElem(self.space, _summed(self.terms, other.terms), in_a=self.in_a and other.in_a)
-
-    def __neg__(self):
-        return TaylorElem(self.space, {e: -z for e, z in self.terms.items()}, in_a=self.in_a)
-
-    def __sub__(self, other):
-        if not isinstance(other, TaylorElem):
-            return NotImplemented
-        return self + (-other)
+        return TaylorElem(self.space, row, in_a=self.in_a and other.in_a)
 
     def scale(self, c) -> "TaylorElem":
         return TaylorElem(self.space, {e: z.scale(c) for e, z in self.terms.items()}, in_a=self.in_a)
 
     def nu_shift(self, k: int) -> "TaylorElem":
         return TaylorElem(self.space, {e: z.nu_shift(k) for e, z in self.terms.items()}, in_a=self.in_a)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TaylorElem)
-            and self.space == other.space
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        return f"TaylorElem({render_taylor(self)})"
 
     def __str__(self):
         return render_taylor(self)

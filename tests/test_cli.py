@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import nambu_forge
-from nambu_forge import nambu, star, sun, weyl
+from nambu_forge import cli, nambu, poly, star, sun, weyl
 from nambu_forge.cli import load_schema, main
 
 
@@ -190,6 +190,16 @@ def test_domain_error_exit_code(capsys):
         # the nu^0 part q^2*p^2 of q^2*p * p needs 2*2*2 + 2 + 2 = 12 products
         (weyl, "WEYL_PRODUCT_BOUND", ("spectrum", "--dim", "20", "--deviation", "q^2*p", "p"),
          "spectrum.resource-limit"),
+        (poly, "VARIABLE_BOUND", ("zariski", "mul", "Z[x1]", "Z[x2]", "--dim", "9"),
+         "zariski.resource-limit"),
+        (poly, "VARIABLE_BOUND", ("star", "--vars", ",".join(f"a{i}" for i in range(9)), "a1", "a2"),
+         "star.resource-limit"),
+        (cli, "CHECK_FI_DEGREE_BOUND", ("check-fi", "--degree", "9", "--trials", "1"),
+         "check-fi.resource-limit"),
+        (cli, "CHECK_FI_TRIAL_BOUND", ("check-fi", "--trials", "9"), "check-fi.resource-limit"),
+        (sun, "TABLE_ORDER_BOUND", ("coeffs", "--table", "9", "9"), "coeffs.resource-limit"),
+        # rows n = 1 and 2 of the table take 5 + 12 steps
+        (sun, "A_RECURSION_BOUND", ("coeffs", "--table", "3", "2"), "coeffs.resource-limit"),
     ],
 )
 def test_resource_bounds_exit_1(capsys, monkeypatch, module, bound, argv, code):
@@ -245,6 +255,29 @@ def test_star_operand_over_the_degree_bound(capsys):
     code, out, err = run(capsys, "--json", *argv)
     assert (code, err) == (1, "")
     assert json.loads(out)["error"] == {"code": "star.resource-limit", "message": message}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("zariski", "mul", "Z[x1]", "Z[x2]", "--dim", "3000"),
+         "space of 3000 variables is over the variable bound 128"),
+        (("star", "--vars", ",".join(f"a{i}" for i in range(1, 2401)), "a1", "a2"),
+         "space of 2400 variables is over the variable bound 128"),
+        (("check-fi", "--degree", "3000000", "--trials", "1"),
+         "--degree 3000000 is over the check-fi degree bound 100"),
+        (("check-fi", "--trials", "100000"), "--trials 100000 is over the check-fi trial bound 1000"),
+        (("coeffs", "--table", "60", "30"), "table order 30 is over the table order bound 20"),
+        (("coeffs", "--table", "100", "5"),
+         "the table up to a(100, 5) takes more recursion steps than the a_recursion bound 100000"),
+    ],
+    ids=["dim-3000", "vars-2400", "fi-degree", "fi-trials", "table-order", "table-steps"],
+)
+def test_unpatched_bounds_end_without_traceback(capsys, argv, message):
+    # without these bounds each call printed a RecursionError traceback or
+    # ran from 12 s to minutes; the bounds are checked before any work
+    command = argv[0]
+    assert run(capsys, *argv) == (1, "", f"error[{command}.resource-limit]: {message}\n")
 
 
 @pytest.mark.parametrize(

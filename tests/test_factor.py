@@ -188,6 +188,12 @@ def _sympy_terms(f, syms):
     ))
 
 
+def _from_sympy(g, syms, space) -> Poly:
+    import sympy
+
+    return Poly(space, {e: Fraction(int(k.p), int(k.q)) for e, k in sympy.Poly(g, *syms).terms()})
+
+
 def _differential_products():
     """About 200 seeded products: fixed shapes, then random factors (not
     necessarily irreducible) with a unit and occasional squares."""
@@ -211,6 +217,37 @@ def _differential_products():
     return products
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_factors_are_irreducible_by_sympy(n):
+    """Independent irreducibility oracle over R^3 and R^4: on seeded products
+    of total degree at most 6, with repeated factors and a fractional unit,
+    sympy.factor_list finds every factor that factorize returns irreducible
+    and the same factor multiset up to units, and expand() gives the input
+    back."""
+    sympy = pytest.importorskip("sympy")
+    space = coordinate_space(n)
+    syms = sympy.symbols(space.names)
+    rng = random.Random(700 + n)
+    for i in range(30):
+        f = Poly.const(space, Fraction(rng.choice([-5, -1, 2, 7]), rng.choice([2, 3, 4])))
+        for j in range(rng.randint(1, 3)):
+            p = random_poly(space, rng, degree=rng.randint(1, 2), terms=rng.randint(2, 4))
+            power = 2 if j == 0 and i % 2 == 0 else 1
+            if not p.is_constant() and f.total_degree() + power * p.total_degree() <= 6:
+                f = f * p**power
+        if f.is_constant():
+            continue
+        fac = factorize(f)
+        assert fac.expand() == f, str(f)
+        for g, _ in fac.factors:
+            _, parts = sympy.factor_list(_sympy_terms(g, syms), *syms)
+            assert [m for _, m in parts] == [1], str(g)
+        _, parts = sympy.factor_list(_sympy_terms(f, syms), *syms)
+        want = sorted(((normalize(_from_sympy(g, syms, space))[1], m) for g, m in parts),
+                      key=lambda item: (item[0].sort_key(), item[1]))
+        assert fac.factors == tuple(want), str(f)
+
+
 def test_factors_agree_with_sympy():
     """Independent oracle: every normalized factor, multiplicity and unit
     agrees with sympy.factor_list."""
@@ -221,8 +258,7 @@ def test_factors_agree_with_sympy():
         unit = Fraction(int(coeff.p), int(coeff.q))
         want = []
         for g, m in pairs:
-            terms = sympy.Poly(g, *syms).terms()
-            c, gn = normalize(Poly(X3, {e: Fraction(int(k.p), int(k.q)) for e, k in terms}))
+            c, gn = normalize(_from_sympy(g, syms, X3))
             unit *= c**m
             want.append((gn, m))
         want.sort(key=lambda item: (item[0].sort_key(), item[1]))

@@ -183,6 +183,7 @@ def test_a_recursion_bound(monkeypatch):
     monkeypatch.setattr(sun, "A_RECURSION_BOUND", 12)
     a_recursion.cache_clear()  # a cached value would skip the check
     assert a_recursion(0, 10**9) == 1  # no recursion step at all
+    assert a_recursion(10**9, 0) == 1  # nor a pass over the rows
     assert a_recursion(12, 1) == a_closed_form(12, 1)  # 12 steps
     # 9 steps; by hand a(1, r) = 4 - 4r, a(2, 3) = 20, a(2, 4) = 52
     assert a_recursion(3, 4) == Fraction(-5 * 52 - 3 * 20, 3)

@@ -1,7 +1,9 @@
 """The semigroup algebra, its deformation, derivations and Taylor algebra."""
 
 import hashlib
+import itertools
 import json
+import operator
 import pathlib
 import random
 from fractions import Fraction
@@ -285,6 +287,66 @@ def test_sums_store_no_zero_entry(a, b, direct):
     assert total == direct and _storage(total) == _storage(direct)
     if isinstance(total, (Poly, NuObject)):
         assert hash(total) == hash(direct)
+
+
+SP4 = zariski_space(4)
+# per type with a variable space: a value on R^4, and the error that + and -
+# raise against a value on R^3
+_OTHER_SPACE = {
+    Poly: (Poly.variable(SP4, 0), "polynomials live on different variable spaces"),
+    NuObject: (NuObject(SP4, {0: Poly.variable(SP4, 0)}),
+               "polynomials live on different variable spaces"),
+    TaylorElem: (taylor_unit(SP4), "TaylorElem spaces differ"),
+}
+
+
+@pytest.mark.parametrize("a, b, direct", _sum_cases())
+def test_signed_sums_share_one_core(a, b, direct):
+    """x - y is one signed pass on all five sparse types: it equals x + (-y),
+    and each type keeps its space check, in_a rule and hash contract."""
+    assert a - b == a + (-b) and _storage(a - b) == _storage(a + (-b))
+    assert (a - a).is_zero() and _storage(a - a) == {}
+    assert -(-a) == a
+    assert (a + b) - b == a and direct - b == a
+    assert not any(_is_zero(v) for v in _storage(b - a).values())
+    if isinstance(a, (Poly, NuObject)):
+        assert hash(a - b) == hash(a + (-b))
+    else:
+        for v in (a, a - b, -a):
+            with pytest.raises(TypeError):
+                hash(v)
+    if type(a) in _OTHER_SPACE:
+        other, message = _OTHER_SPACE[type(a)]
+        for op in (operator.add, operator.sub):
+            with pytest.raises(InvalidArgumentError, match=message):
+                op(a, other)
+        assert a != other and not (a == other)
+        zero, other_zero = a - a, other - other
+        assert zero != other_zero
+        with pytest.raises(InvalidArgumentError, match=message):
+            zero + other_zero
+    if isinstance(a, TaylorElem):
+        image = jmap(zelem_from_poly(x1 * x2 + 1))
+        assert image.in_a and not a.in_a
+        for u, v in itertools.product((a, image), repeat=2):
+            assert (u + v).in_a == (u - v).in_a == (u.in_a and v.in_a)
+            assert (-u).in_a == u.in_a
+
+
+def test_mixed_operand_sums():
+    p = x1 * x2 - 3 * x3 + 1
+    n = NuObject(SP, {0: x1 + 2, 1: x3})
+    assert p - 3 == p + Poly.const(SP, -3)
+    assert 3 - p == Poly.const(SP, 3) - p == -(p - 3)
+    assert n - p == n - NuObject.from_poly(p)
+    assert p - n == NuObject.from_poly(p) - n == -(n - p)
+    z = zelem_from_poly(x1 * x1 + x2) + ZElem.unit(2)
+    zn = ZNu({0: zelem_from_poly(x1), 1: z})
+    lifted = ZNu.from_zelem(z)
+    assert zn - z == zn - lifted
+    # ZElem - ZNu and ZElem + ZNu go through ZNu's reflected methods
+    assert z - zn == lifted - zn == -(zn - z)
+    assert z + zn == zn + z == lifted + zn
 
 
 # -- derivations --------------------------------------------------------------
