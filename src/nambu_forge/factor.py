@@ -488,8 +488,8 @@ def _factor_univariate_int(f: list) -> list:
 def _divide_terms(r: dict, g: dict) -> dict | None:
     """Quotient r/g of term maps when the division is exact, else None.
 
-    Graded-lex division that consumes ``r`` as the remainder.  Integer
-    coefficients must divide over Z, Fractions over Q.
+    Graded-lex division of integer term maps that consumes ``r`` as the
+    remainder; every quotient coefficient must divide over Z.
     """
     glm = max(g, key=grlex_key)
     glc = g[glm]
@@ -500,13 +500,9 @@ def _divide_terms(r: dict, g: dict) -> dict | None:
         d = tuple(map(int.__sub__, lm, glm))
         if min(d) < 0:
             return None
-        c = r.pop(lm)
-        if type(c) is int:
-            c, rem = divmod(c, glc)
-            if rem:
-                return None
-        else:
-            c = c / glc
+        c, rem = divmod(r.pop(lm), glc)
+        if rem:
+            return None
         q[d] = c
         for e, gc in tail:
             m = tuple(map(int.__add__, d, e))
@@ -516,14 +512,6 @@ def _divide_terms(r: dict, g: dict) -> dict | None:
             else:
                 del r[m]
     return q
-
-
-def poly_divide_exact(f: Poly, g: Poly) -> Poly | None:
-    """Quotient f/g when the division is exact, else None."""
-    if g.is_zero():
-        raise InvalidArgumentError("division by the zero polynomial")
-    q = _divide_terms(dict(f.terms), g.terms)
-    return None if q is None else Poly(f.space, q)
 
 
 def _t_mul(a: dict, b: dict) -> dict:

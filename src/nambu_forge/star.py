@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial
-from operator import itemgetter
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .poly import (
@@ -35,6 +34,7 @@ from .poly import (
     _freeze,
     _int_terms,
     _mul_into,
+    _poisson_grid,
     _poisson_into,
     su2_lift_space,
     su2_space,
@@ -76,31 +76,29 @@ class StarProduct:
     """A star-product rule tagged with its variable space.
 
     kind is one of ``moyal``, ``partial_moyal``, ``standard_ordering``,
-    ``su2``; ``pairs`` are the active symplectic pairs for the first three.
+    ``su2``; the first three act on the symplectic pairs of the space.
     """
 
     kind: str
     space: VarSpace
-    pairs: tuple = ()
 
 
 def moyal_product(space: VarSpace) -> StarProduct:
     if not space.pairs:
         raise InvalidArgumentError("Moyal product needs at least one symplectic pair")
-    return StarProduct("moyal", space, space.pairs)
+    return StarProduct("moyal", space)
 
 
-def partial_moyal_product(space: VarSpace, pairs=None) -> StarProduct:
-    pairs = tuple(pairs) if pairs is not None else space.pairs
-    if not pairs:
+def partial_moyal_product(space: VarSpace) -> StarProduct:
+    if not space.pairs:
         raise InvalidArgumentError("partial Moyal product needs at least one active pair")
-    return StarProduct("partial_moyal", space, pairs)
+    return StarProduct("partial_moyal", space)
 
 
 def standard_ordering_product(space: VarSpace) -> StarProduct:
     if len(space.pairs) != 1:
         raise InvalidArgumentError("standard-ordering product is defined on one pair")
-    return StarProduct("standard_ordering", space, space.pairs)
+    return StarProduct("standard_ordering", space)
 
 
 def su2_product() -> StarProduct:
@@ -114,36 +112,22 @@ def _as_nu(x, space: VarSpace) -> NuObject:
     return out
 
 
-def _paired(pairs) -> itemgetter:
-    """exponent -> the tuple of its entries at the pairs' variables; built
-    once per product call, not per term."""
-    return itemgetter(*(i for p in pairs for i in p))
-
-
-def _pair_degree(terms, paired) -> int:
-    """Largest degree of a term map's exponents in the paired variables, given
-    the getter ``paired`` from _paired (0 for an empty map)."""
-    return max(map(sum, map(paired, terms)), default=0)
-
-
-def _moyal_into(acc: dict, f: Poly, g: Poly, pairs, shift: int) -> None:
-    """acc[shift + r] += P^r(f, g) / r! for every r the pairs allow."""
-    paired = _paired(pairs)
-    rmax = min(_pair_degree(f.terms, paired), _pair_degree(g.terms, paired))
+def _moyal_into(acc: dict, f: Poly, g: Poly, shift: int) -> None:
+    """acc[shift + r] += P^r(f, g) / r! for every r."""
     (ft, fd), (gt, gd) = _int_terms(f), _int_terms(g)
-    nv = f.space.nvars
-    df, dg = _DerivativeCache(ft, nv), _DerivativeCache(gt, nv)
-    for r in range(rmax + 1):
-        ints: dict = {}
-        _poisson_into(ints, df, dg, r, pairs)
-        _add_over(acc.setdefault(shift + r, {}), ints, fd * gd * factorial(r))
+    df, dg = _DerivativeCache(ft, f.space), _DerivativeCache(gt, f.space)
+    grid = _poisson_grid(df, dg)
+    ints: dict = {}
+    _poisson_into(ints, df, dg, grid)
+    for r, row in ints.items():
+        _add_over(acc.setdefault(shift + r, {}), row, fd * gd * grid[1])
 
 
-def _standard_into(acc: dict, f: Poly, g: Poly, pair, shift: int) -> None:
+def _standard_into(acc: dict, f: Poly, g: Poly, shift: int) -> None:
     # f *_S g = sum_r (-2 nu)^r / r! (d^r f / dp^r)(d^r g / dq^r); the sign is
     # forced by C1(f,g) - C1(g,f) = 2 P(f,g) and matches the ordering with all
     # q-operators to the left under nu = i hbar / 2.
-    a, b = pair
+    a, b = f.space.pairs[0]
     (df, fd), (dg, gd) = _int_terms(f), _int_terms(g)
     r = 0
     while df and dg:
@@ -305,7 +289,7 @@ def _su2_mul(f: NuObject, g: NuObject) -> NuObject:
 def su2_star_via_lift(f: Poly, g: Poly) -> NuObject:
     """Reference route: Moyal product of the R^6 lifts, re-expressed in L."""
     acc: dict = {}
-    _moyal_into(acc, su2_lift(f), su2_lift(g), _R6.pairs, 0)
+    _moyal_into(acc, su2_lift(f), su2_lift(g), 0)
     return NuObject(_L_SPACE, {k: _su2_project(Poly(_R6, row)) for k, row in acc.items()})
 
 
@@ -358,9 +342,9 @@ def star_mul(s: StarProduct, f, g) -> NuObject:
     for a, fp in sorted(fo.coeffs.items()):
         for b, gp in sorted(go.coeffs.items()):
             if s.kind in _MOYAL_KINDS:
-                _moyal_into(acc, fp, gp, s.pairs, a + b)
+                _moyal_into(acc, fp, gp, a + b)
             elif s.kind == "standard_ordering":
-                _standard_into(acc, fp, gp, s.pairs[0], a + b)
+                _standard_into(acc, fp, gp, a + b)
             else:
                 raise InvalidArgumentError(f"unknown star product kind {s.kind!r}")
     return _freeze(s.space, acc)

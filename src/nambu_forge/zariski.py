@@ -45,7 +45,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial, gcd, lcm, prod
+from math import gcd, lcm, prod
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -64,6 +64,7 @@ from .poly import (
     _joined,
     _nu_label,
     _over,
+    _poisson_grid,
     _poisson_into,
     _render_monomial,
     _render_terms,
@@ -76,8 +77,6 @@ from .star import (
     _EVEN_KINDS,
     _MOYAL_KINDS,
     StarProduct,
-    _pair_degree,
-    _paired,
     moyal_product,
     partial_moyal_product,
     star_mul,
@@ -452,22 +451,18 @@ def _eval_T(factors: tuple, s: StarProduct) -> tuple:
 def _even_poisson_sum(steps: list, s: StarProduct, k: int) -> tuple:
     """(1/k) sum mult(u) sum_{r even} nu^(a+r) P^r(T_a, u) / r! over the steps
     (mult(u), rows of T, u), on integer rows over one common denominator."""
-    nv = s.space.nvars
-    paired = _paired(s.pairs)
-    jobs = []  # (a, top even r, mult, denominator of T_a * u, T_a, u)
+    jobs = []  # (a, mult, denominator of the job's terms, T_a, u, grid)
     for mult, (rows, td), u in steps:
         ut, ud = _int_terms(u)
-        du = _DerivativeCache(ut, nv)
-        top_u = _pair_degree(ut, paired)
+        du = _DerivativeCache(ut, s.space)
         for a, ta in rows.items():
-            top = min(top_u, _pair_degree(ta, paired))
-            jobs.append((a, top - top % 2, mult, td * ud, _DerivativeCache(ta, nv), du))
-    den = lcm(*(d * factorial(top) for _, top, _, d, _, _ in jobs))
+            dt = _DerivativeCache(ta, s.space)
+            grid = _poisson_grid(dt, du)
+            jobs.append((a, mult, td * ud * grid[1], dt, du, grid))
+    den = lcm(*(d for _, _, d, _, _, _ in jobs))
     acc: dict = {}
-    for a, top, mult, d, dt, du in jobs:
-        for r in range(0, top + 1, 2):
-            w = mult * (den // (d * factorial(r)))
-            _poisson_into(acc.setdefault(a + r, {}), dt, du, r, s.pairs, w)
+    for a, mult, d, dt, du, grid in jobs:
+        _poisson_into(acc, dt, du, grid, a, mult * (den // d), even=True)
     return _reduced(acc, den * k)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,6 +18,15 @@ def random_poly(space: VarSpace, rng: random.Random, degree: int = 2, terms: int
             e[e.index(max(e))] -= 1
         out[tuple(e)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
     return Poly(space, out)
+
+
+def compositions(total: int, parts: int):
+    """All tuples of ``parts`` non-negative ints summing to ``total``, in
+    lexicographic order: each choice of parts - 1 bar positions among
+    total + parts - 1 slots, taken in order, is one composition."""
+    end = (total + parts - 1,)
+    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + end))
 
 
 def brute_sun_lift(sp, x) -> NuObject:

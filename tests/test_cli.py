@@ -200,6 +200,11 @@ def test_domain_error_exit_code(capsys):
         (sun, "TABLE_ORDER_BOUND", ("coeffs", "--table", "9", "9"), "coeffs.resource-limit"),
         # rows n = 1 and 2 of the table take 5 + 12 steps
         (sun, "A_RECURSION_BOUND", ("coeffs", "--table", "3", "2"), "coeffs.resource-limit"),
+        # each partial of x1*x2 + x2*x3 + x3*x1 has two terms and each of the
+        # other two operands' one, so the 6 permutations form 12 products
+        (poly, "JACOBIAN_TERM_BOUND",
+         ("nambu", "--bracket", "canonical3", "x1*x2 + x2*x3 + x3*x1", "x1^2 + x2^2 + x3^2",
+          "x1 + x2 + x3"), "nambu.resource-limit"),
     ],
 )
 def test_resource_bounds_exit_1(capsys, monkeypatch, module, bound, argv, code):
@@ -270,8 +275,11 @@ def test_star_operand_over_the_degree_bound(capsys):
         (("coeffs", "--table", "60", "30"), "table order 30 is over the table order bound 20"),
         (("coeffs", "--table", "100", "5"),
          "the table up to a(100, 5) takes more recursion steps than the a_recursion bound 100000"),
+        (("check-fi", "--bracket", "linear6", "--degree", "8", "--trials", "1"),
+         "Jacobian determinant of 233175 term products is over the Jacobian term bound 100000"),
     ],
-    ids=["dim-3000", "vars-2400", "fi-degree", "fi-trials", "table-order", "table-steps"],
+    ids=["dim-3000", "vars-2400", "fi-degree", "fi-trials", "table-order", "table-steps",
+         "fi-jacobian"],
 )
 def test_unpatched_bounds_end_without_traceback(capsys, argv, message):
     # without these bounds each call printed a RecursionError traceback or

@@ -7,7 +7,7 @@ import pytest
 
 from nambu_forge import factor as factor_mod
 from nambu_forge.errors import InvalidArgumentError, ResourceLimitError
-from nambu_forge.factor import Factorization, factorize, is_irreducible, normalize, poly_divide_exact
+from nambu_forge.factor import Factorization, factorize, is_irreducible, normalize
 from nambu_forge.poly import Poly, coordinate_space
 
 from conftest import random_poly
@@ -124,20 +124,6 @@ def test_multiplicativity(rng):
         assert sorted(fp.factor_multiset(), key=lambda p: p.sort_key()) == sorted(
             ff.factor_multiset() + fg.factor_multiset(), key=lambda p: p.sort_key()
         )
-
-
-def test_exact_division():
-    f = (x1 + x2) * (x1 - x3) * 3
-    assert poly_divide_exact(f, x1 + x2) == (x1 - x3) * 3
-    assert poly_divide_exact(f, x1 + 1) is None
-    g = x1 * Fraction(1, 2) - x2 * x3 + 1
-    assert poly_divide_exact(f * g, g) == f
-    assert poly_divide_exact(Poly.zero(X3), g).is_zero()
-    # x1^2 + x2 = (x1 + 1)(x1 - 1) + x2 + 1: two quotient terms succeed, then
-    # the remainder's leading term x2 would need the exponent x1^-1
-    assert poly_divide_exact(x1 * x1 + x2, x1 + 1) is None
-    with pytest.raises(InvalidArgumentError):
-        poly_divide_exact(f, Poly.zero(X3))
 
 
 def test_split_image_does_not_split_the_input():

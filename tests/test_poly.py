@@ -12,7 +12,6 @@ from nambu_forge.errors import InvalidArgumentError
 from nambu_forge.poly import (
     NuObject,
     Poly,
-    _compositions,
     coordinate_space,
     jacobian_det,
     leading_monomial,
@@ -201,17 +200,6 @@ def test_compose():
     f = x * y
     images = [Poly.variable(QP, 0), Poly.variable(QP, 1), Poly.const(QP, 1)]
     assert f.compose(images, QP) == Poly.variable(QP, 0) * Poly.variable(QP, 1)
-
-
-def test_compositions_are_lexicographic_without_recursion():
-    assert list(_compositions(2, 3)) == [
-        (0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0),
-    ]
-    assert list(_compositions(3, 1)) == [(3,)]
-    assert list(_compositions(0, 4)) == [(0, 0, 0, 0)]
-    # one part per symplectic pair; a recursive generator overflowed the
-    # stack near 1000 parts
-    assert len(list(_compositions(1, 3000))) == 3000
 
 
 def test_hash_agrees_with_equality():

@@ -1,12 +1,21 @@
 """Star products: displays, condition b), associativity, the su(2)* lift."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from nambu_forge import star
+from nambu_forge import poly, star
 from nambu_forge.errors import InvalidArgumentError, ResourceLimitError
-from nambu_forge.poly import NuObject, Poly, qp_space, su2_lift_space, su2_space
+from nambu_forge.poly import (
+    NuObject,
+    Poly,
+    coordinate_space,
+    poisson_power,
+    qp_space,
+    su2_lift_space,
+    su2_space,
+)
 from nambu_forge.star import (
     _star_monomial,
     _su2_project,
@@ -96,15 +105,84 @@ def test_su2_left_mul_matches_product(rng):
 
 def test_condition_b_antisymmetrized_first_cochain(rng):
     # C1(f,g) - C1(g,f) = 2 P(f,g) for the moyal, partial and standard kinds
-    from nambu_forge.poly import poisson_power
-
     for name, product, space in ALL_PRODUCTS[:3]:
         for _ in range(10):
             f = random_poly(space, rng, degree=3, terms=3)
             g = random_poly(space, rng, degree=3, terms=3)
             c1fg = star_mul(product, f, g).coefficient(1)
             c1gf = star_mul(product, g, f).coefficient(1)
-            assert c1fg - c1gf == 2 * poisson_power(f, g, 1, product.pairs), name
+            assert c1fg - c1gf == 2 * poisson_power(f, g, 1), name
+
+
+def _bivector_power(f: Poly, g: Poly, r: int) -> Poly:
+    """P^r(f, g) from the definition, the oracle for the pair-grid kernel:
+    P = sum over pairs (a, b) of d_a (x) d_b - d_b (x) d_a is applied r times
+    to a list of tensors c f_i (x) g_i, which are then multiplied out."""
+    tensors = [(Fraction(1), f, g)]
+    for _ in range(r):
+        tensors = [
+            (c * sign, fa, gb)
+            for c, fi, gi in tensors
+            for a, b in f.space.pairs
+            for sign, x, y in ((1, a, b), (-1, b, a))
+            if not (fa := fi.diff(x)).is_zero() and not (gb := gi.diff(y)).is_zero()
+        ]
+    return sum((fi * gi * c for c, fi, gi in tensors), Poly.zero(f.space))
+
+
+def _fractional_poly(space, rng, skip=()) -> Poly:
+    """A random polynomial of degree 3 with fractional coefficients, free of
+    the variables in ``skip``."""
+    f = random_poly(space, rng, degree=3, terms=4)
+    return Poly(space, {
+        tuple(0 if i in skip else k for i, k in enumerate(e)): c / rng.choice([2, 3, 5])
+        for e, c in f.terms.items()
+    })
+
+
+@pytest.mark.parametrize("npairs", [1, 2, 3])
+def test_poisson_kernel_matches_bivector_oracle(rng, npairs):
+    # operands of degree 3 make every P^r with r > 3 vanish, so r <= 4 is
+    # the whole series; with two or more pairs only f uses the last one
+    for central, make in ((0, moyal_product), (1, partial_moyal_product)):
+        space = coordinate_space(2 * npairs + central, npairs)
+        last = space.pairs[-1] if npairs > 1 else ()
+        for _ in range(3):
+            f = _fractional_poly(space, rng)
+            e = [0] * space.nvars
+            e[2 * npairs - 2 : 2 * npairs] = 2, 1
+            f = f + Poly.monomial(space, e, Fraction(1, 3))
+            g = _fractional_poly(space, rng, skip=last)
+            powers = [_bivector_power(f, g, r) for r in range(5)]
+            assert [poisson_power(f, g, r) for r in range(5)] == powers
+            expect = NuObject(space, {r: pr * Fraction(1, factorial(r))
+                                      for r, pr in enumerate(powers)})
+            assert star_mul(make(space), f, g) == expect
+            assert star_mul(make(space), g, f) == NuObject(
+                space, {r: pr * Fraction((-1) ** r, factorial(r)) for r, pr in enumerate(powers)})
+
+
+def test_poisson_kernel_work_does_not_grow_with_unused_pairs(monkeypatch):
+    # a1^4 a2^4 uses one pair of the space; the other pairs must cost no
+    # derivative lookup, so 128 variables take as many as 4
+    counts = []
+    get = poly._DerivativeCache.get
+
+    def counted(self, orders):
+        counts[-1] += 1
+        if len(counts) > 1 and counts[-1] > counts[0]:
+            raise AssertionError("more derivative lookups than on 4 variables")
+        return get(self, orders)
+
+    monkeypatch.setattr(poly._DerivativeCache, "get", counted)
+    texts = []
+    for n in (4, 128):
+        counts.append(0)
+        space = coordinate_space(n, n // 2)
+        f = Poly.monomial(space, (4, 4) + (0,) * (n - 2))
+        texts.append(str(star_mul(moyal_product(space), f, f)))
+    assert counts[0] == counts[1] > 0
+    assert texts[0] == texts[1]
 
 
 def test_su2_first_cochain_is_linear_poisson(rng):

@@ -9,7 +9,7 @@ import pytest
 from nambu_forge import sun
 from nambu_forge.errors import InvalidArgumentError, ResourceLimitError
 from nambu_forge.numbers import falling_factorial, secant_coefficient, tangent_coefficient
-from nambu_forge.poly import NuObject, Poly, _compositions, qp_space, su2_space
+from nambu_forge.poly import NuObject, Poly, qp_space, su2_space
 from nambu_forge.star import (
     star_exponential,
     star_mul,
@@ -40,7 +40,7 @@ from nambu_forge.sun import (
 )
 from nambu_forge.zariski import zariski_star
 
-from conftest import brute_sun_lift, random_poly
+from conftest import brute_sun_lift, compositions, random_poly
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 L = su2_space()
@@ -141,7 +141,7 @@ def test_moyal_coordinate_monomial_lift_is_identity(n):
     # classical monomial on the partial-Moyal (n = 3) and Moyal (n = 4) stars
     sp = SunProduct(zariski_star(n), "coordinate_monomial")
     for d in range(7):
-        for e in _compositions(d, n):
+        for e in compositions(d, n):
             f = Poly.monomial(sp.space, e)
             assert brute_sun_lift(sp, f) == NuObject.from_poly(f), e
             assert sun_lift(sp, f) == NuObject.from_poly(f), e
@@ -150,7 +150,7 @@ def test_moyal_coordinate_monomial_lift_is_identity(n):
 def test_sun_lift_moyal_coordinate_monomial_matches_fold(rng):
     for n in (3, 4):
         sp = SunProduct(zariski_star(n), "coordinate_monomial")
-        exponents = list(_compositions(3, n)) + list(_compositions(2, n))
+        exponents = list(compositions(3, n)) + list(compositions(2, n))
         for _ in range(4):
             _assert_lift_matches_brute(sp, _rational(rng, sp.space, rng.sample(exponents, 4)))
 
@@ -217,7 +217,7 @@ def test_closed_form_matches_composition_sum():
     for n in range(16):
         for r in range(n // 2 + 1):
             total = Fraction(0)
-            for js in _compositions(r, n - 2 * r + 2):
+            for js in compositions(r, n - 2 * r + 2):
                 term = secant_coefficient(js[0]) * secant_coefficient(js[1])
                 for j in js[2:]:
                     term *= tangent_coefficient(j)

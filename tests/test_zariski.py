@@ -520,7 +520,7 @@ def test_even_dimension_uses_full_moyal():
 
 def test_odd_dimension_uses_partial_moyal():
     assert zariski_star(3).kind == "partial_moyal"
-    assert zariski_star(5).pairs == ((0, 1), (2, 3))
+    assert zariski_star(5).space.pairs == ((0, 1), (2, 3))
 
 
 def test_dimension_four_theorem(rng):
