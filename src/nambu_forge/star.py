@@ -27,13 +27,13 @@ from .poly import (
     TSeries,
     VarSpace,
     _DerivativeCache,
-    _add_into,
     _add_over,
-    _bump,
     _diff_terms,
     _freeze,
+    _int_rows,
     _int_terms,
     _mul_into,
+    _over,
     _poisson_grid,
     _poisson_into,
     su2_lift_space,
@@ -54,11 +54,20 @@ __all__ = [
 
 # the largest total degree of a star operand; the tests and the benchmark use
 # at most 10.  On a 2-vCPU x86_64 host, at degree 16, L1^16 * L2^16 takes
-# 0.02 s and (q + p)^16 squared under Moyal 0.02 s, while dense operands on
-# su(2)* are the slowest: (L1 + L2 + L3)^16 squared takes 98 s (20 s at
-# degree 12).  The su(2)* words also recurse once per letter, so degrees
-# near 1000 would overflow Python's recursion limit.
+# 0.002 s and (q + p)^16 squared under Moyal 0.02 s, while dense operands on
+# su(2)* are the slowest: (L1 + L2 + L3)^16 squared takes 6.2 s (1.3 s at
+# degree 12), and SU2_WORD_BOUND refuses it.  The su(2)* words also recurse
+# once per letter, so degrees near 1000 would overflow Python's recursion
+# limit.
 STAR_DEGREE_BOUND = 16
+
+# the largest su(2)* word work: star monomials of the smaller factor times
+# terms of the larger, counted before any word acts.  One unit takes 30-100 us
+# on the same host: (L1 + L2 + L3)^12 squared (455 words x 91 terms) takes
+# 1.3 s, ^14 (81,600) 2.8 s and ^16 (148,257) 6.2 s; the slowest admitted
+# shape found, ten degree-16 monomials times the 969 monomials of degree <= 16
+# (4819 words x 10 terms), takes 3.9 s.  The tests and the benchmark reach 576.
+SU2_WORD_BOUND = 50_000
 
 # the star products with g * f = (f * g)(-nu), whose symmetrizations are even
 # in nu; the Moyal kinds take their terms from powers of the Poisson bivector
@@ -191,27 +200,40 @@ def _degree(x: NuObject) -> int:
     return max((p.total_degree() for p in x.coeffs.values()), default=-1)
 
 
-def _var_mul(i: int, x: NuObject, sign: int) -> NuObject:
-    """L_i * x (sign +1) or x * L_i (sign -1), term by term.
+def _var_mul(i: int, rows: dict, sign: int) -> dict:
+    """L_i * x (sign +1) or x * L_i (sign -1) on the integer rows
+    {nu-power: {exponent: int}} of x, term by term, into new rows.
 
     The closed covariant formula L_i * F = L_i F + nu eps_ijk L_k dF/dL_j
     + nu^2 (2 dF/dL_i + sum_j L_j d2F/dL_i dL_j), whose mirror F * L_i flips
     the sign of the nu^1 term, sends c L^e at nu^m to c L^(e+u_i) at nu^m,
     sign eps_ijk e_j c L^(e-u_j+u_k) at nu^(m+1) for j != i, and, by Euler's
-    relation on the nu^2 part, (1 + |e|) e_i c L^(e-u_i) at nu^(m+2).
+    relation on the nu^2 part, (1 + |e|) e_i c L^(e-u_i) at nu^(m+2).  Every
+    factor is an integer, so the rows stay integer; entries that cancel stay
+    as zeros and are skipped by the next letter.
     """
-    up, down, cross = _AXES[i]
+    (u0, u1, u2), (v0, v1, v2), ((j, s, (w0, w1, w2)), (k, t, (x0, x1, x2))) = _AXES[i]
+    s *= sign
+    t *= sign
     acc: dict = {}
-    for m, poly in x.coeffs.items():
+    for m, row in rows.items():
         a0, a1, a2 = (acc.setdefault(m + d, {}) for d in range(3))
-        for e, c in poly.terms.items():
-            _bump(a0, _shift(e, up), c)
-            for j, s, d in cross:
-                if e[j]:
-                    _bump(a1, _shift(e, d), c * (sign * s * e[j]))
+        for e, c in row.items():
+            if not c:
+                continue
+            e0, e1, e2 = e
+            y = (e0 + u0, e1 + u1, e2 + u2)
+            a0[y] = a0.get(y, 0) + c
+            if e[j]:
+                y = (e0 + w0, e1 + w1, e2 + w2)
+                a1[y] = a1.get(y, 0) + c * s * e[j]
+            if e[k]:
+                y = (e0 + x0, e1 + x1, e2 + x2)
+                a1[y] = a1.get(y, 0) + c * t * e[k]
             if e[i]:
-                _bump(a2, _shift(e, down), c * ((1 + sum(e)) * e[i]))
-    return _freeze(_L_SPACE, acc)
+                y = (e0 + v0, e1 + v1, e2 + v2)
+                a2[y] = a2.get(y, 0) + c * (1 + e0 + e1 + e2) * e[i]
+    return acc
 
 
 def su2_left_mul(i: int, f: Poly) -> NuObject:
@@ -220,14 +242,17 @@ def su2_left_mul(i: int, f: Poly) -> NuObject:
         raise InvalidArgumentError("axis index must be 1, 2 or 3")
     if f.space != _L_SPACE:
         raise InvalidArgumentError("su2_left_mul expects a polynomial in L1, L2, L3")
-    return _var_mul(i - 1, NuObject.from_poly(f), 1)
+    rows, d = _int_rows({0: f.terms})
+    return _freeze(_L_SPACE, _over(_var_mul(i - 1, rows, 1), d))
 
 
-def _word(e: tuple, sign: int, memo: dict) -> NuObject:
-    """The word L_{i1} * ... * L_{in} of e acting on memo[(0, 0, 0)].
+def _word(e: tuple, sign: int, memo: dict) -> dict:
+    """The integer rows of the word L_{i1} * ... * L_{in} of e acting on
+    memo[(0, 0, 0)].
 
     From the left (sign +1) it is L_first * word(e - u_first), from the right
-    (sign -1) word(e - u_last) * L_last; every prefix value stays in memo.
+    (sign -1) word(e - u_last) * L_last; every prefix value stays in memo,
+    which its callers read and never mutate.
     """
     got = memo.get(e)
     if got is None:
@@ -238,33 +263,44 @@ def _word(e: tuple, sign: int, memo: dict) -> NuObject:
 
 
 @cache
-def _star_monomial(e: tuple) -> NuObject:
-    """The star monomial SM(e) = L_{i1} * ... * L_{in}, letters in axis order.
+def _star_monomial(e: tuple) -> dict:
+    """The integer rows of the star monomial SM(e) = L_{i1} * ... * L_{in},
+    letters in axis order; cached, so read and never mutated.
 
-    Its classical part is exactly L^e and every other term has smaller total
-    degree, which makes the basis triangular.
+    Its classical part is exactly L^e and every term at nu^m has total degree
+    |e| - m, which makes the basis triangular.
     """
     if not any(e):
-        return NuObject.one(_L_SPACE)
+        return {0: {(0, 0, 0): 1}}
     i = next(j for j, k in enumerate(e) if k)
     return _var_mul(i, _star_monomial(_shift(e, _AXES[i][1])), 1)
 
 
-def _to_star_coefficients(x: NuObject) -> list:
-    """Write x as sum of nu^k c * star-monomials, by descending degree."""
-    residual = x
-    out = []
-    while not residual.is_zero():
-        level = _degree(residual)
-        batch = [(e, k, c) for k, poly in residual.coeffs.items()
-                 for e, c in poly.terms.items() if sum(e) == level]
-        out.extend(batch)
-        acc: dict = {}
-        _add_into(acc, residual, 0, 1)
-        for e, k, c in batch:
-            _add_into(acc, _star_monomial(e), k, -c)
-        residual = _freeze(_L_SPACE, acc)
-    return out
+def _to_star_coefficients(x: NuObject) -> tuple:
+    """(words, d) with x = sum of nu^k (c / d) SM(e) over the words (e, k, c),
+    c an integer and d the least common denominator of x's coefficients.
+
+    The residual is kept in buckets by total degree and cleared from the top
+    down: SM(e) is L^e plus its nu^m rows of degree |e| - m, so subtracting
+    those leaves the bucket of degree |e| alone.
+    """
+    rows, d = _int_rows({k: p.terms for k, p in x.coeffs.items()})
+    levels: dict = {}
+    for k, row in rows.items():
+        for e, c in row.items():
+            levels.setdefault(sum(e), {})[k, e] = c
+    words = []
+    for level in range(max(levels, default=-1), -1, -1):
+        for (k, e), c in levels.pop(level, {}).items():
+            if not c:
+                continue
+            words.append((e, k, c))
+            for m, row in _star_monomial(e).items():
+                if m:
+                    bucket, km = levels.setdefault(level - m, {}), k + m
+                    for y, n in row.items():
+                        bucket[km, y] = bucket.get((km, y), 0) - c * n
+    return words, d
 
 
 def _su2_mul(f: NuObject, g: NuObject) -> NuObject:
@@ -273,17 +309,32 @@ def _su2_mul(f: NuObject, g: NuObject) -> NuObject:
     The factor of lower total degree (the right one on a tie) is written in
     star monomials, and each word acts on the whole other series one letter
     at a time through the closed linear formula, sharing word prefixes within
-    the call.  The product stays on three variables; the R^6 lift below is an
-    independent oracle for this route.
+    the call.  Both factors are integer rows over their own least common
+    denominators d_s and d_b, so the words are summed in ints and each output
+    term is divided by d_s * d_b once.  Past SU2_WORD_BOUND words times terms
+    it is refused before any word acts.  The product stays on three variables;
+    the R^6 lift below is an independent oracle for this route.
     """
     if _degree(f) < _degree(g):
-        words, memo, sign = _to_star_coefficients(f), {(0, 0, 0): g}, 1
+        small, big, sign = f, g, 1
     else:
-        words, memo, sign = _to_star_coefficients(g), {(0, 0, 0): f}, -1
+        small, big, sign = g, f, -1
+    words, d_s = _to_star_coefficients(small)
+    rows, d_b = _int_rows({k: p.terms for k, p in big.coeffs.items()})
+    terms = sum(map(len, rows.values()))
+    if len(words) * terms > SU2_WORD_BOUND:
+        raise ResourceLimitError(
+            f"su(2)* product of {len(words)} star monomials by {terms} terms is over "
+            f"the su2 word bound {SU2_WORD_BOUND}"
+        )
+    memo = {(0, 0, 0): rows}
     acc: dict = {}
     for e, k, c in words:
-        _add_into(acc, _word(e, sign, memo), k, c)
-    return _freeze(_L_SPACE, acc)
+        for m, row in _word(e, sign, memo).items():
+            out = acc.setdefault(m + k, {})
+            for y, n in row.items():
+                out[y] = out.get(y, 0) + c * n
+    return _freeze(_L_SPACE, _over(acc, d_s * d_b))
 
 
 def su2_star_via_lift(f: Poly, g: Poly) -> NuObject:

@@ -30,6 +30,7 @@ from .poly import (
     _add_into,
     _bump,
     _freeze,
+    _int_terms,
     jacobian_det,
     qp_space,
     su2_space,
@@ -313,14 +314,15 @@ def sun_coefficients(n_max: int, r_max: int) -> SunCoefficients:
 # The closed form: scaled Laplacian powers
 
 
-def _laplacian(f: Poly) -> Poly:
+def _laplacian(terms: dict) -> dict:
+    """The Laplacian of an integer term map, zero entries dropped."""
     out: dict = {}
-    for e, c in f.terms.items():
+    for e, c in terms.items():
         for i, k in enumerate(e):
             if k > 1:
                 e2 = e[:i] + (k - 2,) + e[i + 1:]
                 out[e2] = out.get(e2, 0) + k * (k - 1) * c
-    return Poly(f.space, out)
+    return {e: c for e, c in out.items() if c}
 
 
 def _eta_terms(f: Poly, r_max: int) -> list:
@@ -330,20 +332,23 @@ def _eta_terms(f: Poly, r_max: int) -> list:
     operator acts on a homogeneous degree-m part as a(m, r) Delta^r, so the
     r-th Laplacian of each part is scaled by a(m, r).  Parts of different
     degree land on different degrees at each r, so their terms never meet.
+    The Laplacians run on f's integer numerators over its least common
+    denominator d, and each output term is one Fraction a(m, r) * n / d.
     """
+    terms, d = _int_terms(f)
     parts: dict = {}
-    for e, c in f.terms.items():
-        parts.setdefault(sum(e), {})[e] = c
+    for e, n in terms.items():
+        parts.setdefault(sum(e), {})[e] = n
     acc = [{} for _ in range(min(r_max, max(f.total_degree(), 0) // 2) + 1)]
-    for m, terms in parts.items():
-        cur = Poly(f.space, terms)
+    for m, cur in parts.items():
         for r in range(1, min(r_max, m // 2) + 1):
             cur = _laplacian(cur)
-            if cur.is_zero():
+            if not cur:
                 break
             a = a_recursion(m, r)
-            acc[r].update((e, a * c) for e, c in cur.terms.items())
-    return [f] + [Poly(f.space, t) for t in acc[1:]]
+            num, den = a.numerator, a.denominator * d
+            acc[r].update((e, Fraction(num * n, den)) for e, n in cur.items())
+    return [f] + [Poly._frozen(f.space, t) for t in acc[1:]]
 
 
 def _su2_closed_lift(prod: Poly) -> NuObject:

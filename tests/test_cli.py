@@ -205,6 +205,9 @@ def test_domain_error_exit_code(capsys):
         (poly, "JACOBIAN_TERM_BOUND",
          ("nambu", "--bracket", "canonical3", "x1*x2 + x2*x3 + x3*x1", "x1^2 + x2^2 + x3^2",
           "x1 + x2 + x3"), "nambu.resource-limit"),
+        # L1^2 + L2 is three star monomials, acting on three terms
+        (star, "SU2_WORD_BOUND", ("star", "--product", "su2", "L1*L2*L3 + L3^3 + L1", "L1^2 + L2"),
+         "star.resource-limit"),
     ],
 )
 def test_resource_bounds_exit_1(capsys, monkeypatch, module, bound, argv, code):

@@ -272,11 +272,63 @@ def test_su2_nu_series_operands_match_bilinear_lift(rng, fdeg, gdeg):
     SU = su2_product()
     F = NuObject(L, {a: _of_degree(rng, d) for a, d in enumerate(fdeg)})
     G = NuObject(L, {b: _of_degree(rng, d) for b, d in enumerate(gdeg)})
-    expected = NuObject.zero(L)
+    assert star_mul(SU, F, G) == _bilinear_lift(F, G)
+
+
+def _bilinear_lift(F: NuObject, G: NuObject) -> NuObject:
+    """F * G by the R^6 lift oracle, one coefficient pair at a time."""
+    out = NuObject.zero(L)
     for a, fa in F.coeffs.items():
         for b, gb in G.coeffs.items():
-            expected = expected + su2_star_via_lift(fa, gb).nu_shift(a + b)
-    assert star_mul(SU, F, G) == expected
+            out = out + su2_star_via_lift(fa, gb).nu_shift(a + b)
+    return out
+
+
+_DENOMINATED = (Fraction(1, 2), Fraction(2, 3), Fraction(-5, 7), Fraction(3, 4),
+                Fraction(-1, 5), Fraction(7, 6), Fraction(-9, 11), Fraction(4, 9))
+
+
+def _rational_series(rng, powers: tuple) -> NuObject:
+    """A nu-series with a few terms at each given power, their coefficients
+    drawn from fractions of unlike denominators."""
+    coeffs = {}
+    for k in powers:
+        f = random_poly(L, rng, degree=3, terms=3)
+        coeffs[k] = Poly(L, {e: c * rng.choice(_DENOMINATED) for e, c in f.terms.items()})
+    return NuObject(L, coeffs)
+
+
+def test_su2_rational_operands_match_lift_oracle(rng):
+    # the integer rows of each factor sit over its own common denominator, so
+    # unlike denominators and negative nu powers (as star_exponential makes)
+    # must come back exactly
+    SU = su2_product()
+    for fpowers, gpowers in [((0,), (0,)), ((0, 1), (-1,)), ((-2, 0), (1, 2)), ((-1, 3), (-2, -1, 0))]:
+        for _ in range(2):
+            F, G = _rational_series(rng, fpowers), _rational_series(rng, gpowers)
+            got = star_mul(SU, F, G)
+            assert got == _bilinear_lift(F, G), (str(F), str(G))
+            assert all(type(c) is Fraction for p in got.coeffs.values() for c in p.terms.values())
+
+
+def test_su2_product_builds_one_fraction_per_output_term(monkeypatch):
+    # integer rows all the way: the only Fractions a warm su(2)* product
+    # constructs are its output coefficients
+    SU = su2_product()
+    f = L1**3 * L2 * Fraction(1, 2) - L3**2 * Fraction(2, 3) + L1 * Fraction(5, 7)
+    g = L2**2 * L3 * Fraction(3, 4) + L1 * L3 - Fraction(1, 5)
+    star_mul(SU, f, g)  # fills the star-monomial cache
+    built = []
+    original_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(1)
+        return original_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    out = star_mul(SU, f, g)
+    monkeypatch.undo()
+    assert len(built) == sum(len(p.terms) for p in out.coeffs.values()) == 35
 
 
 def _linear_reference(i: int, f: Poly, sign: int) -> NuObject:
@@ -359,8 +411,22 @@ def test_star_monomials_are_words_in_axis_order():
         for i, k in enumerate(e):
             for _ in range(k):
                 word = star_mul(S, word, gens[i])
-        assert _star_monomial(e) == word, e
+        # the cached star monomials are integer rows {nu-power: {exponent: int}}
+        rows = _star_monomial(e)
+        assert NuObject(L, {k: Poly(L, row) for k, row in rows.items()}) == word, e
     assert _star_monomial.cache_info().currsize > 0
+
+
+def test_su2_word_bound(monkeypatch):
+    S = su2_product()
+    dense = (L1 + L2 + L3)**16
+    with pytest.raises(ResourceLimitError, match="969 star monomials by 153 terms .* su2 word bound"):
+        star_mul(S, dense, dense)
+    # L1^2 + L2 is the words L1 L1, L2 and -2 nu^2 (L1 * L1 = L1^2 + 2 nu^2)
+    monkeypatch.setattr(star, "SU2_WORD_BOUND", 8)
+    star_mul(S, L1 * L2 * L3 + L3, L1**2 + L2)
+    with pytest.raises(ResourceLimitError, match="3 star monomials by 3 terms is over the su2 word bound 8"):
+        star_mul(S, L1 * L2 * L3 + L3**3 + L1, L1**2 + L2)
 
 
 def test_star_degree_bound(monkeypatch):

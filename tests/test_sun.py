@@ -125,6 +125,19 @@ def test_sun_lift_su2_matches_fold(rng):
     _assert_lift_matches_brute(SU, _rational(rng, L, high[-4:]))
 
 
+def test_sun_lift_su2_parts_over_unlike_denominators(rng):
+    # each homogeneous part carries its own denominator, so the Laplacians run
+    # over their least common multiple and every a(m, r) scaling must divide
+    # it out again
+    denominators = (11, 3, 7, 4, 5, 9, 2, 13)
+    for _ in range(3):
+        terms = {}
+        for m, d in enumerate(denominators):
+            for e in rng.sample([e for e in monomials_up_to(m) if sum(e) == m], 2 if m else 1):
+                terms[e] = Fraction(rng.choice([-5, -2, 1, 3]), d)
+        _assert_lift_matches_brute(SU, NuObject(L, {0: Poly(L, terms), -1: L2}))
+
+
 def test_su2_lift_equals_brute_on_every_monomial_to_degree_10():
     monos = monomials_up_to(10)
     assert len(monos) == 286
