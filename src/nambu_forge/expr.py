@@ -10,6 +10,7 @@ Grammar (whitespace insensitive)::
               | 'J' '(' expr ')' | '(' expr ')'
     polylist := (expr (';' expr)*)?
     rational := uint ['/' uint]
+    uint     := [0-9]+
 
 Variables come from the active space; ``y1``, ``y2``, ... and ``Z[...]`` and
 ``J(...)`` atoms switch the evaluation into the Zariski algebra.  A signed
@@ -18,10 +19,11 @@ exponent is accepted only on ``nu`` so Laurent objects round-trip.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
-from .errors import ExprSyntaxError, InvalidArgumentError
-from .poly import NuObject, Poly, VarSpace
+from .errors import ExprSyntaxError, InvalidArgumentError, ResourceLimitError
+from .poly import NuObject, Poly, VarSpace, _mul_into
 from .zariski import (
     TaylorElem,
     ZElem,
@@ -35,53 +37,79 @@ from .zariski import (
 __all__ = ["parse_expr", "render"]
 
 
-_SYMBOLS = set("+-*^()[];/")
+# the most term products the '*' and '^' of one parse may form, counted before
+# each product is formed.  One product takes 2-3 us on a 2-vCPU x86_64 host:
+# the 163,680 products of (3*x1+2*x2-x3+1)^30 take 0.32 s and the 500,000
+# one-term products of x1^500000 about 1.3 s, while (x1+x2+x3+1)^60 (2.4
+# million) ran 14-15 s and (q+p+1)^400 (32 million) over 25 s before this
+# bound refused them
+PARSE_TERM_BOUND = 500_000
+
+# one token after optional whitespace: uint (ASCII digits only), ident,
+# symbol, or any other character, which is an error
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|([^\W\d_]\w*)|([-+*^()\[\];/])|(\S))")
+_KINDS = (None, "uint", "ident", None, None)
+_X3 = zariski_space(3)
 
 
 def _tokenize(src: str):
     tokens = []
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            tokens.append(("uint", src[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(("ident", src[i:j], i))
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", n))
+    for m in _TOKEN.finditer(src):
+        group = m.lastindex
+        text, at = m[group], m.start(group)
+        if group == 4:
+            raise ExprSyntaxError(f"unexpected character {text!r}", at)
+        tokens.append((_KINDS[group] or text, text, at))
+    tokens.append(("end", "", len(src)))
     return tokens
 
 
+def _int(tok) -> int:
+    try:
+        return int(tok[1])
+    except ValueError:  # over the interpreter's limit on integer string length
+        raise ExprSyntaxError(f"integer of {len(tok[1])} digits is too long", tok[2]) from None
+
+
+def _add_terms(acc: dict, terms: dict, sign: int) -> None:
+    """acc += sign * terms in place.  An entry that cancels is removed, so a
+    later term with its key goes to the end: the order a sum of Polys gives."""
+    for e, c in terms.items():
+        c = acc.get(e, 0) + c if sign > 0 else acc.get(e, 0) - c
+        if c:
+            acc[e] = c
+        else:
+            del acc[e]
+
+
+def _nu_value(space: VarSpace, terms: dict):
+    """The Poly, or the NuObject if a nu power other than 0 occurs, of a term
+    map keyed by exponent + (nu power,); one Fraction per int coefficient."""
+    rows: dict = {}
+    for e, c in terms.items():
+        rows.setdefault(e[-1], {})[e[:-1]] = c
+    if rows.keys() <= {0}:
+        return Poly(space, rows.get(0, {}))
+    return NuObject(space, {k: Poly(space, row) for k, row in rows.items()})
+
+
 class _Parser:
-    """Recursive-descent parser producing values in one of two algebras."""
+    """Recursive-descent parser producing values in one of two algebras.
+
+    In poly context a value is one sparse map keyed by exponent + (nu power,)
+    with int coefficients (Fractions only from a/b literals), the layout
+    poly._mul_into multiplies; sums are added into one map in place.  In the
+    Zariski algebra a value is a TaylorElem."""
 
     def __init__(self, src: str, space: VarSpace, zspace: VarSpace):
-        self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
         self.space = space
         self.zspace = zspace
-        self.zariski_mode = any(
-            (k == "ident" and (v == "Z" or v == "J" or self._is_yvar(v)))
-            for k, v, _ in self.tokens
-        )
+        self.one = (0,) * (space.nvars + 1)
+        self.products = 0
+        idents = {v for k, v, _ in self.tokens if k == "ident"}
+        self.zariski_mode = "Z" in idents or "J" in idents or any(map(self._is_yvar, idents))
 
     def _is_yvar(self, name: str) -> bool:
         if len(name) < 2 or name[0] != "y" or not name[1:].isdigit():
@@ -104,9 +132,9 @@ class _Parser:
         return tok
 
     # -- value helpers -----------------------------------------------------
-    def _const(self, c: Fraction, poly_ctx: bool):
+    def _const(self, c, poly_ctx: bool):
         if poly_ctx:
-            return NuObject.from_poly(Poly.const(self.space, c))
+            return {self.one: c} if c else {}
         return TaylorElem(
             self.zspace,
             {(0,) * self.zspace.nvars: ZNu.from_zelem(ZElem.unit(c))},
@@ -115,7 +143,7 @@ class _Parser:
 
     def _nu(self, power: int, poly_ctx: bool):
         if poly_ctx:
-            return NuObject(self.space, {power: Poly.const(self.space, 1)})
+            return {self.one[:-1] + (power,): 1}
         if power < 0:
             raise ExprSyntaxError("negative nu powers are not defined here", self.peek()[2])
         return TaylorElem(
@@ -124,21 +152,31 @@ class _Parser:
             in_a=True,
         )
 
+    def _times(self, a: dict, b: dict) -> dict:
+        self.products += len(a) * len(b)
+        if self.products > PARSE_TERM_BOUND:
+            raise ResourceLimitError(
+                f"parse of {self.products} term products is over the parse term bound "
+                f"{PARSE_TERM_BOUND}"
+            )
+        row: dict = {}
+        _mul_into(row, a, b, 1)
+        if len(a) == 1 or len(b) == 1:
+            return row  # the keys are distinct and no product is zero
+        return {e: c for e, c in row.items() if c}
+
     def _mul(self, a, b):
-        if isinstance(a, NuObject):
-            return a * b
+        if isinstance(a, dict):
+            return self._times(a, b)
         return taylor_mul_classical(a, b)
 
     def _pow(self, a, k: int):
         # negative exponents are intercepted at the factor level (nu only)
-        if isinstance(a, NuObject):
-            out = NuObject.one(self.space)
-            for _ in range(k):
-                out = out * a
-            return out
-        out = self._const(Fraction(1), poly_ctx=False)
+        out = self._const(1, isinstance(a, dict))
         for _ in range(k):
-            out = taylor_mul_classical(out, a)
+            out = self._mul(out, a)
+            if isinstance(out, dict) and not out:
+                break  # a zero base stays zero
         return out
 
     # -- grammar -----------------------------------------------------------
@@ -155,14 +193,14 @@ class _Parser:
             negate = True
         value = self.term(poly_ctx)
         if negate:
-            value = -value if isinstance(value, NuObject) else value.scale(-1)
+            value = {e: -c for e, c in value.items()} if poly_ctx else value.scale(-1)
         while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
+            sign = 1 if self.next()[0] == "+" else -1
             rhs = self.term(poly_ctx)
-            if op == "+":
-                value = value + rhs
+            if poly_ctx:
+                _add_terms(value, rhs, sign)  # every term is a fresh map
             else:
-                value = value - rhs
+                value = value + rhs if sign > 0 else value - rhs
         return value
 
     def term(self, poly_ctx: bool):
@@ -181,7 +219,7 @@ class _Parser:
             if self.peek()[0] == "-":
                 self.next()
                 sign = -1
-            k = int(self.expect("uint")[1]) * sign
+            k = _int(self.expect("uint")) * sign
             if sign < 0:
                 # only nu itself may carry a Laurent power
                 if not (base_tok[0] == "ident" and base_tok[1] == "nu"):
@@ -191,16 +229,17 @@ class _Parser:
         return value
 
     def atom(self, poly_ctx: bool):
-        kind, text, at = self.next()
+        tok = self.next()
+        kind, text, at = tok
         if kind == "uint":
-            num = int(text)
+            num = _int(tok)
             if self.peek()[0] == "/":
                 self.next()
-                den = int(self.expect("uint")[1])
+                den = _int(self.expect("uint"))
                 if den == 0:
                     raise ExprSyntaxError("zero denominator", at)
                 return self._const(Fraction(num, den), poly_ctx)
-            return self._const(Fraction(num), poly_ctx)
+            return self._const(num, poly_ctx)
         if kind == "(":
             value = self.expr(poly_ctx)
             self.expect(")")
@@ -208,10 +247,10 @@ class _Parser:
         if kind == "ident":
             if text == "nu":
                 return self._nu(1, poly_ctx)
-            if text == "Z":
-                return self._zmonomial(at)
-            if text == "J":
-                return self._jatom(at)
+            if text in ("Z", "J"):
+                if poly_ctx:  # only inside Z[...]
+                    raise ExprSyntaxError("expected a polynomial", at)
+                return self._zmonomial(at) if text == "Z" else self._jatom(at)
             if not poly_ctx and self._is_yvar(text):
                 e = [0] * self.zspace.nvars
                 e[int(text[1:]) - 1] = 1
@@ -223,7 +262,9 @@ class _Parser:
                     idx = self.space.index(text)
                 except InvalidArgumentError as exc:
                     raise ExprSyntaxError(str(exc), at) from None
-                return NuObject.from_poly(Poly.variable(self.space, idx))
+                e = list(self.one)
+                e[idx] = 1
+                return {tuple(e): 1}
             raise ExprSyntaxError(
                 f"variable {text!r} is not allowed outside Z[...] here", at
             )
@@ -234,9 +275,7 @@ class _Parser:
         factors = []
         if self.peek()[0] != "]":
             while True:
-                inner = self.expr(poly_ctx=True)
-                poly = _demote_poly(inner, at)
-                factors.append(poly)
+                factors.append(_demote_poly(self.space, self.expr(poly_ctx=True), at))
                 if self.peek()[0] == ";":
                     self.next()
                     continue
@@ -260,12 +299,11 @@ class _Parser:
         return jmap(z, self.zspace)
 
 
-def _demote_poly(value, at: int) -> Poly:
-    if not isinstance(value, NuObject):
-        raise ExprSyntaxError("expected a polynomial", at)
-    if set(value.coeffs) - {0}:
+def _demote_poly(space: VarSpace, terms: dict, at: int) -> Poly:
+    value = _nu_value(space, terms)
+    if isinstance(value, NuObject):
         raise ExprSyntaxError("nu is not allowed inside Z[...]", at)
-    return value.classical()
+    return value
 
 
 def _demote_zelem(value, at: int) -> ZElem:
@@ -286,15 +324,11 @@ def parse_expr(src: str, space: VarSpace = None, zspace: VarSpace = None):
     active variable space for plain polynomials (default x1..x3); ``zspace``
     is the coordinate space of the Zariski algebra.
     """
-    if space is None:
-        space = zariski_space(3)
-    if zspace is None:
-        zspace = zariski_space(3)
+    space = _X3 if space is None else space
+    zspace = _X3 if zspace is None else zspace
     value = _Parser(src, space, zspace).parse()
-    if isinstance(value, NuObject):
-        if set(value.coeffs) <= {0}:
-            return value.classical()
-        return value
+    if isinstance(value, dict):
+        return _nu_value(space, value)
     # TaylorElem: demote when it carries no y content / no nu content
     yzero = (0,) * value.space.nvars
     if list(value.terms) in ([], [yzero]):

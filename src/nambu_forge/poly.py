@@ -629,7 +629,8 @@ def _diff_terms(terms: dict, i: int) -> dict:
 
 
 def _mul_into(row: dict, f: dict, g: dict, w: int) -> None:
-    """row[e1 + e2] += w * f[e1] * g[e2] over two integer term maps."""
+    """row[e1 + e2] += w * f[e1] * g[e2] over two term maps (integer ones
+    in the product kernels; the parser's also hold Fractions from a/b)."""
     gterms = g.items()
     for e1, c1 in f.items():
         c1 *= w

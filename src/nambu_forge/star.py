@@ -200,6 +200,10 @@ def _degree(x: NuObject) -> int:
     return max((p.total_degree() for p in x.coeffs.values()), default=-1)
 
 
+def _nterms(x: NuObject) -> int:
+    return sum(len(p.terms) for p in x.coeffs.values())
+
+
 def _var_mul(i: int, rows: dict, sign: int) -> dict:
     """L_i * x (sign +1) or x * L_i (sign -1) on the integer rows
     {nu-power: {exponent: int}} of x, term by term, into new rows.
@@ -306,16 +310,16 @@ def _to_star_coefficients(x: NuObject) -> tuple:
 def _su2_mul(f: NuObject, g: NuObject) -> NuObject:
     """Covariant product by star-monomial decomposition of the smaller factor.
 
-    The factor of lower total degree (the right one on a tie) is written in
-    star monomials, and each word acts on the whole other series one letter
-    at a time through the closed linear formula, sharing word prefixes within
-    the call.  Both factors are integer rows over their own least common
+    The factor of lower total degree (on a tie the one with fewer terms, and
+    the right one when those tie too) is written in star monomials, and each
+    word acts on the whole other series one letter at a time through the
+    closed linear formula, sharing word prefixes within the call.  Both factors are integer rows over their own least common
     denominators d_s and d_b, so the words are summed in ints and each output
     term is divided by d_s * d_b once.  Past SU2_WORD_BOUND words times terms
     it is refused before any word acts.  The product stays on three variables;
     the R^6 lift below is an independent oracle for this route.
     """
-    if _degree(f) < _degree(g):
+    if (_degree(f), _nterms(f)) < (_degree(g), _nterms(g)):
         small, big, sign = f, g, 1
     else:
         small, big, sign = g, f, -1

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import nambu_forge
-from nambu_forge import cli, nambu, poly, star, sun, weyl
+from nambu_forge import cli, expr, nambu, poly, star, sun, weyl
 from nambu_forge.cli import load_schema, main
 
 
@@ -208,6 +208,8 @@ def test_domain_error_exit_code(capsys):
         # L1^2 + L2 is three star monomials, acting on three terms
         (star, "SU2_WORD_BOUND", ("star", "--product", "su2", "L1*L2*L3 + L3^3 + L1", "L1^2 + L2"),
          "star.resource-limit"),
+        # the square of a three-term operand forms 3 + 9 term products
+        (expr, "PARSE_TERM_BOUND", ("factor", "(x1 + x2 + 1)^2"), "factor.resource-limit"),
     ],
 )
 def test_resource_bounds_exit_1(capsys, monkeypatch, module, bound, argv, code):
@@ -389,6 +391,27 @@ def test_closed_stdout_prints_no_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, position",
+    [
+        (("factor", "x1^\u00b2"), 3),
+        (("factor", "x1 + \u2460"), 5),
+        (("factor", "\u0663*x1"), 0),
+        (("zariski", "mul", "Z[x1*Z[x2]]", "Z[x1]"), 5),
+    ],
+    ids=["superscript-two", "circled-one", "arabic-indic-three", "zariski-inside-z"],
+)
+def test_bad_characters_end_without_traceback(argv, position):
+    # only ASCII digits are numbers; each call once ended in a ValueError or
+    # TypeError traceback, or read the Arabic-Indic digit as 3
+    proc = subprocess.run([sys.executable, "-m", "nambu_forge.cli", *argv], capture_output=True,
+                          env=_child_env(), text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error[{argv[0]}.syntax]: ")
+    assert proc.stderr.endswith(f"(at position {position})\n")
 
 
 def test_syntax_error_code(capsys):

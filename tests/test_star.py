@@ -33,7 +33,7 @@ from nambu_forge.star import (
 )
 from nambu_forge.zariski import zariski_space
 
-from conftest import random_poly
+from conftest import compositions, random_poly
 
 QP = qp_space()
 L = su2_space()
@@ -256,10 +256,34 @@ def _of_degree(rng, d: int) -> Poly:
 
 @pytest.mark.parametrize("df, dg", [(1, 4), (4, 1), (2, 5), (5, 2), (0, 3), (3, 0), (2, 2), (4, 4)])
 def test_su2_unequal_degrees_match_lift_oracle(rng, df, dg):
-    # the route decomposes the factor of lower degree, the right one on a tie
+    # the route decomposes the factor of lower degree, on a tie the one with
+    # fewer terms, and the right one when those tie too
     SU = su2_product()
     for _ in range(3):
         f, g = _of_degree(rng, df), _of_degree(rng, dg)
+        assert star_mul(SU, f, g) == su2_star_via_lift(f, g)
+
+
+def test_su2_degree_tie_decomposes_the_factor_with_fewer_terms(monkeypatch):
+    # L1^6 is the star monomials L1^6, L1^4, L1^2 and 1, one word and its
+    # prefixes: six letters acting on the 84 monomials of degree <= 6, in
+    # either order; decomposing those 84 instead takes a word per monomial
+    SU = su2_product()
+    dense = Poly(L, {e: 1 for d in range(7) for e in compositions(d, 3)})
+    orders = [(L1**6, dense), (dense, L1**6)]
+    for f, g in orders:
+        star_mul(SU, f, g)  # fills the star-monomial cache
+    calls = []
+    var_mul = star._var_mul
+    monkeypatch.setattr(star, "_var_mul", lambda *args: calls.append(1) or var_mul(*args))
+    counts = []
+    for f, g in orders:
+        calls.clear()
+        star_mul(SU, f, g)
+        counts.append(len(calls))
+    assert counts == [6, 6]
+    small = Poly(L, {e: 1 for d in range(3) for e in compositions(d, 3)})
+    for f, g in [(L1 * L3, small), (small, L1 * L3)]:
         assert star_mul(SU, f, g) == su2_star_via_lift(f, g)
 
 
