@@ -38,11 +38,14 @@ __all__ = ["parse_expr", "render"]
 
 
 # the most term products the '*' and '^' of one parse may form, counted before
-# each product is formed.  One product takes 2-3 us on a 2-vCPU x86_64 host:
-# the 163,680 products of (3*x1+2*x2-x3+1)^30 take 0.32 s and the 500,000
-# one-term products of x1^500000 about 1.3 s, while (x1+x2+x3+1)^60 (2.4
-# million) ran 14-15 s and (q+p+1)^400 (32 million) over 25 s before this
-# bound refused them
+# each is formed (a power's k products at once, at least the base's size
+# each).  A product of poly-context maps counts len(a) * len(b); one unit
+# takes 2-3 us on a 2-vCPU x86_64 host: (3*x1+2*x2-x3+1)^30 (163,680) takes
+# 0.32 s, x1^500000 1.3 s, while (x1+x2+x3+1)^60 (2.4 million) ran 14-15 s
+# before this bound.  A Taylor product counts the product of the operands'
+# entry counts, at least 1 each; one unit takes 5-6 us on many-entry operands
+# and about 20 us on one-entry ones: y1^20000*Z[x1] takes 0.42 s and the 500
+# terms k*y1^k*Z[x1] (126,250 units) 2.4 s
 PARSE_TERM_BOUND = 500_000
 
 # one token after optional whitespace: uint (ASCII digits only), ident,
@@ -152,13 +155,15 @@ class _Parser:
             in_a=True,
         )
 
+    def _count(self, work: int, ahead: int = 0) -> None:
+        """Count work products about to be formed and ahead more to follow."""
+        self.products += work
+        if self.products + ahead > PARSE_TERM_BOUND:
+            raise ResourceLimitError(f"parse of {self.products + ahead} term products is over "
+                                     f"the parse term bound {PARSE_TERM_BOUND}")
+
     def _times(self, a: dict, b: dict) -> dict:
-        self.products += len(a) * len(b)
-        if self.products > PARSE_TERM_BOUND:
-            raise ResourceLimitError(
-                f"parse of {self.products} term products is over the parse term bound "
-                f"{PARSE_TERM_BOUND}"
-            )
+        self._count(len(a) * len(b))
         row: dict = {}
         _mul_into(row, a, b, 1)
         if len(a) == 1 or len(b) == 1:
@@ -168,14 +173,17 @@ class _Parser:
     def _mul(self, a, b):
         if isinstance(a, dict):
             return self._times(a, b)
+        self._count(max(1, _size(a)) * max(1, _size(b)))
         return taylor_mul_classical(a, b)
 
     def _pow(self, a, k: int):
         # negative exponents are intercepted at the factor level (nu only)
         out = self._const(1, isinstance(a, dict))
+        size = _size(a)
+        self._count(0, k * size)  # each of the k products counts at least size
         for _ in range(k):
             out = self._mul(out, a)
-            if isinstance(out, dict) and not out:
+            if not size:
                 break  # a zero base stays zero
         return out
 
@@ -297,6 +305,14 @@ class _Parser:
         self.expect(")")
         z = _demote_zelem(value, at)
         return jmap(z, self.zspace)
+
+
+def _size(value) -> int:
+    """Terms of a poly-context map, or (y-exponent, nu power, Z-monomial)
+    entries of a TaylorElem."""
+    if isinstance(value, dict):
+        return len(value)
+    return sum(len(z.terms) for znu in value.terms.values() for z in znu.coeffs.values())
 
 
 def _demote_poly(space: VarSpace, terms: dict, at: int) -> Poly:

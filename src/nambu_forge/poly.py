@@ -13,11 +13,10 @@ compare total degree, then the exponent tuples componentwise.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm, prod
+from math import factorial, lcm
 from operator import attrgetter
 from typing import Mapping, Sequence, Union
 
@@ -740,84 +739,72 @@ def _poisson_into(acc: dict, df: _DerivativeCache, dg: _DerivativeCache, grid: t
         _mul_into(acc.setdefault(shift + r, {}), lf, rg, c)
 
 
-# the most term products one Jacobian determinant may form, counted before any
-# is formed as the sum over the permutations of the product of the partials'
-# term counts.  One product takes about 3.3 us on a 2-vCPU x86_64 host: an
-# order-6 Jacobian of six random degree-8 check-fi operands forms 159,158 in
-# 0.53 s, and an order-8 one of degree-6 operands 6.4 million in 21 s
+# the most term products one table of Jacobian minors may form, counted as
+# len(minor) * len(partial) before each product of the Laplace expansion.  One
+# product takes 2-4 us on a 2-vCPU x86_64 host: the largest table of check-fi
+# --bracket linear6 --degree 8 forms 2.0 million in 3.7 s
 JACOBIAN_TERM_BOUND = 100_000
 
 
-@cache
-def _signed_permutations(n: int) -> tuple:
-    out = []
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        for i in range(n):
-            if seen[i]:
-                continue
-            j, length = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        out.append((perm, sign))
-    return tuple(out)
+def _alternating_sum(rows: Sequence, mul_into, targets=None, bound=None) -> dict:
+    """{mask: minor}: the k-row minors of the matrix rows[i][j] of sparse maps
+    (an empty map is zero), keyed by the bitmask of their columns in ascending
+    order.  Laplace expansion row by row: a minor extends to each column j it
+    lacks, signed -1 per used column above j, by mul_into(acc, minor, entry,
+    sign), the minor on the left so row order is kept.  Zero entries and
+    cancelled minors end their branch; with ``targets`` only masks inside one
+    of them are kept; with ``bound`` len(minor) * len(entry) is counted before
+    each product, and passing it is refused as a Jacobian's."""
+    table = {1 << j: entry for j, entry in enumerate(rows[0]) if entry}
+    work = 0
+    for row in rows[1:]:
+        grown: dict = {}
+        for mask, minor in table.items():
+            for j, entry in enumerate(row):
+                new = mask | 1 << j
+                if new == mask or not entry or targets and all(new & ~t for t in targets):
+                    continue
+                if bound is not None:
+                    work += len(minor) * len(entry)
+                    if work > bound:
+                        raise ResourceLimitError(f"Jacobian determinant of {work} term products "
+                                                 f"is over the Jacobian term bound {bound}")
+                sign = -1 if (mask >> j).bit_count() & 1 else 1
+                mul_into(grown.setdefault(new, {}), minor, entry, sign)
+        table = {mask: minor for mask, acc in grown.items()
+                 if (minor := {k: v for k, v in acc.items() if v})}
+    return table
 
 
-def jacobian_det(fs: Sequence[Poly], var_indices: Sequence[int]) -> Poly:
-    """Determinant of the matrix of partials d f_i / d x_{var_indices[j]}.
-
-    Each f_i is taken once as integer numerators over its least common
-    denominator d_i, and the partials are taken on those integer maps.  Every
-    signed permutation product is multiplied out in ints, its last factor
-    straight into one row, and the row becomes Fractions over prod d_i once
-    per output term.  The term products are counted first and bounded by
-    JACOBIAN_TERM_BOUND."""
-    fs = list(fs)
-    idx = list(var_indices)
-    if len(fs) != len(idx):
-        raise InvalidArgumentError("jacobian_det needs as many variables as functions")
+def _jacobian_minors(fs: Sequence[Poly], idx: Sequence[int], targets=None) -> dict:
+    """{mask: Poly}: the nonzero len(fs)-row minors of the matrix of partials
+    d f_i / d x_{idx[j]}, keyed as by _alternating_sum, on integer numerators
+    over each f_i's least common denominator; one Fraction per output term."""
     if len(set(idx)) != len(idx):
         raise InvalidArgumentError("jacobian_det variable indices must be distinct")
     space = fs[0].space
-    for f in fs:
-        if f.space != space:
-            raise InvalidArgumentError("jacobian_det arguments live on different spaces")
+    if any(f.space != space for f in fs):
+        raise InvalidArgumentError("jacobian_det arguments live on different spaces")
     for i in idx:
         if not 0 <= i < space.nvars:
             raise InvalidArgumentError(f"variable index {i} out of range")
-    n = len(fs)
     den = 1
-    partials = []
+    rows = []
     for f in fs:
         terms, d = _int_terms(f)
         den *= d
-        partials.append([_diff_terms(terms, i) for i in idx])
-    products = []
-    for perm, sign in _signed_permutations(n):
-        factors = [partials[i][perm[i]] for i in range(n)]
-        if all(factors):
-            products.append((factors, sign))
-    work = sum(prod(map(len, factors)) for factors, _ in products)
-    if work > JACOBIAN_TERM_BOUND:
-        raise ResourceLimitError(
-            f"Jacobian determinant of {work} term products is over the Jacobian term bound "
-            f"{JACOBIAN_TERM_BOUND}"
-        )
-    one = {(0,) * space.nvars: 1}
-    row: dict = {}
-    for factors, sign in products:
-        term = one
-        for p in factors[:-1]:
-            nxt: dict = {}
-            _mul_into(nxt, term, p, 1)
-            term = nxt
-        _mul_into(row, term, factors[-1], sign)
-    return Poly._frozen(space, {e: Fraction(c, den) for e, c in row.items() if c})
+        rows.append([_diff_terms(terms, i) for i in idx])
+    table = _alternating_sum(rows, _mul_into, targets, JACOBIAN_TERM_BOUND)
+    return {mask: Poly._frozen(space, {e: Fraction(c, den) for e, c in row.items()})
+            for mask, row in table.items()}
+
+
+def jacobian_det(fs: Sequence[Poly], var_indices: Sequence[int]) -> Poly:
+    """Determinant of the matrix of partials d f_i / d x_{var_indices[j]}."""
+    fs, idx = list(fs), list(var_indices)
+    if len(fs) != len(idx):
+        raise InvalidArgumentError("jacobian_det needs as many variables as functions")
+    return _jacobian_minors(fs, idx).get((1 << len(idx)) - 1, Poly.zero(fs[0].space))
 
 
 def leading_monomial(f: Poly) -> Exponent:

@@ -55,6 +55,7 @@ from .poly import (
     NuObject,
     Poly,
     VarSpace,
+    _alternating_sum,
     _DerivativeCache,
     _add_into,
     _bump,
@@ -775,15 +776,20 @@ def _y_nu_rows(a: TaylorElem) -> dict:
     return {e + (r,): z.terms for e, x in a.terms.items() for r, z in x.coeffs.items()}
 
 
+def _taylor_over(space: VarSpace, rows: dict, d: int, in_a: bool) -> TaylorElem:
+    """The TaylorElem of integer rows keyed by y-exponent + (nu power,) over d."""
+    out: dict = {}
+    for key, row in _over(rows, d).items():
+        out.setdefault(key[:-1], {})[key[-1]] = ZElem._frozen(row)
+    return TaylorElem(space, {e: ZNu(x) for e, x in out.items()}, in_a=in_a)
+
+
 def taylor_mul_classical(a: TaylorElem, b: TaylorElem) -> TaylorElem:
     """The undeformed product: y-graded with nu-bilinear coefficients."""
     if a.space != b.space:
         raise InvalidArgumentError("TaylorElem spaces differ")
     rows, d = _classical_product(_y_nu_rows(a), _y_nu_rows(b))
-    out: dict = {}
-    for key, row in _over(rows, d).items():
-        out.setdefault(key[:-1], {})[key[-1]] = ZElem._frozen(row)
-    return TaylorElem(a.space, {e: ZNu(x) for e, x in out.items()}, in_a=a.in_a and b.in_a)
+    return _taylor_over(a.space, rows, d, a.in_a and b.in_a)
 
 
 def _check_deformable(a: TaylorElem, b: TaylorElem) -> None:
@@ -830,51 +836,42 @@ def delta_y(axis: int, a: TaylorElem) -> TaylorElem:
     return TaylorElem(a.space, out, in_a=a.in_a)
 
 
-_S3 = tuple(
-    (perm, sign)
-    for perm, sign in (
-        ((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-        ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1),
-    )
-)
-
-
 def _y_diff(rows: dict, i: int) -> dict:
     """d/dy_i of integer rows keyed by y-exponent."""
     return {e: {m: n * k for m, n in row.items()} for e, k, row in _y_lowered(rows, i)}
 
 
+def _check_axes(args: tuple) -> None:
+    if any(i >= x.space.nvars for i, x in enumerate(args)):  # as delta_y checks the first product
+        raise InvalidArgumentError("axis out of range")
+
+
+def _y_nambu(args: tuple, rows_of) -> tuple:
+    """(rows, d): sum over sigma in S3 of sgn(sigma) d/dy_sigma(1) a .
+    d/dy_sigma(2) b . d/dy_sigma(3) c on the rows rows_of(x), integer over d."""
+    rows = [_int_rows(rows_of(x)) for x in args]
+    table = _alternating_sum([[_y_diff(r, i) for i in range(3)] for r, _ in rows], _y_mul_into)
+    return table.get(0b111, {}), prod(d for _, d in rows)
+
+
 def quantum_nambu(a: TaylorElem, b: TaylorElem, c: TaylorElem, s: StarProduct) -> TaylorElem:
-    """Alternating sum of deformed triple products of y-derivatives, computed
-    as D of the alternating sum of the classical triple products.  The
-    y-derivatives are taken on the integer rows of the nu^0 parts, which
-    share one denominator per operand."""
+    """Alternating sum of deformed triple products of y-derivatives: D of the
+    classical one on the nu^0 parts."""
     args = (a, b, c)
-    for i, x in enumerate(args):  # the axes of the first product, as delta_y checks them
-        if i >= x.space.nvars:
-            raise InvalidArgumentError("axis out of range")
+    _check_axes(args)
     _check_deformable(a, b)
     _check_deformable(a, c)
-    rows = [_int_rows(_y_classical(x)) for x in args]
-    diffs = [[_y_diff(r, i) for i in range(3)] for r, _ in rows]
-    acc: dict = {}
-    for perm, sign in _S3:
-        pair: dict = {}
-        _y_mul_into(pair, diffs[0][perm[0]], diffs[1][perm[1]])
-        _y_mul_into(acc, pair, diffs[2][perm[2]], sign)
-    return _deform_taylor(acc, prod(d for _, d in rows), a.space, s)
+    return _deform_taylor(*_y_nambu(args, _y_classical), a.space, s)
 
 
 def classical_nambu(a: TaylorElem, b: TaylorElem, c: TaylorElem) -> TaylorElem:
+    """The same alternating sum with the undeformed product, nu-graded."""
     args = (a, b, c)
-    out = TaylorElem.zero(a.space)
-    for perm, sign in _S3:
-        term = taylor_mul_classical(
-            taylor_mul_classical(delta_y(perm[0] + 1, args[0]), delta_y(perm[1] + 1, args[1])),
-            delta_y(perm[2] + 1, args[2]),
-        )
-        out = out + (term if sign > 0 else -term)
-    return out
+    _check_axes(args)
+    if not a.space == b.space == c.space:
+        raise InvalidArgumentError("TaylorElem spaces differ")
+    rows, d = _y_nambu(args, _y_nu_rows)
+    return _taylor_over(a.space, rows, d, a.in_a and b.in_a and c.in_a)
 
 
 # ---------------------------------------------------------------------------

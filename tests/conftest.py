@@ -29,6 +29,21 @@ def compositions(total: int, parts: int):
         yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + end))
 
 
+def det_oracle(fs, idx) -> Poly:
+    """Determinant of the matrix of partials d f_i / d x_{idx[j]} as the
+    Leibniz sum over permutations of Fraction-coefficient Poly products, the
+    sign read off from the inversion count: the oracle for poly.jacobian_det."""
+    space = fs[0].space
+    total = Poly.zero(space)
+    for perm in itertools.permutations(range(len(fs))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = Poly.const(space, (-1) ** inversions)
+        for f, j in zip(fs, perm):
+            term = term * f.diff(idx[j])
+        total = total + term
+    return total
+
+
 def brute_sun_lift(sp, x) -> NuObject:
     """The sun lift by brute force, the oracle for sun.sun_lift: each monomial
     c x^e of the classical part becomes c eval_T(x^e as a multiset of

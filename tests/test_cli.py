@@ -200,8 +200,9 @@ def test_domain_error_exit_code(capsys):
         (sun, "TABLE_ORDER_BOUND", ("coeffs", "--table", "9", "9"), "coeffs.resource-limit"),
         # rows n = 1 and 2 of the table take 5 + 12 steps
         (sun, "A_RECURSION_BOUND", ("coeffs", "--table", "3", "2"), "coeffs.resource-limit"),
-        # each partial of x1*x2 + x2*x3 + x3*x1 has two terms and each of the
-        # other two operands' one, so the 6 permutations form 12 products
+        # each partial of x1*x2 + x2*x3 + x3*x1 has two terms and each of
+        # x1^2 + x2^2 + x3^2 one, so the Laplace expansion counts 2 for each
+        # product of a first-row minor and a second-row partial, 10 at the fifth
         (poly, "JACOBIAN_TERM_BOUND",
          ("nambu", "--bracket", "canonical3", "x1*x2 + x2*x3 + x3*x1", "x1^2 + x2^2 + x3^2",
           "x1 + x2 + x3"), "nambu.resource-limit"),
@@ -210,6 +211,10 @@ def test_domain_error_exit_code(capsys):
          "star.resource-limit"),
         # the square of a three-term operand forms 3 + 9 term products
         (expr, "PARSE_TERM_BOUND", ("factor", "(x1 + x2 + 1)^2"), "factor.resource-limit"),
+        # the Taylor square of two entries counts 1*2 + 2*2, its three entries
+        # times two more 6
+        (expr, "PARSE_TERM_BOUND", ("zariski", "amul", "(y1 + Z[x1])^2*(y2 + Z[x2])", "Z[x1]"),
+         "zariski.resource-limit"),
     ],
 )
 def test_resource_bounds_exit_1(capsys, monkeypatch, module, bound, argv, code):
@@ -281,14 +286,17 @@ def test_star_operand_over_the_degree_bound(capsys):
         (("coeffs", "--table", "100", "5"),
          "the table up to a(100, 5) takes more recursion steps than the a_recursion bound 100000"),
         (("check-fi", "--bracket", "linear6", "--degree", "8", "--trials", "1"),
-         "Jacobian determinant of 233175 term products is over the Jacobian term bound 100000"),
+         "Jacobian determinant of 115719 term products is over the Jacobian term bound 100000"),
+        (("zariski", "amul", "y1^100000000", "Z[x1]"),
+         "parse of 100000000 term products is over the parse term bound 500000"),
     ],
     ids=["dim-3000", "vars-2400", "fi-degree", "fi-trials", "table-order", "table-steps",
-         "fi-jacobian"],
+         "fi-jacobian", "zariski-power"],
 )
 def test_unpatched_bounds_end_without_traceback(capsys, argv, message):
     # without these bounds each call printed a RecursionError traceback or
-    # ran from 12 s to minutes; the bounds are checked before any work
+    # ran from 12 s to minutes; the bounds are checked before the work they
+    # bound, the Jacobian's as its products are formed
     command = argv[0]
     assert run(capsys, *argv) == (1, "", f"error[{command}.resource-limit]: {message}\n")
 

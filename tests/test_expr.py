@@ -143,6 +143,21 @@ def test_parse_term_bound(monkeypatch):
     assert parse_expr("0^1000000000").is_zero()  # a zero base forms no products
 
 
+def test_parse_term_bound_in_zariski_context(monkeypatch):
+    monkeypatch.setattr(expr, "PARSE_TERM_BOUND", 12)
+    # (y1 + Z[x1])^2 counts 1*2 + 2*2, and its three entries times two more 6
+    square = parse_expr("(y1 + Z[x1])^2*(y2 + Z[x2])")
+    assert square == parse_expr("y1^2*y2 + 2*y1*y2*Z[x1] + y2*Z[x1; x1] + y1^2*Z[x2]"
+                                " + 2*y1*Z[x1; x2] + Z[x1; x1; x2]")
+    with pytest.raises(ResourceLimitError, match="parse of 18 term products is over the parse term bound 12"):
+        parse_expr("(y1 + Z[x1])^2*(y2 + Z[x2])*y3")
+    # seven products of at least two units each cannot fit: refused before
+    # the first (formed one by one, they would be refused at 2 + 4 + 6 + 8)
+    with pytest.raises(ResourceLimitError, match="parse of 14 term products"):
+        parse_expr("(y1 + Z[x1])^7")
+    assert parse_expr("(y1 - y1)^1000000000").is_zero()  # a zero base forms one product
+
+
 def test_integer_input_builds_one_fraction_per_output_term(monkeypatch):
     text = "(x1 + 2*x2 - 3)^3 - 4*x3*(x1 - x2) + nu^2*x1*x3 - nu^-1"
     built = []

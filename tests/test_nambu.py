@@ -2,10 +2,11 @@
 
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
-from nambu_forge import nambu
+from nambu_forge import nambu, poly
 from nambu_forge.errors import IntegrationFailureError, InvalidArgumentError, ResourceLimitError
 from nambu_forge.nambu import (
     Dynamics,
@@ -22,7 +23,7 @@ from nambu_forge.nambu import (
 )
 from nambu_forge.poly import Poly, coordinate_space
 
-from conftest import random_poly
+from conftest import det_oracle, random_poly
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -95,6 +96,68 @@ def test_custom_bracket_matches_canonical():
     ref = canonical_bracket(3)
     fs = [Poly.variable(sp, 0) ** 2, Poly.variable(sp, 1), Poly.variable(sp, 2)]
     assert bracket_eval(b, fs) == bracket_eval(ref, fs)
+
+
+def _rational_polys(space, rng, count):
+    """Random polynomials with coefficients over denominators up to 5, one
+    of them sometimes constant."""
+    fs = [random_poly(space, rng, degree=2, terms=rng.randint(2, 4)) * Fraction(1, rng.randint(1, 5))
+          for _ in range(count)]
+    if rng.random() < 0.25:
+        fs[rng.randrange(count)] = Poly.const(space, Fraction(-2, 3))
+    return fs
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_linear_bracket_matches_leibniz_minors(rng, n):
+    b = linear_bracket(n)
+    for _ in range(6):
+        fs = _rational_polys(b.space, rng, n)
+        want = Poly.zero(b.space)
+        for k in range(n + 1):
+            minor = det_oracle(fs, [j for j in range(n + 1) if j != k])
+            want = want + Poly.variable(b.space, k) * minor * (-1) ** (n - k)
+        assert bracket_eval(b, fs) == want
+
+
+def test_custom_bracket_with_overlapping_index_sets_matches_leibniz_minors(rng):
+    # the index sets share columns pairwise, and column 5 is used by one only
+    sp = coordinate_space(6)
+    x = [Poly.variable(sp, i) for i in range(6)]
+    eta = {(0, 1, 2): Poly.const(sp, Fraction(3, 2)), (1, 2, 3): x[0] - x[4],
+           (0, 3, 4): x[2] * Fraction(-1, 3), (2, 4, 5): Poly.const(sp, 5)}
+    b = custom_bracket(sp, 3, eta)
+    nonzero = 0
+    for _ in range(12):
+        fs = _rational_polys(sp, rng, 3)
+        want = sum((c * det_oracle(fs, idx) for idx, c in eta.items()), Poly.zero(sp))
+        got = bracket_eval(b, fs)
+        assert got == want
+        nonzero += not got.is_zero()
+    assert nonzero >= 6
+
+
+def test_custom_bracket_expands_inside_its_index_sets_only(monkeypatch):
+    # linear operands have constant partials, so each product is one call:
+    # 6 * 2 pairs and 2 * 3 triples inside {0, 1, 2} or {3, 4, 5}, against
+    # 6 * 5 + 15 * 4 over all six columns
+    sp = coordinate_space(6)
+    x = [Poly.variable(sp, i) for i in range(6)]
+    b = custom_bracket(sp, 3, {(0, 1, 2): Poly.const(sp, 1), (3, 4, 5): x[0]})
+    fs = [sum((x[i] * c(i) for i in range(6)), Poly.zero(sp))
+          for c in (lambda i: i + 1, lambda i: (-1) ** i, lambda i: Fraction(i * i + 1, 2))]
+    calls = []
+    original = poly._mul_into
+
+    def counting(*args):
+        calls.append(1)
+        original(*args)
+
+    monkeypatch.setattr(poly, "_mul_into", counting)
+    got = bracket_eval(b, fs)
+    monkeypatch.undo()
+    assert len(calls) == 18
+    assert got == det_oracle(fs, (0, 1, 2)) + x[0] * det_oracle(fs, (3, 4, 5))
 
 
 def test_euler_top_conservation():

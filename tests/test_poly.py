@@ -1,6 +1,5 @@
 """Polynomial arithmetic, Poisson bivector powers and Jacobians."""
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nambu_forge import poly
 from nambu_forge.errors import InvalidArgumentError
 from nambu_forge.poly import (
     NuObject,
@@ -19,7 +19,7 @@ from nambu_forge.poly import (
     qp_space,
 )
 
-from conftest import random_poly
+from conftest import det_oracle, random_poly
 
 X3 = coordinate_space(3)
 QP = qp_space()
@@ -69,20 +69,6 @@ def test_jacobian_examples():
     assert jacobian_det([x * x, y, z], (0, 1, 2)) == 2 * x
 
 
-def _det_oracle(fs, idx):
-    """Leibniz sum over permutations of Fraction-coefficient Poly products,
-    the sign read off from the inversion count."""
-    space = fs[0].space
-    total = Poly.zero(space)
-    for perm in itertools.permutations(range(len(fs))):
-        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-        term = Poly.const(space, (-1) ** inversions)
-        for f, j in zip(fs, perm):
-            term = term * f.diff(idx[j])
-        total = total + term
-    return total
-
-
 def _rational_poly(space, rng, degree):
     """Random polynomial whose coefficients have denominators up to 6."""
     f = random_poly(space, rng, degree=degree, terms=rng.randint(1, 4))
@@ -100,6 +86,8 @@ def _rational_poly(space, rng, degree):
         (5, (4, 1, 3)),
         (4, (0, 1, 2, 3)),
         (6, (5, 0, 3, 2)),
+        (5, (4, 1, 3, 0, 2)),
+        (6, (5, 0, 3, 2, 4, 1)),
     ],
 )
 def test_jacobian_matches_permutation_sum(rng, nvars, idx):
@@ -112,8 +100,35 @@ def test_jacobian_matches_permutation_sum(rng, nvars, idx):
         elif trial % 4 == 2:
             fs[rng.randrange(len(fs))] = const
         det = jacobian_det(fs, idx)
-        assert det == _det_oracle(fs, idx)
+        assert det == det_oracle(fs, idx)
         assert all(type(c) is Fraction for c in det.terms.values())
+
+
+def test_jacobian_is_one_laplace_expansion(monkeypatch):
+    # seven dense linear forms: every partial is a nonzero constant, so the
+    # expansion forms one product per (column set, new column) pair, at most
+    # 7 * 2^6, where a sum over the 5040 permutations forms 35,280
+    sympy = pytest.importorskip("sympy")
+    space = coordinate_space(7)
+    rng = random.Random(7)
+    coeffs = [[Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 8)) for _ in range(7)]
+              for _ in range(7)]
+    fs = [sum((Poly.variable(space, j) * c for j, c in enumerate(row)), Poly.zero(space))
+          for row in coeffs]
+    calls = []
+    original = poly._mul_into
+
+    def counting(*args):
+        calls.append(1)
+        original(*args)
+
+    monkeypatch.setattr(poly, "_mul_into", counting)
+    det = jacobian_det(fs, range(7))
+    monkeypatch.undo()
+    assert 0 < len(calls) <= 7 * 2 ** 6
+    want = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row] for row in coeffs]).det()
+    assert want != 0
+    assert det == Poly.const(space, Fraction(int(want.p), int(want.q)))
 
 
 def test_jacobian_out_of_range_index_rejected():

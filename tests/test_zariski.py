@@ -490,6 +490,48 @@ def test_quantum_nambu_classical_limit(rng):
         assert got == want
 
 
+_S3 = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+       ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1))
+
+
+def _classical_nambu_oracle(a, b, c):
+    """The sum over S3 of signed taylor_mul_classical triple products of
+    delta_y derivatives: the oracle for classical_nambu."""
+    args = (a, b, c)
+    out = TaylorElem.zero(a.space)
+    for perm, sign in _S3:
+        term = taylor_mul_classical(
+            taylor_mul_classical(delta_y(perm[0] + 1, args[0]), delta_y(perm[1] + 1, args[1])),
+            delta_y(perm[2] + 1, args[2]),
+        )
+        out = out + (term if sign > 0 else -term)
+    return out
+
+
+def _taylor_operand(rng, in_a):
+    """A Taylor element with rational coefficients, nu parts and, unless
+    in_a, a y-monomial term outside the Taylor subalgebra."""
+    x = jmap(random_zelem(rng, nterms=1)).scale(Fraction(rng.choice((-5, 1, 3)), rng.randint(1, 4)))
+    x = x + jmap(random_zelem(rng, nterms=1)).nu_shift(rng.randint(1, 2))
+    if not in_a:
+        e = tuple(rng.randint(0, 2) for _ in range(3))
+        x = x + TaylorElem(SP, {e: ZNu({rng.randint(0, 2): random_zelem(rng, nterms=1)})})
+    return x
+
+
+def test_classical_nambu_matches_permutation_sum(rng):
+    nonzero = 0
+    for trial in range(8):
+        args = [_taylor_operand(rng, in_a=trial % 2 == 0) for _ in range(3)]
+        if trial == 3:
+            args[1] = taylor_unit()
+        got, want = classical_nambu(*args), _classical_nambu_oracle(*args)
+        assert got == want
+        assert got.in_a == want.in_a
+        nonzero += not got.is_zero()
+    assert nonzero >= 6
+
+
 def test_quantum_nambu_fundamental_identity(rng):
     def bracket(a, b, c):
         return quantum_nambu(a, b, c, ST)
