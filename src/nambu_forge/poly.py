@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial, lcm
 from operator import attrgetter
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import InvalidArgumentError, ResourceLimitError
 
@@ -608,13 +608,6 @@ def _over(rows: Mapping, d: int) -> dict:
     return {k: {x: Fraction(n, d) for x, n in row.items() if n} for k, row in rows.items()}
 
 
-def _add_over(row: dict, ints: dict, d: int) -> None:
-    """row[e] += ints[e] / d for an integer term map."""
-    for e, n in ints.items():
-        if n:
-            _bump(row, e, Fraction(n, d))
-
-
 def _diff_terms(terms: dict, i: int) -> dict:
     """d/dx_i of a term map, with the coefficients' own arithmetic."""
     out = {}
@@ -678,11 +671,30 @@ def poisson_power(f: Poly, g: Poly, r: int) -> Poly:
     if not f.space.pairs:
         raise InvalidArgumentError("poisson_power needs at least one symplectic pair")
     (ft, fd), (gt, gd) = _int_terms(f), _int_terms(g)
-    df, dg = _DerivativeCache(ft, f.space), _DerivativeCache(gt, f.space)
-    grid = _poisson_grid(df, dg)
+    rows, d = _poisson_sum([(0, 1, ft, gt)], f.space)
+    return Poly._frozen(f.space, _over(rows, d * fd * gd).get(r, {})) * factorial(r)
+
+
+def _poisson_sum(jobs: Iterable, space: VarSpace, even: bool = False) -> tuple:
+    """(rows, d) with rows[m] / d the sum over the jobs (shift, w, f, g) of
+    w nu^(shift + r) P^r(f, g) / r! over every r (every even r if ``even``),
+    w an integer and f, g integer term maps on ``space``.
+
+    This is the one place where derivative caches, grids and denominators
+    meet: each distinct map (by identity) gets one _DerivativeCache, each job
+    one grid, and d is the least common multiple of the grids' denominators,
+    so every job is summed in ints and the caller divides once."""
+    caches: dict = {}
+    runs = []
+    for shift, w, f, g in jobs:
+        df, dg = (caches.get(id(t)) or caches.setdefault(id(t), _DerivativeCache(t, space))
+                  for t in (f, g))
+        runs.append((shift, w, df, dg, _poisson_grid(df, dg)))
+    d = lcm(*(grid[1] for *_, grid in runs))
     rows: dict = {}
-    _poisson_into(rows, df, dg, grid)
-    return Poly._frozen(f.space, _over(rows, fd * gd * grid[1]).get(r, {})) * factorial(r)
+    for shift, w, df, dg, grid in runs:
+        _poisson_into(rows, df, dg, grid, shift, w * (d // grid[1]), even)
+    return rows, d
 
 
 def _poisson_grid(df: _DerivativeCache, dg: _DerivativeCache) -> tuple:

@@ -2,10 +2,15 @@
 the invariant (covariant) star product on su(2)*.
 
 All products are exact on polynomials: the nu-series terminates because every
-cochain lowers the total derivative order, so no truncation is involved.  The
-sign conventions are pinned by two testable constraints: the antisymmetrized
-first cochain equals twice the Poisson bivector, and the su(2) product closes
-on L_i * L_j = L_i L_j + nu eps_ijk L_k + 2 nu^2 delta_ij.
+cochain lowers the total derivative order, so no truncation is involved.
+Each operand is read as integer nu-rows over one denominator and the product
+builds one Fraction per output term: the Moyal kinds hand every pair of rows
+to poly._poisson_sum in one call, and the standard-ordering product sums its
+r-th derivatives in ints over one r_max! denominator.
+
+The sign conventions are pinned by two testable constraints: the
+antisymmetrized first cochain equals twice the Poisson bivector, and the
+su(2) product closes on L_i * L_j = L_i L_j + nu eps_ijk L_k + 2 nu^2 delta_ij.
 
 The su(2) product writes the factor of lower degree in star monomials
 L_{i1} * ... * L_{in} and applies their letters to the other factor through
@@ -26,16 +31,13 @@ from .poly import (
     Poly,
     TSeries,
     VarSpace,
-    _DerivativeCache,
-    _add_over,
     _diff_terms,
     _freeze,
     _int_rows,
     _int_terms,
     _mul_into,
     _over,
-    _poisson_grid,
-    _poisson_into,
+    _poisson_sum,
     su2_lift_space,
     su2_space,
 )
@@ -73,6 +75,7 @@ SU2_WORD_BOUND = 50_000
 # in nu; the Moyal kinds take their terms from powers of the Poisson bivector
 _MOYAL_KINDS = ("moyal", "partial_moyal")
 _EVEN_KINDS = _MOYAL_KINDS + ("su2",)
+_KINDS = _EVEN_KINDS + ("standard_ordering",)
 
 _EPS = {
     (0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
@@ -121,31 +124,40 @@ def _as_nu(x, space: VarSpace) -> NuObject:
     return out
 
 
-def _moyal_into(acc: dict, f: Poly, g: Poly, shift: int) -> None:
-    """acc[shift + r] += P^r(f, g) / r! for every r."""
-    (ft, fd), (gt, gd) = _int_terms(f), _int_terms(g)
-    df, dg = _DerivativeCache(ft, f.space), _DerivativeCache(gt, f.space)
-    grid = _poisson_grid(df, dg)
-    ints: dict = {}
-    _poisson_into(ints, df, dg, grid)
-    for r, row in ints.items():
-        _add_over(acc.setdefault(shift + r, {}), row, fd * gd * grid[1])
+def _check_degree(degree: int) -> None:
+    if degree > STAR_DEGREE_BOUND:
+        raise ResourceLimitError(
+            f"star operand of degree {degree} is over the star degree bound {STAR_DEGREE_BOUND}"
+        )
 
 
-def _standard_into(acc: dict, f: Poly, g: Poly, shift: int) -> None:
-    # f *_S g = sum_r (-2 nu)^r / r! (d^r f / dp^r)(d^r g / dq^r); the sign is
-    # forced by C1(f,g) - C1(g,f) = 2 P(f,g) and matches the ordering with all
-    # q-operators to the left under nu = i hbar / 2.
-    a, b = f.space.pairs[0]
-    (df, fd), (dg, gd) = _int_terms(f), _int_terms(g)
-    r = 0
-    while df and dg:
-        ints: dict = {}
-        _mul_into(ints, df, dg, (-2) ** r)
-        _add_over(acc.setdefault(shift + r, {}), ints, fd * gd * factorial(r))
-        df = _diff_terms(df, b)
-        dg = _diff_terms(dg, a)
-        r += 1
+def _derivatives(terms: dict, i: int) -> list:
+    """[terms, d/dx_i terms, d^2/dx_i^2 terms, ...] up to the last nonzero one."""
+    out = [terms]
+    while nxt := _diff_terms(out[-1], i):
+        out.append(nxt)
+    return out
+
+
+def _standard_rows(frows: dict, grows: dict, space: VarSpace) -> tuple:
+    """(rows, d) with rows / d the standard-ordering product of the integer
+    nu-rows frows and grows, d = r_max! for the largest order r_max reached.
+
+    f *_S g = sum_r (-2 nu)^r / r! (d^r f / dp^r)(d^r g / dq^r); the sign is
+    forced by C1(f,g) - C1(g,f) = 2 P(f,g) and matches the ordering with all
+    q-operators to the left under nu = i hbar / 2.
+    """
+    a, b = space.pairs[0]
+    fs = [(m, _derivatives(row, b)) for m, row in frows.items()]
+    gs = [(n, _derivatives(row, a)) for n, row in grows.items()]
+    d = factorial(min(max((len(x) for _, x in fs), default=1),
+                      max((len(y) for _, y in gs), default=1)) - 1)
+    acc: dict = {}
+    for m, x in fs:
+        for n, y in gs:
+            for r, (df, dg) in enumerate(zip(x, y)):
+                _mul_into(acc.setdefault(m + n + r, {}), df, dg, (-2) ** r * (d // factorial(r)))
+    return acc, d
 
 
 # -- su(2)* covariant product ------------------------------------------------
@@ -343,9 +355,10 @@ def _su2_mul(f: NuObject, g: NuObject) -> NuObject:
 
 def su2_star_via_lift(f: Poly, g: Poly) -> NuObject:
     """Reference route: Moyal product of the R^6 lifts, re-expressed in L."""
-    acc: dict = {}
-    _moyal_into(acc, su2_lift(f), su2_lift(g), 0)
-    return NuObject(_L_SPACE, {k: _su2_project(Poly(_R6, row)) for k, row in acc.items()})
+    (ft, fd), (gt, gd) = _int_terms(su2_lift(f)), _int_terms(su2_lift(g))
+    rows, d = _poisson_sum([(0, 1, ft, gt)], _R6)
+    return NuObject(_L_SPACE, {k: _su2_project(Poly._frozen(_R6, row))
+                               for k, row in _over(rows, d * fd * gd).items()})
 
 
 def _su2_project(f: Poly) -> Poly:
@@ -382,27 +395,23 @@ def _su2_project(f: Poly) -> Poly:
 
 def star_mul(s: StarProduct, f, g) -> NuObject:
     """Exact star product of two polynomials or nu-objects."""
+    if s.kind not in _KINDS:
+        raise InvalidArgumentError(f"unknown star product kind {s.kind!r}")
     fo = _as_nu(f, s.space)
     go = _as_nu(g, s.space)
     if fo.space != s.space or go.space != s.space:
         raise InvalidArgumentError("star operands must live on the product's space")
-    degree = max(_degree(fo), _degree(go))
-    if degree > STAR_DEGREE_BOUND:
-        raise ResourceLimitError(
-            f"star operand of degree {degree} is over the star degree bound {STAR_DEGREE_BOUND}"
-        )
+    _check_degree(max(_degree(fo), _degree(go)))
     if s.kind == "su2":
         return _su2_mul(fo, go)
-    acc: dict = {}
-    for a, fp in sorted(fo.coeffs.items()):
-        for b, gp in sorted(go.coeffs.items()):
-            if s.kind in _MOYAL_KINDS:
-                _moyal_into(acc, fp, gp, a + b)
-            elif s.kind == "standard_ordering":
-                _standard_into(acc, fp, gp, a + b)
-            else:
-                raise InvalidArgumentError(f"unknown star product kind {s.kind!r}")
-    return _freeze(s.space, acc)
+    frows, fd = _int_rows({k: p.terms for k, p in fo.coeffs.items()})
+    grows, gd = _int_rows({k: p.terms for k, p in go.coeffs.items()})
+    if s.kind == "standard_ordering":
+        rows, d = _standard_rows(frows, grows, s.space)
+    else:
+        rows, d = _poisson_sum([(a + b, 1, x, y) for a, x in frows.items()
+                                for b, y in grows.items()], s.space)
+    return _freeze(s.space, _over(rows, d * fd * gd))
 
 
 def star_commutator(s: StarProduct, f, g) -> NuObject:

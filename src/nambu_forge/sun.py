@@ -27,15 +27,23 @@ from .poly import (
     Poly,
     TSeries,
     VarSpace,
-    _add_into,
     _bump,
     _freeze,
     _int_terms,
+    _over,
+    _poisson_sum,
     jacobian_det,
     qp_space,
     su2_space,
 )
-from .star import _MOYAL_KINDS, StarProduct, _as_nu, moyal_product, star_mul, su2_product
+from .star import (
+    _MOYAL_KINDS,
+    StarProduct,
+    _as_nu,
+    _check_degree,
+    moyal_product,
+    su2_product,
+)
 
 __all__ = [
     "SunProduct",
@@ -99,7 +107,7 @@ def sun_lift(sp: SunProduct, x) -> NuObject:
     On the Moyal and partial-Moyal products it is the identity: the graph
     expansion of linear factors has only matchings, whose ordering signs
     average to zero.  The Moyal-standard split lifts c q^a p^b to
-    c q^a * p^b, summed into one {nu-power: {exponent: Fraction}} map."""
+    c q^a * p^b, all terms summed as integers over one denominator."""
     xo = _as_nu(x, sp.space)
     f = xo.classical()
     if sp.alpha_kind == "coordinate_monomial":
@@ -111,11 +119,17 @@ def sun_lift(sp: SunProduct, x) -> NuObject:
             f"the coordinate-monomial lift needs g * f = (f * g)(-nu); {sp.star.kind!r} has none"
         )
     if sp.alpha_kind == "moyal_standard_split":
-        q, p = Poly.variable(sp.space, 0), Poly.variable(sp.space, 1)
-        acc: dict = {}
-        for e, c in f.terms.items():
-            _add_into(acc, star_mul(sp.star, q ** e[0], p ** e[1]), 0, c)
-        return _freeze(sp.space, acc)
+        if sp.star.kind not in _MOYAL_KINDS:
+            raise InvalidArgumentError(
+                f"the Moyal-standard split needs a Moyal product; {sp.star.kind!r} is not one"
+            )
+        terms, d = _int_terms(f)
+        for e in terms:
+            _check_degree(max(e[:2]))
+        pad = (0,) * (sp.space.nvars - 2)
+        rows, den = _poisson_sum([(0, n, {(e[0], 0) + pad: 1}, {(0, e[1]) + pad: 1})
+                                  for e, n in terms.items()], sp.space)
+        return _freeze(sp.space, _over(rows, den * d))
     raise InvalidArgumentError(f"unknown sun-product kind {sp.alpha_kind!r}")
 
 

@@ -56,7 +56,6 @@ from .poly import (
     Poly,
     VarSpace,
     _alternating_sum,
-    _DerivativeCache,
     _add_into,
     _bump,
     _freeze,
@@ -65,8 +64,7 @@ from .poly import (
     _joined,
     _nu_label,
     _over,
-    _poisson_grid,
-    _poisson_into,
+    _poisson_sum,
     _render_monomial,
     _render_terms,
     _Sparse,
@@ -452,19 +450,12 @@ def _eval_T(factors: tuple, s: StarProduct) -> tuple:
 def _even_poisson_sum(steps: list, s: StarProduct, k: int) -> tuple:
     """(1/k) sum mult(u) sum_{r even} nu^(a+r) P^r(T_a, u) / r! over the steps
     (mult(u), rows of T, u), on integer rows over one common denominator."""
-    jobs = []  # (a, mult, denominator of the job's terms, T_a, u, grid)
-    for mult, (rows, td), u in steps:
-        ut, ud = _int_terms(u)
-        du = _DerivativeCache(ut, s.space)
-        for a, ta in rows.items():
-            dt = _DerivativeCache(ta, s.space)
-            grid = _poisson_grid(dt, du)
-            jobs.append((a, mult, td * ud * grid[1], dt, du, grid))
-    den = lcm(*(d for _, _, d, _, _, _ in jobs))
-    acc: dict = {}
-    for a, mult, d, dt, du, grid in jobs:
-        _poisson_into(acc, dt, du, grid, a, mult * (den // d), even=True)
-    return _reduced(acc, den * k)
+    steps = [(mult, t, td, *_int_terms(u)) for mult, (t, td), u in steps]
+    den = lcm(*(td * ud for _, _, td, _, ud in steps))
+    rows, d = _poisson_sum(((a, mult * (den // (td * ud)), ta, ut)
+                            for mult, t, td, ut, ud in steps for a, ta in t.items()),
+                           s.space, even=True)
+    return _reduced(rows, d * den * k)
 
 
 def _reduced(rows: dict, d: int) -> tuple:

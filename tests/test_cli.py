@@ -565,6 +565,10 @@ def test_equiv_refuses_ms_by_name(capsys, side):
 def test_sun_products_by_name(capsys):
     code, out, _ = run(capsys, "sun", "--product", "ms", "q^2", "p^2")
     assert (code, out) == (0, "q^2*p^2 + 4*nu*q*p + 2*nu^2\n")
+    code, out, err = run(capsys, "sun", "--product", "ms", "q^9", "q^8")
+    assert (code, out) == (1, "")
+    assert err == ("error[sun.resource-limit]: star operand of degree 17 is over the star "
+                   "degree bound 16\n")
     code, out, _ = run(capsys, "--json", "sun", "L1^2", "L2^2")
     doc = json.loads(out)
     validate(doc)

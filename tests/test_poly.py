@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nambu_forge import poly
+from nambu_forge import poly, star, sun, zariski
 from nambu_forge.errors import InvalidArgumentError
 from nambu_forge.poly import (
     NuObject,
@@ -33,6 +33,14 @@ small_polys = st.builds(
     lambda seed: random_poly(X3, random.Random(seed), degree=3, terms=4),
     st.integers(0, 10**6),
 )
+
+
+def test_only_poly_combines_poisson_grids_and_denominators():
+    # poly._poisson_sum is the one place that pairs derivative caches, grids
+    # and denominators; the product modules hand it integer term maps
+    for module in (star, zariski, sun):
+        for name in ("_poisson_into", "_poisson_grid", "_DerivativeCache", "_add_over"):
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 def test_poisson_power_examples():

@@ -299,12 +299,13 @@ def test_su2_nu_series_operands_match_bilinear_lift(rng, fdeg, gdeg):
     assert star_mul(SU, F, G) == _bilinear_lift(F, G)
 
 
-def _bilinear_lift(F: NuObject, G: NuObject) -> NuObject:
-    """F * G by the R^6 lift oracle, one coefficient pair at a time."""
-    out = NuObject.zero(L)
+def _bilinear_lift(F: NuObject, G: NuObject, oracle=su2_star_via_lift) -> NuObject:
+    """F * G from an oracle on polynomials (the R^6 lift by default), one
+    coefficient pair at a time."""
+    out = NuObject.zero(F.space)
     for a, fa in F.coeffs.items():
         for b, gb in G.coeffs.items():
-            out = out + su2_star_via_lift(fa, gb).nu_shift(a + b)
+            out = out + oracle(fa, gb).nu_shift(a + b)
     return out
 
 
@@ -312,14 +313,14 @@ _DENOMINATED = (Fraction(1, 2), Fraction(2, 3), Fraction(-5, 7), Fraction(3, 4),
                 Fraction(-1, 5), Fraction(7, 6), Fraction(-9, 11), Fraction(4, 9))
 
 
-def _rational_series(rng, powers: tuple) -> NuObject:
+def _rational_series(rng, powers: tuple, space=L) -> NuObject:
     """A nu-series with a few terms at each given power, their coefficients
     drawn from fractions of unlike denominators."""
     coeffs = {}
     for k in powers:
-        f = random_poly(L, rng, degree=3, terms=3)
-        coeffs[k] = Poly(L, {e: c * rng.choice(_DENOMINATED) for e, c in f.terms.items()})
-    return NuObject(L, coeffs)
+        f = random_poly(space, rng, degree=3, terms=3)
+        coeffs[k] = Poly(space, {e: c * rng.choice(_DENOMINATED) for e, c in f.terms.items()})
+    return NuObject(space, coeffs)
 
 
 def test_su2_rational_operands_match_lift_oracle(rng):
@@ -335,13 +336,8 @@ def test_su2_rational_operands_match_lift_oracle(rng):
             assert all(type(c) is Fraction for p in got.coeffs.values() for c in p.terms.values())
 
 
-def test_su2_product_builds_one_fraction_per_output_term(monkeypatch):
-    # integer rows all the way: the only Fractions a warm su(2)* product
-    # constructs are its output coefficients
-    SU = su2_product()
-    f = L1**3 * L2 * Fraction(1, 2) - L3**2 * Fraction(2, 3) + L1 * Fraction(5, 7)
-    g = L2**2 * L3 * Fraction(3, 4) + L1 * L3 - Fraction(1, 5)
-    star_mul(SU, f, g)  # fills the star-monomial cache
+def _fractions_built(monkeypatch, call) -> tuple:
+    """(result of call(), number of Fractions constructed while it ran)."""
     built = []
     original_new = Fraction.__new__
 
@@ -350,9 +346,70 @@ def test_su2_product_builds_one_fraction_per_output_term(monkeypatch):
         return original_new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counting_new)
-    out = star_mul(SU, f, g)
+    out = call()
     monkeypatch.undo()
-    assert len(built) == sum(len(p.terms) for p in out.coeffs.values()) == 35
+    return out, len(built)
+
+
+def test_su2_product_builds_one_fraction_per_output_term(monkeypatch):
+    # integer rows all the way: the only Fractions a warm su(2)* product
+    # constructs are its output coefficients
+    SU = su2_product()
+    f = L1**3 * L2 * Fraction(1, 2) - L3**2 * Fraction(2, 3) + L1 * Fraction(5, 7)
+    g = L2**2 * L3 * Fraction(3, 4) + L1 * L3 - Fraction(1, 5)
+    star_mul(SU, f, g)  # fills the star-monomial cache
+    out, built = _fractions_built(monkeypatch, lambda: star_mul(SU, f, g))
+    assert built == sum(len(p.terms) for p in out.coeffs.values()) == 35
+
+
+def _moyal_oracle(f: Poly, g: Poly) -> NuObject:
+    """sum_r nu^r P^r(f, g) / r! from the bivector oracle; operands of degree
+    at most 3 make every P^r with r > 3 vanish."""
+    return NuObject(f.space, {r: _bivector_power(f, g, r) * Fraction(1, factorial(r))
+                              for r in range(4)})
+
+
+def _standard_oracle(f: Poly, g: Poly) -> NuObject:
+    """sum_r (-2 nu)^r / r! (d^r f / dp^r)(d^r g / dq^r) on (q, p)."""
+    out, r = {}, 0
+    while not f.is_zero() and not g.is_zero():
+        out[r] = f * g * Fraction((-2) ** r, factorial(r))
+        f, g, r = f.diff(1), g.diff(0), r + 1
+    return NuObject(QP, out)
+
+
+@pytest.mark.parametrize("name, product, space", ALL_PRODUCTS[:3])
+def test_nu_series_products_match_per_coefficient_oracles(rng, name, product, space):
+    # each operand's nu-rows sit over one common denominator and every pair
+    # of nu powers is summed in one call, so unlike denominators on
+    # different powers, negative powers included, must come back exactly
+    oracle = _standard_oracle if name == "standard" else _moyal_oracle
+    for fpowers, gpowers in [((0, 1), (-1,)), ((-2, 0), (1, 2)), ((-1, 3), (-2, -1, 0))]:
+        for _ in range(2):
+            F = _rational_series(rng, fpowers, space)
+            G = _rational_series(rng, gpowers, space)
+            got = star_mul(product, F, G)
+            assert got == _bilinear_lift(F, G, oracle), (name, str(F), str(G))
+            assert all(type(c) is Fraction for p in got.coeffs.values() for c in p.terms.values())
+
+
+@pytest.mark.parametrize("name, product, space", ALL_PRODUCTS[:3])
+def test_moyal_type_products_build_one_fraction_per_output_term(monkeypatch, rng, name, product,
+                                                                space):
+    # every pair of nu powers is summed in ints over one denominator, so the
+    # only Fractions built are the output coefficients
+    F = _rational_series(rng, (-1, 0, 2), space)
+    G = _rational_series(rng, (0, 1), space)
+    star_mul(product, F, G)
+    out, built = _fractions_built(monkeypatch, lambda: star_mul(product, F, G))
+    assert built == sum(len(p.terms) for p in out.coeffs.values()) > 0, name
+
+
+def test_unknown_kind_is_refused_before_any_work():
+    bogus = star.StarProduct("bogus", QP)
+    for f, g in [(q, p), (Poly.zero(QP), q), (q, 0), (NuObject.zero(QP), NuObject.zero(QP))]:
+        with pytest.raises(InvalidArgumentError, match="unknown star product kind 'bogus'"):
+            star_mul(bogus, f, g)
 
 
 def _linear_reference(i: int, f: Poly, sign: int) -> NuObject:

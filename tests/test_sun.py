@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from nambu_forge import sun
+from nambu_forge import star, sun
 from nambu_forge.errors import InvalidArgumentError, ResourceLimitError
 from nambu_forge.numbers import falling_factorial, secant_coefficient, tangent_coefficient
 from nambu_forge.poly import NuObject, Poly, qp_space, su2_space
@@ -180,6 +180,22 @@ def test_coordinate_monomial_refuses_standard_ordering():
     q = Poly.variable(QP, 0)
     with pytest.raises(InvalidArgumentError, match="'standard_ordering' has none"):
         sun_lift(sp, q * q)
+
+
+def test_moyal_standard_split_refuses_other_star_products():
+    sp = SunProduct(standard_ordering_product(QP), "moyal_standard_split")
+    with pytest.raises(InvalidArgumentError, match="needs a Moyal product; 'standard_ordering'"):
+        sun_lift(sp, Poly.variable(QP, 0))
+
+
+def test_moyal_standard_split_keeps_the_star_degree_bound(monkeypatch):
+    # each lifted term q^a * p^b is refused as a star operand of degree
+    # max(a, b) would be
+    q = Poly.variable(QP, 0)
+    monkeypatch.setattr(star, "STAR_DEGREE_BOUND", 3)
+    assert sun_mul(MS, q**2, q) == NuObject.from_poly(q**3)
+    with pytest.raises(ResourceLimitError, match="degree 4 is over the star degree bound 3"):
+        sun_mul(MS, q**2, q**2)
 
 
 # -- coefficient tables ----------------------------------------------------------
