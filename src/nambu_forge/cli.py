@@ -4,31 +4,28 @@ Every subcommand maps to one operation family; output is canonical text by
 default or a JSON envelope with ``--json``.  Exit codes: 0 success, 1 domain
 error, 2 usage error.  Options resolve as flags > environment variables
 (NAMBU_FORGE_*) > config file (key=value lines) > defaults.
+
+Each handler imports the engine modules it runs, so that a call loads (and,
+without cached bytecode, compiles) only those.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import random
 import sys
 from fractions import Fraction
 
-from . import factor as factor_mod
-from . import nambu as nambu_mod
-from . import star as star_mod
-from . import sun as sun_mod
-from . import zariski as zariski_mod
 from .errors import InvalidArgumentError, NambuForgeError, ResourceLimitError
 from .expr import parse_expr
-from .poly import NuObject, Poly, VarSpace, qp_space, su2_space
+from .poly import DEFAULT_DEGREE_BOUND, NuObject, Poly, VarSpace, coordinate_space, qp_space, su2_space
 
 ENV_PREFIX = "NAMBU_FORGE_"
-DEFAULTS = {"nu_order": 8, "t_order": 6, "seed": 0, "degree_bound": factor_mod.DEFAULT_DEGREE_BOUND}
+DEFAULTS = {"nu_order": 8, "t_order": 6, "seed": 0, "degree_bound": DEFAULT_DEGREE_BOUND}
 
 
 def load_schema() -> dict:
+    import json
     from importlib import resources  # only the schema needs it; keep it out of start-up
 
     with resources.files("nambu_forge").joinpath("schema.json").open() as fh:
@@ -90,13 +87,18 @@ def _space_from_names(names: str, paired: bool) -> VarSpace:
     return VarSpace(parts, pairs)
 
 
-# star --product name -> (default space, constructor on a space); --vars
-# replaces the default space, and su2 ignores it
+def _x3_space() -> VarSpace:
+    """x1, x2, x3 with (x1, x2) paired: the value of zariski.zariski_space(3)."""
+    return coordinate_space(3, paired=1)
+
+
+# star --product name -> (default space, constructor on the star module and
+# a space); --vars replaces the default space, and su2 ignores it
 _STAR_PRODUCTS = {
-    "moyal": (qp_space, star_mod.moyal_product),
-    "partial": (zariski_mod.zariski_space, star_mod.partial_moyal_product),
-    "standard": (qp_space, star_mod.standard_ordering_product),
-    "su2": (su2_space, lambda space: star_mod.su2_product()),
+    "moyal": (qp_space, lambda star, space: star.moyal_product(space)),
+    "partial": (_x3_space, lambda star, space: star.partial_moyal_product(space)),
+    "standard": (qp_space, lambda star, space: star.standard_ordering_product(space)),
+    "su2": (su2_space, lambda star, space: star.su2_product()),
 }
 
 
@@ -108,7 +110,7 @@ CHECK_FI_DEGREE_BOUND = 100
 CHECK_FI_TRIAL_BOUND = 1000
 
 
-def _rand_poly(space: VarSpace, degree: int, rng: random.Random) -> Poly:
+def _rand_poly(space: VarSpace, degree: int, rng) -> Poly:
     terms = {}
     for _ in range(rng.randint(2, 4)):
         e = [rng.randint(0, degree) for _ in range(space.nvars)]
@@ -124,11 +126,13 @@ def _rand_poly(space: VarSpace, degree: int, rng: random.Random) -> Poly:
 
 
 def _cmd_factor(args, cfg):
-    space = _space_from_names(cfg["vars"], False) if cfg["vars"] else zariski_mod.zariski_space(3)
+    from . import factor
+
+    space = _space_from_names(cfg["vars"], False) if cfg["vars"] else _x3_space()
     value = parse_expr(args.expr, space)
     if not isinstance(value, Poly):
         raise InvalidArgumentError("factor expects a plain polynomial")
-    fac = factor_mod.factorize(value, cfg["degree_bound"])
+    fac = factor.factorize(value, cfg["degree_bound"])
     pieces = [str(fac.unit)]
     for g, m in fac.factors:
         pieces.append(f"({g})" + (f"^{m}" if m > 1 else ""))
@@ -154,22 +158,23 @@ def _exponential(exponential, product, args, cfg):
 
 
 def _cmd_star(args, cfg):
+    from . import star
+
     default_space, make = _STAR_PRODUCTS[args.product]
-    product = make(_space_from_names(cfg["vars"], True) if cfg["vars"] else default_space())
+    product = make(star, _space_from_names(cfg["vars"], True) if cfg["vars"] else default_space())
     if args.exp is not None:
-        return _exponential(star_mod.star_exponential, product, args, cfg)
+        return _exponential(star.star_exponential, product, args, cfg)
     if len(args.exprs) != 2:
         raise InvalidArgumentError("star needs exactly two expressions")
     f, g = (parse_expr(e, product.space) for e in args.exprs)
-    op = star_mod.star_commutator if args.commutator else star_mod.star_mul
+    op = star.star_commutator if args.commutator else star.star_mul
     text = str(op(product, f, g))
     return [text], {"product": args.product, "result": text,
                     "operation": "commutator" if args.commutator else "mul"}
 
 
-def _bracket_by_name(name: str):
-    for kind, make in (("canonical", nambu_mod.canonical_bracket),
-                       ("linear", nambu_mod.linear_bracket)):
+def _bracket_by_name(nambu, name: str):
+    for kind, make in (("canonical", nambu.canonical_bracket), ("linear", nambu.linear_bracket)):
         order = name[len(kind):]
         if name.startswith(kind) and order.isascii() and order.isdigit():
             return make(int(order))
@@ -177,16 +182,22 @@ def _bracket_by_name(name: str):
 
 
 def _cmd_nambu(args, cfg):
-    bracket = _bracket_by_name(args.bracket)
+    from . import nambu
+
+    bracket = _bracket_by_name(nambu, args.bracket)
     fs = [parse_expr(e, bracket.space) for e in args.exprs]
     if not all(isinstance(f, Poly) for f in fs):
         raise InvalidArgumentError("bracket arguments must be plain polynomials")
-    text = str(nambu_mod.bracket_eval(bracket, fs))
+    text = str(nambu.bracket_eval(bracket, fs))
     return [text], {"bracket": args.bracket, "result": text}
 
 
 def _cmd_check_fi(args, cfg):
-    bracket = _bracket_by_name(args.bracket)
+    import random
+
+    from . import nambu
+
+    bracket = _bracket_by_name(nambu, args.bracket)
     if args.degree < 0:
         raise InvalidArgumentError(f"--degree must be at least 0, got {args.degree}")
     if args.degree > CHECK_FI_DEGREE_BOUND:
@@ -205,43 +216,46 @@ def _cmd_check_fi(args, cfg):
     for t in range(trials):
         rng = random.Random(cfg["seed"] * 1_000_003 + t)
         fs = [_rand_poly(bracket.space, args.degree, rng) for _ in range(arity)]
-        passes += nambu_mod.check_fi(bracket, fs).is_zero()
+        passes += nambu.check_fi(bracket, fs).is_zero()
     ok = passes == trials
     text = f"{'PASS' if ok else 'FAIL'} residual={'0' if ok else 'nonzero'} ({passes}/{trials})"
     data = {"bracket": args.bracket, "trials": trials, "passes": passes, "all_zero": ok}
     return [text], data, (0 if ok else 1)
 
 
-# zariski op -> (operand kind, arity, option, operation).  An operand is
-# parsed and taken as a ZNu ("znu"), as its nu^0 part ("classical") or as the
-# J-image of that part unless it already is a TaylorElem ("taylor").  An
-# option (JSON key, argument name) is passed to the operation after the
-# operands and reported in the JSON data.
+# zariski op -> (operand kind, arity, option, operation on the zariski
+# module, the star product and the operands).  An operand is parsed and taken
+# as a ZNu ("znu"), as its nu^0 part ("classical") or as the J-image of that
+# part unless it already is a TaylorElem ("taylor").  An option (JSON key,
+# argument name) is passed to the operation after the operands and reported
+# in the JSON data.
 _ZARISKI_OPS = {
-    "mul": ("znu", 2, None, lambda star, a, b: zariski_mod.z_mul_nu(a, b, star)),
-    "cmul": ("znu", 2, None, lambda star, a, b: zariski_mod.znu_mul_classical(a, b)),
-    "power": ("znu", 1, ("m", "power"), lambda star, a, m: zariski_mod.znu_power_nu(a, m, star)),
-    "delta": ("classical", 1, ("axis", "axis"), lambda star, a, i: zariski_mod.delta(i, a)),
-    "jmap": ("classical", 1, None, lambda star, a: zariski_mod.jmap(a, star.space)),
-    "amul": ("taylor", 2, None, lambda star, a, b: zariski_mod.a_mul_nu(a, b, star)),
-    "qnambu": ("taylor", 3, None, lambda star, a, b, c: zariski_mod.quantum_nambu(a, b, c, star)),
+    "mul": ("znu", 2, None, lambda z, star, a, b: z.z_mul_nu(a, b, star)),
+    "cmul": ("znu", 2, None, lambda z, star, a, b: z.znu_mul_classical(a, b)),
+    "power": ("znu", 1, ("m", "power"), lambda z, star, a, m: z.znu_power_nu(a, m, star)),
+    "delta": ("classical", 1, ("axis", "axis"), lambda z, star, a, i: z.delta(i, a)),
+    "jmap": ("classical", 1, None, lambda z, star, a: z.jmap(a, star.space)),
+    "amul": ("taylor", 2, None, lambda z, star, a, b: z.a_mul_nu(a, b, star)),
+    "qnambu": ("taylor", 3, None, lambda z, star, a, b, c: z.quantum_nambu(a, b, c, star)),
 }
 
 
-def _zariski_operand(kind: str, value, space: VarSpace):
-    if kind == "taylor" and isinstance(value, zariski_mod.TaylorElem):
+def _zariski_operand(zariski, kind: str, value, space: VarSpace):
+    if kind == "taylor" and isinstance(value, zariski.TaylorElem):
         return value
-    x = zariski_mod._as_znu(value)
+    x = zariski._as_znu(value)
     if kind == "znu":
         return x
-    return x.classical() if kind == "classical" else zariski_mod.jmap(x.classical(), space)
+    return x.classical() if kind == "classical" else zariski.jmap(x.classical(), space)
 
 
 def _cmd_zariski(args, cfg):
-    space = zariski_mod.zariski_space(args.dim)
-    star = zariski_mod.zariski_star(args.dim)
+    from . import zariski
+
+    space = zariski.zariski_space(args.dim)
+    star = zariski.zariski_star(args.dim)
     if args.op == "frobenius":
-        witness = zariski_mod.frobenius_counterexample_search(args.max_degree, space)
+        witness = zariski.frobenius_counterexample_search(args.max_degree, space)
         if witness is None:
             text = f"not-found (degree bound {args.max_degree})"
             return [text], {"found": False, "max_degree": args.max_degree}
@@ -262,47 +276,51 @@ def _cmd_zariski(args, cfg):
     if len(args.exprs) != arity:
         exactly = "exactly " if len(args.exprs) > arity else ""
         raise InvalidArgumentError(f"zariski {args.op} needs {exactly}{arity} expression(s)")
-    operands = [_zariski_operand(kind, parse_expr(e, space, space), space) for e in args.exprs]
+    operands = [_zariski_operand(zariski, kind, parse_expr(e, space, space), space) for e in args.exprs]
     data = {"op": args.op}
     if option:
         key, name = option
         data[key] = getattr(args, name)
         operands.append(data[key])
-    data["result"] = text = str(operation(star, *operands))
+    data["result"] = text = str(operation(zariski, star, *operands))
     return [text], data
 
 
 def _cmd_sun(args, cfg):
-    sp = sun_mod.sun_su2() if args.product == "su2" else sun_mod.sun_moyal_standard()
+    from . import sun
+
+    sp = sun.sun_su2() if args.product == "su2" else sun.sun_moyal_standard()
     if args.exp is not None:
-        return _exponential(sun_mod.sun_exponential, sp, args, cfg)
+        return _exponential(sun.sun_exponential, sp, args, cfg)
     if len(args.exprs) != 2:
         raise InvalidArgumentError("sun needs exactly two expressions")
     f, g = (parse_expr(e, sp.space) for e in args.exprs)
     if not (isinstance(f, (Poly, NuObject)) and isinstance(g, (Poly, NuObject))):
         raise InvalidArgumentError("sun operands must be polynomials or nu-polynomials")
-    text = str(sun_mod.sun_mul(sp, f, g))
+    text = str(sun.sun_mul(sp, f, g))
     return [text], {"product": args.product, "result": text}
 
 
 def _cmd_equiv(args, cfg):
+    from . import sun
+
     space = su2_space()
-    products = {"usual": sun_mod.USUAL_PRODUCT, "su2": sun_mod.sun_su2()}
+    products = {"usual": sun.USUAL_PRODUCT, "su2": sun.sun_su2()}
     for name in (args.left, args.right):
         if name not in products:
             raise InvalidArgumentError(f"equiv compares the usual and su2 products on su(2)*, not {name!r}")
     if args.s == "identity":
-        series = sun_mod.identity_series(space)
+        series = sun.identity_series(space)
     elif args.s == "weak-trivializer":
-        series = sun_mod.weak_trivializer(max(1, cfg["nu_order"] // 2), space)
+        series = sun.weak_trivializer(max(1, cfg["nu_order"] // 2), space)
     else:
         raise InvalidArgumentError(f"unknown intertwiner {args.s!r}")
     f = parse_expr(args.exprs[0], space)
     g = parse_expr(args.exprs[1], space)
     if not (isinstance(f, Poly) and isinstance(g, Poly)):
         raise InvalidArgumentError("equivalence checks take plain polynomials")
-    residual = sun_mod.apply_equivalence(series, args.mode, products[args.left], products[args.right],
-                                         f, g, cfg["nu_order"])
+    residual = sun.apply_equivalence(series, args.mode, products[args.left], products[args.right],
+                                     f, g, cfg["nu_order"])
     text = str(residual)
     zero = residual.is_zero()
     lines = [f"residual: {text}", "equivalent to this order" if zero else "not equivalent"]
@@ -311,9 +329,9 @@ def _cmd_equiv(args, cfg):
 
 
 def _cmd_spectrum(args, cfg):
-    from . import weyl as weyl_mod  # numpy is imported only for this command
+    from . import weyl  # numpy is imported only for this command
 
-    trunc = weyl_mod.FockTruncation(args.dim, args.hbar)
+    trunc = weyl.FockTruncation(args.dim, args.hbar)
     if args.deviation:
         space = qp_space()
         f = parse_expr(args.deviation[0], space)
@@ -321,10 +339,10 @@ def _cmd_spectrum(args, cfg):
         if not (isinstance(f, Poly) and isinstance(g, Poly)):
             raise InvalidArgumentError("deviation check takes plain polynomials")
         band = args.band or args.dim // 2
-        dev = weyl_mod.star_vs_operator(f, g, trunc, band)
+        dev = weyl.star_vs_operator(f, g, trunc, band)
         text = f"star-vs-operator deviation: {dev:.3e}"
         return [text], {"deviation": dev, "dim": args.dim, "hbar": args.hbar, "band": band}
-    values = weyl_mod.ho_spectrum(trunc, args.levels)
+    values = weyl.ho_spectrum(trunc, args.levels)
     lines = [f"E_{n} = {v!r}" for n, v in enumerate(values)]
     return lines, {"dim": args.dim, "hbar": args.hbar, "eigenvalues": values}
 
@@ -337,16 +355,18 @@ def _numbers(option: str, text: str, kind) -> tuple:
 
 
 def _cmd_evolve(args, cfg):
+    from . import nambu
+
     if args.system == "euler":
         inertia = _numbers("--inertia", args.inertia, Fraction)
         state = _numbers("--state", args.state, float) if args.state else (1.0, 1.0, 1.0)
-        dyn = nambu_mod.euler_top_dynamics(inertia, state, args.step)
+        dyn = nambu.euler_top_dynamics(inertia, state, args.step)
     elif args.system == "nahm":
         state = _numbers("--state", args.state, float) if args.state else (0.2, 0.3, 0.4)
-        dyn = nambu_mod.nahm_dynamics(state, args.step)
+        dyn = nambu.nahm_dynamics(state, args.step)
     else:
         raise InvalidArgumentError(f"unknown system {args.system!r}")
-    result = nambu_mod.evolve(dyn, args.horizon, args.step)
+    result = nambu.evolve(dyn, args.horizon, args.step)
     if args.csv:
         csv_text = result.to_csv(dyn.bracket.space.names)
         if args.csv == "-":
@@ -373,11 +393,13 @@ def _cmd_evolve(args, cfg):
 
 
 def _cmd_coeffs(args, cfg):
+    from . import sun
+
     if args.a:
         n, r = args.a
-        rec = sun_mod.a_recursion(n, r)
+        rec = sun.a_recursion(n, r)
         if n >= 2 * r:
-            closed = sun_mod.a_closed_form(n, r)
+            closed = sun.a_closed_form(n, r)
             agree = rec == closed
             closed_text = str(closed)
         else:
@@ -386,7 +408,7 @@ def _cmd_coeffs(args, cfg):
         return [text], {"n": n, "r": r, "recursion": str(rec),
                         "closed_form": None if closed is None else str(closed), "agree": agree}
     n_max, r_max = args.table
-    table = sun_mod.sun_coefficients(n_max, r_max)
+    table = sun.sun_coefficients(n_max, r_max)
     lines = []
     for (n, r), val in sorted(table.closed.items()):
         lines.append(f"a({n},{r}) = {table.recursion[(n, r)]}")
@@ -556,6 +578,8 @@ def main(argv=None) -> int:
 
 def _envelope(command: str, status: str, **body) -> str:
     """The JSON document of one call: ``data`` when ok, ``error`` otherwise."""
+    import json
+
     return json.dumps({"tool": "nambu-forge", "command": command, "status": status, **body},
                       sort_keys=True)
 

@@ -23,16 +23,7 @@ import re
 from fractions import Fraction
 
 from .errors import ExprSyntaxError, InvalidArgumentError, ResourceLimitError
-from .poly import NuObject, Poly, VarSpace, _mul_into
-from .zariski import (
-    TaylorElem,
-    ZElem,
-    ZNu,
-    jmap,
-    taylor_mul_classical,
-    zariski_space,
-    zmonomial,
-)
+from .poly import NuObject, Poly, VarSpace, _mul_into, coordinate_space
 
 __all__ = ["parse_expr", "render"]
 
@@ -40,19 +31,21 @@ __all__ = ["parse_expr", "render"]
 # the most term products the '*' and '^' of one parse may form, counted before
 # each is formed (a power's k products at once, at least the base's size
 # each).  A product of poly-context maps counts len(a) * len(b); one unit
-# takes 2-3 us on a 2-vCPU x86_64 host: (3*x1+2*x2-x3+1)^30 (163,680) takes
-# 0.32 s, x1^500000 1.3 s, while (x1+x2+x3+1)^60 (2.4 million) ran 14-15 s
-# before this bound.  A Taylor product counts the product of the operands'
-# entry counts, at least 1 each; one unit takes 5-6 us on many-entry operands
-# and about 20 us on one-entry ones: y1^20000*Z[x1] takes 0.42 s and the 500
-# terms k*y1^k*Z[x1] (126,250 units) 2.4 s
+# takes about 2.2 us on a 2-vCPU x86_64 host: (3*x1+2*x2-x3+1)^30 (163,680)
+# takes 0.21 s, x1^500000 1.1 s, while (x1+x2+x3+1)^60 (2.4 million) ran
+# 14-15 s before this bound.  A Taylor product (Zariski context) counts
+# TAYLOR_UNIT_WEIGHT times the product of the operands' entry counts, at
+# least 1 each: one entry pair takes 20-25 us there (y1^50000 1.2 s,
+# y1^20000*Z[x1] 0.46 s, 300-entry operands times each other 11-22 us), so a
+# parse at the bound costs about 1 s in either context: y1^41666 1.0 s
 PARSE_TERM_BOUND = 500_000
+TAYLOR_UNIT_WEIGHT = 12
 
 # one token after optional whitespace: uint (ASCII digits only), ident,
 # symbol, or any other character, which is an error
 _TOKEN = re.compile(r"\s*(?:([0-9]+)|([^\W\d_]\w*)|([-+*^()\[\];/])|(\S))")
 _KINDS = (None, "uint", "ident", None, None)
-_X3 = zariski_space(3)
+_X3 = coordinate_space(3, paired=1)  # the value of zariski.zariski_space(3)
 
 
 def _tokenize(src: str):
@@ -96,13 +89,23 @@ def _nu_value(space: VarSpace, terms: dict):
     return NuObject(space, {k: Poly(space, row) for k, row in rows.items()})
 
 
+def _add_taylor(acc: dict, value, sign: int) -> None:
+    """acc += sign * value in place, for a TaylorElem value and a row map
+    keyed by y-exponent + (nu power,), each row {ZMonomial: Fraction}."""
+    for e, x in value.terms.items():
+        for r, z in x.coeffs.items():
+            _add_terms(acc.setdefault(e + (r,), {}), z.terms, sign)
+
+
 class _Parser:
     """Recursive-descent parser producing values in one of two algebras.
 
     In poly context a value is one sparse map keyed by exponent + (nu power,)
     with int coefficients (Fractions only from a/b literals), the layout
     poly._mul_into multiplies; sums are added into one map in place.  In the
-    Zariski algebra a value is a TaylorElem."""
+    Zariski algebra a value is a TaylorElem; the terms of a sum are added
+    into one row map, and one TaylorElem is built from it at the end.  The
+    zariski module is imported only for text in the Zariski algebra."""
 
     def __init__(self, src: str, space: VarSpace, zspace: VarSpace):
         self.tokens = _tokenize(src)
@@ -113,6 +116,10 @@ class _Parser:
         self.products = 0
         idents = {v for k, v, _ in self.tokens if k == "ident"}
         self.zariski_mode = "Z" in idents or "J" in idents or any(map(self._is_yvar, idents))
+        if self.zariski_mode:
+            from . import zariski
+
+            self.zariski = zariski
 
     def _is_yvar(self, name: str) -> bool:
         if len(name) < 2 or name[0] != "y" or not name[1:].isdigit():
@@ -138,10 +145,9 @@ class _Parser:
     def _const(self, c, poly_ctx: bool):
         if poly_ctx:
             return {self.one: c} if c else {}
-        return TaylorElem(
-            self.zspace,
-            {(0,) * self.zspace.nvars: ZNu.from_zelem(ZElem.unit(c))},
-            in_a=True,
+        z = self.zariski
+        return z.TaylorElem(
+            self.zspace, {(0,) * self.zspace.nvars: z.ZNu.from_zelem(z.ZElem.unit(c))}, in_a=True
         )
 
     def _nu(self, power: int, poly_ctx: bool):
@@ -149,11 +155,9 @@ class _Parser:
             return {self.one[:-1] + (power,): 1}
         if power < 0:
             raise ExprSyntaxError("negative nu powers are not defined here", self.peek()[2])
-        return TaylorElem(
-            self.zspace,
-            {(0,) * self.zspace.nvars: ZNu({power: ZElem.unit()})},
-            in_a=True,
-        )
+        z = self.zariski
+        return z.TaylorElem(self.zspace, {(0,) * self.zspace.nvars: z.ZNu({power: z.ZElem.unit()})},
+                            in_a=True)
 
     def _count(self, work: int, ahead: int = 0) -> None:
         """Count work products about to be formed and ahead more to follow."""
@@ -173,14 +177,16 @@ class _Parser:
     def _mul(self, a, b):
         if isinstance(a, dict):
             return self._times(a, b)
-        self._count(max(1, _size(a)) * max(1, _size(b)))
-        return taylor_mul_classical(a, b)
+        self._count(TAYLOR_UNIT_WEIGHT * max(1, _size(a)) * max(1, _size(b)))
+        return self.zariski.taylor_mul_classical(a, b)
 
     def _pow(self, a, k: int):
         # negative exponents are intercepted at the factor level (nu only)
-        out = self._const(1, isinstance(a, dict))
+        poly_ctx = isinstance(a, dict)
+        out = self._const(1, poly_ctx)
         size = _size(a)
-        self._count(0, k * size)  # each of the k products counts at least size
+        # each of the k products counts at least size
+        self._count(0, k * size * (1 if poly_ctx else TAYLOR_UNIT_WEIGHT))
         for _ in range(k):
             out = self._mul(out, a)
             if not size:
@@ -200,16 +206,25 @@ class _Parser:
             self.next()
             negate = True
         value = self.term(poly_ctx)
-        if negate:
-            value = {e: -c for e, c in value.items()} if poly_ctx else value.scale(-1)
-        while self.peek()[0] in ("+", "-"):
+        if poly_ctx:
+            if negate:
+                value = {e: -c for e, c in value.items()}
+            while self.peek()[0] in ("+", "-"):
+                sign = 1 if self.next()[0] == "+" else -1
+                _add_terms(value, self.term(poly_ctx), sign)  # every term is a fresh map
+            return value
+        if self.peek()[0] not in ("+", "-"):
+            return value.scale(-1) if negate else value
+        rows: dict = {}
+        sign, in_a = (-1 if negate else 1), True
+        while True:
+            _add_taylor(rows, value, sign)
+            in_a = in_a and value.in_a
+            if self.peek()[0] not in ("+", "-"):
+                break
             sign = 1 if self.next()[0] == "+" else -1
-            rhs = self.term(poly_ctx)
-            if poly_ctx:
-                _add_terms(value, rhs, sign)  # every term is a fresh map
-            else:
-                value = value + rhs if sign > 0 else value - rhs
-        return value
+            value = self.term(poly_ctx)
+        return self.zariski._taylor_of_rows(self.zspace, rows, in_a)
 
     def term(self, poly_ctx: bool):
         value = self.factor(poly_ctx)
@@ -262,9 +277,8 @@ class _Parser:
             if not poly_ctx and self._is_yvar(text):
                 e = [0] * self.zspace.nvars
                 e[int(text[1:]) - 1] = 1
-                return TaylorElem(
-                    self.zspace, {tuple(e): ZNu.from_zelem(ZElem.unit())}, in_a=False
-                )
+                z = self.zariski
+                return z.TaylorElem(self.zspace, {tuple(e): z.ZNu.from_zelem(z.ZElem.unit())}, in_a=False)
             if poly_ctx:
                 try:
                     idx = self.space.index(text)
@@ -289,22 +303,20 @@ class _Parser:
                     continue
                 break
         self.expect("]")
+        z = self.zariski
         try:
-            mono = zmonomial(factors)
+            mono = z.zmonomial(factors)
         except InvalidArgumentError as exc:
             raise ExprSyntaxError(str(exc), at) from None
-        return TaylorElem(
-            self.zspace,
-            {(0,) * self.zspace.nvars: ZNu.from_zelem(ZElem.basis(mono))},
-            in_a=False,
+        return z.TaylorElem(
+            self.zspace, {(0,) * self.zspace.nvars: z.ZNu.from_zelem(z.ZElem.basis(mono))}, in_a=False
         )
 
     def _jatom(self, at: int):
         self.expect("(")
         value = self.expr(poly_ctx=False)
         self.expect(")")
-        z = _demote_zelem(value, at)
-        return jmap(z, self.zspace)
+        return self.zariski.jmap(_demote_zelem(value, at), self.zspace)
 
 
 def _size(value) -> int:
@@ -322,9 +334,8 @@ def _demote_poly(space: VarSpace, terms: dict, at: int) -> Poly:
     return value
 
 
-def _demote_zelem(value, at: int) -> ZElem:
-    if not isinstance(value, TaylorElem):
-        raise ExprSyntaxError("expected a Zariski element", at)
+def _demote_zelem(value, at: int):
+    """The ZElem of a Zariski-context value with no y and no nu content."""
     const = value.y_constant()
     if list(value.terms) not in ([], [(0,) * value.space.nvars]):
         raise ExprSyntaxError("J(...) takes a plain Zariski element", at)
@@ -357,6 +368,9 @@ def parse_expr(src: str, space: VarSpace = None, zspace: VarSpace = None):
 
 def render(value) -> str:
     """Canonical text for any value parse_expr can return: its ``str``."""
-    if not isinstance(value, (Poly, NuObject, ZElem, ZNu, TaylorElem)):
-        raise InvalidArgumentError(f"cannot render {type(value).__name__}")
+    if not isinstance(value, (Poly, NuObject)):
+        from .zariski import TaylorElem, ZElem, ZNu
+
+        if not isinstance(value, (ZElem, ZNu, TaylorElem)):
+            raise InvalidArgumentError(f"cannot render {type(value).__name__}")
     return str(value)

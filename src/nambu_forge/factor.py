@@ -28,11 +28,9 @@ from functools import cache
 from math import comb, gcd, isqrt, lcm, perm
 
 from .errors import InvalidArgumentError, ResourceLimitError
-from .poly import Poly, VarSpace, grlex_key
+from .poly import DEFAULT_DEGREE_BOUND, Poly, VarSpace, grlex_key
 
 __all__ = ["Factorization", "normalize", "factorize", "is_irreducible", "DEFAULT_DEGREE_BOUND"]
-
-DEFAULT_DEGREE_BOUND = 12
 
 _SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
 

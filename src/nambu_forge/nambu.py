@@ -18,8 +18,6 @@ symbolically once per run.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -181,6 +179,9 @@ class EvolveResult:
         }
 
     def to_csv(self, names: Sequence[str]) -> str:
+        import csv  # only --csv needs it; keep it out of start-up
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["t", *names, *[f"H{k+1}" for k in range(len(self.max_relative_drift))]])

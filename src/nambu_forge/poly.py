@@ -52,6 +52,10 @@ def grlex_key(e: Exponent):
 # variables and 3.6 s (370 MB peak) on 128, and that of a1^8 + ... + a128^8 2 s
 VARIABLE_BOUND = 128
 
+# factor.factorize's default total-degree bound, defined here so that the CLI
+# reads its default without loading the factorizer
+DEFAULT_DEGREE_BOUND = 12
+
 
 @dataclass(frozen=True)
 class VarSpace:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -119,7 +120,7 @@ def star_vs_operator(f: Poly, g: Poly, t: FockTruncation, safe_band: int) -> flo
     over the top-left safe_band x safe_band block."""
     if safe_band >= t.dim:
         raise InvalidArgumentError("safe_band must be smaller than dim")
-    from .star import moyal_product, star_mul
+    from .star import moyal_product, star_mul  # the plain spectrum does not load star
 
     star = star_mul(moyal_product(qp_space()), f, g)
     lhs = _quantize_nuobject(star, t)
@@ -135,8 +136,6 @@ def ho_spectrum(t: FockTruncation, k: int) -> list:
     if k == 0:
         return []
     sp = qp_space()
-    from fractions import Fraction
-
     h = (Poly.variable(sp, 0) ** 2 + Poly.variable(sp, 1) ** 2) * Fraction(1, 2)
     m = weyl_quantize(h, t).entries
     vals = np.linalg.eigvalsh((m + m.conj().T) / 2.0)

@@ -767,12 +767,17 @@ def _y_nu_rows(a: TaylorElem) -> dict:
     return {e + (r,): z.terms for e, x in a.terms.items() for r, z in x.coeffs.items()}
 
 
-def _taylor_over(space: VarSpace, rows: dict, d: int, in_a: bool) -> TaylorElem:
-    """The TaylorElem of integer rows keyed by y-exponent + (nu power,) over d."""
+def _taylor_of_rows(space: VarSpace, rows: dict, in_a: bool) -> TaylorElem:
+    """The TaylorElem of Fraction rows keyed by y-exponent + (nu power,)."""
     out: dict = {}
-    for key, row in _over(rows, d).items():
+    for key, row in rows.items():
         out.setdefault(key[:-1], {})[key[-1]] = ZElem._frozen(row)
     return TaylorElem(space, {e: ZNu(x) for e, x in out.items()}, in_a=in_a)
+
+
+def _taylor_over(space: VarSpace, rows: dict, d: int, in_a: bool) -> TaylorElem:
+    """The TaylorElem of integer rows keyed by y-exponent + (nu power,) over d."""
+    return _taylor_of_rows(space, _over(rows, d), in_a)
 
 
 def taylor_mul_classical(a: TaylorElem, b: TaylorElem) -> TaylorElem:

@@ -118,12 +118,48 @@ def _child_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+# the modules a child interpreter has loaded: nambu_forge's by their short
+# names, and numpy
+_LOADED = ("import sys; print(*sorted(m.split('.')[-1] for m in sys.modules"
+           " if m.startswith('nambu_forge.') or m == 'numpy'), file=sys.stderr)")
+
+
 def test_cli_import_leaves_numpy_out():
-    # numpy is loaded by the spectrum command only
-    code = "import sys, nambu_forge.cli; print('numpy' in sys.modules)"
+    # importing the CLI loads the parser only; each subcommand imports the
+    # engine modules it runs, and numpy is loaded by spectrum only
+    code = "import nambu_forge.cli; " + _LOADED
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=_child_env(), check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stderr.split() == ["cli", "errors", "expr", "poly"]
+
+
+# one call per subcommand and the modules it loads beyond cli, errors, expr
+# and poly
+SUBCOMMAND_MODULES = [
+    (["star", "--product", "su2", "L1", "L2"], ["star"]),
+    (["star", "--product", "partial", "x1", "x2"], ["star"]),
+    (["factor", "x1^2 - x2^2"], ["factor"]),
+    (["zariski", "mul", "Z[x1]", "Z[x2]"], ["factor", "star", "zariski"]),
+    (["sun", "L1", "L2"], ["numbers", "star", "sun"]),
+    (["coeffs", "--a", "4", "1"], ["numbers", "star", "sun"]),
+    (["equiv", "--mode", "A", "L1", "L2"], ["numbers", "star", "sun"]),
+    (["nambu", "x1", "x2", "x3"], ["nambu"]),
+    (["check-fi", "--trials", "2"], ["nambu"]),
+    (["evolve", "--horizon", "0.01"], ["nambu"]),
+    (["spectrum", "--dim", "10", "--levels", "2"], ["numpy", "weyl"]),
+]
+
+
+@pytest.mark.parametrize("argv, modules", SUBCOMMAND_MODULES,
+                         ids=[" ".join(argv) for argv, _ in SUBCOMMAND_MODULES])
+def test_subcommand_loads_only_its_modules(capsys, argv, modules):
+    # a fresh interpreter, so that a module the test session has imported
+    # cannot stand in for a missing import; the output is the in-process one
+    code = "import sys; from nambu_forge.cli import main; main(sys.argv[1:]); " + _LOADED
+    child = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                           env=_child_env(), check=True)
+    assert child.stderr.split() == sorted(["cli", "errors", "expr", "poly", *modules])
+    assert child.stdout == run(capsys, *argv)[1]
 
 
 def test_factor_text(capsys):
@@ -211,8 +247,8 @@ def test_domain_error_exit_code(capsys):
          "star.resource-limit"),
         # the square of a three-term operand forms 3 + 9 term products
         (expr, "PARSE_TERM_BOUND", ("factor", "(x1 + x2 + 1)^2"), "factor.resource-limit"),
-        # the Taylor square of two entries counts 1*2 + 2*2, its three entries
-        # times two more 6
+        # the Taylor square of two entries counts at least 2 * 2 products of
+        # TAYLOR_UNIT_WEIGHT units, refused before the first
         (expr, "PARSE_TERM_BOUND", ("zariski", "amul", "(y1 + Z[x1])^2*(y2 + Z[x2])", "Z[x1]"),
          "zariski.resource-limit"),
     ],
@@ -288,7 +324,7 @@ def test_star_operand_over_the_degree_bound(capsys):
         (("check-fi", "--bracket", "linear6", "--degree", "8", "--trials", "1"),
          "Jacobian determinant of 115719 term products is over the Jacobian term bound 100000"),
         (("zariski", "amul", "y1^100000000", "Z[x1]"),
-         "parse of 100000000 term products is over the parse term bound 500000"),
+         "parse of 1200000000 term products is over the parse term bound 500000"),
     ],
     ids=["dim-3000", "vars-2400", "fi-degree", "fi-trials", "table-order", "table-steps",
          "fi-jacobian", "zariski-power"],
@@ -311,6 +347,54 @@ def test_golden_outputs(capsys, record):
     assert (code, out, err) == (record["exit"], record["stdout"], record["stderr"])
     if record["argv"][0] == "--json":
         validate(json.loads(out))
+
+
+# one golden call per subcommand, star product and zariski op, run in a
+# fresh interpreter as the installed command runs: in this process every
+# module is loaded already, so a missing import inside a handler cannot fail
+FRESH_GOLDENS = [
+    "star --product moyal q p",
+    "star --product partial x1^2 x2^2*x3",
+    "star --product standard q^2 p^2",
+    "star --product su2 L1 L2",
+    "--json star --product su2 L1 L2",
+    "factor x1^2*x2 - x2^3",
+    "--json factor nu*x1",
+    "nambu x1*x2 x2*x3 x3^2",
+    "check-fi --degree 2 --trials 5",
+    "sun L1^2 L2^2",
+    "sun --product ms q^2 p^2",
+    "equiv --mode B L1 L2",
+    "coeffs --a 4 1",
+    "zariski mul Z[x1] Z[x2]",
+    "zariski cmul nu*Z[x1] x1 + x2",
+    "zariski power Z[x1]",
+    "zariski delta Z[x1; x2^2 + 1] --axis 2",
+    "zariski jmap x1*x2 + 1",
+    "zariski amul J(Z[x1]) J(Z[x2])",
+    "zariski qnambu J(Z[x1]) J(Z[x2]) J(Z[x3])",
+    "zariski frobenius --max-degree 3",
+]
+GOLDEN_BY_ID = {" ".join(r["argv"]): r for r in GOLDEN}
+
+
+def test_fresh_goldens_cover_every_route():
+    calls = [GOLDEN_BY_ID[name]["argv"] for name in FRESH_GOLDENS]
+    calls = [argv[1:] if argv[0] == "--json" else argv for argv in calls]
+    assert {argv[2] for argv in calls if argv[0] == "star"} == set(cli._STAR_PRODUCTS)
+    assert {argv[1] for argv in calls if argv[0] == "zariski"} == {*cli._ZARISKI_OPS, "frobenius"}
+    subcommands = set(cli.build_parser()._subparsers._group_actions[0].choices)
+    assert {argv[0] for argv in calls} | {"spectrum", "evolve"} == subcommands
+    assert {argv[0] for argv, _ in SUBCOMMAND_MODULES} == subcommands
+
+
+@pytest.mark.parametrize("name", FRESH_GOLDENS)
+def test_golden_outputs_in_a_fresh_process(name):
+    record = GOLDEN_BY_ID[name]
+    child = subprocess.run([sys.executable, "-m", "nambu_forge.cli", *record["argv"]],
+                           capture_output=True, text=True, env=_child_env())
+    assert (child.returncode, child.stdout, child.stderr) == (
+        record["exit"], record["stdout"], record["stderr"])
 
 
 @pytest.mark.parametrize(
