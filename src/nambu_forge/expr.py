@@ -41,6 +41,11 @@ __all__ = ["parse_expr", "render"]
 PARSE_TERM_BOUND = 500_000
 TAYLOR_UNIT_WEIGHT = 12
 
+# the most '(', 'J(' and 'Z[' one parse may have open at once: five or six
+# Python frames each, so at most 600 of the default recursion limit of 1000
+# (x1 inside 300 pairs of parentheses overflowed it before this bound)
+PARSE_DEPTH_BOUND = 100
+
 # one token after optional whitespace: uint (ASCII digits only), ident,
 # symbol, or any other character, which is an error
 _TOKEN = re.compile(r"\s*(?:([0-9]+)|([^\W\d_]\w*)|([-+*^()\[\];/])|(\S))")
@@ -114,6 +119,7 @@ class _Parser:
         self.zspace = zspace
         self.one = (0,) * (space.nvars + 1)
         self.products = 0
+        self.depth = 0
         idents = {v for k, v, _ in self.tokens if k == "ident"}
         self.zariski_mode = "Z" in idents or "J" in idents or any(map(self._is_yvar, idents))
         if self.zariski_mode:
@@ -165,6 +171,16 @@ class _Parser:
         if self.products + ahead > PARSE_TERM_BOUND:
             raise ResourceLimitError(f"parse of {self.products + ahead} term products is over "
                                      f"the parse term bound {PARSE_TERM_BOUND}")
+
+    def _inner(self, poly_ctx: bool):
+        """An expr inside one more open '(', 'J(' or 'Z['."""
+        self.depth += 1
+        if self.depth > PARSE_DEPTH_BOUND:
+            raise ResourceLimitError(f"brackets nested {self.depth} deep are over the parse depth "
+                                     f"bound {PARSE_DEPTH_BOUND}")
+        value = self.expr(poly_ctx)
+        self.depth -= 1
+        return value
 
     def _times(self, a: dict, b: dict) -> dict:
         self._count(len(a) * len(b))
@@ -264,7 +280,7 @@ class _Parser:
                 return self._const(Fraction(num, den), poly_ctx)
             return self._const(num, poly_ctx)
         if kind == "(":
-            value = self.expr(poly_ctx)
+            value = self._inner(poly_ctx)
             self.expect(")")
             return value
         if kind == "ident":
@@ -297,7 +313,7 @@ class _Parser:
         factors = []
         if self.peek()[0] != "]":
             while True:
-                factors.append(_demote_poly(self.space, self.expr(poly_ctx=True), at))
+                factors.append(_demote_poly(self.space, self._inner(poly_ctx=True), at))
                 if self.peek()[0] == ";":
                     self.next()
                     continue
@@ -314,7 +330,7 @@ class _Parser:
 
     def _jatom(self, at: int):
         self.expect("(")
-        value = self.expr(poly_ctx=False)
+        value = self._inner(poly_ctx=False)
         self.expect(")")
         return self.zariski.jmap(_demote_zelem(value, at), self.zspace)
 

@@ -10,7 +10,8 @@ exact trial division (Wang's method, with lc_x imposed on both sides).
 Univariate integer factorization is classic Zassenhaus: squarefree part via
 a primitive PRS gcd, distinct-degree and equal-degree splitting modulo a
 small odd prime, quadratic Hensel lifting to a power of p beyond the
-Mignotte bound, then subset recombination with exact trial division.
+Mignotte bound, then subset recombination with exact trial division.  Each
+factor is made monic on integers; the unit is the input's leading coefficient.
 
 Irreducibility here means irreducibility over the rationals.  Real
 irreducibles of degree 2 such as x^2 - 2 would split further over R; every
@@ -25,10 +26,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, gcd, isqrt, lcm, perm
+from math import comb, gcd, isqrt, perm
 
 from .errors import InvalidArgumentError, ResourceLimitError
-from .poly import DEFAULT_DEGREE_BOUND, Poly, VarSpace, grlex_key
+from .poly import DEFAULT_DEGREE_BOUND, Poly, VarSpace, _int_terms, grlex_key
 
 __all__ = ["Factorization", "normalize", "factorize", "is_irreducible", "DEFAULT_DEGREE_BOUND"]
 
@@ -763,7 +764,8 @@ def _hensel_multi(rows: dict, lcs: dict, a0: list, b0: list, p: int) -> dict | N
 
 @dataclass(frozen=True)
 class Factorization:
-    """unit * product(factor^multiplicity), factors normalized irreducible."""
+    """unit * product(factor^multiplicity), factors normalized irreducible;
+    the unit is the input's leading coefficient."""
 
     unit: Fraction
     factors: tuple  # ((Poly, int), ...) in canonical order
@@ -793,13 +795,6 @@ def normalize(f: Poly):
     return c, f * (Fraction(1) / c)
 
 
-def _factor_int_poly(f: Poly) -> list:
-    """Factor a nonconstant Poly; returns [(primitive factor Poly, mult)]."""
-    scale = lcm(*(c.denominator for c in f.terms.values()))
-    terms = {e: int(c * scale) for e, c in f.terms.items()}
-    return [(Poly(f.space, g), m) for g, m in _factor_terms(terms)]
-
-
 def factorize(f: Poly, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Factorization:
     """Complete factorization over Q with deterministic canonical ordering."""
     if f.is_zero():
@@ -813,36 +808,20 @@ def factorize(f: Poly, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Factorizatio
 
 @cache
 def _factorize(f: Poly) -> Factorization:
-    space = f.space
-    if f.is_constant():
-        return Factorization(f.constant_value(), (), space)
-
-    pieces = _factor_int_poly(f)
-    unit = Fraction(1)
+    """f's integer factors made monic, one Fraction per term.  Graded-lex
+    order is multiplicative, so the unit is lc(f) and the factors' leading
+    monomials, times their multiplicities, add up to lm(f)."""
+    lm = (0,) * f.space.nvars
     normalized = []
-    for g, m in pieces:
-        c, gn = normalize(g)
-        unit *= c**m
-        normalized.append((gn, m))
+    for g, m in _factor_terms(_int_terms(f)[0]):
+        glm = max(g, key=grlex_key)
+        lc = g[glm]
+        normalized.append((Poly._frozen(f.space, {e: Fraction(c, lc) for e, c in g.items()}), m))
+        lm = tuple(a + m * b for a, b in zip(lm, glm))
+    if lm != f.leading_monomial():
+        raise InvalidArgumentError("internal factorization mismatch")
     normalized.sort(key=lambda item: (item[0].sort_key(), item[1]))
-    # the residual constant: f / (unit * prod) must be a rational unit
-    total = Poly.const(space, unit)
-    for g, m in normalized:
-        total = total * g**m
-    ratio = _constant_ratio(f, total)
-    unit *= ratio
-    return Factorization(unit, tuple(normalized), space)
-
-
-def _constant_ratio(f: Poly, g: Poly) -> Fraction:
-    lm = f.leading_monomial()
-    cg = g.terms.get(lm)
-    if not cg:
-        raise InvalidArgumentError("internal factorization mismatch")
-    ratio = f.terms[lm] / cg
-    if not (g * ratio == f):
-        raise InvalidArgumentError("internal factorization mismatch")
-    return ratio
+    return Factorization(f.leading_coeff(), tuple(normalized), f.space)
 
 
 def is_irreducible(f: Poly, degree_bound: int = DEFAULT_DEGREE_BOUND) -> bool:

@@ -277,15 +277,16 @@ def _interned(f: Poly) -> Poly:
     return f
 
 
+def _factor_monomial(u: Poly) -> ZMonomial:
+    """The interned normalized factors of a nonzero u (none for a constant)."""
+    return ZMonomial(map(_interned, factorize(u).factor_multiset()), trusted=True)
+
+
 def zelem_from_poly(u: Poly) -> ZElem:
-    """The image Z_u, using Z_{cu} = c Z_u and a full factorization of u."""
+    """The image Z_u = lc(u) Z_(u / lc(u)), since Z_{cu} = c Z_u."""
     if u.is_zero():
         return ZElem.zero()
-    if u.is_constant():
-        return ZElem.unit(u.constant_value())
-    fac = factorize(u)
-    mono = ZMonomial(map(_interned, fac.factor_multiset()), trusted=True)
-    return ZElem.basis(mono, fac.unit)
+    return ZElem.basis(_factor_monomial(u), u.leading_coeff())
 
 
 class ZNu(_Sparse):
@@ -527,15 +528,16 @@ def z_mul_classical(a: ZElem, b: ZElem) -> ZElem:
 @cache
 def _deformation_tail(m: ZMonomial, s: StarProduct) -> tuple:
     """(d, ((r, m_r, n_r), ...)): the nu^r part of D(Z_m) for r > 0 is
-    n_r / d * Z(m_r), the factorization of T_r(m)."""
-    rows, den = _T_rows(m.factors, s)
+    n_r / d * Z(m_r).  T_r(m) is the integer row T_r over T's denominator d;
+    m_r is the row's factor multiset and n_r its leading numerator, since
+    Z_{cu} = c Z_u with c = lc(u)."""
+    rows, d = _T_rows(m.factors, s)
     parts = []
     for r, row in rows.items():
         if r > 0:
-            z = zelem_from_poly(Poly._frozen(s.space, {e: Fraction(n, den) for e, n in row.items()}))
-            parts.extend((r, m_r, c) for m_r, c in z.terms.items())
-    d = lcm(*(c.denominator for _, _, c in parts))
-    return d, tuple((r, m_r, c.numerator * (d // c.denominator)) for r, m_r, c in parts)
+            u = Poly._frozen(s.space, {e: Fraction(n) for e, n in row.items()})
+            parts.append((r, _factor_monomial(u), row[max(row, key=grlex_key)]))
+    return d, tuple(parts)
 
 
 def _deform(row: Mapping, d: int, s: StarProduct) -> ZNu:

@@ -63,6 +63,21 @@ def brute_sun_lift(sp, x) -> NuObject:
     return out
 
 
+def fractions_built(monkeypatch, call) -> tuple:
+    """(result of call(), number of Fractions constructed while it ran)."""
+    built = []
+    original_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(1)
+        return original_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    out = call()
+    monkeypatch.undo()
+    return out, len(built)
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

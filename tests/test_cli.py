@@ -251,6 +251,9 @@ def test_domain_error_exit_code(capsys):
         # TAYLOR_UNIT_WEIGHT units, refused before the first
         (expr, "PARSE_TERM_BOUND", ("zariski", "amul", "(y1 + Z[x1])^2*(y2 + Z[x2])", "Z[x1]"),
          "zariski.resource-limit"),
+        # nine brackets are open at x1: J(, seven ( and Z[
+        (expr, "PARSE_DEPTH_BOUND", ("zariski", "mul", "J(" + "(" * 7 + "Z[x1]" + ")" * 8, "Z[x1]"),
+         "zariski.resource-limit"),
     ],
 )
 def test_resource_bounds_exit_1(capsys, monkeypatch, module, bound, argv, code):
@@ -308,6 +311,10 @@ def test_star_operand_over_the_degree_bound(capsys):
     assert json.loads(out)["error"] == {"code": "star.resource-limit", "message": message}
 
 
+_DEEP = (f"brackets nested {expr.PARSE_DEPTH_BOUND + 1} deep are over the parse depth bound "
+         f"{expr.PARSE_DEPTH_BOUND}")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -325,9 +332,13 @@ def test_star_operand_over_the_degree_bound(capsys):
          "Jacobian determinant of 115719 term products is over the Jacobian term bound 100000"),
         (("zariski", "amul", "y1^100000000", "Z[x1]"),
          "parse of 1200000000 term products is over the parse term bound 500000"),
+        # the parse stops at the first bracket past the bound
+        (("factor", "(" * 300 + "x1" + ")" * 300), _DEEP),
+        (("zariski", "mul", "J(" * 600 + "Z[x1]" + ")" * 600, "Z[x1]"), _DEEP),
+        (("zariski", "mul", "Z[" + "(" * 3000 + "x1" + ")" * 3000 + "]", "Z[x1]"), _DEEP),
     ],
     ids=["dim-3000", "vars-2400", "fi-degree", "fi-trials", "table-order", "table-steps",
-         "fi-jacobian", "zariski-power"],
+         "fi-jacobian", "zariski-power", "parentheses-300", "j-600", "parentheses-in-z-3000"],
 )
 def test_unpatched_bounds_end_without_traceback(capsys, argv, message):
     # without these bounds each call printed a RecursionError traceback or
@@ -335,6 +346,17 @@ def test_unpatched_bounds_end_without_traceback(capsys, argv, message):
     # bound, the Jacobian's as its products are formed
     command = argv[0]
     assert run(capsys, *argv) == (1, "", f"error[{command}.resource-limit]: {message}\n")
+
+
+def test_nesting_at_the_depth_bound_parses(capsys):
+    # PARSE_DEPTH_BOUND open brackets, with J( and Z[ among them, parse
+    # under pytest's own frames
+    k = expr.PARSE_DEPTH_BOUND
+    assert run(capsys, "factor", "(" * k + "x1" + ")" * k) == (0, "1 * (x1)\n", "")
+    argv = ("zariski", "amul", "(" * (k - 2) + "J(Z[x1])" + ")" * (k - 2), "Z[]")
+    assert run(capsys, *argv) == (0, "Z[x1] + y1*Z[]\n", "")
+    argv = ("zariski", "mul", "Z[" + "(" * (k - 1) + "x1" + ")" * (k - 1) + "]", "Z[]")
+    assert run(capsys, *argv) == (0, "Z[x1]\n", "")
 
 
 @pytest.mark.parametrize(

@@ -2,15 +2,16 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from nambu_forge import factor as factor_mod
 from nambu_forge.errors import InvalidArgumentError, ResourceLimitError
 from nambu_forge.factor import Factorization, factorize, is_irreducible, normalize
-from nambu_forge.poly import Poly, coordinate_space
+from nambu_forge.poly import Poly, _int_terms, coordinate_space
 
-from conftest import random_poly
+from conftest import fractions_built, random_poly
 
 X3 = coordinate_space(3)
 x1, x2, x3 = (Poly.variable(X3, i) for i in range(3))
@@ -156,6 +157,81 @@ def test_leading_coefficient_vanishing_at_first_point(monkeypatch):
     with pytest.raises(ResourceLimitError) as err:
         factorize(f)
     assert "cap of 1 tries" in str(err.value)
+
+
+def _shaped_products(rng, n):
+    """Seeded products on n variables, each times a rational constant: with
+    rational content, with a negative leading coefficient, with monomial
+    content, with a repeated factor, and a constant."""
+    space = coordinate_space(n)
+
+    def nonconstant():
+        while True:
+            p = random_poly(space, rng, degree=rng.randint(1, 2), terms=rng.randint(2, 3))
+            if not p.is_constant():
+                return p
+
+    def unit():
+        return Fraction(rng.choice([-7, -3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 6]))
+
+    f = nonconstant() * Fraction(rng.choice([1, 5]), rng.choice([2, 6])) + Fraction(1, 3)
+    yield f * nonconstant() * unit()
+    f, c = nonconstant() * nonconstant(), unit()
+    yield f * (c if f.leading_coeff() * c < 0 else -c)
+    x = [Poly.variable(space, i) for i in range(n)]
+    yield x[rng.randrange(n)] ** rng.randint(1, 3) * x[-1] * nonconstant() * unit()
+    yield nonconstant() ** rng.randint(2, 3) * nonconstant() * unit()
+    yield Poly.const(space, unit())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_unit_is_the_leading_coefficient(n):
+    """The oracle for the product check that factorize no longer runs: the
+    unit is lc(f), every factor is monic over a primitive integer numerator
+    map, and expand() multiplies the factorization back to f."""
+    rng = random.Random(2100 + n)
+    for _ in range(8):
+        for f in _shaped_products(rng, n):
+            fac = factorize(f)
+            assert fac.unit == f.leading_coeff(), str(f)
+            for g, m in fac.factors:
+                assert m >= 1 and not g.is_constant()
+                assert g.leading_coeff() == 1, str(g)
+                assert gcd(*_int_terms(g)[0].values()) == 1, str(g)
+            assert fac.expand() == f, str(f)
+
+
+@pytest.mark.parametrize("drop", ["factor", "multiplicity"])
+def test_lost_factor_is_a_mismatch(monkeypatch, drop):
+    # the leading monomials of the factors, each times its multiplicity,
+    # must add up to lm(f); a factorization that lost a factor, or a power
+    # of one, fails that check
+    real = factor_mod._factor_terms
+
+    def lossy(terms):
+        monkeypatch.setattr(factor_mod, "_factor_terms", real)  # the recursion runs unchanged
+        pieces = real(terms)
+        if drop == "factor":
+            return pieces[1:]
+        return [(g, m - 1) if m > 1 else (g, m) for g, m in pieces]
+
+    f = (x1 - x2) ** 2 * (x1 * x3 + 2) * Fraction(-3, 5)
+    factor_mod._factorize.cache_clear()
+    monkeypatch.setattr(factor_mod, "_factor_terms", lossy)
+    with pytest.raises(InvalidArgumentError, match="internal factorization mismatch"):
+        factorize(f)
+    assert factorize(f).expand() == f
+
+
+def test_cold_factorize_builds_one_fraction_per_factor_term(monkeypatch):
+    # integer term maps from input to factors: the only Fractions a cold
+    # factorization constructs are the coefficients of its monic factors
+    f = (x1 * Fraction(1, 2) + x2) * (x1 - x2 * Fraction(3, 4)) ** 2 * x3 * (3 * x2 * x3 - 5)
+    f = f * Fraction(-5, 3)
+    factor_mod._factorize.cache_clear()
+    fac, built = fractions_built(monkeypatch, lambda: factorize(f))
+    assert built == sum(len(g.terms) for g, _ in fac.factors) == 7
+    assert fac.expand() == f
 
 
 def test_univariate_path():

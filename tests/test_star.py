@@ -33,7 +33,7 @@ from nambu_forge.star import (
 )
 from nambu_forge.zariski import zariski_space
 
-from conftest import compositions, random_poly
+from conftest import compositions, fractions_built, random_poly
 
 QP = qp_space()
 L = su2_space()
@@ -336,21 +336,6 @@ def test_su2_rational_operands_match_lift_oracle(rng):
             assert all(type(c) is Fraction for p in got.coeffs.values() for c in p.terms.values())
 
 
-def _fractions_built(monkeypatch, call) -> tuple:
-    """(result of call(), number of Fractions constructed while it ran)."""
-    built = []
-    original_new = Fraction.__new__
-
-    def counting_new(cls, *args, **kwargs):
-        built.append(1)
-        return original_new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counting_new)
-    out = call()
-    monkeypatch.undo()
-    return out, len(built)
-
-
 def test_su2_product_builds_one_fraction_per_output_term(monkeypatch):
     # integer rows all the way: the only Fractions a warm su(2)* product
     # constructs are its output coefficients
@@ -358,7 +343,7 @@ def test_su2_product_builds_one_fraction_per_output_term(monkeypatch):
     f = L1**3 * L2 * Fraction(1, 2) - L3**2 * Fraction(2, 3) + L1 * Fraction(5, 7)
     g = L2**2 * L3 * Fraction(3, 4) + L1 * L3 - Fraction(1, 5)
     star_mul(SU, f, g)  # fills the star-monomial cache
-    out, built = _fractions_built(monkeypatch, lambda: star_mul(SU, f, g))
+    out, built = fractions_built(monkeypatch, lambda: star_mul(SU, f, g))
     assert built == sum(len(p.terms) for p in out.coeffs.values()) == 35
 
 
@@ -401,7 +386,7 @@ def test_moyal_type_products_build_one_fraction_per_output_term(monkeypatch, rng
     F = _rational_series(rng, (-1, 0, 2), space)
     G = _rational_series(rng, (0, 1), space)
     star_mul(product, F, G)
-    out, built = _fractions_built(monkeypatch, lambda: star_mul(product, F, G))
+    out, built = fractions_built(monkeypatch, lambda: star_mul(product, F, G))
     assert built == sum(len(p.terms) for p in out.coeffs.values()) > 0, name
 
 

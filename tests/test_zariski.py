@@ -167,6 +167,26 @@ def test_eval_T_calls_no_star_mul_for_moyal_kinds(monkeypatch):
         assert t == _symmetrized(factors, s)  # the oracle's star_mul is not patched
 
 
+def test_deformation_tail_matches_eval_T():
+    # an oracle for the tail that takes n_r as T_r(m)'s leading numerator:
+    # each part n_r / d * Z(m_r), multiplied out, is T_r(m), and every r > 0
+    # of T(m) has one part; H * H has the constant T_2 = 4
+    rng = random.Random(2102)
+    monomials = [ZMonomial((H, H), trusted=True)]
+    for _ in range(16):
+        pool = [random_z_irreducible(rng, 2) for _ in range(2)]
+        monomials.append(zmonomial(rng.choice(pool) for _ in range(rng.randint(1, 3))))
+    deformed = 0
+    for m in monomials:
+        t = eval_T(m.factors, ST)
+        d, parts = zariski._deformation_tail(m, ST)
+        assert sorted(r for r, _, _ in parts) == [r for r in sorted(t.coeffs) if r > 0], m
+        for r, m_r, n_r in parts:
+            assert m_r.product_poly(SP) * Fraction(n_r, d) == t.coefficient(r), (m, r)
+        deformed += bool(parts)
+    assert deformed >= 6
+
+
 def test_eval_T_rejects_standard_ordering():
     qp = qp_space()
     q, p = Poly.variable(qp, 0), Poly.variable(qp, 1)
