@@ -125,7 +125,7 @@ def su2_lift_space() -> VarSpace:
 
 
 class _Sparse:
-    """+, -, negation, is_zero, == and repr of the immutable sparse values
+    """+, -, negation, is_zero, ==, copy and repr of the immutable sparse values
     (Poly, NuObject, ZElem, ZNu, TaylorElem).  Each supplies ``_parts``, its
     map of nonzero values; ``_like(other)``, the operand of its own type that
     other stands for, or None; and ``_rebuild(row, other)``, the value of a
@@ -137,6 +137,14 @@ class _Sparse:
 
     def __setattr__(self, *a):  # pragma: no cover - guard rail
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    # immutable, so a copy is the value itself; each type's __reduce__
+    # rebuilds a pickled value through its constructor
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def is_zero(self) -> bool:
         return not self._parts
@@ -263,6 +271,9 @@ class Poly(_Sparse):
     def _rebuild(self, row: dict, other: "Poly") -> "Poly":
         self._check_space(other)
         return Poly._frozen(self.space, row)
+
+    def __reduce__(self):
+        return Poly, (self.space, self.terms)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -487,6 +498,9 @@ class NuObject(_Sparse):
     def _rebuild(self, row: dict, other: "NuObject") -> "NuObject":
         self._check_space(other)
         return NuObject(self.space, row)
+
+    def __reduce__(self):
+        return NuObject, (self.space, self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -34,14 +34,23 @@ rows over one denominator, which the next recursion step reads as they are;
 one Z-monomial each over one denominator.  Every classical product (plain,
 nu-graded, y-graded, and the y-derivatives in ``quantum_nambu``) multiplies
 {ZMonomial: numerator} rows with one denominator per operand, and Fractions
-are built once per output term.  ``zelem_from_poly`` interns the factors it
-puts in a ZMonomial, so equal factors are one object and comparing factor
-multisets stops at identity.
+are built once per output term.
+
+Z-monomials are interned: every ZMonomial is built through one weak table
+keyed by its tuple of interned factors, so equal factor multisets are one
+object, == and hash are those of identity, and dict operations on
+{ZMonomial: ...} rows never call Python code.  The table is weak, so it holds
+no ZMonomial that is otherwise gone and never needs clearing.  ``union`` is
+cached per pair of Z-monomials, and ``jmap`` adds c times the J-image of each
+Z-monomial, cached per Z-monomial and space.  Since the hash is by identity,
+no output may depend on the iteration order of a set of ZMonomials; rows are
+dicts, which keep insertion order.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -130,21 +139,29 @@ def zariski_star(n: int = 3) -> StarProduct:
 # The semigroup algebra
 
 
-_stored_hash = attrgetter("_hash")
+@cache
+def _interned(f: Poly) -> Poly:
+    """The first factor equal to f that a ZMonomial met, so that equal
+    factors of different factorizations are one object in every ZMonomial."""
+    return f
+
+
+# every live ZMonomial, keyed by its factor tuple: weak, so an entry goes with
+# its last reference and the table never holds a stale twin or needs clearing
+_ZMONOMIALS = weakref.WeakValueDictionary()
 
 
 class ZMonomial:
     """Canonical multiset of normalized irreducible factors.
 
-    Factors from zelem_from_poly are interned, so equal factors are usually
-    one object and tuple equality stops at identity.  The hash is that of
-    the tuple of the factors' hashes, which every factor of a ZMonomial has
-    stored.
+    Interned: every construction returns the one live ZMonomial over its
+    (interned) factors, so equal multisets are one object, and == and hash
+    are those of object identity.
     """
 
-    __slots__ = ("factors", "_hash")
+    __slots__ = ("factors", "__weakref__")
 
-    def __init__(self, factors: Iterable[Poly], trusted: bool = False):
+    def __new__(cls, factors: Iterable[Poly], trusted: bool = False):
         factors = sorted(factors, key=Poly.sort_key, reverse=True)
         if not trusted:
             for f in factors:
@@ -154,16 +171,17 @@ class ZMonomial:
                     raise InvalidArgumentError(f"factor {f} is not normalized")
                 if not is_irreducible(f):
                     raise InvalidArgumentError(f"factor {f} is not irreducible")
-        object.__setattr__(self, "factors", tuple(factors))
-        object.__setattr__(self, "_hash", hash(tuple(map(hash, factors))))
+        return cls._sorted(tuple(map(_interned, factors)))
 
     @classmethod
     def _sorted(cls, factors: tuple) -> "ZMonomial":
-        """A ZMonomial over factors already in canonical order, each of them
-        taken from another ZMonomial."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "factors", factors)
-        object.__setattr__(out, "_hash", hash(tuple(map(_stored_hash, factors))))
+        """The ZMonomial over factors already in canonical order, each of them
+        interned."""
+        out = _ZMONOMIALS.get(factors)
+        if out is None:
+            out = object.__new__(cls)
+            object.__setattr__(out, "factors", factors)
+            _ZMONOMIALS[factors] = out
         return out
 
     def __setattr__(self, *a):  # pragma: no cover
@@ -172,11 +190,14 @@ class ZMonomial:
     def __len__(self):
         return len(self.factors)
 
-    def __eq__(self, other):
-        return self is other or (isinstance(other, ZMonomial) and self.factors == other.factors)
+    def __copy__(self):
+        return self
 
-    def __hash__(self):
-        return object.__getattribute__(self, "_hash")
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        return ZMonomial, (self.factors, True)
 
     def degree(self) -> int:
         return sum(f.total_degree() for f in self.factors)
@@ -187,9 +208,11 @@ class ZMonomial:
             out = out * f
         return out
 
+    @cache
     def union(self, other: "ZMonomial") -> "ZMonomial":
-        """The multiset sum.  When one side's factors all come before the
-        other's, the two tuples are joined without sorting."""
+        """The multiset sum, computed once per pair.  When one side's factors
+        all come before the other's, the two tuples are joined without
+        sorting."""
         a, b = self.factors, other.factors
         if not b:
             return self
@@ -259,6 +282,9 @@ class ZElem(_Sparse):
     def _rebuild(self, row: dict, other: "ZElem") -> "ZElem":
         return ZElem._frozen(row)
 
+    def __reduce__(self):
+        return ZElem, (self.terms,)
+
     def scale(self, c) -> "ZElem":
         c = Fraction(c)
         if not c:
@@ -269,17 +295,10 @@ class ZElem(_Sparse):
         return render_zelem(self)
 
 
-@cache
-def _interned(f: Poly) -> Poly:
-    """The first factor equal to f that zelem_from_poly met, so that equal
-    factors of different factorizations are one object in every ZMonomial
-    it builds."""
-    return f
-
-
 def _factor_monomial(u: Poly) -> ZMonomial:
-    """The interned normalized factors of a nonzero u (none for a constant)."""
-    return ZMonomial(map(_interned, factorize(u).factor_multiset()), trusted=True)
+    """The ZMonomial of the normalized factors of a nonzero u (none for a
+    constant)."""
+    return ZMonomial(factorize(u).factor_multiset(), trusted=True)
 
 
 def zelem_from_poly(u: Poly) -> ZElem:
@@ -328,6 +347,9 @@ class ZNu(_Sparse):
 
     def _rebuild(self, row: dict, other: "ZNu") -> "ZNu":
         return ZNu(row)
+
+    def __reduce__(self):
+        return ZNu, (self.coeffs,)
 
     def scale(self, c) -> "ZNu":
         return ZNu({k: z.scale(c) for k, z in self.coeffs.items()})
@@ -607,7 +629,7 @@ def delta(i: int, a: ZElem) -> ZElem:
             d = f.diff(i - 1)
             if d.is_zero():
                 continue
-            rest = ZMonomial(factors[:j] + factors[j + 1 :], trusted=True)
+            rest = ZMonomial._sorted(factors[:j] + factors[j + 1 :])
             for m, v in zelem_from_poly(d).terms.items():
                 _bump(row, m.union(rest), v * c * mult)
     return ZElem._frozen(row)
@@ -722,6 +744,9 @@ class TaylorElem(_Sparse):
             raise InvalidArgumentError("TaylorElem spaces differ")
         return TaylorElem(self.space, row, in_a=self.in_a and other.in_a)
 
+    def __reduce__(self):
+        return TaylorElem, (self.space, self.terms, self.in_a)
+
     def scale(self, c) -> "TaylorElem":
         return TaylorElem(self.space, {e: z.scale(c) for e, z in self.terms.items()}, in_a=self.in_a)
 
@@ -739,29 +764,38 @@ def taylor_unit(space: VarSpace = None) -> TaylorElem:
 
 
 def jmap(z: ZElem, space: VarSpace = None) -> TaylorElem:
-    """Taylor expansion J(Z_u) = sum_I y^I / I! Z_{d^I u}, additive in z."""
+    """Taylor expansion J(Z_u) = sum_I y^I / I! Z_{d^I u}, additive in z:
+    c times the cached image of each Z-monomial."""
     if space is None:
         space = zariski_space(3)
-    n = space.nvars
     rows: dict = {}
+    for mono, c in z.terms.items():
+        for e, m, v in _jmap_image(mono, space):
+            _bump(rows.setdefault(e, {}), m, v * c)
+    return TaylorElem(space, {e: ZNu.from_zelem(ZElem._frozen(row)) for e, row in rows.items()}, in_a=True)
 
-    def accumulate(u: Poly, c: Fraction, e: tuple, fact: int, start: int):
-        row = rows.setdefault(e, {})
-        scale = Fraction(c, fact)
-        for m, v in zelem_from_poly(u).terms.items():
-            _bump(row, m, v * scale)
+
+@cache
+def _jmap_image(mono: ZMonomial, space: VarSpace) -> tuple:
+    """J(Z_mono) as (y-exponent I, Z-monomial of d^I u, its coefficient / I!)
+    per nonzero derivative d^I u of u = the product of mono's factors, each I
+    once, in the order of the recursion over non-decreasing axes."""
+    n = space.nvars
+    out = []
+
+    def accumulate(u: Poly, e: tuple, fact: int, start: int):
+        ((m, v),) = zelem_from_poly(u).terms.items()
+        out.append((e, m, v / fact))
         for i in range(start, n):
             d = u.diff(i)
             if d.is_zero():
                 continue
             e2 = list(e)
             e2[i] += 1
-            accumulate(d, c, tuple(e2), fact * e2[i], i)
+            accumulate(d, tuple(e2), fact * e2[i], i)
 
-    for mono, c in z.terms.items():
-        u = mono.product_poly(space)
-        accumulate(u, c, (0,) * n, 1, 0)
-    return TaylorElem(space, {e: ZNu.from_zelem(ZElem._frozen(row)) for e, row in rows.items()}, in_a=True)
+    accumulate(mono.product_poly(space), (0,) * n, 1, 0)
+    return tuple(out)
 
 
 def _y_nu_rows(a: TaylorElem) -> dict:

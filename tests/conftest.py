@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from nambu_forge.poly import NuObject, Poly, VarSpace
+from nambu_forge.poly import NuObject, Poly, VarSpace, _bump
 from nambu_forge.star import star_mul
-from nambu_forge.zariski import eval_T
+from nambu_forge.zariski import TaylorElem, ZElem, ZNu, eval_T, zariski_space, zelem_from_poly
 
 
 def random_poly(space: VarSpace, rng: random.Random, degree: int = 2, terms: int = 3) -> Poly:
@@ -61,6 +61,33 @@ def brute_sun_lift(sp, x) -> NuObject:
             term = eval_T(factors, sp.star)
         out = out + term * c
     return out
+
+
+def jmap_oracle(z: ZElem, space: VarSpace = None) -> TaylorElem:
+    """J(z) = sum_I y^I / I! Z_{d^I u} by the per-derivative recursion, each
+    term c Z_m of z expanded on its own with c carried down: the oracle for
+    zariski.jmap, which scales one cached image per Z-monomial."""
+    if space is None:
+        space = zariski_space(3)
+    n = space.nvars
+    rows: dict = {}
+
+    def accumulate(u: Poly, c: Fraction, e: tuple, fact: int, start: int):
+        row = rows.setdefault(e, {})
+        scale = Fraction(c, fact)
+        for m, v in zelem_from_poly(u).terms.items():
+            _bump(row, m, v * scale)
+        for i in range(start, n):
+            d = u.diff(i)
+            if d.is_zero():
+                continue
+            e2 = list(e)
+            e2[i] += 1
+            accumulate(d, c, tuple(e2), fact * e2[i], i)
+
+    for mono, c in z.terms.items():
+        accumulate(mono.product_poly(space), c, (0,) * n, 1, 0)
+    return TaylorElem(space, {e: ZNu.from_zelem(ZElem._frozen(row)) for e, row in rows.items()}, in_a=True)
 
 
 def fractions_built(monkeypatch, call) -> tuple:

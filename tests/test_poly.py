@@ -225,6 +225,21 @@ def test_compose():
     assert f.compose(images, QP) == Poly.variable(QP, 0) * Poly.variable(QP, 1)
 
 
+def test_values_copy_and_pickle():
+    import copy
+    import pickle
+
+    x1, x2, _ = xs()
+    f = x1 * x1 * Fraction(-3, 4) + x2 + 5
+    nu = NuObject(X3, {0: f, 2: x2 * 7, -1: Poly.const(X3, Fraction(1, 3))})
+    for v in (f, nu, Poly.const(X3, 2), Poly.zero(X3)):
+        assert copy.copy(v) is v and copy.deepcopy(v) is v
+        back = pickle.loads(pickle.dumps(v))
+        assert back == v and hash(back) == hash(v) and str(back) == str(v)
+        assert back.space == v.space
+    assert pickle.loads(pickle.dumps(f)).sort_key() == f.sort_key()
+
+
 def test_hash_agrees_with_equality():
     for c in (0, 1, Fraction(-3, 4)):
         const = Poly.const(X3, c)

@@ -51,7 +51,7 @@ from nambu_forge.zariski import (
     znu_power_nu,
 )
 
-from conftest import random_poly
+from conftest import jmap_oracle, random_poly
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SP = zariski_space(3)
@@ -60,11 +60,11 @@ x1, x2, x3 = (Poly.variable(SP, i) for i in range(3))
 H = x1 * x1 + x2 * x2
 
 
-def random_z_irreducible(rng, degree=2):
+def random_z_irreducible(rng, degree=2, space=SP):
     from nambu_forge.factor import is_irreducible
 
     while True:
-        p = random_poly(SP, rng, degree=degree, terms=rng.randint(2, 3))
+        p = random_poly(space, rng, degree=degree, terms=rng.randint(2, 3))
         if p.is_zero() or p.is_constant():
             continue
         if is_irreducible(p):
@@ -437,6 +437,35 @@ def test_jmap_additive(rng):
         assert jmap(a + b) == jmap(a) + jmap(b)
 
 
+def test_jmap_matches_recursion_oracle(rng):
+    sp4 = zariski_space(4)
+    pool = _factor_pool(rng)
+    unit = ZMonomial(())
+    for _ in range(8):
+        terms = {}
+        for _ in range(rng.randint(2, 4)):
+            factors = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+            terms[zmonomial(factors)] = Fraction(rng.choice([-5, -2, -1, 1, 3]), rng.choice([1, 2, 3, 7]))
+        terms[unit] = Fraction(-2, 3)
+        f = rng.choice(pool)
+        terms[zmonomial([f, f])] = Fraction(5, 6)
+        z = ZElem(terms)
+        assert jmap(z) == jmap_oracle(z)
+        assert str(jmap(z)) == str(jmap_oracle(z))
+        assert jmap(z.scale(Fraction(-7, 2))) == jmap_oracle(z).scale(Fraction(-7, 2))
+        # on R^4: the unit monomial is the same object on both spaces, so
+        # the cache key must hold the space
+        g, h = (random_z_irreducible(rng, space=sp4) for _ in range(2))
+        z4 = ZElem({unit: Fraction(3, 5), zmonomial([g, h, h]): Fraction(-1, 4), zmonomial([g]): 2})
+        assert jmap(z4, sp4) == jmap_oracle(z4, sp4)
+        assert str(jmap(z4, sp4)) == str(jmap_oracle(z4, sp4))
+        assert jmap(ZElem.unit(), sp4) == jmap_oracle(ZElem.unit(), sp4) == taylor_unit(sp4)
+        assert jmap(ZElem.unit()) == taylor_unit() != taylor_unit(sp4)
+        for expand in (jmap, jmap_oracle):
+            with pytest.raises(InvalidArgumentError, match="different variable spaces"):
+                expand(z4, SP)
+
+
 def test_delta_y_intertwines_jmap(rng):
     for _ in range(6):
         u = random_z_irreducible(rng)
@@ -764,16 +793,81 @@ def test_equal_factors_are_one_object():
     fresh = [parse_expr(t, SP) for t in ("x1 + 13*x2", "x3 + 1")]
     assert fresh[0] == mu and fresh[0] is not mu
     loose = ZMonomial(fresh, trusted=True)
-    assert loose == interned and interned == loose
-    assert hash(loose) == hash(interned)
+    assert loose is interned
+    assert loose.factors[0] is mu
     other = zmonomial([x1 * x1 + x2 * x3])
-    assert loose.union(other) == interned.union(other)
-    assert hash(loose.union(other)) == hash(interned.union(other))
+    assert loose.union(other) is interned.union(other)
 
     # so ZElem terms keyed by either are found by the other
     assert ZElem.basis(loose, 5).terms[interned] == 5
     assert ZElem.basis(interned, 5).terms[loose] == 5
     assert ZElem.basis(loose, 5) == ZElem.basis(interned, 5)
+
+
+def test_every_construction_path_is_interned():
+    f, g, h = x1 + 17 * x2, x3 * x3 + x1 + 5, x2 + 19 * x3
+    fgh = ZMonomial([f, g, h], trusted=True)
+    assert ZMonomial([h, g, f]) is fgh
+    assert ZMonomial([parse_expr(t, SP) for t in ("x2 + 19*x3", "x1 + 17*x2")], trusted=True) \
+        is ZMonomial([f, h])
+    assert zmonomial([g, h, f]) is fgh
+    assert zariski._factor_monomial(3 * f * g * h) is fgh
+    fg, gh, single = ZMonomial([f, g]), ZMonomial([g, h]), ZMonomial([h])
+    assert fg.union(single) is single.union(fg) is fgh
+    assert zmonomial([f, f, h]).union(ZMonomial([g])) is ZMonomial([g, f, h, f])
+    assert fgh.union(ZMonomial(())) is fgh and ZMonomial(()).union(fgh) is fgh
+    # delta's Leibniz rule drops one factor at a time and joins the rest
+    for i in (1, 2, 3):
+        for m in delta(i, ZElem.basis(fgh)).terms:
+            assert ZMonomial(m.factors) is m
+    # d/dx1 of f and of g is 1, so the terms are the rest monomials themselves
+    assert list(delta(1, ZElem.basis(fgh)).terms) == [gh, ZMonomial([f, h])]
+    assert zelem_from_poly(Poly.const(SP, 4)).terms.keys() == {ZMonomial(())}
+
+
+def test_zmonomial_identity_is_equality():
+    assert "__eq__" not in vars(ZMonomial) and "__hash__" not in vars(ZMonomial)
+    assert ZMonomial.__hash__ is object.__hash__
+    assert not hasattr(zariski, "_stored_hash")
+    # equal factor lists on different spaces are different polynomials
+    sp4 = zariski_space(4)
+    y1, y2 = (Poly.variable(sp4, i) for i in range(2))
+    m3 = ZMonomial([x1 + 2 * x2])
+    m4 = ZMonomial([y1 + 2 * y2])
+    assert str(m3) == str(m4) and m3 is not m4 and m3 != m4
+
+
+def test_zmonomial_table_drops_dead_monomials():
+    import gc
+    import weakref
+
+    u = x1 * x3 + 23 * x2 + 29
+    m = ZMonomial([u], trusted=True)
+    key, ref = m.factors, weakref.ref(m)
+    assert zariski._ZMONOMIALS[key] is m
+    del m
+    gc.collect()
+    assert ref() is None and key not in zariski._ZMONOMIALS
+    assert ZMonomial([u]).factors == key
+
+
+def test_value_types_copy_and_pickle():
+    import copy
+    import pickle
+
+    f, g = x1 + 31 * x2, x2 * x2 + x3
+    m = ZMonomial([f, g, g])
+    z = ZElem({m: Fraction(-3, 4), ZMonomial(()): 2})
+    znu = ZNu({0: z, 2: ZElem.basis(ZMonomial([f]), 5)})
+    t = jmap(z)
+    for v in (m, z, znu, t):
+        assert copy.copy(v) is v and copy.deepcopy(v) is v
+        back = pickle.loads(pickle.dumps(v))
+        assert back == v and str(back) == str(v)
+    assert pickle.loads(pickle.dumps(m)) is m
+    back = pickle.loads(pickle.dumps(z))
+    assert list(back.terms) == list(z.terms)
+    assert pickle.loads(pickle.dumps(t)).in_a
 
 
 def test_quantum_nambu_keeps_error_messages():
