@@ -186,8 +186,6 @@ class _Parser:
         self._count(len(a) * len(b))
         row: dict = {}
         _mul_into(row, a, b, 1)
-        if len(a) == 1 or len(b) == 1:
-            return row  # the keys are distinct and no product is zero
         return {e: c for e, c in row.items() if c}
 
     def _mul(self, a, b):

@@ -29,7 +29,7 @@ from functools import cache
 from math import comb, gcd, isqrt, perm
 
 from .errors import InvalidArgumentError, ResourceLimitError
-from .poly import DEFAULT_DEGREE_BOUND, Poly, VarSpace, _int_terms, grlex_key
+from .poly import DEFAULT_DEGREE_BOUND, Poly, VarSpace, _int_terms, _mul_into, grlex_key
 
 __all__ = ["Factorization", "normalize", "factorize", "is_irreducible", "DEFAULT_DEGREE_BOUND"]
 
@@ -109,10 +109,7 @@ def _zz_gcd(a: list, b: list) -> list:
             r = _zz_primitive(_zz_pseudo_rem(a, b))
             a, b = b, r
         g = a
-    g = _zz_primitive(g)
-    if g and g[-1] < 0:
-        g = [-c for c in g]
-    return g
+    return _primitive_pos(g)
 
 
 def _zz_div_exact(a: list, b: list) -> list | None:
@@ -150,20 +147,7 @@ def _zz_div_exact(a: list, b: list) -> list | None:
 
 
 def _zp_mul(a: list, b: list, m: int) -> list:
-    if len(a) * len(b) <= 64:
-        return _zp_norm(_zz_mul(a, b), m)
-    # pack the coefficients into one big integer so CPython's fast multiply
-    # performs the convolution; byte-aligned digits leave room for its sums
-    width = 2 * (m - 1).bit_length() + min(len(a), len(b)).bit_length() + 1
-    nbytes = (width + 7) // 8
-    pa = int.from_bytes(b"".join(c.to_bytes(nbytes, "little") for c in a), "little")
-    pb = int.from_bytes(b"".join(c.to_bytes(nbytes, "little") for c in b), "little")
-    raw = (pa * pb).to_bytes((len(a) + len(b)) * nbytes, "little")
-    out = [
-        int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little") % m
-        for i in range(len(a) + len(b) - 1)
-    ]
-    return _trim(out)
+    return _zp_norm(_zz_mul(a, b), m)
 
 
 def _zp_norm(a: list, m: int) -> list:
@@ -435,36 +419,17 @@ def _factor_squarefree_zz(f: list) -> list:
 def _factor_univariate_int(f: list) -> list:
     """Irreducible factors with multiplicity of a primitive integer polynomial.
 
-    Returns a list of (primitive positive-lc factor, multiplicity); the input
-    sign is the caller's business.
+    Returns a list of (primitive positive-lc factor, multiplicity), factors
+    in ascending list order; the input sign is the caller's business.  The
+    squarefree part f / gcd(f, f') goes to Zassenhaus, which handles x and
+    linear factors like any other, and each of its factors is divided out of
+    f as often as it goes.
     """
     f = _primitive_pos(_trim(list(f)))
-    out = []
-    k = 0
-    while f and f[0] == 0:
-        f = f[1:]
-        k += 1
-    if k:
-        out.append(([0, 1], k))
     if _deg(f) < 1:
-        return out
-    if _deg(f) == 1:
-        out.append((f, 1))
-        return out
-    # a squarefree reduction modulo any good prime certifies squarefreeness
-    # over Z, skipping the expensive integer PRS gcd in the common case
-    w = None
-    df = _zz_diff(f)
-    for p in _SMALL_PRIMES[:4]:
-        fp = _zp_norm(f, p)
-        if _deg(fp) != _deg(f):
-            continue
-        if _deg(_zp_gcd(fp, _zp_norm(df, p), p)) == 0:
-            w = list(f)
-            break
-    if w is None:
-        sqf = _zz_gcd(f, df)
-        w = _primitive_pos(_zz_div_exact(f, sqf))
+        return []
+    w = _primitive_pos(_zz_div_exact(f, _zz_gcd(f, _zz_diff(f))))
+    out = []
     for g in sorted(_factor_squarefree_zz(w)):
         mult = 0
         while True:
@@ -515,10 +480,7 @@ def _divide_terms(r: dict, g: dict) -> dict | None:
 
 def _t_mul(a: dict, b: dict) -> dict:
     out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(map(int.__add__, ea, eb))
-            out[e] = out.get(e, 0) + ca * cb
+    _mul_into(out, a, b, 1)
     return {e: c for e, c in out.items() if c}
 
 

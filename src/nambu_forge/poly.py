@@ -284,14 +284,11 @@ class Poly(_Sparse):
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_space(other)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(int.__add__, e1, e2))
-                cur = out.get(e)
-                prod = c1 * c2
-                out[e] = prod if cur is None else cur + prod
-        return Poly(self.space, out)
+        (f, fd), (g, gd) = _int_terms(self), _int_terms(other)
+        row: dict = {}
+        _mul_into(row, f, g, 1)
+        d = fd * gd
+        return Poly._frozen(self.space, {e: Fraction(c, d) for e, c in row.items() if c})
 
     __rmul__ = __mul__
 
@@ -333,7 +330,12 @@ class Poly(_Sparse):
                 p = p.diff(i)
         return p
 
+    def _check_arity(self, values: Sequence) -> None:
+        if len(values) != self.space.nvars:
+            raise InvalidArgumentError(f"evaluation needs {self.space.nvars} values, got {len(values)}")
+
     def evaluate(self, values: Sequence[Scalar]) -> Fraction:
+        self._check_arity(values)
         total = Fraction(0)
         for e, c in self.terms.items():
             term = c
@@ -344,6 +346,7 @@ class Poly(_Sparse):
         return total
 
     def evaluate_float(self, values: Sequence[float]) -> float:
+        self._check_arity(values)
         total = 0.0
         for e, c in self.terms.items():
             term = float(c)
@@ -589,12 +592,8 @@ def _add_into(acc: dict, x: NuObject, shift: int, c) -> None:
     """acc[m + shift][e] += c * (nu^m coefficient of x)[e]."""
     for m, poly in x.coeffs.items():
         row = acc.setdefault(m + shift, {})
-        if c == 1:
-            for e, v in poly.terms.items():
-                _bump(row, e, v)
-        else:
-            for e, v in poly.terms.items():
-                _bump(row, e, v * c)
+        for e, v in poly.terms.items():
+            _bump(row, e, v * c)
 
 
 def _freeze(space: VarSpace, acc: dict) -> NuObject:

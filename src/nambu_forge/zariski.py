@@ -210,20 +210,10 @@ class ZMonomial:
 
     @cache
     def union(self, other: "ZMonomial") -> "ZMonomial":
-        """The multiset sum, computed once per pair.  When one side's factors
-        all come before the other's, the two tuples are joined without
-        sorting."""
-        a, b = self.factors, other.factors
-        if not b:
-            return self
-        if not a:
-            return other
-        key = Poly.sort_key
-        if key(a[-1]) >= key(b[0]):
-            return ZMonomial._sorted(a + b)
-        if key(b[-1]) >= key(a[0]):
-            return ZMonomial._sorted(b + a)
-        return ZMonomial._sorted(tuple(sorted(a + b, key=key, reverse=True)))
+        """The multiset sum, computed once per pair: one sorted merge of the
+        two factor tuples, so union(a, b) is union(b, a)."""
+        return ZMonomial._sorted(tuple(sorted(self.factors + other.factors, key=Poly.sort_key,
+                                              reverse=True)))
 
     def sort_key(self):
         return (self.degree(), tuple(f.sort_key() for f in self.factors))

@@ -44,6 +44,16 @@ def det_oracle(fs, idx) -> Poly:
     return total
 
 
+def mul_oracle(f: Poly, g: Poly) -> Poly:
+    """f * g as the double loop over Fraction coefficients: the oracle for
+    Poly.__mul__, which multiplies integer numerators over one denominator."""
+    out: dict = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            _bump(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+    return Poly(f.space, out)
+
+
 def brute_sun_lift(sp, x) -> NuObject:
     """The sun lift by brute force, the oracle for sun.sun_lift: each monomial
     c x^e of the classical part becomes c eval_T(x^e as a multiset of

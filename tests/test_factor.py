@@ -256,9 +256,39 @@ def _from_sympy(g, syms, space) -> Poly:
     return Poly(space, {e: Fraction(int(k.p), int(k.q)) for e, k in sympy.Poly(g, *syms).terms()})
 
 
+@pytest.mark.parametrize("f", [
+    [0, 1],  # x
+    [-5, 3],  # linear
+    [0, 0, 0, 1, 1, 1],  # x^3 (x^2 + x + 1)
+    [0, 0, 0, 1, 2, 2, 2, 1],  # x^3 (x + 1)^2 (x^2 + 1)
+    [0, 0, -4, 0, 1],  # x^2 (x - 2) (x + 2)
+    [4, 12, 9],  # (2x + 3)^2
+])
+def test_univariate_factors_agree_with_sympy(f):
+    """x and repeated factors go through the squarefree part and Zassenhaus
+    like any other factor; sympy.factor_list is the oracle."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    _, parts = sympy.factor_list(sum(c * x**i for i, c in enumerate(f)), x)
+    want = []
+    for g, m in parts:
+        coeffs = [int(c) for c in reversed(sympy.Poly(g, x).all_coeffs())]
+        want.append(([-c for c in coeffs] if coeffs[-1] < 0 else coeffs, m))
+    assert factor_mod._factor_univariate_int(f) == sorted(want)
+
+
+def test_wang_image_with_x_as_a_factor():
+    f = (x1 + x2) * (x1 + x2 * x2 + 1)
+    # the main variable is x1 and the first point is 0, where the image is x1 (x1 + 1)
+    image = factor_mod._t_image(_int_terms(f)[0], 0, [0, 0, 0])
+    assert factor_mod._factor_univariate_int(image) == [([0, 1], 1), ([1, 1], 1)]
+    assert factorize(f).factors == ((x1 + x2 * x2 + 1, 1), (x1 + x2, 1))
+
+
 def _differential_products():
     """About 200 seeded products: fixed shapes, then random factors (not
-    necessarily irreducible) with a unit and occasional squares."""
+    necessarily irreducible) with a unit and occasional squares, then shapes
+    with x, repeated or linear factors."""
     products = [
         (x2 + 1) * (x1 + x3),
         (x1 * x2 + x3) * (x1 * x3 + x2 + 1),
@@ -276,7 +306,15 @@ def _differential_products():
                 prod = prod * p ** rng.choice([1, 1, 1, 2])
         if not prod.is_constant() and prod.total_degree() <= 12:
             products.append(prod)
-    return products
+    # x^k times a cofactor, a non-squarefree univariate product, linear
+    # inputs, and an f whose first Wang image (x2 = x3 = 0) is x1 (x1 + 1)
+    return products + [
+        x1**3 * (x1 * x1 + x1 + 1) * 2,
+        x3**3 * (x3 + 1) ** 2 * (x3 * x3 + 1),
+        x2 * 3 - 5,
+        x1 * Fraction(-1, 2),
+        (x1 + x2) * (x1 + x2 * x2 + 1),
+    ]
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from nambu_forge import poly, star, sun, zariski
 from nambu_forge.errors import InvalidArgumentError
+from nambu_forge.expr import parse_expr
 from nambu_forge.poly import (
     NuObject,
     Poly,
@@ -19,7 +20,7 @@ from nambu_forge.poly import (
     qp_space,
 )
 
-from conftest import det_oracle, random_poly
+from conftest import det_oracle, fractions_built, mul_oracle, random_poly
 
 X3 = coordinate_space(3)
 QP = qp_space()
@@ -216,6 +217,40 @@ def test_poly_evaluate():
     f = x * x * 3 + y * z * Fraction(1, 2)
     assert f.evaluate([1, 2, 4]) == 3 + 4
     assert abs(f.evaluate_float([1.0, 2.0, 4.0]) - 7.0) < 1e-12
+
+
+@pytest.mark.parametrize("values", [[], [2], [2, 3], [2, 3, 4, 5]])
+def test_poly_evaluate_needs_one_value_per_variable(values):
+    # zip would drop the missing variables' terms or ignore the extra values
+    f = parse_expr("x1*x2*x3 + x3^2", X3)
+    with pytest.raises(InvalidArgumentError, match=f"needs 3 values, got {len(values)}"):
+        f.evaluate(values)
+    with pytest.raises(InvalidArgumentError, match=f"needs 3 values, got {len(values)}"):
+        f.evaluate_float([float(v) for v in values])
+
+
+def _mul_cases():
+    x, y, z = xs()
+    half = Fraction(1, 2)
+    return [
+        (x * half + y * Fraction(2, 3), x * Fraction(-3, 4) + z * Fraction(5, 6)),  # rational
+        (x + y, x - y),  # the mixed terms cancel
+        (x * half - y, Poly.zero(X3)),  # the product is zero
+        (Poly.zero(X3), Poly.zero(X3)),
+        (Poly.const(X3, Fraction(7, 3)), x * y * half + z),  # constants
+        (Poly.const(X3, Fraction(-2, 5)), Poly.const(X3, Fraction(5, 4))),
+        (random_poly(X3, random.Random(3), degree=3, terms=5) * Fraction(1, 6),
+         random_poly(X3, random.Random(4), degree=2, terms=4) * Fraction(4, 9)),
+    ]
+
+
+@pytest.mark.parametrize("f, g", _mul_cases())
+def test_poly_mul_builds_one_fraction_per_output_term(monkeypatch, f, g):
+    # integer numerators over one denominator, as every engine product runs
+    out, built = fractions_built(monkeypatch, lambda: f * g)
+    assert built == len(out.terms)
+    assert out == mul_oracle(f, g) == g * f
+    assert list(out.terms) == list(mul_oracle(f, g).terms)
 
 
 def test_compose():

@@ -825,6 +825,19 @@ def test_every_construction_path_is_interned():
     assert zelem_from_poly(Poly.const(SP, 4)).terms.keys() == {ZMonomial(())}
 
 
+@pytest.mark.parametrize("left, right", [
+    ((0, 2, 4), (1, 3)),  # interleaved factor orders
+    ((0, 0, 3), (1, 3, 4)),  # interleaved, with shared factors
+    ((0, 1), (2, 3, 4)),  # every factor of one side comes first
+    ((2,), (0, 1)),
+    ((), (1, 2)),
+])
+def test_union_is_one_sorted_merge(left, right):
+    fs = ZMonomial([x1 + 17 * x2, x3 * x3 + x1 + 5, x2 + 19 * x3, x1 * x2 + 7, x1 - 23 * x3]).factors
+    a, b = (ZMonomial([fs[i] for i in side]) for side in (left, right))
+    assert a.union(b) is b.union(a) is ZMonomial([fs[i] for i in left + right])
+
+
 def test_zmonomial_identity_is_equality():
     assert "__eq__" not in vars(ZMonomial) and "__hash__" not in vars(ZMonomial)
     assert ZMonomial.__hash__ is object.__hash__
