@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from .errors import InvalidArgumentError, NambuForgeError, ResourceLimitError
-from .expr import parse_expr
+from .expr import is_variable_name, parse_expr
 from .poly import DEFAULT_DEGREE_BOUND, NuObject, Poly, VarSpace, coordinate_space, qp_space, su2_space
 
 ENV_PREFIX = "NAMBU_FORGE_"
@@ -83,6 +83,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 def _space_from_names(names: str, paired: bool) -> VarSpace:
     parts = tuple(s.strip() for s in names.split(",") if s.strip())
+    for name in parts:
+        if not is_variable_name(name):
+            raise InvalidArgumentError(f"--vars name {name!r} is not a variable name: a letter, then "
+                                       "letters, digits or '_', and not nu, Z or J")
     pairs = tuple((2 * i, 2 * i + 1) for i in range(len(parts) // 2)) if paired else ()
     return VarSpace(parts, pairs)
 
@@ -338,7 +342,7 @@ def _cmd_spectrum(args, cfg):
         g = parse_expr(args.deviation[1], space)
         if not (isinstance(f, Poly) and isinstance(g, Poly)):
             raise InvalidArgumentError("deviation check takes plain polynomials")
-        band = args.band or args.dim // 2
+        band = args.dim // 2 if args.band is None else args.band
         dev = weyl.star_vs_operator(f, g, trunc, band)
         text = f"star-vs-operator deviation: {dev:.3e}"
         return [text], {"deviation": dev, "dim": args.dim, "hbar": args.hbar, "band": band}

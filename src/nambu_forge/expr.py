@@ -48,7 +48,8 @@ PARSE_DEPTH_BOUND = 100
 
 # one token after optional whitespace: uint (ASCII digits only), ident,
 # symbol, or any other character, which is an error
-_TOKEN = re.compile(r"\s*(?:([0-9]+)|([^\W\d_]\w*)|([-+*^()\[\];/])|(\S))")
+_IDENT = r"[^\W\d_]\w*"
+_TOKEN = re.compile(rf"\s*(?:([0-9]+)|({_IDENT})|([-+*^()\[\];/])|(\S))")
 _KINDS = (None, "uint", "ident", None, None)
 _X3 = coordinate_space(3, paired=1)  # the value of zariski.zariski_space(3)
 
@@ -356,6 +357,12 @@ def _demote_zelem(value, at: int):
     if set(const.coeffs) - {0}:
         raise ExprSyntaxError("J(...) takes a nu-free Zariski element", at)
     return const.classical()
+
+
+def is_variable_name(name: str) -> bool:
+    """Whether an expression can name a variable called ``name``: an
+    identifier token that the grammar does not read as nu, Z or J."""
+    return re.fullmatch(_IDENT, name) is not None and name not in ("nu", "Z", "J")
 
 
 def parse_expr(src: str, space: VarSpace = None, zspace: VarSpace = None):

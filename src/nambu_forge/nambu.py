@@ -215,8 +215,8 @@ def evolve(d: Dynamics, horizon: float, rk4_step: float = None) -> EvolveResult:
     h = d.step if rk4_step is None else rk4_step
     if not h > 0:  # NaN included
         raise InvalidArgumentError("RK4 step must be positive")
-    if math.isnan(horizon):
-        raise InvalidArgumentError("horizon must be a number")
+    if not horizon > 0:  # NaN included
+        raise InvalidArgumentError(f"horizon must be positive, got {horizon}")
     # every state is kept, so the step count bounds time and memory alike
     steps = max(1, round(min(horizon / h, EVOLVE_STEP_BOUND + 1)))
     if steps > EVOLVE_STEP_BOUND:

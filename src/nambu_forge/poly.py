@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import factorial, lcm
+from itertools import islice
+from math import factorial, lcm, prod
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -48,8 +48,9 @@ def grlex_key(e: Exponent):
 
 # the largest number of variables of a space.  Every exponent tuple has one
 # entry per variable, and Poisson powers walk the pairs both operands use: on
-# a 2-vCPU x86_64 host the Moyal square of a1*a2*...*a16 takes 1.2 s on 16
-# variables and 3.6 s (370 MB peak) on 128, and that of a1^8 + ... + a128^8 2 s
+# a 2-vCPU x86_64 host the Moyal square of a1*a2*...*a16 takes 0.4 s on 16
+# variables and 1.7 s (23 MB peak RSS) on 128, and that of a1^8 + ... + a128^8
+# 0.6 s
 VARIABLE_BOUND = 128
 
 # factor.factorize's default total-degree bound, defined here so that the CLI
@@ -74,6 +75,9 @@ class VarSpace:
             raise ResourceLimitError(
                 f"space of {len(self.names)} variables is over the variable bound {VARIABLE_BOUND}"
             )
+        if len(set(self.names)) != len(self.names):
+            twice = next(n for i, n in enumerate(self.names) if n in self.names[:i])
+            raise InvalidArgumentError(f"variable name {twice!r} appears twice")
         seen = set()
         for a, b in self.pairs:
             for i in (a, b):
@@ -652,25 +656,12 @@ def _mul_into(row: dict, f: dict, g: dict, w: int) -> None:
 # Poisson bivector powers and Jacobians
 
 
-class _DerivativeCache:
-    """Mixed partial derivatives of one term map on a space, computed on
-    demand, and the map's degree in each variable."""
-
-    def __init__(self, terms: dict, space: VarSpace):
-        self.space = space
-        self.degrees = tuple(map(max, zip(*terms))) if terms else (0,) * space.nvars
-        self.cache = {(0,) * space.nvars: terms}
-
-    def get(self, orders: tuple) -> dict:
-        got = self.cache.get(orders)
-        if got is not None:
-            return got
-        i = next(j for j, k in enumerate(orders) if k)
-        lower = list(orders)
-        lower[i] -= 1
-        got = _diff_terms(self.get(tuple(lower)), i)
-        self.cache[orders] = got
-        return got
+def _chain(terms: dict, i: int):
+    """terms, d/dx_i terms, d^2/dx_i^2 terms, ... up to the last nonzero one;
+    each derivative is computed when it is pulled."""
+    while terms:
+        yield terms
+        terms = _diff_terms(terms, i)
 
 
 def poisson_power(f: Poly, g: Poly, r: int) -> Poly:
@@ -697,75 +688,51 @@ def _poisson_sum(jobs: Iterable, space: VarSpace, even: bool = False) -> tuple:
     w nu^(shift + r) P^r(f, g) / r! over every r (every even r if ``even``),
     w an integer and f, g integer term maps on ``space``.
 
-    This is the one place where derivative caches, grids and denominators
-    meet: each distinct map (by identity) gets one _DerivativeCache, each job
-    one grid, and d is the least common multiple of the grids' denominators,
-    so every job is summed in ints and the caller divides once."""
-    caches: dict = {}
+    exp(nu P) is the product over pairs of exp(nu P_ab), which sends f (x) g
+    to the sum over k, l >= 0 of nu^(k+l) (-1)^l / (k! l!) d_a^k d_b^l f *
+    d_b^k d_a^l g.  So a job's grid has the axes k on (a, b, kmax, 1) and l
+    on (b, a, lmax, -1) for each pair, kmax = min(deg_a f, deg_b g) and
+    lmax = min(deg_b f, deg_a g), but none of top order 0.  d is the least
+    common multiple of the grids' denominators, the products of their top
+    orders' factorials, so every job is summed in ints and the caller
+    divides once: this is the one place where grids and denominators meet."""
     runs = []
     for shift, w, f, g in jobs:
-        df, dg = (caches.get(id(t)) or caches.setdefault(id(t), _DerivativeCache(t, space))
-                  for t in (f, g))
-        runs.append((shift, w, df, dg, _poisson_grid(df, dg)))
-    d = lcm(*(grid[1] for *_, grid in runs))
+        grid = []
+        if f and g:
+            fdeg, gdeg = tuple(map(max, zip(*f))), tuple(map(max, zip(*g)))
+            for a, b in space.pairs:
+                for i, j, sign in ((a, b, 1), (b, a, -1)):
+                    if top := min(fdeg[i], gdeg[j]):
+                        grid.append((i, j, top, sign))
+        runs.append((shift, w, f, g, grid))
+    d = lcm(*(prod(factorial(top) for _, _, top, _ in grid) for *_, grid in runs))
     rows: dict = {}
-    for shift, w, df, dg, grid in runs:
-        _poisson_into(rows, df, dg, grid, shift, w * (d // grid[1]), even)
+    for shift, w, f, g, grid in runs:
+        _poisson_walk(rows, grid, f, g, w * d, shift, 0, even)
     return rows, d
 
 
-def _poisson_grid(df: _DerivativeCache, dg: _DerivativeCache) -> tuple:
-    """(bounds, d) for the Poisson powers of the maps behind df and dg.
-
-    bounds holds (a, b, kmax, lmax) for each pair (a, b) of the space with
-    kmax = min(deg_a f, deg_b g) or lmax = min(deg_b f, deg_a g) positive; no
-    other pair contributes.  d = prod kmax! lmax! is a common denominator of
-    the weights (-1)^l / (k! l!) on the grids."""
-    fdeg, gdeg = df.degrees, dg.degrees
-    bounds = []
-    d = 1
-    for a, b in df.space.pairs:
-        kmax, lmax = min(fdeg[a], gdeg[b]), min(fdeg[b], gdeg[a])
-        if kmax or lmax:
-            bounds.append((a, b, kmax, lmax))
-            d *= factorial(kmax) * factorial(lmax)
-    return bounds, d
-
-
-def _poisson_into(acc: dict, df: _DerivativeCache, dg: _DerivativeCache, grid: tuple,
-                  shift: int = 0, w: int = 1, even: bool = False) -> None:
-    """acc[shift + r] += w * d * P^r(f, g) / r! for every r (every even r if
-    ``even``), over the integer term maps behind df and dg and the grid
-    (bounds, d) from _poisson_grid.
-
-    exp(nu P) is the product over pairs of exp(nu P_ab), which sends f (x) g
-    to the sum over k, l >= 0 of nu^(k+l) (-1)^l / (k! l!) d_a^k d_b^l f *
-    d_b^k d_a^l g.  The (k, l) grids are walked one pair at a time, and a
-    branch ends at its first zero derivative: every higher one is zero too."""
-    bounds, d = grid
-    zero = (0,) * df.space.nvars
-    states = [(0, w * d, zero, zero, df.get(zero), dg.get(zero))]  # (r, weight, orders, maps)
-    for n, (a, b, kmax, lmax) in enumerate(bounds, 1):
-        step = 2 if even and n == len(bounds) else 1  # the last pair fixes r's parity
-        grown = []
-        for r, c, lo, ro, lf, rg in states:
-            left, right = list(lo), list(ro)
-            for k in range(kmax + 1):
-                left[a] = right[b] = k
-                for l in range((r + k) % step, lmax + 1, step):
-                    left[b] = right[a] = l
-                    lo, ro = tuple(left), tuple(right)
-                    rg = dg.get(ro)
-                    lf = rg and df.get(lo)
-                    if not lf:
-                        break
-                    grown.append((r + k + l, c // (factorial(k) * factorial(l)) * (-1) ** l,
-                                  lo, ro, lf, rg))
-                if not lf and l == 0:
-                    break  # lf is zero only after a break: d_a^k f or d_b^k g is zero
-        states = grown
-    for r, c, _, _, lf, rg in states:
-        _mul_into(acc.setdefault(shift + r, {}), lf, rg, c)
+def _poisson_walk(acc: dict, grid: list, f: dict, g: dict, c: int, shift: int, r: int,
+                  even: bool) -> None:
+    """Add c * w_p * (d_p f) (d_p g) into acc[shift + r + s] for each point p
+    of ``grid`` whose coordinates sum to s (only where r + s is even if
+    ``even``).  Coordinate k on the axis (i, j, top, sign) gives w_p the
+    factor sign^k / k!, d_p f the factor d_i^k and d_p g the factor d_j^k.
+    The derivatives come from chains cut at top, g's first, so a branch ends
+    at its first zero derivative and no derivative is taken that no term
+    uses.  Only the last axis fixes the parity of r, and there the chains
+    stop at the last order of the wanted parity."""
+    if not grid:
+        _mul_into(acc.setdefault(shift + r, {}), f, g, c)
+        return
+    (i, j, top, sign), rest = grid[0], grid[1:]
+    last = even and not rest
+    if last:
+        top -= (r + top) % 2
+    for k, (gk, fk) in enumerate(islice(zip(_chain(g, j), _chain(f, i)), top + 1)):
+        if not (last and (r + k) % 2):
+            _poisson_walk(acc, rest, fk, gk, c // factorial(k) * sign**k, shift, r + k, even)
 
 
 # the most term products one table of Jacobian minors may form, counted as

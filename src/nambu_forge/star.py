@@ -31,7 +31,7 @@ from .poly import (
     Poly,
     TSeries,
     VarSpace,
-    _diff_terms,
+    _chain,
     _freeze,
     _int_rows,
     _int_terms,
@@ -131,14 +131,6 @@ def _check_degree(degree: int) -> None:
         )
 
 
-def _derivatives(terms: dict, i: int) -> list:
-    """[terms, d/dx_i terms, d^2/dx_i^2 terms, ...] up to the last nonzero one."""
-    out = [terms]
-    while nxt := _diff_terms(out[-1], i):
-        out.append(nxt)
-    return out
-
-
 def _standard_rows(frows: dict, grows: dict, space: VarSpace) -> tuple:
     """(rows, d) with rows / d the standard-ordering product of the integer
     nu-rows frows and grows, d = r_max! for the largest order r_max reached.
@@ -148,8 +140,8 @@ def _standard_rows(frows: dict, grows: dict, space: VarSpace) -> tuple:
     q-operators to the left under nu = i hbar / 2.
     """
     a, b = space.pairs[0]
-    fs = [(m, _derivatives(row, b)) for m, row in frows.items()]
-    gs = [(n, _derivatives(row, a)) for n, row in grows.items()]
+    fs = [(m, list(_chain(row, b))) for m, row in frows.items()]
+    gs = [(n, list(_chain(row, a))) for n, row in grows.items()]
     d = factorial(min(max((len(x) for _, x in fs), default=1),
                       max((len(y) for _, y in gs), default=1)) - 1)
     acc: dict = {}

@@ -50,8 +50,8 @@ class FockTruncation:
             raise ResourceLimitError(
                 f"truncation dim {self.dim} is over the Fock dimension bound {FOCK_DIM_BOUND}"
             )
-        if self.hbar <= 0:
-            raise InvalidArgumentError("hbar must be positive")
+        if not 0 < self.hbar < math.inf:  # NaN included
+            raise InvalidArgumentError(f"hbar must be positive and finite, got {self.hbar}")
 
 
 @dataclass(frozen=True)
@@ -115,11 +115,16 @@ def _quantize_nuobject(x: NuObject, t: FockTruncation) -> np.ndarray:
     return out
 
 
+def _check_band(safe_band: int, t: FockTruncation) -> None:
+    if not 1 <= safe_band < t.dim:
+        raise InvalidArgumentError(f"safe_band must be at least 1 and smaller than dim {t.dim}, "
+                                   f"got {safe_band}")
+
+
 def star_vs_operator(f: Poly, g: Poly, t: FockTruncation, safe_band: int) -> float:
     """Max-norm deviation between W(f * g) at nu = i hbar/2 and W(f) W(g),
     over the top-left safe_band x safe_band block."""
-    if safe_band >= t.dim:
-        raise InvalidArgumentError("safe_band must be smaller than dim")
+    _check_band(safe_band, t)
     from .star import moyal_product, star_mul  # the plain spectrum does not load star
 
     star = star_mul(moyal_product(qp_space()), f, g)
@@ -151,8 +156,7 @@ def star_exponential_deviation(
     The r-th matrix coefficient is H_op^r / (r! (i hbar)^r); the symbol-side
     coefficient is quantized at nu = i hbar / 2.
     """
-    if safe_band >= t.dim:
-        raise InvalidArgumentError("safe_band must be smaller than dim")
+    _check_band(safe_band, t)
     hop = weyl_quantize(h, t).entries
     block = slice(0, safe_band)
     worst = 0.0

@@ -281,6 +281,18 @@ def test_resource_bounds_exit_1(capsys, monkeypatch, module, bound, argv, code):
         pytest.param(("evolve", "--state", "x,y,z"), "--state", id="state-not-numbers"),
         pytest.param(("evolve", "--horizon", "0.01", "--csv", "{missing}"), "--csv",
                      id="csv-missing-directory"),
+        pytest.param(("evolve", "--horizon", "-5"), "horizon", id="horizon-negative"),
+        pytest.param(("spectrum", "--hbar", "nan"), "hbar", id="hbar-nan"),
+        pytest.param(("spectrum", "--hbar", "inf"), "hbar", id="hbar-inf"),
+        pytest.param(("spectrum", "--deviation", "q", "p", "--hbar", "inf"), "hbar",
+                     id="deviation-hbar-inf"),
+        pytest.param(("spectrum", "--deviation", "q", "p", "--band", "0"), "band", id="band-zero"),
+        pytest.param(("spectrum", "--deviation", "q", "p", "--band", "-3"), "band",
+                     id="band-negative"),
+        pytest.param(("star", "--vars", "x,x", "x", "x"), "'x' appears twice", id="vars-twice"),
+        pytest.param(("star", "--vars", "nu,p", "nu", "p"), "--vars", id="vars-nu"),
+        pytest.param(("factor", "--vars", "Z,x", "x"), "--vars", id="vars-z"),
+        pytest.param(("star", "--vars", "1x,p", "p", "p"), "--vars", id="vars-not-identifier"),
     ],
 )
 def test_bad_option_values_exit_1(tmp_path, capsys, argv, option):
@@ -505,6 +517,18 @@ def test_closed_stdout_prints_no_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [("spectrum", "--hbar", "nan"),
+                                  ("spectrum", "--deviation", "q", "p", "--hbar", "inf")])
+def test_non_finite_hbar_ends_without_traceback(argv):
+    # a NaN hbar once ended in numpy's LinAlgError traceback, and an infinite
+    # one printed RuntimeWarnings and deviation: nan with exit 0
+    proc = subprocess.run([sys.executable, "-m", "nambu_forge.cli", *argv], capture_output=True,
+                          env=_child_env(), text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error[spectrum.invalid-argument]: ")
 
 
 @pytest.mark.parametrize(

@@ -37,10 +37,11 @@ small_polys = st.builds(
 
 
 def test_only_poly_combines_poisson_grids_and_denominators():
-    # poly._poisson_sum is the one place that pairs derivative caches, grids
-    # and denominators; the product modules hand it integer term maps
+    # poly._poisson_sum is the one place that pairs grids and denominators;
+    # the product modules hand it integer term maps
     for module in (star, zariski, sun):
-        for name in ("_poisson_into", "_poisson_grid", "_DerivativeCache", "_add_over"):
+        for name in ("_poisson_walk", "_poisson_into", "_poisson_grid", "_DerivativeCache",
+                     "_add_over"):
             assert not hasattr(module, name), (module.__name__, name)
 
 
@@ -69,6 +70,53 @@ def test_poisson_power_second_order_oracle(rng):
 def test_poisson_power_mismatched_spaces():
     with pytest.raises(InvalidArgumentError):
         poisson_power(Poly.variable(QP, 0), Poly.variable(X3, 0), 1)
+
+
+def _int_term_map(space, rng, used):
+    """2-4 integer terms of degree <= 3 in the variables of ``used``."""
+    terms = {}
+    for _ in range(rng.randint(2, 4)):
+        terms[tuple(rng.randint(0, 3) if i in used else 0 for i in range(space.nvars))] = (
+            rng.choice([-3, -2, -1, 1, 2, 5]))
+    return terms
+
+
+@pytest.mark.parametrize("npairs", [1, 2, 3])
+def test_even_poisson_sum_drops_odd_orders(rng, npairs):
+    # even=True keeps exactly the even Poisson orders r of each job, whatever
+    # the parity of its nu-shift, also where a pair has kmax or lmax zero
+    space = coordinate_space(2 * npairs + 1, npairs)
+    a, b = space.pairs[-1]
+    rest = set(range(space.nvars)) - {a, b}
+    for trial in range(12):
+        jobs = []
+        for shift in range(4):
+            # on the last pair kmax = min(deg_a f, deg_b g) is 0 in the trials
+            # 1 mod 3, and lmax = min(deg_b f, deg_a g) in the trials 2 mod 3
+            f = _int_term_map(space, rng, rest | ({b} if trial % 3 == 1 else {a, b}))
+            g = _int_term_map(space, rng, rest | ({b} if trial % 3 == 2 else {a, b}))
+            jobs.append((shift, rng.choice([-2, 1, 3]), f, g))
+        expect: dict = {}
+        for shift, w, f, g in jobs:
+            rows, d = poly._poisson_sum([(shift, w, f, g)], space)
+            for m, row in poly._over(rows, d).items():
+                if (m - shift) % 2 == 0:
+                    expect[m] = poly._summed(expect.get(m, {}), row)
+        rows, d = poly._poisson_sum(jobs, space, even=True)
+        expect = {m: nz for m, row in expect.items() if (nz := {e: c for e, c in row.items() if c})}
+        assert {m: row for m, row in poly._over(rows, d).items() if row} == expect
+
+
+@pytest.mark.parametrize("f, g, derivatives", [
+    ({(3, 0): 1}, {(0, 3): 1}, 4),  # k = 3 is odd: orders 1 and 2 of each chain
+    ({(3, 1): 1}, {(1, 3): 1}, 10),  # orders 1-3 in k, and l = 1 where k is odd
+])
+def test_even_poisson_sum_takes_no_derivative_only_odd_orders_use(monkeypatch, f, g, derivatives):
+    calls = []
+    diff = poly._diff_terms
+    monkeypatch.setattr(poly, "_diff_terms", lambda terms, i: calls.append(i) or diff(terms, i))
+    poly._poisson_sum([(0, 1, f, g)], QP, even=True)
+    assert len(calls) == derivatives
 
 
 def test_jacobian_examples():

@@ -1,5 +1,6 @@
 """Star products: displays, condition b), associativity, the su(2)* lift."""
 
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -10,6 +11,7 @@ from nambu_forge.errors import InvalidArgumentError, ResourceLimitError
 from nambu_forge.poly import (
     NuObject,
     Poly,
+    VarSpace,
     coordinate_space,
     poisson_power,
     qp_space,
@@ -164,17 +166,17 @@ def test_poisson_kernel_matches_bivector_oracle(rng, npairs):
 
 def test_poisson_kernel_work_does_not_grow_with_unused_pairs(monkeypatch):
     # a1^4 a2^4 uses one pair of the space; the other pairs must cost no
-    # derivative lookup, so 128 variables take as many as 4
+    # derivative, so 128 variables take as many as 4
     counts = []
-    get = poly._DerivativeCache.get
+    diff = poly._diff_terms
 
-    def counted(self, orders):
+    def counted(terms, i):
         counts[-1] += 1
         if len(counts) > 1 and counts[-1] > counts[0]:
-            raise AssertionError("more derivative lookups than on 4 variables")
-        return get(self, orders)
+            raise AssertionError("more derivatives than on 4 variables")
+        return diff(terms, i)
 
-    monkeypatch.setattr(poly._DerivativeCache, "get", counted)
+    monkeypatch.setattr(poly, "_diff_terms", counted)
     texts = []
     for n in (4, 128):
         counts.append(0)
@@ -182,6 +184,24 @@ def test_poisson_kernel_work_does_not_grow_with_unused_pairs(monkeypatch):
         f = Poly.monomial(space, (4, 4) + (0,) * (n - 2))
         texts.append(str(star_mul(moyal_product(space), f, f)))
     assert counts[0] == counts[1] > 0
+    assert texts[0] == texts[1]
+
+
+def test_poisson_kernel_memory_does_not_grow_with_unused_pairs():
+    # the Moyal square of a1*...*a12 holds the derivative chains of the branch
+    # it walks, not one entry per grid point keyed by all 128 variables
+    texts = []
+    for n in (12, 128):
+        names = tuple(f"a{i + 1}" for i in range(n))
+        space = VarSpace(names, tuple((2 * i, 2 * i + 1) for i in range(n // 2)))
+        f = Poly.monomial(space, (1,) * 12 + (0,) * (n - 12))
+        tracemalloc.start()
+        try:
+            texts.append(str(star_mul(moyal_product(space), f, f)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 4 * 2**20
     assert texts[0] == texts[1]
 
 

@@ -79,8 +79,18 @@ def test_star_vs_operator():
 
 
 def test_star_vs_operator_band_guard():
-    with pytest.raises(InvalidArgumentError):
-        star_vs_operator(q, p, FockTruncation(10, 1.0), 10)
+    for band in (10, 0, -3):
+        with pytest.raises(InvalidArgumentError, match="safe_band"):
+            star_vs_operator(q, p, FockTruncation(10, 1.0), band)
+        with pytest.raises(InvalidArgumentError, match="safe_band"):
+            star_exponential_deviation(star_exponential(moyal_product(QP), q, 1), q,
+                                       FockTruncation(10, 1.0), band)
+
+
+@pytest.mark.parametrize("hbar", [0.0, -1.0, float("nan"), float("inf")])
+def test_truncation_needs_positive_finite_hbar(hbar):
+    with pytest.raises(InvalidArgumentError, match="hbar"):
+        FockTruncation(10, hbar)
 
 
 def test_eigenstate_relation():
