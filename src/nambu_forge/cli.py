@@ -280,6 +280,8 @@ def _cmd_zariski(args, cfg):
     if len(args.exprs) != arity:
         exactly = "exactly " if len(args.exprs) > arity else ""
         raise InvalidArgumentError(f"zariski {args.op} needs {exactly}{arity} expression(s)")
+    if args.op == "delta":  # every operand, even one with no factor to differentiate
+        zariski._axis_index(args.axis, space)
     operands = [_zariski_operand(zariski, kind, parse_expr(e, space, space), space) for e in args.exprs]
     data = {"op": args.op}
     if option:

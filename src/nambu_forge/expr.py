@@ -95,14 +95,6 @@ def _nu_value(space: VarSpace, terms: dict):
     return NuObject(space, {k: Poly(space, row) for k, row in rows.items()})
 
 
-def _add_taylor(acc: dict, value, sign: int) -> None:
-    """acc += sign * value in place, for a TaylorElem value and a row map
-    keyed by y-exponent + (nu power,), each row {ZMonomial: Fraction}."""
-    for e, x in value.terms.items():
-        for r, z in x.coeffs.items():
-            _add_terms(acc.setdefault(e + (r,), {}), z.terms, sign)
-
-
 class _Parser:
     """Recursive-descent parser producing values in one of two algebras.
 
@@ -110,7 +102,8 @@ class _Parser:
     with int coefficients (Fractions only from a/b literals), the layout
     poly._mul_into multiplies; sums are added into one map in place.  In the
     Zariski algebra a value is a TaylorElem; the terms of a sum are added
-    into one row map, and one TaylorElem is built from it at the end.  The
+    into one row map keyed by y-exponent + (nu power,), the layout of
+    TaylorElem.terms, and one TaylorElem is built from it at the end.  The
     zariski module is imported only for text in the Zariski algebra."""
 
     def __init__(self, src: str, space: VarSpace, zspace: VarSpace):
@@ -119,6 +112,7 @@ class _Parser:
         self.space = space
         self.zspace = zspace
         self.one = (0,) * (space.nvars + 1)
+        self.zone = (0,) * (zspace.nvars + 1)
         self.products = 0
         self.depth = 0
         idents = {v for k, v, _ in self.tokens if k == "ident"}
@@ -129,7 +123,9 @@ class _Parser:
             self.zariski = zariski
 
     def _is_yvar(self, name: str) -> bool:
-        if len(name) < 2 or name[0] != "y" or not name[1:].isdigit():
+        """Whether name is a y-variable: y1, y2, ... of the Zariski space,
+        unless the active space declares a variable of that name."""
+        if len(name) < 2 or name[0] != "y" or not name[1:].isdigit() or name in self.space.names:
             return False
         return 1 <= int(name[1:]) <= self.zspace.nvars
 
@@ -149,22 +145,21 @@ class _Parser:
         return tok
 
     # -- value helpers -----------------------------------------------------
+    def _taylor(self, key: tuple, z, in_a: bool):
+        """The TaylorElem of one ZElem z at key y-exponent + (nu power,)."""
+        return self.zariski.TaylorElem(self.zspace, {key: z}, in_a=in_a)
+
     def _const(self, c, poly_ctx: bool):
         if poly_ctx:
             return {self.one: c} if c else {}
-        z = self.zariski
-        return z.TaylorElem(
-            self.zspace, {(0,) * self.zspace.nvars: z.ZNu.from_zelem(z.ZElem.unit(c))}, in_a=True
-        )
+        return self._taylor(self.zone, self.zariski.ZElem.unit(c), True)
 
     def _nu(self, power: int, poly_ctx: bool):
         if poly_ctx:
             return {self.one[:-1] + (power,): 1}
         if power < 0:
             raise ExprSyntaxError("negative nu powers are not defined here", self.peek()[2])
-        z = self.zariski
-        return z.TaylorElem(self.zspace, {(0,) * self.zspace.nvars: z.ZNu({power: z.ZElem.unit()})},
-                            in_a=True)
+        return self._taylor(self.zone[:-1] + (power,), self.zariski.ZElem.unit(), True)
 
     def _count(self, work: int, ahead: int = 0) -> None:
         """Count work products about to be formed and ahead more to follow."""
@@ -233,13 +228,15 @@ class _Parser:
         rows: dict = {}
         sign, in_a = (-1 if negate else 1), True
         while True:
-            _add_taylor(rows, value, sign)
+            for k, z in value.terms.items():
+                _add_terms(rows.setdefault(k, {}), z.terms, sign)
             in_a = in_a and value.in_a
             if self.peek()[0] not in ("+", "-"):
                 break
             sign = 1 if self.next()[0] == "+" else -1
             value = self.term(poly_ctx)
-        return self.zariski._taylor_of_rows(self.zspace, rows, in_a)
+        z = self.zariski
+        return z.TaylorElem(self.zspace, {k: z.ZElem._frozen(row) for k, row in rows.items()}, in_a)
 
     def term(self, poly_ctx: bool):
         value = self.factor(poly_ctx)
@@ -290,10 +287,9 @@ class _Parser:
                     raise ExprSyntaxError("expected a polynomial", at)
                 return self._zmonomial(at) if text == "Z" else self._jatom(at)
             if not poly_ctx and self._is_yvar(text):
-                e = [0] * self.zspace.nvars
+                e = list(self.zone)
                 e[int(text[1:]) - 1] = 1
-                z = self.zariski
-                return z.TaylorElem(self.zspace, {tuple(e): z.ZNu.from_zelem(z.ZElem.unit())}, in_a=False)
+                return self._taylor(tuple(e), self.zariski.ZElem.unit(), False)
             if poly_ctx:
                 try:
                     idx = self.space.index(text)
@@ -323,9 +319,7 @@ class _Parser:
             mono = z.zmonomial(factors)
         except InvalidArgumentError as exc:
             raise ExprSyntaxError(str(exc), at) from None
-        return z.TaylorElem(
-            self.zspace, {(0,) * self.zspace.nvars: z.ZNu.from_zelem(z.ZElem.basis(mono))}, in_a=False
-        )
+        return self._taylor(self.zone, z.ZElem.basis(mono), False)
 
     def _jatom(self, at: int):
         self.expect("(")
@@ -339,7 +333,7 @@ def _size(value) -> int:
     entries of a TaylorElem."""
     if isinstance(value, dict):
         return len(value)
-    return sum(len(z.terms) for znu in value.terms.values() for z in znu.coeffs.values())
+    return sum(len(z.terms) for z in value.terms.values())
 
 
 def _demote_poly(space: VarSpace, terms: dict, at: int) -> Poly:
@@ -349,11 +343,16 @@ def _demote_poly(space: VarSpace, terms: dict, at: int) -> Poly:
     return value
 
 
+def _y_free(value) -> bool:
+    """Whether a TaylorElem has no y content."""
+    return not any(any(k[:-1]) for k in value.terms)
+
+
 def _demote_zelem(value, at: int):
     """The ZElem of a Zariski-context value with no y and no nu content."""
-    const = value.y_constant()
-    if list(value.terms) not in ([], [(0,) * value.space.nvars]):
+    if not _y_free(value):
         raise ExprSyntaxError("J(...) takes a plain Zariski element", at)
+    const = value.y_constant()
     if set(const.coeffs) - {0}:
         raise ExprSyntaxError("J(...) takes a nu-free Zariski element", at)
     return const.classical()
@@ -378,8 +377,7 @@ def parse_expr(src: str, space: VarSpace = None, zspace: VarSpace = None):
     if isinstance(value, dict):
         return _nu_value(space, value)
     # TaylorElem: demote when it carries no y content / no nu content
-    yzero = (0,) * value.space.nvars
-    if list(value.terms) in ([], [yzero]):
+    if _y_free(value):
         znu = value.y_constant()
         if set(znu.coeffs) <= {0}:
             return znu.classical()

@@ -16,8 +16,8 @@ where T(u) is the symmetrized star product over the factor multiset of u
 part of D is the identity, so a nested deformed product (x*y)*z equals
 D(x_0 y_0 z_0).  ``z_mul_nu``, ``a_mul_nu`` (y-degree by y-degree) and
 ``quantum_nambu`` (the alternating sum of triple products of y-derivatives)
-therefore build the classical product in one mutable map and apply D once;
-terms that cancel classically never reach ``eval_T``.
+therefore build the classical product in one mutable map and apply D once,
+through one ``_deform``; terms that cancel classically never reach ``eval_T``.
 
 T is even in nu: reversing every ordering leaves it unchanged, and on the
 Moyal, partial-Moyal and su(2)* products g * f is f * g with nu replaced by
@@ -31,10 +31,11 @@ standard-ordering product lacks the symmetry and is refused.
 The products run on integer numerators.  ``_eval_T`` caches T(S) as integer
 rows over one denominator, which the next recursion step reads as they are;
 ``_deformation_tail`` keeps the nu^r parts of D(Z_m) as integer multiples of
-one Z-monomial each over one denominator.  Every classical product (plain,
-nu-graded, y-graded, and the y-derivatives in ``quantum_nambu``) multiplies
-{ZMonomial: numerator} rows with one denominator per operand, and Fractions
-are built once per output term.
+one Z-monomial each over one denominator.  A TaylorElem is stored flat as
+{y-exponent + (nu power,): ZElem}; every classical product (plain, nu-graded,
+y-graded, and the y-derivatives in ``quantum_nambu``) multiplies such rows of
+{ZMonomial: numerator}, keyed by tuples that add under the product, with one
+denominator per operand, and Fractions are built once per output term.
 
 Z-monomials are interned: every ZMonomial is built through one weak table
 keyed by its tuple of interned factors, so equal factor multisets are one
@@ -552,33 +553,27 @@ def _deformation_tail(m: ZMonomial, s: StarProduct) -> tuple:
     return d, tuple(parts)
 
 
-def _deform(row: Mapping, d: int, s: StarProduct) -> ZNu:
-    """D(sum c_m Z_m) = sum c_m (Z_m + sum_{r>0} nu^r Z(T_r(m))) for the
-    integer row {m: c_m * d}.
-
-    Cancelled (zero) entries of ``row`` are skipped, so they never reach
-    eval_T.
-    """
-    classical = {m: c for m, c in row.items() if c}
-    tails = [(c, _deformation_tail(m, s)) for m, c in classical.items()]
-    dt = lcm(*(t for _, (t, _) in tails))
+def _deform(rows: Mapping, d: int, s: StarProduct) -> dict:
+    """{key + (r,): ZElem}: D(sum c_m Z_m) = sum c_m (Z_m + sum_{r>0} nu^r
+    Z(T_r(m))) of each integer row {m: c_m * d} of rows, over one common
+    denominator.  Cancelled (zero) entries never reach eval_T."""
+    tails = [(key, m, c, *_deformation_tail(m, s))
+             for key, row in rows.items() for m, c in row.items() if c]
+    dt = lcm(*(t for _, _, _, t, _ in tails))
     acc: dict = {}
-    for c, (t, parts) in tails:
+    for key, m, c, t, parts in tails:
+        acc.setdefault(key + (0,), {})[m] = c * dt  # every tail has r > 0
         c *= dt // t
         for r, m_r, n in parts:
-            sub = acc.setdefault(r, {})
-            sub[m_r] = sub.get(m_r, 0) + c * n
-    rows = _over({0: classical}, d)
-    rows.update(_over(acc, d * dt))
-    return ZNu({r: ZElem._frozen(row) for r, row in rows.items()})
+            _bump(acc.setdefault(key + (r,), {}), m_r, c * n)
+    return {k: ZElem._frozen(row) for k, row in _over(acc, d * dt).items()}
 
 
 def z_mul_nu(a, b, s: StarProduct) -> ZNu:
     """Deformed product D(a_0 . b_0); positive nu powers of the operands are
     discarded."""
     a0, b0 = _as_znu(a).classical().terms, _as_znu(b).classical().terms
-    rows, d = _classical_product({(): a0}, {(): b0})
-    return _deform(rows.get((), {}), d, s)
+    return ZNu({r: z for (r,), z in _deform(*_classical_product({(): a0}, {(): b0}), s).items()})
 
 
 def znu_mul_classical(a: ZNu, b: ZNu) -> ZNu:
@@ -616,7 +611,7 @@ def delta(i: int, a: ZElem) -> ZElem:
                 continue
             seen = f
             mult = factors.count(f)
-            d = f.diff(i - 1)
+            d = f.diff(_axis_index(i, f.space))
             if d.is_zero():
                 continue
             rest = ZMonomial._sorted(factors[:j] + factors[j + 1 :])
@@ -697,7 +692,9 @@ def frobenius_counterexample_search(max_degree: int, space: VarSpace = None):
 
 
 class TaylorElem(_Sparse):
-    """Polynomial in formal translation variables y with ZNu coefficients.
+    """Polynomial in formal translation variables y and in nu with ZElem
+    coefficients, stored flat as {y-exponent + (nu power,): ZElem}: the layout
+    the classical product multiplies.
 
     ``in_a`` marks elements constructed from images of the Taylor expansion
     map (and their sums and products); the deformed product is only defined
@@ -707,11 +704,13 @@ class TaylorElem(_Sparse):
     __slots__ = ("space", "terms", "in_a")
     _parts = property(attrgetter("terms"))
 
-    def __init__(self, space: VarSpace, terms: Mapping[tuple, ZNu], in_a: bool = False):
+    def __init__(self, space: VarSpace, terms: Mapping[tuple, ZElem], in_a: bool = False):
         clean = {}
-        for e, z in terms.items():
+        for k, z in terms.items():
+            if k[-1] < 0:
+                raise InvalidArgumentError("TaylorElem supports non-negative nu powers only")
             if not z.is_zero():
-                clean[tuple(e)] = z
+                clean[tuple(k)] = z
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "in_a", in_a)
@@ -721,7 +720,9 @@ class TaylorElem(_Sparse):
         return cls(space, {}, in_a=True)
 
     def coefficient(self, e: tuple) -> ZNu:
-        return self.terms.get(tuple(e), ZNu.zero())
+        """The ZNu coefficient of y^e: a view of the terms keyed e + (r,)."""
+        e = tuple(e)
+        return ZNu({k[-1]: z for k, z in self.terms.items() if k[:-1] == e})
 
     def y_constant(self) -> ZNu:
         return self.coefficient((0,) * self.space.nvars)
@@ -738,10 +739,11 @@ class TaylorElem(_Sparse):
         return TaylorElem, (self.space, self.terms, self.in_a)
 
     def scale(self, c) -> "TaylorElem":
-        return TaylorElem(self.space, {e: z.scale(c) for e, z in self.terms.items()}, in_a=self.in_a)
+        return TaylorElem(self.space, {k: z.scale(c) for k, z in self.terms.items()}, in_a=self.in_a)
 
-    def nu_shift(self, k: int) -> "TaylorElem":
-        return TaylorElem(self.space, {e: z.nu_shift(k) for e, z in self.terms.items()}, in_a=self.in_a)
+    def nu_shift(self, n: int) -> "TaylorElem":
+        return TaylorElem(self.space, {k[:-1] + (k[-1] + n,): z for k, z in self.terms.items()},
+                          in_a=self.in_a)
 
     def __str__(self):
         return render_taylor(self)
@@ -750,7 +752,7 @@ class TaylorElem(_Sparse):
 def taylor_unit(space: VarSpace = None) -> TaylorElem:
     if space is None:
         space = zariski_space(3)
-    return TaylorElem(space, {(0,) * space.nvars: ZNu.from_zelem(ZElem.unit())}, in_a=True)
+    return TaylorElem(space, {(0,) * (space.nvars + 1): ZElem.unit()}, in_a=True)
 
 
 def jmap(z: ZElem, space: VarSpace = None) -> TaylorElem:
@@ -760,22 +762,22 @@ def jmap(z: ZElem, space: VarSpace = None) -> TaylorElem:
         space = zariski_space(3)
     rows: dict = {}
     for mono, c in z.terms.items():
-        for e, m, v in _jmap_image(mono, space):
-            _bump(rows.setdefault(e, {}), m, v * c)
-    return TaylorElem(space, {e: ZNu.from_zelem(ZElem._frozen(row)) for e, row in rows.items()}, in_a=True)
+        for k, m, v in _jmap_image(mono, space):
+            _bump(rows.setdefault(k, {}), m, v * c)
+    return TaylorElem(space, {k: ZElem._frozen(row) for k, row in rows.items()}, in_a=True)
 
 
 @cache
 def _jmap_image(mono: ZMonomial, space: VarSpace) -> tuple:
-    """J(Z_mono) as (y-exponent I, Z-monomial of d^I u, its coefficient / I!)
-    per nonzero derivative d^I u of u = the product of mono's factors, each I
-    once, in the order of the recursion over non-decreasing axes."""
+    """J(Z_mono) as (key I + (0,), Z-monomial of d^I u, its coefficient / I!)
+    per nonzero derivative d^I u of u = the product of mono's factors, each
+    y-exponent I once, in the order of the recursion over non-decreasing axes."""
     n = space.nvars
     out = []
 
     def accumulate(u: Poly, e: tuple, fact: int, start: int):
         ((m, v),) = zelem_from_poly(u).terms.items()
-        out.append((e, m, v / fact))
+        out.append((e + (0,), m, v / fact))
         for i in range(start, n):
             d = u.diff(i)
             if d.is_zero():
@@ -790,20 +792,12 @@ def _jmap_image(mono: ZMonomial, space: VarSpace) -> tuple:
 
 def _y_nu_rows(a: TaylorElem) -> dict:
     """{y-exponent + (nu power,): {ZMonomial: Fraction}} of a."""
-    return {e + (r,): z.terms for e, x in a.terms.items() for r, z in x.coeffs.items()}
-
-
-def _taylor_of_rows(space: VarSpace, rows: dict, in_a: bool) -> TaylorElem:
-    """The TaylorElem of Fraction rows keyed by y-exponent + (nu power,)."""
-    out: dict = {}
-    for key, row in rows.items():
-        out.setdefault(key[:-1], {})[key[-1]] = ZElem._frozen(row)
-    return TaylorElem(space, {e: ZNu(x) for e, x in out.items()}, in_a=in_a)
+    return {k: z.terms for k, z in a.terms.items()}
 
 
 def _taylor_over(space: VarSpace, rows: dict, d: int, in_a: bool) -> TaylorElem:
     """The TaylorElem of integer rows keyed by y-exponent + (nu power,) over d."""
-    return _taylor_of_rows(space, _over(rows, d), in_a)
+    return TaylorElem(space, {k: ZElem._frozen(row) for k, row in _over(rows, d).items()}, in_a)
 
 
 def taylor_mul_classical(a: TaylorElem, b: TaylorElem) -> TaylorElem:
@@ -823,11 +817,7 @@ def _check_deformable(a: TaylorElem, b: TaylorElem) -> None:
 
 def _y_classical(a: TaylorElem) -> dict:
     """{y-exponent: {ZMonomial: Fraction}} of the nu^0 parts of a."""
-    return {e: z.coeffs[0].terms for e, z in a.terms.items() if 0 in z.coeffs}
-
-
-def _deform_taylor(rows: dict, d: int, space: VarSpace, s: StarProduct) -> TaylorElem:
-    return TaylorElem(space, {e: _deform(row, d, s) for e, row in rows.items()}, in_a=True)
+    return {k[:-1]: z.terms for k, z in a.terms.items() if not k[-1]}
 
 
 def a_mul_nu(a: TaylorElem, b: TaylorElem, s: StarProduct) -> TaylorElem:
@@ -835,12 +825,12 @@ def a_mul_nu(a: TaylorElem, b: TaylorElem, s: StarProduct) -> TaylorElem:
     y-degree of the classical product of the nu^0 parts."""
     _check_deformable(a, b)
     rows, d = _classical_product(_y_classical(a), _y_classical(b))
-    return _deform_taylor(rows, d, a.space, s)
+    return TaylorElem(a.space, _deform(rows, d, s), in_a=True)
 
 
 def _y_lowered(terms: Mapping, i: int):
-    """(e - 1_i, e_i, value) for each entry of a map keyed by y-exponent e
-    with e_i > 0: the pieces of d/dy_i."""
+    """(e - 1_i, e_i, value) for each entry of a map keyed by a y-exponent e,
+    or one with a nu power appended, with e_i > 0: the pieces of d/dy_i."""
     for e, v in terms.items():
         k = e[i]
         if k:
@@ -849,12 +839,17 @@ def _y_lowered(terms: Mapping, i: int):
             yield tuple(e2), k, v
 
 
+def _axis_index(axis: int, space: VarSpace) -> int:
+    """The 0-based index of the 1-based axis of space; InvalidArgumentError
+    naming the axis and the range when space has no such axis."""
+    if not 1 <= axis <= space.nvars:
+        raise InvalidArgumentError(f"axis {axis} is out of range 1..{space.nvars}")
+    return axis - 1
+
+
 def delta_y(axis: int, a: TaylorElem) -> TaylorElem:
     """Formal derivative with respect to y^axis (1-based)."""
-    i = axis - 1
-    if not 0 <= i < a.space.nvars:
-        raise InvalidArgumentError("axis out of range")
-    out = {e: z.scale(k) for e, k, z in _y_lowered(a.terms, i)}
+    out = {k: z.scale(n) for k, n, z in _y_lowered(a.terms, _axis_index(axis, a.space))}
     return TaylorElem(a.space, out, in_a=a.in_a)
 
 
@@ -864,8 +859,8 @@ def _y_diff(rows: dict, i: int) -> dict:
 
 
 def _check_axes(args: tuple) -> None:
-    if any(i >= x.space.nvars for i, x in enumerate(args)):  # as delta_y checks the first product
-        raise InvalidArgumentError("axis out of range")
+    for axis, x in enumerate(args, 1):  # as delta_y checks the first product
+        _axis_index(axis, x.space)
 
 
 def _y_nambu(args: tuple, rows_of) -> tuple:
@@ -883,7 +878,7 @@ def quantum_nambu(a: TaylorElem, b: TaylorElem, c: TaylorElem, s: StarProduct) -
     _check_axes(args)
     _check_deformable(a, b)
     _check_deformable(a, c)
-    return _deform_taylor(*_y_nambu(args, _y_classical), a.space, s)
+    return TaylorElem(a.space, _deform(*_y_nambu(args, _y_classical), s), in_a=True)
 
 
 def classical_nambu(a: TaylorElem, b: TaylorElem, c: TaylorElem) -> TaylorElem:
@@ -909,29 +904,22 @@ def _zelem_parts(z: ZElem, prefix: str = "") -> list:
     ]
 
 
-def _znu_parts(x: ZNu, prefix: str = "") -> list:
-    """The term walk of ``_zelem_parts`` over x's nu powers, lowest first."""
-    return [
-        part
-        for k in sorted(x.coeffs)
-        for part in _zelem_parts(x.coeffs[k], _joined(prefix, _nu_label(k)))
-    ]
-
-
 def render_zelem(z: ZElem) -> str:
     return _render_terms(_zelem_parts(z))
 
 
 def render_znu(x: ZNu) -> str:
-    return _render_terms(_znu_parts(x))
+    """The terms of x's nu powers, lowest first."""
+    return _render_terms([part for k in sorted(x.coeffs)
+                          for part in _zelem_parts(x.coeffs[k], _nu_label(k))])
 
 
 def render_taylor(t: TaylorElem) -> str:
+    """The terms by y-exponent in graded-lex order, then by nu power."""
     names = tuple(f"y{i + 1}" for i in range(t.space.nvars))
-    return _render_terms(
-        [
-            part
-            for e in sorted(t.terms, key=grlex_key)
-            for part in _znu_parts(t.terms[e], _render_monomial(names, e))
-        ]
-    )
+    return _render_terms([
+        part
+        for k in sorted(t.terms, key=lambda k: (grlex_key(k[:-1]), k[-1]))
+        for part in _zelem_parts(t.terms[k], _joined(_render_monomial(names, k[:-1]),
+                                                      _nu_label(k[-1])))
+    ])

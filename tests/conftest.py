@@ -73,6 +73,13 @@ def brute_sun_lift(sp, x) -> NuObject:
     return out
 
 
+def taylor_elem(space: VarSpace, coeffs: dict, in_a: bool = False) -> TaylorElem:
+    """The TaylorElem with ZNu coefficient coeffs[e] at y^e, built from its
+    flat terms {e + (nu power,): ZElem}."""
+    return TaylorElem(space, {e + (r,): z for e, x in coeffs.items() for r, z in x.coeffs.items()},
+                      in_a=in_a)
+
+
 def jmap_oracle(z: ZElem, space: VarSpace = None) -> TaylorElem:
     """J(z) = sum_I y^I / I! Z_{d^I u} by the per-derivative recursion, each
     term c Z_m of z expanded on its own with c carried down: the oracle for
@@ -97,7 +104,7 @@ def jmap_oracle(z: ZElem, space: VarSpace = None) -> TaylorElem:
 
     for mono, c in z.terms.items():
         accumulate(mono.product_poly(space), c, (0,) * n, 1, 0)
-    return TaylorElem(space, {e: ZNu.from_zelem(ZElem._frozen(row)) for e, row in rows.items()}, in_a=True)
+    return taylor_elem(space, {e: ZNu.from_zelem(ZElem._frozen(row)) for e, row in rows.items()}, in_a=True)
 
 
 def fractions_built(monkeypatch, call) -> tuple:

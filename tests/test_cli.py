@@ -669,6 +669,26 @@ def test_vars_override(capsys):
     assert out.strip() == "1 * (a - b) * (a + b)"
 
 
+@pytest.mark.parametrize("argv, text", [
+    (("star", "--vars", "y1,p", "y1", "p"), "y1*p + nu"),
+    (("factor", "--vars", "y1,x", "y1*x"), "1 * (x) * (y1)"),
+])
+def test_declared_y_names_are_variables(capsys, argv, text):
+    # a declared name is that variable, not a Taylor y-variable
+    assert run(capsys, *argv) == (0, text + "\n", "")
+
+
+@pytest.mark.parametrize("axis, expr", [("9", "Z[]"), ("0", "3"), ("0", "Z[x1]"), ("4", "Z[x1; x2]")])
+def test_zariski_delta_refuses_axis_outside_the_space(capsys, axis, expr):
+    # refused for every operand, also one with no factor to differentiate
+    message = f"axis {axis} is out of range 1..3"
+    assert run(capsys, "zariski", "delta", "--axis", axis, expr) == (
+        1, "", f"error[zariski.invalid-argument]: {message}\n")
+    code, out, err = run(capsys, "--json", "zariski", "delta", "--axis", axis, expr)
+    assert (code, err) == (1, "")
+    assert json.loads(out)["error"] == {"code": "zariski.invalid-argument", "message": message}
+
+
 def test_equiv_weak_trivializer(capsys):
     code, out, _ = run(
         capsys, "equiv", "--mode", "B", "--left", "usual", "--right", "su2",

@@ -91,6 +91,25 @@ def test_round_trip_random_values(rng):
         )
         text = render(x)
         assert render(parse_expr(text, QP)) == text
+    for _ in range(60):
+        x = _random_taylor(rng)
+        text = render(x)
+        back = parse_expr(text)
+        assert isinstance(back, TaylorElem) and back == x and render(back) == text
+
+
+def _random_taylor(rng) -> TaylorElem:
+    """A TaylorElem over several y-exponents, the first not 0, and nu powers
+    0-2, with fractional coefficients and unit Z-monomials (raw y terms)."""
+    terms = {}
+    for i in range(rng.randint(1, 5)):
+        y = tuple(rng.randint(0, 2) for _ in range(3))
+        if i == 0 and not any(y):
+            y = (1, 0, 0)
+        c = Fraction(rng.choice([-7, -3, -1, 1, 2, 5]), rng.choice([1, 2, 3, 4]))
+        z = ZElem.unit() if rng.random() < 0.3 else zelem_from_poly(random_poly(SP, rng, terms=2))
+        terms[y + (rng.randint(0, 2),)] = z.scale(c)
+    return TaylorElem(SP, terms)
 
 
 def test_parse_whitespace_insensitive():

@@ -51,7 +51,7 @@ from nambu_forge.zariski import (
     znu_power_nu,
 )
 
-from conftest import jmap_oracle, random_poly
+from conftest import jmap_oracle, random_poly, taylor_elem
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SP = zariski_space(3)
@@ -284,8 +284,8 @@ def _sum_cases():
                      NuObject(SP, {0: x1, 2: x1 - x3})),
         "ZElem": (ZElem({z1: 1, z2: 2}), ZElem({z1: -1, z3: 5}), ZElem({z2: 2, z3: 5})),
         "ZNu": zn,
-        "TaylorElem": (TaylorElem(SP, {y0: zn[0], y1: zn[1]}),
-                       TaylorElem(SP, {y1: -zn[1], y0: zn[1]}), TaylorElem(SP, {y0: zn[2]})),
+        "TaylorElem": (taylor_elem(SP, {y0: zn[0], y1: zn[1]}),
+                       taylor_elem(SP, {y1: -zn[1], y0: zn[1]}), taylor_elem(SP, {y0: zn[2]})),
     }
     return [pytest.param(*case, id=name) for name, case in cases.items()]
 
@@ -431,6 +431,28 @@ def test_jmap_examples():
     assert jmap(ZElem.unit()) == taylor_unit()
 
 
+def test_taylor_terms_are_flat():
+    zx1 = zelem_from_poly(x1)
+    t = jmap(zx1).nu_shift(1)
+    assert t.terms == {(0, 0, 0, 1): zx1, (1, 0, 0, 1): ZElem.unit()}
+    assert t.coefficient((0, 0, 0)) == t.y_constant() == ZNu({1: zx1})
+    assert t.coefficient((0, 0, 1)) == ZNu.zero()  # a y-exponent with no term
+    assert t.nu_shift(-1) == jmap(zx1)
+    with pytest.raises(InvalidArgumentError, match="non-negative nu powers"):
+        t.nu_shift(-2)
+    with pytest.raises(InvalidArgumentError, match="non-negative nu powers"):
+        TaylorElem(SP, {(0, 0, 0, -1): ZElem.unit()})
+
+
+def test_axes_are_checked_one_based():
+    with pytest.raises(InvalidArgumentError, match=r"axis 0 is out of range 1\.\.3"):
+        delta(0, zelem_from_poly(x1))
+    with pytest.raises(InvalidArgumentError, match=r"axis 4 is out of range 1\.\.3"):
+        delta_y(4, jmap(zelem_from_poly(x1)))
+    with pytest.raises(InvalidArgumentError, match=r"axis 3 is out of range 1\.\.2"):
+        classical_nambu(*(jmap(ZElem.unit(), zariski_space(2)),) * 3)
+
+
 def test_jmap_additive(rng):
     for _ in range(6):
         a, b = random_zelem(rng), random_zelem(rng)
@@ -497,7 +519,7 @@ def test_a_mul_examples():
 
 
 def test_a_mul_requires_taylor_subalgebra():
-    raw = TaylorElem(SP, {(1, 0, 0): ZNu.from_zelem(ZElem.unit())}, in_a=False)
+    raw = taylor_elem(SP, {(1, 0, 0): ZNu.from_zelem(ZElem.unit())}, in_a=False)
     with pytest.raises(InvalidArgumentError):
         a_mul_nu(raw, taylor_unit(), ST)
 
@@ -512,8 +534,8 @@ def test_deformation_theorem_on_taylor_algebra(rng):
         assert a_mul_nu(ab, c, ST) == a_mul_nu(a, a_mul_nu(b, c, ST), ST)
         # classical limit
         classical = taylor_mul_classical(a, b)
-        y0 = {e: z.classical() for e, z in classical.terms.items()}
-        got = {e: z.classical() for e, z in ab.terms.items()}
+        y0 = {k: z for k, z in classical.terms.items() if not k[-1]}
+        got = {k: z for k, z in ab.terms.items() if not k[-1]}
         assert got == y0
 
 
@@ -534,8 +556,8 @@ def test_quantum_nambu_classical_limit(rng):
         a, b, c = (jmap(random_zelem(rng, nterms=1)) for _ in range(3))
         q = quantum_nambu(a, b, c, ST)
         cl = classical_nambu(a, b, c)
-        got = {e: z.classical() for e, z in q.terms.items()}
-        want = {e: z.classical() for e, z in cl.terms.items()}
+        got = {k: z for k, z in q.terms.items() if not k[-1]}
+        want = {k: z for k, z in cl.terms.items() if not k[-1]}
         assert got == want
 
 
@@ -564,7 +586,7 @@ def _taylor_operand(rng, in_a):
     x = x + jmap(random_zelem(rng, nterms=1)).nu_shift(rng.randint(1, 2))
     if not in_a:
         e = tuple(rng.randint(0, 2) for _ in range(3))
-        x = x + TaylorElem(SP, {e: ZNu({rng.randint(0, 2): random_zelem(rng, nterms=1)})})
+        x = x + taylor_elem(SP, {e: ZNu({rng.randint(0, 2): random_zelem(rng, nterms=1)})})
     return x
 
 
@@ -679,10 +701,12 @@ def oracle_z_mul_nu(a, b, s):
 
 def oracle_a_mul_nu(a, b, s):
     out = TaylorElem.zero(a.space)
-    for ea, za in a.terms.items():
-        for eb, zb in b.terms.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out = out + TaylorElem(a.space, {e: oracle_z_mul_nu(za, zb, s)}, in_a=True)
+    for ka, za in a.terms.items():
+        for kb, zb in b.terms.items():
+            if ka[-1] or kb[-1]:
+                continue  # the deformed product discards positive nu powers
+            e = tuple(x + y for x, y in zip(ka[:-1], kb[:-1]))
+            out = out + taylor_elem(a.space, {e: oracle_z_mul_nu(za, zb, s)}, in_a=True)
     return out
 
 
@@ -891,7 +915,7 @@ def test_quantum_nambu_keeps_error_messages():
         quantum_nambu(j3, j4, j3, ST)
     with pytest.raises(InvalidArgumentError, match="spaces differ"):
         a_mul_nu(j3, j4, ST)
-    raw = TaylorElem(SP, {(1, 1, 1): ZNu.from_zelem(ZElem.unit())}, in_a=False)
+    raw = taylor_elem(SP, {(1, 1, 1): ZNu.from_zelem(ZElem.unit())}, in_a=False)
     with pytest.raises(InvalidArgumentError, match="Taylor subalgebra only"):
         quantum_nambu(j3, j3, raw, ST)
 
@@ -905,7 +929,7 @@ def _poly_coeffs(x):
 
 
 def _taylor_coeffs(t):
-    return [c for z in t.terms.values() for ze in z.coeffs.values() for c in ze.terms.values()]
+    return [c for z in t.terms.values() for c in z.terms.values()]
 
 
 def test_coefficients_stay_fractions(rng):
@@ -933,7 +957,7 @@ def test_coefficients_stay_fractions(rng):
     jx, jy, jz = (jmap(zelem_from_poly(f)) for f in (H * x1, H * x2, x1 * x2 + x3))
     for t in (a_mul_nu(a, b, ST), quantum_nambu(jx, jy, jz, ST)):
         # both results carry nu^2 parts, so the deformation map's sums are seen
-        assert any(k > 0 for z in t.terms.values() for k in z.coeffs)
+        assert any(k[-1] > 0 for k in t.terms)
         coeffs = _taylor_coeffs(t)
         assert all(type(k) is Fraction for k in coeffs)
 
