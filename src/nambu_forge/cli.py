@@ -237,7 +237,7 @@ _ZARISKI_OPS = {
     "mul": ("znu", 2, None, lambda z, star, a, b: z.z_mul_nu(a, b, star)),
     "cmul": ("znu", 2, None, lambda z, star, a, b: z.znu_mul_classical(a, b)),
     "power": ("znu", 1, ("m", "power"), lambda z, star, a, m: z.znu_power_nu(a, m, star)),
-    "delta": ("classical", 1, ("axis", "axis"), lambda z, star, a, i: z.delta(i, a)),
+    "delta": ("classical", 1, ("axis", "axis"), lambda z, star, a, i: z.delta(i, a, star.space)),
     "jmap": ("classical", 1, None, lambda z, star, a: z.jmap(a, star.space)),
     "amul": ("taylor", 2, None, lambda z, star, a, b: z.a_mul_nu(a, b, star)),
     "qnambu": ("taylor", 3, None, lambda z, star, a, b, c: z.quantum_nambu(a, b, c, star)),
@@ -280,8 +280,6 @@ def _cmd_zariski(args, cfg):
     if len(args.exprs) != arity:
         exactly = "exactly " if len(args.exprs) > arity else ""
         raise InvalidArgumentError(f"zariski {args.op} needs {exactly}{arity} expression(s)")
-    if args.op == "delta":  # every operand, even one with no factor to differentiate
-        zariski._axis_index(args.axis, space)
     operands = [_zariski_operand(zariski, kind, parse_expr(e, space, space), space) for e in args.exprs]
     data = {"op": args.op}
     if option:

@@ -130,11 +130,11 @@ def su2_lift_space() -> VarSpace:
 
 class _Sparse:
     """+, -, negation, is_zero, ==, copy and repr of the immutable sparse values
-    (Poly, NuObject, ZElem, ZNu, TaylorElem).  Each supplies ``_parts``, its
-    map of nonzero values; ``_like(other)``, the operand of its own type that
-    other stands for, or None; and ``_rebuild(row, other)``, the value of a
-    summed row, with the type's space check.  == compares ``space`` (None
-    where a type has none), so it is False where + and - raise."""
+    (Poly, NuObject, ZElem, ZNu; TaylorElem, over one denominator, has its own
+    +, -, negation and ==).  Each supplies ``_parts``, its nonzero values;
+    ``_like(other)``, the operand of its own type that other stands for, or
+    None; and ``_rebuild(row, other)``, the value of a summed row, with the
+    type's space check.  == compares ``space``, so it is False where + and - raise."""
 
     __slots__ = ()
     space = None

@@ -31,11 +31,13 @@ standard-ordering product lacks the symmetry and is refused.
 The products run on integer numerators.  ``_eval_T`` caches T(S) as integer
 rows over one denominator, which the next recursion step reads as they are;
 ``_deformation_tail`` keeps the nu^r parts of D(Z_m) as integer multiples of
-one Z-monomial each over one denominator.  A TaylorElem is stored flat as
-{y-exponent + (nu power,): ZElem}; every classical product (plain, nu-graded,
-y-graded, and the y-derivatives in ``quantum_nambu``) multiplies such rows of
-{ZMonomial: numerator}, keyed by tuples that add under the product, with one
-denominator per operand, and Fractions are built once per output term.
+one Z-monomial each over one denominator, in one table per star product.
+Every classical product (plain, nu-graded, y-graded, and the y-derivatives
+in ``quantum_nambu``) multiplies rows of {ZMonomial: numerator}, keyed by
+tuples that add under the product, with one denominator per operand.  A
+TaylorElem stores such rows keyed by y-exponent + (nu power,) over one
+denominator, so the Taylor products, + and - never build a Fraction; ZElem
+and ZNu results build theirs once per output term.
 
 Z-monomials are interned: every ZMonomial is built through one weak table
 keyed by its tuple of interned factors, so equal factor multisets are one
@@ -474,7 +476,7 @@ def _even_poisson_sum(steps: list, s: StarProduct, k: int) -> tuple:
 
 def _reduced(rows: dict, d: int) -> tuple:
     """Integer rows over d in lowest terms, zero entries and rows dropped."""
-    g = gcd(d, *(n for row in rows.values() for n in row.values()))
+    g = gcd(d, *itertools.chain.from_iterable(map(dict.values, rows.values())))
     return {m: {e: n // g for e, n in row.items() if n} for m, row in rows.items()
             if any(row.values())}, d // g
 
@@ -538,7 +540,6 @@ def z_mul_classical(a: ZElem, b: ZElem) -> ZElem:
     return ZElem._frozen(rows.get((), {}))
 
 
-@cache
 def _deformation_tail(m: ZMonomial, s: StarProduct) -> tuple:
     """(d, ((r, m_r, n_r), ...)): the nu^r part of D(Z_m) for r > 0 is
     n_r / d * Z(m_r).  T_r(m) is the integer row T_r over T's denominator d;
@@ -553,11 +554,18 @@ def _deformation_tail(m: ZMonomial, s: StarProduct) -> tuple:
     return d, tuple(parts)
 
 
-def _deform(rows: Mapping, d: int, s: StarProduct) -> dict:
-    """{key + (r,): ZElem}: D(sum c_m Z_m) = sum c_m (Z_m + sum_{r>0} nu^r
-    Z(T_r(m))) of each integer row {m: c_m * d} of rows, over one common
+@cache
+def _tails(s: StarProduct) -> dict:
+    """{ZMonomial: _deformation_tail(m, s)}, filled by _deform."""
+    return {}
+
+
+def _deform(rows: Mapping, d: int, s: StarProduct) -> tuple:
+    """(rows keyed key + (r,), d): D(sum c_m Z_m) = sum c_m (Z_m + sum_{r>0}
+    nu^r Z(T_r(m))) of each integer row {m: c_m * d} of rows, over one common
     denominator.  Cancelled (zero) entries never reach eval_T."""
-    tails = [(key, m, c, *_deformation_tail(m, s))
+    table = _tails(s)  # s is hashed once; tails are looked up by identity
+    tails = [(key, m, c, *(table.get(m) or table.setdefault(m, _deformation_tail(m, s))))
              for key, row in rows.items() for m, c in row.items() if c]
     dt = lcm(*(t for _, _, _, t, _ in tails))
     acc: dict = {}
@@ -566,14 +574,15 @@ def _deform(rows: Mapping, d: int, s: StarProduct) -> dict:
         c *= dt // t
         for r, m_r, n in parts:
             _bump(acc.setdefault(key + (r,), {}), m_r, c * n)
-    return {k: ZElem._frozen(row) for k, row in _over(acc, d * dt).items()}
+    return acc, d * dt
 
 
 def z_mul_nu(a, b, s: StarProduct) -> ZNu:
     """Deformed product D(a_0 . b_0); positive nu powers of the operands are
     discarded."""
     a0, b0 = _as_znu(a).classical().terms, _as_znu(b).classical().terms
-    return ZNu({r: z for (r,), z in _deform(*_classical_product({(): a0}, {(): b0}), s).items()})
+    rows = _over(*_deform(*_classical_product({(): a0}, {(): b0}), s))
+    return ZNu({r: ZElem._frozen(row) for (r,), row in rows.items()})
 
 
 def znu_mul_classical(a: ZNu, b: ZNu) -> ZNu:
@@ -599,9 +608,13 @@ def znu_power_nu(a, m: int, s: StarProduct) -> ZNu:
 # Leibniz-postulated derivations and the Frobenius failure
 
 
-def delta(i: int, a: ZElem) -> ZElem:
+def delta(i: int, a: ZElem, space: VarSpace = None) -> ZElem:
     """Derivation fixed by d(Z_u) = Z_{du} on irreducibles plus the Leibniz
-    rule across each factor multiset (1-based axis index)."""
+    rule across each factor multiset (1-based axis i of space, R^3 by
+    default, checked whatever a is)."""
+    if space is None:
+        space = zariski_space(3)
+    k = _axis_index(i, space)
     row: dict = {}
     for mono, c in a.terms.items():
         factors = mono.factors
@@ -611,7 +624,7 @@ def delta(i: int, a: ZElem) -> ZElem:
                 continue
             seen = f
             mult = factors.count(f)
-            d = f.diff(_axis_index(i, f.space))
+            d = f.diff(k)
             if d.is_zero():
                 continue
             rest = ZMonomial._sorted(factors[:j] + factors[j + 1 :])
@@ -630,8 +643,8 @@ class FrobeniusWitness:
 
     def verify(self) -> bool:
         zu = ZElem.basis(ZMonomial((self.u,), trusted=True))
-        lhs = delta(self.i, delta(self.j, zu))
-        rhs = delta(self.j, delta(self.i, zu))
+        lhs = delta(self.i, delta(self.j, zu, self.u.space), self.u.space)
+        rhs = delta(self.j, delta(self.i, zu, self.u.space), self.u.space)
         return lhs == self.lhs and rhs == self.rhs and lhs != rhs
 
 
@@ -676,8 +689,8 @@ def frobenius_counterexample_search(max_degree: int, space: VarSpace = None):
             seen.add(u)
             zu = ZElem.basis(ZMonomial((u,), trusted=True))
             for i, j in ((1, 2), (1, 3), (2, 3)):
-                lhs = delta(i, delta(j, zu))
-                rhs = delta(j, delta(i, zu))
+                lhs = delta(i, delta(j, zu, space), space)
+                rhs = delta(j, delta(i, zu, space), space)
                 if lhs != rhs:
                     if is_irreducible(u):
                         witness = FrobeniusWitness(u, i, j, lhs, rhs)
@@ -693,31 +706,44 @@ def frobenius_counterexample_search(max_degree: int, space: VarSpace = None):
 
 class TaylorElem(_Sparse):
     """Polynomial in formal translation variables y and in nu with ZElem
-    coefficients, stored flat as {y-exponent + (nu power,): ZElem}: the layout
-    the classical product multiplies.
+    coefficients, stored as the integer rows the products multiply, ``rows``
+    = {y-exponent + (nu power,): {ZMonomial: numerator}} over ``den``, in
+    lowest terms (den > 0, gcd of den and the numerators 1, no zero entry or
+    empty row), so == compares space, den and rows.  ``terms`` is the
+    {y-exponent + (nu power,): ZElem} map that the constructor takes.
 
     ``in_a`` marks elements constructed from images of the Taylor expansion
     map (and their sums and products); the deformed product is only defined
     on that subalgebra.
     """
 
-    __slots__ = ("space", "terms", "in_a")
-    _parts = property(attrgetter("terms"))
+    __slots__ = ("space", "rows", "den", "in_a")
+    _parts = property(attrgetter("rows"))
 
     def __init__(self, space: VarSpace, terms: Mapping[tuple, ZElem], in_a: bool = False):
-        clean = {}
-        for k, z in terms.items():
-            if k[-1] < 0:
-                raise InvalidArgumentError("TaylorElem supports non-negative nu powers only")
-            if not z.is_zero():
-                clean[tuple(k)] = z
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "in_a", in_a)
+        if any(k[-1] < 0 for k in terms):
+            raise InvalidArgumentError("TaylorElem supports non-negative nu powers only")
+        self._set(space, *_int_rows({tuple(k): z.terms for k, z in terms.items()}), in_a)
+
+    def _set(self, space: VarSpace, rows: dict, d: int, in_a: bool) -> None:
+        for name, v in zip(self.__slots__, (space, *_reduced(rows, d), in_a)):
+            object.__setattr__(self, name, v)
+
+    @classmethod
+    def _of(cls, space: VarSpace, rows: dict, d: int, in_a: bool) -> "TaylorElem":
+        """The TaylorElem of integer rows over d > 0, brought to lowest terms."""
+        out = object.__new__(cls)
+        out._set(space, rows, d, in_a)
+        return out
 
     @classmethod
     def zero(cls, space: VarSpace) -> "TaylorElem":
         return cls(space, {}, in_a=True)
+
+    @property
+    def terms(self) -> dict:
+        """{y-exponent + (nu power,): ZElem}, built afresh from the rows."""
+        return {k: ZElem._frozen(row) for k, row in _over(self.rows, self.den).items()}
 
     def coefficient(self, e: tuple) -> ZNu:
         """The ZNu coefficient of y^e: a view of the terms keyed e + (r,)."""
@@ -730,23 +756,49 @@ class TaylorElem(_Sparse):
     def _like(self, other):
         return other if isinstance(other, TaylorElem) else None
 
-    def _rebuild(self, row: dict, other: "TaylorElem") -> "TaylorElem":
+    def _signed(self, other, sign: int):
+        if not isinstance(other, TaylorElem):
+            return NotImplemented
         if self.space != other.space:
             raise InvalidArgumentError("TaylorElem spaces differ")
-        return TaylorElem(self.space, row, in_a=self.in_a and other.in_a)
+        d = lcm(self.den, other.den)
+        acc = _add_rows({}, self.rows, d // self.den)
+        _add_rows(acc, other.rows, sign * (d // other.den))
+        return TaylorElem._of(self.space, acc, d, self.in_a and other.in_a)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __eq__(self, other):
+        if not isinstance(other, TaylorElem):
+            return NotImplemented
+        return self.space == other.space and self.den == other.den and self.rows == other.rows
 
     def __reduce__(self):
         return TaylorElem, (self.space, self.terms, self.in_a)
 
     def scale(self, c) -> "TaylorElem":
-        return TaylorElem(self.space, {k: z.scale(c) for k, z in self.terms.items()}, in_a=self.in_a)
+        c = Fraction(c)
+        return TaylorElem._of(self.space, _add_rows({}, self.rows, c.numerator),
+                              self.den * c.denominator, self.in_a)
 
     def nu_shift(self, n: int) -> "TaylorElem":
-        return TaylorElem(self.space, {k[:-1] + (k[-1] + n,): z for k, z in self.terms.items()},
-                          in_a=self.in_a)
+        if any(k[-1] + n < 0 for k in self.rows):
+            raise InvalidArgumentError("TaylorElem supports non-negative nu powers only")
+        rows = {k[:-1] + (k[-1] + n,): row for k, row in self.rows.items()}
+        return TaylorElem._of(self.space, rows, self.den, self.in_a)
 
     def __str__(self):
         return render_taylor(self)
+
+
+def _add_rows(acc: dict, rows: Mapping, f: int) -> dict:
+    """acc with acc[k][m] += f * rows[k][m] over integer rows."""
+    for k, row in rows.items():
+        out = acc.setdefault(k, {})
+        for m, n in row.items():
+            out[m] = out.get(m, 0) + f * n
+    return acc
 
 
 def taylor_unit(space: VarSpace = None) -> TaylorElem:
@@ -757,27 +809,28 @@ def taylor_unit(space: VarSpace = None) -> TaylorElem:
 
 def jmap(z: ZElem, space: VarSpace = None) -> TaylorElem:
     """Taylor expansion J(Z_u) = sum_I y^I / I! Z_{d^I u}, additive in z:
-    c times the cached image of each Z-monomial."""
+    c times the cached integer image of each Z-monomial."""
     if space is None:
         space = zariski_space(3)
-    rows: dict = {}
-    for mono, c in z.terms.items():
-        for k, m, v in _jmap_image(mono, space):
-            _bump(rows.setdefault(k, {}), m, v * c)
-    return TaylorElem(space, {k: ZElem._frozen(row) for k, row in rows.items()}, in_a=True)
+    images = [(c, *_jmap_image(mono, space)) for mono, c in z.terms.items()]
+    den = lcm(*(c.denominator * d for c, _, d in images))
+    acc: dict = {}
+    for c, rows, d in images:
+        _add_rows(acc, rows, c.numerator * (den // (c.denominator * d)))
+    return TaylorElem._of(space, acc, den, True)
 
 
 @cache
 def _jmap_image(mono: ZMonomial, space: VarSpace) -> tuple:
-    """J(Z_mono) as (key I + (0,), Z-monomial of d^I u, its coefficient / I!)
-    per nonzero derivative d^I u of u = the product of mono's factors, each
-    y-exponent I once, in the order of the recursion over non-decreasing axes."""
+    """J(Z_mono) as integer rows over one denominator: {I + (0,): {Z-monomial
+    of d^I u: numerator of its coefficient / I!}} per nonzero derivative
+    d^I u of u = the product of mono's factors, each y-exponent I once."""
     n = space.nvars
-    out = []
+    out = {}
 
     def accumulate(u: Poly, e: tuple, fact: int, start: int):
         ((m, v),) = zelem_from_poly(u).terms.items()
-        out.append((e + (0,), m, v / fact))
+        out[e + (0,)] = {m: v / fact}
         for i in range(start, n):
             d = u.diff(i)
             if d.is_zero():
@@ -787,25 +840,16 @@ def _jmap_image(mono: ZMonomial, space: VarSpace) -> tuple:
             accumulate(d, tuple(e2), fact * e2[i], i)
 
     accumulate(mono.product_poly(space), (0,) * n, 1, 0)
-    return tuple(out)
-
-
-def _y_nu_rows(a: TaylorElem) -> dict:
-    """{y-exponent + (nu power,): {ZMonomial: Fraction}} of a."""
-    return {k: z.terms for k, z in a.terms.items()}
-
-
-def _taylor_over(space: VarSpace, rows: dict, d: int, in_a: bool) -> TaylorElem:
-    """The TaylorElem of integer rows keyed by y-exponent + (nu power,) over d."""
-    return TaylorElem(space, {k: ZElem._frozen(row) for k, row in _over(rows, d).items()}, in_a)
+    return _int_rows(out)
 
 
 def taylor_mul_classical(a: TaylorElem, b: TaylorElem) -> TaylorElem:
     """The undeformed product: y-graded with nu-bilinear coefficients."""
     if a.space != b.space:
         raise InvalidArgumentError("TaylorElem spaces differ")
-    rows, d = _classical_product(_y_nu_rows(a), _y_nu_rows(b))
-    return _taylor_over(a.space, rows, d, a.in_a and b.in_a)
+    acc: dict = {}
+    _y_mul_into(acc, a.rows, b.rows)
+    return TaylorElem._of(a.space, acc, a.den * b.den, a.in_a and b.in_a)
 
 
 def _check_deformable(a: TaylorElem, b: TaylorElem) -> None:
@@ -815,28 +859,19 @@ def _check_deformable(a: TaylorElem, b: TaylorElem) -> None:
         raise InvalidArgumentError("the deformed product is defined on the Taylor subalgebra only")
 
 
-def _y_classical(a: TaylorElem) -> dict:
-    """{y-exponent: {ZMonomial: Fraction}} of the nu^0 parts of a."""
-    return {k[:-1]: z.terms for k, z in a.terms.items() if not k[-1]}
+def _y_classical(a: TaylorElem) -> tuple:
+    """({y-exponent: {ZMonomial: numerator}}, den): the nu^0 rows of a."""
+    return {k[:-1]: row for k, row in a.rows.items() if not k[-1]}, a.den
 
 
 def a_mul_nu(a: TaylorElem, b: TaylorElem, s: StarProduct) -> TaylorElem:
     """Deformed Abelian product on the Taylor subalgebra: D applied to each
     y-degree of the classical product of the nu^0 parts."""
     _check_deformable(a, b)
-    rows, d = _classical_product(_y_classical(a), _y_classical(b))
-    return TaylorElem(a.space, _deform(rows, d, s), in_a=True)
-
-
-def _y_lowered(terms: Mapping, i: int):
-    """(e - 1_i, e_i, value) for each entry of a map keyed by a y-exponent e,
-    or one with a nu power appended, with e_i > 0: the pieces of d/dy_i."""
-    for e, v in terms.items():
-        k = e[i]
-        if k:
-            e2 = list(e)
-            e2[i] = k - 1
-            yield tuple(e2), k, v
+    (ra, da), (rb, db) = _y_classical(a), _y_classical(b)
+    acc: dict = {}
+    _y_mul_into(acc, ra, rb)
+    return TaylorElem._of(a.space, *_deform(acc, da * db, s), True)
 
 
 def _axis_index(axis: int, space: VarSpace) -> int:
@@ -847,15 +882,22 @@ def _axis_index(axis: int, space: VarSpace) -> int:
     return axis - 1
 
 
+def _y_diff(rows: dict, i: int) -> dict:
+    """d/dy_i of integer rows keyed by a y-exponent, or one with a nu power
+    appended."""
+    out = {}
+    for e, row in rows.items():
+        k = e[i]
+        if k:
+            e2 = list(e)
+            e2[i] = k - 1
+            out[tuple(e2)] = {m: n * k for m, n in row.items()}
+    return out
+
+
 def delta_y(axis: int, a: TaylorElem) -> TaylorElem:
     """Formal derivative with respect to y^axis (1-based)."""
-    out = {k: z.scale(n) for k, n, z in _y_lowered(a.terms, _axis_index(axis, a.space))}
-    return TaylorElem(a.space, out, in_a=a.in_a)
-
-
-def _y_diff(rows: dict, i: int) -> dict:
-    """d/dy_i of integer rows keyed by y-exponent."""
-    return {e: {m: n * k for m, n in row.items()} for e, k, row in _y_lowered(rows, i)}
+    return TaylorElem._of(a.space, _y_diff(a.rows, _axis_index(axis, a.space)), a.den, a.in_a)
 
 
 def _check_axes(args: tuple) -> None:
@@ -865,8 +907,8 @@ def _check_axes(args: tuple) -> None:
 
 def _y_nambu(args: tuple, rows_of) -> tuple:
     """(rows, d): sum over sigma in S3 of sgn(sigma) d/dy_sigma(1) a .
-    d/dy_sigma(2) b . d/dy_sigma(3) c on the rows rows_of(x), integer over d."""
-    rows = [_int_rows(rows_of(x)) for x in args]
+    d/dy_sigma(2) b . d/dy_sigma(3) c on the integer rows rows_of(x), over d."""
+    rows = [rows_of(x) for x in args]
     table = _alternating_sum([[_y_diff(r, i) for i in range(3)] for r, _ in rows], _y_mul_into)
     return table.get(0b111, {}), prod(d for _, d in rows)
 
@@ -878,7 +920,7 @@ def quantum_nambu(a: TaylorElem, b: TaylorElem, c: TaylorElem, s: StarProduct) -
     _check_axes(args)
     _check_deformable(a, b)
     _check_deformable(a, c)
-    return TaylorElem(a.space, _deform(*_y_nambu(args, _y_classical), s), in_a=True)
+    return TaylorElem._of(a.space, *_deform(*_y_nambu(args, _y_classical), s), True)
 
 
 def classical_nambu(a: TaylorElem, b: TaylorElem, c: TaylorElem) -> TaylorElem:
@@ -887,8 +929,8 @@ def classical_nambu(a: TaylorElem, b: TaylorElem, c: TaylorElem) -> TaylorElem:
     _check_axes(args)
     if not a.space == b.space == c.space:
         raise InvalidArgumentError("TaylorElem spaces differ")
-    rows, d = _y_nambu(args, _y_nu_rows)
-    return _taylor_over(a.space, rows, d, a.in_a and b.in_a and c.in_a)
+    return TaylorElem._of(a.space, *_y_nambu(args, attrgetter("rows", "den")),
+                          a.in_a and b.in_a and c.in_a)
 
 
 # ---------------------------------------------------------------------------

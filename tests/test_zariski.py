@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import operator
 import pathlib
 import random
@@ -444,9 +445,65 @@ def test_taylor_terms_are_flat():
         TaylorElem(SP, {(0, 0, 0, -1): ZElem.unit()})
 
 
+def _by_key(op, *xs) -> dict:
+    """{key: ZElem}: op on the ZElem values of the xs' terms, key by key,
+    zero results dropped: the oracle for arithmetic on TaylorElem rows."""
+    terms = [x.terms for x in xs]
+    out = {k: op(*(t.get(k, ZElem.zero()) for t in terms)) for k in set().union(*terms)}
+    return {k: z for k, z in out.items() if not z.is_zero()}
+
+
+def _assert_lowest_terms(x: TaylorElem) -> None:
+    nums = [n for row in x.rows.values() for n in row.values()]
+    assert x.den > 0 and math.gcd(x.den, *nums) == 1
+    assert all(nums) and all(x.rows.values())
+    assert TaylorElem(x.space, x.terms, x.in_a) == x
+
+
+def test_taylor_rows_match_zelem_arithmetic(rng):
+    images = [jmap(random_zelem(rng)).scale(Fraction(rng.choice((-3, 1, 5)), rng.randint(1, 6)))
+              for _ in range(4)]
+    values = images + [a_mul_nu(images[0], images[1], ST), quantum_nambu(*images[:3], ST),
+                       images[3].nu_shift(1)]
+    assert sum(x.den > 1 for x in values) >= 3
+    for u, v in itertools.product(values, repeat=2):
+        for got, op in ((u + v, operator.add), (u - v, operator.sub)):
+            assert got.terms == _by_key(op, u, v)
+            _assert_lowest_terms(got)
+    for u in values:
+        assert (-u).terms == _by_key(operator.neg, u)
+        for c in (Fraction(-2, 3), 0, 7):
+            assert u.scale(c).terms == _by_key(lambda z: z.scale(c), u)
+        assert u.nu_shift(2).terms == {k[:-1] + (k[-1] + 2,): z for k, z in u.terms.items()}
+        for i in range(3):
+            lowered = {k[:i] + (k[i] - 1,) + k[i + 1 :]: z.scale(k[i])
+                       for k, z in u.terms.items() if k[i]}
+            assert delta_y(i + 1, u).terms == lowered
+        for x in (u, -u, u.scale(Fraction(-2, 3)), u.nu_shift(2), delta_y(1, u)):
+            _assert_lowest_terms(x)
+        # one canonical form: equal values store equal rows over equal denominators
+        assert (u + u) - u == u
+        third = u.scale(Fraction(1, 3))
+        assert third.scale(3) == u and third.scale(3).den == u.den
+        assert u.scale(0) == TaylorElem.zero(SP) and u.scale(0).den == 1
+    with pytest.raises(InvalidArgumentError, match="non-negative nu powers"):
+        images[0].nu_shift(-1)
+
+
 def test_axes_are_checked_one_based():
     with pytest.raises(InvalidArgumentError, match=r"axis 0 is out of range 1\.\.3"):
         delta(0, zelem_from_poly(x1))
+    # the axis is checked against the space before any term, so also on
+    # operands with no factor to differentiate
+    with pytest.raises(InvalidArgumentError, match=r"axis 9 is out of range 1\.\.3"):
+        delta(9, ZElem.unit())
+    with pytest.raises(InvalidArgumentError, match=r"axis 0 is out of range 1\.\.3"):
+        delta(0, ZElem.unit(3))
+    with pytest.raises(InvalidArgumentError, match=r"axis 4 is out of range 1\.\.3"):
+        delta(4, ZElem.unit())
+    sp4 = zariski_space(4)
+    assert delta(4, zelem_from_poly(Poly.variable(sp4, 3) ** 2), sp4) == zelem_from_poly(
+        2 * Poly.variable(sp4, 3))
     with pytest.raises(InvalidArgumentError, match=r"axis 4 is out of range 1\.\.3"):
         delta_y(4, jmap(zelem_from_poly(x1)))
     with pytest.raises(InvalidArgumentError, match=r"axis 3 is out of range 1\.\.2"):
@@ -897,10 +954,14 @@ def test_value_types_copy_and_pickle():
     z = ZElem({m: Fraction(-3, 4), ZMonomial(()): 2})
     znu = ZNu({0: z, 2: ZElem.basis(ZMonomial([f]), 5)})
     t = jmap(z)
-    for v in (m, z, znu, t):
+    scaled = t.scale(Fraction(5, 6)).nu_shift(1)
+    assert t.den == 4 and scaled.den == 24
+    for v in (m, z, znu, t, scaled):
         assert copy.copy(v) is v and copy.deepcopy(v) is v
         back = pickle.loads(pickle.dumps(v))
         assert back == v and str(back) == str(v)
+        if isinstance(v, TaylorElem):
+            assert back.den == v.den and back.rows == v.rows
     assert pickle.loads(pickle.dumps(m)) is m
     back = pickle.loads(pickle.dumps(z))
     assert list(back.terms) == list(z.terms)
