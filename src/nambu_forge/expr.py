@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 
 from .errors import ExprSyntaxError, InvalidArgumentError, ResourceLimitError
 from .poly import NuObject, Poly, VarSpace, _mul_into, coordinate_space
@@ -101,9 +102,9 @@ class _Parser:
     In poly context a value is one sparse map keyed by exponent + (nu power,)
     with int coefficients (Fractions only from a/b literals), the layout
     poly._mul_into multiplies; sums are added into one map in place.  In the
-    Zariski algebra a value is a TaylorElem; the terms of a sum are added
-    into one row map keyed by y-exponent + (nu power,), the layout of
-    TaylorElem.terms, and one TaylorElem is built from it at the end.  The
+    Zariski algebra a value is a TaylorElem; the integer rows of a sum's terms
+    are added over their common denominator into one row map and one
+    TaylorElem is built from it at the end.  The
     zariski module is imported only for text in the Zariski algebra."""
 
     def __init__(self, src: str, space: VarSpace, zspace: VarSpace):
@@ -225,18 +226,16 @@ class _Parser:
             return value
         if self.peek()[0] not in ("+", "-"):
             return value.scale(-1) if negate else value
-        rows: dict = {}
-        sign, in_a = (-1 if negate else 1), True
-        while True:
-            for k, z in value.terms.items():
-                _add_terms(rows.setdefault(k, {}), z.terms, sign)
-            in_a = in_a and value.in_a
-            if self.peek()[0] not in ("+", "-"):
-                break
+        parts = [(-1 if negate else 1, value)]
+        while self.peek()[0] in ("+", "-"):
             sign = 1 if self.next()[0] == "+" else -1
-            value = self.term(poly_ctx)
+            parts.append((sign, self.term(poly_ctx)))
         z = self.zariski
-        return z.TaylorElem(self.zspace, {k: z.ZElem._frozen(row) for k, row in rows.items()}, in_a)
+        d = lcm(*(v.den for _, v in parts))
+        rows: dict = {}
+        for sign, v in parts:
+            z._add_rows(rows, v.rows, sign * (d // v.den))
+        return z.TaylorElem._of(self.zspace, rows, d, all(v.in_a for _, v in parts))
 
     def term(self, poly_ctx: bool):
         value = self.factor(poly_ctx)
@@ -333,7 +332,7 @@ def _size(value) -> int:
     entries of a TaylorElem."""
     if isinstance(value, dict):
         return len(value)
-    return sum(len(z.terms) for z in value.terms.values())
+    return sum(map(len, value.rows.values()))
 
 
 def _demote_poly(space: VarSpace, terms: dict, at: int) -> Poly:
@@ -345,7 +344,7 @@ def _demote_poly(space: VarSpace, terms: dict, at: int) -> Poly:
 
 def _y_free(value) -> bool:
     """Whether a TaylorElem has no y content."""
-    return not any(any(k[:-1]) for k in value.terms)
+    return not any(any(k[:-1]) for k in value.rows)
 
 
 def _demote_zelem(value, at: int):

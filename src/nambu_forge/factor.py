@@ -29,7 +29,7 @@ from functools import cache
 from math import comb, gcd, isqrt, perm
 
 from .errors import InvalidArgumentError, ResourceLimitError
-from .poly import DEFAULT_DEGREE_BOUND, Poly, VarSpace, _int_terms, _mul_into, grlex_key
+from .poly import DEFAULT_DEGREE_BOUND, Poly, VarSpace, _mul_into, grlex_key
 
 __all__ = ["Factorization", "normalize", "factorize", "is_irreducible", "DEFAULT_DEGREE_BOUND"]
 
@@ -770,15 +770,18 @@ def factorize(f: Poly, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Factorizatio
 
 @cache
 def _factorize(f: Poly) -> Factorization:
-    """f's integer factors made monic, one Fraction per term.  Graded-lex
-    order is multiplicative, so the unit is lc(f) and the factors' leading
+    """f's integer factors made monic: each factor's term map, its sign
+    fixed, over the leading coefficient's absolute value.  Graded-lex order
+    is multiplicative, so the unit is lc(f) and the factors' leading
     monomials, times their multiplicities, add up to lm(f)."""
     lm = (0,) * f.space.nvars
     normalized = []
-    for g, m in _factor_terms(_int_terms(f)[0]):
+    for g, m in _factor_terms(f.num):
         glm = max(g, key=grlex_key)
         lc = g[glm]
-        normalized.append((Poly._frozen(f.space, {e: Fraction(c, lc) for e, c in g.items()}), m))
+        if lc < 0:
+            g, lc = {e: -c for e, c in g.items()}, -lc
+        normalized.append((Poly._of(f.space, g, lc), m))
         lm = tuple(a + m * b for a, b in zip(lm, glm))
     if lm != f.leading_monomial():
         raise InvalidArgumentError("internal factorization mismatch")

@@ -2,10 +2,13 @@
 in the formal deformation parameter nu, and the basic differential machinery
 (partial derivatives, Poisson bivector powers, Jacobian determinants).
 
-A polynomial is a map from dense exponent tuples to nonzero Fractions; the
-empty map is the zero polynomial.  All values are immutable after
-construction and hashable, so they can serve as dictionary keys and multiset
-members throughout the package.
+A polynomial is stored as integer numerators over one denominator: a map
+from dense exponent tuples to nonzero ints and one positive int, in lowest
+terms; the empty map over 1 is the zero polynomial.  Sums, products and
+derivatives run on the ints, and Fractions are built only when a caller
+reads the coefficients.  All values are immutable after construction and
+hashable, so they can serve as dictionary keys and multiset members
+throughout the package.
 
 Monomial order is graded lexicographic with the first variable largest:
 compare total degree, then the exponent tuples componentwise.
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -130,11 +133,12 @@ def su2_lift_space() -> VarSpace:
 
 class _Sparse:
     """+, -, negation, is_zero, ==, copy and repr of the immutable sparse values
-    (Poly, NuObject, ZElem, ZNu; TaylorElem, over one denominator, has its own
-    +, -, negation and ==).  Each supplies ``_parts``, its nonzero values;
-    ``_like(other)``, the operand of its own type that other stands for, or
-    None; and ``_rebuild(row, other)``, the value of a summed row, with the
-    type's space check.  == compares ``space``, so it is False where + and - raise."""
+    (NuObject, ZElem, ZNu; Poly and TaylorElem, over one denominator, have
+    their own +, -, negation and ==).  Each supplies ``_parts``, its nonzero
+    values; ``_like(other)``, the operand of its own type that other stands
+    for, or None; and ``_rebuild(row, other)``, the value of a summed row,
+    with the type's space check.  == compares ``space``, so it is False where
+    + and - raise."""
 
     __slots__ = ()
     space = None
@@ -189,10 +193,14 @@ class _Sparse:
 
 
 class Poly(_Sparse):
-    """Immutable sparse polynomial over Fraction coefficients."""
+    """Immutable sparse polynomial over the rationals, stored as integer
+    numerators ``num`` = {exponent: int} over ``den``, in lowest terms (den > 0,
+    gcd of den and the numerators 1, no zero entry, den 1 for the zero
+    polynomial), so == compares space, den and num.  ``terms`` is the
+    {exponent: Fraction} map that the constructor takes."""
 
-    __slots__ = ("space", "terms", "_hash", "_sort_key")
-    _parts = property(attrgetter("terms"))
+    __slots__ = ("space", "num", "den", "_hash", "_sort_key")
+    _parts = property(attrgetter("num"))
 
     def __init__(self, space: VarSpace, terms: Mapping[Exponent, Scalar]):
         clean = {}
@@ -201,24 +209,40 @@ class Poly(_Sparse):
                 c = Fraction(c)
             if c:
                 clean[e if type(e) is tuple else tuple(e)] = c
+        # over the lcm of reduced denominators the numerators are coprime to it
+        d = lcm(*(c.denominator for c in clean.values()))
+        self._set(space, {e: c.numerator * (d // c.denominator) for e, c in clean.items()}, d)
+
+    def _set(self, space: VarSpace, num: dict, den: int) -> None:
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "_hash", None)
 
     @classmethod
-    def _frozen(cls, space: VarSpace, row: dict) -> "Poly":
-        """A Poly over an accumulator row of exact Fractions, taken as it is
-        apart from its zero entries (no conversion hides a stray int or float)."""
+    def _of(cls, space: VarSpace, row: Mapping, d: int = 1) -> "Poly":
+        """The Poly of integer numerators row over d > 0, brought to lowest
+        terms; zero entries are dropped."""
+        num = {e: n for e, n in row.items() if n}
+        if d != 1:
+            g = gcd(d, *num.values())
+            if g != 1:
+                num = {e: n // g for e, n in num.items()}
+                d //= g
         out = object.__new__(cls)
-        object.__setattr__(out, "space", space)
-        object.__setattr__(out, "terms", {e: c for e, c in row.items() if c})
-        object.__setattr__(out, "_hash", None)
+        out._set(space, num, d)
         return out
+
+    @property
+    def terms(self) -> dict:
+        """{exponent: Fraction}, built afresh from num and den."""
+        d = self.den
+        return {e: Fraction(n, d) for e, n in self.num.items()}
 
     # -- constructors ------------------------------------------------------
     @classmethod
     def zero(cls, space: VarSpace) -> "Poly":
-        return cls(space, {})
+        return cls._of(space, {})
 
     @classmethod
     def const(cls, space: VarSpace, c: Scalar) -> "Poly":
@@ -236,24 +260,24 @@ class Poly(_Sparse):
 
     # -- basic queries -----------------------------------------------------
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return all(sum(e) == 0 for e in self.num)
 
     def constant_value(self) -> Fraction:
-        return self.terms.get((0,) * self.space.nvars, Fraction(0))
+        return Fraction(self.num.get((0,) * self.space.nvars, 0), self.den)
 
     def total_degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
-        if not self.terms:
+        if not self.num:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.num))
 
     def leading_monomial(self) -> Exponent:
-        if not self.terms:
+        if not self.num:
             raise InvalidArgumentError("the zero polynomial has no leading monomial")
-        return max(self.terms, key=grlex_key)
+        return max(self.num, key=grlex_key)
 
     def leading_coeff(self) -> Fraction:
-        return self.terms[self.leading_monomial()]
+        return Fraction(self.num[self.leading_monomial()], self.den)
 
     def sort_key(self):
         """Canonical total order on polynomials of one space (leading first)."""
@@ -272,34 +296,47 @@ class Poly(_Sparse):
             return Poly.const(self.space, other)
         return None
 
-    def _rebuild(self, row: dict, other: "Poly") -> "Poly":
-        self._check_space(other)
-        return Poly._frozen(self.space, row)
+    def _signed(self, other, sign: int):
+        o = self._like(other)
+        if o is None:
+            return NotImplemented
+        self._check_space(o)
+        d = lcm(self.den, o.den)
+        a, b = d // self.den, d // o.den
+        x = self.num if a == 1 else {e: n * a for e, n in self.num.items()}
+        y = o.num if b == 1 else {e: n * b for e, n in o.num.items()}
+        return Poly._of(self.space, _summed(x, y, sign), d)
+
+    def __neg__(self):
+        return Poly._of(self.space, {e: -n for e, n in self.num.items()}, self.den)
+
+    def __eq__(self, other):
+        o = self._like(other)
+        if o is None:
+            return NotImplemented
+        return self.space == o.space and self.den == o.den and self.num == o.num
 
     def __reduce__(self):
         return Poly, (self.space, self.terms)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return Poly.zero(self.space)
-            return Poly(self.space, {e: k * c for e, k in self.terms.items()})
+        if isinstance(other, (int, Fraction)):  # an int has numerator and denominator too
+            c = other.numerator
+            return Poly._of(self.space, {e: n * c for e, n in self.num.items()},
+                            self.den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_space(other)
-        (f, fd), (g, gd) = _int_terms(self), _int_terms(other)
         row: dict = {}
-        _mul_into(row, f, g, 1)
-        d = fd * gd
-        return Poly._frozen(self.space, {e: Fraction(c, d) for e, c in row.items() if c})
+        _mul_into(row, self.num, other.num, 1)
+        return Poly._of(self.space, row, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise InvalidArgumentError("negative polynomial powers are not defined")
-        out = Poly.const(self.space, 1)
+        out = Poly._of(self.space, {(0,) * self.space.nvars: 1})
         base = self
         while k:
             if k & 1:
@@ -315,7 +352,7 @@ class Poly(_Sparse):
             if self.is_constant():
                 h = hash(self.constant_value())
             else:
-                h = hash((self.space, frozenset(self.terms.items())))
+                h = hash((self.space, self.den, frozenset(self.num.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -323,7 +360,7 @@ class Poly(_Sparse):
     def diff(self, i: int) -> "Poly":
         if not 0 <= i < self.space.nvars:
             raise InvalidArgumentError(f"variable index {i} out of range")
-        return Poly(self.space, _diff_terms(self.terms, i))
+        return Poly._of(self.space, _diff_terms(self.num, i), self.den)
 
     def diff_multi(self, orders: Sequence[int]) -> "Poly":
         p = self
@@ -426,9 +463,10 @@ def _nu_label(k: int) -> str:
 def _poly_parts(f: Poly, prefix: str = "") -> list:
     """(sign, body) pairs of f's terms, leading term first, each body led by
     ``prefix``."""
+    terms = f.terms
     return [
-        _term_text(f.terms[e], _joined(prefix, _render_monomial(f.space.names, e)))
-        for e in sorted(f.terms, key=grlex_key, reverse=True)
+        _term_text(terms[e], _joined(prefix, _render_monomial(f.space.names, e)))
+        for e in sorted(terms, key=grlex_key, reverse=True)
     ]
 
 
@@ -568,8 +606,7 @@ class TSeries:
 
 # ---------------------------------------------------------------------------
 # Accumulators: sparse maps summed in place with _bump, whatever their values
-# (Fractions, Polys, ZElems, ZNus), and {nu-power: {exponent: Fraction}} maps
-# frozen into a NuObject once
+# (ints, Fractions, Polys, ZElems, ZNus)
 
 
 def _bump(row: dict, e, v) -> None:
@@ -592,28 +629,22 @@ def _summed(a: Mapping, b: Mapping, sign: int = 1) -> dict:
     return out
 
 
-def _add_into(acc: dict, x: NuObject, shift: int, c) -> None:
-    """acc[m + shift][e] += c * (nu^m coefficient of x)[e]."""
-    for m, poly in x.coeffs.items():
-        row = acc.setdefault(m + shift, {})
-        for e, v in poly.terms.items():
-            _bump(row, e, v * c)
+# Integer rows: the product kernels multiply and add plain ints on rows
+# {key: {exponent or Z-monomial: int}} over one denominator per operand.
 
 
-def _freeze(space: VarSpace, acc: dict) -> NuObject:
-    """The NuObject an accumulator holds; zero entries are dropped."""
-    return NuObject(space, {m: Poly._frozen(space, row) for m, row in acc.items()})
+def _nu_rows(x: NuObject) -> tuple:
+    """(rows, d) with x = sum of nu^k rows[k] / d, d the least common
+    multiple of the coefficients' denominators.  A row over d itself is the
+    coefficient's own num map, so callers read the rows and never mutate them."""
+    d = lcm(*(p.den for p in x.coeffs.values()))
+    return {k: p.num if p.den == d else {e: n * (d // p.den) for e, n in p.num.items()}
+            for k, p in x.coeffs.items()}, d
 
 
-# Term maps with integer numerators: the product kernels multiply and add
-# plain ints and divide by the common denominator once per output term.
-
-
-def _int_terms(f: Poly) -> tuple:
-    """(numerators, d) with f = numerators / d and d the least common
-    denominator of f's coefficients."""
-    d = lcm(*(c.denominator for c in f.terms.values()))
-    return {e: c.numerator * (d // c.denominator) for e, c in f.terms.items()}, d
+def _nu_of(space: VarSpace, rows: Mapping, d: int) -> NuObject:
+    """The NuObject sum of nu^k rows[k] / d over integer rows, d > 0."""
+    return NuObject(space, {k: Poly._of(space, row, d) for k, row in rows.items()})
 
 
 def _int_rows(rows: Mapping) -> tuple:
@@ -678,9 +709,10 @@ def poisson_power(f: Poly, g: Poly, r: int) -> Poly:
         return f * g
     if not f.space.pairs:
         raise InvalidArgumentError("poisson_power needs at least one symplectic pair")
-    (ft, fd), (gt, gd) = _int_terms(f), _int_terms(g)
-    rows, d = _poisson_sum([(0, 1, ft, gt)], f.space)
-    return Poly._frozen(f.space, _over(rows, d * fd * gd).get(r, {})) * factorial(r)
+    rows, d = _poisson_sum([(0, 1, f.num, g.num)], f.space)
+    scale = factorial(r)
+    return Poly._of(f.space, {e: n * scale for e, n in rows.get(r, {}).items()},
+                    d * f.den * g.den)
 
 
 def _poisson_sum(jobs: Iterable, space: VarSpace, even: bool = False) -> tuple:
@@ -774,8 +806,8 @@ def _alternating_sum(rows: Sequence, mul_into, targets=None, bound=None) -> dict
 
 def _jacobian_minors(fs: Sequence[Poly], idx: Sequence[int], targets=None) -> dict:
     """{mask: Poly}: the nonzero len(fs)-row minors of the matrix of partials
-    d f_i / d x_{idx[j]}, keyed as by _alternating_sum, on integer numerators
-    over each f_i's least common denominator; one Fraction per output term."""
+    d f_i / d x_{idx[j]}, keyed as by _alternating_sum, on the integer
+    numerators of the f_i over the product of their denominators."""
     if len(set(idx)) != len(idx):
         raise InvalidArgumentError("jacobian_det variable indices must be distinct")
     space = fs[0].space
@@ -784,15 +816,10 @@ def _jacobian_minors(fs: Sequence[Poly], idx: Sequence[int], targets=None) -> di
     for i in idx:
         if not 0 <= i < space.nvars:
             raise InvalidArgumentError(f"variable index {i} out of range")
-    den = 1
-    rows = []
-    for f in fs:
-        terms, d = _int_terms(f)
-        den *= d
-        rows.append([_diff_terms(terms, i) for i in idx])
+    den = prod(f.den for f in fs)
+    rows = [[_diff_terms(f.num, i) for i in idx] for f in fs]
     table = _alternating_sum(rows, _mul_into, targets, JACOBIAN_TERM_BOUND)
-    return {mask: Poly._frozen(space, {e: Fraction(c, den) for e, c in row.items()})
-            for mask, row in table.items()}
+    return {mask: Poly._of(space, row, den) for mask, row in table.items()}
 
 
 def jacobian_det(fs: Sequence[Poly], var_indices: Sequence[int]) -> Poly:

@@ -3,10 +3,11 @@ the invariant (covariant) star product on su(2)*.
 
 All products are exact on polynomials: the nu-series terminates because every
 cochain lowers the total derivative order, so no truncation is involved.
-Each operand is read as integer nu-rows over one denominator and the product
-builds one Fraction per output term: the Moyal kinds hand every pair of rows
-to poly._poisson_sum in one call, and the standard-ordering product sums its
-r-th derivatives in ints over one r_max! denominator.
+Each operand's integer nu-rows over one denominator are read as they are
+stored and the product is stored as integer rows too, so it builds no
+Fraction: the Moyal kinds hand every pair of rows to poly._poisson_sum in
+one call, and the standard-ordering product sums its r-th derivatives in
+ints over one r_max! denominator.
 
 The sign conventions are pinned by two testable constraints: the
 antisymmetrized first cochain equals twice the Poisson bivector, and the
@@ -32,11 +33,9 @@ from .poly import (
     TSeries,
     VarSpace,
     _chain,
-    _freeze,
-    _int_rows,
-    _int_terms,
     _mul_into,
-    _over,
+    _nu_of,
+    _nu_rows,
     _poisson_sum,
     su2_lift_space,
     su2_space,
@@ -205,7 +204,7 @@ def _degree(x: NuObject) -> int:
 
 
 def _nterms(x: NuObject) -> int:
-    return sum(len(p.terms) for p in x.coeffs.values())
+    return sum(len(p.num) for p in x.coeffs.values())
 
 
 def _var_mul(i: int, rows: dict, sign: int) -> dict:
@@ -250,8 +249,7 @@ def su2_left_mul(i: int, f: Poly) -> NuObject:
         raise InvalidArgumentError("axis index must be 1, 2 or 3")
     if f.space != _L_SPACE:
         raise InvalidArgumentError("su2_left_mul expects a polynomial in L1, L2, L3")
-    rows, d = _int_rows({0: f.terms})
-    return _freeze(_L_SPACE, _over(_var_mul(i - 1, rows, 1), d))
+    return _nu_of(_L_SPACE, _var_mul(i - 1, {0: f.num}, 1), f.den)
 
 
 def _word(e: tuple, sign: int, memo: dict) -> dict:
@@ -292,7 +290,7 @@ def _to_star_coefficients(x: NuObject) -> tuple:
     down: SM(e) is L^e plus its nu^m rows of degree |e| - m, so subtracting
     those leaves the bucket of degree |e| alone.
     """
-    rows, d = _int_rows({k: p.terms for k, p in x.coeffs.items()})
+    rows, d = _nu_rows(x)
     levels: dict = {}
     for k, row in rows.items():
         for e, c in row.items():
@@ -317,9 +315,10 @@ def _su2_mul(f: NuObject, g: NuObject) -> NuObject:
     The factor of lower total degree (on a tie the one with fewer terms, and
     the right one when those tie too) is written in star monomials, and each
     word acts on the whole other series one letter at a time through the
-    closed linear formula, sharing word prefixes within the call.  Both factors are integer rows over their own least common
-    denominators d_s and d_b, so the words are summed in ints and each output
-    term is divided by d_s * d_b once.  Past SU2_WORD_BOUND words times terms
+    closed linear formula, sharing word prefixes within the call.  Both
+    factors are integer rows over their own least common denominators d_s and
+    d_b, so the words are summed in ints and the product is stored over
+    d_s * d_b.  Past SU2_WORD_BOUND words times terms
     it is refused before any word acts.  The product stays on three variables;
     the R^6 lift below is an independent oracle for this route.
     """
@@ -328,7 +327,7 @@ def _su2_mul(f: NuObject, g: NuObject) -> NuObject:
     else:
         small, big, sign = g, f, -1
     words, d_s = _to_star_coefficients(small)
-    rows, d_b = _int_rows({k: p.terms for k, p in big.coeffs.items()})
+    rows, d_b = _nu_rows(big)
     terms = sum(map(len, rows.values()))
     if len(words) * terms > SU2_WORD_BOUND:
         raise ResourceLimitError(
@@ -342,15 +341,15 @@ def _su2_mul(f: NuObject, g: NuObject) -> NuObject:
             out = acc.setdefault(m + k, {})
             for y, n in row.items():
                 out[y] = out.get(y, 0) + c * n
-    return _freeze(_L_SPACE, _over(acc, d_s * d_b))
+    return _nu_of(_L_SPACE, acc, d_s * d_b)
 
 
 def su2_star_via_lift(f: Poly, g: Poly) -> NuObject:
     """Reference route: Moyal product of the R^6 lifts, re-expressed in L."""
-    (ft, fd), (gt, gd) = _int_terms(su2_lift(f)), _int_terms(su2_lift(g))
-    rows, d = _poisson_sum([(0, 1, ft, gt)], _R6)
-    return NuObject(_L_SPACE, {k: _su2_project(Poly._frozen(_R6, row))
-                               for k, row in _over(rows, d * fd * gd).items()})
+    fl, gl = su2_lift(f), su2_lift(g)
+    rows, d = _poisson_sum([(0, 1, fl.num, gl.num)], _R6)
+    return NuObject(_L_SPACE, {k: _su2_project(Poly._of(_R6, row, d * fl.den * gl.den))
+                               for k, row in rows.items()})
 
 
 def _su2_project(f: Poly) -> Poly:
@@ -363,7 +362,7 @@ def _su2_project(f: Poly) -> Poly:
     certifies the result; a leading term of any other shape means the
     product left the image (a bug).
     """
-    rest = dict(f.terms)
+    rest = dict(f.num)
     out = {}
     while rest:
         e = max(rest)
@@ -373,13 +372,13 @@ def _su2_project(f: Poly) -> Poly:
             raise InvalidArgumentError("su2 product left the L-image")
         k = rest[e] if b % 2 == 0 else -rest[e]
         out[(a, b, c)] = k
-        for e2, c2 in su2_lift(Poly.monomial(_L_SPACE, (a, b, c))).terms.items():
+        for e2, c2 in su2_lift(Poly.monomial(_L_SPACE, (a, b, c))).num.items():
             v = rest.get(e2, 0) - k * c2
             if v:
                 rest[e2] = v
             else:
                 del rest[e2]
-    return Poly(_L_SPACE, out)
+    return Poly._of(_L_SPACE, out, f.den)
 
 
 # -- public operations -------------------------------------------------------
@@ -396,14 +395,14 @@ def star_mul(s: StarProduct, f, g) -> NuObject:
     _check_degree(max(_degree(fo), _degree(go)))
     if s.kind == "su2":
         return _su2_mul(fo, go)
-    frows, fd = _int_rows({k: p.terms for k, p in fo.coeffs.items()})
-    grows, gd = _int_rows({k: p.terms for k, p in go.coeffs.items()})
+    frows, fd = _nu_rows(fo)
+    grows, gd = _nu_rows(go)
     if s.kind == "standard_ordering":
         rows, d = _standard_rows(frows, grows, s.space)
     else:
         rows, d = _poisson_sum([(a + b, 1, x, y) for a, x in frows.items()
                                 for b, y in grows.items()], s.space)
-    return _freeze(s.space, _over(rows, d * fd * gd))
+    return _nu_of(s.space, rows, d * fd * gd)
 
 
 def star_commutator(s: StarProduct, f, g) -> NuObject:

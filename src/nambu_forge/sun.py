@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, lcm
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .numbers import secant_coefficient, tangent_coefficient
@@ -28,9 +28,7 @@ from .poly import (
     TSeries,
     VarSpace,
     _bump,
-    _freeze,
-    _int_terms,
-    _over,
+    _nu_of,
     _poisson_sum,
     jacobian_det,
     qp_space,
@@ -123,13 +121,12 @@ def sun_lift(sp: SunProduct, x) -> NuObject:
             raise InvalidArgumentError(
                 f"the Moyal-standard split needs a Moyal product; {sp.star.kind!r} is not one"
             )
-        terms, d = _int_terms(f)
-        for e in terms:
+        for e in f.num:
             _check_degree(max(e[:2]))
         pad = (0,) * (sp.space.nvars - 2)
         rows, den = _poisson_sum([(0, n, {(e[0], 0) + pad: 1}, {(0, e[1]) + pad: 1})
-                                  for e, n in terms.items()], sp.space)
-        return _freeze(sp.space, _over(rows, den * d))
+                                  for e, n in f.num.items()], sp.space)
+        return _nu_of(sp.space, rows, den * f.den)
     raise InvalidArgumentError(f"unknown sun-product kind {sp.alpha_kind!r}")
 
 
@@ -346,23 +343,28 @@ def _eta_terms(f: Poly, r_max: int) -> list:
     operator acts on a homogeneous degree-m part as a(m, r) Delta^r, so the
     r-th Laplacian of each part is scaled by a(m, r).  Parts of different
     degree land on different degrees at each r, so their terms never meet.
-    The Laplacians run on f's integer numerators over its least common
-    denominator d, and each output term is one Fraction a(m, r) * n / d.
+    The Laplacians run on f's integer numerators over its denominator d, and
+    eta_r is stored over d times the lcm of the a(m, r) denominators.
     """
-    terms, d = _int_terms(f)
     parts: dict = {}
-    for e, n in terms.items():
+    for e, n in f.num.items():
         parts.setdefault(sum(e), {})[e] = n
-    acc = [{} for _ in range(min(r_max, max(f.total_degree(), 0) // 2) + 1)]
+    laps = [[] for _ in range(min(r_max, max(f.total_degree(), 0) // 2) + 1)]
     for m, cur in parts.items():
         for r in range(1, min(r_max, m // 2) + 1):
             cur = _laplacian(cur)
             if not cur:
                 break
-            a = a_recursion(m, r)
-            num, den = a.numerator, a.denominator * d
-            acc[r].update((e, Fraction(num * n, den)) for e, n in cur.items())
-    return [f] + [Poly._frozen(f.space, t) for t in acc[1:]]
+            laps[r].append((a_recursion(m, r), cur))
+    etas = [f]
+    for per_m in laps[1:]:
+        den = lcm(*(a.denominator for a, _ in per_m))
+        row: dict = {}
+        for a, cur in per_m:
+            c = a.numerator * (den // a.denominator)
+            row.update((e, c * n) for e, n in cur.items())
+        etas.append(Poly._of(f.space, row, den * f.den))
+    return etas
 
 
 def _su2_closed_lift(prod: Poly) -> NuObject:
@@ -382,7 +384,7 @@ def sun_homogeneous_form(f: Poly, g: Poly) -> NuObject:
     """The simpler display for homogeneous operands of equal degree n:
     sum_r nu^{2r} a(2n, r) Delta^r(FG), which is the closed form."""
     for h in (f, g):
-        degs = {sum(e) for e in h.terms}
+        degs = set(map(sum, h.num))
         if len(degs) > 1:
             raise InvalidArgumentError("operands must be homogeneous")
     if g.total_degree() != f.total_degree():

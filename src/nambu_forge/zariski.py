@@ -68,13 +68,12 @@ from .poly import (
     Poly,
     VarSpace,
     _alternating_sum,
-    _add_into,
     _bump,
-    _freeze,
     _int_rows,
-    _int_terms,
     _joined,
     _nu_label,
+    _nu_of,
+    _nu_rows,
     _over,
     _poisson_sum,
     _render_monomial,
@@ -415,14 +414,14 @@ def eval_T(factors: Sequence[Poly], s: StarProduct) -> NuObject:
     sum_{r even} nu^(a+r) P^r(T_a(S - u), u) / r!, summed as integers over
     one common denominator; for su(2)* it is star_mul with its odd powers
     dropped.  Each T(S) is cached as integer rows over one denominator, which
-    the larger multisets read as they are, and turned into Fractions only
-    here.  No production route takes the su(2)* branch: it is kept as the
-    brute-force oracle that the tests hold the closed-form sun product
-    (sun.sun_lift) against.  The standard-ordering product has no such
-    symmetry and raises InvalidArgumentError.  A multiset with more than EVAL_T_SUBSET_BOUND
+    the larger multisets read as they are and the result is stored over.  No
+    production route takes the su(2)* branch: it is kept as the brute-force
+    oracle that the tests hold the closed-form sun product (sun.sun_lift)
+    against.  The standard-ordering product has no such symmetry and raises
+    InvalidArgumentError.  A multiset with more than EVAL_T_SUBSET_BOUND
     sub-multisets raises ResourceLimitError.
     """
-    return _freeze(s.space, _over(*_T_rows(factors, s)))
+    return _nu_of(s.space, *_T_rows(factors, s))
 
 
 def _T_rows(factors: Sequence[Poly], s: StarProduct) -> tuple:
@@ -456,17 +455,16 @@ def _eval_T(factors: tuple, s: StarProduct) -> tuple:
     k = len(factors)
     if s.kind in _MOYAL_KINDS:
         return _even_poisson_sum(steps, s, k)
-    acc: dict = {}
-    for mult, rest, u in steps:
-        _add_into(acc, star_mul(s, _freeze(s.space, _over(*rest)), u), 0, mult)
-    rows, d = _int_rows({r: row for r, row in acc.items() if r % 2 == 0})
-    return _reduced(rows, d * k)
+    total = sum((star_mul(s, _nu_of(s.space, *rest), u) * mult for mult, rest, u in steps),
+                NuObject.zero(s.space))
+    rows, d = _nu_rows(total)
+    return _reduced({r: row for r, row in rows.items() if r % 2 == 0}, d * k)
 
 
 def _even_poisson_sum(steps: list, s: StarProduct, k: int) -> tuple:
     """(1/k) sum mult(u) sum_{r even} nu^(a+r) P^r(T_a, u) / r! over the steps
     (mult(u), rows of T, u), on integer rows over one common denominator."""
-    steps = [(mult, t, td, *_int_terms(u)) for mult, (t, td), u in steps]
+    steps = [(mult, t, td, u.num, u.den) for mult, (t, td), u in steps]
     den = lcm(*(td * ud for _, _, td, _, ud in steps))
     rows, d = _poisson_sum(((a, mult * (den // (td * ud)), ta, ut)
                             for mult, t, td, ut, ud in steps for a, ta in t.items()),
@@ -549,7 +547,7 @@ def _deformation_tail(m: ZMonomial, s: StarProduct) -> tuple:
     parts = []
     for r, row in rows.items():
         if r > 0:
-            u = Poly._frozen(s.space, {e: Fraction(n) for e, n in row.items()})
+            u = Poly._of(s.space, row)
             parts.append((r, _factor_monomial(u), row[max(row, key=grlex_key)]))
     return d, tuple(parts)
 
@@ -746,9 +744,10 @@ class TaylorElem(_Sparse):
         return {k: ZElem._frozen(row) for k, row in _over(self.rows, self.den).items()}
 
     def coefficient(self, e: tuple) -> ZNu:
-        """The ZNu coefficient of y^e: a view of the terms keyed e + (r,)."""
+        """The ZNu coefficient of y^e, built from the rows keyed e + (r,)."""
         e = tuple(e)
-        return ZNu({k[-1]: z for k, z in self.terms.items() if k[:-1] == e})
+        rows = {k[-1]: row for k, row in self.rows.items() if k[:-1] == e}
+        return ZNu({r: ZElem._frozen(row) for r, row in _over(rows, self.den).items()})
 
     def y_constant(self) -> ZNu:
         return self.coefficient((0,) * self.space.nvars)

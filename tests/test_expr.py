@@ -194,6 +194,25 @@ def test_zariski_sum_is_linear_in_its_terms():
     assert value.terms[zmonomial([Poly.variable(SP, 0) + 8000])] == 1
 
 
+def test_zariski_sum_reads_rows_not_the_terms_view(monkeypatch):
+    # the parse term bound, the y check and the sum loop read a TaylorElem's
+    # integer rows; its terms view would rebuild every coefficient as a
+    # Fraction on each read
+    products = [f"{k}/{k % 4 + 1}*J(Z[x1 + {k}*x2])*J(Z[x2*x3 + {k}])" for k in range(1, 40)]
+    signs = ["-" if k % 3 == 0 else "+" for k in range(1, 40)]
+    text = " ".join(s + " " + p for s, p in zip(signs, products))[2:]  # no leading '+'
+    views = []
+    view = TaylorElem.terms
+    monkeypatch.setattr(TaylorElem, "terms", property(lambda t: views.append(1) or view.fget(t)))
+    got = _taylor(text)
+    assert views == []
+    monkeypatch.undo()
+    want = TaylorElem.zero(SP)
+    for s, p in zip(signs, products):
+        want = want + _taylor(p) if s == "+" else want - _taylor(p)
+    assert got == want and got.den == want.den > 1 and got.in_a
+
+
 def test_parse_term_bound_in_zariski_context(monkeypatch):
     w = expr.TAYLOR_UNIT_WEIGHT
     monkeypatch.setattr(expr, "PARSE_TERM_BOUND", 12 * w)

@@ -9,7 +9,7 @@ import pytest
 from nambu_forge import factor as factor_mod
 from nambu_forge.errors import InvalidArgumentError, ResourceLimitError
 from nambu_forge.factor import Factorization, factorize, is_irreducible, normalize
-from nambu_forge.poly import Poly, _int_terms, coordinate_space
+from nambu_forge.poly import Poly, coordinate_space
 
 from conftest import fractions_built, random_poly
 
@@ -197,7 +197,7 @@ def test_unit_is_the_leading_coefficient(n):
             for g, m in fac.factors:
                 assert m >= 1 and not g.is_constant()
                 assert g.leading_coeff() == 1, str(g)
-                assert gcd(*_int_terms(g)[0].values()) == 1, str(g)
+                assert gcd(*g.num.values()) == 1, str(g)
             assert fac.expand() == f, str(f)
 
 
@@ -224,13 +224,14 @@ def test_lost_factor_is_a_mismatch(monkeypatch, drop):
 
 
 def test_cold_factorize_builds_one_fraction_per_factor_term(monkeypatch):
-    # integer term maps from input to factors: the only Fractions a cold
-    # factorization constructs are the coefficients of its monic factors
+    # integer term maps from input to factors, which are stored as integers
+    # too: the only Fractions a cold factorization constructs are the unit
+    # and the coefficients in the factors' cached sort keys, which order them
     f = (x1 * Fraction(1, 2) + x2) * (x1 - x2 * Fraction(3, 4)) ** 2 * x3 * (3 * x2 * x3 - 5)
     f = f * Fraction(-5, 3)
     factor_mod._factorize.cache_clear()
     fac, built = fractions_built(monkeypatch, lambda: factorize(f))
-    assert built == sum(len(g.terms) for g, _ in fac.factors) == 7
+    assert built == 1 + sum(len(g.num) for g, _ in fac.factors) == 8
     assert fac.expand() == f
 
 
@@ -280,7 +281,7 @@ def test_univariate_factors_agree_with_sympy(f):
 def test_wang_image_with_x_as_a_factor():
     f = (x1 + x2) * (x1 + x2 * x2 + 1)
     # the main variable is x1 and the first point is 0, where the image is x1 (x1 + 1)
-    image = factor_mod._t_image(_int_terms(f)[0], 0, [0, 0, 0])
+    image = factor_mod._t_image(f.num, 0, [0, 0, 0])
     assert factor_mod._factor_univariate_int(image) == [([0, 1], 1), ([1, 1], 1)]
     assert factorize(f).factors == ((x1 + x2 * x2 + 1, 1), (x1 + x2, 1))
 

@@ -9,7 +9,7 @@ import pytest
 from nambu_forge import star, sun
 from nambu_forge.errors import InvalidArgumentError, ResourceLimitError
 from nambu_forge.numbers import falling_factorial, secant_coefficient, tangent_coefficient
-from nambu_forge.poly import NuObject, Poly, qp_space, su2_space
+from nambu_forge.poly import NuObject, Poly, jacobian_det, qp_space, su2_space
 from nambu_forge.star import (
     star_exponential,
     star_mul,
@@ -40,7 +40,7 @@ from nambu_forge.sun import (
 )
 from nambu_forge.zariski import zariski_star
 
-from conftest import brute_sun_lift, compositions, random_poly
+from conftest import brute_sun_lift, compositions, fractions_built, random_poly
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 L = su2_space()
@@ -136,6 +136,21 @@ def test_sun_lift_su2_parts_over_unlike_denominators(rng):
             for e in rng.sample([e for e in monomials_up_to(m) if sum(e) == m], 2 if m else 1):
                 terms[e] = Fraction(rng.choice([-5, -2, 1, 3]), d)
         _assert_lift_matches_brute(SU, NuObject(L, {0: Poly(L, terms), -1: L2}))
+
+
+def test_sun_products_build_no_fraction(monkeypatch):
+    # sun_closed_form, quantized_nambu_sun and jacobian_det run on integer
+    # numerators and store their results so; only the first call builds the
+    # cached a(m, r) Fractions
+    f = L1**3 * L2 * Fraction(1, 2) - L3**2 * Fraction(2, 3) + L1 * Fraction(5, 7)
+    g = L2**2 * L3 * Fraction(3, 4) + L1 * L3 - Fraction(1, 5)
+    h = L1 * L2 * Fraction(-7, 6) + L3**3
+    calls = [lambda: sun_closed_form(f, g), lambda: quantized_nambu_sun(f, g, h, SU),
+             lambda: jacobian_det([f, g, h], (0, 1, 2))]
+    for call in calls:
+        warm = call()
+        out, built = fractions_built(monkeypatch, call)
+        assert built == 0 and out == warm and not out.is_zero()
 
 
 def test_su2_lift_equals_brute_on_every_monomial_to_degree_10():
