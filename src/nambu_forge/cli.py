@@ -121,7 +121,7 @@ def _rand_poly(space: VarSpace, degree: int, rng) -> Poly:
         while sum(e) > degree:
             e[e.index(max(e))] -= 1
         c = rng.choice([-3, -2, -1, 1, 2, 3])
-        terms[tuple(e)] = Fraction(c)
+        terms[tuple(e)] = c
     return Poly(space, terms)
 
 

@@ -87,7 +87,7 @@ def _add_terms(acc: dict, terms: dict, sign: int) -> None:
 
 def _nu_value(space: VarSpace, terms: dict):
     """The Poly, or the NuObject if a nu power other than 0 occurs, of a term
-    map keyed by exponent + (nu power,); one Fraction per int coefficient."""
+    map keyed by exponent + (nu power,); int coefficients build no Fraction."""
     rows: dict = {}
     for e, c in terms.items():
         rows.setdefault(e[-1], {})[e[:-1]] = c

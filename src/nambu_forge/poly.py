@@ -133,7 +133,7 @@ def su2_lift_space() -> VarSpace:
 
 class _Sparse:
     """+, -, negation, is_zero, ==, copy and repr of the immutable sparse values
-    (NuObject, ZElem, ZNu; Poly and TaylorElem, over one denominator, have
+    (NuObject and ZNu; _Rational and TaylorElem, over one denominator, bring
     their own +, -, negation and ==).  Each supplies ``_parts``, its nonzero
     values; ``_like(other)``, the operand of its own type that other stands
     for, or None; and ``_rebuild(row, other)``, the value of a summed row,
@@ -192,36 +192,37 @@ class _Sparse:
         return f"{type(self).__name__}({self})"
 
 
-class Poly(_Sparse):
-    """Immutable sparse polynomial over the rationals, stored as integer
-    numerators ``num`` = {exponent: int} over ``den``, in lowest terms (den > 0,
-    gcd of den and the numerators 1, no zero entry, den 1 for the zero
-    polynomial), so == compares space, den and num.  ``terms`` is the
-    {exponent: Fraction} map that the constructor takes."""
+class _Rational(_Sparse):
+    """Immutable rational combination of keys, stored as integer numerators
+    ``num`` = {key: int} over ``den``, in lowest terms (den > 0, gcd of den
+    and the numerators 1, no zero entry, den 1 for zero), so == compares
+    space, den and num.  ``terms`` is the {key: Fraction} map that the
+    constructor takes.  Poly (keys exponent tuples) and zariski.ZElem (keys
+    Z-monomials, space None) are the two kinds."""
 
-    __slots__ = ("space", "num", "den", "_hash", "_sort_key")
+    __slots__ = ("space", "num", "den")
     _parts = property(attrgetter("num"))
 
-    def __init__(self, space: VarSpace, terms: Mapping[Exponent, Scalar]):
+    def __init__(self, space, terms: Mapping):
         clean = {}
         for e, c in terms.items():
-            if type(c) is not Fraction:
+            if type(c) is not int and type(c) is not Fraction:
                 c = Fraction(c)
             if c:
-                clean[e if type(e) is tuple else tuple(e)] = c
-        # over the lcm of reduced denominators the numerators are coprime to it
+                clean[e] = c
+        # over the lcm of reduced denominators the numerators are coprime to
+        # it; an int has numerator and denominator too
         d = lcm(*(c.denominator for c in clean.values()))
         self._set(space, {e: c.numerator * (d // c.denominator) for e, c in clean.items()}, d)
 
-    def _set(self, space: VarSpace, num: dict, den: int) -> None:
+    def _set(self, space, num: dict, den: int) -> None:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
-    def _of(cls, space: VarSpace, row: Mapping, d: int = 1) -> "Poly":
-        """The Poly of integer numerators row over d > 0, brought to lowest
+    def _of(cls, space, row: Mapping, d: int = 1):
+        """The value of integer numerators row over d > 0, brought to lowest
         terms; zero entries are dropped."""
         num = {e: n for e, n in row.items() if n}
         if d != 1:
@@ -235,9 +236,44 @@ class Poly(_Sparse):
 
     @property
     def terms(self) -> dict:
-        """{exponent: Fraction}, built afresh from num and den."""
+        """{key: Fraction}, built afresh from num and den."""
         d = self.den
         return {e: Fraction(n, d) for e, n in self.num.items()}
+
+    def _signed(self, other, sign: int):
+        o = self._like(other)
+        if o is None:
+            return NotImplemented
+        self._check_space(o)
+        d = lcm(self.den, o.den)
+        a, b = d // self.den, d // o.den
+        x = self.num if a == 1 else {e: n * a for e, n in self.num.items()}
+        y = o.num if b == 1 else {e: n * b for e, n in o.num.items()}
+        return self._of(self.space, _summed(x, y, sign), d)
+
+    def __neg__(self):
+        return self._of(self.space, {e: -n for e, n in self.num.items()}, self.den)
+
+    def __eq__(self, other):
+        o = self._like(other)
+        if o is None:
+            return NotImplemented
+        return self.space == o.space and self.den == o.den and self.num == o.num
+
+    def scale(self, c):
+        """c times the value, for any rational scalar c."""
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        n = c.numerator
+        return self._of(self.space, {e: v * n for e, v in self.num.items()},
+                        self.den * c.denominator)
+
+
+class Poly(_Rational):
+    """Immutable sparse polynomial over the rationals: a _Rational keyed by
+    exponent tuples, one entry per variable of ``space``."""
+
+    __slots__ = ("_hash", "_sort_key")
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -246,17 +282,17 @@ class Poly(_Sparse):
 
     @classmethod
     def const(cls, space: VarSpace, c: Scalar) -> "Poly":
-        return cls(space, {(0,) * space.nvars: Fraction(c)})
+        return cls(space, {(0,) * space.nvars: c})
 
     @classmethod
     def variable(cls, space: VarSpace, i: int) -> "Poly":
         e = [0] * space.nvars
         e[i] = 1
-        return cls(space, {tuple(e): Fraction(1)})
+        return cls._of(space, {tuple(e): 1})
 
     @classmethod
     def monomial(cls, space: VarSpace, e: Exponent, c: Scalar = 1) -> "Poly":
-        return cls(space, {tuple(e): Fraction(c)})
+        return cls(space, {tuple(e): c})
 
     # -- basic queries -----------------------------------------------------
     def is_constant(self) -> bool:
@@ -296,34 +332,12 @@ class Poly(_Sparse):
             return Poly.const(self.space, other)
         return None
 
-    def _signed(self, other, sign: int):
-        o = self._like(other)
-        if o is None:
-            return NotImplemented
-        self._check_space(o)
-        d = lcm(self.den, o.den)
-        a, b = d // self.den, d // o.den
-        x = self.num if a == 1 else {e: n * a for e, n in self.num.items()}
-        y = o.num if b == 1 else {e: n * b for e, n in o.num.items()}
-        return Poly._of(self.space, _summed(x, y, sign), d)
-
-    def __neg__(self):
-        return Poly._of(self.space, {e: -n for e, n in self.num.items()}, self.den)
-
-    def __eq__(self, other):
-        o = self._like(other)
-        if o is None:
-            return NotImplemented
-        return self.space == o.space and self.den == o.den and self.num == o.num
-
     def __reduce__(self):
         return Poly, (self.space, self.terms)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):  # an int has numerator and denominator too
-            c = other.numerator
-            return Poly._of(self.space, {e: n * c for e, n in self.num.items()},
-                            self.den * other.denominator)
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_space(other)
@@ -346,15 +360,16 @@ class Poly(_Sparse):
         return out
 
     def __hash__(self):
-        h = object.__getattribute__(self, "_hash")
-        if h is None:
+        try:
+            return self._hash  # set on first use; Poly is immutable
+        except AttributeError:
             # a constant equals its Fraction value, so it hashes as one
             if self.is_constant():
                 h = hash(self.constant_value())
             else:
                 h = hash((self.space, self.den, frozenset(self.num.items())))
             object.__setattr__(self, "_hash", h)
-        return h
+            return h
 
     # -- calculus ----------------------------------------------------------
     def diff(self, i: int) -> "Poly":
@@ -511,7 +526,7 @@ class NuObject(_Sparse):
 
     def classical(self) -> Poly:
         """The nu^0 coefficient."""
-        return self.coeffs.get(0, Poly.zero(self.space))
+        return self.coefficient(0)
 
     def min_power(self) -> int:
         if not self.coeffs:
@@ -519,7 +534,8 @@ class NuObject(_Sparse):
         return min(self.coeffs)
 
     def coefficient(self, k: int) -> Poly:
-        return self.coeffs.get(k, Poly.zero(self.space))
+        p = self.coeffs.get(k)
+        return Poly.zero(self.space) if p is None else p
 
     def nu_shift(self, k: int) -> "NuObject":
         return NuObject(self.space, {r + k: p for r, p in self.coeffs.items()})
@@ -633,31 +649,19 @@ def _summed(a: Mapping, b: Mapping, sign: int = 1) -> dict:
 # {key: {exponent or Z-monomial: int}} over one denominator per operand.
 
 
-def _nu_rows(x: NuObject) -> tuple:
-    """(rows, d) with x = sum of nu^k rows[k] / d, d the least common
-    multiple of the coefficients' denominators.  A row over d itself is the
-    coefficient's own num map, so callers read the rows and never mutate them."""
-    d = lcm(*(p.den for p in x.coeffs.values()))
+def _num_rows(values: Mapping) -> tuple:
+    """(rows, d) with values[k] = rows[k] / d for a map of _Rational values
+    (the nu-coefficients of a NuObject or ZNu, say), d the least common
+    multiple of their denominators.  A row over d itself is the value's own
+    num map, so callers read the rows and never mutate them."""
+    d = lcm(*(p.den for p in values.values()))
     return {k: p.num if p.den == d else {e: n * (d // p.den) for e, n in p.num.items()}
-            for k, p in x.coeffs.items()}, d
+            for k, p in values.items()}, d
 
 
 def _nu_of(space: VarSpace, rows: Mapping, d: int) -> NuObject:
     """The NuObject sum of nu^k rows[k] / d over integer rows, d > 0."""
     return NuObject(space, {k: Poly._of(space, row, d) for k, row in rows.items()})
-
-
-def _int_rows(rows: Mapping) -> tuple:
-    """(numerators, d) with rows[k][x] = numerators[k][x] / d for a map of
-    Fraction rows, d the least common denominator of all their entries."""
-    d = lcm(*(c.denominator for row in rows.values() for c in row.values()))
-    return {k: {x: c.numerator * (d // c.denominator) for x, c in row.items()}
-            for k, row in rows.items()}, d
-
-
-def _over(rows: Mapping, d: int) -> dict:
-    """The Fraction rows numerators / d of integer rows, zero entries dropped."""
-    return {k: {x: Fraction(n, d) for x, n in row.items() if n} for k, row in rows.items()}
 
 
 def _diff_terms(terms: dict, i: int) -> dict:
@@ -827,7 +831,8 @@ def jacobian_det(fs: Sequence[Poly], var_indices: Sequence[int]) -> Poly:
     fs, idx = list(fs), list(var_indices)
     if len(fs) != len(idx):
         raise InvalidArgumentError("jacobian_det needs as many variables as functions")
-    return _jacobian_minors(fs, idx).get((1 << len(idx)) - 1, Poly.zero(fs[0].space))
+    det = _jacobian_minors(fs, idx).get((1 << len(idx)) - 1)
+    return Poly.zero(fs[0].space) if det is None else det
 
 
 def leading_monomial(f: Poly) -> Exponent:

@@ -35,7 +35,7 @@ from .poly import (
     _chain,
     _mul_into,
     _nu_of,
-    _nu_rows,
+    _num_rows,
     _poisson_sum,
     su2_lift_space,
     su2_space,
@@ -168,7 +168,7 @@ def su2_generators() -> tuple:
             e = [0] * 6
             e[j] += 1      # p_j
             e[3 + k] += 1  # q_k
-            terms[tuple(e)] = Fraction(s)
+            terms[tuple(e)] = s
         gens.append(Poly(_R6, terms))
     return tuple(gens)
 
@@ -290,7 +290,7 @@ def _to_star_coefficients(x: NuObject) -> tuple:
     down: SM(e) is L^e plus its nu^m rows of degree |e| - m, so subtracting
     those leaves the bucket of degree |e| alone.
     """
-    rows, d = _nu_rows(x)
+    rows, d = _num_rows(x.coeffs)
     levels: dict = {}
     for k, row in rows.items():
         for e, c in row.items():
@@ -327,7 +327,7 @@ def _su2_mul(f: NuObject, g: NuObject) -> NuObject:
     else:
         small, big, sign = g, f, -1
     words, d_s = _to_star_coefficients(small)
-    rows, d_b = _nu_rows(big)
+    rows, d_b = _num_rows(big.coeffs)
     terms = sum(map(len, rows.values()))
     if len(words) * terms > SU2_WORD_BOUND:
         raise ResourceLimitError(
@@ -395,8 +395,8 @@ def star_mul(s: StarProduct, f, g) -> NuObject:
     _check_degree(max(_degree(fo), _degree(go)))
     if s.kind == "su2":
         return _su2_mul(fo, go)
-    frows, fd = _nu_rows(fo)
-    grows, gd = _nu_rows(go)
+    frows, fd = _num_rows(fo.coeffs)
+    grows, gd = _num_rows(go.coeffs)
     if s.kind == "standard_ordering":
         rows, d = _standard_rows(frows, grows, s.space)
     else:

@@ -35,9 +35,11 @@ one Z-monomial each over one denominator, in one table per star product.
 Every classical product (plain, nu-graded, y-graded, and the y-derivatives
 in ``quantum_nambu``) multiplies rows of {ZMonomial: numerator}, keyed by
 tuples that add under the product, with one denominator per operand.  A
-TaylorElem stores such rows keyed by y-exponent + (nu power,) over one
-denominator, so the Taylor products, + and - never build a Fraction; ZElem
-and ZNu results build theirs once per output term.
+ZElem is one such row over its own denominator, in the integer layout it
+shares with Poly (``poly._Rational``), and a TaylorElem stores such rows
+keyed by y-exponent + (nu power,) over one denominator, so no product, + or
+- builds a Fraction; one is built per term only when a caller reads
+``terms``.
 
 Z-monomials are interned: every ZMonomial is built through one weak table
 keyed by its tuple of interned factors, so equal factor multisets are one
@@ -69,13 +71,12 @@ from .poly import (
     VarSpace,
     _alternating_sum,
     _bump,
-    _int_rows,
     _joined,
     _nu_label,
     _nu_of,
-    _nu_rows,
-    _over,
+    _num_rows,
     _poisson_sum,
+    _Rational,
     _render_monomial,
     _render_terms,
     _Sparse,
@@ -233,55 +234,32 @@ def zmonomial(factors: Iterable[Poly]) -> ZMonomial:
 _Z_UNIT = ZMonomial((), trusted=True)
 
 
-class ZElem(_Sparse):
-    """Finite rational combination of factor multisets."""
+class ZElem(_Rational):
+    """Finite rational combination of factor multisets: a poly._Rational
+    keyed by ZMonomial, with space None."""
 
-    __slots__ = ("terms",)
-    _parts = property(attrgetter("terms"))
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[ZMonomial, Fraction]):
-        clean = {}
-        for m, c in terms.items():
-            if type(c) is not Fraction:
-                c = Fraction(c)
-            if c:
-                clean[m] = c
-        object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def _frozen(cls, row: dict) -> "ZElem":
-        """A ZElem over an accumulator row of exact Fractions, taken as it is
-        apart from its zero entries."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "terms", {m: c for m, c in row.items() if c})
-        return out
+    def __init__(self, terms: Mapping[ZMonomial, int | Fraction]):
+        super().__init__(None, terms)
 
     @classmethod
     def zero(cls) -> "ZElem":
-        return cls({})
+        return cls._of(None, {})
 
     @classmethod
-    def unit(cls, c: Fraction = Fraction(1)) -> "ZElem":
-        return cls({_Z_UNIT: Fraction(c)})
+    def unit(cls, c: int | Fraction = 1) -> "ZElem":
+        return cls({_Z_UNIT: c})
 
     @classmethod
-    def basis(cls, m: ZMonomial, c: Fraction = Fraction(1)) -> "ZElem":
-        return cls({m: Fraction(c)})
+    def basis(cls, m: ZMonomial, c: int | Fraction = 1) -> "ZElem":
+        return cls({m: c})
 
     def _like(self, other):
         return other if isinstance(other, ZElem) else None
 
-    def _rebuild(self, row: dict, other: "ZElem") -> "ZElem":
-        return ZElem._frozen(row)
-
     def __reduce__(self):
         return ZElem, (self.terms,)
-
-    def scale(self, c) -> "ZElem":
-        c = Fraction(c)
-        if not c:
-            return ZElem.zero()
-        return ZElem({m: v * c for m, v in self.terms.items()})
 
     def __str__(self):
         return render_zelem(self)
@@ -324,7 +302,8 @@ class ZNu(_Sparse):
         return cls({0: z})
 
     def coefficient(self, k: int) -> ZElem:
-        return self.coeffs.get(k, ZElem.zero())
+        z = self.coeffs.get(k)
+        return ZElem.zero() if z is None else z
 
     def classical(self) -> ZElem:
         return self.coefficient(0)
@@ -457,7 +436,7 @@ def _eval_T(factors: tuple, s: StarProduct) -> tuple:
         return _even_poisson_sum(steps, s, k)
     total = sum((star_mul(s, _nu_of(s.space, *rest), u) * mult for mult, rest, u in steps),
                 NuObject.zero(s.space))
-    rows, d = _nu_rows(total)
+    rows, d = _num_rows(total.coeffs)
     return _reduced({r: row for r, row in rows.items() if r % 2 == 0}, d * k)
 
 
@@ -500,8 +479,7 @@ def zeta(x: NuObject) -> ZNu:
 
 # The product kernel works on integer rows: {key: {ZMonomial: numerator}}
 # over one denominator per operand, with tuple keys that add under the
-# product (y-exponents, nu powers or both, () for a single row).  Coefficients
-# become Fractions once per output term.
+# product (y-exponents, nu powers or both), or on one ZElem's num map.
 
 
 def _z_mul_into(row: dict, a: Mapping, b: Mapping, c: int = 1) -> None:
@@ -523,19 +501,16 @@ def _y_mul_into(acc: dict, a: dict, b: dict, c: int = 1) -> None:
             _z_mul_into(acc.setdefault(tuple(map(int.__add__, ea, eb)), {}), ra, rb, c)
 
 
-def _classical_product(a: Mapping, b: Mapping) -> tuple:
-    """(rows, d): the graded classical product of two maps of Fraction rows,
-    as integer rows over d."""
-    (ra, da), (rb, db) = _int_rows(a), _int_rows(b)
-    acc: dict = {}
-    _y_mul_into(acc, ra, rb)
-    return acc, da * db
+def _znu_of(rows: Mapping, d: int) -> ZNu:
+    """The ZNu of integer rows keyed (nu power,) over d."""
+    return ZNu({r: ZElem._of(None, row, d) for (r,), row in rows.items()})
 
 
 def z_mul_classical(a: ZElem, b: ZElem) -> ZElem:
     """Z_u . Z_v = Z_{uv}: multiset union, extended bilinearly."""
-    rows = _over(*_classical_product({(): a.terms}, {(): b.terms}))
-    return ZElem._frozen(rows.get((), {}))
+    row: dict = {}
+    _z_mul_into(row, a.num, b.num)
+    return ZElem._of(None, row, a.den * b.den)
 
 
 def _deformation_tail(m: ZMonomial, s: StarProduct) -> tuple:
@@ -578,18 +553,18 @@ def _deform(rows: Mapping, d: int, s: StarProduct) -> tuple:
 def z_mul_nu(a, b, s: StarProduct) -> ZNu:
     """Deformed product D(a_0 . b_0); positive nu powers of the operands are
     discarded."""
-    a0, b0 = _as_znu(a).classical().terms, _as_znu(b).classical().terms
-    rows = _over(*_deform(*_classical_product({(): a0}, {(): b0}), s))
-    return ZNu({r: ZElem._frozen(row) for (r,), row in rows.items()})
+    a0, b0 = _as_znu(a).classical(), _as_znu(b).classical()
+    row: dict = {}
+    _z_mul_into(row, a0.num, b0.num)
+    return _znu_of(*_deform({(): row}, a0.den * b0.den, s))
 
 
 def znu_mul_classical(a: ZNu, b: ZNu) -> ZNu:
     """nu-bilinear extension of the classical product."""
-    rows, d = _classical_product(
-        {(r,): z.terms for r, z in a.coeffs.items()},
-        {(r,): z.terms for r, z in b.coeffs.items()},
-    )
-    return ZNu({r: ZElem._frozen(row) for (r,), row in _over(rows, d).items()})
+    (ra, da), (rb, db) = (_num_rows({(r,): z for r, z in x.coeffs.items()}) for x in (a, b))
+    acc: dict = {}
+    _y_mul_into(acc, ra, rb)
+    return _znu_of(acc, da * db)
 
 
 def znu_power_nu(a, m: int, s: StarProduct) -> ZNu:
@@ -613,8 +588,8 @@ def delta(i: int, a: ZElem, space: VarSpace = None) -> ZElem:
     if space is None:
         space = zariski_space(3)
     k = _axis_index(i, space)
-    row: dict = {}
-    for mono, c in a.terms.items():
+    parts = []  # (Z-monomial, numerator, denominator) per term
+    for mono, c in a.num.items():
         factors = mono.factors
         seen = None
         for j, f in enumerate(factors):
@@ -626,9 +601,13 @@ def delta(i: int, a: ZElem, space: VarSpace = None) -> ZElem:
             if d.is_zero():
                 continue
             rest = ZMonomial._sorted(factors[:j] + factors[j + 1 :])
-            for m, v in zelem_from_poly(d).terms.items():
-                _bump(row, m.union(rest), v * c * mult)
-    return ZElem._frozen(row)
+            z = zelem_from_poly(d)
+            parts += ((m.union(rest), v * c * mult, z.den) for m, v in z.num.items())
+    den = lcm(*(t for _, _, t in parts))
+    row: dict = {}
+    for m, n, t in parts:
+        _bump(row, m, n * (den // t))
+    return ZElem._of(None, row, den * a.den)
 
 
 @dataclass(frozen=True)
@@ -663,7 +642,7 @@ def _candidate_polys(space: VarSpace, degree: int):
             for coeffs in itertools.product(coeff_pool, repeat=k):
                 if coeffs[0] < 0:
                     continue
-                yield Poly(space, dict(zip(combo, map(Fraction, coeffs))))
+                yield Poly(space, dict(zip(combo, coeffs)))
 
 
 def frobenius_counterexample_search(max_degree: int, space: VarSpace = None):
@@ -721,7 +700,7 @@ class TaylorElem(_Sparse):
     def __init__(self, space: VarSpace, terms: Mapping[tuple, ZElem], in_a: bool = False):
         if any(k[-1] < 0 for k in terms):
             raise InvalidArgumentError("TaylorElem supports non-negative nu powers only")
-        self._set(space, *_int_rows({tuple(k): z.terms for k, z in terms.items()}), in_a)
+        self._set(space, *_num_rows({tuple(k): z for k, z in terms.items()}), in_a)
 
     def _set(self, space: VarSpace, rows: dict, d: int, in_a: bool) -> None:
         for name, v in zip(self.__slots__, (space, *_reduced(rows, d), in_a)):
@@ -741,13 +720,12 @@ class TaylorElem(_Sparse):
     @property
     def terms(self) -> dict:
         """{y-exponent + (nu power,): ZElem}, built afresh from the rows."""
-        return {k: ZElem._frozen(row) for k, row in _over(self.rows, self.den).items()}
+        return {k: ZElem._of(None, row, self.den) for k, row in self.rows.items()}
 
     def coefficient(self, e: tuple) -> ZNu:
         """The ZNu coefficient of y^e, built from the rows keyed e + (r,)."""
         e = tuple(e)
-        rows = {k[-1]: row for k, row in self.rows.items() if k[:-1] == e}
-        return ZNu({r: ZElem._frozen(row) for r, row in _over(rows, self.den).items()})
+        return _znu_of({k[-1:]: row for k, row in self.rows.items() if k[:-1] == e}, self.den)
 
     def y_constant(self) -> ZNu:
         return self.coefficient((0,) * self.space.nvars)
@@ -811,12 +789,12 @@ def jmap(z: ZElem, space: VarSpace = None) -> TaylorElem:
     c times the cached integer image of each Z-monomial."""
     if space is None:
         space = zariski_space(3)
-    images = [(c, *_jmap_image(mono, space)) for mono, c in z.terms.items()]
-    den = lcm(*(c.denominator * d for c, _, d in images))
+    images = [(n, *_jmap_image(mono, space)) for mono, n in z.num.items()]
+    den = lcm(*(d for _, _, d in images))
     acc: dict = {}
-    for c, rows, d in images:
-        _add_rows(acc, rows, c.numerator * (den // (c.denominator * d)))
-    return TaylorElem._of(space, acc, den, True)
+    for n, rows, d in images:
+        _add_rows(acc, rows, n * (den // d))
+    return TaylorElem._of(space, acc, den * z.den, True)
 
 
 @cache
@@ -828,8 +806,8 @@ def _jmap_image(mono: ZMonomial, space: VarSpace) -> tuple:
     out = {}
 
     def accumulate(u: Poly, e: tuple, fact: int, start: int):
-        ((m, v),) = zelem_from_poly(u).terms.items()
-        out[e + (0,)] = {m: v / fact}
+        z = zelem_from_poly(u)
+        out[e + (0,)] = ZElem._of(None, z.num, z.den * fact)
         for i in range(start, n):
             d = u.diff(i)
             if d.is_zero():
@@ -839,7 +817,7 @@ def _jmap_image(mono: ZMonomial, space: VarSpace) -> tuple:
             accumulate(d, tuple(e2), fact * e2[i], i)
 
     accumulate(mono.product_poly(space), (0,) * n, 1, 0)
-    return _int_rows(out)
+    return _num_rows(out)
 
 
 def taylor_mul_classical(a: TaylorElem, b: TaylorElem) -> TaylorElem:
@@ -939,9 +917,10 @@ def classical_nambu(a: TaylorElem, b: TaylorElem, c: TaylorElem) -> TaylorElem:
 def _zelem_parts(z: ZElem, prefix: str = "") -> list:
     """(sign, body) pairs of z's terms, leading multiset first, each body led
     by ``prefix``."""
+    terms = z.terms
     return [
-        _term_text(z.terms[m], _joined(prefix, repr(m)))
-        for m in sorted(z.terms, key=ZMonomial.sort_key, reverse=True)
+        _term_text(terms[m], _joined(prefix, repr(m)))
+        for m in sorted(terms, key=ZMonomial.sort_key, reverse=True)
     ]
 
 
@@ -958,9 +937,10 @@ def render_znu(x: ZNu) -> str:
 def render_taylor(t: TaylorElem) -> str:
     """The terms by y-exponent in graded-lex order, then by nu power."""
     names = tuple(f"y{i + 1}" for i in range(t.space.nvars))
+    terms = t.terms
     return _render_terms([
         part
-        for k in sorted(t.terms, key=lambda k: (grlex_key(k[:-1]), k[-1]))
-        for part in _zelem_parts(t.terms[k], _joined(_render_monomial(names, k[:-1]),
-                                                      _nu_label(k[-1])))
+        for k in sorted(terms, key=lambda k: (grlex_key(k[:-1]), k[-1]))
+        for part in _zelem_parts(terms[k], _joined(_render_monomial(names, k[:-1]),
+                                                    _nu_label(k[-1])))
     ])

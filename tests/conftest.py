@@ -104,7 +104,7 @@ def jmap_oracle(z: ZElem, space: VarSpace = None) -> TaylorElem:
 
     for mono, c in z.terms.items():
         accumulate(mono.product_poly(space), c, (0,) * n, 1, 0)
-    return taylor_elem(space, {e: ZNu.from_zelem(ZElem._frozen(row)) for e, row in rows.items()}, in_a=True)
+    return taylor_elem(space, {e: ZNu.from_zelem(ZElem(row)) for e, row in rows.items()}, in_a=True)
 
 
 def fractions_built(monkeypatch, call) -> tuple:

@@ -44,6 +44,13 @@ def test_only_poly_combines_poisson_grids_and_denominators():
         for name in ("_poisson_walk", "_poisson_into", "_poisson_grid", "_DerivativeCache",
                      "_add_over"):
             assert not hasattr(module, name), (module.__name__, name)
+    # Poly and ZElem share one integer layout: the Fraction-row bridges are gone
+    for owner, name in ((poly, "_int_rows"), (poly, "_over"), (zariski.ZElem, "_frozen"),
+                        (zariski, "_classical_product")):
+        assert not hasattr(owner, name), name
+    for cls in (Poly, zariski.ZElem):
+        assert issubclass(cls, poly._Rational)
+        assert not {"_of", "terms", "_signed", "__neg__", "__eq__", "scale"} & vars(cls).keys()
 
 
 def test_poisson_power_examples():
@@ -82,6 +89,11 @@ def _int_term_map(space, rng, used):
     return terms
 
 
+def _fraction_rows(space, rows, d):
+    """{m: {exponent: Fraction}} of integer rows over d, zero entries dropped."""
+    return {m: Poly._of(space, row, d).terms for m, row in rows.items()}
+
+
 @pytest.mark.parametrize("npairs", [1, 2, 3])
 def test_even_poisson_sum_drops_odd_orders(rng, npairs):
     # even=True keeps exactly the even Poisson orders r of each job, whatever
@@ -100,12 +112,12 @@ def test_even_poisson_sum_drops_odd_orders(rng, npairs):
         expect: dict = {}
         for shift, w, f, g in jobs:
             rows, d = poly._poisson_sum([(shift, w, f, g)], space)
-            for m, row in poly._over(rows, d).items():
+            for m, row in _fraction_rows(space, rows, d).items():
                 if (m - shift) % 2 == 0:
                     expect[m] = poly._summed(expect.get(m, {}), row)
         rows, d = poly._poisson_sum(jobs, space, even=True)
         expect = {m: nz for m, row in expect.items() if (nz := {e: c for e, c in row.items() if c})}
-        assert {m: row for m, row in poly._over(rows, d).items() if row} == expect
+        assert {m: row for m, row in _fraction_rows(space, rows, d).items() if row} == expect
 
 
 @pytest.mark.parametrize("f, g, derivatives", [

@@ -15,7 +15,7 @@ from nambu_forge import zariski
 from nambu_forge.errors import InvalidArgumentError, ResourceLimitError
 from nambu_forge.expr import parse_expr
 from nambu_forge.factor import is_irreducible, normalize
-from nambu_forge.poly import NuObject, Poly, qp_space
+from nambu_forge.poly import NuObject, Poly, _bump, qp_space
 from nambu_forge.star import (
     moyal_product,
     standard_ordering_product,
@@ -52,7 +52,7 @@ from nambu_forge.zariski import (
     znu_power_nu,
 )
 
-from conftest import jmap_oracle, random_poly, taylor_elem
+from conftest import fractions_built, jmap_oracle, random_poly, taylor_elem
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SP = zariski_space(3)
@@ -488,6 +488,113 @@ def test_taylor_rows_match_zelem_arithmetic(rng):
         assert u.scale(0) == TaylorElem.zero(SP) and u.scale(0).den == 1
     with pytest.raises(InvalidArgumentError, match="non-negative nu powers"):
         images[0].nu_shift(-1)
+
+
+def _fraction_zelem(rng) -> ZElem:
+    """A ZElem of three terms whose coefficients have unlike denominators."""
+    pool = _factor_pool(rng)
+    monos: dict = {}
+    while len(monos) < 3:
+        monos[zmonomial([rng.choice(pool) for _ in range(rng.randint(1, 2))])] = None
+    return ZElem({m: Fraction(rng.choice((-5, -1, 3, 7)), d)
+                  for m, d in zip(monos, rng.sample((2, 3, 4, 9), 3))})
+
+
+def _nonzero(row: dict) -> dict:
+    return {m: c for m, c in row.items() if c}
+
+
+def _fraction_sum(a: dict, b: dict, sign: int = 1) -> dict:
+    return _nonzero({m: a.get(m, 0) + sign * b.get(m, 0) for m in a.keys() | b.keys()})
+
+
+def _fraction_product(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for mu, cu in a.items():
+        for mv, cv in b.items():
+            _bump(out, mu.union(mv), cu * cv)
+    return _nonzero(out)
+
+
+def _fraction_deformed(row: dict, s) -> dict:
+    """{r: {ZMonomial: Fraction}}: D(sum c_m Z_m) = sum c_m sum_r nu^r
+    Z(T_r(m)), T_0(m) being the product of m's factors."""
+    out: dict = {}
+    for m, c in row.items():
+        for r, p in eval_T(m.factors, s).coeffs.items():
+            for m2, v in zelem_from_poly(p).terms.items():
+                _bump(out.setdefault(r, {}), m2, c * v)
+    return {r: nz for r, z in out.items() if (nz := _nonzero(z))}
+
+
+def _fraction_delta(i: int, row: dict) -> dict:
+    """The Leibniz rule position by position: each factor f at each of its
+    positions is replaced by Z_{d_i f}."""
+    out: dict = {}
+    for mono, c in row.items():
+        fs = mono.factors
+        for j, f in enumerate(fs):
+            rest = zmonomial(fs[:j] + fs[j + 1 :])
+            for m, v in zelem_from_poly(f.diff(i - 1)).terms.items():
+                _bump(out, m.union(rest), c * v)
+    return _nonzero(out)
+
+
+def _assert_zelem_lowest_terms(z: ZElem) -> None:
+    assert z.den > 0 and math.gcd(z.den, *z.num.values()) == 1
+    assert all(type(n) is int and n for n in z.num.values())
+
+
+def test_zelem_stores_integers_over_one_denominator(rng):
+    for _ in range(4):
+        a, b = _fraction_zelem(rng), _fraction_zelem(rng)
+        fa, fb = a.terms, b.terms
+        assert a.den > 1 and len({c.denominator for c in fa.values()}) > 1
+        za, zb = ZNu({0: a, 1: b}), ZNu({0: b, 2: -a})
+        checks = [
+            (a + b, _fraction_sum(fa, fb)),
+            (a - b, _fraction_sum(fa, fb, -1)),
+            (a - a, {}),
+            (-a, {m: -c for m, c in fa.items()}),
+            (z_mul_classical(a, b), _fraction_product(fa, fb)),
+        ]
+        for c in (Fraction(-4, 15), 0, 6):
+            checks.append((a.scale(c), _nonzero({m: v * c for m, v in fa.items()})))
+        for i in (1, 2, 3):
+            checks.append((delta(i, a), _fraction_delta(i, fa)))
+        nu_checks = [
+            (znu_mul_classical(za, zb),
+             {0: _fraction_product(fa, fb), 1: _fraction_product(fb, fb),
+              2: _fraction_product(fa, {m: -c for m, c in fa.items()}),
+              3: _fraction_product(fb, {m: -c for m, c in fa.items()})}),
+            (z_mul_nu(a, b, ST), _fraction_deformed(_fraction_product(fa, fb), ST)),
+            (za.scale(Fraction(3, 7)), {0: {m: v * Fraction(3, 7) for m, v in fa.items()},
+                                         1: {m: v * Fraction(3, 7) for m, v in fb.items()}}),
+        ]
+        for got, expect in nu_checks:
+            expect = {r: row for r, row in expect.items() if _nonzero(row)}
+            assert {r: z.terms for r, z in got.coeffs.items()} == expect
+            checks += [(z, expect[r]) for r, z in got.coeffs.items()]
+        for got, expect in checks:
+            assert got.terms == expect
+            _assert_zelem_lowest_terms(got)
+            assert ZElem(expect) == got and ZElem(expect).num == got.num
+        assert a.scale(0).den == 1 and (a - a).den == 1
+
+
+def test_zariski_products_build_no_fraction(monkeypatch, rng):
+    a, b = _fraction_zelem(rng), _fraction_zelem(rng)
+    za, zb = ZNu({0: a, 1: b}), ZNu({0: b, 2: a})
+    calls = {
+        "z_mul_classical": lambda: z_mul_classical(a, b),
+        "znu_mul_classical": lambda: znu_mul_classical(za, zb),
+        "jmap": lambda: jmap(a),
+        "TaylorElem": lambda: TaylorElem(SP, {(0, 0, 0, 0): a, (1, 0, 2, 1): b}),
+    }
+    for name, call in calls.items():
+        warm = call()  # fills the caches: factorizations, unions, J-images
+        out, built = fractions_built(monkeypatch, call)
+        assert out == warm and built == 0, name
 
 
 def test_axes_are_checked_one_based():
@@ -955,13 +1062,15 @@ def test_value_types_copy_and_pickle():
     znu = ZNu({0: z, 2: ZElem.basis(ZMonomial([f]), 5)})
     t = jmap(z)
     scaled = t.scale(Fraction(5, 6)).nu_shift(1)
-    assert t.den == 4 and scaled.den == 24
+    assert z.den == 4 and t.den == 4 and scaled.den == 24
     for v in (m, z, znu, t, scaled):
         assert copy.copy(v) is v and copy.deepcopy(v) is v
         back = pickle.loads(pickle.dumps(v))
         assert back == v and str(back) == str(v)
         if isinstance(v, TaylorElem):
             assert back.den == v.den and back.rows == v.rows
+        if isinstance(v, ZElem):
+            assert back.den == v.den and back.num == v.num
     assert pickle.loads(pickle.dumps(m)) is m
     back = pickle.loads(pickle.dumps(z))
     assert list(back.terms) == list(z.terms)
