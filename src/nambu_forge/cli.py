@@ -18,7 +18,16 @@ from fractions import Fraction
 
 from .errors import InvalidArgumentError, NambuForgeError, ResourceLimitError
 from .expr import is_variable_name, parse_expr
-from .poly import DEFAULT_DEGREE_BOUND, NuObject, Poly, VarSpace, coordinate_space, qp_space, su2_space
+from .poly import (
+    DEFAULT_DEGREE_BOUND,
+    NuObject,
+    Poly,
+    VarSpace,
+    _scalar_text,
+    qp_space,
+    su2_space,
+    zariski_space,
+)
 
 ENV_PREFIX = "NAMBU_FORGE_"
 DEFAULTS = {"nu_order": 8, "t_order": 6, "seed": 0, "degree_bound": DEFAULT_DEGREE_BOUND}
@@ -91,16 +100,11 @@ def _space_from_names(names: str, paired: bool) -> VarSpace:
     return VarSpace(parts, pairs)
 
 
-def _x3_space() -> VarSpace:
-    """x1, x2, x3 with (x1, x2) paired: the value of zariski.zariski_space(3)."""
-    return coordinate_space(3, paired=1)
-
-
 # star --product name -> (default space, constructor on the star module and
 # a space); --vars replaces the default space, and su2 ignores it
 _STAR_PRODUCTS = {
     "moyal": (qp_space, lambda star, space: star.moyal_product(space)),
-    "partial": (_x3_space, lambda star, space: star.partial_moyal_product(space)),
+    "partial": (zariski_space, lambda star, space: star.partial_moyal_product(space)),
     "standard": (qp_space, lambda star, space: star.standard_ordering_product(space)),
     "su2": (su2_space, lambda star, space: star.su2_product()),
 }
@@ -132,18 +136,19 @@ def _rand_poly(space: VarSpace, degree: int, rng) -> Poly:
 def _cmd_factor(args, cfg):
     from . import factor
 
-    space = _space_from_names(cfg["vars"], False) if cfg["vars"] else _x3_space()
+    space = _space_from_names(cfg["vars"], False) if cfg["vars"] else zariski_space()
     value = parse_expr(args.expr, space)
     if not isinstance(value, Poly):
         raise InvalidArgumentError("factor expects a plain polynomial")
     fac = factor.factorize(value, cfg["degree_bound"])
-    pieces = [str(fac.unit)]
+    unit = _scalar_text(fac.unit)
+    pieces = [unit]
     for g, m in fac.factors:
         pieces.append(f"({g})" + (f"^{m}" if m > 1 else ""))
     text = " * ".join(pieces)
     data = {
         "input": str(value),
-        "unit": str(fac.unit),
+        "unit": unit,
         "factors": [{"poly": str(g), "multiplicity": m} for g, m in fac.factors],
     }
     return [text], data

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import ExprSyntaxError, InvalidArgumentError, ResourceLimitError
-from .poly import NuObject, Poly, VarSpace, _mul_into, coordinate_space
+from .poly import NuObject, Poly, VarSpace, _mul_into, zariski_space
 
 __all__ = ["parse_expr", "render"]
 
@@ -52,7 +52,7 @@ PARSE_DEPTH_BOUND = 100
 _IDENT = r"[^\W\d_]\w*"
 _TOKEN = re.compile(rf"\s*(?:([0-9]+)|({_IDENT})|([-+*^()\[\];/])|(\S))")
 _KINDS = (None, "uint", "ident", None, None)
-_X3 = coordinate_space(3, paired=1)  # the value of zariski.zariski_space(3)
+_X3 = zariski_space(3)  # the default space of both contexts, built once
 
 
 def _tokenize(src: str):
@@ -352,7 +352,7 @@ def _demote_zelem(value, at: int):
     if not _y_free(value):
         raise ExprSyntaxError("J(...) takes a plain Zariski element", at)
     const = value.y_constant()
-    if set(const.coeffs) - {0}:
+    if const.rows.keys() - {(0,)}:
         raise ExprSyntaxError("J(...) takes a nu-free Zariski element", at)
     return const.classical()
 
@@ -378,7 +378,7 @@ def parse_expr(src: str, space: VarSpace = None, zspace: VarSpace = None):
     # TaylorElem: demote when it carries no y content / no nu content
     if _y_free(value):
         znu = value.y_constant()
-        if set(znu.coeffs) <= {0}:
+        if znu.rows.keys() <= {(0,)}:
             return znu.classical()
         return znu
     return value

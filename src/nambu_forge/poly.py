@@ -16,6 +16,7 @@ compare total degree, then the exponent tuples componentwise.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -39,6 +40,7 @@ __all__ = [
     "leading_monomial",
     "qp_space",
     "coordinate_space",
+    "zariski_space",
     "su2_space",
     "su2_lift_space",
 ]
@@ -115,6 +117,14 @@ def coordinate_space(n: int, paired: int = 0) -> VarSpace:
     return VarSpace(names, pairs)
 
 
+def zariski_space(n: int = 3) -> VarSpace:
+    """R^n with the pairing used by the Zariski evaluation map: all of it for
+    even n, the first n-1 coordinates for odd n."""
+    if n < 2:
+        raise InvalidArgumentError("the construction needs at least two variables")
+    return coordinate_space(n, paired=n // 2)
+
+
 def su2_space() -> VarSpace:
     """The angular-momentum variables L1, L2, L3 (no symplectic pairs)."""
     return VarSpace(("L1", "L2", "L3"))
@@ -132,16 +142,12 @@ def su2_lift_space() -> VarSpace:
 
 
 class _Sparse:
-    """+, -, negation, is_zero, ==, copy and repr of the immutable sparse values
-    (NuObject and ZNu; _Rational and TaylorElem, over one denominator, bring
-    their own +, -, negation and ==).  Each supplies ``_parts``, its nonzero
-    values; ``_like(other)``, the operand of its own type that other stands
-    for, or None; and ``_rebuild(row, other)``, the value of a summed row,
-    with the type's space check.  == compares ``space``, so it is False where
-    + and - raise."""
+    """Immutability, copy and the +/- dispatch of the sparse values.  Each
+    supplies ``_parts``, its nonzero entries; ``_like(other)``, the operand
+    of its own type that other stands for, or None; and ``_signed(other,
+    sign)``, self + sign * other or NotImplemented."""
 
     __slots__ = ()
-    space = None
 
     def __setattr__(self, *a):  # pragma: no cover - guard rail
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -161,12 +167,6 @@ class _Sparse:
         if self.space != other.space:
             raise InvalidArgumentError("polynomials live on different variable spaces")
 
-    def _signed(self, other, sign: int):
-        o = self._like(other)
-        if o is None:
-            return NotImplemented
-        return self._rebuild(_summed(self._parts, o._parts, sign), o)
-
     def __add__(self, other):
         return self._signed(other, 1)
 
@@ -178,15 +178,6 @@ class _Sparse:
     def __rsub__(self, other):
         o = self._like(other)
         return NotImplemented if o is None else o._signed(self, -1)
-
-    def __neg__(self):
-        return self._rebuild({k: -v for k, v in self._parts.items()}, self)
-
-    def __eq__(self, other):
-        o = self._like(other)
-        if o is None:
-            return NotImplemented
-        return self.space == o.space and self._parts == o._parts
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"
@@ -377,40 +368,15 @@ class Poly(_Rational):
             raise InvalidArgumentError(f"variable index {i} out of range")
         return Poly._of(self.space, _diff_terms(self.num, i), self.den)
 
-    def diff_multi(self, orders: Sequence[int]) -> "Poly":
-        p = self
-        for i, k in enumerate(orders):
-            for _ in range(k):
-                if p.is_zero():
-                    return p
-                p = p.diff(i)
-        return p
-
-    def _check_arity(self, values: Sequence) -> None:
+    def evaluate(self, values: Sequence[Scalar]) -> Fraction:
         if len(values) != self.space.nvars:
             raise InvalidArgumentError(f"evaluation needs {self.space.nvars} values, got {len(values)}")
-
-    def evaluate(self, values: Sequence[Scalar]) -> Fraction:
-        self._check_arity(values)
         total = Fraction(0)
         for e, c in self.terms.items():
             term = c
             for v, k in zip(values, e):
                 if k:
                     term *= Fraction(v) ** k
-            total += term
-        return total
-
-    def evaluate_float(self, values: Sequence[float]) -> float:
-        self._check_arity(values)
-        total = 0.0
-        for e, c in self.terms.items():
-            term = float(c)
-            for v, k in zip(values, e):
-                if k == 1:
-                    term *= v
-                elif k:
-                    term *= v**k
             total += term
         return total
 
@@ -457,13 +423,23 @@ def _render_terms(parts: list) -> str:
     return "".join(out)
 
 
+def _scalar_text(c: Scalar) -> str:
+    """str(c), or ResourceLimitError where an integer of c has more digits
+    than the interpreter converts to text (sys.get_int_max_str_digits())."""
+    try:
+        return str(c)
+    except ValueError:
+        raise ResourceLimitError(f"coefficient is over the integer string limit of "
+                                 f"{sys.get_int_max_str_digits()} digits") from None
+
+
 def _term_text(c: Fraction, mono: str) -> tuple:
     neg = c < 0
     mag = -c if neg else c
     if mono and mag == 1:
         return neg, mono
-    body = str(mag) if not mono else f"{mag}*{mono}"
-    return neg, body
+    body = _scalar_text(mag)
+    return neg, f"{body}*{mono}" if mono else body
 
 
 def _joined(*texts: str) -> str:
@@ -556,9 +532,21 @@ class NuObject(_Sparse):
     def _like(self, other):
         return self._coerce(other, self.space)
 
-    def _rebuild(self, row: dict, other: "NuObject") -> "NuObject":
-        self._check_space(other)
-        return NuObject(self.space, row)
+    def _signed(self, other, sign: int):
+        o = self._like(other)
+        if o is None:
+            return NotImplemented
+        self._check_space(o)
+        return NuObject(self.space, _summed(self.coeffs, o.coeffs, sign))
+
+    def __neg__(self):
+        return NuObject(self.space, {k: -p for k, p in self.coeffs.items()})
+
+    def __eq__(self, other):
+        o = self._like(other)
+        if o is None:
+            return NotImplemented
+        return self.space == o.space and self.coeffs == o.coeffs
 
     def __reduce__(self):
         return NuObject, (self.space, self.coeffs)

@@ -70,6 +70,17 @@ STAR_DEGREE_BOUND = 16
 # (4819 words x 10 terms), takes 3.9 s.  The tests and the benchmark reach 576.
 SU2_WORD_BOUND = 50_000
 
+# the largest t-order of star_exponential and sun.sun_exponential.  The
+# degree bound stops the star exponential of a non-constant h by order 17,
+# but not the sun exponential, whose r-th power has degree r deg(h), nor
+# either of a constant h.  On a 2-vCPU x86_64 host, with a fresh process per
+# call: sun --exp L1+L2+L3 takes 0.19 s at order 20 and took 2.3, 8.2 and
+# 28 s at orders 40, 60 and 80; the slowest admitted shapes found at order
+# 20, L1*L2*L3 and L1^3, take 1.1 and 1.0 s, and L1^4 is refused at t^19 by
+# sun.LAPLACIAN_STEP_BOUND after 1.6 s.  Both exponentials of 1 ran past
+# 25 s at order 200000.  The tests and the benchmark use at most order 6.
+EXP_ORDER_BOUND = 20
+
 # the star products with g * f = (f * g)(-nu), whose symmetrizations are even
 # in nu; the Moyal kinds take their terms from powers of the Poisson bivector
 _MOYAL_KINDS = ("moyal", "partial_moyal")
@@ -127,6 +138,15 @@ def _check_degree(degree: int) -> None:
     if degree > STAR_DEGREE_BOUND:
         raise ResourceLimitError(
             f"star operand of degree {degree} is over the star degree bound {STAR_DEGREE_BOUND}"
+        )
+
+
+def _check_t_order(t_order: int) -> None:
+    if t_order < 0:
+        raise InvalidArgumentError("t_order must be non-negative")
+    if t_order > EXP_ORDER_BOUND:
+        raise ResourceLimitError(
+            f"t-order {t_order} is over the exponential order bound {EXP_ORDER_BOUND}"
         )
 
 
@@ -411,17 +431,9 @@ def star_commutator(s: StarProduct, f, g) -> NuObject:
     return diff.nu_shift(-1) * Fraction(1, 2)
 
 
-def star_power(s: StarProduct, h: Poly, r: int) -> NuObject:
-    out = NuObject.one(s.space)
-    for _ in range(r):
-        out = star_mul(s, out, h)
-    return out
-
-
 def star_exponential(s: StarProduct, h: Poly, t_order: int) -> TSeries:
     """Star exponential as a t-series: sum_r (1/r!)(t/2nu)^r h*...*h."""
-    if t_order < 0:
-        raise InvalidArgumentError("t_order must be non-negative")
+    _check_t_order(t_order)
     coeffs = [NuObject.one(s.space)]
     for r in range(1, t_order + 1):
         nxt = star_mul(s, coeffs[-1], h).nu_shift(-1) * Fraction(1, 2 * r)

@@ -39,6 +39,7 @@ from .star import (
     StarProduct,
     _as_nu,
     _check_degree,
+    _check_t_order,
     moyal_product,
     su2_product,
 )
@@ -130,11 +131,23 @@ def sun_lift(sp: SunProduct, x) -> NuObject:
     raise InvalidArgumentError(f"unknown sun-product kind {sp.alpha_kind!r}")
 
 
+# the most term products of the classical product in sun_mul, len(f) * len(g)
+# of the classical parts, counted before it is formed.  One takes about 1.1 us
+# on a 2-vCPU x86_64 host: (L1 + L2 + L3)^40 squared (741,321) forms its
+# product in 0.8 s, while ^80 squared (11.0 million) took 10.6 s of its 18 s.
+# The tests and the benchmark reach 63.
+SUN_PRODUCT_BOUND = 1_000_000
+
+
 def sun_mul(sp: SunProduct, f, g) -> NuObject:
     """Abelian product: positive nu powers of both operands are discarded."""
-    fo = _as_nu(f, sp.space)
-    go = _as_nu(g, sp.space)
-    return sun_lift(sp, fo.classical() * go.classical())
+    f0 = _as_nu(f, sp.space).classical()
+    g0 = _as_nu(g, sp.space).classical()
+    work = len(f0.num) * len(g0.num)
+    if work > SUN_PRODUCT_BOUND:
+        raise ResourceLimitError(f"sun product of {work} term products is over the sun product "
+                                 f"bound {SUN_PRODUCT_BOUND}")
+    return sun_lift(sp, f0 * g0)
 
 
 def sun_exponential(sp: SunProduct, h: Poly, t_order: int) -> TSeries:
@@ -144,8 +157,7 @@ def sun_exponential(sp: SunProduct, h: Poly, t_order: int) -> TSeries:
     powers fold left on classical parts before the Laurent scaling, since the
     product discards nu powers of its operands.
     """
-    if t_order < 0:
-        raise InvalidArgumentError("t_order must be non-negative")
+    _check_t_order(t_order)
     coeffs = [NuObject.one(sp.space)]
     power = NuObject.one(sp.space)
     for r in range(1, t_order + 1):
@@ -336,6 +348,16 @@ def _laplacian(terms: dict) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
+# the most Laplacian steps of one _eta_terms call, counted before the first
+# pass: r passes over a homogeneous degree-m part of n terms count r * n,
+# plus m * k recursion steps for each a(m, k), k = 1..r (what
+# A_RECURSION_BOUND counts per a(m, k)).  On a 2-vCPU x86_64 host, with cold
+# caches, sun L1^36 L1^36 (47,988 steps) takes 0.39 s and (L1 + L2 + L3)^25
+# squared (49,400) 0.42 s, while L1^100 squared (1,010,100) took 12 s and
+# L1^150 squared 39 s.  The tests and the benchmark reach 427.
+LAPLACIAN_STEP_BOUND = 50_000
+
+
 def _eta_terms(f: Poly, r_max: int) -> list:
     """[eta_0(f), ..., eta_{r_max}(f)], eta_0 being the identity.
 
@@ -349,9 +371,14 @@ def _eta_terms(f: Poly, r_max: int) -> list:
     parts: dict = {}
     for e, n in f.num.items():
         parts.setdefault(sum(e), {})[e] = n
-    laps = [[] for _ in range(min(r_max, max(f.total_degree(), 0) // 2) + 1)]
+    passes = {m: min(r_max, m // 2) for m in parts}
+    steps = sum(r * len(parts[m]) + m * r * (r + 1) // 2 for m, r in passes.items())
+    if steps > LAPLACIAN_STEP_BOUND:
+        raise ResourceLimitError(f"Laplacian passes of {steps} steps are over the Laplacian step "
+                                 f"bound {LAPLACIAN_STEP_BOUND}")
+    laps = [[] for _ in range(max(passes.values(), default=0) + 1)]
     for m, cur in parts.items():
-        for r in range(1, min(r_max, m // 2) + 1):
+        for r in range(1, passes[m] + 1):
             cur = _laplacian(cur)
             if not cur:
                 break

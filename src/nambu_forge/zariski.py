@@ -36,10 +36,10 @@ Every classical product (plain, nu-graded, y-graded, and the y-derivatives
 in ``quantum_nambu``) multiplies rows of {ZMonomial: numerator}, keyed by
 tuples that add under the product, with one denominator per operand.  A
 ZElem is one such row over its own denominator, in the integer layout it
-shares with Poly (``poly._Rational``), and a TaylorElem stores such rows
-keyed by y-exponent + (nu power,) over one denominator, so no product, + or
-- builds a Fraction; one is built per term only when a caller reads
-``terms``.
+shares with Poly (``poly._Rational``).  A ZNu and a TaylorElem store such
+rows keyed by (nu power,) and y-exponent + (nu power,) over one denominator,
+through one base class ``_Rows``, so no product, + or - builds a Fraction;
+one is built per term only when a caller reads ``terms``.
 
 Z-monomials are interned: every ZMonomial is built through one weak table
 keyed by its tuple of interned factors, so equal factor multisets are one
@@ -81,8 +81,8 @@ from .poly import (
     _render_terms,
     _Sparse,
     _term_text,
-    coordinate_space,
     grlex_key,
+    zariski_space,
 )
 from .star import (
     _EVEN_KINDS,
@@ -121,14 +121,6 @@ __all__ = [
     "quantum_nambu",
     "classical_nambu",
 ]
-
-
-def zariski_space(n: int = 3) -> VarSpace:
-    """R^n with the pairing used by the evaluation map: all of it for even n,
-    the first n-1 coordinates for odd n."""
-    if n < 2:
-        raise InvalidArgumentError("the construction needs at least two variables")
-    return coordinate_space(n, paired=n // 2)
 
 
 def zariski_star(n: int = 3) -> StarProduct:
@@ -278,20 +270,89 @@ def zelem_from_poly(u: Poly) -> ZElem:
     return ZElem.basis(_factor_monomial(u), u.leading_coeff())
 
 
-class ZNu(_Sparse):
-    """Polynomial in nu with ZElem coefficients (non-negative powers)."""
+class _Rows(_Sparse):
+    """Immutable nu-series with ZElem coefficients, stored as the integer rows
+    the products multiply: ``rows`` = {key: {ZMonomial: numerator}} over
+    ``den``, in lowest terms (den > 0, gcd of den and the numerators 1, no
+    zero entry or empty row), so == compares space, den and rows.  Every key
+    ends in a nu power; ``terms`` is the {key: ZElem} map that the
+    constructor takes.  ZNu (keys (nu power,), space None) and TaylorElem
+    (keys y-exponent + (nu power,)) are the two kinds."""
 
-    __slots__ = ("coeffs",)
-    _parts = property(attrgetter("coeffs"))
+    __slots__ = ("space", "rows", "den")
+    _fields = __slots__
+    _parts = property(attrgetter("rows"))
+
+    def __init__(self, space, terms: Mapping[tuple, ZElem], *flags):
+        if any(k[-1] < 0 for k in terms):
+            raise InvalidArgumentError(f"{type(self).__name__} supports non-negative nu powers only")
+        self._set(space, *_num_rows({tuple(k): z for k, z in terms.items()}), *flags)
+
+    def _set(self, space, rows: dict, d: int, *flags) -> None:
+        for name, v in zip(self._fields, (space, *_reduced(rows, d), *flags)):
+            object.__setattr__(self, name, v)
+
+    @classmethod
+    def _of(cls, space, rows: dict, d: int, *flags):
+        """The value of integer rows over d > 0, brought to lowest terms."""
+        out = object.__new__(cls)
+        out._set(space, rows, d, *flags)
+        return out
+
+    def _with(self, rows: dict, d: int, other):
+        """The value of self's type and space of integer rows over d, the
+        result of an operation on self and other (a TaylorElem joins their
+        in_a flags)."""
+        return self._of(self.space, rows, d)
+
+    @property
+    def terms(self) -> dict:
+        """{key: ZElem}, built afresh from the rows."""
+        return {k: ZElem._of(None, row, self.den) for k, row in self.rows.items()}
+
+    def _signed(self, other, sign: int):
+        o = self._like(other)
+        if o is None:
+            return NotImplemented
+        if self.space != o.space:
+            raise InvalidArgumentError(f"{type(self).__name__} spaces differ")
+        d = lcm(self.den, o.den)
+        acc = _add_rows({}, self.rows, d // self.den)
+        return self._with(_add_rows(acc, o.rows, sign * (d // o.den)), d, o)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __eq__(self, other):
+        o = self._like(other)
+        if o is None:
+            return NotImplemented
+        return self.space == o.space and self.den == o.den and self.rows == o.rows
+
+    def scale(self, c):
+        """c times the value, for any rational scalar c."""
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        return self._with(_add_rows({}, self.rows, c.numerator), self.den * c.denominator, self)
+
+    def nu_shift(self, n: int):
+        if any(k[-1] + n < 0 for k in self.rows):
+            raise InvalidArgumentError(f"{type(self).__name__} supports non-negative nu powers only")
+        return self._with({k[:-1] + (k[-1] + n,): row for k, row in self.rows.items()},
+                          self.den, self)
+
+    def __str__(self):
+        return render_taylor(self)
+
+
+class ZNu(_Rows):
+    """Polynomial in nu with ZElem coefficients (non-negative powers): _Rows
+    keyed by (nu power,), with space None."""
+
+    __slots__ = ()
 
     def __init__(self, coeffs: Mapping[int, ZElem]):
-        clean = {}
-        for k, z in coeffs.items():
-            if k < 0:
-                raise InvalidArgumentError("ZNu supports non-negative nu powers only")
-            if not z.is_zero():
-                clean[int(k)] = z
-        object.__setattr__(self, "coeffs", clean)
+        super().__init__(None, {(int(k),): z for k, z in coeffs.items()})
 
     @classmethod
     def zero(cls) -> "ZNu":
@@ -301,32 +362,25 @@ class ZNu(_Sparse):
     def from_zelem(cls, z: ZElem) -> "ZNu":
         return cls({0: z})
 
+    @property
+    def coeffs(self) -> dict:
+        """{nu power: ZElem}, built afresh from the rows."""
+        return {k: z for (k,), z in self.terms.items()}
+
     def coefficient(self, k: int) -> ZElem:
-        z = self.coeffs.get(k)
-        return ZElem.zero() if z is None else z
+        row = self.rows.get((k,))
+        return ZElem.zero() if row is None else ZElem._of(None, row, self.den)
 
     def classical(self) -> ZElem:
         return self.coefficient(0)
-
-    def nu_shift(self, k: int) -> "ZNu":
-        return ZNu({r + k: z for r, z in self.coeffs.items()})
 
     def _like(self, other):
         if isinstance(other, ZNu):
             return other
         return ZNu.from_zelem(other) if isinstance(other, ZElem) else None
 
-    def _rebuild(self, row: dict, other: "ZNu") -> "ZNu":
-        return ZNu(row)
-
     def __reduce__(self):
         return ZNu, (self.coeffs,)
-
-    def scale(self, c) -> "ZNu":
-        return ZNu({k: z.scale(c) for k, z in self.coeffs.items()})
-
-    def __str__(self):
-        return render_znu(self)
 
 
 def _as_znu(x) -> ZNu:
@@ -343,7 +397,7 @@ def _as_znu(x) -> ZNu:
 # alpha, the evaluation map, and the deformed product
 
 
-def alpha(p, space: VarSpace = None):
+def alpha(p):
     """Factor multiset of the classical part of a normalized nu-polynomial.
 
     Returns a tuple of irreducible factors, or None when the classical part
@@ -501,11 +555,6 @@ def _y_mul_into(acc: dict, a: dict, b: dict, c: int = 1) -> None:
             _z_mul_into(acc.setdefault(tuple(map(int.__add__, ea, eb)), {}), ra, rb, c)
 
 
-def _znu_of(rows: Mapping, d: int) -> ZNu:
-    """The ZNu of integer rows keyed (nu power,) over d."""
-    return ZNu({r: ZElem._of(None, row, d) for (r,), row in rows.items()})
-
-
 def z_mul_classical(a: ZElem, b: ZElem) -> ZElem:
     """Z_u . Z_v = Z_{uv}: multiset union, extended bilinearly."""
     row: dict = {}
@@ -556,15 +605,14 @@ def z_mul_nu(a, b, s: StarProduct) -> ZNu:
     a0, b0 = _as_znu(a).classical(), _as_znu(b).classical()
     row: dict = {}
     _z_mul_into(row, a0.num, b0.num)
-    return _znu_of(*_deform({(): row}, a0.den * b0.den, s))
+    return ZNu._of(None, *_deform({(): row}, a0.den * b0.den, s))
 
 
 def znu_mul_classical(a: ZNu, b: ZNu) -> ZNu:
     """nu-bilinear extension of the classical product."""
-    (ra, da), (rb, db) = (_num_rows({(r,): z for r, z in x.coeffs.items()}) for x in (a, b))
     acc: dict = {}
-    _y_mul_into(acc, ra, rb)
-    return _znu_of(acc, da * db)
+    _y_mul_into(acc, a.rows, b.rows)
+    return ZNu._of(None, acc, a.den * b.den)
 
 
 def znu_power_nu(a, m: int, s: StarProduct) -> ZNu:
@@ -681,51 +729,33 @@ def frobenius_counterexample_search(max_degree: int, space: VarSpace = None):
 # The Taylor algebra
 
 
-class TaylorElem(_Sparse):
+class TaylorElem(_Rows):
     """Polynomial in formal translation variables y and in nu with ZElem
-    coefficients, stored as the integer rows the products multiply, ``rows``
-    = {y-exponent + (nu power,): {ZMonomial: numerator}} over ``den``, in
-    lowest terms (den > 0, gcd of den and the numerators 1, no zero entry or
-    empty row), so == compares space, den and rows.  ``terms`` is the
-    {y-exponent + (nu power,): ZElem} map that the constructor takes.
+    coefficients: _Rows keyed by y-exponent + (nu power,).
 
     ``in_a`` marks elements constructed from images of the Taylor expansion
     map (and their sums and products); the deformed product is only defined
     on that subalgebra.
     """
 
-    __slots__ = ("space", "rows", "den", "in_a")
-    _parts = property(attrgetter("rows"))
+    __slots__ = ("in_a",)
+    _fields = _Rows._fields + __slots__
 
     def __init__(self, space: VarSpace, terms: Mapping[tuple, ZElem], in_a: bool = False):
-        if any(k[-1] < 0 for k in terms):
-            raise InvalidArgumentError("TaylorElem supports non-negative nu powers only")
-        self._set(space, *_num_rows({tuple(k): z for k, z in terms.items()}), in_a)
+        super().__init__(space, terms, in_a)
 
-    def _set(self, space: VarSpace, rows: dict, d: int, in_a: bool) -> None:
-        for name, v in zip(self.__slots__, (space, *_reduced(rows, d), in_a)):
-            object.__setattr__(self, name, v)
-
-    @classmethod
-    def _of(cls, space: VarSpace, rows: dict, d: int, in_a: bool) -> "TaylorElem":
-        """The TaylorElem of integer rows over d > 0, brought to lowest terms."""
-        out = object.__new__(cls)
-        out._set(space, rows, d, in_a)
-        return out
+    def _with(self, rows: dict, d: int, other: "TaylorElem") -> "TaylorElem":
+        return TaylorElem._of(self.space, rows, d, self.in_a and other.in_a)
 
     @classmethod
     def zero(cls, space: VarSpace) -> "TaylorElem":
         return cls(space, {}, in_a=True)
 
-    @property
-    def terms(self) -> dict:
-        """{y-exponent + (nu power,): ZElem}, built afresh from the rows."""
-        return {k: ZElem._of(None, row, self.den) for k, row in self.rows.items()}
-
     def coefficient(self, e: tuple) -> ZNu:
         """The ZNu coefficient of y^e, built from the rows keyed e + (r,)."""
         e = tuple(e)
-        return _znu_of({k[-1:]: row for k, row in self.rows.items() if k[:-1] == e}, self.den)
+        return ZNu._of(None, {k[-1:]: row for k, row in self.rows.items() if k[:-1] == e},
+                       self.den)
 
     def y_constant(self) -> ZNu:
         return self.coefficient((0,) * self.space.nvars)
@@ -733,40 +763,8 @@ class TaylorElem(_Sparse):
     def _like(self, other):
         return other if isinstance(other, TaylorElem) else None
 
-    def _signed(self, other, sign: int):
-        if not isinstance(other, TaylorElem):
-            return NotImplemented
-        if self.space != other.space:
-            raise InvalidArgumentError("TaylorElem spaces differ")
-        d = lcm(self.den, other.den)
-        acc = _add_rows({}, self.rows, d // self.den)
-        _add_rows(acc, other.rows, sign * (d // other.den))
-        return TaylorElem._of(self.space, acc, d, self.in_a and other.in_a)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __eq__(self, other):
-        if not isinstance(other, TaylorElem):
-            return NotImplemented
-        return self.space == other.space and self.den == other.den and self.rows == other.rows
-
     def __reduce__(self):
         return TaylorElem, (self.space, self.terms, self.in_a)
-
-    def scale(self, c) -> "TaylorElem":
-        c = Fraction(c)
-        return TaylorElem._of(self.space, _add_rows({}, self.rows, c.numerator),
-                              self.den * c.denominator, self.in_a)
-
-    def nu_shift(self, n: int) -> "TaylorElem":
-        if any(k[-1] + n < 0 for k in self.rows):
-            raise InvalidArgumentError("TaylorElem supports non-negative nu powers only")
-        rows = {k[:-1] + (k[-1] + n,): row for k, row in self.rows.items()}
-        return TaylorElem._of(self.space, rows, self.den, self.in_a)
-
-    def __str__(self):
-        return render_taylor(self)
 
 
 def _add_rows(acc: dict, rows: Mapping, f: int) -> dict:
@@ -928,15 +926,10 @@ def render_zelem(z: ZElem) -> str:
     return _render_terms(_zelem_parts(z))
 
 
-def render_znu(x: ZNu) -> str:
-    """The terms of x's nu powers, lowest first."""
-    return _render_terms([part for k in sorted(x.coeffs)
-                          for part in _zelem_parts(x.coeffs[k], _nu_label(k))])
-
-
-def render_taylor(t: TaylorElem) -> str:
-    """The terms by y-exponent in graded-lex order, then by nu power."""
-    names = tuple(f"y{i + 1}" for i in range(t.space.nvars))
+def render_taylor(t: _Rows) -> str:
+    """The terms by y-exponent in graded-lex order, then by nu power (a ZNu's
+    keys hold the nu power alone)."""
+    names = tuple(f"y{i + 1}" for i in range(t.space.nvars)) if t.space else ()
     terms = t.terms
     return _render_terms([
         part

@@ -44,6 +44,15 @@ def det_oracle(fs, idx) -> Poly:
     return total
 
 
+def star_power(s, h: Poly, r: int) -> NuObject:
+    """h * ... * h (r factors) folded from the left with star_mul: the oracle
+    that znu_power_nu is held to, through zeta."""
+    out = NuObject.one(s.space)
+    for _ in range(r):
+        out = star_mul(s, out, h)
+    return out
+
+
 def mul_oracle(f: Poly, g: Poly) -> Poly:
     """f * g as the double loop over Fraction coefficients: the oracle for
     Poly.__mul__, which multiplies integer numerators over one denominator."""

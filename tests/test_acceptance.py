@@ -26,11 +26,10 @@ from nambu_forge.star import (
     standard_ordering_product,
     star_exponential,
     star_mul,
-    star_power,
     su2_product,
 )
 
-from conftest import brute_sun_lift, random_poly
+from conftest import brute_sun_lift, random_poly, star_power
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SP3 = zmod.zariski_space(3)

@@ -254,6 +254,14 @@ def test_domain_error_exit_code(capsys):
         # nine brackets are open at x1: J(, seven ( and Z[
         (expr, "PARSE_DEPTH_BOUND", ("zariski", "mul", "J(" + "(" * 7 + "Z[x1]" + ")" * 8, "Z[x1]"),
          "zariski.resource-limit"),
+        # one bound on the t-order of both exponentials
+        (star, "EXP_ORDER_BOUND", ("star", "--exp", "1", "--t-order", "9"), "star.resource-limit"),
+        (star, "EXP_ORDER_BOUND", ("sun", "--exp", "1", "--t-order", "9"), "sun.resource-limit"),
+        # three terms times four
+        (sun, "SUN_PRODUCT_BOUND", ("sun", "L1 + L2 + L3", "L1 + L2 + L3 + 1"), "sun.resource-limit"),
+        # L1^2*L2^2 is one degree-4 term: two passes count 2 * 1 terms and
+        # 4 * 1 + 4 * 2 recursion steps
+        (sun, "LAPLACIAN_STEP_BOUND", ("sun", "L1^2", "L2^2"), "sun.resource-limit"),
     ],
 )
 def test_resource_bounds_exit_1(capsys, monkeypatch, module, bound, argv, code):
@@ -348,16 +356,62 @@ _DEEP = (f"brackets nested {expr.PARSE_DEPTH_BOUND + 1} deep are over the parse 
         (("factor", "(" * 300 + "x1" + ")" * 300), _DEEP),
         (("zariski", "mul", "J(" * 600 + "Z[x1]" + ")" * 600, "Z[x1]"), _DEEP),
         (("zariski", "mul", "Z[" + "(" * 3000 + "x1" + ")" * 3000 + "]", "Z[x1]"), _DEEP),
+        (("star", "--exp", "1", "--t-order", "200000"),
+         "t-order 200000 is over the exponential order bound 20"),
+        (("sun", "--exp", "1", "--t-order", "200000"),
+         "t-order 200000 is over the exponential order bound 20"),
+        (("sun", "--exp", "L1 + L2 + L3", "--t-order", "40"),
+         "t-order 40 is over the exponential order bound 20"),
+        (("sun", "(L1 + L2 + L3)^45", "(L1 + L2 + L3)^45"),
+         "sun product of 1168561 term products is over the sun product bound 1000000"),
+        (("sun", "L1^40", "L1^40"),
+         "Laplacian passes of 65640 steps are over the Laplacian step bound 50000"),
     ],
     ids=["dim-3000", "vars-2400", "fi-degree", "fi-trials", "table-order", "table-steps",
-         "fi-jacobian", "zariski-power", "parentheses-300", "j-600", "parentheses-in-z-3000"],
+         "fi-jacobian", "zariski-power", "parentheses-300", "j-600", "parentheses-in-z-3000",
+         "star-exp-order", "sun-exp-order", "sun-exp-dense", "sun-product", "sun-laplacian"],
 )
 def test_unpatched_bounds_end_without_traceback(capsys, argv, message):
     # without these bounds each call printed a RecursionError traceback or
-    # ran from 12 s to minutes; the bounds are checked before the work they
-    # bound, the Jacobian's as its products are formed
+    # ran from 12 s to minutes, except the last three sun calls, which sit
+    # just over their bounds (0.6-2.3 s without them); the bounds are checked
+    # before the work they bound, the Jacobian's as its products are formed
     command = argv[0]
     assert run(capsys, *argv) == (1, "", f"error[{command}.resource-limit]: {message}\n")
+
+
+@pytest.fixture
+def int_str_limit():
+    """Python's default limit on the digits of an int converted to text, set
+    for the test where the interpreter runs with another or none."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter converts ints of any size to text")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the t^r coefficient 1 / (2^r r!) has over 4300 digits from r = 1424 on
+        ("star", "--exp", "1", "--t-order", "2000"),
+        ("star", "9" * 2500 + "*q", "9" * 2500 + "*p"),
+        # the unit, the leading coefficient, is rendered first
+        ("factor", "9" * 2500 + "*" + "9" * 2500 + "*x1"),
+    ],
+    ids=["star-exp", "star-product", "factor-unit"],
+)
+def test_coefficients_over_the_int_string_limit_end_without_traceback(
+        capsys, monkeypatch, int_str_limit, argv):
+    # each printed a ValueError traceback from str(int); the t-order bound
+    # would refuse the first call before any coefficient is formed
+    monkeypatch.setattr(star, "EXP_ORDER_BOUND", 2000)
+    message = f"coefficient is over the integer string limit of {int_str_limit} digits"
+    assert run(capsys, *argv) == (1, "", f"error[{argv[0]}.resource-limit]: {message}\n")
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 1 and json.loads(out)["error"]["message"] == message
 
 
 def test_nesting_at_the_depth_bound_parses(capsys):

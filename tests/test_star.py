@@ -27,7 +27,6 @@ from nambu_forge.star import (
     star_commutator,
     star_exponential,
     star_mul,
-    star_power,
     su2_left_mul,
     su2_lift,
     su2_product,
@@ -35,7 +34,7 @@ from nambu_forge.star import (
 )
 from nambu_forge.zariski import zariski_space
 
-from conftest import compositions, fractions_built, random_poly
+from conftest import compositions, fractions_built, random_poly, star_power
 
 QP = qp_space()
 L = su2_space()

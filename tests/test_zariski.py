@@ -20,7 +20,6 @@ from nambu_forge.star import (
     moyal_product,
     standard_ordering_product,
     star_mul,
-    star_power,
     su2_product,
 )
 from nambu_forge.zariski import (
@@ -52,7 +51,7 @@ from nambu_forge.zariski import (
     znu_power_nu,
 )
 
-from conftest import fractions_built, jmap_oracle, random_poly, taylor_elem
+from conftest import fractions_built, jmap_oracle, random_poly, star_power, taylor_elem
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SP = zariski_space(3)
@@ -580,6 +579,45 @@ def test_zelem_stores_integers_over_one_denominator(rng):
             _assert_zelem_lowest_terms(got)
             assert ZElem(expect) == got and ZElem(expect).num == got.num
         assert a.scale(0).den == 1 and (a - a).den == 1
+
+
+def _by_power(op, *xs) -> dict:
+    """{nu power: ZElem}: op on the ZElem values of the {nu power: ZElem}
+    dicts xs, power by power."""
+    return {k: op(*(x.get(k, ZElem.zero()) for x in xs)) for k in set().union(*xs)}
+
+
+def test_znu_stores_integer_rows_over_one_denominator(rng):
+    for _ in range(4):
+        a = _fraction_zelem(rng)
+        b = _fraction_zelem(rng).scale(Fraction(1, 5))
+        c = _fraction_zelem(rng).scale(Fraction(2, 7))
+        da, db = {0: a, 1: b, 3: c}, {0: b, 1: -a, 2: c}
+        za, zb = ZNu(da), ZNu(db)
+        assert len({a.den, b.den, c.den}) == 3 and za.den == math.lcm(a.den, b.den, c.den)
+        product: dict = {}
+        for (i, x), (j, y) in itertools.product(da.items(), db.items()):
+            _bump(product, i + j, z_mul_classical(x, y))
+        deformed = _fraction_deformed(_fraction_product(a.terms, b.terms), ST)
+        checks = [
+            (za + zb, _by_power(operator.add, da, db)),
+            (za - zb, _by_power(operator.sub, da, db)),
+            (za - za, {}),
+            (-za, _by_power(operator.neg, da)),
+            (za.nu_shift(2), {k + 2: z for k, z in da.items()}),
+            (znu_mul_classical(za, zb), product),
+            (z_mul_nu(za, zb, ST), {r: ZElem(row) for r, row in deformed.items()}),
+        ]
+        for q in (Fraction(-4, 15), 0, 6):
+            checks.append((za.scale(q), _by_power(lambda z: z.scale(q), da)))
+        for got, expect in checks:
+            expect = {k: z for k, z in expect.items() if not z.is_zero()}
+            assert got.coeffs == expect and got == ZNu(expect)
+            assert got.rows == ZNu(expect).rows and all(len(k) == 1 for k in got.rows)
+            nums = [n for row in got.rows.values() for n in row.values()]
+            assert got.den > 0 and math.gcd(got.den, *nums) == 1
+            assert all(type(n) is int and n for n in nums)
+        assert za.scale(0).den == 1 and (za - za).den == 1
 
 
 def test_zariski_products_build_no_fraction(monkeypatch, rng):
