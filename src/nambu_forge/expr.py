@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import ExprSyntaxError, InvalidArgumentError, ResourceLimitError
-from .poly import NuObject, Poly, VarSpace, _mul_into, zariski_space
+from .poly import NuObject, Poly, VarSpace, _add_rows, _mul_into, zariski_space
 
 __all__ = ["parse_expr", "render"]
 
@@ -230,12 +230,11 @@ class _Parser:
         while self.peek()[0] in ("+", "-"):
             sign = 1 if self.next()[0] == "+" else -1
             parts.append((sign, self.term(poly_ctx)))
-        z = self.zariski
         d = lcm(*(v.den for _, v in parts))
         rows: dict = {}
         for sign, v in parts:
-            z._add_rows(rows, v.rows, sign * (d // v.den))
-        return z.TaylorElem._of(self.zspace, rows, d, all(v.in_a for _, v in parts))
+            _add_rows(rows, v.rows, sign * (d // v.den))
+        return self.zariski.TaylorElem._of(self.zspace, rows, d, all(v.in_a for _, v in parts))
 
     def term(self, poly_ctx: bool):
         value = self.factor(poly_ctx)

@@ -6,9 +6,13 @@ A polynomial is stored as integer numerators over one denominator: a map
 from dense exponent tuples to nonzero ints and one positive int, in lowest
 terms; the empty map over 1 is the zero polynomial.  Sums, products and
 derivatives run on the ints, and Fractions are built only when a caller
-reads the coefficients.  All values are immutable after construction and
-hashable, so they can serve as dictionary keys and multiset members
-throughout the package.
+reads the coefficients.  Every nu-series (a NuObject here, a ZNu or a
+TaylorElem in zariski) is stored through one base class ``_Rows`` as integer
+rows {key: {exponent or Z-monomial: int}} over one denominator, each key
+ending in a nu power, and the graded product of two such row maps is one
+``_graded_mul_into`` that takes the row kernel.  Polynomials and NuObjects
+are immutable after construction and hashable, so they can serve as
+dictionary keys and multiset members throughout the package.
 
 Monomial order is graded lexicographic with the first variable largest:
 compare total degree, then the exponent tuples componentwise.
@@ -19,7 +23,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from math import factorial, gcd, lcm, prod
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence, Union
@@ -188,8 +192,9 @@ class _Rational(_Sparse):
     ``num`` = {key: int} over ``den``, in lowest terms (den > 0, gcd of den
     and the numerators 1, no zero entry, den 1 for zero), so == compares
     space, den and num.  ``terms`` is the {key: Fraction} map that the
-    constructor takes.  Poly (keys exponent tuples) and zariski.ZElem (keys
-    Z-monomials, space None) are the two kinds."""
+    constructor takes, and each kind supplies ``_term_parts(prefix)``, the
+    (sign, body) text of its terms.  Poly (keys exponent tuples) and
+    zariski.ZElem (keys Z-monomials, space None) are the two kinds."""
 
     __slots__ = ("space", "num", "den")
     _parts = property(attrgetter("num"))
@@ -258,6 +263,10 @@ class _Rational(_Sparse):
         n = c.numerator
         return self._of(self.space, {e: v * n for e, v in self.num.items()},
                         self.den * c.denominator)
+
+    def __str__(self) -> str:
+        """The terms, leading one first, from each kind's ``_term_parts``."""
+        return _render_terms(self._term_parts())
 
 
 class Poly(_Rational):
@@ -402,8 +411,14 @@ class Poly(_Rational):
         return out
 
     # -- rendering ---------------------------------------------------------
-    def __str__(self) -> str:
-        return render_poly(self)
+    def _term_parts(self, prefix: str = "") -> list:
+        """(sign, body) pairs of the terms, leading term first, each body led
+        by ``prefix``."""
+        terms = self.terms
+        return [
+            _term_text(terms[e], _joined(prefix, _render_monomial(self.space.names, e)))
+            for e in sorted(terms, key=grlex_key, reverse=True)
+        ]
 
 
 def _render_monomial(names: Sequence[str], e: Exponent) -> str:
@@ -451,73 +466,158 @@ def _nu_label(k: int) -> str:
     return "" if k == 0 else ("nu" if k == 1 else f"nu^{k}")
 
 
-def _poly_parts(f: Poly, prefix: str = "") -> list:
-    """(sign, body) pairs of f's terms, leading term first, each body led by
-    ``prefix``."""
-    terms = f.terms
-    return [
-        _term_text(terms[e], _joined(prefix, _render_monomial(f.space.names, e)))
-        for e in sorted(terms, key=grlex_key, reverse=True)
-    ]
+class _Rows(_Sparse):
+    """Immutable nu-series stored as the integer rows the products multiply:
+    ``rows`` = {key: {exponent or Z-monomial: numerator}} over ``den``, in
+    lowest terms (den > 0, gcd of den and the numerators 1, no zero entry or
+    empty row), so == compares space, den and rows.  Every key is a tuple of
+    ints ending in a nu power; ``terms`` is the {key: coefficient} map of
+    _Rational values that the constructor takes, each row being one
+    coefficient's numerators over den, and each kind supplies ``_coef(row)``,
+    that coefficient.  NuObject (keys (nu power,), Poly coefficients),
+    zariski.ZNu (keys (nu power,), ZElem coefficients, space None) and
+    zariski.TaylorElem (keys y-exponent + (nu power,), ZElem coefficients)
+    are the three kinds; only NuObject admits negative nu powers."""
+
+    __slots__ = ("space", "rows", "den")
+    _fields = __slots__
+    _parts = property(attrgetter("rows"))
+    _negative_nu = False
+
+    def __init__(self, space, terms: Mapping[tuple, _Rational], *flags):
+        bad = [p for k in terms for p in k if not isinstance(p, int)]
+        if bad:
+            raise InvalidArgumentError(f"{type(self).__name__} power {bad[0]!r} is not an integer")
+        self._check_nu(terms)
+        self._set(space, *_reduced(*_num_rows({tuple(k): z for k, z in terms.items()})), *flags)
+
+    def _check_nu(self, keys) -> None:
+        if not self._negative_nu and any(k[-1] < 0 for k in keys):
+            raise InvalidArgumentError(f"{type(self).__name__} supports non-negative nu powers only")
+
+    def _set(self, space, rows: dict, d: int, *flags) -> None:
+        for name, v in zip(self._fields, (space, rows, d, *flags)):
+            object.__setattr__(self, name, v)
+
+    @classmethod
+    def _of(cls, space, rows: dict, d: int, *flags):
+        """The value of integer rows over d > 0, brought to lowest terms."""
+        out = object.__new__(cls)
+        out._set(space, *_reduced(rows, d), *flags)
+        return out
+
+    def _with(self, rows: dict, d: int, other):
+        """The value of self's type and space of integer rows over d, the
+        result of an operation on self and other (a TaylorElem joins their
+        in_a flags)."""
+        return self._of(self.space, rows, d)
+
+    @property
+    def terms(self) -> dict:
+        """{key: coefficient}, built afresh from the rows by each kind's
+        ``_coef``."""
+        return {k: self._coef(row) for k, row in self.rows.items()}
+
+    def _signed(self, other, sign: int):
+        o = self._like(other)
+        if o is None:
+            return NotImplemented
+        self._check_space(o)
+        d = lcm(self.den, o.den)
+        acc = _add_rows({}, self.rows, d // self.den)
+        return self._with(_add_rows(acc, o.rows, sign * (d // o.den)), d, o)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __eq__(self, other):
+        o = self._like(other)
+        if o is None:
+            return NotImplemented
+        return self.space == o.space and self.den == o.den and self.rows == o.rows
+
+    def scale(self, c):
+        """c times the value, for any rational scalar c."""
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        return self._with(_add_rows({}, self.rows, c.numerator), self.den * c.denominator, self)
+
+    def nu_shift(self, n: int):
+        rows = {k[:-1] + (k[-1] + n,): row for k, row in self.rows.items()}
+        self._check_nu(rows)
+        return self._with(rows, self.den, self)
+
+    def __str__(self) -> str:
+        """The terms by y-exponent in graded-lex order, then by nu power (the
+        keys of a NuObject and a ZNu hold the nu power alone)."""
+        names = [f"y{i + 1}" for i in range(max(map(len, self.rows), default=1) - 1)]
+        terms = self.terms
+        return _render_terms([
+            part
+            for k in sorted(terms, key=lambda k: (grlex_key(k[:-1]), k[-1]))
+            for part in terms[k]._term_parts(_joined(_render_monomial(names, k[:-1]),
+                                                     _nu_label(k[-1])))
+        ])
 
 
-def render_poly(f: Poly) -> str:
-    return _render_terms(_poly_parts(f))
-
-
-class NuObject(_Sparse):
-    """Finite Laurent object in nu with Poly coefficients.
+class NuObject(_Rows):
+    """Finite Laurent object in nu with Poly coefficients: _Rows keyed by
+    (nu power,), the one kind with negative powers; ``coeffs`` is a
+    {nu power: Poly} view.
 
     Ordinary polynomials embed at nu-power 0; negative powers appear only in
     star-exponential coefficients.
     """
 
-    __slots__ = ("space", "coeffs", "_hash")
-    _parts = property(attrgetter("coeffs"))
+    __slots__ = ("_hash",)
+    _negative_nu = True
 
     def __init__(self, space: VarSpace, coeffs: Mapping[int, Poly]):
-        clean = {}
-        for k, p in coeffs.items():
+        for p in coeffs.values():
             if not isinstance(p, Poly):
                 raise InvalidArgumentError("NuObject coefficients must be Poly values")
             if p.space != space:
                 raise InvalidArgumentError("NuObject coefficient on a different space")
-            if not p.is_zero():
-                clean[int(k)] = p
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "_hash", None)
+        super().__init__(space, {(k,): p for k, p in coeffs.items()})
 
     @classmethod
     def from_poly(cls, p: Poly) -> "NuObject":
-        return cls(p.space, {0: p})
+        """p at nu^0, sharing p's num as its one row."""
+        out = object.__new__(cls)
+        out._set(p.space, {(0,): p.num} if p.num else {}, p.den)
+        return out
 
     @classmethod
     def zero(cls, space: VarSpace) -> "NuObject":
-        return cls(space, {})
+        return cls._of(space, {}, 1)
 
     @classmethod
     def one(cls, space: VarSpace) -> "NuObject":
-        return cls(space, {0: Poly.const(space, 1)})
+        return cls._of(space, {(0,): {(0,) * space.nvars: 1}}, 1)
+
+    def _coef(self, row: dict) -> Poly:
+        return Poly._of(self.space, row, self.den)
+
+    @property
+    def coeffs(self) -> dict:
+        """{nu power: Poly}, built afresh from the rows."""
+        return {k: self._coef(row) for (k,), row in self.rows.items()}
 
     def classical(self) -> Poly:
         """The nu^0 coefficient."""
         return self.coefficient(0)
 
     def min_power(self) -> int:
-        if not self.coeffs:
+        if not self.rows:
             raise InvalidArgumentError("zero object has no lowest nu power")
-        return min(self.coeffs)
+        return min(self.rows)[0]
 
     def coefficient(self, k: int) -> Poly:
-        p = self.coeffs.get(k)
-        return Poly.zero(self.space) if p is None else p
-
-    def nu_shift(self, k: int) -> "NuObject":
-        return NuObject(self.space, {r + k: p for r, p in self.coeffs.items()})
+        return self._coef(self.rows.get((k,), {}))
 
     def truncate(self, max_power: int) -> "NuObject":
-        return NuObject(self.space, {r: p for r, p in self.coeffs.items() if r <= max_power})
+        return self._of(self.space, {k: row for k, row in self.rows.items() if k[0] <= max_power},
+                        self.den)
 
     @staticmethod
     def _coerce(other, space) -> "NuObject":
@@ -532,61 +632,34 @@ class NuObject(_Sparse):
     def _like(self, other):
         return self._coerce(other, self.space)
 
-    def _signed(self, other, sign: int):
-        o = self._like(other)
-        if o is None:
-            return NotImplemented
-        self._check_space(o)
-        return NuObject(self.space, _summed(self.coeffs, o.coeffs, sign))
-
-    def __neg__(self):
-        return NuObject(self.space, {k: -p for k, p in self.coeffs.items()})
-
-    def __eq__(self, other):
-        o = self._like(other)
-        if o is None:
-            return NotImplemented
-        return self.space == o.space and self.coeffs == o.coeffs
-
     def __reduce__(self):
         return NuObject, (self.space, self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return NuObject(self.space, {k: p * other for k, p in self.coeffs.items()})
-        o = self._coerce(other, self.space)
+            return self.scale(other)
+        o = self._like(other)
         if o is None:
             return NotImplemented
-        out: dict = {}
-        for a, p in self.coeffs.items():
-            for b, q in o.coeffs.items():
-                k = a + b
-                s = out.get(k)
-                pq = p * q
-                out[k] = pq if s is None else s + pq
-        return NuObject(self.space, out)
+        self._check_space(o)
+        acc: dict = {}
+        _graded_mul_into(_mul_into, acc, self.rows, o.rows)
+        return NuObject._of(self.space, acc, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __hash__(self):
-        h = object.__getattribute__(self, "_hash")
-        if h is None:
+        try:
+            return self._hash  # set on first use; NuObject is immutable
+        except AttributeError:
             # a nu^0-only object equals its classical Poly, so it hashes as one
-            if self.coeffs.keys() <= {0}:
+            if self.rows.keys() <= {(0,)}:
                 h = hash(self.classical())
             else:
-                h = hash((self.space, frozenset((k, p) for k, p in self.coeffs.items())))
+                h = hash((self.space, self.den,
+                          frozenset((k, frozenset(row.items())) for k, row in self.rows.items())))
             object.__setattr__(self, "_hash", h)
-        return h
-
-    def __str__(self) -> str:
-        return render_nuobject(self)
-
-
-def render_nuobject(x: NuObject) -> str:
-    return _render_terms(
-        [part for k in sorted(x.coeffs) for part in _poly_parts(x.coeffs[k], _nu_label(k))]
-    )
+            return h
 
 
 @dataclass(frozen=True)
@@ -601,10 +674,13 @@ class TSeries:
             raise InvalidArgumentError("TSeries needs truncation_order + 1 coefficients")
 
     def coefficient(self, r: int) -> NuObject:
+        if not 0 <= r <= self.truncation_order:
+            raise InvalidArgumentError(
+                f"t-order {r} is outside the series' orders 0..{self.truncation_order}")
         return self.coeffs[r]
 
     def __str__(self) -> str:
-        lines = [f"t^{r}: {render_nuobject(c)}" for r, c in enumerate(self.coeffs)]
+        lines = [f"t^{r}: {c}" for r, c in enumerate(self.coeffs)]
         return "\n".join(lines)
 
 
@@ -639,7 +715,7 @@ def _summed(a: Mapping, b: Mapping, sign: int = 1) -> dict:
 
 def _num_rows(values: Mapping) -> tuple:
     """(rows, d) with values[k] = rows[k] / d for a map of _Rational values
-    (the nu-coefficients of a NuObject or ZNu, say), d the least common
+    (the terms a _Rows constructor takes, or a J-image), d the least common
     multiple of their denominators.  A row over d itself is the value's own
     num map, so callers read the rows and never mutate them."""
     d = lcm(*(p.den for p in values.values()))
@@ -647,9 +723,20 @@ def _num_rows(values: Mapping) -> tuple:
             for k, p in values.items()}, d
 
 
-def _nu_of(space: VarSpace, rows: Mapping, d: int) -> NuObject:
-    """The NuObject sum of nu^k rows[k] / d over integer rows, d > 0."""
-    return NuObject(space, {k: Poly._of(space, row, d) for k, row in rows.items()})
+def _reduced(rows: dict, d: int) -> tuple:
+    """Integer rows over d in lowest terms, zero entries and rows dropped."""
+    g = gcd(d, *chain.from_iterable(map(dict.values, rows.values())))
+    return {m: {e: n // g for e, n in row.items() if n} for m, row in rows.items()
+            if any(row.values())}, d // g
+
+
+def _add_rows(acc: dict, rows: Mapping, f: int) -> dict:
+    """acc with acc[k][m] += f * rows[k][m] over integer rows."""
+    for k, row in rows.items():
+        out = acc.setdefault(k, {})
+        for m, n in row.items():
+            out[m] = out.get(m, 0) + f * n
+    return acc
 
 
 def _diff_terms(terms: dict, i: int) -> dict:
@@ -673,6 +760,16 @@ def _mul_into(row: dict, f: dict, g: dict, w: int) -> None:
         for e2, c2 in gterms:
             e = tuple(map(int.__add__, e1, e2))
             row[e] = row.get(e, 0) + c1 * c2
+
+
+def _graded_mul_into(mul_into, acc: dict, a: Mapping, b: Mapping, c: int = 1) -> None:
+    """The graded product c * a . b of integer rows, added into acc: the rows
+    keyed ka and kb multiply by mul_into (_mul_into on exponent rows,
+    zariski._z_mul_into on Z-monomial rows) into the row keyed ka + kb,
+    added entrywise."""
+    for ka, ra in a.items():
+        for kb, rb in b.items():
+            mul_into(acc.setdefault(tuple(map(int.__add__, ka, kb)), {}), ra, rb, c)
 
 
 # ---------------------------------------------------------------------------
@@ -703,12 +800,12 @@ def poisson_power(f: Poly, g: Poly, r: int) -> Poly:
         raise InvalidArgumentError("poisson_power needs at least one symplectic pair")
     rows, d = _poisson_sum([(0, 1, f.num, g.num)], f.space)
     scale = factorial(r)
-    return Poly._of(f.space, {e: n * scale for e, n in rows.get(r, {}).items()},
+    return Poly._of(f.space, {e: n * scale for e, n in rows.get((r,), {}).items()},
                     d * f.den * g.den)
 
 
 def _poisson_sum(jobs: Iterable, space: VarSpace, even: bool = False) -> tuple:
-    """(rows, d) with rows[m] / d the sum over the jobs (shift, w, f, g) of
+    """(rows, d) with rows[(m,)] / d the sum over the jobs (shift, w, f, g) of
     w nu^(shift + r) P^r(f, g) / r! over every r (every even r if ``even``),
     w an integer and f, g integer term maps on ``space``.
 
@@ -739,7 +836,7 @@ def _poisson_sum(jobs: Iterable, space: VarSpace, even: bool = False) -> tuple:
 
 def _poisson_walk(acc: dict, grid: list, f: dict, g: dict, c: int, shift: int, r: int,
                   even: bool) -> None:
-    """Add c * w_p * (d_p f) (d_p g) into acc[shift + r + s] for each point p
+    """Add c * w_p * (d_p f) (d_p g) into acc[(shift + r + s,)] for each point p
     of ``grid`` whose coordinates sum to s (only where r + s is even if
     ``even``).  Coordinate k on the axis (i, j, top, sign) gives w_p the
     factor sign^k / k!, d_p f the factor d_i^k and d_p g the factor d_j^k.
@@ -748,7 +845,7 @@ def _poisson_walk(acc: dict, grid: list, f: dict, g: dict, c: int, shift: int, r
     uses.  Only the last axis fixes the parity of r, and there the chains
     stop at the last order of the wanted parity."""
     if not grid:
-        _mul_into(acc.setdefault(shift + r, {}), f, g, c)
+        _mul_into(acc.setdefault((shift + r,), {}), f, g, c)
         return
     (i, j, top, sign), rest = grid[0], grid[1:]
     last = even and not rest

@@ -3,11 +3,12 @@ the invariant (covariant) star product on su(2)*.
 
 All products are exact on polynomials: the nu-series terminates because every
 cochain lowers the total derivative order, so no truncation is involved.
-Each operand's integer nu-rows over one denominator are read as they are
-stored and the product is stored as integer rows too, so it builds no
-Fraction: the Moyal kinds hand every pair of rows to poly._poisson_sum in
-one call, and the standard-ordering product sums its r-th derivatives in
-ints over one r_max! denominator.
+Each operand's integer rows {(nu power,): {exponent: int}} over one
+denominator (poly._Rows) are read as they are stored and the product is
+stored as such rows too, so it builds no Fraction: the Moyal kinds hand
+every pair of rows to poly._poisson_sum in one call, and the
+standard-ordering product sums its r-th derivatives in ints over one r_max!
+denominator.
 
 The sign conventions are pinned by two testable constraints: the
 antisymmetrized first cochain equals twice the Poisson bivector, and the
@@ -34,8 +35,6 @@ from .poly import (
     VarSpace,
     _chain,
     _mul_into,
-    _nu_of,
-    _num_rows,
     _poisson_sum,
     su2_lift_space,
     su2_space,
@@ -74,18 +73,17 @@ SU2_WORD_BOUND = 50_000
 # degree bound stops the star exponential of a non-constant h by order 17,
 # but not the sun exponential, whose r-th power has degree r deg(h), nor
 # either of a constant h.  On a 2-vCPU x86_64 host, with a fresh process per
-# call: sun --exp L1+L2+L3 takes 0.19 s at order 20 and took 2.3, 8.2 and
-# 28 s at orders 40, 60 and 80; the slowest admitted shapes found at order
-# 20, L1*L2*L3 and L1^3, take 1.1 and 1.0 s, and L1^4 is refused at t^19 by
-# sun.LAPLACIAN_STEP_BOUND after 1.6 s.  Both exponentials of 1 ran past
-# 25 s at order 200000.  The tests and the benchmark use at most order 6.
+# call: sun --exp L1+L2+L3 takes 0.16 s at order 20 and took 2.3, 8.2 and
+# 28 s at orders 40, 60 and 80; at order 20, L1*L2*L3 takes 0.3 s and L1^10
+# 1.8 s, and the slowest admitted shape found, L1^15, 5.5 s: each of its 20
+# sun lifts is under sun.LAPLACIAN_STEP_BOUND, and L1^16 is refused at t^20
+# after 4.4 s.  Both exponentials of 1 ran past 25 s at order 200000.  The
+# tests and the benchmark use at most order 6.
 EXP_ORDER_BOUND = 20
 
-# the star products with g * f = (f * g)(-nu), whose symmetrizations are even
-# in nu; the Moyal kinds take their terms from powers of the Poisson bivector
+# the Moyal kinds take their terms from powers of the Poisson bivector
 _MOYAL_KINDS = ("moyal", "partial_moyal")
-_EVEN_KINDS = _MOYAL_KINDS + ("su2",)
-_KINDS = _EVEN_KINDS + ("standard_ordering",)
+_KINDS = _MOYAL_KINDS + ("su2", "standard_ordering")
 
 _EPS = {
     (0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
@@ -152,22 +150,23 @@ def _check_t_order(t_order: int) -> None:
 
 def _standard_rows(frows: dict, grows: dict, space: VarSpace) -> tuple:
     """(rows, d) with rows / d the standard-ordering product of the integer
-    nu-rows frows and grows, d = r_max! for the largest order r_max reached.
+    rows frows and grows keyed by (nu power,), d = r_max! for the largest
+    order r_max reached.
 
     f *_S g = sum_r (-2 nu)^r / r! (d^r f / dp^r)(d^r g / dq^r); the sign is
     forced by C1(f,g) - C1(g,f) = 2 P(f,g) and matches the ordering with all
     q-operators to the left under nu = i hbar / 2.
     """
     a, b = space.pairs[0]
-    fs = [(m, list(_chain(row, b))) for m, row in frows.items()]
-    gs = [(n, list(_chain(row, a))) for n, row in grows.items()]
+    fs = [(m, list(_chain(row, b))) for (m,), row in frows.items()]
+    gs = [(n, list(_chain(row, a))) for (n,), row in grows.items()]
     d = factorial(min(max((len(x) for _, x in fs), default=1),
                       max((len(y) for _, y in gs), default=1)) - 1)
     acc: dict = {}
     for m, x in fs:
         for n, y in gs:
             for r, (df, dg) in enumerate(zip(x, y)):
-                _mul_into(acc.setdefault(m + n + r, {}), df, dg, (-2) ** r * (d // factorial(r)))
+                _mul_into(acc.setdefault((m + n + r,), {}), df, dg, (-2) ** r * (d // factorial(r)))
     return acc, d
 
 
@@ -220,16 +219,16 @@ _AXES = tuple(
 
 
 def _degree(x: NuObject) -> int:
-    return max((p.total_degree() for p in x.coeffs.values()), default=-1)
+    return max((max(map(sum, row)) for row in x.rows.values()), default=-1)
 
 
 def _nterms(x: NuObject) -> int:
-    return sum(len(p.num) for p in x.coeffs.values())
+    return sum(map(len, x.rows.values()))
 
 
 def _var_mul(i: int, rows: dict, sign: int) -> dict:
     """L_i * x (sign +1) or x * L_i (sign -1) on the integer rows
-    {nu-power: {exponent: int}} of x, term by term, into new rows.
+    {(nu power,): {exponent: int}} of x, term by term, into new rows.
 
     The closed covariant formula L_i * F = L_i F + nu eps_ijk L_k dF/dL_j
     + nu^2 (2 dF/dL_i + sum_j L_j d2F/dL_i dL_j), whose mirror F * L_i flips
@@ -243,8 +242,8 @@ def _var_mul(i: int, rows: dict, sign: int) -> dict:
     s *= sign
     t *= sign
     acc: dict = {}
-    for m, row in rows.items():
-        a0, a1, a2 = (acc.setdefault(m + d, {}) for d in range(3))
+    for (m,), row in rows.items():
+        a0, a1, a2 = (acc.setdefault((m + d,), {}) for d in range(3))
         for e, c in row.items():
             if not c:
                 continue
@@ -269,7 +268,7 @@ def su2_left_mul(i: int, f: Poly) -> NuObject:
         raise InvalidArgumentError("axis index must be 1, 2 or 3")
     if f.space != _L_SPACE:
         raise InvalidArgumentError("su2_left_mul expects a polynomial in L1, L2, L3")
-    return _nu_of(_L_SPACE, _var_mul(i - 1, {0: f.num}, 1), f.den)
+    return NuObject._of(_L_SPACE, _var_mul(i - 1, {(0,): f.num}, 1), f.den)
 
 
 def _word(e: tuple, sign: int, memo: dict) -> dict:
@@ -297,22 +296,21 @@ def _star_monomial(e: tuple) -> dict:
     |e| - m, which makes the basis triangular.
     """
     if not any(e):
-        return {0: {(0, 0, 0): 1}}
+        return {(0,): {(0, 0, 0): 1}}
     i = next(j for j, k in enumerate(e) if k)
     return _var_mul(i, _star_monomial(_shift(e, _AXES[i][1])), 1)
 
 
-def _to_star_coefficients(x: NuObject) -> tuple:
-    """(words, d) with x = sum of nu^k (c / d) SM(e) over the words (e, k, c),
-    c an integer and d the least common denominator of x's coefficients.
+def _to_star_coefficients(x: NuObject) -> list:
+    """The words (e, k, c) with x = sum of nu^k (c / d) SM(e), c an integer
+    and d x's denominator.
 
     The residual is kept in buckets by total degree and cleared from the top
     down: SM(e) is L^e plus its nu^m rows of degree |e| - m, so subtracting
     those leaves the bucket of degree |e| alone.
     """
-    rows, d = _num_rows(x.coeffs)
     levels: dict = {}
-    for k, row in rows.items():
+    for (k,), row in x.rows.items():
         for e, c in row.items():
             levels.setdefault(sum(e), {})[k, e] = c
     words = []
@@ -321,12 +319,12 @@ def _to_star_coefficients(x: NuObject) -> tuple:
             if not c:
                 continue
             words.append((e, k, c))
-            for m, row in _star_monomial(e).items():
+            for (m,), row in _star_monomial(e).items():
                 if m:
                     bucket, km = levels.setdefault(level - m, {}), k + m
                     for y, n in row.items():
                         bucket[km, y] = bucket.get((km, y), 0) - c * n
-    return words, d
+    return words
 
 
 def _su2_mul(f: NuObject, g: NuObject) -> NuObject:
@@ -336,32 +334,31 @@ def _su2_mul(f: NuObject, g: NuObject) -> NuObject:
     the right one when those tie too) is written in star monomials, and each
     word acts on the whole other series one letter at a time through the
     closed linear formula, sharing word prefixes within the call.  Both
-    factors are integer rows over their own least common denominators d_s and
-    d_b, so the words are summed in ints and the product is stored over
-    d_s * d_b.  Past SU2_WORD_BOUND words times terms
-    it is refused before any word acts.  The product stays on three variables;
-    the R^6 lift below is an independent oracle for this route.
+    factors are integer rows over their own denominators, so the words are
+    summed in ints and the product is stored over the product of the two.
+    Past SU2_WORD_BOUND words times terms it is refused before any word
+    acts.  The product stays on three variables; the R^6 lift below is an
+    independent oracle for this route.
     """
     if (_degree(f), _nterms(f)) < (_degree(g), _nterms(g)):
         small, big, sign = f, g, 1
     else:
         small, big, sign = g, f, -1
-    words, d_s = _to_star_coefficients(small)
-    rows, d_b = _num_rows(big.coeffs)
-    terms = sum(map(len, rows.values()))
+    words = _to_star_coefficients(small)
+    terms = _nterms(big)
     if len(words) * terms > SU2_WORD_BOUND:
         raise ResourceLimitError(
             f"su(2)* product of {len(words)} star monomials by {terms} terms is over "
             f"the su2 word bound {SU2_WORD_BOUND}"
         )
-    memo = {(0, 0, 0): rows}
+    memo = {(0, 0, 0): big.rows}
     acc: dict = {}
     for e, k, c in words:
-        for m, row in _word(e, sign, memo).items():
-            out = acc.setdefault(m + k, {})
+        for (m,), row in _word(e, sign, memo).items():
+            out = acc.setdefault((m + k,), {})
             for y, n in row.items():
                 out[y] = out.get(y, 0) + c * n
-    return _nu_of(_L_SPACE, acc, d_s * d_b)
+    return NuObject._of(_L_SPACE, acc, small.den * big.den)
 
 
 def su2_star_via_lift(f: Poly, g: Poly) -> NuObject:
@@ -369,7 +366,7 @@ def su2_star_via_lift(f: Poly, g: Poly) -> NuObject:
     fl, gl = su2_lift(f), su2_lift(g)
     rows, d = _poisson_sum([(0, 1, fl.num, gl.num)], _R6)
     return NuObject(_L_SPACE, {k: _su2_project(Poly._of(_R6, row, d * fl.den * gl.den))
-                               for k, row in rows.items()})
+                               for (k,), row in rows.items()})
 
 
 def _su2_project(f: Poly) -> Poly:
@@ -415,14 +412,12 @@ def star_mul(s: StarProduct, f, g) -> NuObject:
     _check_degree(max(_degree(fo), _degree(go)))
     if s.kind == "su2":
         return _su2_mul(fo, go)
-    frows, fd = _num_rows(fo.coeffs)
-    grows, gd = _num_rows(go.coeffs)
     if s.kind == "standard_ordering":
-        rows, d = _standard_rows(frows, grows, s.space)
+        rows, d = _standard_rows(fo.rows, go.rows, s.space)
     else:
-        rows, d = _poisson_sum([(a + b, 1, x, y) for a, x in frows.items()
-                                for b, y in grows.items()], s.space)
-    return _nu_of(s.space, rows, d * fd * gd)
+        rows, d = _poisson_sum([(a + b, 1, x, y) for (a,), x in fo.rows.items()
+                                for (b,), y in go.rows.items()], s.space)
+    return NuObject._of(s.space, rows, d * fo.den * go.den)
 
 
 def star_commutator(s: StarProduct, f, g) -> NuObject:

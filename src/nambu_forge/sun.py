@@ -28,7 +28,6 @@ from .poly import (
     TSeries,
     VarSpace,
     _bump,
-    _nu_of,
     _poisson_sum,
     jacobian_det,
     qp_space,
@@ -97,6 +96,11 @@ def sun_moyal_standard() -> SunProduct:
     return SunProduct(moyal_product(qp_space()), "moyal_standard_split")
 
 
+def _classical(x, space: VarSpace) -> Poly:
+    """The nu^0 part of an operand; a Poly is read as itself."""
+    return x if isinstance(x, Poly) else _as_nu(x, space).classical()
+
+
 def sun_lift(sp: SunProduct, x) -> NuObject:
     """The unary map underlying the product, applied to the classical part.
 
@@ -107,8 +111,7 @@ def sun_lift(sp: SunProduct, x) -> NuObject:
     expansion of linear factors has only matchings, whose ordering signs
     average to zero.  The Moyal-standard split lifts c q^a p^b to
     c q^a * p^b, all terms summed as integers over one denominator."""
-    xo = _as_nu(x, sp.space)
-    f = xo.classical()
+    f = _classical(x, sp.space)
     if sp.alpha_kind == "coordinate_monomial":
         if sp.star.kind == "su2":
             return _su2_closed_lift(f)
@@ -127,7 +130,7 @@ def sun_lift(sp: SunProduct, x) -> NuObject:
         pad = (0,) * (sp.space.nvars - 2)
         rows, den = _poisson_sum([(0, n, {(e[0], 0) + pad: 1}, {(0, e[1]) + pad: 1})
                                   for e, n in f.num.items()], sp.space)
-        return _nu_of(sp.space, rows, den * f.den)
+        return NuObject._of(sp.space, rows, den * f.den)
     raise InvalidArgumentError(f"unknown sun-product kind {sp.alpha_kind!r}")
 
 
@@ -141,8 +144,7 @@ SUN_PRODUCT_BOUND = 1_000_000
 
 def sun_mul(sp: SunProduct, f, g) -> NuObject:
     """Abelian product: positive nu powers of both operands are discarded."""
-    f0 = _as_nu(f, sp.space).classical()
-    g0 = _as_nu(g, sp.space).classical()
+    f0, g0 = _classical(f, sp.space), _classical(g, sp.space)
     work = len(f0.num) * len(g0.num)
     if work > SUN_PRODUCT_BOUND:
         raise ResourceLimitError(f"sun product of {work} term products is over the sun product "
@@ -188,14 +190,11 @@ def _partitions_exact(k: int, p: int, cap: int = None):
 A_RECURSION_BOUND = 100_000
 
 
-@cache
 def a_recursion(n: int, r: int) -> Fraction:
     """a(n, r) from a(n,0) = 1 = a(0,r) and
-    a(n,r) = ((n-2r) a(n-1,r) + (n-2r+2) a(n-1,r-1)) / n, row by row in n.
-
-    a(n, r) needs a(m, k) only for k >= r - (n - m), so row m keeps the
-    window k = lo..r with lo = max(0, r - n + m): O(min(n, r)) entries, and
-    n * min(n, r) updates in all, at most A_RECURSION_BOUND."""
+    a(n,r) = ((n-2r) a(n-1,r) + (n-2r+2) a(n-1,r-1)) / n, row by row in n:
+    the last entry of _a_row(n, r, r), n * min(n, r) updates in all, at most
+    A_RECURSION_BOUND."""
     if n < 0 or r < 0:
         raise InvalidArgumentError(f"a(n, r) needs n >= 0 and r >= 0, got a({n}, {r})")
     if n * min(n, r) > A_RECURSION_BOUND:
@@ -204,18 +203,28 @@ def a_recursion(n: int, r: int) -> Fraction:
             f"{A_RECURSION_BOUND}"
         )
     if r == 0:
-        return Fraction(1)  # the row loop below would still take n passes
-    lo = max(0, r - n)
-    row = [Fraction(1)] * (r - lo + 1)  # a(0, lo..r)
+        return Fraction(1)  # the row loop would still take n passes
+    return _a_row(n, r, r)[-1]
+
+
+@cache
+def _a_row(n: int, lo: int, r: int) -> tuple:
+    """(a(n, lo), ..., a(n, r)), empty if lo > r, by one row loop in m.
+
+    a(n, k) needs a(m, j) only for j >= k - (n - m), so row m keeps the
+    window j = max(0, lo - n + m)..r: O(r) entries, and about n * (r - lo + 1)
+    updates in all; cached, and a tuple, so callers share it."""
+    start = max(0, lo - n)
+    row = [Fraction(1)] * (r - start + 1)  # a(0, start..r)
     for m in range(1, n + 1):
-        new_lo = max(0, r - n + m)
+        new = max(0, lo - n + m)
         row = [
             Fraction(1) if k == 0 else
-            (Fraction(m - 2 * k) * row[k - lo] + Fraction(m - 2 * k + 2) * row[k - 1 - lo]) / m
-            for k in range(new_lo, r + 1)
+            (Fraction(m - 2 * k) * row[k - start] + Fraction(m - 2 * k + 2) * row[k - 1 - start]) / m
+            for k in range(new, r + 1)
         ]
-        lo = new_lo
-    return row[-1]
+        start = new
+    return tuple(row)
 
 
 def _series_mul(a: list, b: list) -> list:
@@ -350,53 +359,52 @@ def _laplacian(terms: dict) -> dict:
 
 # the most Laplacian steps of one _eta_terms call, counted before the first
 # pass: r passes over a homogeneous degree-m part of n terms count r * n,
-# plus m * k recursion steps for each a(m, k), k = 1..r (what
-# A_RECURSION_BOUND counts per a(m, k)).  On a 2-vCPU x86_64 host, with cold
-# caches, sun L1^36 L1^36 (47,988 steps) takes 0.39 s and (L1 + L2 + L3)^25
-# squared (49,400) 0.42 s, while L1^100 squared (1,010,100) took 12 s and
-# L1^150 squared 39 s.  The tests and the benchmark reach 427.
+# plus m * r for the one row loop that gives a(m, 1..r).  On a 2-vCPU x86_64
+# host, a fresh process per call, sun L1^156 L1^156 (48,828 steps, nearly all
+# of them the row loop for a(312, 1..156)) takes 1.0 s and (L1 + L2 + L3)^28
+# squared (47,852) 0.4 s; L1^100 squared (20,100) takes 0.3 s, where the
+# recursion run afresh for each a(200, k) took 12 s.  The tests and the
+# benchmark reach 240.
 LAPLACIAN_STEP_BOUND = 50_000
 
 
-def _eta_terms(f: Poly, r_max: int) -> list:
-    """[eta_0(f), ..., eta_{r_max}(f)], eta_0 being the identity.
+def _eta_terms(f: Poly, r_max: int) -> tuple:
+    """(rows, d): eta_r(f) = rows[(2r,)] / d for r = 0..min(r_max, deg f // 2),
+    eta_0 being the identity, rows keyed by nu power as a NuObject's are.
 
     eta_r = (A_r + sum_p z_{p,r} D(D-1)...(D-p+1)) Delta^r with D the Euler
     operator acts on a homogeneous degree-m part as a(m, r) Delta^r, so the
     r-th Laplacian of each part is scaled by a(m, r).  Parts of different
     degree land on different degrees at each r, so their terms never meet.
-    The Laplacians run on f's integer numerators over its denominator d, and
-    eta_r is stored over d times the lcm of the a(m, r) denominators.
+    The Laplacians run on f's integer numerators over its denominator, and
+    every eta_r is stored over it times the lcm of the a(m, r) denominators.
     """
     parts: dict = {}
     for e, n in f.num.items():
         parts.setdefault(sum(e), {})[e] = n
     passes = {m: min(r_max, m // 2) for m in parts}
-    steps = sum(r * len(parts[m]) + m * r * (r + 1) // 2 for m, r in passes.items())
+    steps = sum(r * (len(parts[m]) + m) for m, r in passes.items())
     if steps > LAPLACIAN_STEP_BOUND:
         raise ResourceLimitError(f"Laplacian passes of {steps} steps are over the Laplacian step "
                                  f"bound {LAPLACIAN_STEP_BOUND}")
-    laps = [[] for _ in range(max(passes.values(), default=0) + 1)]
+    laps = []  # (nu power 2r, a(m, r), r-th Laplacian of the degree-m part)
     for m, cur in parts.items():
-        for r in range(1, passes[m] + 1):
+        for r, a in enumerate(_a_row(m, 1, passes[m]), 1):
             cur = _laplacian(cur)
             if not cur:
                 break
-            laps[r].append((a_recursion(m, r), cur))
-    etas = [f]
-    for per_m in laps[1:]:
-        den = lcm(*(a.denominator for a, _ in per_m))
-        row: dict = {}
-        for a, cur in per_m:
-            c = a.numerator * (den // a.denominator)
-            row.update((e, c * n) for e, n in cur.items())
-        etas.append(Poly._of(f.space, row, den * f.den))
-    return etas
+            laps.append((2 * r, a, cur))
+    den = lcm(*(a.denominator for _, a, _ in laps))
+    rows = {(2 * r,): {} for r in range(max(passes.values(), default=0) + 1)}
+    rows[0,] = {e: n * den for e, n in f.num.items()}
+    for k, a, cur in laps:
+        c = a.numerator * (den // a.denominator)
+        rows[k,].update((e, c * n) for e, n in cur.items())
+    return rows, den * f.den
 
 
 def _su2_closed_lift(prod: Poly) -> NuObject:
-    etas = _eta_terms(prod, max(prod.total_degree(), 0) // 2)
-    return NuObject(prod.space, {2 * r: eta for r, eta in enumerate(etas)})
+    return NuObject._of(prod.space, *_eta_terms(prod, max(prod.total_degree(), 0) // 2))
 
 
 def sun_closed_form(f: Poly, g: Poly) -> NuObject:
@@ -427,7 +435,7 @@ def quantized_nambu_sun(f, g, h, sp: SunProduct) -> NuObject:
     """Lift of the classical Jacobian of the classical parts."""
     if sp.space.nvars != 3:
         raise InvalidArgumentError("the quantized Nambu bracket needs three variables")
-    fs = [_as_nu(x, sp.space).classical() for x in (f, g, h)]
+    fs = [_classical(x, sp.space) for x in (f, g, h)]
     return sun_lift(sp, jacobian_det(fs, (0, 1, 2)))
 
 
@@ -480,7 +488,8 @@ class DiffOpSeries:
         """Every nonzero (k, S_k(f)), all from one _eta_terms pass."""
         if f.space != self.space:
             raise InvalidArgumentError("polynomials live on different variable spaces")
-        return [(2 * r, eta) for r, eta in enumerate(_eta_terms(f, self.r_max)) if not eta.is_zero()]
+        rows, d = _eta_terms(f, self.r_max)
+        return [(k, Poly._of(f.space, row, d)) for (k,), row in rows.items() if row]
 
     def apply(self, x) -> NuObject:
         out: dict = {}

@@ -20,26 +20,28 @@ therefore build the classical product in one mutable map and apply D once,
 through one ``_deform``; terms that cancel classically never reach ``eval_T``.
 
 T is even in nu: reversing every ordering leaves it unchanged, and on the
-Moyal, partial-Moyal and su(2)* products g * f is f * g with nu replaced by
--nu.  So ``eval_T`` keeps only the even part of each step of its recursion,
+Moyal and partial-Moyal products g * f is f * g with nu replaced by -nu.  So
+``eval_T`` keeps only the even part of each step of its recursion,
 
     T(S) = (1/|S|) sum_u mult(u) sum_{r even} nu^(a+r) P^r(T_a(S - u), u) / r!,
 
-summed on integer rows over one denominator for the Moyal kinds; the
-standard-ordering product lacks the symmetry and is refused.
+summed on integer rows over one denominator; every other star product is
+refused.
 
 The products run on integer numerators.  ``_eval_T`` caches T(S) as integer
 rows over one denominator, which the next recursion step reads as they are;
 ``_deformation_tail`` keeps the nu^r parts of D(Z_m) as integer multiples of
 one Z-monomial each over one denominator, in one table per star product.
 Every classical product (plain, nu-graded, y-graded, and the y-derivatives
-in ``quantum_nambu``) multiplies rows of {ZMonomial: numerator}, keyed by
-tuples that add under the product, with one denominator per operand.  A
-ZElem is one such row over its own denominator, in the integer layout it
-shares with Poly (``poly._Rational``).  A ZNu and a TaylorElem store such
-rows keyed by (nu power,) and y-exponent + (nu power,) over one denominator,
-through one base class ``_Rows``, so no product, + or - builds a Fraction;
-one is built per term only when a caller reads ``terms``.
+in ``quantum_nambu``) multiplies rows of {ZMonomial: numerator} with
+``_z_mul_into``, keyed by tuples that add under the product (through
+``poly._graded_mul_into``), with one denominator per operand.  A ZElem is
+one such row over its own denominator, in the integer layout it shares with
+Poly (``poly._Rational``).  A ZNu and a TaylorElem store such rows keyed by
+(nu power,) and y-exponent + (nu power,) over one denominator, through the
+base class ``poly._Rows`` they share with NuObject, so no product, + or -
+builds a Fraction; one is built per term only when a caller reads
+``terms``.
 
 Z-monomials are interned: every ZMonomial is built through one weak table
 keyed by its tuple of interned factors, so equal factor multisets are one
@@ -58,8 +60,8 @@ import itertools
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import gcd, lcm, prod
+from functools import cache, partial
+from math import lcm, prod
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -69,28 +71,25 @@ from .poly import (
     NuObject,
     Poly,
     VarSpace,
+    _add_rows,
     _alternating_sum,
     _bump,
+    _graded_mul_into,
     _joined,
-    _nu_label,
-    _nu_of,
     _num_rows,
     _poisson_sum,
     _Rational,
-    _render_monomial,
-    _render_terms,
-    _Sparse,
+    _reduced,
+    _Rows,
     _term_text,
     grlex_key,
     zariski_space,
 )
 from .star import (
-    _EVEN_KINDS,
     _MOYAL_KINDS,
     StarProduct,
     moyal_product,
     partial_moyal_product,
-    star_mul,
 )
 
 __all__ = [
@@ -253,8 +252,14 @@ class ZElem(_Rational):
     def __reduce__(self):
         return ZElem, (self.terms,)
 
-    def __str__(self):
-        return render_zelem(self)
+    def _term_parts(self, prefix: str = "") -> list:
+        """(sign, body) pairs of the terms, leading multiset first, each body
+        led by ``prefix``."""
+        terms = self.terms
+        return [
+            _term_text(terms[m], _joined(prefix, repr(m)))
+            for m in sorted(terms, key=ZMonomial.sort_key, reverse=True)
+        ]
 
 
 def _factor_monomial(u: Poly) -> ZMonomial:
@@ -270,89 +275,14 @@ def zelem_from_poly(u: Poly) -> ZElem:
     return ZElem.basis(_factor_monomial(u), u.leading_coeff())
 
 
-class _Rows(_Sparse):
-    """Immutable nu-series with ZElem coefficients, stored as the integer rows
-    the products multiply: ``rows`` = {key: {ZMonomial: numerator}} over
-    ``den``, in lowest terms (den > 0, gcd of den and the numerators 1, no
-    zero entry or empty row), so == compares space, den and rows.  Every key
-    ends in a nu power; ``terms`` is the {key: ZElem} map that the
-    constructor takes.  ZNu (keys (nu power,), space None) and TaylorElem
-    (keys y-exponent + (nu power,)) are the two kinds."""
-
-    __slots__ = ("space", "rows", "den")
-    _fields = __slots__
-    _parts = property(attrgetter("rows"))
-
-    def __init__(self, space, terms: Mapping[tuple, ZElem], *flags):
-        if any(k[-1] < 0 for k in terms):
-            raise InvalidArgumentError(f"{type(self).__name__} supports non-negative nu powers only")
-        self._set(space, *_num_rows({tuple(k): z for k, z in terms.items()}), *flags)
-
-    def _set(self, space, rows: dict, d: int, *flags) -> None:
-        for name, v in zip(self._fields, (space, *_reduced(rows, d), *flags)):
-            object.__setattr__(self, name, v)
-
-    @classmethod
-    def _of(cls, space, rows: dict, d: int, *flags):
-        """The value of integer rows over d > 0, brought to lowest terms."""
-        out = object.__new__(cls)
-        out._set(space, rows, d, *flags)
-        return out
-
-    def _with(self, rows: dict, d: int, other):
-        """The value of self's type and space of integer rows over d, the
-        result of an operation on self and other (a TaylorElem joins their
-        in_a flags)."""
-        return self._of(self.space, rows, d)
-
-    @property
-    def terms(self) -> dict:
-        """{key: ZElem}, built afresh from the rows."""
-        return {k: ZElem._of(None, row, self.den) for k, row in self.rows.items()}
-
-    def _signed(self, other, sign: int):
-        o = self._like(other)
-        if o is None:
-            return NotImplemented
-        if self.space != o.space:
-            raise InvalidArgumentError(f"{type(self).__name__} spaces differ")
-        d = lcm(self.den, o.den)
-        acc = _add_rows({}, self.rows, d // self.den)
-        return self._with(_add_rows(acc, o.rows, sign * (d // o.den)), d, o)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __eq__(self, other):
-        o = self._like(other)
-        if o is None:
-            return NotImplemented
-        return self.space == o.space and self.den == o.den and self.rows == o.rows
-
-    def scale(self, c):
-        """c times the value, for any rational scalar c."""
-        if not isinstance(c, (int, Fraction)):
-            c = Fraction(c)
-        return self._with(_add_rows({}, self.rows, c.numerator), self.den * c.denominator, self)
-
-    def nu_shift(self, n: int):
-        if any(k[-1] + n < 0 for k in self.rows):
-            raise InvalidArgumentError(f"{type(self).__name__} supports non-negative nu powers only")
-        return self._with({k[:-1] + (k[-1] + n,): row for k, row in self.rows.items()},
-                          self.den, self)
-
-    def __str__(self):
-        return render_taylor(self)
-
-
 class ZNu(_Rows):
-    """Polynomial in nu with ZElem coefficients (non-negative powers): _Rows
-    keyed by (nu power,), with space None."""
+    """Polynomial in nu with ZElem coefficients (non-negative powers):
+    poly._Rows keyed by (nu power,), with space None."""
 
     __slots__ = ()
 
     def __init__(self, coeffs: Mapping[int, ZElem]):
-        super().__init__(None, {(int(k),): z for k, z in coeffs.items()})
+        super().__init__(None, {(k,): z for k, z in coeffs.items()})
 
     @classmethod
     def zero(cls) -> "ZNu":
@@ -362,14 +292,16 @@ class ZNu(_Rows):
     def from_zelem(cls, z: ZElem) -> "ZNu":
         return cls({0: z})
 
+    def _coef(self, row: dict) -> ZElem:
+        return ZElem._of(None, row, self.den)
+
     @property
     def coeffs(self) -> dict:
         """{nu power: ZElem}, built afresh from the rows."""
-        return {k: z for (k,), z in self.terms.items()}
+        return {k: self._coef(row) for (k,), row in self.rows.items()}
 
     def coefficient(self, k: int) -> ZElem:
-        row = self.rows.get((k,))
-        return ZElem.zero() if row is None else ZElem._of(None, row, self.den)
+        return self._coef(self.rows.get((k,), {}))
 
     def classical(self) -> ZElem:
         return self.coefficient(0)
@@ -434,34 +366,33 @@ EVAL_T_SUBSET_BOUND = 256
 
 
 def eval_T(factors: Sequence[Poly], s: StarProduct) -> NuObject:
-    """Symmetrized star product over all orderings of the factor multiset.
+    """Symmetrized star product over all orderings of the factor multiset,
+    on the Moyal and partial-Moyal products.
 
     Reversing every ordering leaves T(S) unchanged, and g * f = (f * g)(-nu)
-    on the Moyal, partial-Moyal and su(2)* products, so T is even in nu and
-    (T * u + u * T) / 2 is the even part of T * u.  T is computed by the
-    recursion
+    on these products, so T is even in nu and (T * u + u * T) / 2 is the
+    even part of T * u.  T is computed by the recursion
 
         T(S) = (1/|S|) sum over distinct u of mult(u) * even part of T(S - u) * u,
 
-    which shares every sub-multiset.  For the Moyal kinds the even part is
+    which shares every sub-multiset; the even part is
     sum_{r even} nu^(a+r) P^r(T_a(S - u), u) / r!, summed as integers over
-    one common denominator; for su(2)* it is star_mul with its odd powers
-    dropped.  Each T(S) is cached as integer rows over one denominator, which
-    the larger multisets read as they are and the result is stored over.  No
-    production route takes the su(2)* branch: it is kept as the brute-force
-    oracle that the tests hold the closed-form sun product (sun.sun_lift)
-    against.  The standard-ordering product has no such symmetry and raises
-    InvalidArgumentError.  A multiset with more than EVAL_T_SUBSET_BOUND
-    sub-multisets raises ResourceLimitError.
+    one common denominator.  Each T(S) is cached as integer rows keyed by
+    (nu power,) over one denominator, which the larger multisets read as they
+    are and the result is stored over.  Any other star product raises
+    InvalidArgumentError: the standard-ordering product lacks the symmetry,
+    and on su(2)* the closed-form sun lift (sun.sun_lift) replaces T.  A
+    multiset with more than EVAL_T_SUBSET_BOUND sub-multisets raises
+    ResourceLimitError.
     """
-    return _nu_of(s.space, *_T_rows(factors, s))
+    return NuObject._of(s.space, *_T_rows(factors, s))
 
 
 def _T_rows(factors: Sequence[Poly], s: StarProduct) -> tuple:
     """eval_T as the integer rows that _eval_T caches."""
-    if s.kind not in _EVEN_KINDS:
+    if s.kind not in _MOYAL_KINDS:
         raise InvalidArgumentError(
-            f"eval_T needs a star product with g * f = (f * g)(-nu); {s.kind!r} has none"
+            f"eval_T runs on the Moyal and partial-Moyal products; {s.kind!r} is not one"
         )
     return _eval_T(tuple(sorted(factors, key=Poly.sort_key)), s)
 
@@ -469,10 +400,10 @@ def _T_rows(factors: Sequence[Poly], s: StarProduct) -> tuple:
 @cache
 def _eval_T(factors: tuple, s: StarProduct) -> tuple:
     """eval_T on a sorted factor tuple as integer rows (numerators, d): T_r
-    has coefficient numerators[r][e] / d at x^e, and d is the least common
+    has coefficient numerators[(r,)][e] / d at x^e, and d is the least common
     denominator of every coefficient."""
     if not factors:
-        return {0: {(0,) * s.space.nvars: 1}}, 1
+        return {(0,): {(0,) * s.space.nvars: 1}}, 1
     runs = [(u, len(tuple(run))) for u, run in itertools.groupby(factors)]
     subsets = prod(mult + 1 for _, mult in runs)
     if subsets > EVAL_T_SUBSET_BOUND:
@@ -480,36 +411,18 @@ def _eval_T(factors: tuple, s: StarProduct) -> tuple:
             f"factor multiset has {subsets} sub-multisets, over the eval_T bound "
             f"{EVAL_T_SUBSET_BOUND}"
         )
-    steps = []  # (mult(u), T(S - u) as integer rows, u) per distinct u
+    steps = []  # (mult(u), rows of T(S - u), their denominator, u) per distinct u
     i = 0
     for u, mult in runs:
-        steps.append((mult, _eval_T(factors[:i] + factors[i + 1 :], s), u))
+        steps.append((mult, *_eval_T(factors[:i] + factors[i + 1 :], s), u))
         i += mult
-    k = len(factors)
-    if s.kind in _MOYAL_KINDS:
-        return _even_poisson_sum(steps, s, k)
-    total = sum((star_mul(s, _nu_of(s.space, *rest), u) * mult for mult, rest, u in steps),
-                NuObject.zero(s.space))
-    rows, d = _num_rows(total.coeffs)
-    return _reduced({r: row for r, row in rows.items() if r % 2 == 0}, d * k)
-
-
-def _even_poisson_sum(steps: list, s: StarProduct, k: int) -> tuple:
-    """(1/k) sum mult(u) sum_{r even} nu^(a+r) P^r(T_a, u) / r! over the steps
-    (mult(u), rows of T, u), on integer rows over one common denominator."""
-    steps = [(mult, t, td, u.num, u.den) for mult, (t, td), u in steps]
-    den = lcm(*(td * ud for _, _, td, _, ud in steps))
-    rows, d = _poisson_sum(((a, mult * (den // (td * ud)), ta, ut)
-                            for mult, t, td, ut, ud in steps for a, ta in t.items()),
+    # (1/|S|) sum mult(u) sum_{r even} nu^(a+r) P^r(T_a, u) / r! over one
+    # common denominator
+    den = lcm(*(td * u.den for _, _, td, u in steps))
+    rows, d = _poisson_sum(((a, mult * (den // (td * u.den)), ta, u.num)
+                            for mult, t, td, u in steps for (a,), ta in t.items()),
                            s.space, even=True)
-    return _reduced(rows, d * den * k)
-
-
-def _reduced(rows: dict, d: int) -> tuple:
-    """Integer rows over d in lowest terms, zero entries and rows dropped."""
-    g = gcd(d, *itertools.chain.from_iterable(map(dict.values, rows.values())))
-    return {m: {e: n // g for e, n in row.items() if n} for m, row in rows.items()
-            if any(row.values())}, d // g
+    return _reduced(rows, d * den * len(factors))
 
 
 def times_alpha(p, q, s: StarProduct) -> NuObject:
@@ -548,13 +461,6 @@ def _z_mul_into(row: dict, a: Mapping, b: Mapping, c: int = 1) -> None:
             row[m] = row.get(m, 0) + cu * cv
 
 
-def _y_mul_into(acc: dict, a: dict, b: dict, c: int = 1) -> None:
-    """The graded classical product c * a . b of integer rows, added into acc."""
-    for ea, ra in a.items():
-        for eb, rb in b.items():
-            _z_mul_into(acc.setdefault(tuple(map(int.__add__, ea, eb)), {}), ra, rb, c)
-
-
 def z_mul_classical(a: ZElem, b: ZElem) -> ZElem:
     """Z_u . Z_v = Z_{uv}: multiset union, extended bilinearly."""
     row: dict = {}
@@ -569,7 +475,7 @@ def _deformation_tail(m: ZMonomial, s: StarProduct) -> tuple:
     Z_{cu} = c Z_u with c = lc(u)."""
     rows, d = _T_rows(m.factors, s)
     parts = []
-    for r, row in rows.items():
+    for (r,), row in rows.items():
         if r > 0:
             u = Poly._of(s.space, row)
             parts.append((r, _factor_monomial(u), row[max(row, key=grlex_key)]))
@@ -611,7 +517,7 @@ def z_mul_nu(a, b, s: StarProduct) -> ZNu:
 def znu_mul_classical(a: ZNu, b: ZNu) -> ZNu:
     """nu-bilinear extension of the classical product."""
     acc: dict = {}
-    _y_mul_into(acc, a.rows, b.rows)
+    _graded_mul_into(_z_mul_into, acc, a.rows, b.rows)
     return ZNu._of(None, acc, a.den * b.den)
 
 
@@ -731,7 +637,7 @@ def frobenius_counterexample_search(max_degree: int, space: VarSpace = None):
 
 class TaylorElem(_Rows):
     """Polynomial in formal translation variables y and in nu with ZElem
-    coefficients: _Rows keyed by y-exponent + (nu power,).
+    coefficients: poly._Rows keyed by y-exponent + (nu power,).
 
     ``in_a`` marks elements constructed from images of the Taylor expansion
     map (and their sums and products); the deformed product is only defined
@@ -744,8 +650,14 @@ class TaylorElem(_Rows):
     def __init__(self, space: VarSpace, terms: Mapping[tuple, ZElem], in_a: bool = False):
         super().__init__(space, terms, in_a)
 
+    _coef = ZNu._coef
+
     def _with(self, rows: dict, d: int, other: "TaylorElem") -> "TaylorElem":
         return TaylorElem._of(self.space, rows, d, self.in_a and other.in_a)
+
+    def _check_space(self, other: "TaylorElem") -> None:
+        if self.space != other.space:
+            raise InvalidArgumentError("TaylorElem spaces differ")
 
     @classmethod
     def zero(cls, space: VarSpace) -> "TaylorElem":
@@ -765,15 +677,6 @@ class TaylorElem(_Rows):
 
     def __reduce__(self):
         return TaylorElem, (self.space, self.terms, self.in_a)
-
-
-def _add_rows(acc: dict, rows: Mapping, f: int) -> dict:
-    """acc with acc[k][m] += f * rows[k][m] over integer rows."""
-    for k, row in rows.items():
-        out = acc.setdefault(k, {})
-        for m, n in row.items():
-            out[m] = out.get(m, 0) + f * n
-    return acc
 
 
 def taylor_unit(space: VarSpace = None) -> TaylorElem:
@@ -820,16 +723,14 @@ def _jmap_image(mono: ZMonomial, space: VarSpace) -> tuple:
 
 def taylor_mul_classical(a: TaylorElem, b: TaylorElem) -> TaylorElem:
     """The undeformed product: y-graded with nu-bilinear coefficients."""
-    if a.space != b.space:
-        raise InvalidArgumentError("TaylorElem spaces differ")
+    a._check_space(b)
     acc: dict = {}
-    _y_mul_into(acc, a.rows, b.rows)
+    _graded_mul_into(_z_mul_into, acc, a.rows, b.rows)
     return TaylorElem._of(a.space, acc, a.den * b.den, a.in_a and b.in_a)
 
 
 def _check_deformable(a: TaylorElem, b: TaylorElem) -> None:
-    if a.space != b.space:
-        raise InvalidArgumentError("TaylorElem spaces differ")
+    a._check_space(b)
     if not (a.in_a and b.in_a):
         raise InvalidArgumentError("the deformed product is defined on the Taylor subalgebra only")
 
@@ -845,7 +746,7 @@ def a_mul_nu(a: TaylorElem, b: TaylorElem, s: StarProduct) -> TaylorElem:
     _check_deformable(a, b)
     (ra, da), (rb, db) = _y_classical(a), _y_classical(b)
     acc: dict = {}
-    _y_mul_into(acc, ra, rb)
+    _graded_mul_into(_z_mul_into, acc, ra, rb)
     return TaylorElem._of(a.space, *_deform(acc, da * db, s), True)
 
 
@@ -884,7 +785,8 @@ def _y_nambu(args: tuple, rows_of) -> tuple:
     """(rows, d): sum over sigma in S3 of sgn(sigma) d/dy_sigma(1) a .
     d/dy_sigma(2) b . d/dy_sigma(3) c on the integer rows rows_of(x), over d."""
     rows = [rows_of(x) for x in args]
-    table = _alternating_sum([[_y_diff(r, i) for i in range(3)] for r, _ in rows], _y_mul_into)
+    table = _alternating_sum([[_y_diff(r, i) for i in range(3)] for r, _ in rows],
+                             partial(_graded_mul_into, _z_mul_into))
     return table.get(0b111, {}), prod(d for _, d in rows)
 
 
@@ -902,38 +804,8 @@ def classical_nambu(a: TaylorElem, b: TaylorElem, c: TaylorElem) -> TaylorElem:
     """The same alternating sum with the undeformed product, nu-graded."""
     args = (a, b, c)
     _check_axes(args)
-    if not a.space == b.space == c.space:
-        raise InvalidArgumentError("TaylorElem spaces differ")
+    a._check_space(b)
+    a._check_space(c)
     return TaylorElem._of(a.space, *_y_nambu(args, attrgetter("rows", "den")),
                           a.in_a and b.in_a and c.in_a)
 
-
-# ---------------------------------------------------------------------------
-# Rendering
-
-
-def _zelem_parts(z: ZElem, prefix: str = "") -> list:
-    """(sign, body) pairs of z's terms, leading multiset first, each body led
-    by ``prefix``."""
-    terms = z.terms
-    return [
-        _term_text(terms[m], _joined(prefix, repr(m)))
-        for m in sorted(terms, key=ZMonomial.sort_key, reverse=True)
-    ]
-
-
-def render_zelem(z: ZElem) -> str:
-    return _render_terms(_zelem_parts(z))
-
-
-def render_taylor(t: _Rows) -> str:
-    """The terms by y-exponent in graded-lex order, then by nu power (a ZNu's
-    keys hold the nu power alone)."""
-    names = tuple(f"y{i + 1}" for i in range(t.space.nvars)) if t.space else ()
-    terms = t.terms
-    return _render_terms([
-        part
-        for k in sorted(terms, key=lambda k: (grlex_key(k[:-1]), k[-1]))
-        for part in _zelem_parts(terms[k], _joined(_render_monomial(names, k[:-1]),
-                                                    _nu_label(k[-1])))
-    ])

@@ -6,7 +6,7 @@ import pytest
 
 from nambu_forge.poly import NuObject, Poly, VarSpace, _bump
 from nambu_forge.star import star_mul
-from nambu_forge.zariski import TaylorElem, ZElem, ZNu, eval_T, zariski_space, zelem_from_poly
+from nambu_forge.zariski import TaylorElem, ZElem, ZNu, zariski_space, zelem_from_poly
 
 
 def random_poly(space: VarSpace, rng: random.Random, degree: int = 2, terms: int = 3) -> Poly:
@@ -65,19 +65,35 @@ def mul_oracle(f: Poly, g: Poly) -> Poly:
 
 def brute_sun_lift(sp, x) -> NuObject:
     """The sun lift by brute force, the oracle for sun.sun_lift: each monomial
-    c x^e of the classical part becomes c eval_T(x^e as a multiset of
-    coordinate factors) for the coordinate-monomial kind, and c q^a * p^b for
-    the Moyal-standard split."""
+    c x^e of the classical part becomes c T(x^e as a multiset of coordinate
+    factors) for the coordinate-monomial kind, and c q^a * p^b for the
+    Moyal-standard split.  T, the star product symmetrized over every
+    ordering, is the recursion T(S) = (1/|S|) sum over distinct u of
+    mult(u) T(S - u) * u over star_mul itself (the orderings ending in u),
+    memoized per sub-multiset of variable indices within the call."""
     space = sp.space
     f = x if isinstance(x, Poly) else x.classical()
+    memo = {(): NuObject.one(space)}
+
+    def symmetrized(factors: tuple) -> NuObject:
+        got = memo.get(factors)
+        if got is None:
+            total = NuObject.zero(space)
+            for i in sorted(set(factors)):
+                rest = list(factors)
+                rest.remove(i)
+                u = Poly.variable(space, i)
+                total = total + star_mul(sp.star, symmetrized(tuple(rest)), u) * factors.count(i)
+            got = memo[factors] = total * Fraction(1, len(factors))
+        return got
+
     out = NuObject.zero(space)
     for e, c in f.terms.items():
         if sp.alpha_kind == "moyal_standard_split":
             q, p = Poly.variable(space, 0), Poly.variable(space, 1)
             term = star_mul(sp.star, q ** e[0], p ** e[1])
         else:
-            factors = [Poly.variable(space, i) for i, k in enumerate(e) for _ in range(k)]
-            term = eval_T(factors, sp.star)
+            term = symmetrized(tuple(i for i, k in enumerate(e) for _ in range(k)))
         out = out + term * c
     return out
 

@@ -1,8 +1,9 @@
 """Polynomial arithmetic, Poisson bivector powers and Jacobians."""
 
+import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -53,8 +54,13 @@ def test_only_poly_combines_poisson_grids_and_denominators():
     for cls in (Poly, zariski.ZElem):
         assert issubclass(cls, poly._Rational)
         assert not {"_of", "terms", "_signed", "__neg__", "__eq__", "scale"} & vars(cls).keys()
-    for cls in (zariski.ZNu, zariski.TaylorElem):
-        assert issubclass(cls, zariski._Rows)
+    # NuObject, ZNu and TaylorElem share one row layout through poly._Rows,
+    # and one graded row product that takes the row kernel
+    assert zariski._Rows is poly._Rows
+    for owner, name in ((poly, "_nu_of"), (zariski, "_y_mul_into")):
+        assert not hasattr(owner, name), name
+    for cls in (NuObject, zariski.ZNu, zariski.TaylorElem):
+        assert issubclass(cls, poly._Rows)
         assert not {"_signed", "__neg__", "__eq__", "scale", "nu_shift", "terms"} & vars(cls).keys()
     # _Sparse is the immutability, copy and +/- dispatch alone
     assert not {"_signed", "__neg__", "__eq__", "_rebuild"} & vars(poly._Sparse).keys()
@@ -119,9 +125,9 @@ def test_even_poisson_sum_drops_odd_orders(rng, npairs):
         expect: dict = {}
         for shift, w, f, g in jobs:
             rows, d = poly._poisson_sum([(shift, w, f, g)], space)
-            for m, row in _fraction_rows(space, rows, d).items():
+            for (m,), row in _fraction_rows(space, rows, d).items():
                 if (m - shift) % 2 == 0:
-                    expect[m] = poly._summed(expect.get(m, {}), row)
+                    expect[m,] = poly._summed(expect.get((m,), {}), row)
         rows, d = poly._poisson_sum(jobs, space, even=True)
         expect = {m: nz for m, row in expect.items() if (nz := {e: c for e, c in row.items() if c})}
         assert {m: row for m, row in _fraction_rows(space, rows, d).items() if row} == expect
@@ -375,12 +381,61 @@ def test_integer_storage_matches_fraction_dicts(rng):
             assert all(map(_lowest, got.coeffs.values()))
 
 
+def test_nuobject_stores_integer_rows_over_one_denominator(rng):
+    # every operation on rows and den agrees power by power with the same
+    # operation on {nu: Poly} dicts whose values have unlike denominators,
+    # and leaves its result in lowest terms with int numerators
+    L = poly.su2_space()
+    products = [(star.moyal_product(QP), QP), (star.standard_ordering_product(QP), QP),
+                (star.partial_moyal_product(coordinate_space(3, 1)), coordinate_space(3, 1)),
+                (star.su2_product(), L)]
+    for product, space in products:
+        for _ in range(2):
+            a = random_poly(space, rng, 2, 3)
+            b = random_poly(space, rng, 2, 3) * Fraction(1, 5)
+            c = random_poly(space, rng, 2, 3) * Fraction(2, 7)
+            da, db = {0: a, 1: b, 3: c}, {-1: b, 0: -a, 2: c}
+            F, G = NuObject(space, da), NuObject(space, db)
+            assert len({a.den, b.den, c.den}) == 3 and F.den == lcm(a.den, b.den, c.den)
+            product_dicts: dict = {}
+            star_dicts: dict = {}
+            for (i, x), (j, y) in itertools.product(da.items(), db.items()):
+                poly._bump(product_dicts, i + j, x * y)
+                for k, z in star.star_mul(product, x, y).coeffs.items():
+                    poly._bump(star_dicts, i + j + k, z)
+            checks = [
+                (F + G, poly._summed(da, db)),
+                (F - G, poly._summed(da, db, -1)),
+                (F - F, {}),
+                (-F, {k: -x for k, x in da.items()}),
+                (F.nu_shift(2), {k + 2: x for k, x in da.items()}),
+                (F.nu_shift(-3), {k - 3: x for k, x in da.items()}),
+                (F * G, product_dicts),
+                (F * c, {k: x * c for k, x in da.items()}),
+                (star.star_mul(product, F, G), star_dicts),
+            ]
+            for q in (Fraction(-4, 15), 0, 6):
+                checks.append((F.scale(q), {k: x * q for k, x in da.items()}))
+            for got, expect in checks:
+                expect = {k: x for k, x in expect.items() if not x.is_zero()}
+                assert got.coeffs == expect and got == NuObject(space, expect), product.kind
+                assert got.rows == NuObject(space, expect).rows and all(len(k) == 1 for k in got.rows)
+                nums = [n for row in got.rows.values() for n in row.values()]
+                assert got.den > 0 and gcd(got.den, *nums) == 1
+                assert all(type(n) is int and n for n in nums)
+            assert F.scale(0).den == 1 and (F - F).den == 1
+            # a Poly operand's num is the one row it stands for
+            assert NuObject.from_poly(b).rows[0,] is b.num
+
+
 def test_kernels_leave_operand_rows_unchanged(rng):
-    # the kernels read the operands' own num dicts (a coefficient over the
-    # common denominator is handed over as it is), so none may write to them
+    # the kernels read the operands' own num dicts and rows (a Poly operand's
+    # num is its one row), so none may write to them
+    def rows(x):
+        return x.rows if isinstance(x, NuObject) else {(): x.num}
+
     def held(*xs):
-        return [(p, dict(p.num)) for x in xs
-                for p in (x.coeffs.values() if isinstance(x, NuObject) else (x,))]
+        return [(x, {k: dict(row) for k, row in rows(x).items()}) for x in xs]
 
     L = poly.su2_space()
     products = [(star.moyal_product(QP), QP), (star.standard_ordering_product(QP), QP),
@@ -394,7 +449,7 @@ def test_kernels_leave_operand_rows_unchanged(rng):
             before = held(F, G)
             star.star_mul(product, F, G)
             star.star_mul(product, G, F)
-            assert all(p.num == n for p, n in before), product.kind
+            assert all(rows(x) == n for x, n in before), product.kind
     fs = [random_poly(L, rng, 3, 4) * Fraction(1, 3), random_poly(L, rng, 2, 3),
           _rational_poly(L, rng, 3)]
     before = held(*fs)
@@ -405,7 +460,7 @@ def test_kernels_leave_operand_rows_unchanged(rng):
     before += held(f)
     factor._factorize.cache_clear()
     factor.factorize(f)
-    assert all(p.num == n for p, n in before)
+    assert all(rows(x) == n for x, n in before)
 
 
 def test_compose():

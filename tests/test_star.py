@@ -478,6 +478,15 @@ def test_star_exponential():
     )
 
 
+def test_tseries_coefficient_outside_its_orders_is_refused():
+    # -1 read the last coefficient and 4 raised a bare IndexError
+    series = star_exponential(moyal_product(QP), q, 3)
+    assert series.coefficient(3) == series.coeffs[3]
+    for r in (-1, 4, 7):
+        with pytest.raises(InvalidArgumentError, match=f"t-order {r} is outside"):
+            series.coefficient(r)
+
+
 def test_star_power():
     M = moyal_product(QP)
     h = q * q + p * p
@@ -499,9 +508,9 @@ def test_star_monomials_are_words_in_axis_order():
         for i, k in enumerate(e):
             for _ in range(k):
                 word = star_mul(S, word, gens[i])
-        # the cached star monomials are integer rows {nu-power: {exponent: int}}
+        # the cached star monomials are integer rows {(nu power,): {exponent: int}}
         rows = _star_monomial(e)
-        assert NuObject(L, {k: Poly(L, row) for k, row in rows.items()}) == word, e
+        assert NuObject(L, {k: Poly(L, row) for (k,), row in rows.items()}) == word, e
     assert _star_monomial.cache_info().currsize > 0
 
 

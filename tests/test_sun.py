@@ -225,7 +225,6 @@ def test_base_cases():
 
 def test_a_recursion_bound(monkeypatch):
     monkeypatch.setattr(sun, "A_RECURSION_BOUND", 12)
-    a_recursion.cache_clear()  # a cached value would skip the check
     assert a_recursion(0, 10**9) == 1  # no recursion step at all
     assert a_recursion(10**9, 0) == 1  # nor a pass over the rows
     assert a_recursion(12, 1) == a_closed_form(12, 1)  # 12 steps
@@ -381,10 +380,11 @@ def test_eta_operator_matches_az_form(rng):
 
 
 def test_eta_terms_stop_at_half_the_degree():
-    # eta_r vanishes past r = deg f / 2, however large r_max is
-    assert len(sun._eta_terms(L1 * L2, 10**6)) == 2
-    assert len(sun._eta_terms(L3**5 + L1, 10**6)) == 3
-    assert sun._eta_terms(Poly.zero(L), 10**6) == [Poly.zero(L)]
+    # eta_r vanishes past r = deg f / 2, however large r_max is; the rows are
+    # keyed by the nu power 2r of eta_r
+    assert len(sun._eta_terms(L1 * L2, 10**6)[0]) == 2
+    assert len(sun._eta_terms(L3**5 + L1, 10**6)[0]) == 3
+    assert sun._eta_terms(Poly.zero(L), 10**6) == ({(0,): {}}, 1)
 
 
 def test_series_operator_identity_and_absent_orders(rng):

@@ -22,6 +22,7 @@ from nambu_forge.star import (
     star_mul,
     su2_product,
 )
+from nambu_forge.sun import sun_su2
 from nambu_forge.zariski import (
     FrobeniusWitness,
     TaylorElem,
@@ -51,7 +52,14 @@ from nambu_forge.zariski import (
     znu_power_nu,
 )
 
-from conftest import fractions_built, jmap_oracle, random_poly, star_power, taylor_elem
+from conftest import (
+    brute_sun_lift,
+    fractions_built,
+    jmap_oracle,
+    random_poly,
+    star_power,
+    taylor_elem,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SP = zariski_space(3)
@@ -137,15 +145,12 @@ def _nonconstant(space, rng):
 def test_eval_T_is_symmetrization(rng):
     st4 = zariski_star(4)
     sp4 = st4.space
-    su2 = su2_product()
-    l1, l2, l3 = (Poly.variable(su2.space, i) for i in range(3))
     cases = []
     for _ in range(3):
         u, v, w = (random_z_irreducible(rng, 2) for _ in range(3))
         cases += [((u, v, w), ST), ((u, u, v), ST), ((u, v, u, v), ST)]
         f, g = _nonconstant(sp4, rng), _nonconstant(sp4, rng)
         cases += [((f, g, _nonconstant(sp4, rng)), st4), ((f, g, f), st4)]
-    cases += [((l1, l1, l2, l3), su2), ((l3, l3, l3), su2), ((l1, l2, l3, l2), su2)]
     for factors, s in cases:
         t = eval_T(factors, s)
         assert t == _symmetrized(factors, s), factors
@@ -153,11 +158,21 @@ def test_eval_T_is_symmetrization(rng):
         assert all(r % 2 == 0 for r in t.coeffs), t
 
 
-def test_eval_T_calls_no_star_mul_for_moyal_kinds(monkeypatch):
-    def refuse(*_):
-        raise AssertionError("star_mul called")
+def test_brute_sun_lift_is_symmetrization():
+    # the su(2)* sun lift oracle's memoized recursion over star_mul is the
+    # explicit star product along every ordering, divided by their count, and
+    # even in nu as the closed form is
+    su2 = su2_product()
+    l1, l2, l3 = (Poly.variable(su2.space, i) for i in range(3))
+    for factors in ((l1, l1, l2, l3), (l3, l3, l3), (l1, l2, l3, l2)):
+        t = brute_sun_lift(sun_su2(), math.prod(factors))
+        assert t == _symmetrized(factors, su2), factors
+        assert all(r % 2 == 0 for r in t.coeffs), t
 
-    monkeypatch.setattr(zariski, "star_mul", refuse)
+
+def test_eval_T_calls_no_star_mul_for_moyal_kinds():
+    # eval_T runs on the Moyal kinds only, as Poisson sums on integer rows
+    assert not hasattr(zariski, "star_mul")
     st4 = zariski_star(4)
     y1, y2, y3, y4 = (Poly.variable(st4.space, i) for i in range(4))
     u, v = x1 * x2 + 17 * x3, x1 + 19 * x2 * x3  # not met elsewhere, so not cached
@@ -192,6 +207,11 @@ def test_eval_T_rejects_standard_ordering():
     q, p = Poly.variable(qp, 0), Poly.variable(qp, 1)
     with pytest.raises(InvalidArgumentError, match="standard_ordering"):
         eval_T((q, p), standard_ordering_product(qp))
+    # on su(2)* the closed-form sun lift replaces T (the tests' brute_sun_lift
+    # symmetrizes star_mul itself)
+    su2 = su2_product()
+    with pytest.raises(InvalidArgumentError, match="'su2' is not one"):
+        eval_T((Poly.variable(su2.space, 0),) * 2, su2)
 
 
 def test_times_alpha():
@@ -618,6 +638,23 @@ def test_znu_stores_integer_rows_over_one_denominator(rng):
             assert got.den > 0 and math.gcd(got.den, *nums) == 1
             assert all(type(n) is int and n for n in nums)
         assert za.scale(0).den == 1 and (za - za).den == 1
+
+
+def test_non_integer_nu_powers_are_refused():
+    # int(k) read 0.5 as nu^0 and 1.9 as nu^1, and a TaylorElem kept the float
+    z = ZElem.unit(2)
+    calls = [
+        (lambda: NuObject(SP, {0.5: x1}), "NuObject power 0.5 "),
+        (lambda: NuObject(SP, {1.9: x1}), "NuObject power 1.9 "),
+        (lambda: ZNu({0.5: z}), "ZNu power 0.5 "),
+        (lambda: TaylorElem(zariski_space(3), {(0, 0, 0, 0.5): z}), "TaylorElem power 0.5 "),
+    ]
+    for call, message in calls:
+        with pytest.raises(InvalidArgumentError, match=message + "is not an integer"):
+            call()
+    # integer keys keep working
+    assert NuObject(SP, {1: x1}).coefficient(1) == x1 and ZNu({2: z}).coefficient(2) == z
+    assert TaylorElem(SP, {(1, 0, 0, 1): z}).rows == {(1, 0, 0, 1): {zariski._Z_UNIT: 2}}
 
 
 def test_zariski_products_build_no_fraction(monkeypatch, rng):
