@@ -155,15 +155,14 @@ def _cmd_factor(args, cfg):
 
 
 def _exponential(exponential, product, args, cfg):
-    """Text lines and JSON data of exponential(product, h, t_order), the
-    t-series of the --exp Hamiltonian h."""
+    """Text (the series' own rendering, a line per t power) and JSON data of
+    exponential(product, h, t_order), the t-series of the --exp Hamiltonian h."""
     h = parse_expr(args.exp, product.space)
     if not isinstance(h, Poly):
         raise InvalidArgumentError("the exponential argument must be a plain polynomial")
     series = exponential(product, h, cfg["t_order"])
-    lines = [f"t^{r}: {c}" for r, c in enumerate(series.coeffs)]
-    return lines, {"product": args.product, "t_order": series.truncation_order,
-                   "coefficients": [str(c) for c in series.coeffs]}
+    return [str(series)], {"product": args.product, "t_order": series.truncation_order,
+                           "coefficients": [str(c) for c in series.coeffs]}
 
 
 def _cmd_star(args, cfg):

@@ -685,8 +685,8 @@ class TSeries:
 
 
 # ---------------------------------------------------------------------------
-# Accumulators: sparse maps summed in place with _bump, whatever their values
-# (ints, Fractions, Polys, ZElems, ZNus)
+# Accumulators: sparse maps of ints summed in place with _bump (the test
+# oracles also sum Fractions, Polys and ZElems with it)
 
 
 def _bump(row: dict, e, v) -> None:

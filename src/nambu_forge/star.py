@@ -73,12 +73,12 @@ SU2_WORD_BOUND = 50_000
 # degree bound stops the star exponential of a non-constant h by order 17,
 # but not the sun exponential, whose r-th power has degree r deg(h), nor
 # either of a constant h.  On a 2-vCPU x86_64 host, with a fresh process per
-# call: sun --exp L1+L2+L3 takes 0.16 s at order 20 and took 2.3, 8.2 and
-# 28 s at orders 40, 60 and 80; at order 20, L1*L2*L3 takes 0.3 s and L1^10
-# 1.8 s, and the slowest admitted shape found, L1^15, 5.5 s: each of its 20
-# sun lifts is under sun.LAPLACIAN_STEP_BOUND, and L1^16 is refused at t^20
-# after 4.4 s.  Both exponentials of 1 ran past 25 s at order 200000.  The
-# tests and the benchmark use at most order 6.
+# call: sun --exp L1+L2+L3 takes 0.3 s at order 20 and took 2.3, 8.2 and
+# 28 s at orders 40, 60 and 80.  sun.LAPLACIAN_STEP_BOUND counts the passes
+# of all the sun lifts before the first, so at order 20 L1^10 (2.0 s) and
+# L1^15 (4-5 s) are refused in 0.1 s, and the slowest admitted shapes found,
+# L1*L2 + L2*L3 + L3*L1 and L1^5, take 0.7 s.  Both exponentials of 1 ran
+# past 25 s at order 200000.  The tests and the benchmark use at most order 6.
 EXP_ORDER_BOUND = 20
 
 # the Moyal kinds take their terms from powers of the Poisson bivector

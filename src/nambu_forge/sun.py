@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm
+from math import factorial, inf, lcm
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .numbers import secant_coefficient, tangent_coefficient
@@ -27,7 +27,8 @@ from .poly import (
     Poly,
     TSeries,
     VarSpace,
-    _bump,
+    _add_rows,
+    _diff_terms,
     _poisson_sum,
     jacobian_det,
     qp_space,
@@ -39,6 +40,7 @@ from .star import (
     _as_nu,
     _check_degree,
     _check_t_order,
+    _nterms,
     moyal_product,
     su2_product,
 )
@@ -102,21 +104,25 @@ def _classical(x, space: VarSpace) -> Poly:
 
 
 def sun_lift(sp: SunProduct, x) -> NuObject:
-    """The unary map underlying the product, applied to the classical part.
+    """The unary map underlying the product, applied to the classical part."""
+    return _lift(sp, NuObject.from_poly(_classical(x, sp.space)))
+
+
+def _lift(sp: SunProduct, x: NuObject) -> NuObject:
+    """The lift of each row of x, the row at nu^k landing at nu^k and above.
 
     For the coordinate-monomial kind it symmetrizes the star product over
     each monomial's coordinate factors.  On su(2)* that is the closed form
-    FG + sum_r nu^{2r} a(m, r) Delta^r on each homogeneous degree-m part.
+    F + sum_r nu^{2r} a(m, r) Delta^r on each homogeneous degree-m part.
     On the Moyal and partial-Moyal products it is the identity: the graph
     expansion of linear factors has only matchings, whose ordering signs
     average to zero.  The Moyal-standard split lifts c q^a p^b to
     c q^a * p^b, all terms summed as integers over one denominator."""
-    f = _classical(x, sp.space)
     if sp.alpha_kind == "coordinate_monomial":
         if sp.star.kind == "su2":
-            return _su2_closed_lift(f)
+            return DiffOpSeries(x.space, inf).apply(x)
         if sp.star.kind in _MOYAL_KINDS:
-            return NuObject.from_poly(f)
+            return x
         raise InvalidArgumentError(
             f"the coordinate-monomial lift needs g * f = (f * g)(-nu); {sp.star.kind!r} has none"
         )
@@ -125,47 +131,59 @@ def sun_lift(sp: SunProduct, x) -> NuObject:
             raise InvalidArgumentError(
                 f"the Moyal-standard split needs a Moyal product; {sp.star.kind!r} is not one"
             )
-        for e in f.num:
-            _check_degree(max(e[:2]))
+        for row in x.rows.values():
+            for e in row:
+                _check_degree(max(e[:2]))
         pad = (0,) * (sp.space.nvars - 2)
-        rows, den = _poisson_sum([(0, n, {(e[0], 0) + pad: 1}, {(0, e[1]) + pad: 1})
-                                  for e, n in f.num.items()], sp.space)
-        return NuObject._of(sp.space, rows, den * f.den)
+        rows, den = _poisson_sum([(k, n, {(e[0], 0) + pad: 1}, {(0, e[1]) + pad: 1})
+                                  for (k,), row in x.rows.items() for e, n in row.items()],
+                                 sp.space)
+        return NuObject._of(sp.space, rows, den * x.den)
     raise InvalidArgumentError(f"unknown sun-product kind {sp.alpha_kind!r}")
 
 
-# the most term products of the classical product in sun_mul, len(f) * len(g)
-# of the classical parts, counted before it is formed.  One takes about 1.1 us
-# on a 2-vCPU x86_64 host: (L1 + L2 + L3)^40 squared (741,321) forms its
-# product in 0.8 s, while ^80 squared (11.0 million) took 10.6 s of its 18 s.
-# The tests and the benchmark reach 63.
+# the most term products, len(f) * len(g), of one product of classical parts
+# in sun_mul and sun_exponential or of one usual product in apply_equivalence,
+# counted before it is formed.  One takes about 1.1 us on a 2-vCPU x86_64
+# host: (L1 + L2 + L3)^40 squared (741,321) forms its product in 0.8 s, while
+# ^80 squared (11.0 million) took 10.6 s of its 18 s.  The tests reach 63
+# and the benchmark 9.
 SUN_PRODUCT_BOUND = 1_000_000
+
+
+def _bounded_mul(x, y):
+    """x * y of two Polys or two NuObjects, refused if its term products,
+    counted before it is formed, are over SUN_PRODUCT_BOUND."""
+    work = (len(x.num) if isinstance(x, Poly) else _nterms(x)) * (
+        len(y.num) if isinstance(y, Poly) else _nterms(y))
+    if work > SUN_PRODUCT_BOUND:
+        raise ResourceLimitError(f"sun product of {work} term products is over the sun product "
+                                 f"bound {SUN_PRODUCT_BOUND}")
+    return x * y
 
 
 def sun_mul(sp: SunProduct, f, g) -> NuObject:
     """Abelian product: positive nu powers of both operands are discarded."""
-    f0, g0 = _classical(f, sp.space), _classical(g, sp.space)
-    work = len(f0.num) * len(g0.num)
-    if work > SUN_PRODUCT_BOUND:
-        raise ResourceLimitError(f"sun product of {work} term products is over the sun product "
-                                 f"bound {SUN_PRODUCT_BOUND}")
-    return sun_lift(sp, f0 * g0)
+    return sun_lift(sp, _bounded_mul(_classical(f, sp.space), _classical(g, sp.space)))
 
 
 def sun_exponential(sp: SunProduct, h: Poly, t_order: int) -> TSeries:
     """Formal exponential with the sun product replacing the star product.
 
-    The r-th coefficient is (1/r!) (1/2 nu)^r times the r-fold sun power;
-    powers fold left on classical parts before the Laurent scaling, since the
-    product discards nu powers of its operands.
+    The r-th coefficient is (1/r!) (1/2 nu)^r times the r-fold sun power,
+    the lift of h^r for r >= 2, since the product discards nu powers of its
+    operands.  Every product h^r and, on su(2)*, the Laplacian passes of
+    every lift are counted before the first lift.
     """
     _check_t_order(t_order)
-    coeffs = [NuObject.one(sp.space)]
-    power = NuObject.one(sp.space)
-    for r in range(1, t_order + 1):
-        power = NuObject.from_poly(h) if r == 1 else sun_mul(sp, power, h)
-        coeffs.append(power.nu_shift(-r) * Fraction(1, 2**r * factorial(r)))
-    return TSeries(t_order, tuple(coeffs))
+    powers = [h]
+    for _ in range(1, t_order):
+        powers.append(_bounded_mul(powers[-1], h))
+    if sp == sun_su2():
+        _eta_parts({(r,): p.num for r, p in enumerate(powers[1:])}, inf)
+    lifts = [NuObject.from_poly(h)] + [sun_lift(sp, p) for p in powers[1:]]
+    coeffs = [x.nu_shift(-r) * Fraction(1, 2**r * factorial(r)) for r, x in enumerate(lifts, 1)]
+    return TSeries(t_order, (NuObject.one(sp.space), *coeffs[:t_order]))
 
 
 # ---------------------------------------------------------------------------
@@ -357,54 +375,57 @@ def _laplacian(terms: dict) -> dict:
     return {e: c for e, c in out.items() if c}
 
 
-# the most Laplacian steps of one _eta_terms call, counted before the first
-# pass: r passes over a homogeneous degree-m part of n terms count r * n,
-# plus m * r for the one row loop that gives a(m, 1..r).  On a 2-vCPU x86_64
-# host, a fresh process per call, sun L1^156 L1^156 (48,828 steps, nearly all
-# of them the row loop for a(312, 1..156)) takes 1.0 s and (L1 + L2 + L3)^28
-# squared (47,852) 0.4 s; L1^100 squared (20,100) takes 0.3 s, where the
-# recursion run afresh for each a(200, k) took 12 s.  The tests and the
-# benchmark reach 240.
+# the most Laplacian steps of one _eta_terms call, or of every lift of one
+# sun exponential, counted before the first pass: r passes over a homogeneous
+# degree-m part of n terms count r * n, plus m * r for the one row loop that
+# gives a(m, 1..r).  On a 2-vCPU x86_64 host, a fresh process per call, sun
+# L1^156 L1^156 (48,828 steps, nearly all of them the row loop for
+# a(312, 1..156)) takes 1.0 s and (L1 + L2 + L3)^28 squared (47,852) 0.4 s;
+# L1^100 squared (20,100) takes 0.3 s, where the recursion run afresh for each
+# a(200, k) took 12 s.  The lifts of sun --exp L1^15 --t-order 20 count
+# 323,583 steps and took 4.3-5.5 s when each was counted on its own.  The
+# tests reach 555 steps and the benchmark 117.
 LAPLACIAN_STEP_BOUND = 50_000
 
 
-def _eta_terms(f: Poly, r_max: int) -> tuple:
-    """(rows, d): eta_r(f) = rows[(2r,)] / d for r = 0..min(r_max, deg f // 2),
-    eta_0 being the identity, rows keyed by nu power as a NuObject's are.
-
-    eta_r = (A_r + sum_p z_{p,r} D(D-1)...(D-p+1)) Delta^r with D the Euler
-    operator acts on a homogeneous degree-m part as a(m, r) Delta^r, so the
-    r-th Laplacian of each part is scaled by a(m, r).  Parts of different
-    degree land on different degrees at each r, so their terms never meet.
-    The Laplacians run on f's integer numerators over its denominator, and
-    every eta_r is stored over it times the lcm of the a(m, r) denominators.
-    """
+def _eta_parts(rows: dict, r_max) -> dict:
+    """{(key, m): the homogeneous degree-m part of the row keyed key}, refused
+    if the min(r_max, m // 2) Laplacian passes on every part count over
+    LAPLACIAN_STEP_BOUND."""
     parts: dict = {}
-    for e, n in f.num.items():
-        parts.setdefault(sum(e), {})[e] = n
-    passes = {m: min(r_max, m // 2) for m in parts}
-    steps = sum(r * (len(parts[m]) + m) for m, r in passes.items())
+    for k, row in rows.items():
+        for e, n in row.items():
+            parts.setdefault((k, sum(e)), {})[e] = n
+    steps = sum(min(r_max, m // 2) * (len(part) + m) for (_, m), part in parts.items())
     if steps > LAPLACIAN_STEP_BOUND:
         raise ResourceLimitError(f"Laplacian passes of {steps} steps are over the Laplacian step "
                                  f"bound {LAPLACIAN_STEP_BOUND}")
-    laps = []  # (nu power 2r, a(m, r), r-th Laplacian of the degree-m part)
-    for m, cur in parts.items():
-        for r, a in enumerate(_a_row(m, 1, passes[m]), 1):
+    return parts
+
+
+def _eta_terms(rows: dict, r_max) -> tuple:
+    """(out, d): out / d = sum_r eta_r(rows) for r = 0..r_max (inf for every
+    r), eta_0 being the identity, over integer rows whose keys end in a nu
+    power: eta_r of the row keyed (..., k) lands at (..., k + 2r).
+
+    eta_r = (A_r + sum_p z_{p,r} D(D-1)...(D-p+1)) Delta^r with D the Euler
+    operator acts on a homogeneous degree-m part as a(m, r) Delta^r, so the
+    r-th Laplacian of each part is scaled by a(m, r); it vanishes past
+    r = m // 2.  The Laplacians run on the integer rows, and d is the lcm of
+    the a(m, r) denominators.
+    """
+    laps = []  # (key, a(m, r), r-th Laplacian of the degree-m part of a row)
+    for (k, m), cur in _eta_parts(rows, r_max).items():
+        for r, a in enumerate(_a_row(m, 1, min(r_max, m // 2)), 1):
             cur = _laplacian(cur)
             if not cur:
                 break
-            laps.append((2 * r, a, cur))
+            laps.append((k[:-1] + (k[-1] + 2 * r,), a, cur))
     den = lcm(*(a.denominator for _, a, _ in laps))
-    rows = {(2 * r,): {} for r in range(max(passes.values(), default=0) + 1)}
-    rows[0,] = {e: n * den for e, n in f.num.items()}
+    out = _add_rows({}, rows, den)
     for k, a, cur in laps:
-        c = a.numerator * (den // a.denominator)
-        rows[k,].update((e, c * n) for e, n in cur.items())
-    return rows, den * f.den
-
-
-def _su2_closed_lift(prod: Poly) -> NuObject:
-    return NuObject._of(prod.space, *_eta_terms(prod, max(prod.total_degree(), 0) // 2))
+        _add_rows(out, {k: cur}, a.numerator * (den // a.denominator))
+    return out, den
 
 
 def sun_closed_form(f: Poly, g: Poly) -> NuObject:
@@ -412,7 +433,7 @@ def sun_closed_form(f: Poly, g: Poly) -> NuObject:
     the iterated Laplacian kills the product)."""
     if g.space != f.space:
         raise InvalidArgumentError("operands live on different spaces")
-    return _su2_closed_lift(f * g)
+    return DiffOpSeries(f.space, inf).apply(f * g)
 
 
 def sun_homogeneous_form(f: Poly, g: Poly) -> NuObject:
@@ -454,28 +475,27 @@ def fi_residual_sun(sp: SunProduct, fs) -> NuObject:
     return lhs - rhs
 
 
-def _nu_diff(x: NuObject, axis: int) -> NuObject:
-    return NuObject(x.space, {k: p.diff(axis) for k, p in x.coeffs.items()})
-
-
 def weak_leibniz_residual(sp: SunProduct, f: Poly, g: Poly, h: Poly, axis: int) -> NuObject:
     """F sun (d_i(G sun H) - G sun d_i H - d_i G sun H); vanishes because the
     inner combination has zero classical part."""
     gh = sun_mul(sp, g, h)
-    inner = _nu_diff(gh, axis) - sun_mul(sp, g, h.diff(axis)) - sun_mul(sp, g.diff(axis), h)
-    return sun_mul(sp, f, inner)
+    inner = sun_mul(sp, g, h.diff(axis)) + sun_mul(sp, g.diff(axis), h)
+    dgh = NuObject._of(gh.space, {k: _diff_terms(row, axis) for k, row in gh.rows.items()}, gh.den)
+    return sun_mul(sp, f, dgh - inner)
 
 
 # ---------------------------------------------------------------------------
 # Equivalence and triviality.  An intertwiner S is stored as its r_max and
-# applied by one _eta_terms pass per polynomial, which gives every S_k at once.
+# applied by one _eta_terms pass over the rows of its operand, which gives
+# every S_k of every row at once.
 
 
 @dataclass(frozen=True)
 class DiffOpSeries:
     """S = Id + sum_{r=1..r_max} nu^{2r} eta_r, eta_r being the nu^{2r}
     cochain of the su(2)* sun product, a(m, r) Delta^r on each homogeneous
-    degree-m part; r_max = 0 is the identity."""
+    degree-m part; r_max = 0 is the identity, and r_max = inf the su(2)* sun
+    lift."""
 
     space: VarSpace
     r_max: int
@@ -484,19 +504,11 @@ class DiffOpSeries:
         if self.r_max < 0:
             raise InvalidArgumentError("r_max must be non-negative")
 
-    def components(self, f: Poly) -> list:
-        """Every nonzero (k, S_k(f)), all from one _eta_terms pass."""
-        if f.space != self.space:
-            raise InvalidArgumentError("polynomials live on different variable spaces")
-        rows, d = _eta_terms(f, self.r_max)
-        return [(k, Poly._of(f.space, row, d)) for (k,), row in rows.items() if row]
-
     def apply(self, x) -> NuObject:
-        out: dict = {}
-        for k, p in _as_nu(x, self.space).coeffs.items():
-            for s, v in self.components(p):
-                _bump(out, k + s, v)
-        return NuObject(self.space, out)
+        x = _as_nu(x, self.space)
+        x._check_space(self)
+        rows, d = _eta_terms(x.rows, self.r_max)
+        return NuObject._of(self.space, rows, d * x.den)
 
 
 def identity_series(space: VarSpace) -> DiffOpSeries:
@@ -513,22 +525,20 @@ def weak_trivializer(r_max: int, space: VarSpace = None) -> DiffOpSeries:
     return DiffOpSeries(space, r_max)
 
 
-def _product_apply(prod, x: NuObject, y: NuObject) -> NuObject:
+def _lifted(prod, x: NuObject) -> NuObject:
+    """rho(x), each nu row of x taken by the cochains rho_r of prod to nu^r
+    above it: rho_0 = id for the usual product."""
     if prod is USUAL_PRODUCT:
-        return x * y
+        return x
+    if isinstance(prod, SunProduct):
+        return _lift(prod, x)
+    raise InvalidArgumentError("expected a sun product or the usual product")
+
+
+def _product_apply(prod, x: NuObject, y: NuObject) -> NuObject:
     if isinstance(prod, SunProduct):
         return sun_mul(prod, x, y)
-    raise InvalidArgumentError("expected a sun product or the usual product")
-
-
-def _product_cochains(prod, h: Poly) -> dict:
-    """{r: rho_r(h)}: rho_0 = id for the usual product, and every nonzero
-    cochain of a sun product from one sun_lift."""
-    if prod is USUAL_PRODUCT:
-        return {0: h}
-    if isinstance(prod, SunProduct):
-        return sun_lift(prod, h).coeffs
-    raise InvalidArgumentError("expected a sun product or the usual product")
+    return _lifted(prod, _bounded_mul(x, y))
 
 
 def apply_equivalence(
@@ -543,28 +553,18 @@ def apply_equivalence(
     """Residual of the equivalence relation between two products.
 
     Mode "B": S(F o1 G) - S(F) o2 S(G), truncated at nu_order.  Mode "A":
-    the double cochain expansion sum nu^{r+s} S_s(rho_r(FG)) minus
-    sum nu^{r+s+s'} rho'_r(S_s(F) S_{s'}(G)).  A zero residual certifies
-    equivalence to the computed order.
+    the double cochain expansion S(rho(FG)) - rho'(S(F) S(G)), rho and rho'
+    applied to each nu coefficient, truncated at nu_order.  A zero residual
+    certifies equivalence to the computed order.  Every usual product is
+    counted against SUN_PRODUCT_BOUND before it is formed.
     """
     if nu_order < 0:
         raise InvalidArgumentError("nu_order must be non-negative")
+    if mode not in ("A", "B"):
+        raise InvalidArgumentError("mode must be 'A' or 'B'")
     space = s.space
-    if mode == "B":
-        lhs = s.apply(_product_apply(p1, _as_nu(f, space), _as_nu(g, space)))
-        rhs = _product_apply(p2, s.apply(f), s.apply(g))
-        return (lhs - rhs).truncate(nu_order)
-    if mode == "A":
-        out: dict = {}
-        for r, rho in _product_cochains(p1, f * g).items():
-            if r <= nu_order:
-                for ss, v in s.components(rho):
-                    _bump(out, r + ss, v)
-        sg = s.components(g)
-        for ss, a in s.components(f):
-            for tt, b in sg:
-                if ss + tt <= nu_order:
-                    for r, rho in _product_cochains(p2, a * b).items():
-                        _bump(out, r + ss + tt, -rho)
-        return NuObject(space, out).truncate(nu_order)
-    raise InvalidArgumentError("mode must be 'A' or 'B'")
+    lhs = s.apply(_product_apply(p1, _as_nu(f, space), _as_nu(g, space)))
+    sf, sg = s.apply(f), s.apply(g)
+    rhs = (_product_apply(p2, sf, sg) if mode == "B"
+           else _lifted(p2, _bounded_mul(sf, sg).truncate(nu_order)))
+    return (lhs - rhs).truncate(nu_order)

@@ -6,6 +6,7 @@ import pytest
 
 from nambu_forge.poly import NuObject, Poly, VarSpace, _bump
 from nambu_forge.star import star_mul
+from nambu_forge.sun import USUAL_PRODUCT, a_closed_form, sun_lift
 from nambu_forge.zariski import TaylorElem, ZElem, ZNu, zariski_space, zelem_from_poly
 
 
@@ -96,6 +97,42 @@ def brute_sun_lift(sp, x) -> NuObject:
             term = symmetrized(tuple(i for i, k in enumerate(e) for _ in range(k)))
         out = out + term * c
     return out
+
+
+def apply_oracle(s, x) -> NuObject:
+    """S(x) coefficient by coefficient, the oracle for sun.DiffOpSeries.apply:
+    each homogeneous degree-m part of each nu^k coefficient of x gives
+    a_closed_form(m, r) times its r-th Laplacian, built from Poly.diff, at
+    nu^(k + 2r) for r = 0..min(s.r_max, m // 2)."""
+    x = x if isinstance(x, NuObject) else NuObject.from_poly(x)
+    out: dict = {}
+    for k, p in x.coeffs.items():
+        for m in {sum(e) for e in p.num}:
+            part = Poly(p.space, {e: c for e, c in p.terms.items() if sum(e) == m})
+            for r in range(min(s.r_max, m // 2) + 1):
+                _bump(out, k + 2 * r, part * a_closed_form(m, r))
+                part = sum((part.diff(i).diff(i) for i in range(p.space.nvars)), Poly.zero(p.space))
+    return NuObject(s.space, out)
+
+
+def mode_a_oracle(s, p1, p2, f: Poly, g: Poly, nu_order: int) -> NuObject:
+    """The mode-A residual of sun.apply_equivalence as the double cochain sum
+    over {nu: Poly} coefficients: sum nu^(r+s) S_s(rho_r(FG)) minus sum
+    nu^(r+s+s') rho'_r(S_s(F) S_s'(G)), S from apply_oracle and the cochains
+    rho_r of a sun product from sun_lift (rho_0 = id for the usual one)."""
+    def cochains(prod, h: Poly) -> dict:
+        return {0: h} if prod is USUAL_PRODUCT else sun_lift(prod, h).coeffs
+
+    out: dict = {}
+    for r, rho in cochains(p1, f * g).items():
+        for ss, v in apply_oracle(s, rho).coeffs.items():
+            _bump(out, r + ss, v)
+    sg = apply_oracle(s, g).coeffs
+    for ss, a in apply_oracle(s, f).coeffs.items():
+        for tt, b in sg.items():
+            for r, rho in cochains(p2, a * b).items():
+                _bump(out, r + ss + tt, -rho)
+    return NuObject(s.space, out).truncate(nu_order)
 
 
 def taylor_elem(space: VarSpace, coeffs: dict, in_a: bool = False) -> TaylorElem:

@@ -6,6 +6,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -262,6 +263,13 @@ def test_domain_error_exit_code(capsys):
         # L1^2*L2^2 is one degree-4 term: two passes count 2 * 1 terms and
         # 4 * 1 + 4 * 2 recursion steps
         (sun, "LAPLACIAN_STEP_BOUND", ("sun", "L1^2", "L2^2"), "sun.resource-limit"),
+        # the lifts of (L1 + 1)^2 and (L1 + 1)^3 count 3 and 7 steps, each
+        # under the bound, and are refused together before the first
+        (sun, "LAPLACIAN_STEP_BOUND", ("sun", "--exp", "L1 + 1", "--t-order", "3"),
+         "sun.resource-limit"),
+        # the usual product of two three-term operands forms 9 term products
+        (sun, "SUN_PRODUCT_BOUND", ("equiv", "--mode", "A", "--left", "usual", "--right", "usual",
+                                    "L1 + L2 + L3", "L1 + L2 + L3"), "equiv.resource-limit"),
     ],
 )
 def test_resource_bounds_exit_1(capsys, monkeypatch, module, bound, argv, code):
@@ -560,6 +568,39 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys, line):
     code, out, err = run(capsys, *shlex.split(line, comments=True)[1:])
     assert (code, err) == (0, "")
     assert out
+
+
+_SUN_DENSE = "(L1 + L2 + L3)^80"  # 3321 terms
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("sun", "--exp", "L1^15", "--t-order", "20"),
+         "Laplacian passes of 323583 steps are over the Laplacian step bound 50000"),
+        (("sun", "--exp", "L1^16", "--t-order", "20"),
+         "Laplacian passes of 368904 steps are over the Laplacian step bound 50000"),
+        (("equiv", "--mode", "A", "--left", "usual", "--right", "usual", "--s", "identity",
+          _SUN_DENSE, _SUN_DENSE),
+         "sun product of 11029041 term products is over the sun product bound 1000000"),
+        (("equiv", "--mode", "B", "--left", "usual", "--right", "su2", "--s", "identity",
+          _SUN_DENSE, _SUN_DENSE),
+         "sun product of 11029041 term products is over the sun product bound 1000000"),
+    ],
+    ids=["sun-exp-L1^15", "sun-exp-L1^16", "equiv-A-usual", "equiv-B-usual-su2"],
+)
+def test_series_and_equivalence_bounds_refuse_before_the_work(argv, message):
+    # counted one lift or one product at a time, the first sun exponential
+    # ran for about 4 s and was admitted and the second was refused at t^20
+    # after about 4 s; the first equiv call formed its 11 million term
+    # products in about 18 s, and the second refused only after forming them
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "nambu_forge.cli", *argv], capture_output=True,
+                          env=_child_env(), text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error[{argv[0]}.resource-limit]: {message}\n"
+    assert elapsed < 2.0, elapsed
 
 
 def test_closed_stdout_prints_no_traceback():

@@ -18,6 +18,7 @@ from nambu_forge.star import (
 )
 from nambu_forge.sun import (
     USUAL_PRODUCT,
+    DiffOpSeries,
     SunProduct,
     a_closed_form,
     a_recursion,
@@ -40,7 +41,14 @@ from nambu_forge.sun import (
 )
 from nambu_forge.zariski import zariski_star
 
-from conftest import brute_sun_lift, compositions, fractions_built, random_poly
+from conftest import (
+    apply_oracle,
+    brute_sun_lift,
+    compositions,
+    fractions_built,
+    mode_a_oracle,
+    random_poly,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 L = su2_space()
@@ -380,11 +388,47 @@ def test_eta_operator_matches_az_form(rng):
 
 
 def test_eta_terms_stop_at_half_the_degree():
-    # eta_r vanishes past r = deg f / 2, however large r_max is; the rows are
-    # keyed by the nu power 2r of eta_r
-    assert len(sun._eta_terms(L1 * L2, 10**6)[0]) == 2
-    assert len(sun._eta_terms(L3**5 + L1, 10**6)[0]) == 3
-    assert sun._eta_terms(Poly.zero(L), 10**6) == ({(0,): {}}, 1)
+    # eta_r vanishes past r = deg f / 2, however large r_max is; eta_r of the
+    # row keyed by nu^k lands at nu^(k + 2r)
+    def keys(rows):
+        return {k for k, row in sun._eta_terms(rows, 10**6)[0].items() if row}
+
+    assert keys({(0,): (L1 * L2).num}) == {(0,)}
+    assert keys({(0,): (L3**5 + L1).num}) == {(0,), (2,), (4,)}
+    assert keys({(-1,): (L3**4).num, (3,): L1.num}) == {(-1,), (1,), (3,)}
+    assert sun._eta_terms({}, 10**6) == ({}, 1)
+
+
+def _rational_poly(rng, degree):
+    """random_poly scaled by a random rational, so operands have unlike
+    denominators."""
+    return random_poly(L, rng, degree=degree, terms=4) * Fraction(rng.choice([1, 2, 5, 7]),
+                                                                  rng.randint(1, 12))
+
+
+def test_apply_matches_the_per_coefficient_oracle(rng):
+    # operands with negative and odd nu powers, each coefficient over its own
+    # denominator, so the eta rows of one nu power land on another's
+    for r_max in (0, 1, 2, 3, 5):
+        s = DiffOpSeries(L, r_max)
+        for _ in range(5):
+            x = NuObject(L, {k: _rational_poly(rng, 7) for k in rng.sample(range(-3, 6), 4)})
+            assert s.apply(x) == apply_oracle(s, x), (r_max, str(x))
+        assert s.apply(x.classical()) == apply_oracle(s, x.classical())
+
+
+@pytest.mark.parametrize("left, right", [(USUAL_PRODUCT, USUAL_PRODUCT), (USUAL_PRODUCT, SU),
+                                         (SU, USUAL_PRODUCT), (SU, SU)],
+                         ids=["usual-usual", "usual-su2", "su2-usual", "su2-su2"])
+def test_mode_a_matches_the_cochain_oracle(rng, left, right):
+    nonzero = 0
+    for s in (identity_series(L), weak_trivializer(1), weak_trivializer(3)):
+        for nu_order in (0, 3, 6):
+            f, g = _rational_poly(rng, 4), _rational_poly(rng, 3)
+            got = apply_equivalence(s, "A", left, right, f, g, nu_order)
+            assert got == mode_a_oracle(s, left, right, f, g, nu_order), (str(f), str(g))
+            nonzero += not got.is_zero()
+    assert nonzero or left is right
 
 
 def test_series_operator_identity_and_absent_orders(rng):
