@@ -757,6 +757,17 @@ def normalize(f: Poly):
     return c, f * (Fraction(1) / c)
 
 
+# the most terms of a polynomial that factorize takes.  The multivariate step
+# divides by each candidate factor term by term, so the cost grows about
+# quadratically with the term count.  On a 2-vCPU x86_64 host, in-process:
+# (x1+...+x5)^11 - 1 (1,366 terms) takes 0.7 s and (x1+...+x5+1)^8 - 1 (1,286)
+# 0.3 s; over the bound, ((x1+...+x5)^6 + x1)((x1+...+x5)^5 + x2) (1,702)
+# took 1.8 s, (x1+...+x5)^12 - 1 (1,821) 3.1 s, (x1+...+x5+1)^10 - 1 (3,002)
+# 1.5 s and (x1+...+x6+1)^12 - 1 (18,563) 65.7 s.  The tests reach 76 terms
+# and the benchmark 84 (every monomial of degree <= 6 on three variables).
+FACTOR_TERM_BOUND = 1_500
+
+
 def factorize(f: Poly, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Factorization:
     """Complete factorization over Q with deterministic canonical ordering."""
     if f.is_zero():
@@ -764,6 +775,10 @@ def factorize(f: Poly, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Factorizatio
     if f.total_degree() > degree_bound:
         raise ResourceLimitError(
             f"total degree {f.total_degree()} exceeds the configured bound {degree_bound}"
+        )
+    if len(f.num) > FACTOR_TERM_BOUND:
+        raise ResourceLimitError(
+            f"polynomial of {len(f.num)} terms is over the factor term bound {FACTOR_TERM_BOUND}"
         )
     return _factorize(f)
 

@@ -804,28 +804,30 @@ def poisson_power(f: Poly, g: Poly, r: int) -> Poly:
                     d * f.den * g.den)
 
 
-def _poisson_sum(jobs: Iterable, space: VarSpace, even: bool = False) -> tuple:
+def _poisson_sum(jobs: Iterable, space: VarSpace, even: bool = False, axes=None) -> tuple:
     """(rows, d) with rows[(m,)] / d the sum over the jobs (shift, w, f, g) of
-    w nu^(shift + r) P^r(f, g) / r! over every r (every even r if ``even``),
+    w nu^(shift + r) B^r(f, g) / r! over every r (every even r if ``even``),
     w an integer and f, g integer term maps on ``space``.
 
-    exp(nu P) is the product over pairs of exp(nu P_ab), which sends f (x) g
-    to the sum over k, l >= 0 of nu^(k+l) (-1)^l / (k! l!) d_a^k d_b^l f *
-    d_b^k d_a^l g.  So a job's grid has the axes k on (a, b, kmax, 1) and l
-    on (b, a, lmax, -1) for each pair, kmax = min(deg_a f, deg_b g) and
-    lmax = min(deg_b f, deg_a g), but none of top order 0.  d is the least
-    common multiple of the grids' denominators, the products of their top
-    orders' factorials, so every job is summed in ints and the caller
+    B is the constant bidifferential operator sum over ``axes`` (i, j, w) of
+    w d_i (x) d_j; by default the Poisson bivector P of the space, the axes
+    (a, b, 1) and (b, a, -1) per pair.  exp(nu B) is the product over the
+    axes of exp(nu w d_i (x) d_j), which sends f (x) g to the sum over k of
+    nu^k w^k / k! d_i^k f * d_j^k g.  So a job's grid has one coordinate k
+    per axis, up to top = min(deg_i f, deg_j g), and no axis of top 0.  d is
+    the least common multiple of the grids' denominators, the products of
+    their tops' factorials, so every job is summed in ints and the caller
     divides once: this is the one place where grids and denominators meet."""
+    if axes is None:
+        axes = [axis for a, b in space.pairs for axis in ((a, b, 1), (b, a, -1))]
     runs = []
     for shift, w, f, g in jobs:
         grid = []
         if f and g:
             fdeg, gdeg = tuple(map(max, zip(*f))), tuple(map(max, zip(*g)))
-            for a, b in space.pairs:
-                for i, j, sign in ((a, b, 1), (b, a, -1)):
-                    if top := min(fdeg[i], gdeg[j]):
-                        grid.append((i, j, top, sign))
+            for i, j, weight in axes:
+                if top := min(fdeg[i], gdeg[j]):
+                    grid.append((i, j, top, weight))
         runs.append((shift, w, f, g, grid))
     d = lcm(*(prod(factorial(top) for _, _, top, _ in grid) for *_, grid in runs))
     rows: dict = {}
@@ -838,8 +840,8 @@ def _poisson_walk(acc: dict, grid: list, f: dict, g: dict, c: int, shift: int, r
                   even: bool) -> None:
     """Add c * w_p * (d_p f) (d_p g) into acc[(shift + r + s,)] for each point p
     of ``grid`` whose coordinates sum to s (only where r + s is even if
-    ``even``).  Coordinate k on the axis (i, j, top, sign) gives w_p the
-    factor sign^k / k!, d_p f the factor d_i^k and d_p g the factor d_j^k.
+    ``even``).  Coordinate k on the axis (i, j, top, weight) gives w_p the
+    factor weight^k / k!, d_p f the factor d_i^k and d_p g the factor d_j^k.
     The derivatives come from chains cut at top, g's first, so a branch ends
     at its first zero derivative and no derivative is taken that no term
     uses.  Only the last axis fixes the parity of r, and there the chains
@@ -847,13 +849,13 @@ def _poisson_walk(acc: dict, grid: list, f: dict, g: dict, c: int, shift: int, r
     if not grid:
         _mul_into(acc.setdefault((shift + r,), {}), f, g, c)
         return
-    (i, j, top, sign), rest = grid[0], grid[1:]
+    (i, j, top, weight), rest = grid[0], grid[1:]
     last = even and not rest
     if last:
         top -= (r + top) % 2
     for k, (gk, fk) in enumerate(islice(zip(_chain(g, j), _chain(f, i)), top + 1)):
         if not (last and (r + k) % 2):
-            _poisson_walk(acc, rest, fk, gk, c // factorial(k) * sign**k, shift, r + k, even)
+            _poisson_walk(acc, rest, fk, gk, c // factorial(k) * weight**k, shift, r + k, even)
 
 
 # the most term products one table of Jacobian minors may form, counted as

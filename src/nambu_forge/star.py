@@ -5,10 +5,10 @@ All products are exact on polynomials: the nu-series terminates because every
 cochain lowers the total derivative order, so no truncation is involved.
 Each operand's integer rows {(nu power,): {exponent: int}} over one
 denominator (poly._Rows) are read as they are stored and the product is
-stored as such rows too, so it builds no Fraction: the Moyal kinds hand
-every pair of rows to poly._poisson_sum in one call, and the
-standard-ordering product sums its r-th derivatives in ints over one r_max!
-denominator.
+stored as such rows too, so it builds no Fraction.  The Moyal, partial-Moyal
+and standard-ordering products are each exp(nu B) for a constant
+bidifferential operator B (the Poisson bivector, or -2 d_p (x) d_q), so each
+hands every pair of rows to poly._poisson_sum in one call with B's axes.
 
 The sign conventions are pinned by two testable constraints: the
 antisymmetrized first cochain equals twice the Poisson bivector, and the
@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .poly import (
@@ -33,8 +32,6 @@ from .poly import (
     Poly,
     TSeries,
     VarSpace,
-    _chain,
-    _mul_into,
     _poisson_sum,
     su2_lift_space,
     su2_space,
@@ -76,9 +73,11 @@ SU2_WORD_BOUND = 50_000
 # call: sun --exp L1+L2+L3 takes 0.3 s at order 20 and took 2.3, 8.2 and
 # 28 s at orders 40, 60 and 80.  sun.LAPLACIAN_STEP_BOUND counts the passes
 # of all the sun lifts before the first, so at order 20 L1^10 (2.0 s) and
-# L1^15 (4-5 s) are refused in 0.1 s, and the slowest admitted shapes found,
-# L1*L2 + L2*L3 + L3*L1 and L1^5, take 0.7 s.  Both exponentials of 1 ran
-# past 25 s at order 200000.  The tests and the benchmark use at most order 6.
+# L1^15 (4-5 s) are refused in 0.1 s.  The slowest admitted shapes found,
+# L1^2*L2^2*L3 + 1 (39,418 steps) and L1^2*L2*L3 + L2*L3 (48,895), take
+# 2.5-4 s, about 1 s of it the lifts and the rest printing their 10 MB of
+# coefficients.  Both exponentials of 1 ran past 25 s at order 200000.  The
+# tests use at most order 20 and the benchmark order 6.
 EXP_ORDER_BOUND = 20
 
 # the Moyal kinds take their terms from powers of the Poisson bivector
@@ -146,28 +145,6 @@ def _check_t_order(t_order: int) -> None:
         raise ResourceLimitError(
             f"t-order {t_order} is over the exponential order bound {EXP_ORDER_BOUND}"
         )
-
-
-def _standard_rows(frows: dict, grows: dict, space: VarSpace) -> tuple:
-    """(rows, d) with rows / d the standard-ordering product of the integer
-    rows frows and grows keyed by (nu power,), d = r_max! for the largest
-    order r_max reached.
-
-    f *_S g = sum_r (-2 nu)^r / r! (d^r f / dp^r)(d^r g / dq^r); the sign is
-    forced by C1(f,g) - C1(g,f) = 2 P(f,g) and matches the ordering with all
-    q-operators to the left under nu = i hbar / 2.
-    """
-    a, b = space.pairs[0]
-    fs = [(m, list(_chain(row, b))) for (m,), row in frows.items()]
-    gs = [(n, list(_chain(row, a))) for (n,), row in grows.items()]
-    d = factorial(min(max((len(x) for _, x in fs), default=1),
-                      max((len(y) for _, y in gs), default=1)) - 1)
-    acc: dict = {}
-    for m, x in fs:
-        for n, y in gs:
-            for r, (df, dg) in enumerate(zip(x, y)):
-                _mul_into(acc.setdefault((m + n + r,), {}), df, dg, (-2) ** r * (d // factorial(r)))
-    return acc, d
 
 
 # -- su(2)* covariant product ------------------------------------------------
@@ -412,11 +389,15 @@ def star_mul(s: StarProduct, f, g) -> NuObject:
     _check_degree(max(_degree(fo), _degree(go)))
     if s.kind == "su2":
         return _su2_mul(fo, go)
+    axes = None  # the Moyal kinds: the Poisson bivector of the space
     if s.kind == "standard_ordering":
-        rows, d = _standard_rows(fo.rows, go.rows, s.space)
-    else:
-        rows, d = _poisson_sum([(a + b, 1, x, y) for (a,), x in fo.rows.items()
-                                for (b,), y in go.rows.items()], s.space)
+        # f *_S g = sum_r (-2 nu)^r / r! (d^r f / dp^r)(d^r g / dq^r): the sign
+        # is forced by C1(f,g) - C1(g,f) = 2 P(f,g) and matches the ordering
+        # with all q-operators to the left under nu = i hbar / 2
+        q, p = s.space.pairs[0]
+        axes = [(p, q, -2)]
+    rows, d = _poisson_sum([(a + b, 1, x, y) for (a,), x in fo.rows.items()
+                            for (b,), y in go.rows.items()], s.space, axes=axes)
     return NuObject._of(s.space, rows, d * fo.den * go.den)
 
 

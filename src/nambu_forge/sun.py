@@ -377,26 +377,30 @@ def _laplacian(terms: dict) -> dict:
 
 # the most Laplacian steps of one _eta_terms call, or of every lift of one
 # sun exponential, counted before the first pass: r passes over a homogeneous
-# degree-m part of n terms count r * n, plus m * r for the one row loop that
-# gives a(m, 1..r).  On a 2-vCPU x86_64 host, a fresh process per call, sun
-# L1^156 L1^156 (48,828 steps, nearly all of them the row loop for
-# a(312, 1..156)) takes 1.0 s and (L1 + L2 + L3)^28 squared (47,852) 0.4 s;
-# L1^100 squared (20,100) takes 0.3 s, where the recursion run afresh for each
-# a(200, k) took 12 s.  The lifts of sun --exp L1^15 --t-order 20 count
-# 323,583 steps and took 4.3-5.5 s when each was counted on its own.  The
-# tests reach 555 steps and the benchmark 117.
+# degree-m part of n terms count r * n, plus m * r once per degree m for the
+# cached row loop that gives a(m, 1..r).  On a 2-vCPU x86_64 host, a
+# fresh process per call, sun L1^156 L1^156 (48,828 steps, nearly all of them
+# the row loop for a(312, 1..156)) takes 1.0 s and (L1 + L2 + L3)^28 squared
+# (47,852) 0.4 s; L1^100 squared (20,100) takes 0.3 s, where the recursion run
+# afresh for each a(200, k) took 12 s.  The lifts of sun --exp L1^15
+# --t-order 20 count 323,583 steps and took 4.3-5.5 s when each was counted
+# on its own; those of L1^2 + L2 count 13,124 and take 0.25-0.4 s, where a
+# loop charge per part counted 56,207.  The tests reach 13,124 steps and the
+# benchmark 117.
 LAPLACIAN_STEP_BOUND = 50_000
 
 
 def _eta_parts(rows: dict, r_max) -> dict:
     """{(key, m): the homogeneous degree-m part of the row keyed key}, refused
-    if the min(r_max, m // 2) Laplacian passes on every part count over
-    LAPLACIAN_STEP_BOUND."""
+    if the min(r_max, m // 2) Laplacian passes on every part and the a-row
+    loop of each distinct degree count over LAPLACIAN_STEP_BOUND."""
     parts: dict = {}
     for k, row in rows.items():
         for e, n in row.items():
             parts.setdefault((k, sum(e)), {})[e] = n
-    steps = sum(min(r_max, m // 2) * (len(part) + m) for (_, m), part in parts.items())
+    degrees = {m for _, m in parts}  # one cached _a_row loop per degree
+    steps = (sum(min(r_max, m // 2) * len(part) for (_, m), part in parts.items())
+             + sum(m * min(r_max, m // 2) for m in degrees))
     if steps > LAPLACIAN_STEP_BOUND:
         raise ResourceLimitError(f"Laplacian passes of {steps} steps are over the Laplacian step "
                                  f"bound {LAPLACIAN_STEP_BOUND}")

@@ -135,6 +135,36 @@ def mode_a_oracle(s, p1, p2, f: Poly, g: Poly, nu_order: int) -> NuObject:
     return NuObject(s.space, out).truncate(nu_order)
 
 
+def weyl_normal_product(F: NuObject, G: NuObject) -> NuObject:
+    """F * G in the Weyl algebra on one pair (q, p) with q p - p q = 2 nu, the
+    oracle for the standard-ordering product: each monomial q^a p^b stands for
+    the q-left word q...q p...p, the words of each pair of terms are joined,
+    and every p q is rewritten to q p - 2 nu, one swap at a time, until the
+    word is q-left again.  No derivative formula is used."""
+    (iq, ip), = F.space.pairs
+    pending: dict = {}  # {(word, nu power): coefficient}
+    for k, f in F.coeffs.items():
+        for l, g in G.coeffs.items():
+            for (e1, c1), (e2, c2) in itertools.product(f.terms.items(), g.terms.items()):
+                word = "q" * e1[iq] + "p" * e1[ip] + "q" * e2[iq] + "p" * e2[ip]
+                pending[word, k + l] = pending.get((word, k + l), 0) + c1 * c2
+    out: dict = {}
+    while pending:
+        rewritten: dict = {}
+        for (word, k), c in pending.items():
+            i = word.find("pq")
+            if i < 0:
+                e = [0] * F.space.nvars
+                e[iq], e[ip] = word.count("q"), word.count("p")
+                _bump(out, k, Poly(F.space, {tuple(e): c}))
+                continue
+            swapped, dropped = (word[:i] + "qp" + word[i + 2:], k), (word[:i] + word[i + 2:], k + 1)
+            rewritten[swapped] = rewritten.get(swapped, 0) + c
+            rewritten[dropped] = rewritten.get(dropped, 0) - 2 * c
+        pending = rewritten
+    return NuObject(F.space, out)
+
+
 def taylor_elem(space: VarSpace, coeffs: dict, in_a: bool = False) -> TaylorElem:
     """The TaylorElem with ZNu coefficient coeffs[e] at y^e, built from its
     flat terms {e + (nu power,): ZElem}."""

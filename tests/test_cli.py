@@ -11,7 +11,7 @@ import time
 import pytest
 
 import nambu_forge
-from nambu_forge import cli, expr, nambu, poly, star, sun, weyl
+from nambu_forge import cli, expr, factor, nambu, poly, star, sun, weyl
 from nambu_forge.cli import load_schema, main
 
 
@@ -263,13 +263,15 @@ def test_domain_error_exit_code(capsys):
         # L1^2*L2^2 is one degree-4 term: two passes count 2 * 1 terms and
         # 4 * 1 + 4 * 2 recursion steps
         (sun, "LAPLACIAN_STEP_BOUND", ("sun", "L1^2", "L2^2"), "sun.resource-limit"),
-        # the lifts of (L1 + 1)^2 and (L1 + 1)^3 count 3 and 7 steps, each
+        # the lifts of (L1 + L2)^2 and (L1 + L2)^3 count 5 and 7 steps, each
         # under the bound, and are refused together before the first
-        (sun, "LAPLACIAN_STEP_BOUND", ("sun", "--exp", "L1 + 1", "--t-order", "3"),
+        (sun, "LAPLACIAN_STEP_BOUND", ("sun", "--exp", "L1 + L2", "--t-order", "3"),
          "sun.resource-limit"),
         # the usual product of two three-term operands forms 9 term products
         (sun, "SUN_PRODUCT_BOUND", ("equiv", "--mode", "A", "--left", "usual", "--right", "usual",
                                     "L1 + L2 + L3", "L1 + L2 + L3"), "equiv.resource-limit"),
+        # (x1 + x2 + 1)^3 has 10 terms, refused before any factorization work
+        (factor, "FACTOR_TERM_BOUND", ("factor", "(x1 + x2 + 1)^3"), "factor.resource-limit"),
     ],
 )
 def test_resource_bounds_exit_1(capsys, monkeypatch, module, bound, argv, code):

@@ -79,6 +79,16 @@ def test_degree_bound():
         factorize(f, degree_bound=11)
 
 
+def test_term_bound(monkeypatch):
+    # the bound counts the input's terms, at the bound admitted, one over refused
+    f = (x1 + x2 + 1) ** 3  # 10 terms
+    monkeypatch.setattr(factor_mod, "FACTOR_TERM_BOUND", 10)
+    assert factorize(f).factors == ((x1 + x2 + 1, 3),)
+    with pytest.raises(ResourceLimitError,
+                       match="polynomial of 11 terms is over the factor term bound 10"):
+        factorize(f + x3)
+
+
 def test_zero_rejected():
     with pytest.raises(InvalidArgumentError):
         factorize(Poly.zero(X3))

@@ -34,7 +34,7 @@ from nambu_forge.star import (
 )
 from nambu_forge.zariski import zariski_space
 
-from conftest import compositions, fractions_built, random_poly, star_power
+from conftest import compositions, fractions_built, random_poly, star_power, weyl_normal_product
 
 QP = qp_space()
 L = su2_space()
@@ -332,12 +332,12 @@ _DENOMINATED = (Fraction(1, 2), Fraction(2, 3), Fraction(-5, 7), Fraction(3, 4),
                 Fraction(-1, 5), Fraction(7, 6), Fraction(-9, 11), Fraction(4, 9))
 
 
-def _rational_series(rng, powers: tuple, space=L) -> NuObject:
-    """A nu-series with a few terms at each given power, their coefficients
-    drawn from fractions of unlike denominators."""
+def _rational_series(rng, powers: tuple, space=L, degree: int = 3) -> NuObject:
+    """A nu-series with a few terms of degree at most ``degree`` at each given
+    power, their coefficients drawn from fractions of unlike denominators."""
     coeffs = {}
     for k in powers:
-        f = random_poly(space, rng, degree=3, terms=3)
+        f = random_poly(space, rng, degree=degree, terms=3)
         coeffs[k] = Poly(space, {e: c * rng.choice(_DENOMINATED) for e, c in f.terms.items()})
     return NuObject(space, coeffs)
 
@@ -396,6 +396,20 @@ def test_nu_series_products_match_per_coefficient_oracles(rng, name, product, sp
             got = star_mul(product, F, G)
             assert got == _bilinear_lift(F, G, oracle), (name, str(F), str(G))
             assert all(type(c) is Fraction for p in got.coeffs.values() for c in p.terms.values())
+
+
+def test_standard_ordering_matches_the_weyl_algebra(rng):
+    # the standard-ordering product is the product of q-left words in the
+    # Weyl algebra, which the oracle computes by swapping p q to q p - 2 nu;
+    # seeded nu-series of degree <= 4, negative powers and unlike denominators
+    S = standard_ordering_product(QP)
+    for fpowers, gpowers in [((0,), (0,)), ((0, 1), (-1,)), ((-2, 0), (1, 2)), ((-1, 3), (-2, -1, 0))]:
+        for _ in range(3):
+            F, G = _rational_series(rng, fpowers, QP, 4), _rational_series(rng, gpowers, QP, 4)
+            assert star_mul(S, F, G) == weyl_normal_product(F, G), (str(F), str(G))
+    # p^2 q^2 = q p^2 q - 2 nu p q = ... = q^2 p^2 - 8 nu q p + 8 nu^2
+    assert weyl_normal_product(NuObject.from_poly(p**2), NuObject.from_poly(q**2)) == NuObject(
+        QP, {0: q**2 * p**2, 1: q * p * -8, 2: Poly.const(QP, 8)})
 
 
 @pytest.mark.parametrize("name, product, space", ALL_PRODUCTS[:3])

@@ -524,6 +524,19 @@ def test_exponential_coincides_for_linear():
         assert e_sun.coefficient(r) == e_star.coefficient(r)
 
 
+def test_exponential_counts_each_a_row_loop_once(monkeypatch):
+    # the lifted powers of L1^2 + L2 have many homogeneous parts of one
+    # degree; the a-row loop for each (m, r) is cached, so it is counted once:
+    # 13,124 steps where a charge per part counted 56,207, and t^20 is admitted
+    h = L1 * L1 + L2
+    admitted = sun_exponential(SU, h, 20)
+    monkeypatch.setattr(sun, "LAPLACIAN_STEP_BOUND", 13_123)
+    with pytest.raises(ResourceLimitError, match="Laplacian passes of 13124 steps"):
+        sun_exponential(SU, h, 20)
+    monkeypatch.setattr(sun, "LAPLACIAN_STEP_BOUND", 10**9)
+    assert sun_exponential(SU, h, 20) == admitted
+
+
 def test_exponential_differs_for_h1_golden():
     golden = json.loads((GOLDEN / "sun_exp_h1_divergence.json").read_text())
     h1 = (L1 * L1 + L2 * L2 + L3 * L3) * Fraction(1, 2)
