@@ -155,14 +155,16 @@ def _cmd_factor(args, cfg):
 
 
 def _exponential(exponential, product, args, cfg):
-    """Text (the series' own rendering, a line per t power) and JSON data of
-    exponential(product, h, t_order), the t-series of the --exp Hamiltonian h."""
+    """Text (a line t^r: c per t power, as the series renders) and JSON data of
+    exponential(product, h, t_order), the t-series of the --exp Hamiltonian h;
+    each coefficient is rendered once, for both."""
     h = parse_expr(args.exp, product.space)
     if not isinstance(h, Poly):
         raise InvalidArgumentError("the exponential argument must be a plain polynomial")
     series = exponential(product, h, cfg["t_order"])
-    return [str(series)], {"product": args.product, "t_order": series.truncation_order,
-                           "coefficients": [str(c) for c in series.coeffs]}
+    coeffs = [str(c) for c in series.coeffs]
+    return [f"t^{r}: {c}" for r, c in enumerate(coeffs)], {
+        "product": args.product, "t_order": series.truncation_order, "coefficients": coeffs}
 
 
 def _cmd_star(args, cfg):

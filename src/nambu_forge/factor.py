@@ -25,7 +25,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import comb, gcd, isqrt, perm
 
 from .errors import InvalidArgumentError, ResourceLimitError
@@ -783,7 +782,6 @@ def factorize(f: Poly, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Factorizatio
     return _factorize(f)
 
 
-@cache
 def _factorize(f: Poly) -> Factorization:
     """f's integer factors made monic: each factor's term map, its sign
     fixed, over the leading coefficient's absolute value.  Graded-lex order

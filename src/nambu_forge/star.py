@@ -267,15 +267,13 @@ def _word(e: tuple, sign: int, memo: dict) -> dict:
 @cache
 def _star_monomial(e: tuple) -> dict:
     """The integer rows of the star monomial SM(e) = L_{i1} * ... * L_{in},
-    letters in axis order; cached, so read and never mutated.
+    letters in axis order: the left word of e on the unit; cached, so read
+    and never mutated.
 
     Its classical part is exactly L^e and every term at nu^m has total degree
     |e| - m, which makes the basis triangular.
     """
-    if not any(e):
-        return {(0,): {(0, 0, 0): 1}}
-    i = next(j for j, k in enumerate(e) if k)
-    return _var_mul(i, _star_monomial(_shift(e, _AXES[i][1])), 1)
+    return _word(e, 1, {(0, 0, 0): {(0,): {(0, 0, 0): 1}}})
 
 
 def _to_star_coefficients(x: NuObject) -> list:

@@ -143,11 +143,11 @@ def _lift(sp: SunProduct, x: NuObject) -> NuObject:
 
 
 # the most term products, len(f) * len(g), of one product of classical parts
-# in sun_mul and sun_exponential or of one usual product in apply_equivalence,
-# counted before it is formed.  One takes about 1.1 us on a 2-vCPU x86_64
-# host: (L1 + L2 + L3)^40 squared (741,321) forms its product in 0.8 s, while
-# ^80 squared (11.0 million) took 10.6 s of its 18 s.  The tests reach 63
-# and the benchmark 9.
+# in sun_mul, sun_closed_form and sun_exponential or of one usual product in
+# apply_equivalence, counted before it is formed.  One takes about 1.1 us on a
+# 2-vCPU x86_64 host: (L1 + L2 + L3)^40 squared (741,321) forms its product in
+# 0.8 s, while ^80 squared (11.0 million) took 10.6 s of its 18 s.  The tests
+# reach 63 and the benchmark 9.
 SUN_PRODUCT_BOUND = 1_000_000
 
 
@@ -313,19 +313,16 @@ class SunCoefficients:
     r_max: int
     recursion: dict  # (n, r) -> Fraction, full grid
     closed: dict     # (n, r) -> Fraction, n >= 2r only
-    gamma: tuple
-    tau: tuple
-    big_a: tuple
-    z: dict          # (p, r) -> Fraction
 
     def agree(self) -> bool:
         return all(self.recursion[key] == val for key, val in self.closed.items())
 
 
-# the largest r_max of sun_coefficients, whose z_{p,r} enumerate the
-# partitions of every k <= r_max: on a 2-vCPU x86_64 host the z table takes
-# 0.6-0.9 s at order 20, 3.1 s at 24 and 10 s at 30, and the largest table
-# that this bound and A_RECURSION_BOUND admit, coeffs --table 28 20, 1.8 s
+# the largest r_max of sun_coefficients.  A_RECURSION_BOUND counts no step on
+# the row n = 0, so without this bound coeffs --table 0 N would build N + 1
+# entries: on a 2-vCPU x86_64 host, N = 10^6 took 3.7 s and 360 MB in-process.
+# The largest table that this bound and A_RECURSION_BOUND admit,
+# coeffs --table 28 20, takes 0.4 s in-process
 TABLE_ORDER_BOUND = 20
 
 
@@ -353,11 +350,7 @@ def sun_coefficients(n_max: int, r_max: int) -> SunCoefficients:
         for r in range(r_max + 1)
         if n >= 2 * r
     }
-    gamma = tuple(secant_coefficient(k) for k in range(r_max + 1))
-    tau = tuple(tangent_coefficient(k) for k in range(r_max + 1))
-    bigs = tuple(big_a(k) for k in range(r_max + 1))
-    zs = {(p, r): z_coefficient(p, r) for r in range(1, r_max + 1) for p in range(1, r + 1)}
-    return SunCoefficients(n_max, r_max, rec, closed, gamma, tau, bigs, zs)
+    return SunCoefficients(n_max, r_max, rec, closed)
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +427,11 @@ def _eta_terms(rows: dict, r_max) -> tuple:
 
 def sun_closed_form(f: Poly, g: Poly) -> NuObject:
     """F sun G = FG + sum_r nu^{2r} eta_r(FG), exact (the series stops once
-    the iterated Laplacian kills the product)."""
+    the iterated Laplacian kills the product); FG is counted against
+    SUN_PRODUCT_BOUND before it is formed."""
     if g.space != f.space:
         raise InvalidArgumentError("operands live on different spaces")
-    return DiffOpSeries(f.space, inf).apply(f * g)
+    return DiffOpSeries(f.space, inf).apply(_bounded_mul(f, g))
 
 
 def sun_homogeneous_form(f: Poly, g: Poly) -> NuObject:

@@ -43,21 +43,19 @@ base class ``poly._Rows`` they share with NuObject, so no product, + or -
 builds a Fraction; one is built per term only when a caller reads
 ``terms``.
 
-Z-monomials are interned: every ZMonomial is built through one weak table
-keyed by its tuple of interned factors, so equal factor multisets are one
-object, == and hash are those of identity, and dict operations on
-{ZMonomial: ...} rows never call Python code.  The table is weak, so it holds
-no ZMonomial that is otherwise gone and never needs clearing.  ``union`` is
-cached per pair of Z-monomials, and ``jmap`` adds c times the J-image of each
-Z-monomial, cached per Z-monomial and space.  Since the hash is by identity,
-no output may depend on the iteration order of a set of ZMonomials; rows are
-dicts, which keep insertion order.
+Z-monomials are interned: every ZMonomial is built through one cached
+constructor over its tuple of interned factors, so equal factor multisets
+are one object, == and hash are those of identity, and dict operations on
+{ZMonomial: ...} rows never call Python code.  ``union`` is cached per pair of
+Z-monomials, ``_eval_T`` per Z-monomial and star product, and ``jmap`` adds
+c times the J-image of each Z-monomial, cached per Z-monomial and space.
+Since the hash is by identity, no output may depend on the iteration order of
+a set of ZMonomials; rows are dicts, which keep insertion order.
 """
 
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
@@ -140,20 +138,15 @@ def _interned(f: Poly) -> Poly:
     return f
 
 
-# every live ZMonomial, keyed by its factor tuple: weak, so an entry goes with
-# its last reference and the table never holds a stale twin or needs clearing
-_ZMONOMIALS = weakref.WeakValueDictionary()
-
-
 class ZMonomial:
     """Canonical multiset of normalized irreducible factors.
 
-    Interned: every construction returns the one live ZMonomial over its
+    Interned: every construction returns the one ZMonomial over its
     (interned) factors, so equal multisets are one object, and == and hash
     are those of object identity.
     """
 
-    __slots__ = ("factors", "__weakref__")
+    __slots__ = ("factors",)
 
     def __new__(cls, factors: Iterable[Poly], trusted: bool = False):
         factors = sorted(factors, key=Poly.sort_key, reverse=True)
@@ -167,15 +160,13 @@ class ZMonomial:
                     raise InvalidArgumentError(f"factor {f} is not irreducible")
         return cls._sorted(tuple(map(_interned, factors)))
 
-    @classmethod
-    def _sorted(cls, factors: tuple) -> "ZMonomial":
+    @staticmethod
+    @cache
+    def _sorted(factors: tuple) -> "ZMonomial":
         """The ZMonomial over factors already in canonical order, each of them
-        interned."""
-        out = _ZMONOMIALS.get(factors)
-        if out is None:
-            out = object.__new__(cls)
-            object.__setattr__(out, "factors", factors)
-            _ZMONOMIALS[factors] = out
+        interned; cached, so each factor tuple builds one object."""
+        out = object.__new__(ZMonomial)
+        object.__setattr__(out, "factors", factors)
         return out
 
     def __setattr__(self, *a):  # pragma: no cover
@@ -377,31 +368,27 @@ def eval_T(factors: Sequence[Poly], s: StarProduct) -> NuObject:
 
     which shares every sub-multiset; the even part is
     sum_{r even} nu^(a+r) P^r(T_a(S - u), u) / r!, summed as integers over
-    one common denominator.  Each T(S) is cached as integer rows keyed by
-    (nu power,) over one denominator, which the larger multisets read as they
-    are and the result is stored over.  Any other star product raises
-    InvalidArgumentError: the standard-ordering product lacks the symmetry,
-    and on su(2)* the closed-form sun lift (sun.sun_lift) replaces T.  A
-    multiset with more than EVAL_T_SUBSET_BOUND sub-multisets raises
-    ResourceLimitError.
+    one common denominator.  Each T(S) is cached per Z-monomial of S and star
+    product as integer rows keyed by (nu power,) over one denominator, which
+    the larger multisets read as they are and the result is stored over.
+    Any other star product raises InvalidArgumentError: the standard-ordering
+    product lacks the symmetry, and on su(2)* the closed-form sun lift
+    (sun.sun_lift) replaces T.  A multiset with more than EVAL_T_SUBSET_BOUND
+    sub-multisets raises ResourceLimitError.
     """
-    return NuObject._of(s.space, *_T_rows(factors, s))
+    return NuObject._of(s.space, *_eval_T(ZMonomial(factors, trusted=True), s))
 
 
-def _T_rows(factors: Sequence[Poly], s: StarProduct) -> tuple:
-    """eval_T as the integer rows that _eval_T caches."""
+@cache
+def _eval_T(m: ZMonomial, s: StarProduct) -> tuple:
+    """eval_T on the factor multiset m as integer rows (numerators, d): T_r
+    has coefficient numerators[(r,)][e] / d at x^e, and d is the least common
+    denominator of every coefficient."""
     if s.kind not in _MOYAL_KINDS:
         raise InvalidArgumentError(
             f"eval_T runs on the Moyal and partial-Moyal products; {s.kind!r} is not one"
         )
-    return _eval_T(tuple(sorted(factors, key=Poly.sort_key)), s)
-
-
-@cache
-def _eval_T(factors: tuple, s: StarProduct) -> tuple:
-    """eval_T on a sorted factor tuple as integer rows (numerators, d): T_r
-    has coefficient numerators[(r,)][e] / d at x^e, and d is the least common
-    denominator of every coefficient."""
+    factors = m.factors
     if not factors:
         return {(0,): {(0,) * s.space.nvars: 1}}, 1
     runs = [(u, len(tuple(run))) for u, run in itertools.groupby(factors)]
@@ -414,7 +401,8 @@ def _eval_T(factors: tuple, s: StarProduct) -> tuple:
     steps = []  # (mult(u), rows of T(S - u), their denominator, u) per distinct u
     i = 0
     for u, mult in runs:
-        steps.append((mult, *_eval_T(factors[:i] + factors[i + 1 :], s), u))
+        rest = ZMonomial._sorted(factors[:i] + factors[i + 1 :])
+        steps.append((mult, *_eval_T(rest, s), u))
         i += mult
     # (1/|S|) sum mult(u) sum_{r even} nu^(a+r) P^r(T_a, u) / r! over one
     # common denominator
@@ -473,7 +461,7 @@ def _deformation_tail(m: ZMonomial, s: StarProduct) -> tuple:
     n_r / d * Z(m_r).  T_r(m) is the integer row T_r over T's denominator d;
     m_r is the row's factor multiset and n_r its leading numerator, since
     Z_{cu} = c Z_u with c = lc(u)."""
-    rows, d = _T_rows(m.factors, s)
+    rows, d = _eval_T(m, s)
     parts = []
     for (r,), row in rows.items():
         if r > 0:

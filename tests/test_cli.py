@@ -759,6 +759,23 @@ def test_config_precedence(tmp_path, capsys, monkeypatch):
     assert out.strip().splitlines()[-1].startswith("t^1:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("star", "--product", "moyal", "--exp", "q^2 + p"),
+    ("sun", "--exp", "L1^2 + L2"),
+])
+def test_exponential_renders_each_coefficient_once(capsys, monkeypatch, argv):
+    # the text lines and the JSON coefficients are built from one rendering
+    calls = []
+    render = poly.NuObject.__str__
+    monkeypatch.setattr(poly.NuObject, "__str__", lambda x: calls.append(x) or render(x))
+    code, text, _ = run(capsys, *argv, "--t-order", "4")
+    assert code == 0 and len(calls) == 5
+    code, out, _ = run(capsys, *argv, "--t-order", "4", "--json")
+    assert code == 0 and len(calls) == 10
+    coeffs = json.loads(out)["data"]["coefficients"]
+    assert text.splitlines() == [f"t^{r}: {c}" for r, c in enumerate(coeffs)]
+
+
 def test_vars_override(capsys):
     code, out, _ = run(capsys, "--vars", "a,b", "factor", "a^2 - b^2")
     assert code == 0

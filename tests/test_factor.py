@@ -160,9 +160,7 @@ def test_two_variable_inputs():
 def test_leading_coefficient_vanishing_at_first_point(monkeypatch):
     # lc in x1 is x2*x3, which vanishes at the first point (x2, x3) = (0, 0)
     f = (x1 * x2 + x3) * (x1 * x3 + x2 + 1)
-    factor_mod._factorize.cache_clear()
     assert sorted(str(g) for g, _ in factorize(f).factors) == ["x1*x2 + x3", "x1*x3 + x2 + 1"]
-    factor_mod._factorize.cache_clear()
     monkeypatch.setattr(factor_mod, "_EVAL_TRIES", 1)
     with pytest.raises(ResourceLimitError) as err:
         factorize(f)
@@ -226,7 +224,6 @@ def test_lost_factor_is_a_mismatch(monkeypatch, drop):
         return [(g, m - 1) if m > 1 else (g, m) for g, m in pieces]
 
     f = (x1 - x2) ** 2 * (x1 * x3 + 2) * Fraction(-3, 5)
-    factor_mod._factorize.cache_clear()
     monkeypatch.setattr(factor_mod, "_factor_terms", lossy)
     with pytest.raises(InvalidArgumentError, match="internal factorization mismatch"):
         factorize(f)
@@ -239,7 +236,6 @@ def test_cold_factorize_builds_one_fraction_per_factor_term(monkeypatch):
     # and the coefficients in the factors' cached sort keys, which order them
     f = (x1 * Fraction(1, 2) + x2) * (x1 - x2 * Fraction(3, 4)) ** 2 * x3 * (3 * x2 * x3 - 5)
     f = f * Fraction(-5, 3)
-    factor_mod._factorize.cache_clear()
     fac, built = fractions_built(monkeypatch, lambda: factorize(f))
     assert built == 1 + sum(len(g.num) for g, _ in fac.factors) == 8
     assert fac.expand() == f

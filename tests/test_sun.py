@@ -252,7 +252,12 @@ def test_pinned_value():
 def test_tables_agree():
     table = sun_coefficients(10, 5)
     assert table.agree()
-    assert table.gamma[0] == 1 and table.tau[0] == 1
+    # A_k and z_{p,r} of the closed form, by hand from the secant series
+    # 1, 1/2, 5/24 and the tangent series 1, 1/3, 2/15
+    assert [big_a(k) for k in range(3)] == [1, 1, Fraction(2, 3)]
+    assert z_coefficient(1, 1) == tangent_coefficient(1) == Fraction(1, 3)
+    assert z_coefficient(1, 2) == big_a(1) * tangent_coefficient(1) + tangent_coefficient(2)
+    assert z_coefficient(2, 2) == tangent_coefficient(1) ** 2 / 2 == Fraction(1, 18)
 
 
 def test_closed_form_domain():
@@ -348,6 +353,19 @@ def test_homogeneous_display(rng):
     assert sun_homogeneous_form(f, g) == brute_sun_lift(SU, f * g)
     with pytest.raises(InvalidArgumentError):
         sun_homogeneous_form(L1 + L2 * L2, L3)
+
+
+def test_closed_form_counts_its_product(monkeypatch):
+    # F·G is counted against SUN_PRODUCT_BOUND before it is formed, with
+    # sun_mul's message: 3 x 3 term products here
+    f, g = L1 + L2 + L3, L1 - L2 + 2 * L3
+    monkeypatch.setattr(sun, "SUN_PRODUCT_BOUND", 9)
+    assert sun_homogeneous_form(f, g) == sun_closed_form(f, g) == sun_mul(SU, f, g)
+    monkeypatch.setattr(sun, "SUN_PRODUCT_BOUND", 8)
+    for route in (sun_closed_form, sun_homogeneous_form, lambda f, g: sun_mul(SU, f, g)):
+        with pytest.raises(ResourceLimitError,
+                           match="sun product of 9 term products is over the sun product bound 8"):
+            route(f, g)
 
 
 def _eta(r, f):

@@ -1113,18 +1113,20 @@ def test_zmonomial_identity_is_equality():
     assert str(m3) == str(m4) and m3 is not m4 and m3 != m4
 
 
-def test_zmonomial_table_drops_dead_monomials():
+def test_zmonomial_outlives_its_last_reference():
     import gc
-    import weakref
 
+    # the constructor's cache holds every Z-monomial it built, so a rebuilt
+    # monomial is the one object built before, even after it was dropped
     u = x1 * x3 + 23 * x2 + 29
     m = ZMonomial([u], trusted=True)
-    key, ref = m.factors, weakref.ref(m)
-    assert zariski._ZMONOMIALS[key] is m
+    key, ident = m.factors, id(m)
     del m
     gc.collect()
-    assert ref() is None and key not in zariski._ZMONOMIALS
-    assert ZMonomial([u]).factors == key
+    hits = ZMonomial._sorted.cache_info().hits
+    m = ZMonomial([u])
+    assert id(m) == ident and m.factors is key
+    assert ZMonomial._sorted.cache_info().hits == hits + 1
 
 
 def test_value_types_copy_and_pickle():
