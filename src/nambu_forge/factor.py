@@ -61,18 +61,13 @@ def _zz_mul(a: list, b: list) -> list:
     return _trim(out)
 
 
-def _zz_content(a: list) -> int:
-    c = 0
-    for x in a:
-        c = gcd(c, x)
-    return c
-
-
-def _zz_primitive(a: list) -> list:
-    c = _zz_content(a)
-    if c in (0, 1):
-        return list(a)
-    return [x // c for x in a]
+def _primitive_pos(a: list) -> list:
+    """a over its content, negated if its leading coefficient is negative;
+    always a new list."""
+    c = gcd(*a)
+    if a and a[-1] < 0:
+        c = -c
+    return list(a) if c in (0, 1) else [x // c for x in a]
 
 
 def _zz_diff(a: list) -> list:
@@ -96,19 +91,12 @@ def _zz_pseudo_rem(a: list, b: list) -> list:
 
 def _zz_gcd(a: list, b: list) -> list:
     """Primitive-PRS gcd; result primitive with positive leading coefficient."""
-    a, b = _zz_primitive(_trim(list(a))), _zz_primitive(_trim(list(b)))
-    if not a:
-        g = b
-    elif not b:
-        g = a
-    else:
-        if _deg(a) < _deg(b):
-            a, b = b, a
-        while b:
-            r = _zz_primitive(_zz_pseudo_rem(a, b))
-            a, b = b, r
-        g = a
-    return _primitive_pos(g)
+    a, b = _primitive_pos(_trim(list(a))), _primitive_pos(_trim(list(b)))
+    if _deg(a) < _deg(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive_pos(_zz_pseudo_rem(a, b))
+    return a
 
 
 def _zz_div_exact(a: list, b: list) -> list | None:
@@ -153,14 +141,11 @@ def _zp_norm(a: list, m: int) -> list:
     return _trim([c % m for c in a])
 
 
-def _zp_add(a: list, b: list, m: int) -> list:
+def _zp_add(a: list, b: list, m: int, sign: int = 1) -> list:
+    """a + sign * b modulo m."""
     n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % m for i in range(n)])
-
-
-def _zp_sub(a: list, b: list, m: int) -> list:
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m for i in range(n)])
+    return _trim([((a[i] if i < len(a) else 0) + sign * (b[i] if i < len(b) else 0)) % m
+                  for i in range(n)])
 
 
 def _zp_divmod(a: list, b: list, m: int) -> tuple:
@@ -216,7 +201,7 @@ def _distinct_degree(f: list, p: int) -> list:
     while 2 * (d + 1) <= _deg(f):
         d += 1
         h = _zp_powmod(h, p, f, p)
-        g = _zp_gcd(_zp_sub(h, [0, 1], p), f, p)
+        g = _zp_gcd(_zp_add(h, [0, 1], p, -1), f, p)
         if _deg(g) > 0:
             out.append((d, g))
             f = _zp_divmod(f, g, p)[0]
@@ -238,7 +223,7 @@ def _equal_degree(f: list, d: int, p: int, rng: random.Random) -> list:
         if _deg(r) < 1:
             continue
         b = _zp_powmod(r, exp, f, p)
-        g = _zp_gcd(_zp_sub(b, [1], p), f, p)
+        g = _zp_gcd(_zp_add(b, [1], p, -1), f, p)
         if 0 < _deg(g) < n:
             rest = _zp_divmod(f, g, p)[0]
             return _equal_degree(g, d, p, rng) + _equal_degree(rest, d, p, rng)
@@ -257,15 +242,15 @@ def _bezout_mod_p(g: list, h: list, p: int) -> tuple | None:
     while r1:
         q, r = _zp_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _zp_sub(s0, _zp_mul(q, s1, p), p)
-        t0, t1 = t1, _zp_sub(t0, _zp_mul(q, t1, p), p)
+        s0, s1 = s1, _zp_add(s0, _zp_mul(q, s1, p), p, -1)
+        t0, t1 = t1, _zp_add(t0, _zp_mul(q, t1, p), p, -1)
     if _deg(r0) > 0:
         return None
     inv = pow(r0[0], -1, p)
     s = [(c * inv) % p for c in s0]
     t = [(c * inv) % p for c in t0]
     s = _zp_divmod(s, h, p)[1]
-    num = _zp_sub([1], _zp_mul(s, g, p), p)
+    num = _zp_add([1], _zp_mul(s, g, p), p, -1)
     t = _zp_divmod(num, h, p)[0]
     return s, t
 
@@ -273,14 +258,14 @@ def _bezout_mod_p(g: list, h: list, p: int) -> tuple | None:
 def _hensel_step(m, f, g, h, s, t):
     """Lift f = g*h (mod m), s*g + t*h = 1 (mod m), h monic, to modulus m^2."""
     mm = m * m
-    e = _zp_sub(_zp_norm(f, mm), _zp_mul(g, h, mm), mm)
+    e = _zp_add(_zp_norm(f, mm), _zp_mul(g, h, mm), mm, -1)
     q, r = _zp_divmod(_zp_mul(s, e, mm), h, mm)
     g1 = _zp_add(g, _zp_add(_zp_mul(t, e, mm), _zp_mul(q, g, mm), mm), mm)
     h1 = _zp_add(h, r, mm)
-    b = _zp_sub(_zp_add(_zp_mul(s, g1, mm), _zp_mul(t, h1, mm), mm), [1], mm)
+    b = _zp_add(_zp_add(_zp_mul(s, g1, mm), _zp_mul(t, h1, mm), mm), [1], mm, -1)
     c, d = _zp_divmod(_zp_mul(s, b, mm), h1, mm)
-    s1 = _zp_sub(s, d, mm)
-    t1 = _zp_sub(t, _zp_add(_zp_mul(t, b, mm), _zp_mul(c, g1, mm), mm), mm)
+    s1 = _zp_add(s, d, mm, -1)
+    t1 = _zp_add(t, _zp_add(_zp_mul(t, b, mm), _zp_mul(c, g1, mm), mm), mm, -1)
     return g1, h1, s1, t1
 
 
@@ -342,13 +327,6 @@ def _pick_prime(f: list) -> tuple:
     count, p, pieces = found[0]
     rng = random.Random(0x5EED ^ (p * 7919) ^ _deg(f))
     return p, sorted(u for d, part in pieces for u in _equal_degree(part, d, p, rng))
-
-
-def _primitive_pos(a: list) -> list:
-    a = _zz_primitive(a)
-    if a and a[-1] < 0:
-        a = [-c for c in a]
-    return a
 
 
 def _factor_squarefree_zz(f: list) -> list:
@@ -514,7 +492,7 @@ def _t_image(f: dict, v: int, a: list) -> list:
 
 
 def _t_primitive(f: dict) -> dict:
-    c = _zz_content(list(f.values()))
+    c = gcd(*f.values())
     return f if c == 1 else {e: x // c for e, x in f.items()}
 
 

@@ -145,24 +145,59 @@ def su2_lift_space() -> VarSpace:
     return VarSpace(names, ((0, 3), (1, 4), (2, 5)))
 
 
+# ---------------------------------------------------------------------------
+# Accumulators: sparse maps of ints summed in place (the test oracles also
+# sum Fractions, Polys and ZElems with _bump)
+
+
+def _bump(row: dict, e, v) -> None:
+    cur = row.get(e)
+    row[e] = v if cur is None else cur + v
+
+
+def _add_num(acc: dict, num: Mapping, f: int) -> dict:
+    """acc with acc[e] += f * num[e] over an integer term map."""
+    for e, n in num.items():
+        acc[e] = acc.get(e, 0) + f * n
+    return acc
+
+
+def _add_rows(acc: dict, rows: Mapping, f: int) -> dict:
+    """acc with acc[k][m] += f * rows[k][m] over integer rows."""
+    for k, row in rows.items():
+        _add_num(acc.setdefault(k, {}), row, f)
+    return acc
+
+
 class _Sparse:
-    """Immutability, copy and the +/- dispatch of the sparse values.  Each
-    supplies ``_parts``, its nonzero entries; ``_like(other)``, the operand
-    of its own type that other stands for, or None; and ``_signed(other,
-    sign)``, self + sign * other or NotImplemented."""
+    """The sparse values, stored as integer entries ``_parts`` over one
+    denominator ``den`` in lowest terms on ``space``: their immutability,
+    copy, pickling, +, -, negation, == and ``scale``, written once over the
+    entries.  A layout supplies ``_fields``, the slots that its constructor
+    from integer entries over d, ``_of(space, parts, d, ...)``, takes in
+    order; ``_parts``; and ``_add(acc, parts, f)``, which adds f times the
+    entries into acc.  Each kind supplies ``_like(other)``, the operand of
+    its own type that other stands for, or None."""
 
     __slots__ = ()
 
     def __setattr__(self, *a):  # pragma: no cover - guard rail
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    # immutable, so a copy is the value itself; each type's __reduce__
-    # rebuilds a pickled value through its constructor
+    def _set(self, *values) -> None:
+        for name, v in zip(self._fields, values):
+            object.__setattr__(self, name, v)
+
+    # immutable, so a copy is the value itself, and a pickled value is
+    # rebuilt by _of from its fields
     def __copy__(self):
         return self
 
     def __deepcopy__(self, memo):
         return self
+
+    def __reduce__(self):
+        return self._of, tuple(getattr(self, name) for name in self._fields)
 
     def is_zero(self) -> bool:
         return not self._parts
@@ -170,6 +205,23 @@ class _Sparse:
     def _check_space(self, other) -> None:
         if self.space != other.space:
             raise InvalidArgumentError("polynomials live on different variable spaces")
+
+    def _with(self, parts: dict, d: int, other):
+        """The value of self's type and space of integer entries over d, the
+        result of an operation on self and other (a TaylorElem joins their
+        in_a flags)."""
+        return self._of(self.space, parts, d)
+
+    def _signed(self, other, sign: int):
+        """self + sign * other over the lcm of the denominators, or
+        NotImplemented: one pass over each operand's entries."""
+        o = self._like(other)
+        if o is None:
+            return NotImplemented
+        self._check_space(o)
+        d = lcm(self.den, o.den)
+        acc = self._add({}, self._parts, d // self.den)
+        return self._with(self._add(acc, o._parts, sign * (d // o.den)), d, o)
 
     def __add__(self, other):
         return self._signed(other, 1)
@@ -182,6 +234,21 @@ class _Sparse:
     def __rsub__(self, other):
         o = self._like(other)
         return NotImplemented if o is None else o._signed(self, -1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __eq__(self, other):
+        o = self._like(other)
+        if o is None:
+            return NotImplemented
+        return self.space == o.space and self.den == o.den and self._parts == o._parts
+
+    def scale(self, c):
+        """c times the value, for any rational scalar c."""
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        return self._with(self._add({}, self._parts, c.numerator), self.den * c.denominator, self)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"
@@ -197,7 +264,9 @@ class _Rational(_Sparse):
     zariski.ZElem (keys Z-monomials, space None) are the two kinds."""
 
     __slots__ = ("space", "num", "den")
+    _fields = __slots__
     _parts = property(attrgetter("num"))
+    _add = staticmethod(_add_num)
 
     def __init__(self, space, terms: Mapping):
         clean = {}
@@ -210,11 +279,6 @@ class _Rational(_Sparse):
         # it; an int has numerator and denominator too
         d = lcm(*(c.denominator for c in clean.values()))
         self._set(space, {e: c.numerator * (d // c.denominator) for e, c in clean.items()}, d)
-
-    def _set(self, space, num: dict, den: int) -> None:
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
 
     @classmethod
     def _of(cls, space, row: Mapping, d: int = 1):
@@ -235,34 +299,6 @@ class _Rational(_Sparse):
         """{key: Fraction}, built afresh from num and den."""
         d = self.den
         return {e: Fraction(n, d) for e, n in self.num.items()}
-
-    def _signed(self, other, sign: int):
-        o = self._like(other)
-        if o is None:
-            return NotImplemented
-        self._check_space(o)
-        d = lcm(self.den, o.den)
-        a, b = d // self.den, d // o.den
-        x = self.num if a == 1 else {e: n * a for e, n in self.num.items()}
-        y = o.num if b == 1 else {e: n * b for e, n in o.num.items()}
-        return self._of(self.space, _summed(x, y, sign), d)
-
-    def __neg__(self):
-        return self._of(self.space, {e: -n for e, n in self.num.items()}, self.den)
-
-    def __eq__(self, other):
-        o = self._like(other)
-        if o is None:
-            return NotImplemented
-        return self.space == o.space and self.den == o.den and self.num == o.num
-
-    def scale(self, c):
-        """c times the value, for any rational scalar c."""
-        if not isinstance(c, (int, Fraction)):
-            c = Fraction(c)
-        n = c.numerator
-        return self._of(self.space, {e: v * n for e, v in self.num.items()},
-                        self.den * c.denominator)
 
     def __str__(self) -> str:
         """The terms, leading one first, from each kind's ``_term_parts``."""
@@ -331,9 +367,6 @@ class Poly(_Rational):
         if isinstance(other, (int, Fraction)):
             return Poly.const(self.space, other)
         return None
-
-    def __reduce__(self):
-        return Poly, (self.space, self.terms)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -482,6 +515,7 @@ class _Rows(_Sparse):
     __slots__ = ("space", "rows", "den")
     _fields = __slots__
     _parts = property(attrgetter("rows"))
+    _add = staticmethod(_add_rows)
     _negative_nu = False
 
     def __init__(self, space, terms: Mapping[tuple, _Rational], *flags):
@@ -495,10 +529,6 @@ class _Rows(_Sparse):
         if not self._negative_nu and any(k[-1] < 0 for k in keys):
             raise InvalidArgumentError(f"{type(self).__name__} supports non-negative nu powers only")
 
-    def _set(self, space, rows: dict, d: int, *flags) -> None:
-        for name, v in zip(self._fields, (space, rows, d, *flags)):
-            object.__setattr__(self, name, v)
-
     @classmethod
     def _of(cls, space, rows: dict, d: int, *flags):
         """The value of integer rows over d > 0, brought to lowest terms."""
@@ -506,41 +536,11 @@ class _Rows(_Sparse):
         out._set(space, *_reduced(rows, d), *flags)
         return out
 
-    def _with(self, rows: dict, d: int, other):
-        """The value of self's type and space of integer rows over d, the
-        result of an operation on self and other (a TaylorElem joins their
-        in_a flags)."""
-        return self._of(self.space, rows, d)
-
     @property
     def terms(self) -> dict:
         """{key: coefficient}, built afresh from the rows by each kind's
         ``_coef``."""
         return {k: self._coef(row) for k, row in self.rows.items()}
-
-    def _signed(self, other, sign: int):
-        o = self._like(other)
-        if o is None:
-            return NotImplemented
-        self._check_space(o)
-        d = lcm(self.den, o.den)
-        acc = _add_rows({}, self.rows, d // self.den)
-        return self._with(_add_rows(acc, o.rows, sign * (d // o.den)), d, o)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __eq__(self, other):
-        o = self._like(other)
-        if o is None:
-            return NotImplemented
-        return self.space == o.space and self.den == o.den and self.rows == o.rows
-
-    def scale(self, c):
-        """c times the value, for any rational scalar c."""
-        if not isinstance(c, (int, Fraction)):
-            c = Fraction(c)
-        return self._with(_add_rows({}, self.rows, c.numerator), self.den * c.denominator, self)
 
     def nu_shift(self, n: int):
         rows = {k[:-1] + (k[-1] + n,): row for k, row in self.rows.items()}
@@ -632,9 +632,6 @@ class NuObject(_Rows):
     def _like(self, other):
         return self._coerce(other, self.space)
 
-    def __reduce__(self):
-        return NuObject, (self.space, self.coeffs)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -685,30 +682,6 @@ class TSeries:
 
 
 # ---------------------------------------------------------------------------
-# Accumulators: sparse maps of ints summed in place with _bump (the test
-# oracles also sum Fractions, Polys and ZElems with it)
-
-
-def _bump(row: dict, e, v) -> None:
-    cur = row.get(e)
-    row[e] = v if cur is None else cur + v
-
-
-def _summed(a: Mapping, b: Mapping, sign: int = 1) -> dict:
-    """A copy of a with each entry of b added in (sign 1) or subtracted
-    (sign -1); only the entries of b missing from a are negated.  Entries
-    that cancel stay as zeros: every value constructor drops them."""
-    out = dict(a)
-    if sign > 0:
-        for k, v in b.items():
-            _bump(out, k, v)
-    else:
-        for k, v in b.items():
-            cur = out.get(k)
-            out[k] = -v if cur is None else cur - v
-    return out
-
-
 # Integer rows: the product kernels multiply and add plain ints on rows
 # {key: {exponent or Z-monomial: int}} over one denominator per operand.
 
@@ -728,15 +701,6 @@ def _reduced(rows: dict, d: int) -> tuple:
     g = gcd(d, *chain.from_iterable(map(dict.values, rows.values())))
     return {m: {e: n // g for e, n in row.items() if n} for m, row in rows.items()
             if any(row.values())}, d // g
-
-
-def _add_rows(acc: dict, rows: Mapping, f: int) -> dict:
-    """acc with acc[k][m] += f * rows[k][m] over integer rows."""
-    for k, row in rows.items():
-        out = acc.setdefault(k, {})
-        for m, n in row.items():
-            out[m] = out.get(m, 0) + f * n
-    return acc
 
 
 def _diff_terms(terms: dict, i: int) -> dict:

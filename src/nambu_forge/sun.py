@@ -190,19 +190,6 @@ def sun_exponential(sp: SunProduct, h: Poly, t_order: int) -> TSeries:
 # Coefficient tables: recursion and Euler/Bernoulli closed form
 
 
-def _partitions_exact(k: int, p: int, cap: int = None):
-    """Partitions of k into exactly p positive nonincreasing parts."""
-    if cap is None:
-        cap = k
-    if p == 0:
-        if k == 0:
-            yield ()
-        return
-    for first in range(min(k - p + 1, cap), 0, -1):
-        for rest in _partitions_exact(k - first, p - 1, first):
-            yield (first,) + rest
-
-
 # a_recursion does n * min(n, r) Fraction updates; at 10^5 of them, a(316, 316)
 # and a(100000, 1) each take about 1.5 s on a 2-vCPU x86_64 host
 A_RECURSION_BOUND = 100_000
@@ -256,6 +243,12 @@ def _series_mul(a: list, b: list) -> list:
     return out
 
 
+def _secant_square(r: int) -> list:
+    """G(x)^2 to degree r, G = sum gamma_j x^j (secant)."""
+    gamma = [secant_coefficient(j) for j in range(r + 1)]
+    return _series_mul(gamma, gamma)
+
+
 def a_closed_form(n: int, r: int) -> Fraction:
     """[x^r] G(x)^2 T(x)^(n-2r) with G = sum gamma_j x^j (secant) and
     T = sum tau_j x^j (tangent): the sum over compositions of r of two secant
@@ -263,9 +256,8 @@ def a_closed_form(n: int, r: int) -> Fraction:
     and the power is taken by squaring.  Defined for n >= 2r."""
     if r < 0 or n < 2 * r:
         raise InvalidArgumentError(f"closed form requires n >= 2r >= 0, got a({n}, {r})")
-    gamma = [secant_coefficient(j) for j in range(r + 1)]
     tau = [tangent_coefficient(j) for j in range(r + 1)]
-    out = _series_mul(gamma, gamma)
+    out = _secant_square(r)
     k = n - 2 * r
     while k:
         if k & 1:
@@ -277,34 +269,23 @@ def a_closed_form(n: int, r: int) -> Fraction:
 
 
 def big_a(k: int) -> Fraction:
-    """A_k = sum_{i+j=k} gamma_i gamma_j."""
-    return sum(
-        (secant_coefficient(i) * secant_coefficient(k - i) for i in range(k + 1)),
-        Fraction(0),
-    )
+    """A_k = sum_{i+j=k} gamma_i gamma_j = [x^k] G(x)^2 (0 for k < 0)."""
+    return _secant_square(k)[k] if k >= 0 else Fraction(0)
 
 
 def z_coefficient(p: int, r: int) -> Fraction:
     """z_{p,r} = sum_{k=p}^{r} A_{r-k} sum over length-p partitions of k of
-    the tangent-coefficient product divided by the part multiplicities."""
+    the tangent-coefficient product divided by the part multiplicities, that
+    is [x^r] G(x)^2 (T(x) - 1)^p / p!: a partition whose parts occur m_1, m_2,
+    ... times has p! / (m_1! m_2! ...) distinct orderings, which are its
+    compositions into p positive parts, and tau_0 = 1."""
     if not 1 <= p <= r:
         raise InvalidArgumentError("z coefficient needs 1 <= p <= r")
-    total = Fraction(0)
-    for k in range(p, r + 1):
-        inner = Fraction(0)
-        for parts in _partitions_exact(k, p):
-            mults: dict = {}
-            for v in parts:
-                mults[v] = mults.get(v, 0) + 1
-            denom = 1
-            for m in mults.values():
-                denom *= factorial(m)
-            term = Fraction(1, denom)
-            for v in parts:
-                term *= tangent_coefficient(v)
-            inner += term
-        total += big_a(r - k) * inner
-    return total
+    tail = [Fraction(0)] + [tangent_coefficient(j) for j in range(1, r + 1)]
+    out = _secant_square(r)
+    for _ in range(p):
+        out = _series_mul(out, tail)
+    return out[r] / factorial(p)
 
 
 @dataclass(frozen=True)

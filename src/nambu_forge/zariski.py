@@ -240,9 +240,6 @@ class ZElem(_Rational):
     def _like(self, other):
         return other if isinstance(other, ZElem) else None
 
-    def __reduce__(self):
-        return ZElem, (self.terms,)
-
     def _term_parts(self, prefix: str = "") -> list:
         """(sign, body) pairs of the terms, leading multiset first, each body
         led by ``prefix``."""
@@ -301,9 +298,6 @@ class ZNu(_Rows):
         if isinstance(other, ZNu):
             return other
         return ZNu.from_zelem(other) if isinstance(other, ZElem) else None
-
-    def __reduce__(self):
-        return ZNu, (self.coeffs,)
 
 
 def _as_znu(x) -> ZNu:
@@ -662,9 +656,6 @@ class TaylorElem(_Rows):
 
     def _like(self, other):
         return other if isinstance(other, TaylorElem) else None
-
-    def __reduce__(self):
-        return TaylorElem, (self.space, self.terms, self.in_a)
 
 
 def taylor_unit(space: VarSpace = None) -> TaylorElem:

@@ -54,6 +54,16 @@ def star_power(s, h: Poly, r: int) -> NuObject:
     return out
 
 
+def sum_oracle(a: dict, b: dict, sign: int = 1) -> dict:
+    """a + sign * b entry by entry over coefficient maps ({key: Fraction} or
+    {nu power: Poly}): the oracle for the value sums, which add integer
+    entries over one denominator.  Entries that cancel stay as zeros."""
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out[k] + sign * v if k in out else sign * v
+    return out
+
+
 def mul_oracle(f: Poly, g: Poly) -> Poly:
     """f * g as the double loop over Fraction coefficients: the oracle for
     Poly.__mul__, which multiplies integer numerators over one denominator."""

@@ -1139,15 +1139,21 @@ def test_value_types_copy_and_pickle():
     znu = ZNu({0: z, 2: ZElem.basis(ZMonomial([f]), 5)})
     t = jmap(z)
     scaled = t.scale(Fraction(5, 6)).nu_shift(1)
-    assert z.den == 4 and t.den == 4 and scaled.den == 24
-    for v in (m, z, znu, t, scaled):
+    outside = parse_expr("y1*Z[x1]")
+    assert z.den == 4 and t.den == 4 and scaled.den == 24 and not outside.in_a
+    zeros = (ZElem.zero(), ZNu.zero(), TaylorElem.zero(SP))
+    for v in (m, z, znu, t, scaled, outside, *zeros):
         assert copy.copy(v) is v and copy.deepcopy(v) is v
         back = pickle.loads(pickle.dumps(v))
+        assert type(back) is type(v)
         assert back == v and str(back) == str(v)
+        if v is not m:
+            assert back.space == v.space and back.den == v.den and back._parts == v._parts
+            # of the five kinds only Poly and NuObject are hashable
+            with pytest.raises(TypeError):
+                hash(v)
         if isinstance(v, TaylorElem):
-            assert back.den == v.den and back.rows == v.rows
-        if isinstance(v, ZElem):
-            assert back.den == v.den and back.num == v.num
+            assert back.in_a == v.in_a
     assert pickle.loads(pickle.dumps(m)) is m
     back = pickle.loads(pickle.dumps(z))
     assert list(back.terms) == list(z.terms)
