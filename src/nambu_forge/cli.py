@@ -111,11 +111,14 @@ _STAR_PRODUCTS = {
 
 
 # check-fi bounds.  _rand_poly lowers an exponent one unit per pass, and a
-# trial's cost grows with the degree until its 2-4 terms stop colliding: on a
-# 2-vCPU x86_64 host, 1000 canonical3 trials take 1.0 s at degree 2, 6.7 s
-# at degree 16 and 8.4 s at degree 100
+# trial's cost grows with the bracket order and with the degree until its 2-4
+# terms stop colliding, so the trials share one bound on the term products of
+# their Jacobians: on a 2-vCPU x86_64 host 1000 canonical3 trials take 1.1 s at
+# degree 2 (172,477 products), and the slowest call found, 1000 linear8 trials
+# at degree 1, 3.3 s; without it, 100 linear3 trials at degree 100 take 7.7 s
 CHECK_FI_DEGREE_BOUND = 100
 CHECK_FI_TRIAL_BOUND = 1000
+CHECK_FI_WORK_BOUND = 500_000
 
 
 def _rand_poly(space: VarSpace, degree: int, rng) -> Poly:
@@ -158,6 +161,8 @@ def _exponential(exponential, product, args, cfg):
     """Text (a line t^r: c per t power, as the series renders) and JSON data of
     exponential(product, h, t_order), the t-series of the --exp Hamiltonian h;
     each coefficient is rendered once, for both."""
+    if args.exprs:
+        raise InvalidArgumentError("--exp takes no expressions")
     h = parse_expr(args.exp, product.space)
     if not isinstance(h, Poly):
         raise InvalidArgumentError("the exponential argument must be a plain polynomial")
@@ -173,6 +178,8 @@ def _cmd_star(args, cfg):
     default_space, make = _STAR_PRODUCTS[args.product]
     product = make(star, _space_from_names(cfg["vars"], True) if cfg["vars"] else default_space())
     if args.exp is not None:
+        if args.commutator:
+            raise InvalidArgumentError("--exp takes no --commutator")
         return _exponential(star.star_exponential, product, args, cfg)
     if len(args.exprs) != 2:
         raise InvalidArgumentError("star needs exactly two expressions")
@@ -222,11 +229,14 @@ def _cmd_check_fi(args, cfg):
             f"--trials {trials} is over the check-fi trial bound {CHECK_FI_TRIAL_BOUND}"
         )
     arity = 2 * bracket.order - 1
-    passes = 0
+    passes, spent = 0, [0]
     for t in range(trials):
         rng = random.Random(cfg["seed"] * 1_000_003 + t)
         fs = [_rand_poly(bracket.space, args.degree, rng) for _ in range(arity)]
-        passes += nambu.check_fi(bracket, fs).is_zero()
+        passes += nambu.check_fi(bracket, fs, spent).is_zero()
+        if spent[0] > CHECK_FI_WORK_BOUND:
+            raise ResourceLimitError(f"{t + 1} check-fi trials of {spent[0]} term products are "
+                                     f"over the check-fi work bound {CHECK_FI_WORK_BOUND}")
     ok = passes == trials
     text = f"{'PASS' if ok else 'FAIL'} residual={'0' if ok else 'nonzero'} ({passes}/{trials})"
     data = {"bracket": args.bracket, "trials": trials, "passes": passes, "all_zero": ok}

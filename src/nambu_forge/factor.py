@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, isqrt, perm
 
 from .errors import InvalidArgumentError, ResourceLimitError
-from .poly import DEFAULT_DEGREE_BOUND, Poly, VarSpace, _mul_into, grlex_key
+from .poly import DEFAULT_DEGREE_BOUND, Poly, VarSpace, _Frozen, _mul_into, grlex_key
 
 __all__ = ["Factorization", "normalize", "factorize", "is_irreducible", "DEFAULT_DEGREE_BOUND"]
 
@@ -701,14 +700,15 @@ def _hensel_multi(rows: dict, lcs: dict, a0: list, b0: list, p: int) -> dict | N
     return big
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(_Frozen):
     """unit * product(factor^multiplicity), factors normalized irreducible;
     the unit is the input's leading coefficient."""
 
-    unit: Fraction
-    factors: tuple  # ((Poly, int), ...) in canonical order
-    space: VarSpace
+    __slots__ = _fields = ("unit", "factors", "space")
+
+    def __init__(self, unit: Fraction, factors: tuple, space: VarSpace):
+        # factors: ((Poly, int), ...) in canonical order
+        self._set(unit, factors, space)
 
     def expand(self) -> Poly:
         out = Poly.const(self.space, self.unit)

@@ -19,12 +19,11 @@ symbolically once per run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import IntegrationFailureError, InvalidArgumentError, ResourceLimitError
-from .poly import Poly, VarSpace, _jacobian_minors, coordinate_space, jacobian_det
+from .poly import Poly, VarSpace, _Frozen, _jacobian_minors, coordinate_space, jacobian_det
 
 __all__ = [
     "NambuBracket",
@@ -41,12 +40,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NambuBracket:
-    kind: str  # "canonical" | "linear" | "custom"
-    order: int
-    space: VarSpace
-    eta: tuple = ()  # ((ascending index tuple, Poly), ...) for custom kind
+class NambuBracket(_Frozen):
+    __slots__ = _fields = ("kind", "order", "space", "eta")
+
+    def __init__(self, kind: str, order: int, space: VarSpace, eta: tuple = ()):
+        # kind: "canonical" | "linear" | "custom"; eta: ((index tuple, Poly), ...) if custom
+        self._set(kind, order, space, eta)
 
 
 # each evaluation is one Laplace expansion over at most 2^n column sets: on a
@@ -93,8 +92,9 @@ def custom_bracket(space: VarSpace, order: int, eta: dict) -> NambuBracket:
     return NambuBracket("custom", order, space, tuple(entries))
 
 
-def bracket_eval(b: NambuBracket, fs: Sequence[Poly]) -> Poly:
-    """Evaluate the bracket on exactly ``b.order`` polynomials."""
+def bracket_eval(b: NambuBracket, fs: Sequence[Poly], spent=None) -> Poly:
+    """Evaluate the bracket on exactly ``b.order`` polynomials; the term
+    products of its Jacobians are added to ``spent[0]`` if given."""
     fs = list(fs)
     if len(fs) != b.order:
         raise InvalidArgumentError(f"bracket of order {b.order} got {len(fs)} arguments")
@@ -102,41 +102,42 @@ def bracket_eval(b: NambuBracket, fs: Sequence[Poly]) -> Poly:
         if f.space != b.space:
             raise InvalidArgumentError("bracket arguments must live on the bracket's space")
     if b.kind == "canonical":
-        return jacobian_det(fs, range(b.order))
+        return jacobian_det(fs, range(b.order), spent)
     if b.kind == "linear":
         n, full = b.order, (1 << (b.order + 1)) - 1
         out = Poly.zero(b.space)
-        for mask, det in _jacobian_minors(fs, range(n + 1)).items():
+        for mask, det in _jacobian_minors(fs, range(n + 1), None, spent).items():
             k = (full ^ mask).bit_length() - 1
             out = out + det * Poly.variable(b.space, k) * (-1) ** (n - k)
         return out
     if b.kind == "custom":
         cols = sorted({i for idx, _ in b.eta for i in idx})
         masks = [sum(1 << cols.index(i) for i in idx) for idx, _ in b.eta]
-        minors = _jacobian_minors(fs, cols, masks)
+        minors = _jacobian_minors(fs, cols, masks, spent)
         terms = (coeff * minors[m] for m, (_, coeff) in zip(masks, b.eta) if m in minors)
         return sum(terms, Poly.zero(b.space))
     raise InvalidArgumentError(f"unknown bracket kind {b.kind!r}")
 
 
-def check_fi(b: NambuBracket, fs: Sequence[Poly]) -> Poly:
+def check_fi(b: NambuBracket, fs: Sequence[Poly], spent=None) -> Poly:
     """Residual (left minus right side) of the Fundamental Identity.
 
     For a bracket of order n the identity takes 2n-1 functions:
     {f1..f_{n-1}, {f_n..f_{2n-1}}} equals the sum over k of the bracket with
-    the inner bracket replacing f_k in (f_n..f_{2n-1}).
+    the inner bracket replacing f_k in (f_n..f_{2n-1}).  The term products
+    of every bracket are added to ``spent[0]`` if given.
     """
     n = b.order
     fs = list(fs)
     if len(fs) != 2 * n - 1:
         raise InvalidArgumentError(f"Fundamental Identity of order {n} needs {2*n-1} arguments")
     head, tail = fs[: n - 1], fs[n - 1 :]
-    lhs = bracket_eval(b, head + [bracket_eval(b, tail)])
+    lhs = bracket_eval(b, head + [bracket_eval(b, tail, spent)], spent)
     rhs = Poly.zero(b.space)
     for k in range(n):
-        inner = bracket_eval(b, head + [tail[k]])
+        inner = bracket_eval(b, head + [tail[k]], spent)
         args = tail[:k] + [inner] + tail[k + 1 :]
-        rhs = rhs + bracket_eval(b, args)
+        rhs = rhs + bracket_eval(b, args, spent)
     return lhs - rhs
 
 
@@ -144,32 +145,31 @@ def check_fi(b: NambuBracket, fs: Sequence[Poly]) -> Poly:
 # Dynamics
 
 
-@dataclass(frozen=True)
-class Dynamics:
-    bracket: NambuBracket
-    hamiltonians: tuple
-    state: tuple  # initial condition, floats
-    step: float = 1e-3
+class Dynamics(_Frozen):
+    __slots__ = _fields = ("bracket", "hamiltonians", "state", "step")
 
-    def __post_init__(self):
-        if self.bracket.kind != "canonical":
+    def __init__(self, bracket: NambuBracket, hamiltonians: tuple, state: tuple,
+                 step: float = 1e-3):
+        # state: the initial condition, floats
+        if bracket.kind != "canonical":
             raise InvalidArgumentError("time evolution is defined for the canonical bracket")
-        if len(self.hamiltonians) != self.bracket.order - 1:
+        if len(hamiltonians) != bracket.order - 1:
             raise InvalidArgumentError(
-                f"order-{self.bracket.order} dynamics needs {self.bracket.order - 1} Hamiltonians"
+                f"order-{bracket.order} dynamics needs {bracket.order - 1} Hamiltonians"
             )
-        if len(self.state) != self.bracket.space.nvars:
+        if len(state) != bracket.space.nvars:
             raise InvalidArgumentError("initial state dimension mismatch")
+        self._set(bracket, hamiltonians, state, step)
 
 
-@dataclass
-class EvolveResult:
-    times: list
-    states: list
-    hamiltonian_values: list  # per step, list of H_k floats
-    max_relative_drift: list  # per Hamiltonian
-    divergence_zero: bool
-    steps: int
+class EvolveResult(_Frozen):
+    __slots__ = _fields = ("times", "states", "hamiltonian_values", "max_relative_drift",
+                           "divergence_zero", "steps")
+
+    def __init__(self, times: list, states: list, hamiltonian_values: list,
+                 max_relative_drift: list, divergence_zero: bool, steps: int):
+        # hamiltonian_values: per step, the H_k floats; max_relative_drift: per H_k
+        self._set(times, states, hamiltonian_values, max_relative_drift, divergence_zero, steps)
 
     def report(self) -> dict:
         return {
@@ -213,8 +213,8 @@ EVOLVE_STEP_BOUND = 100_000
 def evolve(d: Dynamics, horizon: float, rk4_step: float = None) -> EvolveResult:
     """Fixed-step RK4 integration with conservation monitoring."""
     h = d.step if rk4_step is None else rk4_step
-    if not h > 0:  # NaN included
-        raise InvalidArgumentError("RK4 step must be positive")
+    if not 0 < h < math.inf:  # NaN included
+        raise InvalidArgumentError(f"RK4 step must be positive and finite, got {h}")
     if not horizon > 0:  # NaN included
         raise InvalidArgumentError(f"horizon must be positive, got {horizon}")
     # every state is kept, so the step count bounds time and memory alike
@@ -226,39 +226,41 @@ def evolve(d: Dynamics, horizon: float, rk4_step: float = None) -> EvolveResult:
         )
     field = velocity_field(d)
     div_zero = divergence_is_zero(field)
-    compiled = [_compile(v) for v in field]
-    ham_compiled = [_compile(hk) for hk in d.hamiltonians]
+    n = 0
+    # float() and float powers raise OverflowError where the rest gives inf
+    try:
+        compiled = [_compile(v) for v in field]
+        ham_compiled = [_compile(hk) for hk in d.hamiltonians]
 
-    def rhs(x):
-        return [f(x) for f in compiled]
+        def rhs(x):
+            return [f(x) for f in compiled]
 
-    x = list(map(float, d.state))
-    times = [0.0]
-    states = [tuple(x)]
-    h_values = [[f(x) for f in ham_compiled]]
-    h0 = h_values[0]
-    drift = [0.0] * len(ham_compiled)
-    for n in range(steps):
-        try:
+        x = list(map(float, d.state))
+        times = [0.0]
+        states = [tuple(x)]
+        h_values = [[f(x) for f in ham_compiled]]
+        h0 = h_values[0]
+        drift = [0.0] * len(ham_compiled)
+        for n in range(steps):
             k1 = rhs(x)
             k2 = rhs([xi + 0.5 * h * ki for xi, ki in zip(x, k1)])
             k3 = rhs([xi + 0.5 * h * ki for xi, ki in zip(x, k2)])
             k4 = rhs([xi + h * ki for xi, ki in zip(x, k3)])
-        except OverflowError:
-            raise IntegrationFailureError("state became non-finite", n) from None
-        x = [
-            xi + h / 6.0 * (a + 2 * b + 2 * c + e)
-            for xi, a, b, c, e in zip(x, k1, k2, k3, k4)
-        ]
-        if not all(math.isfinite(v) for v in x):
-            raise IntegrationFailureError("state became non-finite", n)
-        times.append((n + 1) * h)
-        states.append(tuple(x))
-        hs = [f(x) for f in ham_compiled]
-        h_values.append(hs)
-        for k, (now, ref) in enumerate(zip(hs, h0)):
-            scale = abs(ref) if ref != 0 else 1.0
-            drift[k] = max(drift[k], abs(now - ref) / scale)
+            x = [
+                xi + h / 6.0 * (a + 2 * b + 2 * c + e)
+                for xi, a, b, c, e in zip(x, k1, k2, k3, k4)
+            ]
+            if not all(math.isfinite(v) for v in x):
+                raise IntegrationFailureError("state became non-finite", n)
+            times.append((n + 1) * h)
+            states.append(tuple(x))
+            hs = [f(x) for f in ham_compiled]
+            h_values.append(hs)
+            for k, (now, ref) in enumerate(zip(hs, h0)):
+                scale = abs(ref) if ref != 0 else 1.0
+                drift[k] = max(drift[k], abs(now - ref) / scale)
+    except OverflowError:
+        raise IntegrationFailureError("state became non-finite", n) from None
     return EvolveResult(times, states, h_values, drift, div_zero, steps)
 
 

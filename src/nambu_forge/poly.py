@@ -21,17 +21,16 @@ compare total degree, then the exponent tuples componentwise.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import chain, islice
 from math import factorial, gcd, lcm, prod
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import InvalidArgumentError, ResourceLimitError
 
 Exponent = tuple  # tuple[int, ...], one entry per variable
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 __all__ = [
     "VarSpace",
@@ -67,8 +66,53 @@ VARIABLE_BOUND = 128
 DEFAULT_DEGREE_BOUND = 12
 
 
-@dataclass(frozen=True)
-class VarSpace:
+class _Frozen:
+    """Immutable values and records over the slots ``_fields`` names (two or
+    more, in constructor order): the assignment guard, ``_set``, copy,
+    pickling by ``_of`` (the class unless a kind supplies one), and == (within
+    one class), hash and repr as a frozen dataclass's, over ``_values``."""
+
+    __slots__ = ()
+    _of = property(type)
+
+    def __init_subclass__(cls):
+        if "_fields" in vars(cls):
+            cls._values = property(attrgetter(*cls._fields))
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _set(self, *values) -> None:
+        for name, v in zip(self._fields, values):
+            object.__setattr__(self, name, v)
+
+    # immutable, so a copy is the value itself
+    def __deepcopy__(self, memo=None):
+        return self
+
+    __copy__ = __deepcopy__
+
+    def __reduce__(self):
+        return self._of, self._values
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class VarSpace(_Frozen):
     """An ordered set of variables plus its symplectic pairing.
 
     ``pairs`` lists index pairs (a, b); the Poisson bivector acts as
@@ -76,25 +120,25 @@ class VarSpace:
     pair are central.
     """
 
-    names: tuple
-    pairs: tuple = ()
+    __slots__ = _fields = ("names", "pairs")
 
-    def __post_init__(self):
-        if len(self.names) > VARIABLE_BOUND:
+    def __init__(self, names: tuple, pairs: tuple = ()):
+        if len(names) > VARIABLE_BOUND:
             raise ResourceLimitError(
-                f"space of {len(self.names)} variables is over the variable bound {VARIABLE_BOUND}"
+                f"space of {len(names)} variables is over the variable bound {VARIABLE_BOUND}"
             )
-        if len(set(self.names)) != len(self.names):
-            twice = next(n for i, n in enumerate(self.names) if n in self.names[:i])
+        if len(set(names)) != len(names):
+            twice = next(n for i, n in enumerate(names) if n in names[:i])
             raise InvalidArgumentError(f"variable name {twice!r} appears twice")
         seen = set()
-        for a, b in self.pairs:
+        for a, b in pairs:
             for i in (a, b):
-                if not 0 <= i < len(self.names):
+                if not 0 <= i < len(names):
                     raise InvalidArgumentError(f"pair index {i} out of range")
                 if i in seen:
                     raise InvalidArgumentError(f"variable index {i} appears in two pairs")
                 seen.add(i)
+        self._set(names, pairs)
 
     @property
     def nvars(self) -> int:
@@ -169,35 +213,17 @@ def _add_rows(acc: dict, rows: Mapping, f: int) -> dict:
     return acc
 
 
-class _Sparse:
+class _Sparse(_Frozen):
     """The sparse values, stored as integer entries ``_parts`` over one
-    denominator ``den`` in lowest terms on ``space``: their immutability,
-    copy, pickling, +, -, negation, == and ``scale``, written once over the
-    entries.  A layout supplies ``_fields``, the slots that its constructor
-    from integer entries over d, ``_of(space, parts, d, ...)``, takes in
-    order; ``_parts``; and ``_add(acc, parts, f)``, which adds f times the
-    entries into acc.  Each kind supplies ``_like(other)``, the operand of
-    its own type that other stands for, or None."""
+    denominator ``den`` in lowest terms on ``space``: their +, -, negation,
+    == and ``scale``, written once over the entries.  A layout supplies
+    ``_fields``, the slots that its constructor from integer entries over d,
+    ``_of(space, parts, d, ...)``, takes in order; ``_parts``; and
+    ``_add(acc, parts, f)``, which adds f times the entries into acc.  Each
+    kind supplies ``_like(other)``, the operand of its own type that other
+    stands for, or None."""
 
     __slots__ = ()
-
-    def __setattr__(self, *a):  # pragma: no cover - guard rail
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def _set(self, *values) -> None:
-        for name, v in zip(self._fields, values):
-            object.__setattr__(self, name, v)
-
-    # immutable, so a copy is the value itself, and a pickled value is
-    # rebuilt by _of from its fields
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
-
-    def __reduce__(self):
-        return self._of, tuple(getattr(self, name) for name in self._fields)
 
     def is_zero(self) -> bool:
         return not self._parts
@@ -659,16 +685,15 @@ class NuObject(_Rows):
             return h
 
 
-@dataclass(frozen=True)
-class TSeries:
+class TSeries(_Frozen):
     """Truncated formal series in t with NuObject coefficients."""
 
-    truncation_order: int
-    coeffs: tuple
+    __slots__ = _fields = ("truncation_order", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != self.truncation_order + 1:
+    def __init__(self, truncation_order: int, coeffs: tuple):
+        if len(coeffs) != truncation_order + 1:
             raise InvalidArgumentError("TSeries needs truncation_order + 1 coefficients")
+        self._set(truncation_order, coeffs)
 
     def coefficient(self, r: int) -> NuObject:
         if not 0 <= r <= self.truncation_order:
@@ -829,7 +854,7 @@ def _poisson_walk(acc: dict, grid: list, f: dict, g: dict, c: int, shift: int, r
 JACOBIAN_TERM_BOUND = 100_000
 
 
-def _alternating_sum(rows: Sequence, mul_into, targets=None, bound=None) -> dict:
+def _alternating_sum(rows: Sequence, mul_into, targets=None, bound=None, spent=None) -> dict:
     """{mask: minor}: the k-row minors of the matrix rows[i][j] of sparse maps
     (an empty map is zero), keyed by the bitmask of their columns in ascending
     order.  Laplace expansion row by row: a minor extends to each column j it
@@ -837,7 +862,8 @@ def _alternating_sum(rows: Sequence, mul_into, targets=None, bound=None) -> dict
     sign), the minor on the left so row order is kept.  Zero entries and
     cancelled minors end their branch; with ``targets`` only masks inside one
     of them are kept; with ``bound`` len(minor) * len(entry) is counted before
-    each product, and passing it is refused as a Jacobian's."""
+    each product, passing it is refused as a Jacobian's, and the count is
+    added to ``spent[0]`` if given."""
     table = {1 << j: entry for j, entry in enumerate(rows[0]) if entry}
     work = 0
     for row in rows[1:]:
@@ -856,10 +882,12 @@ def _alternating_sum(rows: Sequence, mul_into, targets=None, bound=None) -> dict
                 mul_into(grown.setdefault(new, {}), minor, entry, sign)
         table = {mask: minor for mask, acc in grown.items()
                  if (minor := {k: v for k, v in acc.items() if v})}
+    if spent is not None:
+        spent[0] += work
     return table
 
 
-def _jacobian_minors(fs: Sequence[Poly], idx: Sequence[int], targets=None) -> dict:
+def _jacobian_minors(fs: Sequence[Poly], idx: Sequence[int], targets=None, spent=None) -> dict:
     """{mask: Poly}: the nonzero len(fs)-row minors of the matrix of partials
     d f_i / d x_{idx[j]}, keyed as by _alternating_sum, on the integer
     numerators of the f_i over the product of their denominators."""
@@ -873,16 +901,17 @@ def _jacobian_minors(fs: Sequence[Poly], idx: Sequence[int], targets=None) -> di
             raise InvalidArgumentError(f"variable index {i} out of range")
     den = prod(f.den for f in fs)
     rows = [[_diff_terms(f.num, i) for i in idx] for f in fs]
-    table = _alternating_sum(rows, _mul_into, targets, JACOBIAN_TERM_BOUND)
+    table = _alternating_sum(rows, _mul_into, targets, JACOBIAN_TERM_BOUND, spent)
     return {mask: Poly._of(space, row, den) for mask, row in table.items()}
 
 
-def jacobian_det(fs: Sequence[Poly], var_indices: Sequence[int]) -> Poly:
-    """Determinant of the matrix of partials d f_i / d x_{var_indices[j]}."""
+def jacobian_det(fs: Sequence[Poly], var_indices: Sequence[int], spent=None) -> Poly:
+    """Determinant of the matrix of partials d f_i / d x_{var_indices[j]};
+    its term products are added to ``spent[0]`` if given."""
     fs, idx = list(fs), list(var_indices)
     if len(fs) != len(idx):
         raise InvalidArgumentError("jacobian_det needs as many variables as functions")
-    det = _jacobian_minors(fs, idx).get((1 << len(idx)) - 1)
+    det = _jacobian_minors(fs, idx, None, spent).get((1 << len(idx)) - 1)
     return Poly.zero(fs[0].space) if det is None else det
 
 

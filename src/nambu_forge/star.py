@@ -22,7 +22,6 @@ lifts is kept as an independent oracle for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -32,6 +31,7 @@ from .poly import (
     Poly,
     TSeries,
     VarSpace,
+    _Frozen,
     _poisson_sum,
     su2_lift_space,
     su2_space,
@@ -90,16 +90,17 @@ _EPS = {
 }
 
 
-@dataclass(frozen=True)
-class StarProduct:
+class StarProduct(_Frozen):
     """A star-product rule tagged with its variable space.
 
     kind is one of ``moyal``, ``partial_moyal``, ``standard_ordering``,
     ``su2``; the first three act on the symplectic pairs of the space.
     """
 
-    kind: str
-    space: VarSpace
+    __slots__ = _fields = ("kind", "space")
+
+    def __init__(self, kind: str, space: VarSpace):
+        self._set(kind, space)
 
 
 def moyal_product(space: VarSpace) -> StarProduct:

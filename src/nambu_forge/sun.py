@@ -15,7 +15,6 @@ q^a p^b to q^a * p^b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial, inf, lcm
@@ -29,6 +28,7 @@ from .poly import (
     VarSpace,
     _add_rows,
     _diff_terms,
+    _Frozen,
     _poisson_sum,
     jacobian_det,
     qp_space,
@@ -70,10 +70,12 @@ __all__ = [
     "sun_exponential",
 ]
 
-@dataclass(frozen=True)
-class SunProduct:
-    star: StarProduct
-    alpha_kind: str  # "coordinate_monomial" | "moyal_standard_split"
+class SunProduct(_Frozen):
+    __slots__ = _fields = ("star", "alpha_kind")
+
+    def __init__(self, star: StarProduct, alpha_kind: str):
+        # alpha_kind: "coordinate_monomial" | "moyal_standard_split"
+        self._set(star, alpha_kind)
 
     @property
     def space(self) -> VarSpace:
@@ -288,12 +290,12 @@ def z_coefficient(p: int, r: int) -> Fraction:
     return out[r] / factorial(p)
 
 
-@dataclass(frozen=True)
-class SunCoefficients:
-    n_max: int
-    r_max: int
-    recursion: dict  # (n, r) -> Fraction, full grid
-    closed: dict     # (n, r) -> Fraction, n >= 2r only
+class SunCoefficients(_Frozen):
+    __slots__ = _fields = ("n_max", "r_max", "recursion", "closed")
+
+    def __init__(self, n_max: int, r_max: int, recursion: dict, closed: dict):
+        # recursion: (n, r) -> Fraction on the full grid; closed: the same, n >= 2r
+        self._set(n_max, r_max, recursion, closed)
 
     def agree(self) -> bool:
         return all(self.recursion[key] == val for key, val in self.closed.items())
@@ -469,19 +471,18 @@ def weak_leibniz_residual(sp: SunProduct, f: Poly, g: Poly, h: Poly, axis: int) 
 # every S_k of every row at once.
 
 
-@dataclass(frozen=True)
-class DiffOpSeries:
+class DiffOpSeries(_Frozen):
     """S = Id + sum_{r=1..r_max} nu^{2r} eta_r, eta_r being the nu^{2r}
     cochain of the su(2)* sun product, a(m, r) Delta^r on each homogeneous
     degree-m part; r_max = 0 is the identity, and r_max = inf the su(2)* sun
     lift."""
 
-    space: VarSpace
-    r_max: int
+    __slots__ = _fields = ("space", "r_max")
 
-    def __post_init__(self):
-        if self.r_max < 0:
+    def __init__(self, space: VarSpace, r_max: int):
+        if r_max < 0:
             raise InvalidArgumentError("r_max must be non-negative")
+        self._set(space, r_max)
 
     def apply(self, x) -> NuObject:
         x = _as_nu(x, self.space)

@@ -9,13 +9,12 @@ the caller.  The deformation parameter identification is nu = i hbar / 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import InvalidArgumentError, ResourceLimitError
-from .poly import NuObject, Poly, TSeries, qp_space
+from .poly import NuObject, Poly, TSeries, _Frozen, qp_space
 
 __all__ = [
     "FockTruncation",
@@ -38,27 +37,28 @@ FOCK_DIM_BOUND = 512
 WEYL_PRODUCT_BOUND = 1000
 
 
-@dataclass(frozen=True)
-class FockTruncation:
-    dim: int
-    hbar: float = 1.0
+class FockTruncation(_Frozen):
+    __slots__ = _fields = ("dim", "hbar")
 
-    def __post_init__(self):
-        if self.dim < 2:
+    def __init__(self, dim: int, hbar: float = 1.0):
+        if dim < 2:
             raise InvalidArgumentError("truncation needs dim >= 2")
-        if self.dim > FOCK_DIM_BOUND:
+        if dim > FOCK_DIM_BOUND:
             raise ResourceLimitError(
-                f"truncation dim {self.dim} is over the Fock dimension bound {FOCK_DIM_BOUND}"
+                f"truncation dim {dim} is over the Fock dimension bound {FOCK_DIM_BOUND}"
             )
-        if not 0 < self.hbar < math.inf:  # NaN included
-            raise InvalidArgumentError(f"hbar must be positive and finite, got {self.hbar}")
+        if not 0 < hbar < math.inf:  # NaN included
+            raise InvalidArgumentError(f"hbar must be positive and finite, got {hbar}")
+        self._set(dim, hbar)
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    entries: np.ndarray
-    truncation: FockTruncation
-    degree_warning: bool = False  # polynomial degree too close to the cutoff
+class OperatorMatrix(_Frozen):
+    __slots__ = _fields = ("entries", "truncation", "degree_warning")
+
+    def __init__(self, entries: np.ndarray, truncation: FockTruncation,
+                 degree_warning: bool = False):
+        # degree_warning: the polynomial's degree is too close to the cutoff
+        self._set(entries, truncation, degree_warning)
 
 
 def ladder_operators(t: FockTruncation) -> tuple:

@@ -56,12 +56,11 @@ a set of ZMonomials; rows are dicts, which keep insertion order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cache, partial
 from math import lcm, prod
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .factor import factorize, is_irreducible, normalize
@@ -72,6 +71,7 @@ from .poly import (
     _add_rows,
     _alternating_sum,
     _bump,
+    _Frozen,
     _graded_mul_into,
     _joined,
     _num_rows,
@@ -546,13 +546,12 @@ def delta(i: int, a: ZElem, space: VarSpace = None) -> ZElem:
     return ZElem._of(None, row, den * a.den)
 
 
-@dataclass(frozen=True)
-class FrobeniusWitness:
-    u: Poly  # normalized irreducible
-    i: int
-    j: int
-    lhs: ZElem  # delta_i delta_j Z_u
-    rhs: ZElem  # delta_j delta_i Z_u
+class FrobeniusWitness(_Frozen):
+    __slots__ = _fields = ("u", "i", "j", "lhs", "rhs")
+
+    def __init__(self, u: Poly, i: int, j: int, lhs: ZElem, rhs: ZElem):
+        # u normalized irreducible; lhs, rhs: delta_i delta_j Z_u, delta_j delta_i Z_u
+        self._set(u, i, j, lhs, rhs)
 
     def verify(self) -> bool:
         zu = ZElem.basis(ZMonomial((self.u,), trusted=True))

@@ -134,6 +134,18 @@ def test_cli_import_leaves_numpy_out():
     assert out.stderr.split() == ["cli", "errors", "expr", "poly"]
 
 
+def test_cli_path_imports_no_dataclasses_inspect_or_typing():
+    # the CLI and the engine modules it loads import none of these heavy
+    # standard modules at start-up; -S keeps the site's .pth preloads out of
+    # the check.  weyl is exempt: numpy imports inspect
+    modules = ("cli", "expr", "star", "sun", "numbers", "factor", "zariski", "nambu")
+    code = "; ".join(f"import nambu_forge.{m}" for m in modules) + (
+        "; import sys; print(*sorted({'dataclasses', 'inspect', 'typing'} & sys.modules.keys()))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env=_child_env(), check=True)
+    assert out.stdout.split() == []
+
+
 # one call per subcommand and the modules it loads beyond cli, errors, expr
 # and poly
 SUBCOMMAND_MODULES = [
@@ -272,6 +284,8 @@ def test_domain_error_exit_code(capsys):
                                     "L1 + L2 + L3", "L1 + L2 + L3"), "equiv.resource-limit"),
         # (x1 + x2 + 1)^3 has 10 terms, refused before any factorization work
         (factor, "FACTOR_TERM_BOUND", ("factor", "(x1 + x2 + 1)^3"), "factor.resource-limit"),
+        # the trials share one count of Jacobian term products
+        (cli, "CHECK_FI_WORK_BOUND", ("check-fi", "--trials", "2"), "check-fi.resource-limit"),
     ],
 )
 def test_resource_bounds_exit_1(capsys, monkeypatch, module, bound, argv, code):
@@ -627,6 +641,20 @@ def test_non_finite_hbar_ends_without_traceback(argv):
     assert proc.stderr.startswith("error[spectrum.invalid-argument]: ")
 
 
+@pytest.mark.parametrize("argv, error", [
+    (("evolve", "--state", "1e200,1,1", "--horizon", "1"),
+     "integration-failure]: state became non-finite"),
+    (("evolve", "--inertia", "1e-400,1,1", "--horizon", "1"),
+     "integration-failure]: state became non-finite"),
+    (("evolve", "--step", "inf", "--horizon", "inf"),
+     "invalid-argument]: RK4 step must be positive and finite, got inf"),
+], ids=["state-power", "inertia-float", "inf-over-inf"])
+def test_evolve_overflow_ends_without_traceback(capsys, argv, error):
+    # a float power of the state, a coefficient read as a float and the step
+    # count inf / inf each ended in an OverflowError or ValueError traceback
+    assert run(capsys, *argv) == (1, "", f"error[evolve.{error}\n")
+
+
 @pytest.mark.parametrize(
     "argv, position",
     [
@@ -774,6 +802,18 @@ def test_exponential_renders_each_coefficient_once(capsys, monkeypatch, argv):
     assert code == 0 and len(calls) == 10
     coeffs = json.loads(out)["data"]["coefficients"]
     assert text.splitlines() == [f"t^{r}: {c}" for r, c in enumerate(coeffs)]
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("sun", "--exp", "L1", "L2", "L3", "garbage@@"), "--exp takes no expressions",
+                 id="sun-exprs"),
+    pytest.param(("star", "--exp", "q", "p", "@@"), "--exp takes no expressions", id="star-exprs"),
+    pytest.param(("star", "--exp", "q", "--commutator"), "--exp takes no --commutator",
+                 id="star-commutator"),
+])
+def test_exponential_refuses_expressions_and_commutator(capsys, argv, message):
+    # before, the exponential was printed and the rest of the call ignored
+    assert run(capsys, *argv) == (1, "", f"error[{argv[0]}.invalid-argument]: {message}\n")
 
 
 def test_vars_override(capsys):

@@ -3,14 +3,16 @@
 Every call is drawn from a strategy over the grammar (variables of every
 space, ``nu`` and its inverse, ``a/b`` literals, ``Z[...]``, ``J(...)``, the
 Taylor variables ``y1``..``y4``, powers ``^0`` and ``^-k``, nesting) and over
-the options of the subcommands that parse expressions, and runs in-process
-through ``cli.main``.  A call may succeed (0), be refused by the engine (1)
-or by argparse (2); it never prints a traceback, and it ends within
-``CALL_SECONDS``.
+the options of the subcommands that parse expressions, and of ``spectrum``,
+``evolve`` and ``check-fi``, whose float options take ``nan``, ``inf``,
+``-inf``, ``-1``, ``0``, ``1e-300``, ``1e300`` and small values.  Each call
+runs in-process through ``cli.main``.  A call may succeed (0), be refused by
+the engine (1) or by argparse (2); it never prints a traceback, and it ends
+within ``CALL_SECONDS``.
 
 Budget: 300 calls, derandomized so every run draws the same ones; the test
-takes about 10 s on a 2-vCPU x86_64 host, 4.4 s of it in the calls (the
-slowest, a ``zariski frobenius`` search, 0.6 s).
+takes about 11 s on a 2-vCPU x86_64 host, most of it in the calls (the
+slowest, ``check-fi`` calls refused at the check-fi work bound, 1.3-1.9 s).
 """
 
 import contextlib
@@ -70,6 +72,17 @@ def _flag(name):
     return st.sampled_from([[], [name]])
 
 
+# float option values: the non-finite ones, the edges of the float range, and
+# small ones.  They are passed as name=value, so that argparse reads a leading
+# minus sign as part of the value
+_FLOATS = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-300", "1e300"]) | st.floats(
+    0, 2).map(repr)
+
+
+def _float_option(name, values=_FLOATS):
+    return st.one_of(st.just([]), values.map(lambda v: [f"{name}={v}"]))
+
+
 @st.composite
 def calls(draw):
     """argv of one call: global options, a subcommand, its options and its
@@ -79,7 +92,7 @@ def calls(draw):
     argv += draw(_option("--nu-order", _SMALL)) + draw(_option("--t-order", _SMALL))
     argv += draw(_option("--degree-bound", st.integers(-1, 14)))
     command = draw(st.sampled_from(["star", "sun", "factor", "nambu", "zariski", "equiv",
-                                    "coeffs"]))
+                                    "coeffs", "spectrum", "evolve", "check-fi"]))
     argv.append(command)
     # half of the calls take expressions over the subcommand's own space
     expr = draw(st.sampled_from(list(_EXPRESSIONS.values()))
@@ -89,6 +102,8 @@ def calls(draw):
         """n expressions, or at times another count up to 4."""
         return st.lists(expr, min_size=n, max_size=n) | st.lists(expr, max_size=4)
 
+    brackets = st.sampled_from(["canonical2", "canonical3", "canonical4", "canonical8",
+                                "canonical9", "linear3", "linear4", "linear8", "spin9"])
     if command == "star":
         argv += draw(_option("--product", st.sampled_from(
             ["moyal", "partial", "standard", "su2", "weyl"])))
@@ -100,9 +115,7 @@ def calls(draw):
     elif command == "factor":
         argv.append(draw(expr))
     elif command == "nambu":
-        argv += draw(_option("--bracket", st.sampled_from(
-            ["canonical2", "canonical3", "canonical4", "linear3", "linear4", "spin9"])))
-        argv += draw(exprs(3))
+        argv += draw(_option("--bracket", brackets)) + draw(exprs(3))
     elif command == "zariski":
         op = draw(st.sampled_from(list(_ARITY)))
         argv.append(op)
@@ -115,6 +128,24 @@ def calls(draw):
         argv += draw(_option("--right", st.sampled_from(["usual", "su2"])))
         argv += draw(_option("--s", st.sampled_from(["identity", "weak-trivializer", "other"])))
         argv += draw(exprs(2))
+    elif command == "spectrum":
+        argv += draw(_option("--dim", st.sampled_from([-1, 0, 1, 2, 3, 10, 40, 512, 513])))
+        argv += draw(_float_option("--hbar"))
+        argv += draw(_option("--levels", st.sampled_from([-1, 0, 1, 2, 5, 255, 256])))
+        argv += draw(_option("--band", st.sampled_from([-1, 0, 1, 2, 5, 39, 40, 511, 512])))
+        if draw(st.booleans()):
+            argv += ["--deviation", *draw(st.lists(_EXPRESSIONS["star"], min_size=2,
+                                                   max_size=2))]
+    elif command == "evolve":
+        argv += draw(_option("--system", st.sampled_from(["euler", "nahm", "other"])))
+        numbers = st.lists(_FLOATS, min_size=1, max_size=4).map(",".join)
+        argv += draw(_float_option("--inertia", numbers))
+        argv += draw(_float_option("--state", numbers))
+        argv += draw(_float_option("--horizon")) + draw(_float_option("--step"))
+    elif command == "check-fi":
+        argv += draw(_option("--bracket", brackets))
+        argv += draw(_option("--degree", st.sampled_from([-1, 0, 1, 2, 3, 100, 101])))
+        argv += draw(_option("--trials", st.sampled_from([-1, 0, 1, 2, 1000, 1001])))
     else:
         pair = st.tuples(st.sampled_from([-1, 0, 1, 2, 7, 28, 316, 10**5, 10**7]),
                          st.integers(-1, 21))

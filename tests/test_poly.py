@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nambu_forge import factor, poly, star, sun, zariski
+from nambu_forge import factor, nambu, poly, star, sun, weyl, zariski
 from nambu_forge.errors import InvalidArgumentError
 from nambu_forge.expr import parse_expr
 from nambu_forge.poly import (
@@ -62,14 +62,18 @@ def test_only_poly_combines_poisson_grids_and_denominators():
     for cls in (NuObject, zariski.ZNu, zariski.TaylorElem):
         assert issubclass(cls, poly._Rows)
         assert not {"_signed", "__neg__", "__eq__", "scale", "nu_shift", "terms"} & vars(cls).keys()
-    # _Sparse holds the arithmetic, equality and pickling once, over each
-    # layout's integer entries; no layout or kind redefines any of it, and
-    # the two-map sum helper is gone (the tests' sum_oracle stands for it)
-    core = {"_signed", "__neg__", "__eq__", "scale", "__reduce__", "_set"}
-    assert core <= vars(poly._Sparse).keys()
+    # _Frozen holds the immutability, copy and pickling of every value once;
+    # _Sparse, derived from it, holds the arithmetic and equality once, over
+    # each layout's integer entries; no layout or kind redefines any of it,
+    # and the two-map sum helper is gone (the tests' sum_oracle stands for it)
+    frozen = {"__setattr__", "_set", "__copy__", "__deepcopy__", "__reduce__"}
+    core = {"_signed", "__neg__", "__eq__", "scale"}
+    assert issubclass(poly._Sparse, poly._Frozen)
+    assert frozen <= vars(poly._Frozen).keys() and core <= vars(poly._Sparse).keys()
+    assert not frozen & vars(poly._Sparse).keys()
     for cls in (poly._Rational, poly._Rows, Poly, zariski.ZElem, NuObject, zariski.ZNu,
                 zariski.TaylorElem):
-        assert not core & vars(cls).keys(), cls
+        assert not (core | frozen) & vars(cls).keys(), cls
     assert not hasattr(poly, "_summed")
 
 
@@ -490,6 +494,56 @@ def test_values_copy_and_pickle():
         assert back == v and hash(back) == hash(v) and str(back) == str(v)
         assert back.space == v.space and back.den == v.den and back._parts == v._parts
     assert pickle.loads(pickle.dumps(f)).sort_key() == f.sort_key()
+
+
+def _record_pairs():
+    """(name, a, b): two records of one class built apart from equal fields,
+    one pair per record class that callers build."""
+
+    def twice(build):
+        return build(), build()
+
+    t = NuObject.one(QP), NuObject.zero(QP)
+    return [
+        ("VarSpace", qp_space(), poly.VarSpace(("q", "p"), ((0, 1),))),
+        ("StarProduct", *twice(lambda: star.moyal_product(qp_space()))),
+        ("TSeries", *twice(lambda: poly.TSeries(1, t))),
+        ("SunProduct", *twice(sun.sun_su2)),
+        ("DiffOpSeries", *twice(lambda: sun.weak_trivializer(2))),
+        ("Factorization", *twice(lambda: factor.factorize(parse_expr("x1^2 - x2^2", X3)))),
+        ("NambuBracket", *twice(lambda: nambu.canonical_bracket(3))),
+        ("FockTruncation", *twice(lambda: weyl.FockTruncation(4, 0.5))),
+    ]
+
+
+def test_records_have_frozen_dataclass_semantics():
+    import copy
+    import pickle
+
+    for name, a, b in _record_pairs():
+        assert type(a).__name__ == name and a is not b
+        assert a == b and not a != b and hash(a) == hash(b), name
+        fields = tuple(getattr(a, f) for f in a._fields)
+        # == holds within one class only: not against a tuple of the same
+        # fields, nor against an instance of a subclass over the same fields
+        other = type("Other", (type(a),), {"__slots__": ()})(*fields)
+        assert a != fields and fields != a and a != other and other != a, name
+        with pytest.raises(AttributeError):
+            setattr(a, a._fields[0], fields[0])
+        with pytest.raises(AttributeError):
+            delattr(a, a._fields[0])
+        assert copy.copy(a) is a and copy.deepcopy(a) is a
+        back = pickle.loads(pickle.dumps(a))
+        assert type(back) is type(a) and back == a and hash(back) == hash(a), name
+    space = qp_space()
+    assert repr(space) == "VarSpace(names=('q', 'p'), pairs=((0, 1),))"
+    assert repr(star.moyal_product(space)) == (
+        "StarProduct(kind='moyal', space=VarSpace(names=('q', 'p'), pairs=((0, 1),)))")
+    # the constructors validate as before
+    with pytest.raises(InvalidArgumentError, match="variable name 'x' appears twice"):
+        poly.VarSpace(("x", "x"))
+    with pytest.raises(InvalidArgumentError, match="truncation needs dim >= 2"):
+        weyl.FockTruncation(1)
 
 
 def test_hash_agrees_with_equality():
