@@ -182,14 +182,14 @@ class _Parser:
     def _times(self, a: dict, b: dict) -> dict:
         self._count(len(a) * len(b))
         row: dict = {}
-        _mul_into(row, a, b, 1)
+        _mul_into(row, a, b)
         return {e: c for e, c in row.items() if c}
 
     def _mul(self, a, b):
         if isinstance(a, dict):
             return self._times(a, b)
         self._count(TAYLOR_UNIT_WEIGHT * max(1, _size(a)) * max(1, _size(b)))
-        return self.zariski.taylor_mul_classical(a, b)
+        return a * b
 
     def _pow(self, a, k: int):
         # negative exponents are intercepted at the factor level (nu only)

@@ -456,7 +456,7 @@ def _divide_terms(r: dict, g: dict) -> dict | None:
 
 def _t_mul(a: dict, b: dict) -> dict:
     out: dict = {}
-    _mul_into(out, a, b, 1)
+    _mul_into(out, a, b)
     return {e: c for e, c in out.items() if c}
 
 

@@ -45,7 +45,6 @@ __all__ = [
     "coordinate_space",
     "zariski_space",
     "su2_space",
-    "su2_lift_space",
 ]
 
 
@@ -178,17 +177,6 @@ def su2_space() -> VarSpace:
     return VarSpace(("L1", "L2", "L3"))
 
 
-def su2_lift_space() -> VarSpace:
-    """R^6 with coordinates p1..p3, q1..q3 paired as (p_i, q_i).
-
-    The pair order is chosen so that the lifted functions
-    L_i = sum eps_{ijk} p_j q_k close onto [L1, L2] = L3 under the Moyal
-    commutator built from this space.
-    """
-    names = ("p1", "p2", "p3", "q1", "q2", "q3")
-    return VarSpace(names, ((0, 3), (1, 4), (2, 5)))
-
-
 # ---------------------------------------------------------------------------
 # Accumulators: sparse maps of ints summed in place (the test oracles also
 # sum Fractions, Polys and ZElems with _bump)
@@ -213,15 +201,37 @@ def _add_rows(acc: dict, rows: Mapping, f: int) -> dict:
     return acc
 
 
+def _mul_into(row: dict, f: dict, g: dict, w: int = 1) -> None:
+    """row[e1 + e2] += w * f[e1] * g[e2] over two term maps (integer ones
+    in the product kernels; the parser's also hold Fractions from a/b)."""
+    gterms = g.items()
+    for e1, c1 in f.items():
+        c1 *= w
+        for e2, c2 in gterms:
+            e = tuple(map(int.__add__, e1, e2))
+            row[e] = row.get(e, 0) + c1 * c2
+
+
+def _graded_mul_into(mul_into, acc: dict, a: Mapping, b: Mapping, c: int = 1) -> None:
+    """The graded product c * a . b of integer rows, added into acc: the rows
+    keyed ka and kb multiply by mul_into (_mul_into on exponent rows,
+    zariski._z_mul_into on Z-monomial rows) into the row keyed ka + kb,
+    added entrywise."""
+    for ka, ra in a.items():
+        for kb, rb in b.items():
+            mul_into(acc.setdefault(tuple(map(int.__add__, ka, kb)), {}), ra, rb, c)
+
+
 class _Sparse(_Frozen):
     """The sparse values, stored as integer entries ``_parts`` over one
     denominator ``den`` in lowest terms on ``space``: their +, -, negation,
-    == and ``scale``, written once over the entries.  A layout supplies
+    ==, * and ``scale``, written once over the entries.  A layout supplies
     ``_fields``, the slots that its constructor from integer entries over d,
-    ``_of(space, parts, d, ...)``, takes in order; ``_parts``; and
-    ``_add(acc, parts, f)``, which adds f times the entries into acc.  Each
-    kind supplies ``_like(other)``, the operand of its own type that other
-    stands for, or None."""
+    ``_of(space, parts, d, ...)``, takes in order; ``_parts``;
+    ``_add(acc, parts, f)``, which adds f times the entries into acc; and
+    ``_mul(acc, a, b)``, which adds the entries' product into acc.  Each kind
+    supplies ``_like(other)``, the operand of its own type that other stands
+    for, or None, and its product kernel ``_kernel``."""
 
     __slots__ = ()
 
@@ -264,6 +274,21 @@ class _Sparse(_Frozen):
     def __neg__(self):
         return self.scale(-1)
 
+    def __mul__(self, other):
+        """c times the value for a rational scalar c, else the kind's product
+        with the operand other stands for."""
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        o = self._like(other)
+        if o is None:
+            return NotImplemented
+        self._check_space(o)
+        acc: dict = {}
+        self._mul(acc, self._parts, o._parts)
+        return self._with(acc, self.den * o.den, o)
+
+    __rmul__ = __mul__
+
     def __eq__(self, other):
         o = self._like(other)
         if o is None:
@@ -293,6 +318,9 @@ class _Rational(_Sparse):
     _fields = __slots__
     _parts = property(attrgetter("num"))
     _add = staticmethod(_add_num)
+
+    def _mul(self, acc: dict, a: Mapping, b: Mapping) -> None:
+        self._kernel(acc, a, b)
 
     def __init__(self, space, terms: Mapping):
         clean = {}
@@ -336,6 +364,7 @@ class Poly(_Rational):
     exponent tuples, one entry per variable of ``space``."""
 
     __slots__ = ("_hash", "_sort_key")
+    _kernel = staticmethod(_mul_into)
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -394,18 +423,6 @@ class Poly(_Rational):
             return Poly.const(self.space, other)
         return None
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._check_space(other)
-        row: dict = {}
-        _mul_into(row, self.num, other.num, 1)
-        return Poly._of(self.space, row, self.den * other.den)
-
-    __rmul__ = __mul__
-
     def __pow__(self, k: int):
         if k < 0:
             raise InvalidArgumentError("negative polynomial powers are not defined")
@@ -447,27 +464,6 @@ class Poly(_Rational):
                     term *= Fraction(v) ** k
             total += term
         return total
-
-    def compose(self, images: Sequence["Poly"], target: VarSpace) -> "Poly":
-        """Substitute each variable by the corresponding polynomial in ``target``."""
-        if len(images) != self.space.nvars:
-            raise InvalidArgumentError("compose needs one image per variable")
-        powers: list[dict] = [dict() for _ in images]
-
-        def power(i: int, k: int) -> Poly:
-            cache = powers[i]
-            if k not in cache:
-                cache[k] = images[i] ** k
-            return cache[k]
-
-        out = Poly.zero(target)
-        for e, c in self.terms.items():
-            term = Poly.const(target, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * power(i, k)
-            out = out + term
-        return out
 
     # -- rendering ---------------------------------------------------------
     def _term_parts(self, prefix: str = "") -> list:
@@ -544,6 +540,9 @@ class _Rows(_Sparse):
     _add = staticmethod(_add_rows)
     _negative_nu = False
 
+    def _mul(self, acc: dict, a: Mapping, b: Mapping) -> None:
+        _graded_mul_into(self._kernel, acc, a, b)
+
     def __init__(self, space, terms: Mapping[tuple, _Rational], *flags):
         bad = [p for k in terms for p in k if not isinstance(p, int)]
         if bad:
@@ -596,6 +595,7 @@ class NuObject(_Rows):
     """
 
     __slots__ = ("_hash",)
+    _kernel = staticmethod(_mul_into)
     _negative_nu = True
 
     def __init__(self, space: VarSpace, coeffs: Mapping[int, Poly]):
@@ -657,19 +657,6 @@ class NuObject(_Rows):
 
     def _like(self, other):
         return self._coerce(other, self.space)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        o = self._like(other)
-        if o is None:
-            return NotImplemented
-        self._check_space(o)
-        acc: dict = {}
-        _graded_mul_into(_mul_into, acc, self.rows, o.rows)
-        return NuObject._of(self.space, acc, self.den * o.den)
-
-    __rmul__ = __mul__
 
     def __hash__(self):
         try:
@@ -738,27 +725,6 @@ def _diff_terms(terms: dict, i: int) -> dict:
             e2[i] = k - 1
             out[tuple(e2)] = c * k
     return out
-
-
-def _mul_into(row: dict, f: dict, g: dict, w: int) -> None:
-    """row[e1 + e2] += w * f[e1] * g[e2] over two term maps (integer ones
-    in the product kernels; the parser's also hold Fractions from a/b)."""
-    gterms = g.items()
-    for e1, c1 in f.items():
-        c1 *= w
-        for e2, c2 in gterms:
-            e = tuple(map(int.__add__, e1, e2))
-            row[e] = row.get(e, 0) + c1 * c2
-
-
-def _graded_mul_into(mul_into, acc: dict, a: Mapping, b: Mapping, c: int = 1) -> None:
-    """The graded product c * a . b of integer rows, added into acc: the rows
-    keyed ka and kb multiply by mul_into (_mul_into on exponent rows,
-    zariski._z_mul_into on Z-monomial rows) into the row keyed ka + kb,
-    added entrywise."""
-    for ka, ra in a.items():
-        for kb, rb in b.items():
-            mul_into(acc.setdefault(tuple(map(int.__add__, ka, kb)), {}), ra, rb, c)
 
 
 # ---------------------------------------------------------------------------

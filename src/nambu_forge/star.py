@@ -17,13 +17,14 @@ su(2) product closes on L_i * L_j = L_i L_j + nu eps_ijk L_k + 2 nu^2 delta_ij.
 The su(2) product writes the factor of lower degree in star monomials
 L_{i1} * ... * L_{in} and applies their letters to the other factor through
 the closed formula for L_i * F and F * L_i; the Moyal product of the R^6
-lifts is kept as an independent oracle for it.
+lifts, built on first use, is kept as an independent oracle for it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import prod
 
 from .errors import InvalidArgumentError, ResourceLimitError
 from .poly import (
@@ -33,7 +34,6 @@ from .poly import (
     VarSpace,
     _Frozen,
     _poisson_sum,
-    su2_lift_space,
     su2_space,
 )
 
@@ -151,33 +151,6 @@ def _check_t_order(t_order: int) -> None:
 # -- su(2)* covariant product ------------------------------------------------
 
 _L_SPACE = su2_space()
-_R6 = su2_lift_space()
-
-
-def su2_generators() -> tuple:
-    """The lifts L_i = sum eps_ijk p_j q_k as polynomials on R^6."""
-    gens = []
-    for i in range(3):
-        terms = {}
-        for (i2, j, k), s in _EPS.items():
-            if i2 != i:
-                continue
-            e = [0] * 6
-            e[j] += 1      # p_j
-            e[3 + k] += 1  # q_k
-            terms[tuple(e)] = s
-        gens.append(Poly(_R6, terms))
-    return tuple(gens)
-
-
-_L_GENS = su2_generators()
-
-
-def su2_lift(f: Poly) -> Poly:
-    """Substitute L_i -> eps_ijk p_j q_k, mapping L-polynomials onto R^6."""
-    if f.space != _L_SPACE:
-        raise InvalidArgumentError("su2_lift expects a polynomial in L1, L2, L3")
-    return f.compose(_L_GENS, _R6)
 
 
 def _unit(i: int, k: int = 1) -> tuple:
@@ -337,11 +310,47 @@ def _su2_mul(f: NuObject, g: NuObject) -> NuObject:
     return NuObject._of(_L_SPACE, acc, small.den * big.den)
 
 
+# -- the R^6 oracle of the su(2) product, built on first use --------------------
+
+
+def su2_lift_space() -> VarSpace:
+    """R^6 with coordinates p1..p3, q1..q3 paired as (p_i, q_i).
+
+    The pair order is chosen so that the lifted functions
+    L_i = sum eps_{ijk} p_j q_k close onto [L1, L2] = L3 under the Moyal
+    commutator built from this space.
+    """
+    return VarSpace(("p1", "p2", "p3", "q1", "q2", "q3"), ((0, 3), (1, 4), (2, 5)))
+
+
+@cache
+def _su2_lift_generators() -> tuple:
+    """The lifts L_i = sum eps_ijk p_j q_k as polynomials on R^6."""
+    terms: tuple = ({}, {}, {})
+    for (i, j, k), s in _EPS.items():
+        e = [0] * 6
+        e[j] = e[3 + k] = 1  # p_j q_k
+        terms[i][tuple(e)] = s
+    r6 = su2_lift_space()
+    return tuple(Poly(r6, t) for t in terms)
+
+
+def su2_lift(f: Poly) -> Poly:
+    """Substitute L_i -> eps_ijk p_j q_k, mapping L-polynomials onto R^6:
+    each term c L^e lifts to c times the product of the generators' powers."""
+    if f.space != _L_SPACE:
+        raise InvalidArgumentError("su2_lift expects a polynomial in L1, L2, L3")
+    gens = _su2_lift_generators()
+    r6 = gens[0].space
+    return sum((prod(map(pow, gens, e), start=Poly.const(r6, c)) for e, c in f.terms.items()),
+               Poly.zero(r6))
+
+
 def su2_star_via_lift(f: Poly, g: Poly) -> NuObject:
     """Reference route: Moyal product of the R^6 lifts, re-expressed in L."""
     fl, gl = su2_lift(f), su2_lift(g)
-    rows, d = _poisson_sum([(0, 1, fl.num, gl.num)], _R6)
-    return NuObject(_L_SPACE, {k: _su2_project(Poly._of(_R6, row, d * fl.den * gl.den))
+    rows, d = _poisson_sum([(0, 1, fl.num, gl.num)], fl.space)
+    return NuObject(_L_SPACE, {k: _su2_project(Poly._of(fl.space, row, d * fl.den * gl.den))
                                for (k,), row in rows.items()})
 
 

@@ -188,10 +188,7 @@ class ZMonomial:
         return sum(f.total_degree() for f in self.factors)
 
     def product_poly(self, space: VarSpace) -> Poly:
-        out = Poly.const(space, 1)
-        for f in self.factors:
-            out = out * f
-        return out
+        return prod(self.factors, start=Poly.const(space, 1))
 
     @cache
     def union(self, other: "ZMonomial") -> "ZMonomial":
@@ -216,11 +213,29 @@ def zmonomial(factors: Iterable[Poly]) -> ZMonomial:
 _Z_UNIT = ZMonomial((), trusted=True)
 
 
+# The product kernel works on integer rows: {key: {ZMonomial: numerator}}
+# over one denominator per operand, with tuple keys that add under the
+# product (y-exponents, nu powers or both), or on one ZElem's num map.
+
+
+def _z_mul_into(row: dict, a: Mapping, b: Mapping, c: int = 1) -> None:
+    """row[mu ∪ mv] += c * a[mu] * b[mv] over {ZMonomial: int} maps."""
+    bterms = b.items()
+    for mu, cu in a.items():
+        if not cu:
+            continue
+        cu *= c
+        for mv, cv in bterms:
+            m = mu.union(mv)
+            row[m] = row.get(m, 0) + cu * cv
+
+
 class ZElem(_Rational):
     """Finite rational combination of factor multisets: a poly._Rational
     keyed by ZMonomial, with space None."""
 
     __slots__ = ()
+    _kernel = staticmethod(_z_mul_into)
 
     def __init__(self, terms: Mapping[ZMonomial, int | Fraction]):
         super().__init__(None, terms)
@@ -268,6 +283,7 @@ class ZNu(_Rows):
     poly._Rows keyed by (nu power,), with space None."""
 
     __slots__ = ()
+    _kernel = staticmethod(_z_mul_into)
 
     def __init__(self, coeffs: Mapping[int, ZElem]):
         super().__init__(None, {(k,): z for k, z in coeffs.items()})
@@ -426,28 +442,9 @@ def zeta(x: NuObject) -> ZNu:
     return ZNu(out)
 
 
-# The product kernel works on integer rows: {key: {ZMonomial: numerator}}
-# over one denominator per operand, with tuple keys that add under the
-# product (y-exponents, nu powers or both), or on one ZElem's num map.
-
-
-def _z_mul_into(row: dict, a: Mapping, b: Mapping, c: int = 1) -> None:
-    """row[mu ∪ mv] += c * a[mu] * b[mv] over {ZMonomial: int} maps."""
-    bterms = b.items()
-    for mu, cu in a.items():
-        if not cu:
-            continue
-        cu *= c
-        for mv, cv in bterms:
-            m = mu.union(mv)
-            row[m] = row.get(m, 0) + cu * cv
-
-
 def z_mul_classical(a: ZElem, b: ZElem) -> ZElem:
     """Z_u . Z_v = Z_{uv}: multiset union, extended bilinearly."""
-    row: dict = {}
-    _z_mul_into(row, a.num, b.num)
-    return ZElem._of(None, row, a.den * b.den)
+    return a * b
 
 
 def _deformation_tail(m: ZMonomial, s: StarProduct) -> tuple:
@@ -490,23 +487,33 @@ def _deform(rows: Mapping, d: int, s: StarProduct) -> tuple:
 def z_mul_nu(a, b, s: StarProduct) -> ZNu:
     """Deformed product D(a_0 . b_0); positive nu powers of the operands are
     discarded."""
-    a0, b0 = _as_znu(a).classical(), _as_znu(b).classical()
-    row: dict = {}
-    _z_mul_into(row, a0.num, b0.num)
-    return ZNu._of(None, *_deform({(): row}, a0.den * b0.den, s))
+    p = _as_znu(a).classical() * _as_znu(b).classical()
+    return ZNu._of(None, *_deform({(): p.num}, p.den, s))
 
 
 def znu_mul_classical(a: ZNu, b: ZNu) -> ZNu:
     """nu-bilinear extension of the classical product."""
-    acc: dict = {}
-    _graded_mul_into(_z_mul_into, acc, a.rows, b.rows)
-    return ZNu._of(None, acc, a.den * b.den)
+    return a * b
+
+
+# the largest power of znu_power_nu: the m-th power of one factor has m + 1
+# sub-multisets, so eval_T refuses every power of a non-unit past 255, but
+# 'zariski power --power 1000000 Z[]' ran for 16-20 s.  On a 2-vCPU x86_64
+# host, a call at the bound takes 0.2-0.3 s for Z[], 2 and x1, or is refused
+# as fast (x1^2 + x2^2 + x3, Z[x1] + Z[x2] + Z[x3]); past those, the cost is
+# eval_T's, as for zariski mul: x1 + x2 + x3 takes 13.3 s.
+ZNU_POWER_BOUND = 255
 
 
 def znu_power_nu(a, m: int, s: StarProduct) -> ZNu:
-    """m-fold deformed product of a with itself, folded from the left."""
+    """m-fold deformed product of a with itself, D of the classical m-th
+    power, folded from the left: each step deforms, so the first power with
+    a refused tail ends it before eval_T runs on a higher one.  A power over
+    ZNU_POWER_BOUND is refused before any product."""
     if m < 1:
         raise InvalidArgumentError("power needs m >= 1")
+    if m > ZNU_POWER_BOUND:
+        raise ResourceLimitError(f"power {m} is over the zariski power bound {ZNU_POWER_BOUND}")
     out = _as_znu(a)
     for _ in range(m - 1):
         out = z_mul_nu(out, a, s)
@@ -627,6 +634,7 @@ class TaylorElem(_Rows):
 
     __slots__ = ("in_a",)
     _fields = _Rows._fields + __slots__
+    _kernel = staticmethod(_z_mul_into)
 
     def __init__(self, space: VarSpace, terms: Mapping[tuple, ZElem], in_a: bool = False):
         super().__init__(space, terms, in_a)
@@ -701,10 +709,7 @@ def _jmap_image(mono: ZMonomial, space: VarSpace) -> tuple:
 
 def taylor_mul_classical(a: TaylorElem, b: TaylorElem) -> TaylorElem:
     """The undeformed product: y-graded with nu-bilinear coefficients."""
-    a._check_space(b)
-    acc: dict = {}
-    _graded_mul_into(_z_mul_into, acc, a.rows, b.rows)
-    return TaylorElem._of(a.space, acc, a.den * b.den, a.in_a and b.in_a)
+    return a * b
 
 
 def _check_deformable(a: TaylorElem, b: TaylorElem) -> None:

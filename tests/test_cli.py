@@ -146,6 +146,15 @@ def test_cli_path_imports_no_dataclasses_inspect_or_typing():
     assert out.stdout.split() == []
 
 
+def test_star_import_builds_nothing_of_the_r6_oracle():
+    # the R^6 lift behind su2_star_via_lift is built on its first use only
+    code = ("import nambu_forge.poly as p, nambu_forge.star as s; "
+            "print(s._su2_lift_generators.cache_info().currsize, hasattr(p, 'su2_lift_space'))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env=_child_env(), check=True)
+    assert out.stdout.split() == ["0", "False"]
+
+
 # one call per subcommand and the modules it loads beyond cli, errors, expr
 # and poly
 SUBCOMMAND_MODULES = [

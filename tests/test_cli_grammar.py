@@ -19,10 +19,11 @@ import contextlib
 import io
 import time
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nambu_forge.cli import main
+from nambu_forge.zariski import ZNU_POWER_BOUND
 
 CALL_SECONDS = 5.0
 
@@ -61,6 +62,8 @@ def _expressions(names):
 
 _EXPRESSIONS = {command: _expressions(names) for command, names in _SPACES.items()}
 _SMALL = st.integers(-1, 5)
+# zariski power at its bound, one over it and far over it
+_POWERS = [ZNU_POWER_BOUND, ZNU_POWER_BOUND + 1, 10**6]
 
 
 def _option(name, values):
@@ -120,7 +123,8 @@ def calls(draw):
         op = draw(st.sampled_from(list(_ARITY)))
         argv.append(op)
         argv += draw(_option("--dim", st.integers(0, 5))) + draw(_option("--axis", _SMALL))
-        argv += draw(_option("--power", _SMALL)) + draw(_option("--max-degree", st.integers(-1, 3)))
+        argv += draw(_option("--power", _SMALL | st.sampled_from(_POWERS)))
+        argv += draw(_option("--max-degree", st.integers(-1, 3)))
         argv += draw(exprs(_ARITY[op]))
     elif command == "equiv":
         argv += ["--mode", draw(st.sampled_from(["A", "B"]))]
@@ -153,6 +157,10 @@ def calls(draw):
     return argv
 
 
+# the derandomized draw holds no zariski power call, so these run too
+@example(["zariski", "power", "--power", str(ZNU_POWER_BOUND), "Z[]"])
+@example(["zariski", "power", "--power", str(ZNU_POWER_BOUND + 1), "Z[]"])
+@example(["zariski", "power", "--power", str(10**6), "2"])
 @settings(max_examples=300, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(calls())

@@ -63,11 +63,12 @@ def test_only_poly_combines_poisson_grids_and_denominators():
         assert issubclass(cls, poly._Rows)
         assert not {"_signed", "__neg__", "__eq__", "scale", "nu_shift", "terms"} & vars(cls).keys()
     # _Frozen holds the immutability, copy and pickling of every value once;
-    # _Sparse, derived from it, holds the arithmetic and equality once, over
-    # each layout's integer entries; no layout or kind redefines any of it,
-    # and the two-map sum helper is gone (the tests' sum_oracle stands for it)
+    # _Sparse, derived from it, holds the arithmetic (the product included)
+    # and equality once, over each layout's integer entries; no layout or
+    # kind redefines any of it, and the two-map sum helper is gone (the
+    # tests' sum_oracle stands for it)
     frozen = {"__setattr__", "_set", "__copy__", "__deepcopy__", "__reduce__"}
-    core = {"_signed", "__neg__", "__eq__", "scale"}
+    core = {"_signed", "__neg__", "__eq__", "scale", "__mul__", "__rmul__"}
     assert issubclass(poly._Sparse, poly._Frozen)
     assert frozen <= vars(poly._Frozen).keys() and core <= vars(poly._Sparse).keys()
     assert not frozen & vars(poly._Sparse).keys()
@@ -292,6 +293,9 @@ def test_nuobject_ring(rng):
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
+        # a Poly stands for the NuObject at nu^0 on either side of *
+        f = random_poly(QP, rng)
+        assert f * a == a * f == a * NuObject.from_poly(f)
     x = NuObject(QP, {0: Poly.variable(QP, 0), 2: Poly.const(QP, 3)})
     assert x.nu_shift(-2).nu_shift(2) == x
     assert x.classical() == Poly.variable(QP, 0)
@@ -471,13 +475,6 @@ def test_kernels_leave_operand_rows_unchanged(rng):
     before += held(f)
     factor.factorize(f)
     assert all(rows(x) == n for x, n in before)
-
-
-def test_compose():
-    x, y, z = xs()
-    f = x * y
-    images = [Poly.variable(QP, 0), Poly.variable(QP, 1), Poly.const(QP, 1)]
-    assert f.compose(images, QP) == Poly.variable(QP, 0) * Poly.variable(QP, 1)
 
 
 def test_values_copy_and_pickle():

@@ -15,7 +15,6 @@ from nambu_forge.poly import (
     coordinate_space,
     poisson_power,
     qp_space,
-    su2_lift_space,
     su2_space,
 )
 from nambu_forge.star import (
@@ -29,6 +28,7 @@ from nambu_forge.star import (
     star_mul,
     su2_left_mul,
     su2_lift,
+    su2_lift_space,
     su2_product,
     su2_star_via_lift,
 )

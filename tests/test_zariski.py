@@ -278,6 +278,64 @@ def test_classical_product_and_unit():
     assert a == ZNu({3: zelem_from_poly(x1 * x2)})
 
 
+def _power_once(a, m: int, s) -> ZNu:
+    """D applied once to the m-th classical power of a's nu^0 part, as for
+    every nested deformed product: the oracle for znu_power_nu, which folds
+    z_mul_nu from the left."""
+    x = zariski._as_znu(a)
+    if m == 1:
+        return x
+    a0 = p = x.classical()
+    for _ in range(m - 1):
+        p = p * a0
+    return ZNu._of(None, *zariski._deform({(): p.num}, p.den, s))
+
+
+def test_power_is_D_applied_once_to_the_classical_power():
+    # every operand is of degree 2 at most, so each tail up to the fifth
+    # power is under the factorization degree bound
+    operands = [x1 * x2 + 1, zelem_from_poly(H) + ZElem.unit(3),
+                ZElem.basis(zmonomial([x1, x2 + x3]), Fraction(1, 2)) - zelem_from_poly(x2),
+                ZNu({0: zelem_from_poly(x1) * Fraction(-2, 3), 1: zelem_from_poly(x2)}),
+                ZNu({0: ZElem.unit(Fraction(1, 2)) - zelem_from_poly(x1 + x3), 2: ZElem.unit()})]
+    for a in operands:
+        for m in range(1, 6):
+            assert znu_power_nu(a, m, ST) == _power_once(a, m, ST), (a, m)
+
+
+def test_power_bound_is_checked_before_any_product():
+    bound = zariski.ZNU_POWER_BOUND
+    unit = ZElem.unit()
+    assert znu_power_nu(unit, bound, ST) == ZNu.from_zelem(unit)
+    assert znu_power_nu(ZElem.unit(-1), bound, ST) == ZNu.from_zelem(ZElem.unit(-1))
+    for m in (bound + 1, 10**6):
+        with pytest.raises(ResourceLimitError, match=f"power {m} is over the zariski power bound"):
+            znu_power_nu(unit, m, ST)
+
+
+def test_one_product_for_the_five_kinds():
+    # every kind multiplies through poly._Sparse.__mul__: a rational scalar
+    # scales, any other operand is the kind's own (a ZElem stands for a ZNu
+    # at nu^0), and the classical products are that product
+    rng = random.Random(11)
+    a, b = random_zelem(rng), random_zelem(rng)
+    za, zb = ZNu({0: a, 1: b}), ZNu({0: b, 2: a})
+    assert a * b == z_mul_classical(a, b)
+    assert za * b == znu_mul_classical(za, ZNu.from_zelem(b))
+    assert a * zb == znu_mul_classical(ZNu.from_zelem(a), zb)
+    assert a * 2 == 2 * a == a.scale(2) and za * Fraction(1, 3) == za.scale(Fraction(1, 3))
+    ta, tb = jmap(a), jmap(b)
+    assert ta * tb == taylor_mul_classical(ta, tb)
+    assert (ta * tb).in_a
+    outside = TaylorElem(SP, {(1, 0, 0, 0): b})
+    assert not (ta * outside).in_a and not (outside * ta).in_a
+    with pytest.raises(InvalidArgumentError, match="TaylorElem spaces differ"):
+        ta * TaylorElem(SP4, {(0,) * 5: a})
+    for x, y in ((a, x1), (x1, a), (za, NuObject.from_poly(x1)), (ta, a)):
+        with pytest.raises(TypeError):
+            x * y
+
+
 def test_zmonomial_validation():
     with pytest.raises(InvalidArgumentError):
         zmonomial([x1 * x1 - 1])  # reducible
