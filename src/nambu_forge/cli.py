@@ -212,7 +212,7 @@ def _cmd_nambu(args, cfg):
 def _cmd_check_fi(args, cfg):
     import random
 
-    from . import nambu
+    from . import nambu, poly
 
     bracket = _bracket_by_name(nambu, args.bracket)
     if args.degree < 0:
@@ -229,13 +229,13 @@ def _cmd_check_fi(args, cfg):
             f"--trials {trials} is over the check-fi trial bound {CHECK_FI_TRIAL_BOUND}"
         )
     arity = 2 * bracket.order - 1
-    passes, spent = 0, [0]
+    passes, start = 0, poly.jacobian_work
     for t in range(trials):
         rng = random.Random(cfg["seed"] * 1_000_003 + t)
         fs = [_rand_poly(bracket.space, args.degree, rng) for _ in range(arity)]
-        passes += nambu.check_fi(bracket, fs, spent).is_zero()
-        if spent[0] > CHECK_FI_WORK_BOUND:
-            raise ResourceLimitError(f"{t + 1} check-fi trials of {spent[0]} term products are "
+        passes += nambu.check_fi(bracket, fs).is_zero()
+        if (spent := poly.jacobian_work - start) > CHECK_FI_WORK_BOUND:
+            raise ResourceLimitError(f"{t + 1} check-fi trials of {spent} term products are "
                                      f"over the check-fi work bound {CHECK_FI_WORK_BOUND}")
     ok = passes == trials
     text = f"{'PASS' if ok else 'FAIL'} residual={'0' if ok else 'nonzero'} ({passes}/{trials})"

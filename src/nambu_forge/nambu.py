@@ -31,6 +31,7 @@ __all__ = [
     "linear_bracket",
     "custom_bracket",
     "bracket_eval",
+    "fi_residual",
     "check_fi",
     "Dynamics",
     "EvolveResult",
@@ -92,9 +93,8 @@ def custom_bracket(space: VarSpace, order: int, eta: dict) -> NambuBracket:
     return NambuBracket("custom", order, space, tuple(entries))
 
 
-def bracket_eval(b: NambuBracket, fs: Sequence[Poly], spent=None) -> Poly:
-    """Evaluate the bracket on exactly ``b.order`` polynomials; the term
-    products of its Jacobians are added to ``spent[0]`` if given."""
+def bracket_eval(b: NambuBracket, fs: Sequence[Poly]) -> Poly:
+    """Evaluate the bracket on exactly ``b.order`` polynomials."""
     fs = list(fs)
     if len(fs) != b.order:
         raise InvalidArgumentError(f"bracket of order {b.order} got {len(fs)} arguments")
@@ -102,43 +102,40 @@ def bracket_eval(b: NambuBracket, fs: Sequence[Poly], spent=None) -> Poly:
         if f.space != b.space:
             raise InvalidArgumentError("bracket arguments must live on the bracket's space")
     if b.kind == "canonical":
-        return jacobian_det(fs, range(b.order), spent)
+        return jacobian_det(fs, range(b.order))
     if b.kind == "linear":
         n, full = b.order, (1 << (b.order + 1)) - 1
         out = Poly.zero(b.space)
-        for mask, det in _jacobian_minors(fs, range(n + 1), None, spent).items():
+        for mask, det in _jacobian_minors(fs, range(n + 1)).items():
             k = (full ^ mask).bit_length() - 1
             out = out + det * Poly.variable(b.space, k) * (-1) ** (n - k)
         return out
     if b.kind == "custom":
         cols = sorted({i for idx, _ in b.eta for i in idx})
         masks = [sum(1 << cols.index(i) for i in idx) for idx, _ in b.eta]
-        minors = _jacobian_minors(fs, cols, masks, spent)
+        minors = _jacobian_minors(fs, cols, masks)
         terms = (coeff * minors[m] for m, (_, coeff) in zip(masks, b.eta) if m in minors)
         return sum(terms, Poly.zero(b.space))
     raise InvalidArgumentError(f"unknown bracket kind {b.kind!r}")
 
 
-def check_fi(b: NambuBracket, fs: Sequence[Poly], spent=None) -> Poly:
-    """Residual (left minus right side) of the Fundamental Identity.
-
-    For a bracket of order n the identity takes 2n-1 functions:
-    {f1..f_{n-1}, {f_n..f_{2n-1}}} equals the sum over k of the bracket with
-    the inner bracket replacing f_k in (f_n..f_{2n-1}).  The term products
-    of every bracket are added to ``spent[0]`` if given.
-    """
-    n = b.order
+def fi_residual(bracket, n: int, fs: Sequence):
+    """Residual of the Fundamental Identity of the n-ary callable ``bracket``
+    on fs = f1..f_{n-1}, g1..gn: {f1..f_{n-1}, {g1..gn}} minus, one by one,
+    each term {g1..{f1..f_{n-1}, g_k}..gn}, so no zero value is needed."""
     fs = list(fs)
     if len(fs) != 2 * n - 1:
         raise InvalidArgumentError(f"Fundamental Identity of order {n} needs {2*n-1} arguments")
     head, tail = fs[: n - 1], fs[n - 1 :]
-    lhs = bracket_eval(b, head + [bracket_eval(b, tail, spent)], spent)
-    rhs = Poly.zero(b.space)
+    out = bracket(*head, bracket(*tail))
     for k in range(n):
-        inner = bracket_eval(b, head + [tail[k]], spent)
-        args = tail[:k] + [inner] + tail[k + 1 :]
-        rhs = rhs + bracket_eval(b, args, spent)
-    return lhs - rhs
+        out = out - bracket(*tail[:k], bracket(*head, tail[k]), *tail[k + 1 :])
+    return out
+
+
+def check_fi(b: NambuBracket, fs: Sequence[Poly]) -> Poly:
+    """Fundamental Identity residual of the bracket on 2 * order - 1 inputs."""
+    return fi_residual(lambda *args: bracket_eval(b, args), b.order, fs)
 
 
 # ---------------------------------------------------------------------------

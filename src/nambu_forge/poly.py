@@ -561,6 +561,15 @@ class _Rows(_Sparse):
         out._set(space, *_reduced(rows, d), *flags)
         return out
 
+    @classmethod
+    def _at_nu0(cls, x: _Rational):
+        """x at nu^0, sharing x's num as its one row.  NuObject.from_poly and
+        zariski.ZNu.from_zelem are this classmethod, read by vars() so that
+        it binds to their class."""
+        out = object.__new__(cls)
+        out._set(x.space, {(0,): x.num} if x.num else {}, x.den)
+        return out
+
     @property
     def terms(self) -> dict:
         """{key: coefficient}, built afresh from the rows by each kind's
@@ -606,12 +615,7 @@ class NuObject(_Rows):
                 raise InvalidArgumentError("NuObject coefficient on a different space")
         super().__init__(space, {(k,): p for k, p in coeffs.items()})
 
-    @classmethod
-    def from_poly(cls, p: Poly) -> "NuObject":
-        """p at nu^0, sharing p's num as its one row."""
-        out = object.__new__(cls)
-        out._set(p.space, {(0,): p.num} if p.num else {}, p.den)
-        return out
+    from_poly = vars(_Rows)["_at_nu0"]
 
     @classmethod
     def zero(cls, space: VarSpace) -> "NuObject":
@@ -819,8 +823,12 @@ def _poisson_walk(acc: dict, grid: list, f: dict, g: dict, c: int, shift: int, r
 # --bracket linear6 --degree 8 forms 2.0 million in 3.7 s
 JACOBIAN_TERM_BOUND = 100_000
 
+# the term products formed by every bounded table since import; a caller
+# that bounds a sum of tables reads its growth
+jacobian_work = 0
 
-def _alternating_sum(rows: Sequence, mul_into, targets=None, bound=None, spent=None) -> dict:
+
+def _alternating_sum(rows: Sequence, mul_into, targets=None, bound=None) -> dict:
     """{mask: minor}: the k-row minors of the matrix rows[i][j] of sparse maps
     (an empty map is zero), keyed by the bitmask of their columns in ascending
     order.  Laplace expansion row by row: a minor extends to each column j it
@@ -829,7 +837,8 @@ def _alternating_sum(rows: Sequence, mul_into, targets=None, bound=None, spent=N
     cancelled minors end their branch; with ``targets`` only masks inside one
     of them are kept; with ``bound`` len(minor) * len(entry) is counted before
     each product, passing it is refused as a Jacobian's, and the count is
-    added to ``spent[0]`` if given."""
+    added to ``jacobian_work``."""
+    global jacobian_work
     table = {1 << j: entry for j, entry in enumerate(rows[0]) if entry}
     work = 0
     for row in rows[1:]:
@@ -848,12 +857,11 @@ def _alternating_sum(rows: Sequence, mul_into, targets=None, bound=None, spent=N
                 mul_into(grown.setdefault(new, {}), minor, entry, sign)
         table = {mask: minor for mask, acc in grown.items()
                  if (minor := {k: v for k, v in acc.items() if v})}
-    if spent is not None:
-        spent[0] += work
+    jacobian_work += work
     return table
 
 
-def _jacobian_minors(fs: Sequence[Poly], idx: Sequence[int], targets=None, spent=None) -> dict:
+def _jacobian_minors(fs: Sequence[Poly], idx: Sequence[int], targets=None) -> dict:
     """{mask: Poly}: the nonzero len(fs)-row minors of the matrix of partials
     d f_i / d x_{idx[j]}, keyed as by _alternating_sum, on the integer
     numerators of the f_i over the product of their denominators."""
@@ -867,17 +875,16 @@ def _jacobian_minors(fs: Sequence[Poly], idx: Sequence[int], targets=None, spent
             raise InvalidArgumentError(f"variable index {i} out of range")
     den = prod(f.den for f in fs)
     rows = [[_diff_terms(f.num, i) for i in idx] for f in fs]
-    table = _alternating_sum(rows, _mul_into, targets, JACOBIAN_TERM_BOUND, spent)
+    table = _alternating_sum(rows, _mul_into, targets, JACOBIAN_TERM_BOUND)
     return {mask: Poly._of(space, row, den) for mask, row in table.items()}
 
 
-def jacobian_det(fs: Sequence[Poly], var_indices: Sequence[int], spent=None) -> Poly:
-    """Determinant of the matrix of partials d f_i / d x_{var_indices[j]};
-    its term products are added to ``spent[0]`` if given."""
+def jacobian_det(fs: Sequence[Poly], var_indices: Sequence[int]) -> Poly:
+    """Determinant of the matrix of partials d f_i / d x_{var_indices[j]}."""
     fs, idx = list(fs), list(var_indices)
     if len(fs) != len(idx):
         raise InvalidArgumentError("jacobian_det needs as many variables as functions")
-    det = _jacobian_minors(fs, idx, None, spent).get((1 << len(idx)) - 1)
+    det = _jacobian_minors(fs, idx).get((1 << len(idx)) - 1)
     return Poly.zero(fs[0].space) if det is None else det
 
 

@@ -443,17 +443,9 @@ def quantized_nambu_sun(f, g, h, sp: SunProduct) -> NuObject:
 
 def fi_residual_sun(sp: SunProduct, fs) -> NuObject:
     """Fundamental Identity residual for the quantized bracket on 5 inputs."""
-    fs = list(fs)
-    if len(fs) != 5:
-        raise InvalidArgumentError("the order-3 Fundamental Identity needs 5 arguments")
-    lhs = quantized_nambu_sun(fs[0], fs[1], quantized_nambu_sun(fs[2], fs[3], fs[4], sp), sp)
-    rhs = NuObject.zero(sp.space)
-    for k in range(3):
-        inner = quantized_nambu_sun(fs[0], fs[1], fs[2 + k], sp)
-        args = fs[2:]
-        args[k] = inner
-        rhs = rhs + quantized_nambu_sun(args[0], args[1], args[2], sp)
-    return lhs - rhs
+    from .nambu import fi_residual  # the sun, coeffs and equiv commands load no nambu
+
+    return fi_residual(lambda f, g, h: quantized_nambu_sun(f, g, h, sp), 3, fs)
 
 
 def weak_leibniz_residual(sp: SunProduct, f: Poly, g: Poly, h: Poly, axis: int) -> NuObject:

@@ -292,9 +292,7 @@ class ZNu(_Rows):
     def zero(cls) -> "ZNu":
         return cls({})
 
-    @classmethod
-    def from_zelem(cls, z: ZElem) -> "ZNu":
-        return cls({0: z})
+    from_zelem = vars(_Rows)["_at_nu0"]
 
     def _coef(self, row: dict) -> ZElem:
         return ZElem._of(None, row, self.den)
@@ -607,14 +605,12 @@ def frobenius_counterexample_search(max_degree: int, space: VarSpace = None):
                 continue
             seen.add(u)
             zu = ZElem.basis(ZMonomial((u,), trusted=True))
+            first = {k: delta(k, zu, space) for k in (1, 2, 3)}
             for i, j in ((1, 2), (1, 3), (2, 3)):
-                lhs = delta(i, delta(j, zu, space), space)
-                rhs = delta(j, delta(i, zu, space), space)
+                lhs, rhs = delta(i, first[j], space), delta(j, first[i], space)
                 if lhs != rhs:
                     if is_irreducible(u):
-                        witness = FrobeniusWitness(u, i, j, lhs, rhs)
-                        if witness.verify():
-                            return witness
+                        return FrobeniusWitness(u, i, j, lhs, rhs)
                     break
     return None
 

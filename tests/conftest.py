@@ -45,6 +45,22 @@ def det_oracle(fs, idx) -> Poly:
     return total
 
 
+def fi_oracle(bracket, n: int, fs):
+    """The Fundamental Identity residual written out for the n-ary callable
+    ``bracket`` on fs = f1..f_{n-1}, g1..gn: the right side is summed first,
+    from its k = 0 term, with each inner bracket put in place of g_k in a
+    copy of the g list, and then taken from the left side in one
+    subtraction: the oracle for nambu.fi_residual."""
+    head, gs = list(fs[: n - 1]), list(fs[n - 1 :])
+    lhs = bracket(*head, bracket(*gs))
+    terms = []
+    for k in range(n):
+        args = list(gs)
+        args[k] = bracket(*head, gs[k])
+        terms.append(bracket(*args))
+    return lhs - sum(terms[1:], terms[0])
+
+
 def star_power(s, h: Poly, r: int) -> NuObject:
     """h * ... * h (r factors) folded from the left with star_mul: the oracle
     that znu_power_nu is held to, through zeta."""

@@ -78,6 +78,17 @@ def test_check_fi_rejects_bad_counts(capsys, flag, value, message):
     assert doc["error"] == {"code": "check-fi.invalid-argument", "message": message}
 
 
+def test_check_fi_work_bound_refuses_the_sum_of_trials(capsys):
+    # no trial's tables pass the Jacobian term bound; the 24th trial takes
+    # the count over the work bound at its own value
+    code, out, err = run(capsys, "check-fi", "--bracket", "linear3", "--degree", "100",
+                         "--trials", "100")
+    assert code == 1
+    assert out == ""
+    assert err == ("error[check-fi.resource-limit]: 24 check-fi trials of 502859 term products "
+                   "are over the check-fi work bound 500000\n")
+
+
 def test_check_fi_degree_zero_runs(capsys):
     code, out, _ = run(capsys, "check-fi", "--degree", "0", "--trials", "1")
     assert code == 0

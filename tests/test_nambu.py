@@ -17,13 +17,16 @@ from nambu_forge.nambu import (
     divergence_is_zero,
     euler_top_dynamics,
     evolve,
+    fi_residual,
     linear_bracket,
     nahm_dynamics,
     velocity_field,
 )
-from nambu_forge.poly import Poly, coordinate_space
+from nambu_forge.poly import NuObject, Poly, coordinate_space
+from nambu_forge.sun import fi_residual_sun, sun_su2
+from nambu_forge.zariski import ZNu, zariski_space, zelem_from_poly
 
-from conftest import det_oracle, random_poly
+from conftest import det_oracle, fi_oracle, random_poly, taylor_elem
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -86,8 +89,50 @@ def test_broken_tensor_fails_fi():
     sp = coordinate_space(4)
     x1, x2, x3, x4 = (Poly.variable(sp, i) for i in range(4))
     b = custom_bracket(sp, 3, {(0, 1, 2): Poly.const(sp, 1), (0, 1, 3): x1})
-    residual = check_fi(b, [x1, x2, x3, x4, x2 * x2])
+    fs = [x1, x2, x3, x4, x2 * x2]
+    residual = check_fi(b, fs)
     assert not residual.is_zero()
+    assert residual == fi_oracle(lambda *args: bracket_eval(b, args), 3, fs)
+
+
+def _product(a, b, c):
+    return a * b * c
+
+
+def _product_operands():
+    """Five operands each of Poly, NuObject and TaylorElem: the ternary
+    product a * b * c is not a bracket, and its Fundamental Identity residual
+    is -2 times the product of the five, nonzero (the broken tensor above
+    gives a nonzero residual of a bracket)."""
+    sp = coordinate_space(3)
+    x = [Poly.variable(sp, i) for i in range(3)]
+    polys = [x[0] + 1, x[1] - 2 * x[2], x[2] * Fraction(1, 3), x[0] * x[1] + 2, x[0] - x[2]]
+    nus = [NuObject(sp, {0: f, 1: g}) for f, g in zip(polys, polys[1:] + polys[:1])]
+    zsp = zariski_space(3)
+    zs = [zelem_from_poly(Poly.variable(zsp, i) + c) for i, c in ((0, 0), (1, 1), (2, -1))]
+    ys = [(0, 0, 0), (1, 0, 0), (0, 2, 1)]
+    taylors = [taylor_elem(zsp, {ys[k % 3]: ZNu({0: zs[k % 3], 1: zs[(k + 1) % 3] * (k + 1)})})
+               for k in range(5)]
+    return [pytest.param(polys, id="Poly"), pytest.param(nus, id="NuObject"),
+            pytest.param(taylors, id="TaylorElem")]
+
+
+@pytest.mark.parametrize("fs", _product_operands())
+def test_fi_residual_of_product_matches_oracle(fs):
+    got = fi_residual(_product, 3, fs)
+    assert not got.is_zero()
+    assert type(got) is type(fs[0])
+    assert got == fi_oracle(_product, 3, fs)
+
+
+def test_fi_argument_count_refused_with_one_message():
+    b, sp = canonical_bracket(3), sun_su2()
+    x, L1 = Poly.variable(b.space, 0), Poly.variable(sp.space, 0)
+    message = "^Fundamental Identity of order 3 needs 5 arguments$"
+    with pytest.raises(InvalidArgumentError, match=message):
+        check_fi(b, [x] * 4)
+    with pytest.raises(InvalidArgumentError, match=message):
+        fi_residual_sun(sp, [L1] * 6)
 
 
 def test_custom_bracket_matches_canonical():
@@ -159,9 +204,12 @@ def test_custom_bracket_expands_inside_its_index_sets_only(monkeypatch):
     # only the Laplace expansion's products count, not the Poly products
     # that scale each minor by its coefficient
     monkeypatch.setattr(poly, "_alternating_sum", counting_sum)
+    start = poly.jacobian_work
     got = bracket_eval(b, fs)
     monkeypatch.undo()
     assert len(calls) == 18
+    # each product is of one-term maps, so each adds one to the count
+    assert poly.jacobian_work - start == 18
     assert got == det_oracle(fs, (0, 1, 2)) + x[0] * det_oracle(fs, (3, 4, 5))
 
 
