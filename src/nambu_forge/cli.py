@@ -386,6 +386,8 @@ def _cmd_evolve(args, cfg):
         dyn = nambu.nahm_dynamics(state, args.step)
     else:
         raise InvalidArgumentError(f"unknown system {args.system!r}")
+    if args.csv == "-" and getattr(args, "json", False):
+        raise InvalidArgumentError("--csv - cannot share stdout with the JSON envelope")
     result = nambu.evolve(dyn, args.horizon, args.step)
     if args.csv:
         csv_text = result.to_csv(dyn.bracket.space.names)

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
 
 from .errors import ExprSyntaxError, InvalidArgumentError, ResourceLimitError
-from .poly import NuObject, Poly, VarSpace, _add_rows, _mul_into, zariski_space
+from .poly import NuObject, Poly, VarSpace, _mul_into, zariski_space
 
 __all__ = ["parse_expr", "render"]
 
@@ -36,9 +35,9 @@ __all__ = ["parse_expr", "render"]
 # takes 0.21 s, x1^500000 1.1 s, while (x1+x2+x3+1)^60 (2.4 million) ran
 # 14-15 s before this bound.  A Taylor product (Zariski context) counts
 # TAYLOR_UNIT_WEIGHT times the product of the operands' entry counts, at
-# least 1 each: one entry pair takes 20-25 us there (y1^50000 1.2 s,
-# y1^20000*Z[x1] 0.46 s, 300-entry operands times each other 11-22 us), so a
-# parse at the bound costs about 1 s in either context: y1^41666 1.0 s
+# least 1 each.  The weight dates from a Taylor product of 20-25 us per entry
+# pair; on the shared kernel a pair takes 2-3 us, Fractions from J-images
+# included, so a Zariski parse at the bound costs 0.1-0.15 s (y1^41666 0.13 s)
 PARSE_TERM_BOUND = 500_000
 TAYLOR_UNIT_WEIGHT = 12
 
@@ -99,13 +98,15 @@ def _nu_value(space: VarSpace, terms: dict):
 class _Parser:
     """Recursive-descent parser producing values in one of two algebras.
 
-    In poly context a value is one sparse map keyed by exponent + (nu power,)
-    with int coefficients (Fractions only from a/b literals), the layout
-    poly._mul_into multiplies; sums are added into one map in place.  In the
-    Zariski algebra a value is a TaylorElem; the integer rows of a sum's terms
-    are added over their common denominator into one row map and one
-    TaylorElem is built from it at the end.  The
-    zariski module is imported only for text in the Zariski algebra."""
+    In both a value is one sparse map {key: coefficient} with int
+    coefficients (Fractions only from a/b literals and J-images), the layout
+    poly._mul_into multiplies; sums are added into one map in place.  In
+    poly context a key is exponent + (nu power,).  In the Zariski algebra it
+    is (Z-monomial,) + y-exponent + (nu power,): Z-monomials add by union, so
+    the same kernel forms Taylor products, and parse() builds one TaylorElem
+    at the end.  ``in_a`` tracks membership in the Taylor subalgebra: a y or
+    Z[...] atom clears it, a closed J(...) or a zeroth power restores it.
+    The zariski module is imported only for text in the Zariski algebra."""
 
     def __init__(self, src: str, space: VarSpace, zspace: VarSpace):
         self.tokens = _tokenize(src)
@@ -113,15 +114,16 @@ class _Parser:
         self.space = space
         self.zspace = zspace
         self.one = (0,) * (space.nvars + 1)
-        self.zone = (0,) * (zspace.nvars + 1)
         self.products = 0
         self.depth = 0
+        self.in_a = True
         idents = {v for k, v, _ in self.tokens if k == "ident"}
         self.zariski_mode = "Z" in idents or "J" in idents or any(map(self._is_yvar, idents))
         if self.zariski_mode:
             from . import zariski
 
             self.zariski = zariski
+            self.zone = (zariski._Z_UNIT,) + (0,) * (zspace.nvars + 1)
 
     def _is_yvar(self, name: str) -> bool:
         """Whether name is a y-variable: y1, y2, ... of the Zariski space,
@@ -146,21 +148,15 @@ class _Parser:
         return tok
 
     # -- value helpers -----------------------------------------------------
-    def _taylor(self, key: tuple, z, in_a: bool):
-        """The TaylorElem of one ZElem z at key y-exponent + (nu power,)."""
-        return self.zariski.TaylorElem(self.zspace, {key: z}, in_a=in_a)
-
     def _const(self, c, poly_ctx: bool):
-        if poly_ctx:
-            return {self.one: c} if c else {}
-        return self._taylor(self.zone, self.zariski.ZElem.unit(c), True)
+        return {self.one if poly_ctx else self.zone: c} if c else {}
 
     def _nu(self, power: int, poly_ctx: bool):
         if poly_ctx:
             return {self.one[:-1] + (power,): 1}
         if power < 0:
             raise ExprSyntaxError("negative nu powers are not defined here", self.peek()[2])
-        return self._taylor(self.zone[:-1] + (power,), self.zariski.ZElem.unit(), True)
+        return {self.zone[:-1] + (power,): 1}
 
     def _count(self, work: int, ahead: int = 0) -> None:
         """Count work products about to be formed and ahead more to follow."""
@@ -179,86 +175,73 @@ class _Parser:
         self.depth -= 1
         return value
 
-    def _times(self, a: dict, b: dict) -> dict:
-        self._count(len(a) * len(b))
+    def _mul(self, a: dict, b: dict, poly_ctx: bool) -> dict:
+        self._count(len(a) * len(b) if poly_ctx else
+                    TAYLOR_UNIT_WEIGHT * max(1, len(a)) * max(1, len(b)))
         row: dict = {}
         _mul_into(row, a, b)
         return {e: c for e, c in row.items() if c}
 
-    def _mul(self, a, b):
-        if isinstance(a, dict):
-            return self._times(a, b)
-        self._count(TAYLOR_UNIT_WEIGHT * max(1, _size(a)) * max(1, _size(b)))
-        return a * b
-
-    def _pow(self, a, k: int):
+    def _pow(self, a: dict, k: int, poly_ctx: bool) -> dict:
         # negative exponents are intercepted at the factor level (nu only)
-        poly_ctx = isinstance(a, dict)
         out = self._const(1, poly_ctx)
-        size = _size(a)
-        # each of the k products counts at least size
-        self._count(0, k * size * (1 if poly_ctx else TAYLOR_UNIT_WEIGHT))
+        # each of the k products counts at least len(a)
+        self._count(0, k * len(a) * (1 if poly_ctx else TAYLOR_UNIT_WEIGHT))
         for _ in range(k):
-            out = self._mul(out, a)
-            if not size:
+            out = self._mul(out, a, poly_ctx)
+            if not a:
                 break  # a zero base stays zero
         return out
 
     # -- grammar -----------------------------------------------------------
     def parse(self):
-        poly_ctx = not self.zariski_mode
-        value = self.expr(poly_ctx)
+        value = self.expr(not self.zariski_mode)
         self.expect("end")
-        return value
+        if not self.zariski_mode:
+            return value
+        rows: dict = {}
+        for key, c in value.items():
+            rows.setdefault(key[1:], {})[key[0]] = c
+        z = self.zariski
+        return z.TaylorElem(self.zspace, {k: z.ZElem(row) for k, row in rows.items()}, self.in_a)
 
     def expr(self, poly_ctx: bool):
-        negate = False
-        if self.peek()[0] == "-":
+        negate = self.peek()[0] == "-"
+        if negate:
             self.next()
-            negate = True
         value = self.term(poly_ctx)
-        if poly_ctx:
-            if negate:
-                value = {e: -c for e, c in value.items()}
-            while self.peek()[0] in ("+", "-"):
-                sign = 1 if self.next()[0] == "+" else -1
-                _add_terms(value, self.term(poly_ctx), sign)  # every term is a fresh map
-            return value
-        if self.peek()[0] not in ("+", "-"):
-            return value.scale(-1) if negate else value
-        parts = [(-1 if negate else 1, value)]
+        if negate:
+            value = {e: -c for e, c in value.items()}
         while self.peek()[0] in ("+", "-"):
             sign = 1 if self.next()[0] == "+" else -1
-            parts.append((sign, self.term(poly_ctx)))
-        d = lcm(*(v.den for _, v in parts))
-        rows: dict = {}
-        for sign, v in parts:
-            _add_rows(rows, v.rows, sign * (d // v.den))
-        return self.zariski.TaylorElem._of(self.zspace, rows, d, all(v.in_a for _, v in parts))
+            _add_terms(value, self.term(poly_ctx), sign)  # every term is a fresh map
+        return value
 
     def term(self, poly_ctx: bool):
         value = self.factor(poly_ctx)
         while self.peek()[0] == "*":
             self.next()
-            value = self._mul(value, self.factor(poly_ctx))
+            value = self._mul(value, self.factor(poly_ctx), poly_ctx)
         return value
 
     def factor(self, poly_ctx: bool):
         base_tok = self.peek()
+        in_a = self.in_a
         value = self.atom(poly_ctx)
         if self.peek()[0] == "^":
             self.next()
-            sign = 1
-            if self.peek()[0] == "-":
+            negative = self.peek()[0] == "-"
+            if negative:
                 self.next()
-                sign = -1
-            k = _int(self.expect("uint")) * sign
-            if sign < 0:
+            k = _int(self.expect("uint"))
+            if negative:
                 # only nu itself may carry a Laurent power
                 if not (base_tok[0] == "ident" and base_tok[1] == "nu"):
                     raise ExprSyntaxError("negative exponent is allowed on nu only", base_tok[2])
-                return self._nu(k, poly_ctx)
-            value = self._pow(value, k)
+                return self._nu(-k, poly_ctx)
+            if not k:
+                self.in_a = in_a  # the power is 1, whatever its base
+            value = self._pow(value, k, poly_ctx)
         return value
 
     def atom(self, poly_ctx: bool):
@@ -285,9 +268,10 @@ class _Parser:
                     raise ExprSyntaxError("expected a polynomial", at)
                 return self._zmonomial(at) if text == "Z" else self._jatom(at)
             if not poly_ctx and self._is_yvar(text):
+                self.in_a = False
                 e = list(self.zone)
-                e[int(text[1:]) - 1] = 1
-                return self._taylor(tuple(e), self.zariski.ZElem.unit(), False)
+                e[int(text[1:])] = 1
+                return {tuple(e): 1}
             if poly_ctx:
                 try:
                     idx = self.space.index(text)
@@ -306,54 +290,39 @@ class _Parser:
         factors = []
         if self.peek()[0] != "]":
             while True:
-                factors.append(_demote_poly(self.space, self._inner(poly_ctx=True), at))
-                if self.peek()[0] == ";":
-                    self.next()
-                    continue
-                break
+                factor = _nu_value(self.space, self._inner(poly_ctx=True))
+                if isinstance(factor, NuObject):
+                    raise ExprSyntaxError("nu is not allowed inside Z[...]", at)
+                factors.append(factor)
+                if self.peek()[0] != ";":
+                    break
+                self.next()
         self.expect("]")
-        z = self.zariski
         try:
-            mono = z.zmonomial(factors)
+            mono = self.zariski.zmonomial(factors)
         except InvalidArgumentError as exc:
             raise ExprSyntaxError(str(exc), at) from None
-        return self._taylor(self.zone, z.ZElem.basis(mono), False)
+        self.in_a = False
+        return {(mono,) + self.zone[1:]: 1}
 
     def _jatom(self, at: int):
+        """J(...) of a plain Zariski element: c / d times the cached integer
+        J-image (rows, d) of each of its Z-monomials, flattened."""
         self.expect("(")
+        in_a = self.in_a
         value = self._inner(poly_ctx=False)
         self.expect(")")
-        return self.zariski.jmap(_demote_zelem(value, at), self.zspace)
-
-
-def _size(value) -> int:
-    """Terms of a poly-context map, or (y-exponent, nu power, Z-monomial)
-    entries of a TaylorElem."""
-    if isinstance(value, dict):
-        return len(value)
-    return sum(map(len, value.rows.values()))
-
-
-def _demote_poly(space: VarSpace, terms: dict, at: int) -> Poly:
-    value = _nu_value(space, terms)
-    if isinstance(value, NuObject):
-        raise ExprSyntaxError("nu is not allowed inside Z[...]", at)
-    return value
-
-
-def _y_free(value) -> bool:
-    """Whether a TaylorElem has no y content."""
-    return not any(any(k[:-1]) for k in value.rows)
-
-
-def _demote_zelem(value, at: int):
-    """The ZElem of a Zariski-context value with no y and no nu content."""
-    if not _y_free(value):
-        raise ExprSyntaxError("J(...) takes a plain Zariski element", at)
-    const = value.y_constant()
-    if const.rows.keys() - {(0,)}:
-        raise ExprSyntaxError("J(...) takes a nu-free Zariski element", at)
-    return const.classical()
+        self.in_a = in_a
+        if any(any(key[1:-1]) for key in value):
+            raise ExprSyntaxError("J(...) takes a plain Zariski element", at)
+        if any(key[-1] for key in value):
+            raise ExprSyntaxError("J(...) takes a nu-free Zariski element", at)
+        out: dict = {}
+        for key, c in value.items():
+            rows, d = self.zariski._jmap_image(key[0], self.zspace)
+            c = Fraction(c, d) if d > 1 else c  # int text builds no Fraction
+            _add_terms(out, {(m,) + k: n * c for k, row in rows.items() for m, n in row.items()}, 1)
+        return out
 
 
 def is_variable_name(name: str) -> bool:
@@ -375,12 +344,10 @@ def parse_expr(src: str, space: VarSpace = None, zspace: VarSpace = None):
     if isinstance(value, dict):
         return _nu_value(space, value)
     # TaylorElem: demote when it carries no y content / no nu content
-    if _y_free(value):
-        znu = value.y_constant()
-        if znu.rows.keys() <= {(0,)}:
-            return znu.classical()
-        return znu
-    return value
+    if any(any(k[:-1]) for k in value.rows):
+        return value
+    znu = value.y_constant()
+    return znu.classical() if znu.rows.keys() <= {(0,)} else znu
 
 
 def render(value) -> str:

@@ -25,7 +25,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import chain, islice
 from math import factorial, gcd, lcm, prod
-from operator import attrgetter
+from operator import add, attrgetter
 
 from .errors import InvalidArgumentError, ResourceLimitError
 
@@ -203,12 +203,14 @@ def _add_rows(acc: dict, rows: Mapping, f: int) -> dict:
 
 def _mul_into(row: dict, f: dict, g: dict, w: int = 1) -> None:
     """row[e1 + e2] += w * f[e1] * g[e2] over two term maps (integer ones
-    in the product kernels; the parser's also hold Fractions from a/b)."""
+    in the product kernels; the parser's also hold Fractions from a/b and
+    J-images), the keys added entrywise with + (the parser's Zariski keys
+    lead with a Z-monomial, whose + is the multiset union)."""
     gterms = g.items()
     for e1, c1 in f.items():
         c1 *= w
         for e2, c2 in gterms:
-            e = tuple(map(int.__add__, e1, e2))
+            e = tuple(map(add, e1, e2))
             row[e] = row.get(e, 0) + c1 * c2
 
 
@@ -817,27 +819,34 @@ def _poisson_walk(acc: dict, grid: list, f: dict, g: dict, c: int, shift: int, r
             _poisson_walk(acc, rest, fk, gk, c // factorial(k) * weight**k, shift, r + k, even)
 
 
-# the most term products one table of Jacobian minors may form, counted as
-# len(minor) * len(partial) before each product of the Laplace expansion.  One
-# product takes 2-4 us on a 2-vCPU x86_64 host: the largest table of check-fi
-# --bracket linear6 --degree 8 forms 2.0 million in 3.7 s
+# the most entry products one table of Jacobian minors may form, counted as
+# entries(minor) * entries(partial) before each product of the Laplace
+# expansion, where a row map counts the entries of all its rows.  One product
+# takes 2-4 us on a 2-vCPU x86_64 host: the largest table of check-fi
+# --bracket linear6 --degree 8 forms 2.0 million in 3.7 s, and the Taylor
+# Nambu bracket of J-images of dense degree-5 polynomials 0.19 million in 0.39 s
 JACOBIAN_TERM_BOUND = 100_000
 
-# the term products formed by every bounded table since import; a caller
-# that bounds a sum of tables reads its growth
+# the entry products formed by every table since import; a caller that
+# bounds a sum of tables reads its growth
 jacobian_work = 0
 
 
-def _alternating_sum(rows: Sequence, mul_into, targets=None, bound=None) -> dict:
+def _entries(m: Mapping) -> int:
+    """The entries of a term map, or of every row of a row map."""
+    return sum(map(len, m.values())) if type(next(iter(m.values()))) is dict else len(m)
+
+
+def _alternating_sum(rows: Sequence, mul_into, targets=None) -> dict:
     """{mask: minor}: the k-row minors of the matrix rows[i][j] of sparse maps
     (an empty map is zero), keyed by the bitmask of their columns in ascending
     order.  Laplace expansion row by row: a minor extends to each column j it
     lacks, signed -1 per used column above j, by mul_into(acc, minor, entry,
     sign), the minor on the left so row order is kept.  Zero entries and
     cancelled minors end their branch; with ``targets`` only masks inside one
-    of them are kept; with ``bound`` len(minor) * len(entry) is counted before
-    each product, passing it is refused as a Jacobian's, and the count is
-    added to ``jacobian_work``."""
+    of them are kept.  _entries(minor) * _entries(entry) is counted before
+    each product, passing JACOBIAN_TERM_BOUND is refused as a Jacobian's, and
+    the count is added to ``jacobian_work``."""
     global jacobian_work
     table = {1 << j: entry for j, entry in enumerate(rows[0]) if entry}
     work = 0
@@ -848,11 +857,10 @@ def _alternating_sum(rows: Sequence, mul_into, targets=None, bound=None) -> dict
                 new = mask | 1 << j
                 if new == mask or not entry or targets and all(new & ~t for t in targets):
                     continue
-                if bound is not None:
-                    work += len(minor) * len(entry)
-                    if work > bound:
-                        raise ResourceLimitError(f"Jacobian determinant of {work} term products "
-                                                 f"is over the Jacobian term bound {bound}")
+                work += _entries(minor) * _entries(entry)
+                if work > JACOBIAN_TERM_BOUND:
+                    raise ResourceLimitError(f"Jacobian determinant of {work} term products is "
+                                             f"over the Jacobian term bound {JACOBIAN_TERM_BOUND}")
                 sign = -1 if (mask >> j).bit_count() & 1 else 1
                 mul_into(grown.setdefault(new, {}), minor, entry, sign)
         table = {mask: minor for mask, acc in grown.items()
@@ -875,7 +883,7 @@ def _jacobian_minors(fs: Sequence[Poly], idx: Sequence[int], targets=None) -> di
             raise InvalidArgumentError(f"variable index {i} out of range")
     den = prod(f.den for f in fs)
     rows = [[_diff_terms(f.num, i) for i in idx] for f in fs]
-    table = _alternating_sum(rows, _mul_into, targets, JACOBIAN_TERM_BOUND)
+    table = _alternating_sum(rows, _mul_into, targets)
     return {mask: Poly._of(space, row, den) for mask, row in table.items()}
 
 

@@ -197,6 +197,8 @@ class ZMonomial:
         return ZMonomial._sorted(tuple(sorted(self.factors + other.factors, key=Poly.sort_key,
                                               reverse=True)))
 
+    __add__ = union  # so Z-monomial keys add under poly._mul_into
+
     def sort_key(self):
         return (self.degree(), tuple(f.sort_key() for f in self.factors))
 
@@ -588,15 +590,20 @@ def _candidate_polys(space: VarSpace, degree: int):
 def frobenius_counterexample_search(max_degree: int, space: VarSpace = None):
     """Find an irreducible u with non-commuting second derivations.
 
-    Scans small-coefficient candidates by increasing degree; inequality of the
-    two mixed derivations is established exactly, and irreducibility of the
-    candidate is checked last because it is the expensive step.  Returns a
-    FrobeniusWitness or None when the bound is too small.
+    Scans small-coefficient candidates in x1, x2 by increasing degree, each
+    over every pair of axes of space (R^3 by default, at least two axes);
+    inequality of the two mixed derivations is established exactly, and
+    irreducibility of the candidate is checked last because it is the
+    expensive step.  Returns a FrobeniusWitness or None when the bound is too
+    small.
     """
     if space is None:
         space = zariski_space(3)
+    if space.nvars < 2:
+        raise InvalidArgumentError("the Frobenius search needs at least two variables")
     if max_degree < 3:
         return None
+    axes = range(1, space.nvars + 1)
     seen = set()
     for degree in range(3, max_degree + 1):
         for cand in _candidate_polys(space, degree):
@@ -605,8 +612,8 @@ def frobenius_counterexample_search(max_degree: int, space: VarSpace = None):
                 continue
             seen.add(u)
             zu = ZElem.basis(ZMonomial((u,), trusted=True))
-            first = {k: delta(k, zu, space) for k in (1, 2, 3)}
-            for i, j in ((1, 2), (1, 3), (2, 3)):
+            first = {k: delta(k, zu, space) for k in axes}
+            for i, j in itertools.combinations(axes, 2):
                 lhs, rhs = delta(i, first[j], space), delta(j, first[i], space)
                 if lhs != rhs:
                     if is_irreducible(u):

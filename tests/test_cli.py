@@ -101,6 +101,19 @@ def test_coeffs_agreement(capsys):
     assert "recursion=17/45" in out and "closed-form=17/45" in out and "agree=True" in out
 
 
+def test_coeffs_table_text_and_json(capsys):
+    code, out, _ = run(capsys, "coeffs", "--table", "3", "1")
+    assert code == 0
+    assert out == ("a(0,0) = 1\na(1,0) = 1\na(2,0) = 1\na(2,1) = 1\na(3,0) = 1\n"
+                   "a(3,1) = 4/3\ntables agree: True\n")
+    code, out, _ = run(capsys, "--json", "coeffs", "--table", "2", "1")
+    assert code == 0
+    doc = json.loads(out)
+    validate(doc)
+    assert doc["data"] == {"n_max": 2, "r_max": 1, "agree": True,
+                           "values": {"0,0": "1", "1,0": "1", "2,0": "1", "2,1": "1"}}
+
+
 def test_coeffs_rejects_negative_index(capsys):
     code, _, err = run(capsys, "coeffs", "--a", "-1", "1")
     assert code == 1
@@ -777,6 +790,15 @@ def test_zariski_frobenius(capsys):
     assert "witness" in out
 
 
+@pytest.mark.parametrize("dim", ["2", "3", "4"])
+def test_zariski_frobenius_over_any_dimension(capsys, dim):
+    # the candidates live in x1, x2, so every space finds the R^3 witness
+    code, out, _ = run(capsys, "--json", "zariski", "frobenius", "--dim", dim, "--max-degree", "4")
+    assert code == 0
+    data = json.loads(out)["data"]
+    assert (data["u"], data["axes"]) == ("x1^3 + x1^2*x2 - 3*x2^3", [1, 2])
+
+
 def test_evolve_with_csv(tmp_path, capsys):
     target = tmp_path / "traj.csv"
     code, out, _ = run(
@@ -788,6 +810,41 @@ def test_evolve_with_csv(tmp_path, capsys):
     assert lines[0] == "t,x1,x2,x3,H1,H2"
     assert len(lines) == 12
     assert "divergence identically zero: True" in out
+
+
+def test_evolve_csv_to_stdout(capsys):
+    code, out, _ = run(capsys, "evolve", "--system", "nahm", "--horizon", "0.003",
+                       "--step", "0.001", "--csv", "-")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "t,x1,x2,x3,H1,H2"
+    assert [line.split(",")[0] for line in lines[1:5]] == ["0.0", "0.001", "0.002", "0.003"]
+    assert lines[5:] == ["steps: 3", lines[6], "divergence identically zero: True"]
+    assert lines[6].startswith("max relative drift: H1=")
+
+
+def test_evolve_refuses_csv_to_stdout_with_json(capsys):
+    # the CSV and the envelope on one stdout are not one JSON document
+    code, out, err = run(capsys, "--json", "evolve", "--system", "nahm", "--horizon", "0.003",
+                         "--step", "0.001", "--csv", "-")
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    validate(doc)
+    assert doc["error"] == {"code": "evolve.invalid-argument",
+                            "message": "--csv - cannot share stdout with the JSON envelope"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("mul", "nu^-1*Z[x1]", "Z[x2]"), "negative nu powers are not defined here (at position 5)"),
+    (("mul", "x1 + Z[x2]", "Z[x1]"),
+     "variable 'x1' is not allowed outside Z[...] here (at position 0)"),
+    (("mul", "Z[x1 + nu]", "Z[x1]"), "nu is not allowed inside Z[...] (at position 0)"),
+    (("jmap", "J(y1*Z[x1])"), "J(...) takes a plain Zariski element (at position 0)"),
+    (("jmap", "J(nu*Z[x1])"), "J(...) takes a nu-free Zariski element (at position 0)"),
+], ids=["negative-nu", "x-outside-z", "nu-inside-z", "j-of-y", "j-of-nu"])
+def test_zariski_context_refusals(capsys, argv, message):
+    code, out, err = run(capsys, "zariski", *argv)
+    assert (code, out, err) == (1, "", f"error[zariski.syntax]: {message}\n")
 
 
 def test_config_precedence(tmp_path, capsys, monkeypatch):

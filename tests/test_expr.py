@@ -174,7 +174,7 @@ def _taylor(text: str) -> TaylorElem:
     (["y1", "-y1"], False),
 ])
 def test_zariski_sum_matches_pairwise_sum(terms, in_a):
-    # the terms go into one row map; the oracle adds TaylorElems one by one
+    # the terms go into one map; the oracle adds TaylorElems one by one
     want = _taylor(terms[0])
     for t in terms[1:]:
         want = want + _taylor(t[1:]) if t[0] == "+" else want - _taylor(t[1:])
@@ -185,7 +185,7 @@ def test_zariski_sum_matches_pairwise_sum(terms, in_a):
 
 def test_zariski_sum_is_linear_in_its_terms():
     # 8000 terms took 21.6 s when each + copied the sum so far, and take
-    # about 1.7 s on a 2-vCPU x86_64 host summed into one row map
+    # about 1.7 s on a 2-vCPU x86_64 host summed into one map
     text = " + ".join(f"Z[x1 + {k}]" for k in range(1, 8001))
     start = time.perf_counter()
     value = parse_expr(text)
@@ -195,9 +195,8 @@ def test_zariski_sum_is_linear_in_its_terms():
 
 
 def test_zariski_sum_reads_rows_not_the_terms_view(monkeypatch):
-    # the parse term bound, the y check and the sum loop read a TaylorElem's
-    # integer rows; its terms view would rebuild every coefficient as a
-    # Fraction on each read
+    # the parser builds its one TaylorElem at the end, from its own map; the
+    # terms view would rebuild every coefficient as a Fraction on each read
     products = [f"{k}/{k % 4 + 1}*J(Z[x1 + {k}*x2])*J(Z[x2*x3 + {k}])" for k in range(1, 40)]
     signs = ["-" if k % 3 == 0 else "+" for k in range(1, 40)]
     text = " ".join(s + " " + p for s, p in zip(signs, products))[2:]  # no leading '+'
@@ -320,3 +319,19 @@ def test_parse_matches_operator_oracle(space):
         got = parse_expr(text, space)
         assert got == want, text
         assert isinstance(got, NuObject) == bool(set(want.coeffs) - {0}), text
+
+
+@pytest.mark.parametrize("text, in_a", [
+    ("y1^0*J(Z[x1])", True),
+    ("(y1 + Z[x2])^0*J(Z[x1])", True),
+    ("Z[x2]^0 + J(Z[x1])", True),
+    ("J(y1^0*Z[x2])*y2^0", True),
+    ("nu*J(Z[x1]) - 2", True),
+    ("0*y1 + J(Z[x1])", False),
+    ("y1^1*J(Z[x1])", False),
+    ("J(Z[x1]) + Z[]", False),
+])
+def test_taylor_subalgebra_membership(text, in_a):
+    # a y-variable or Z[...] atom leaves the subalgebra; a whole J(...) and a
+    # zeroth power are in it, whatever their inside
+    assert _taylor(text).in_a is in_a

@@ -11,11 +11,11 @@ from fractions import Fraction
 
 import pytest
 
-from nambu_forge import zariski
+from nambu_forge import poly, zariski
 from nambu_forge.errors import InvalidArgumentError, ResourceLimitError
 from nambu_forge.expr import parse_expr
 from nambu_forge.factor import is_irreducible, normalize
-from nambu_forge.poly import NuObject, Poly, _bump, qp_space
+from nambu_forge.poly import NuObject, Poly, _bump, coordinate_space, qp_space
 from nambu_forge.star import (
     moyal_product,
     standard_ordering_product,
@@ -488,6 +488,11 @@ def test_frobenius_search_small_bound_finds_nothing():
     assert frobenius_counterexample_search(2) is None
 
 
+def test_frobenius_search_needs_two_axes():
+    with pytest.raises(InvalidArgumentError, match="the Frobenius search needs at least two variables"):
+        frobenius_counterexample_search(4, coordinate_space(1))
+
+
 def test_frobenius_search_finds_and_verifies():
     witness = frobenius_counterexample_search(4)
     assert isinstance(witness, FrobeniusWitness)
@@ -834,6 +839,19 @@ def test_deformation_theorem_on_taylor_algebra(rng):
         y0 = {k: z for k, z in classical.terms.items() if not k[-1]}
         got = {k: z for k, z in ab.terms.items() if not k[-1]}
         assert got == y0
+
+
+def test_taylor_nambu_counts_the_entries_of_every_row(monkeypatch):
+    a, b, c = (parse_expr(t) for t in ("y1*Z[x1] + y1*Z[x2]", "y2*Z[x3] + y2*Z[]", "y3"))
+    start = poly.jacobian_work
+    classical_nambu(a, b, c)
+    # d/dy1 a and d/dy2 b are one row of two entries each: 2 * 2 products,
+    # then the four entries of their product times the one of d/dy3 c
+    assert poly.jacobian_work - start == 8
+    monkeypatch.setattr(poly, "JACOBIAN_TERM_BOUND", 7)
+    with pytest.raises(ResourceLimitError, match="Jacobian determinant of 8 term products is "
+                                                 "over the Jacobian term bound 7"):
+        classical_nambu(a, b, c)
 
 
 def test_quantum_nambu_coordinates():
