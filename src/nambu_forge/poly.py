@@ -201,6 +201,16 @@ def _add_rows(acc: dict, rows: Mapping, f: int) -> dict:
     return acc
 
 
+def _scaled_num(num: Mapping, f: int) -> dict:
+    """A fresh integer term map f * num, copied at C level when f is 1."""
+    return dict(num) if f == 1 else {e: f * n for e, n in num.items()}
+
+
+def _scaled_rows(rows: Mapping, f: int) -> dict:
+    """Fresh integer rows f * rows, each row a fresh map."""
+    return {k: _scaled_num(row, f) for k, row in rows.items()}
+
+
 def _mul_into(row: dict, f: dict, g: dict, w: int = 1) -> None:
     """row[e1 + e2] += w * f[e1] * g[e2] over two term maps (integer ones
     in the product kernels; the parser's also hold Fractions from a/b and
@@ -217,11 +227,13 @@ def _mul_into(row: dict, f: dict, g: dict, w: int = 1) -> None:
 def _graded_mul_into(mul_into, acc: dict, a: Mapping, b: Mapping, c: int = 1) -> None:
     """The graded product c * a . b of integer rows, added into acc: the rows
     keyed ka and kb multiply by mul_into (_mul_into on exponent rows,
-    zariski._z_mul_into on Z-monomial rows) into the row keyed ka + kb,
-    added entrywise."""
+    zariski._z_mul_into on Z-monomial rows) into the row keyed ka + kb.
+    Tuple keys add entrywise; the packed int keys of zariski's y-graded
+    products add as ints."""
     for ka, ra in a.items():
         for kb, rb in b.items():
-            mul_into(acc.setdefault(tuple(map(int.__add__, ka, kb)), {}), ra, rb, c)
+            k = ka + kb if type(ka) is int else tuple(map(int.__add__, ka, kb))
+            mul_into(acc.setdefault(k, {}), ra, rb, c)
 
 
 class _Sparse(_Frozen):
@@ -230,6 +242,7 @@ class _Sparse(_Frozen):
     ==, * and ``scale``, written once over the entries.  A layout supplies
     ``_fields``, the slots that its constructor from integer entries over d,
     ``_of(space, parts, d, ...)``, takes in order; ``_parts``;
+    ``_scaled(parts, f)``, fresh entries f times parts;
     ``_add(acc, parts, f)``, which adds f times the entries into acc; and
     ``_mul(acc, a, b)``, which adds the entries' product into acc.  Each kind
     supplies ``_like(other)``, the operand of its own type that other stands
@@ -258,7 +271,7 @@ class _Sparse(_Frozen):
             return NotImplemented
         self._check_space(o)
         d = lcm(self.den, o.den)
-        acc = self._add({}, self._parts, d // self.den)
+        acc = self._scaled(self._parts, d // self.den)
         return self._with(self._add(acc, o._parts, sign * (d // o.den)), d, o)
 
     def __add__(self, other):
@@ -301,7 +314,7 @@ class _Sparse(_Frozen):
         """c times the value, for any rational scalar c."""
         if not isinstance(c, (int, Fraction)):
             c = Fraction(c)
-        return self._with(self._add({}, self._parts, c.numerator), self.den * c.denominator, self)
+        return self._with(self._scaled(self._parts, c.numerator), self.den * c.denominator, self)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"
@@ -320,6 +333,7 @@ class _Rational(_Sparse):
     _fields = __slots__
     _parts = property(attrgetter("num"))
     _add = staticmethod(_add_num)
+    _scaled = staticmethod(_scaled_num)
 
     def _mul(self, acc: dict, a: Mapping, b: Mapping) -> None:
         self._kernel(acc, a, b)
@@ -540,6 +554,7 @@ class _Rows(_Sparse):
     _fields = __slots__
     _parts = property(attrgetter("rows"))
     _add = staticmethod(_add_rows)
+    _scaled = staticmethod(_scaled_rows)
     _negative_nu = False
 
     def _mul(self, acc: dict, a: Mapping, b: Mapping) -> None:
@@ -767,7 +782,8 @@ def poisson_power(f: Poly, g: Poly, r: int) -> Poly:
 
 def _poisson_sum(jobs: Iterable, space: VarSpace, even: bool = False, axes=None) -> tuple:
     """(rows, d) with rows[(m,)] / d the sum over the jobs (shift, w, f, g) of
-    w nu^(shift + r) B^r(f, g) / r! over every r (every even r if ``even``),
+    w nu^(shift + r) B^r(f, g) / r! over every r (every positive even r if
+    ``even``: the caller forms the order 0, the plain product, itself),
     w an integer and f, g integer term maps on ``space``.
 
     B is the constant bidifferential operator sum over ``axes`` (i, j, w) of
@@ -800,15 +816,16 @@ def _poisson_sum(jobs: Iterable, space: VarSpace, even: bool = False, axes=None)
 def _poisson_walk(acc: dict, grid: list, f: dict, g: dict, c: int, shift: int, r: int,
                   even: bool) -> None:
     """Add c * w_p * (d_p f) (d_p g) into acc[(shift + r + s,)] for each point p
-    of ``grid`` whose coordinates sum to s (only where r + s is even if
-    ``even``).  Coordinate k on the axis (i, j, top, weight) gives w_p the
-    factor weight^k / k!, d_p f the factor d_i^k and d_p g the factor d_j^k.
-    The derivatives come from chains cut at top, g's first, so a branch ends
-    at its first zero derivative and no derivative is taken that no term
-    uses.  Only the last axis fixes the parity of r, and there the chains
-    stop at the last order of the wanted parity."""
+    of ``grid`` whose coordinates sum to s (only where r + s is even and
+    positive if ``even``).  Coordinate k on the axis (i, j, top, weight)
+    gives w_p the factor weight^k / k!, d_p f the factor d_i^k and d_p g the
+    factor d_j^k.  The derivatives come from chains cut at top, g's first,
+    so a branch ends at its first zero derivative and no derivative is taken
+    that no term uses.  Only the last axis fixes the parity of r, and there
+    the chains stop at the last order of the wanted parity."""
     if not grid:
-        _mul_into(acc.setdefault((shift + r,), {}), f, g, c)
+        if r or not even:
+            _mul_into(acc.setdefault((shift + r,), {}), f, g, c)
         return
     (i, j, top, weight), rest = grid[0], grid[1:]
     last = even and not rest

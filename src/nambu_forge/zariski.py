@@ -26,7 +26,14 @@ Moyal and partial-Moyal products g * f is f * g with nu replaced by -nu.  So
     T(S) = (1/|S|) sum_u mult(u) sum_{r even} nu^(a+r) P^r(T_a(S - u), u) / r!,
 
 summed on integer rows over one denominator; every other star product is
-refused.
+refused.  The terms r = 0, a = 0 add up to |S| times the product of S's
+factors, so the nu^0 row of T(S) is that product, formed once, and the
+Poisson sums take r >= 2 only.  A factor v in no variable of a pair of the
+space is central under the product, so T(S) = v T(S - v), and the
+deformation tail of S is that of S - v with v united into each multiset
+(v is monic and irreducible).  Both shortcuts come after the
+``EVAL_T_SUBSET_BOUND`` count of the whole multiset, and the tail's only
+where factorize could refuse no T_r(S), so every refusal is unchanged.
 
 The products run on integer numerators.  ``_eval_T`` caches T(S) as integer
 rows over one denominator, which the next recursion step reads as they are;
@@ -34,14 +41,17 @@ rows over one denominator, which the next recursion step reads as they are;
 one Z-monomial each over one denominator, in one table per star product.
 Every classical product (plain, nu-graded, y-graded, and the y-derivatives
 in ``quantum_nambu``) multiplies rows of {ZMonomial: numerator} with
-``_z_mul_into``, keyed by tuples that add under the product (through
-``poly._graded_mul_into``), with one denominator per operand.  A ZElem is
-one such row over its own denominator, in the integer layout it shares with
-Poly (``poly._Rational``).  A ZNu and a TaylorElem store such rows keyed by
-(nu power,) and y-exponent + (nu power,) over one denominator, through the
-base class ``poly._Rows`` they share with NuObject, so no product, + or -
-builds a Fraction; one is built per term only when a caller reads
-``terms``.
+``_z_mul_into``, keyed by tuples or ints that add under the product (through
+``poly._graded_mul_into``), with one denominator per operand.  The y-graded
+products of ``a_mul_nu`` and both Nambu brackets key their rows by packed
+ints (y-exponent, or y-exponent + (nu power,), one field per entry, of a
+width taken per call from the operands' largest entries), and unpack each
+output key once.  A ZElem is one such row over its own denominator, in the
+integer layout it shares with Poly (``poly._Rational``).  A ZNu and a
+TaylorElem store such rows keyed by (nu power,) and y-exponent + (nu power,)
+over one denominator, through the base class ``poly._Rows`` they share with
+NuObject, so no product, + or - builds a Fraction; one is built per term
+only when a caller reads ``terms``.
 
 Z-monomials are interned: every ZMonomial is built through one cached
 constructor over its tuple of interned factors, so equal factor multisets
@@ -59,12 +69,14 @@ import itertools
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cache, partial
-from math import lcm, prod
-from operator import attrgetter
+from math import comb, lcm, prod
+from operator import lshift
 
+from . import factor
 from .errors import InvalidArgumentError, ResourceLimitError
 from .factor import factorize, is_irreducible, normalize
 from .poly import (
+    DEFAULT_DEGREE_BOUND,
     NuObject,
     Poly,
     VarSpace,
@@ -74,6 +86,7 @@ from .poly import (
     _Frozen,
     _graded_mul_into,
     _joined,
+    _mul_into,
     _num_rows,
     _poisson_sum,
     _Rational,
@@ -378,15 +391,48 @@ def eval_T(factors: Sequence[Poly], s: StarProduct) -> NuObject:
 
     which shares every sub-multiset; the even part is
     sum_{r even} nu^(a+r) P^r(T_a(S - u), u) / r!, summed as integers over
-    one common denominator.  Each T(S) is cached per Z-monomial of S and star
-    product as integer rows keyed by (nu power,) over one denominator, which
-    the larger multisets read as they are and the result is stored over.
-    Any other star product raises InvalidArgumentError: the standard-ordering
-    product lacks the symmetry, and on su(2)* the closed-form sun lift
-    (sun.sun_lift) replaces T.  A multiset with more than EVAL_T_SUBSET_BOUND
-    sub-multisets raises ResourceLimitError.
+    one common denominator.  Its order r = 0 at a = 0 sums to the product of
+    S's factors, the nu^0 row of T(S), which is formed once.  A factor v in
+    no variable of a pair of the space is central under the product, so
+    T(S) = v T(S - v) with no Poisson sum.  Each T(S) is cached per
+    Z-monomial of S and star product as integer rows keyed by (nu power,)
+    over one denominator, which the larger multisets read as they are and
+    the result is stored over.  Any other star product raises
+    InvalidArgumentError: the standard-ordering product lacks the symmetry,
+    and on su(2)* the closed-form sun lift (sun.sun_lift) replaces T.  A
+    multiset with more than EVAL_T_SUBSET_BOUND sub-multisets raises
+    ResourceLimitError, counted on the whole multiset before either shortcut.
     """
     return NuObject._of(s.space, *_eval_T(ZMonomial(factors, trusted=True), s))
+
+
+def _runs(m: ZMonomial, s: StarProduct) -> list:
+    """[(u, mult(u)), ...] over the distinct factors of m, after the two
+    refusals of T(m): a star product other than the Moyal kinds, and a
+    multiset of more than EVAL_T_SUBSET_BOUND sub-multisets."""
+    if s.kind not in _MOYAL_KINDS:
+        raise InvalidArgumentError(
+            f"eval_T runs on the Moyal and partial-Moyal products; {s.kind!r} is not one"
+        )
+    runs = [(u, len(tuple(run))) for u, run in itertools.groupby(m.factors)]
+    subsets = prod(mult + 1 for _, mult in runs)
+    if subsets > EVAL_T_SUBSET_BOUND:
+        raise ResourceLimitError(
+            f"factor multiset has {subsets} sub-multisets, over the eval_T bound "
+            f"{EVAL_T_SUBSET_BOUND}"
+        )
+    return runs
+
+
+def _central(m: ZMonomial, s: StarProduct) -> tuple | None:
+    """(v, m - v) for the first factor v of m in no variable of a pair of s's
+    space, which is central under s, or None."""
+    paired = [i for pair in s.space.pairs for i in pair]
+    factors = m.factors
+    for i, v in enumerate(factors):
+        if not any(e[j] for e in v.num for j in paired):
+            return v, ZMonomial._sorted(factors[:i] + factors[i + 1 :])
+    return None
 
 
 @cache
@@ -394,20 +440,17 @@ def _eval_T(m: ZMonomial, s: StarProduct) -> tuple:
     """eval_T on the factor multiset m as integer rows (numerators, d): T_r
     has coefficient numerators[(r,)][e] / d at x^e, and d is the least common
     denominator of every coefficient."""
-    if s.kind not in _MOYAL_KINDS:
-        raise InvalidArgumentError(
-            f"eval_T runs on the Moyal and partial-Moyal products; {s.kind!r} is not one"
-        )
+    runs = _runs(m, s)
     factors = m.factors
     if not factors:
         return {(0,): {(0,) * s.space.nvars: 1}}, 1
-    runs = [(u, len(tuple(run))) for u, run in itertools.groupby(factors)]
-    subsets = prod(mult + 1 for _, mult in runs)
-    if subsets > EVAL_T_SUBSET_BOUND:
-        raise ResourceLimitError(
-            f"factor multiset has {subsets} sub-multisets, over the eval_T bound "
-            f"{EVAL_T_SUBSET_BOUND}"
-        )
+    if central := _central(m, s):
+        v, rest = central
+        t, td = _eval_T(rest, s)
+        rows: dict = {}
+        for k, row in t.items():
+            _mul_into(rows.setdefault(k, {}), row, v.num)
+        return _reduced(rows, td * v.den)
     steps = []  # (mult(u), rows of T(S - u), their denominator, u) per distinct u
     i = 0
     for u, mult in runs:
@@ -415,12 +458,22 @@ def _eval_T(m: ZMonomial, s: StarProduct) -> tuple:
         steps.append((mult, *_eval_T(rest, s), u))
         i += mult
     # (1/|S|) sum mult(u) sum_{r even} nu^(a+r) P^r(T_a, u) / r! over one
-    # common denominator
+    # common denominator: the Poisson sum takes r > 0; at r = 0 each a > 0
+    # adds T_a(S - u) u, and the a = 0 terms add up to |S| times the product
+    # of S's factors, which is T_0(S - u) u for any u
     den = lcm(*(td * u.den for _, _, td, u in steps))
-    rows, d = _poisson_sum(((a, mult * (den // (td * u.den)), ta, u.num)
-                            for mult, t, td, u in steps for (a,), ta in t.items()),
-                           s.space, even=True)
-    return _reduced(rows, d * den * len(factors))
+    jobs = [(a, mult * (den // (td * u.den)), ta, u.num)
+            for mult, t, td, u in steps for (a,), ta in t.items()]
+    rows, d = _poisson_sum(jobs, s.space, even=True)
+    n = len(factors)
+    _, t, td, u = steps[0]
+    _mul_into(rows.setdefault((0,), {}), t[0,], u.num, d * n * (den // (td * u.den)))
+    for a, w, ta, un in jobs:
+        if a:
+            _mul_into(rows.setdefault((a,), {}), ta, un, w * d)
+    # rows by increasing nu power, the order in which _deformation_tail
+    # factors them, so the first refused factorization is the smallest r's
+    return _reduced(dict(sorted(rows.items())), d * den * n)
 
 
 def times_alpha(p, q, s: StarProduct) -> NuObject:
@@ -447,11 +500,32 @@ def z_mul_classical(a: ZElem, b: ZElem) -> ZElem:
     return a * b
 
 
+def _factorable(m: ZMonomial, space: VarSpace) -> bool:
+    """True when factorize admits every T_r(m), r > 0: each Poisson order
+    takes one degree off each side, so T_r(m) has total degree at most
+    deg m - 2, and at most comb(deg m - 2 + n, n) terms in n variables."""
+    top = m.degree() - 2
+    n = space.nvars
+    return top <= DEFAULT_DEGREE_BOUND and comb(top + n, n) <= factor.FACTOR_TERM_BOUND
+
+
 def _deformation_tail(m: ZMonomial, s: StarProduct) -> tuple:
     """(d, ((r, m_r, n_r), ...)): the nu^r part of D(Z_m) for r > 0 is
     n_r / d * Z(m_r).  T_r(m) is the integer row T_r over T's denominator d;
     m_r is the row's factor multiset and n_r its leading numerator, since
-    Z_{cu} = c Z_u with c = lc(u)."""
+    Z_{cu} = c Z_u with c = lc(u).  For a central factor v of m, T(m) =
+    v T(m - v) and v is monic and irreducible, so the tail of m is that of
+    m - v with v united into each m_r; it is taken only where no
+    factorization of a T_r(m) could be refused, so that every refusal is
+    that of T_r(m)'s own factorization."""
+    central = _central(m, s)
+    if central and _factorable(m, s.space):
+        _runs(m, s)  # T(m)'s refusals, before the shortcut
+        v, rest = central
+        table = _tails(s)
+        d, parts = table.get(rest) or table.setdefault(rest, _deformation_tail(rest, s))
+        zv = ZMonomial._sorted((v,))
+        return d, tuple((r, m_r.union(zv), n) for r, m_r, n in parts)
     rows, d = _eval_T(m, s)
     parts = []
     for (r,), row in rows.items():
@@ -470,7 +544,10 @@ def _tails(s: StarProduct) -> dict:
 def _deform(rows: Mapping, d: int, s: StarProduct) -> tuple:
     """(rows keyed key + (r,), d): D(sum c_m Z_m) = sum c_m (Z_m + sum_{r>0}
     nu^r Z(T_r(m))) of each integer row {m: c_m * d} of rows, over one common
-    denominator.  Cancelled (zero) entries never reach eval_T."""
+    denominator.  The keys are tuples: a y-graded product unpacks its packed
+    keys before, once per key.  Each tail is read from the one table per
+    star product (_deformation_tail, which splits off central factors).
+    Cancelled (zero) entries never reach eval_T."""
     table = _tails(s)  # s is hashed once; tails are looked up by identity
     tails = [(key, m, c, *(table.get(m) or table.setdefault(m, _deformation_tail(m, s))))
              for key, row in rows.items() for m, c in row.items() if c]
@@ -530,7 +607,12 @@ def delta(i: int, a: ZElem, space: VarSpace = None) -> ZElem:
     default, checked whatever a is)."""
     if space is None:
         space = zariski_space(3)
-    k = _axis_index(i, space)
+    return _delta(_axis_index(i, space), a, zelem_from_poly)
+
+
+def _delta(k: int, a: ZElem, zelem) -> ZElem:
+    """delta on the 0-based axis k, with zelem(d) the Z-image of each
+    derivative d (zelem_from_poly, or a memo of it)."""
     parts = []  # (Z-monomial, numerator, denominator) per term
     for mono, c in a.num.items():
         factors = mono.factors
@@ -544,7 +626,7 @@ def delta(i: int, a: ZElem, space: VarSpace = None) -> ZElem:
             if d.is_zero():
                 continue
             rest = ZMonomial._sorted(factors[:j] + factors[j + 1 :])
-            z = zelem_from_poly(d)
+            z = zelem(d)
             parts += ((m.union(rest), v * c * mult, z.den) for m, v in z.num.items())
     den = lcm(*(t for _, _, t in parts))
     row: dict = {}
@@ -594,8 +676,8 @@ def frobenius_counterexample_search(max_degree: int, space: VarSpace = None):
     over every pair of axes of space (R^3 by default, at least two axes);
     inequality of the two mixed derivations is established exactly, and
     irreducibility of the candidate is checked last because it is the
-    expensive step.  Returns a FrobeniusWitness or None when the bound is too
-    small.
+    expensive step.  Each derivative is factored once per search.  Returns
+    a FrobeniusWitness or None when the bound is too small.
     """
     if space is None:
         space = zariski_space(3)
@@ -603,7 +685,8 @@ def frobenius_counterexample_search(max_degree: int, space: VarSpace = None):
         raise InvalidArgumentError("the Frobenius search needs at least two variables")
     if max_degree < 3:
         return None
-    axes = range(1, space.nvars + 1)
+    axes = range(space.nvars)
+    zelem = cache(zelem_from_poly)  # candidates share derivatives
     seen = set()
     for degree in range(3, max_degree + 1):
         for cand in _candidate_polys(space, degree):
@@ -612,12 +695,12 @@ def frobenius_counterexample_search(max_degree: int, space: VarSpace = None):
                 continue
             seen.add(u)
             zu = ZElem.basis(ZMonomial((u,), trusted=True))
-            first = {k: delta(k, zu, space) for k in axes}
+            first = {k: _delta(k, zu, zelem) for k in axes}
             for i, j in itertools.combinations(axes, 2):
-                lhs, rhs = delta(i, first[j], space), delta(j, first[i], space)
+                lhs, rhs = _delta(i, first[j], zelem), _delta(j, first[i], zelem)
                 if lhs != rhs:
                     if is_irreducible(u):
-                        return FrobeniusWitness(u, i, j, lhs, rhs)
+                        return FrobeniusWitness(u, i + 1, j + 1, lhs, rhs)
                     break
     return None
 
@@ -721,19 +804,49 @@ def _check_deformable(a: TaylorElem, b: TaylorElem) -> None:
         raise InvalidArgumentError("the deformed product is defined on the Taylor subalgebra only")
 
 
-def _y_classical(a: TaylorElem) -> tuple:
-    """({y-exponent: {ZMonomial: numerator}}, den): the nu^0 rows of a."""
-    return {k[:-1]: row for k, row in a.rows.items() if not k[-1]}, a.den
+# The y-graded products (a_mul_nu and both Nambu brackets) run on packed
+# keys: the int that holds entry i of a row key (y-exponent + (nu power,)) in
+# bits w*i to w*i + w - 1, so that keys add as ints in poly._graded_mul_into.
+# Each call takes the field width w as the bit length of the sum of its
+# operands' largest key entries, so no entry of a product carries into the
+# next field; the output keys are unpacked once, and TaylorElem stores tuple
+# keys.
+
+
+def _width(args: tuple) -> int:
+    """The field width of packed keys for products of the rows of args."""
+    return sum(max(itertools.chain.from_iterable(x.rows), default=0) for x in args).bit_length()
+
+
+def _packed(rows: Mapping, w: int, n: int) -> dict:
+    """rows keyed by the packed keys of width w of the first n entries of
+    their tuple keys."""
+    shifts = [w * i for i in range(n)]
+    return {sum(map(lshift, key, shifts)): row for key, row in rows.items()}
+
+
+def _unpacked(rows: Mapping, w: int, n: int) -> dict:
+    """rows keyed by the tuples of the first n entries of their packed keys
+    of width w."""
+    mask = (1 << w) - 1
+    shifts = [w * i for i in range(n)]
+    return {tuple([p >> i & mask for i in shifts]): row for p, row in rows.items()}
+
+
+def _y_classical(a: TaylorElem, w: int) -> dict:
+    """The nu^0 rows of a, keyed by packed y-exponents of width w."""
+    return _packed({k: row for k, row in a.rows.items() if not k[-1]}, w, a.space.nvars)
 
 
 def a_mul_nu(a: TaylorElem, b: TaylorElem, s: StarProduct) -> TaylorElem:
     """Deformed Abelian product on the Taylor subalgebra: D applied to each
     y-degree of the classical product of the nu^0 parts."""
     _check_deformable(a, b)
-    (ra, da), (rb, db) = _y_classical(a), _y_classical(b)
+    w = _width((a, b))
     acc: dict = {}
-    _graded_mul_into(_z_mul_into, acc, ra, rb)
-    return TaylorElem._of(a.space, *_deform(acc, da * db, s), True)
+    _graded_mul_into(_z_mul_into, acc, _y_classical(a, w), _y_classical(b, w))
+    return TaylorElem._of(a.space, *_deform(_unpacked(acc, w, a.space.nvars), a.den * b.den, s),
+                          True)
 
 
 def _axis_index(axis: int, space: VarSpace) -> int:
@@ -744,22 +857,23 @@ def _axis_index(axis: int, space: VarSpace) -> int:
     return axis - 1
 
 
-def _y_diff(rows: dict, i: int) -> dict:
-    """d/dy_i of integer rows keyed by a y-exponent, or one with a nu power
-    appended."""
+def _y_diff(rows: dict, i: int, w: int) -> dict:
+    """d/dy_i of integer rows keyed by packed keys of width w."""
+    shift = w * i
+    mask, one = (1 << w) - 1, 1 << shift
     out = {}
-    for e, row in rows.items():
-        k = e[i]
-        if k:
-            e2 = list(e)
-            e2[i] = k - 1
-            out[tuple(e2)] = {m: n * k for m, n in row.items()}
+    for p, row in rows.items():
+        if k := p >> shift & mask:
+            out[p - one] = {m: n * k for m, n in row.items()}
     return out
 
 
 def delta_y(axis: int, a: TaylorElem) -> TaylorElem:
     """Formal derivative with respect to y^axis (1-based)."""
-    return TaylorElem._of(a.space, _y_diff(a.rows, _axis_index(axis, a.space)), a.den, a.in_a)
+    i = _axis_index(axis, a.space)
+    w = _width((a,))
+    rows = _y_diff(_packed(a.rows, w, a.space.nvars + 1), i, w)
+    return TaylorElem._of(a.space, _unpacked(rows, w, a.space.nvars + 1), a.den, a.in_a)
 
 
 def _check_axes(args: tuple) -> None:
@@ -767,13 +881,13 @@ def _check_axes(args: tuple) -> None:
         _axis_index(axis, x.space)
 
 
-def _y_nambu(args: tuple, rows_of) -> tuple:
-    """(rows, d): sum over sigma in S3 of sgn(sigma) d/dy_sigma(1) a .
-    d/dy_sigma(2) b . d/dy_sigma(3) c on the integer rows rows_of(x), over d."""
-    rows = [rows_of(x) for x in args]
-    table = _alternating_sum([[_y_diff(r, i) for i in range(3)] for r, _ in rows],
+def _y_nambu(rows: list, w: int) -> dict:
+    """The sum over sigma in S3 of sgn(sigma) d/dy_sigma(1) a . d/dy_sigma(2)
+    b . d/dy_sigma(3) c on the integer rows [a, b, c], keyed by packed keys
+    of width w."""
+    table = _alternating_sum([[_y_diff(r, i, w) for i in range(3)] for r in rows],
                              partial(_graded_mul_into, _z_mul_into))
-    return table.get(0b111, {}), prod(d for _, d in rows)
+    return table.get(0b111, {})
 
 
 def quantum_nambu(a: TaylorElem, b: TaylorElem, c: TaylorElem, s: StarProduct) -> TaylorElem:
@@ -783,7 +897,9 @@ def quantum_nambu(a: TaylorElem, b: TaylorElem, c: TaylorElem, s: StarProduct) -
     _check_axes(args)
     _check_deformable(a, b)
     _check_deformable(a, c)
-    return TaylorElem._of(a.space, *_deform(*_y_nambu(args, _y_classical), s), True)
+    w = _width(args)
+    rows = _unpacked(_y_nambu([_y_classical(x, w) for x in args], w), w, a.space.nvars)
+    return TaylorElem._of(a.space, *_deform(rows, a.den * b.den * c.den, s), True)
 
 
 def classical_nambu(a: TaylorElem, b: TaylorElem, c: TaylorElem) -> TaylorElem:
@@ -792,6 +908,7 @@ def classical_nambu(a: TaylorElem, b: TaylorElem, c: TaylorElem) -> TaylorElem:
     _check_axes(args)
     a._check_space(b)
     a._check_space(c)
-    return TaylorElem._of(a.space, *_y_nambu(args, attrgetter("rows", "den")),
-                          a.in_a and b.in_a and c.in_a)
-
+    w = _width(args)
+    n = a.space.nvars + 1
+    rows = _unpacked(_y_nambu([_packed(x.rows, w, n) for x in args], w), w, n)
+    return TaylorElem._of(a.space, rows, a.den * b.den * c.den, a.in_a and b.in_a and c.in_a)

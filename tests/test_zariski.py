@@ -143,14 +143,21 @@ def _nonconstant(space, rng):
 
 
 def test_eval_T_is_symmetrization(rng):
-    st4 = zariski_star(4)
+    st4, st5 = zariski_star(4), zariski_star(5)
     sp4 = st4.space
+    x5 = Poly.variable(st5.space, 4)
     cases = []
-    for _ in range(3):
+    for k in range(3):
         u, v, w = (random_z_irreducible(rng, 2) for _ in range(3))
         cases += [((u, v, w), ST), ((u, u, v), ST), ((u, v, u, v), ST)]
         f, g = _nonconstant(sp4, rng), _nonconstant(sp4, rng)
         cases += [((f, g, _nonconstant(sp4, rng)), st4), ((f, g, f), st4)]
+        # factors in no paired variable are central, also repeated or with
+        # a constant term, and on R^5 (x5 unpaired)
+        c = x3 + k + 1
+        cases += [((u, x3, v), ST), ((c, u, c), ST), ((x3, u, x3, c), ST), ((c, c, c), ST)]
+        h = _nonconstant(st5.space, rng)
+        cases += [((h, x5 - k, h), st5)]
     for factors, s in cases:
         t = eval_T(factors, s)
         assert t == _symmetrized(factors, s), factors
@@ -191,6 +198,11 @@ def test_deformation_tail_matches_eval_T():
     for _ in range(16):
         pool = [random_z_irreducible(rng, 2) for _ in range(2)]
         monomials.append(zmonomial(rng.choice(pool) for _ in range(rng.randint(1, 3))))
+    # each with central factors (in no paired variable), repeated ones too
+    crng = random.Random(2103)
+    monomials += [zmonomial(m.factors + tuple(crng.choice((x3, x3 + 1, x3 - 2))
+                                              for _ in range(crng.randint(1, 3))))
+                  for m in monomials]
     deformed = 0
     for m in monomials:
         t = eval_T(m.factors, ST)
@@ -199,7 +211,7 @@ def test_deformation_tail_matches_eval_T():
         for r, m_r, n_r in parts:
             assert m_r.product_poly(SP) * Fraction(n_r, d) == t.coefficient(r), (m, r)
         deformed += bool(parts)
-    assert deformed >= 6
+    assert deformed >= 12
 
 
 def test_eval_T_rejects_standard_ordering():
@@ -1082,6 +1094,43 @@ def test_products_match_pairwise_oracles(n, rounds, nterms, qn_terms):
         assert quantum_nambu(a_nu, b, c, star) == oracle_quantum_nambu(a_nu, b, c, star)
 
 
+@pytest.mark.parametrize("top", [3, 4, 7, 8, 15, 16])
+def test_classical_nambu_packed_keys_across_field_widths(top):
+    # the y-graded products pack each key into fields as wide as the bit
+    # length of the sum of the operands' largest key entries: at top = 2^k - 1
+    # the nu power of a product fills its field, and at 2^k the field grows
+    # by one bit; both match the tuple-key oracle
+    rng = random.Random(top)
+    tops = (top // 3, top // 3, top - 2 * (top // 3))
+    args = []
+    for axis, p in enumerate(tops):
+        # y_axis^p nu^p: the term of the product at nu^top comes from these
+        key = [0, 0, 0, p]
+        key[axis] = p
+        terms = {tuple(key): random_zelem(rng, nterms=1)}
+        for _ in range(3):
+            key = tuple(rng.randint(0, p) for _ in range(4))
+            terms[key] = random_zelem(rng, nterms=1) + terms.get(key, ZElem.zero())
+        args.append(TaylorElem(SP, terms))
+    assert zariski._width(args) == top.bit_length()
+    got = classical_nambu(*args)
+    assert got == _classical_nambu_oracle(*args)
+    assert max(k[-1] for k in got.terms) == top
+
+
+@pytest.mark.parametrize("p, q", [(4, 3), (4, 4)])
+def test_deformed_packed_keys_across_field_widths(p, q):
+    # y-exponents of J-images are derivative orders: y1^p times y1^q fills a
+    # 3-bit field at p + q = 7 and needs 4 bits at 8
+    ja, jb = jmap(zelem_from_poly(x1 ** p + x2)), jmap(zelem_from_poly(x1 ** q + x2 + x3))
+    assert zariski._width((ja, jb)) == (p + q).bit_length()
+    got = a_mul_nu(ja, jb, ST)
+    assert got == oracle_a_mul_nu(ja, jb, ST)
+    assert max(k[0] for k in got.terms) == p + q
+    jc = jmap(zelem_from_poly(x3 ** (8 - p) + x1))
+    assert quantum_nambu(ja, jb, jc, ST) == oracle_quantum_nambu(ja, jb, jc, ST)
+
+
 def test_products_with_fractional_coefficients_match_pairwise_oracles():
     # mixed denominators across y-degrees (the 1/I! of jmap times 1/3, 7/6,
     # -5/2) and across nu powers, which the products bring over one
@@ -1304,6 +1353,31 @@ def test_eval_T_subset_bound(monkeypatch):
     assert "8 sub-multisets" in str(err.value)
     with pytest.raises(ResourceLimitError, match="eval_T bound 4"):
         eval_T((f, f, g), ST)  # 6 sub-multisets
+    # a central factor splits off T and the deformation tail only after the
+    # whole multiset is counted
+    c = x3 + 13
+    assert eval_T((f, c), ST) == NuObject.from_poly(f * c)  # 4 sub-multisets
+    for call in (lambda: eval_T((f, g, c), ST),
+                 lambda: z_mul_nu(zmonomial_elem(f, c), zmonomial_elem(g), ST),
+                 lambda: z_mul_nu(zmonomial_elem(c, c), zmonomial_elem(f), ST)):
+        with pytest.raises(ResourceLimitError) as err:
+            call()  # 8 and 6 sub-multisets
+        assert str(err.value).endswith("sub-multisets, over the eval_T bound 4")
+
+
+def zmonomial_elem(*factors):
+    return ZElem.basis(zmonomial(factors))
+
+
+def test_central_tail_keeps_factorize_refusals():
+    # T_2 of six copies of x1*x2 + x3 and five of x3 + 1 has degree 13: its
+    # factorization is refused, and the central factors split off the tail
+    # would leave a degree-8 T_2 that is not, so no split is taken there
+    h, c = x1 * x2 + x3, x3 + 1
+    with pytest.raises(ResourceLimitError, match="total degree 13 exceeds the configured bound 12"):
+        z_mul_nu(zmonomial_elem(*[h] * 6, *[c] * 5), ZElem.unit(), ST)
+    assert not zariski._factorable(zmonomial([h] * 6 + [c] * 5), SP)
+    assert zariski._factorable(zmonomial([h] * 4 + [c] * 3), SP)
 
 
 # -- pinned digest: canonical text of the products over a fixed operand set ----
