@@ -381,11 +381,9 @@ def _cmd_evolve(args, cfg):
         inertia = _numbers("--inertia", args.inertia, Fraction)
         state = _numbers("--state", args.state, float) if args.state else (1.0, 1.0, 1.0)
         dyn = nambu.euler_top_dynamics(inertia, state, args.step)
-    elif args.system == "nahm":
+    else:  # nahm: argparse admits only the two systems
         state = _numbers("--state", args.state, float) if args.state else (0.2, 0.3, 0.4)
         dyn = nambu.nahm_dynamics(state, args.step)
-    else:
-        raise InvalidArgumentError(f"unknown system {args.system!r}")
     if args.csv == "-" and getattr(args, "json", False):
         raise InvalidArgumentError("--csv - cannot share stdout with the JSON envelope")
     result = nambu.evolve(dyn, args.horizon, args.step)

@@ -28,12 +28,7 @@ Moyal and partial-Moyal products g * f is f * g with nu replaced by -nu.  So
 summed on integer rows over one denominator; every other star product is
 refused.  The terms r = 0, a = 0 add up to |S| times the product of S's
 factors, so the nu^0 row of T(S) is that product, formed once, and the
-Poisson sums take r >= 2 only.  A factor v in no variable of a pair of the
-space is central under the product, so T(S) = v T(S - v), and the
-deformation tail of S is that of S - v with v united into each multiset
-(v is monic and irreducible).  Both shortcuts come after the
-``EVAL_T_SUBSET_BOUND`` count of the whole multiset, and the tail's only
-where factorize could refuse no T_r(S), so every refusal is unchanged.
+Poisson sums take r >= 2 only.
 
 The products run on integer numerators.  ``_eval_T`` caches T(S) as integer
 rows over one denominator, which the next recursion step reads as they are;
@@ -392,16 +387,14 @@ def eval_T(factors: Sequence[Poly], s: StarProduct) -> NuObject:
     which shares every sub-multiset; the even part is
     sum_{r even} nu^(a+r) P^r(T_a(S - u), u) / r!, summed as integers over
     one common denominator.  Its order r = 0 at a = 0 sums to the product of
-    S's factors, the nu^0 row of T(S), which is formed once.  A factor v in
-    no variable of a pair of the space is central under the product, so
-    T(S) = v T(S - v) with no Poisson sum.  Each T(S) is cached per
-    Z-monomial of S and star product as integer rows keyed by (nu power,)
-    over one denominator, which the larger multisets read as they are and
-    the result is stored over.  Any other star product raises
+    S's factors, the nu^0 row of T(S), which is formed once.  Each T(S) is
+    cached per Z-monomial of S and star product as integer rows keyed by
+    (nu power,) over one denominator, which the larger multisets read as
+    they are and the result is stored over.  Any other star product raises
     InvalidArgumentError: the standard-ordering product lacks the symmetry,
     and on su(2)* the closed-form sun lift (sun.sun_lift) replaces T.  A
     multiset with more than EVAL_T_SUBSET_BOUND sub-multisets raises
-    ResourceLimitError, counted on the whole multiset before either shortcut.
+    ResourceLimitError.
     """
     return NuObject._of(s.space, *_eval_T(ZMonomial(factors, trusted=True), s))
 
@@ -444,13 +437,6 @@ def _eval_T(m: ZMonomial, s: StarProduct) -> tuple:
     factors = m.factors
     if not factors:
         return {(0,): {(0,) * s.space.nvars: 1}}, 1
-    if central := _central(m, s):
-        v, rest = central
-        t, td = _eval_T(rest, s)
-        rows: dict = {}
-        for k, row in t.items():
-            _mul_into(rows.setdefault(k, {}), row, v.num)
-        return _reduced(rows, td * v.den)
     steps = []  # (mult(u), rows of T(S - u), their denominator, u) per distinct u
     i = 0
     for u, mult in runs:
@@ -513,11 +499,13 @@ def _deformation_tail(m: ZMonomial, s: StarProduct) -> tuple:
     """(d, ((r, m_r, n_r), ...)): the nu^r part of D(Z_m) for r > 0 is
     n_r / d * Z(m_r).  T_r(m) is the integer row T_r over T's denominator d;
     m_r is the row's factor multiset and n_r its leading numerator, since
-    Z_{cu} = c Z_u with c = lc(u).  For a central factor v of m, T(m) =
-    v T(m - v) and v is monic and irreducible, so the tail of m is that of
-    m - v with v united into each m_r; it is taken only where no
-    factorization of a T_r(m) could be refused, so that every refusal is
-    that of T_r(m)'s own factorization."""
+    Z_{cu} = c Z_u with c = lc(u).  A factor v of m in no variable of a pair
+    of the space is central under the product, so T(m) = v T(m - v), and v
+    is monic and irreducible, so the tail of m is that of m - v with v
+    united into each m_r.  This is the one place T splits off a central
+    factor; it comes after T(m)'s own refusals (_runs), and only where no
+    factorization of a T_r(m) could be refused (_factorable), so every
+    refusal is unchanged.  Elsewhere T(m) takes the even-power recursion."""
     central = _central(m, s)
     if central and _factorable(m, s.space):
         _runs(m, s)  # T(m)'s refusals, before the shortcut
@@ -546,7 +534,7 @@ def _deform(rows: Mapping, d: int, s: StarProduct) -> tuple:
     nu^r Z(T_r(m))) of each integer row {m: c_m * d} of rows, over one common
     denominator.  The keys are tuples: a y-graded product unpacks its packed
     keys before, once per key.  Each tail is read from the one table per
-    star product (_deformation_tail, which splits off central factors).
+    star product (_deformation_tail).
     Cancelled (zero) entries never reach eval_T."""
     table = _tails(s)  # s is hashed once; tails are looked up by identity
     tails = [(key, m, c, *(table.get(m) or table.setdefault(m, _deformation_tail(m, s))))

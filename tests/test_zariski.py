@@ -189,7 +189,7 @@ def test_eval_T_calls_no_star_mul_for_moyal_kinds():
         assert t == _symmetrized(factors, s)  # the oracle's star_mul is not patched
 
 
-def test_deformation_tail_matches_eval_T():
+def test_deformation_tail_matches_eval_T(monkeypatch):
     # an oracle for the tail that takes n_r as T_r(m)'s leading numerator:
     # each part n_r / d * Z(m_r), multiplied out, is T_r(m), and every r > 0
     # of T(m) has one part; H * H has the constant T_2 = 4
@@ -212,6 +212,23 @@ def test_deformation_tail_matches_eval_T():
             assert m_r.product_poly(SP) * Fraction(n_r, d) == t.coefficient(r), (m, r)
         deformed += bool(parts)
     assert deformed >= 12
+    # the tail is the one place a central factor splits off: where factorize
+    # admits every T_r(m), T never sees a multiset with a central factor
+    split = [m for m in monomials if zariski._central(m, ST) and zariski._factorable(m, SP)]
+    assert len(split) >= 12
+    seen = []
+    cached_eval_T = zariski._eval_T
+
+    def recording_eval_T(m, s):
+        seen.append(m)
+        return cached_eval_T(m, s)
+
+    monkeypatch.setattr(zariski, "_eval_T", recording_eval_T)
+    zariski._tails(ST).clear()  # so each split reaches T of its rest
+    for m in split:
+        zariski._deformation_tail(m, ST)
+    assert seen
+    assert [m for m in seen if zariski._central(m, ST) is not None] == []
 
 
 def test_eval_T_rejects_standard_ordering():
