@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import ceil, log2
+from operator import add
 
 from .errors import ExprSyntaxError, InvalidArgumentError, ResourceLimitError
 from .poly import NuObject, Poly, VarSpace, _mul_into, zariski_space
@@ -31,15 +33,27 @@ __all__ = ["parse_expr", "render"]
 # the most term products the '*' and '^' of one parse may form, counted before
 # each is formed (a power's k products at once, at least the base's size
 # each).  A product of poly-context maps counts len(a) * len(b); one unit
-# takes about 2.2 us on a 2-vCPU x86_64 host: (3*x1+2*x2-x3+1)^30 (163,680)
-# takes 0.21 s, x1^500000 1.1 s, while (x1+x2+x3+1)^60 (2.4 million) ran
-# 14-15 s before this bound.  A Taylor product (Zariski context) counts
+# takes about 0.7 us on a 2-vCPU x86_64 host: (3*x1+2*x2-x3+1)^30 (163,680)
+# takes 0.11 s, while (x1+x2+x3+1)^60 (2.4 million) ran 14-15 s before this
+# bound.  A product with a one-term operand counts the same but is one
+# pass over the other map, and a poly-context power of a one-term base
+# counts its k products but is one step: x1^500000 takes 20 us (0.67 s as k
+# products).  A Taylor product (Zariski context) counts
 # TAYLOR_UNIT_WEIGHT times the product of the operands' entry counts, at
 # least 1 each.  The weight dates from a Taylor product of 20-25 us per entry
 # pair; on the shared kernel a pair takes 2-3 us, Fractions from J-images
-# included, so a Zariski parse at the bound costs 0.1-0.15 s (y1^41666 0.13 s)
+# included, so a Zariski parse at the bound costs 0.1-0.15 s (y1^41666 0.07 s)
 PARSE_TERM_BOUND = 500_000
 TAYLOR_UNIT_WEIGHT = 12
+
+# the most bits, k*log2(|num|*den) rounded up, that the numerator and
+# denominator of a one-term base's coefficient raised to the power k may have
+# together, checked before the one c ** k is formed.  At the bound a power
+# takes 6-100 ms on a 2-vCPU x86_64 host (256^262144 6 ms, (3/2)^811289
+# 44 ms, a 4300-digit base to the 146th 93 ms), and each doubling of the
+# bound costs two to three times that; (3/2)^500000 (1.3 million bits) takes
+# 0.02 s.  Formed one product at a time, 3/2^200000 (0.5 million) took 25 s
+COEFF_POWER_BIT_BOUND = 2 ** 21
 
 # the most '(', 'J(' and 'Z[' one parse may have open at once: five or six
 # Python frames each, so at most 600 of the default recursion limit of 1000
@@ -178,15 +192,31 @@ class _Parser:
     def _mul(self, a: dict, b: dict, poly_ctx: bool) -> dict:
         self._count(len(a) * len(b) if poly_ctx else
                     TAYLOR_UNIT_WEIGHT * max(1, len(a)) * max(1, len(b)))
+        if len(b) == 1:
+            a, b = b, a  # keys and coefficients commute; keep the other map's order
+        if len(a) == 1:
+            # one term times a map: its key shift is injective and the
+            # coefficients are exact and nonzero, so no entry collides or cancels
+            (e1, c1), = a.items()
+            return {tuple(map(add, e1, e)): c1 * c for e, c in b.items()}
         row: dict = {}
         _mul_into(row, a, b)
         return {e: c for e, c in row.items() if c}
 
     def _pow(self, a: dict, k: int, poly_ctx: bool) -> dict:
         # negative exponents are intercepted at the factor level (nu only)
-        out = self._const(1, poly_ctx)
         # each of the k products counts at least len(a)
         self._count(0, k * len(a) * (1 if poly_ctx else TAYLOR_UNIT_WEIGHT))
+        if poly_ctx and len(a) == 1 and k:
+            # the k one-term products in one step (a Z-monomial does not scale)
+            self._count(k)
+            (e, c), = a.items()
+            bits = ceil(k * (log2(abs(c.numerator)) + log2(c.denominator)))
+            if bits > COEFF_POWER_BIT_BOUND:
+                raise ResourceLimitError(f"coefficient power of {bits} bits is over the "
+                                         f"coefficient power bit bound {COEFF_POWER_BIT_BOUND}")
+            return {tuple(k * x for x in e): c ** k}
+        out = self._const(1, poly_ctx)
         for _ in range(k):
             out = self._mul(out, a, poly_ctx)
             if not a:

@@ -9,7 +9,7 @@ import pytest
 from nambu_forge import expr
 from nambu_forge.errors import ExprSyntaxError, InvalidArgumentError, ResourceLimitError
 from nambu_forge.expr import parse_expr, render
-from nambu_forge.poly import NuObject, Poly, qp_space, su2_space
+from nambu_forge.poly import NuObject, Poly, _mul_into, qp_space, su2_space
 from nambu_forge.zariski import (
     TaylorElem,
     ZElem,
@@ -161,6 +161,102 @@ def test_parse_term_bound(monkeypatch):
     with pytest.raises(ResourceLimitError, match="parse of 18 term products is over the parse term bound 12"):
         parse_expr("(x1 + x2 + 1)^2*x1")
     assert parse_expr("0^1000000000").is_zero()  # a zero base forms no products
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x1^500001", "parse of 500001 term products is over the parse term bound 500000"),
+    ("2^300000 - 2^300000", "parse of 600000 term products is over the parse term bound 500000"),
+])
+def test_one_term_powers_keep_their_term_count(text, message):
+    # a one-term power is formed in one step but counts its k products
+    with pytest.raises(ResourceLimitError) as err:
+        parse_expr(text)
+    assert str(err.value) == message
+
+
+def test_coefficient_power_bit_bound():
+    bound = expr.COEFF_POWER_BIT_BOUND
+    k = bound // 8  # 256^k has 8k bits
+    assert parse_expr(f"256^{k}") == Poly.const(SP, 2 ** bound)
+    assert parse_expr(f"(-1/256)^{k}*x1") == Poly.variable(SP, 0) * Fraction(1, 2 ** bound)
+    for text in (f"256^{k + 1}", f"(1/256*x2)^{k + 1}"):
+        with pytest.raises(ResourceLimitError) as err:
+            parse_expr(text)
+        assert str(err.value) == (f"coefficient power of {bound + 8} bits is over the "
+                                  f"coefficient power bit bound {bound}")
+
+
+def test_fraction_power_in_one_step():
+    # 3/2^200000 reads as (3/2)^200000: 517,000 bits, formed by one c ** k
+    want = Poly.const(SP, Fraction(3, 2) ** 200000)
+    assert parse_expr("(3/2)^200000") == parse_expr("3/2^200000") == want
+
+
+def _one_term_text(rng, zariski: bool) -> str:
+    """A one-term text: an int or a/b coefficient, maybe negated or in
+    parentheses, times atoms that include x^0, nu and (poly context) nu^-k."""
+    num = rng.choice([1, 2, 3, 7, 12, 10 ** 20 + 3])
+    coeff = str(num) if rng.random() < 0.5 else f"{num}/{rng.choice([2, 3, 8, 9])}"
+    if zariski:  # led by a y or Z[...] atom, so that the text is read in the Zariski algebra
+        lead = [rng.choice(["y1", "y2^2", "y3^0", "Z[x1]", "Z[x1^2 + x2; x3]", "Z[]"])]
+        atoms = ["y1", "y3", "Z[x2]", "nu", "nu^2"]
+    else:
+        lead, atoms = [], ["x1", "x2^3", "x3^0", "nu", "nu^-2", "(nu^-1)", "(x1*x2)"]
+    text = "*".join([coeff] + lead + rng.sample(atoms, rng.randint(1 - len(lead), 2)))
+    if rng.random() < 0.3:
+        text = f"(-{text})"
+    return text
+
+
+def _many_terms_text(rng, zariski: bool) -> str:
+    text = " + ".join(_one_term_text(rng, zariski) for _ in range(rng.randint(2, 4)))
+    return text + (" - J(Z[x1*x2 + 1])" if zariski and rng.random() < 0.5 else "")
+
+
+def _parsed_map(text: str, zariski: bool):
+    """The parser's term map of text, and the parser that read it."""
+    p = expr._Parser(text, SP, SP)
+    assert p.zariski_mode == zariski, text
+    value = p.expr(not zariski)
+    p.expect("end")
+    return value, p
+
+
+def _mul_into_route(a: dict, b: dict) -> dict:
+    row: dict = {}
+    _mul_into(row, a, b)
+    return {e: c for e, c in row.items() if c}
+
+
+def _items(value: dict) -> list:
+    return [(e, c, type(c)) for e, c in value.items()]
+
+
+@pytest.mark.parametrize("zariski", [False, True], ids=["poly", "zariski"])
+def test_one_term_products_and_powers_match_mul_into(monkeypatch, zariski):
+    # the parser forms one term times a map, and (poly context) a one-term
+    # power, in one step; the general route, with the same maps, must give
+    # the same entries in the same order, with the same coefficient types
+    def general_route(*args):
+        raise AssertionError("a one-term operand went through _mul_into")
+
+    monkeypatch.setattr(expr, "_mul_into", general_route)
+    rng = random.Random(20261020 + zariski)
+    weight = expr.TAYLOR_UNIT_WEIGHT if zariski else 1
+    for _ in range(150):
+        one, _ = _parsed_map(_one_term_text(rng, zariski), zariski)
+        assert len(one) == 1
+        other_text = (_one_term_text if rng.random() < 0.3 else _many_terms_text)(rng, zariski)
+        other, p = _parsed_map(other_text, zariski)
+        for a, b in ((one, other), (other, one)):
+            assert _items(p._mul(a, b, not zariski)) == _items(_mul_into_route(a, b))
+        k = rng.choice([0, 1, 2, 3, 5, 17])
+        p.products = 0
+        want = p._const(1, not zariski)
+        for _ in range(k):
+            want = _mul_into_route(want, one)
+        assert _items(p._pow(one, k, not zariski)) == _items(want)
+        assert p.products == k * weight  # the count of k one-term products
 
 
 def _taylor(text: str) -> TaylorElem:

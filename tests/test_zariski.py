@@ -1370,8 +1370,8 @@ def test_eval_T_subset_bound(monkeypatch):
     assert "8 sub-multisets" in str(err.value)
     with pytest.raises(ResourceLimitError, match="eval_T bound 4"):
         eval_T((f, f, g), ST)  # 6 sub-multisets
-    # a central factor splits off T and the deformation tail only after the
-    # whole multiset is counted
+    # a central factor splits off the deformation tail only after the whole
+    # multiset is counted
     c = x3 + 13
     assert eval_T((f, c), ST) == NuObject.from_poly(f * c)  # 4 sub-multisets
     for call in (lambda: eval_T((f, g, c), ST),
