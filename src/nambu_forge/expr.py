@@ -32,27 +32,26 @@ __all__ = ["parse_expr", "render"]
 
 # the most term products the '*' and '^' of one parse may form, counted before
 # each is formed (a power's k products at once, at least the base's size
-# each).  A product of poly-context maps counts len(a) * len(b); one unit
-# takes about 0.7 us on a 2-vCPU x86_64 host: (3*x1+2*x2-x3+1)^30 (163,680)
-# takes 0.11 s, while (x1+x2+x3+1)^60 (2.4 million) ran 14-15 s before this
-# bound.  A product with a one-term operand counts the same but is one
-# pass over the other map, and a poly-context power of a one-term base
-# counts its k products but is one step: x1^500000 takes 20 us (0.67 s as k
-# products).  A Taylor product (Zariski context) counts
-# TAYLOR_UNIT_WEIGHT times the product of the operands' entry counts, at
-# least 1 each.  The weight dates from a Taylor product of 20-25 us per entry
-# pair; on the shared kernel a pair takes 2-3 us, Fractions from J-images
-# included, so a Zariski parse at the bound costs 0.1-0.15 s (y1^41666 0.07 s)
+# each), in both contexts alike: a product counts len(a) * len(b).  One unit
+# takes 0.7-9 us on a 2-vCPU x86_64 host in either context, the more the
+# larger its Fractions: at the bound (x1+x2+x3+1)^40 takes 0.33 s, and
+# (1/3*x1 + 2/7*x2)^706 and (1/3*y1 + 2/7*Z[x2])^706 4.4 s each, while
+# (x1+x2+x3+1)^60 (2.4 million) ran 14-15 s before this bound.  A product
+# with a one-term operand counts the same but is one pass over the other
+# map, and a power of a one-term base counts its k products but is one
+# step: x1^500000 takes 20 us (0.67 s as k products), and Z[x1]^41666
+# 0.03 s (132.6 s as k unions)
 PARSE_TERM_BOUND = 500_000
-TAYLOR_UNIT_WEIGHT = 12
 
-# the most bits, k*log2(|num|*den) rounded up, that the numerator and
-# denominator of a one-term base's coefficient raised to the power k may have
-# together, checked before the one c ** k is formed.  At the bound a power
-# takes 6-100 ms on a 2-vCPU x86_64 host (256^262144 6 ms, (3/2)^811289
-# 44 ms, a 4300-digit base to the 146th 93 ms), and each doubling of the
-# bound costs two to three times that; (3/2)^500000 (1.3 million bits) takes
-# 0.02 s.  Formed one product at a time, 3/2^200000 (0.5 million) took 25 s
+# the most bits, k*log2(|num|*den) rounded up, that the numerators and
+# denominators of the coefficients of the one-term bases of one parse, each
+# raised to its power k, may have together, counted before each c ** k is
+# formed.  At the bound a power takes 6-100 ms on a 2-vCPU x86_64 host
+# (256^262144 6 ms, (3/2)^811289 44 ms, a 4300-digit base to the 146th
+# 93 ms), and each doubling of the bound costs two to three times that;
+# (3/2)^500000 (1.3 million bits) takes 0.02 s.  Formed one product at a
+# time, 3/2^200000 (0.5 million) took 25 s, and 20 powers of a 430-digit
+# base, each under the bound, took 63.5 s multiplied together
 COEFF_POWER_BIT_BOUND = 2 ** 21
 
 # the most '(', 'J(' and 'Z[' one parse may have open at once: five or six
@@ -116,9 +115,12 @@ class _Parser:
     coefficients (Fractions only from a/b literals and J-images), the layout
     poly._mul_into multiplies; sums are added into one map in place.  In
     poly context a key is exponent + (nu power,).  In the Zariski algebra it
-    is (Z-monomial,) + y-exponent + (nu power,): Z-monomials add by union, so
-    the same kernel forms Taylor products, and parse() builds one TaylorElem
-    at the end.  ``in_a`` tracks membership in the Taylor subalgebra: a y or
+    is (Z-monomial,) + y-exponent + (nu power,): Z-monomials add by union and
+    scale by repetition, so the same arithmetic and the same counts form
+    Taylor products and powers, and parse() builds one TaylorElem at the
+    end.  The context is parser state: ``unit``, the unit key of the one or
+    the other, which Z[...] sets to the poly context's around its factors.
+    ``in_a`` tracks membership in the Taylor subalgebra: a y or
     Z[...] atom clears it, a closed J(...) or a zeroth power restores it.
     The zariski module is imported only for text in the Zariski algebra."""
 
@@ -128,7 +130,9 @@ class _Parser:
         self.space = space
         self.zspace = zspace
         self.one = (0,) * (space.nvars + 1)
+        self.unit = self.one
         self.products = 0
+        self.bits = 0
         self.depth = 0
         self.in_a = True
         idents = {v for k, v, _ in self.tokens if k == "ident"}
@@ -137,7 +141,7 @@ class _Parser:
             from . import zariski
 
             self.zariski = zariski
-            self.zone = (zariski._Z_UNIT,) + (0,) * (zspace.nvars + 1)
+            self.zone = self.unit = (zariski._Z_UNIT,) + (0,) * (zspace.nvars + 1)
 
     def _is_yvar(self, name: str) -> bool:
         """Whether name is a y-variable: y1, y2, ... of the Zariski space,
@@ -162,15 +166,13 @@ class _Parser:
         return tok
 
     # -- value helpers -----------------------------------------------------
-    def _const(self, c, poly_ctx: bool):
-        return {self.one if poly_ctx else self.zone: c} if c else {}
+    def _const(self, c):
+        return {self.unit: c} if c else {}
 
-    def _nu(self, power: int, poly_ctx: bool):
-        if poly_ctx:
-            return {self.one[:-1] + (power,): 1}
-        if power < 0:
+    def _nu(self, power: int):
+        if power < 0 and self.unit is not self.one:
             raise ExprSyntaxError("negative nu powers are not defined here", self.peek()[2])
-        return {self.zone[:-1] + (power,): 1}
+        return {self.unit[:-1] + (power,): 1}
 
     def _count(self, work: int, ahead: int = 0) -> None:
         """Count work products about to be formed and ahead more to follow."""
@@ -179,19 +181,18 @@ class _Parser:
             raise ResourceLimitError(f"parse of {self.products + ahead} term products is over "
                                      f"the parse term bound {PARSE_TERM_BOUND}")
 
-    def _inner(self, poly_ctx: bool):
+    def _inner(self):
         """An expr inside one more open '(', 'J(' or 'Z['."""
         self.depth += 1
         if self.depth > PARSE_DEPTH_BOUND:
             raise ResourceLimitError(f"brackets nested {self.depth} deep are over the parse depth "
                                      f"bound {PARSE_DEPTH_BOUND}")
-        value = self.expr(poly_ctx)
+        value = self.expr()
         self.depth -= 1
         return value
 
-    def _mul(self, a: dict, b: dict, poly_ctx: bool) -> dict:
-        self._count(len(a) * len(b) if poly_ctx else
-                    TAYLOR_UNIT_WEIGHT * max(1, len(a)) * max(1, len(b)))
+    def _mul(self, a: dict, b: dict) -> dict:
+        self._count(len(a) * len(b))
         if len(b) == 1:
             a, b = b, a  # keys and coefficients commute; keep the other map's order
         if len(a) == 1:
@@ -203,29 +204,30 @@ class _Parser:
         _mul_into(row, a, b)
         return {e: c for e, c in row.items() if c}
 
-    def _pow(self, a: dict, k: int, poly_ctx: bool) -> dict:
+    def _pow(self, a: dict, k: int) -> dict:
         # negative exponents are intercepted at the factor level (nu only)
         # each of the k products counts at least len(a)
-        self._count(0, k * len(a) * (1 if poly_ctx else TAYLOR_UNIT_WEIGHT))
-        if poly_ctx and len(a) == 1 and k:
-            # the k one-term products in one step (a Z-monomial does not scale)
+        self._count(0, k * len(a))
+        if len(a) == 1 and k:
+            # the k one-term products in one step: a key entry times k is its
+            # k-fold sum (a Z-monomial's k-fold union)
             self._count(k)
             (e, c), = a.items()
-            bits = ceil(k * (log2(abs(c.numerator)) + log2(c.denominator)))
-            if bits > COEFF_POWER_BIT_BOUND:
-                raise ResourceLimitError(f"coefficient power of {bits} bits is over the "
+            self.bits += ceil(k * (log2(abs(c.numerator)) + log2(c.denominator)))
+            if self.bits > COEFF_POWER_BIT_BOUND:
+                raise ResourceLimitError(f"coefficient power of {self.bits} bits is over the "
                                          f"coefficient power bit bound {COEFF_POWER_BIT_BOUND}")
-            return {tuple(k * x for x in e): c ** k}
-        out = self._const(1, poly_ctx)
+            return {tuple(x * k for x in e): c ** k}
+        out = self._const(1)
         for _ in range(k):
-            out = self._mul(out, a, poly_ctx)
+            out = self._mul(out, a)
             if not a:
                 break  # a zero base stays zero
         return out
 
     # -- grammar -----------------------------------------------------------
     def parse(self):
-        value = self.expr(not self.zariski_mode)
+        value = self.expr()
         self.expect("end")
         if not self.zariski_mode:
             return value
@@ -235,29 +237,29 @@ class _Parser:
         z = self.zariski
         return z.TaylorElem(self.zspace, {k: z.ZElem(row) for k, row in rows.items()}, self.in_a)
 
-    def expr(self, poly_ctx: bool):
+    def expr(self):
         negate = self.peek()[0] == "-"
         if negate:
             self.next()
-        value = self.term(poly_ctx)
+        value = self.term()
         if negate:
             value = {e: -c for e, c in value.items()}
         while self.peek()[0] in ("+", "-"):
             sign = 1 if self.next()[0] == "+" else -1
-            _add_terms(value, self.term(poly_ctx), sign)  # every term is a fresh map
+            _add_terms(value, self.term(), sign)  # every term is a fresh map
         return value
 
-    def term(self, poly_ctx: bool):
-        value = self.factor(poly_ctx)
+    def term(self):
+        value = self.factor()
         while self.peek()[0] == "*":
             self.next()
-            value = self._mul(value, self.factor(poly_ctx), poly_ctx)
+            value = self._mul(value, self.factor())
         return value
 
-    def factor(self, poly_ctx: bool):
+    def factor(self):
         base_tok = self.peek()
         in_a = self.in_a
-        value = self.atom(poly_ctx)
+        value = self.atom()
         if self.peek()[0] == "^":
             self.next()
             negative = self.peek()[0] == "-"
@@ -268,13 +270,13 @@ class _Parser:
                 # only nu itself may carry a Laurent power
                 if not (base_tok[0] == "ident" and base_tok[1] == "nu"):
                     raise ExprSyntaxError("negative exponent is allowed on nu only", base_tok[2])
-                return self._nu(-k, poly_ctx)
+                return self._nu(-k)
             if not k:
                 self.in_a = in_a  # the power is 1, whatever its base
-            value = self._pow(value, k, poly_ctx)
+            value = self._pow(value, k)
         return value
 
-    def atom(self, poly_ctx: bool):
+    def atom(self):
         tok = self.next()
         kind, text, at = tok
         if kind == "uint":
@@ -284,43 +286,42 @@ class _Parser:
                 den = _int(self.expect("uint"))
                 if den == 0:
                     raise ExprSyntaxError("zero denominator", at)
-                return self._const(Fraction(num, den), poly_ctx)
-            return self._const(num, poly_ctx)
+                return self._const(Fraction(num, den))
+            return self._const(num)
         if kind == "(":
-            value = self._inner(poly_ctx)
+            value = self._inner()
             self.expect(")")
             return value
         if kind == "ident":
             if text == "nu":
-                return self._nu(1, poly_ctx)
-            if text in ("Z", "J"):
-                if poly_ctx:  # only inside Z[...]
+                return self._nu(1)
+            if self.unit is self.one:  # the poly context
+                if text in ("Z", "J"):  # only inside Z[...]
                     raise ExprSyntaxError("expected a polynomial", at)
-                return self._zmonomial(at) if text == "Z" else self._jatom(at)
-            if not poly_ctx and self._is_yvar(text):
-                self.in_a = False
-                e = list(self.zone)
-                e[int(text[1:])] = 1
-                return {tuple(e): 1}
-            if poly_ctx:
                 try:
                     idx = self.space.index(text)
                 except InvalidArgumentError as exc:
                     raise ExprSyntaxError(str(exc), at) from None
-                e = list(self.one)
-                e[idx] = 1
-                return {tuple(e): 1}
-            raise ExprSyntaxError(
-                f"variable {text!r} is not allowed outside Z[...] here", at
-            )
+            elif text in ("Z", "J"):
+                return self._zmonomial(at) if text == "Z" else self._jatom(at)
+            elif self._is_yvar(text):
+                self.in_a = False
+                idx = int(text[1:])
+            else:
+                raise ExprSyntaxError(f"variable {text!r} is not allowed outside Z[...] here", at)
+            e = list(self.unit)
+            e[idx] = 1
+            return {tuple(e): 1}
         raise ExprSyntaxError(f"unexpected token {text!r}", at)
 
     def _zmonomial(self, at: int):
+        """Z[...]: its factors are read in the poly context."""
         self.expect("[")
+        self.unit = self.one
         factors = []
         if self.peek()[0] != "]":
             while True:
-                factor = _nu_value(self.space, self._inner(poly_ctx=True))
+                factor = _nu_value(self.space, self._inner())
                 if isinstance(factor, NuObject):
                     raise ExprSyntaxError("nu is not allowed inside Z[...]", at)
                 factors.append(factor)
@@ -328,6 +329,7 @@ class _Parser:
                     break
                 self.next()
         self.expect("]")
+        self.unit = self.zone
         try:
             mono = self.zariski.zmonomial(factors)
         except InvalidArgumentError as exc:
@@ -340,7 +342,7 @@ class _Parser:
         J-image (rows, d) of each of its Z-monomials, flattened."""
         self.expect("(")
         in_a = self.in_a
-        value = self._inner(poly_ctx=False)
+        value = self._inner()
         self.expect(")")
         self.in_a = in_a
         if any(any(key[1:-1]) for key in value):

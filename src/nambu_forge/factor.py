@@ -13,10 +13,11 @@ small odd prime, quadratic Hensel lifting to a power of p beyond the
 Mignotte bound, then subset recombination with exact trial division.  Each
 factor is made monic on integers; the unit is the input's leading coefficient.
 
-Irreducibility here means irreducibility over the rationals.  Real
-irreducibles of degree 2 such as x^2 - 2 would split further over R; every
-construction in this package only relies on polynomials whose rational and
-real factorizations agree.
+The field is Q: irreducibility here means irreducibility over the
+rationals.  A factor such as x^2 - 2 or x1^2 - 2*x2^2 is irreducible here
+although it splits over R, so the Zariski algebra built on these factors is
+the algebra over Q, which differs from the one over R where such a factor
+occurs.
 """
 
 from __future__ import annotations

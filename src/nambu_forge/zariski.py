@@ -4,7 +4,13 @@ their Frobenius failure, and the Taylor algebra that repairs it.
 
 The basis element Z_u of the classical algebra is a multiset of normalized
 irreducible polynomials (the factorization of u); the empty multiset is the
-unit.  The deformed product discards positive nu powers of its operands (it
+unit.  The field is Q: factors are irreducible over the rationals, as
+``factor`` finds them, while the construction is stated for polynomials on
+R^n.  Where a factor splits over R but not over Q the two algebras differ:
+Z[x1^2 - 2] times Z[x2; x2] has the tail 2/3*nu^2*Z[] here, and over R,
+where every factor is linear, it has none.
+
+The deformed product discards positive nu powers of its operands (it
 is R-linear, not linear over series in nu), so it is one fixed linear map D
 applied to the classical product:
 
@@ -206,6 +212,11 @@ class ZMonomial:
                                               reverse=True)))
 
     __add__ = union  # so Z-monomial keys add under poly._mul_into
+
+    def __mul__(self, k: int) -> "ZMonomial":
+        """The k-fold union: each factor repeated k times in place, which
+        keeps the canonical order (a key entry times k, as in a power)."""
+        return ZMonomial._sorted(tuple(f for f in self.factors for _ in range(k)))
 
     def sort_key(self):
         return (self.degree(), tuple(f.sort_key() for f in self.factors))
@@ -567,7 +578,7 @@ def znu_mul_classical(a: ZNu, b: ZNu) -> ZNu:
 # host, a call at the bound takes 0.2-0.3 s for Z[], 2 and x1, or is refused
 # as fast (x1^2 + x2^2 + x3, Z[x1] + Z[x2] + Z[x3]); past those, the cost is
 # eval_T's, as for zariski mul: x1 + x2 + x3 takes 13.3 s.
-ZNU_POWER_BOUND = 255
+ZNU_POWER_BOUND = EVAL_T_SUBSET_BOUND - 1
 
 
 def znu_power_nu(a, m: int, s: StarProduct) -> ZNu:

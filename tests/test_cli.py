@@ -293,8 +293,8 @@ def test_domain_error_exit_code(capsys):
          "star.resource-limit"),
         # the square of a three-term operand forms 3 + 9 term products
         (expr, "PARSE_TERM_BOUND", ("factor", "(x1 + x2 + 1)^2"), "factor.resource-limit"),
-        # the Taylor square of two entries counts at least 2 * 2 products of
-        # TAYLOR_UNIT_WEIGHT units, refused before the first
+        # (y1 + Z[x1])^2 counts 1 * 2 + 2 * 2, and its three entries times
+        # the two of (y2 + Z[x2]) 6 more, 12 in all
         (expr, "PARSE_TERM_BOUND", ("zariski", "amul", "(y1 + Z[x1])^2*(y2 + Z[x2])", "Z[x1]"),
          "zariski.resource-limit"),
         # nine brackets are open at x1: J(, seven ( and Z[
@@ -407,7 +407,7 @@ _DEEP = (f"brackets nested {expr.PARSE_DEPTH_BOUND + 1} deep are over the parse 
         (("check-fi", "--bracket", "linear6", "--degree", "8", "--trials", "1"),
          "Jacobian determinant of 115719 term products is over the Jacobian term bound 100000"),
         (("zariski", "amul", "y1^100000000", "Z[x1]"),
-         "parse of 1200000000 term products is over the parse term bound 500000"),
+         "parse of 100000000 term products is over the parse term bound 500000"),
         # the parse stops at the first bracket past the bound
         (("factor", "(" * 300 + "x1" + ")" * 300), _DEEP),
         (("zariski", "mul", "J(" * 600 + "Z[x1]" + ")" * 600, "Z[x1]"), _DEEP),

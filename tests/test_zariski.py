@@ -269,6 +269,18 @@ def test_z_mul_examples():
     assert z_mul_nu(ZNu({1: zx1}), zelem_from_poly(x2), ST).is_zero()
 
 
+def test_ground_field_is_the_rationals():
+    # a stated non-theorem: factors are irreducible over Q, so x1^2 - 2 is
+    # one factor and the product has a nu^2 tail.  Over R it is
+    # (x1 - sqrt(2))(x1 + sqrt(2)); T of linear factors is their classical
+    # product on the Moyal kinds, so over R the tail would be 0
+    got = z_mul_nu(parse_expr("Z[x1^2 - 2]"), parse_expr("Z[x2; x2]"), ST)
+    assert str(got) == "Z[x1^2 - 2; x2; x2] + 2/3*nu^2*Z[]"
+    # where the real split is rational, the two fields agree: no tail
+    got = z_mul_nu(parse_expr("Z[x1 - 1; x1 + 1]"), parse_expr("Z[x2; x2]"), ST)
+    assert str(got) == "Z[x1 + 1; x1 - 1; x2; x2]"
+
+
 def test_operands_may_be_polynomials():
     # a Poly u stands for Z_u; anything else is refused by name
     zH = zelem_from_poly(H)
@@ -1241,6 +1253,22 @@ def test_union_is_one_sorted_merge(left, right):
     fs = ZMonomial([x1 + 17 * x2, x3 * x3 + x1 + 5, x2 + 19 * x3, x1 * x2 + 7, x1 - 23 * x3]).factors
     a, b = (ZMonomial([fs[i] for i in side]) for side in (left, right))
     assert a.union(b) is b.union(a) is ZMonomial([fs[i] for i in left + right])
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("factors", [
+    [],  # the unit
+    [x1],
+    [x1, x1, x2 + 19 * x3],
+    [x3 * x3 + x1 + 5, x1 - 23 * x3, x1 * x2 + 7],
+])
+def test_zmonomial_times_k_is_the_k_fold_union(factors, k):
+    # a power of a one-term Zariski map scales its key: the Z-monomial times k
+    m = ZMonomial(factors)
+    union = ZMonomial(())
+    for _ in range(k):
+        union = union.union(m)
+    assert m * k is union is ZMonomial(factors * k)
 
 
 def test_zmonomial_identity_is_equality():
