@@ -1,17 +1,15 @@
 """Classical Nambu brackets of any order, identity checkers, and a numeric
 evolver for the associated dynamics with conservation monitoring.
 
-Supported bracket kinds:
+A bracket of order n is its n-vector eta, coefficients on ascending index
+tuples I extended alternately: {f1, ..., fn} = sum_I eta^I d(f_I)/d(x_I),
+each minor read from one table over the columns eta uses.  canonical(n) is
+eta = e_1 ^ ... ^ e_n on R^n, the Jacobian determinant; linear(n) on
+R^{n+1} has eta^{I_k} = (-1)^(n-k) x_k, I_k every index but k; custom is
+any n-vector field.
 
-* canonical(n) on R^n -- the Jacobian determinant of n functions;
-* linear(n) on R^{n+1} -- sum over permutations of n+1 indices of
-  eps(sigma) df1/dx_{s1} ... dfn/dx_{sn} x_{s(n+1)}, evaluated as
-  sum_k (-1)^(n-k) x_k J_k, the J_k the n+1 maximal minors of one table;
-* custom -- an explicit n-vector field given by coefficients on ascending
-  index tuples, extended alternately, its minors read from one table.
-
-Time evolution follows df/dt = {H_1, ..., H_{n-1}, f} for the canonical
-bracket, integrated with fixed-step RK4; drift of the Hamiltonians is the
+Time evolution follows df/dt = {H_1, ..., H_{n-1}, f} for any bracket,
+integrated with fixed-step RK4; drift of the Hamiltonians is the
 reported observable, and the divergence of the velocity field is checked
 symbolically once per run.
 """
@@ -23,7 +21,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import IntegrationFailureError, InvalidArgumentError, ResourceLimitError
-from .poly import Poly, VarSpace, _Frozen, _jacobian_minors, coordinate_space, jacobian_det
+from .poly import Poly, VarSpace, _Frozen, _jacobian_table, _mul_into, coordinate_space
 
 __all__ = [
     "NambuBracket",
@@ -42,11 +40,11 @@ __all__ = [
 
 
 class NambuBracket(_Frozen):
-    __slots__ = _fields = ("kind", "order", "space", "eta")
+    __slots__ = _fields = ("order", "space", "eta")
 
-    def __init__(self, kind: str, order: int, space: VarSpace, eta: tuple = ()):
-        # kind: "canonical" | "linear" | "custom"; eta: ((index tuple, Poly), ...) if custom
-        self._set(kind, order, space, eta)
+    def __init__(self, order: int, space: VarSpace, eta: tuple):
+        # eta: ((ascending index tuple, Poly), ...) in index order
+        self._set(order, space, eta)
 
 
 # each evaluation is one Laplace expansion over at most 2^n column sets: on a
@@ -56,7 +54,10 @@ class NambuBracket(_Frozen):
 BRACKET_ORDER_BOUND = 8
 
 
-def _check_order(n: int) -> None:
+def _check_order(n: int, name: str = "") -> None:
+    # before a space or a tensor is built; a named bracket needs order >= 2
+    if name and n < 2:
+        raise InvalidArgumentError(f"{name} bracket needs order >= 2")
     if n > BRACKET_ORDER_BOUND:
         raise ResourceLimitError(
             f"bracket order {n} exceeds the bracket order bound {BRACKET_ORDER_BOUND}"
@@ -64,17 +65,16 @@ def _check_order(n: int) -> None:
 
 
 def canonical_bracket(n: int) -> NambuBracket:
-    if n < 2:
-        raise InvalidArgumentError("canonical bracket needs order >= 2")
-    _check_order(n)
-    return NambuBracket("canonical", n, coordinate_space(n))
+    _check_order(n, "canonical")
+    sp = coordinate_space(n)
+    return custom_bracket(sp, n, {tuple(range(n)): Poly.const(sp, 1)})
 
 
 def linear_bracket(n: int) -> NambuBracket:
-    if n < 2:
-        raise InvalidArgumentError("linear bracket needs order >= 2")
-    _check_order(n)
-    return NambuBracket("linear", n, coordinate_space(n + 1))
+    _check_order(n, "linear")
+    sp = coordinate_space(n + 1)
+    return custom_bracket(sp, n, {tuple(i for i in range(n + 1) if i != k):
+                                  Poly.variable(sp, k) * (-1) ** (n - k) for k in range(n + 1)})
 
 
 def custom_bracket(space: VarSpace, order: int, eta: dict) -> NambuBracket:
@@ -86,37 +86,37 @@ def custom_bracket(space: VarSpace, order: int, eta: dict) -> NambuBracket:
             raise InvalidArgumentError("custom tensor indices must be strictly ascending")
         if len(idx) != order:
             raise InvalidArgumentError("custom tensor index arity mismatch")
+        if not all(0 <= i < space.nvars for i in idx):
+            raise InvalidArgumentError(f"custom tensor index {idx} out of range")
+        if not isinstance(coeff, Poly):
+            raise InvalidArgumentError(f"custom tensor coefficient {coeff!r} is not a Poly")
         if coeff.space != space:
             raise InvalidArgumentError("custom tensor coefficient on a different space")
         entries.append((idx, coeff))
     entries.sort(key=lambda item: item[0])
-    return NambuBracket("custom", order, space, tuple(entries))
+    return NambuBracket(order, space, tuple(entries))
 
 
 def bracket_eval(b: NambuBracket, fs: Sequence[Poly]) -> Poly:
-    """Evaluate the bracket on exactly ``b.order`` polynomials."""
+    """sum_I eta^I times the minor on the columns I, on exactly ``b.order``
+    polynomials; the table is expanded inside the index sets I only unless
+    they are all the order-subsets of its columns, where that prunes nothing."""
     fs = list(fs)
     if len(fs) != b.order:
         raise InvalidArgumentError(f"bracket of order {b.order} got {len(fs)} arguments")
     for f in fs:
         if f.space != b.space:
             raise InvalidArgumentError("bracket arguments must live on the bracket's space")
-    if b.kind == "canonical":
-        return jacobian_det(fs, range(b.order))
-    if b.kind == "linear":
-        n, full = b.order, (1 << (b.order + 1)) - 1
-        out = Poly.zero(b.space)
-        for mask, det in _jacobian_minors(fs, range(n + 1)).items():
-            k = (full ^ mask).bit_length() - 1
-            out = out + det * Poly.variable(b.space, k) * (-1) ** (n - k)
-        return out
-    if b.kind == "custom":
-        cols = sorted({i for idx, _ in b.eta for i in idx})
-        masks = [sum(1 << cols.index(i) for i in idx) for idx, _ in b.eta]
-        minors = _jacobian_minors(fs, cols, masks)
-        terms = (coeff * minors[m] for m, (_, coeff) in zip(masks, b.eta) if m in minors)
-        return sum(terms, Poly.zero(b.space))
-    raise InvalidArgumentError(f"unknown bracket kind {b.kind!r}")
+    cols = sorted({i for idx, _ in b.eta for i in idx})
+    masks = [sum(1 << cols.index(i) for i in idx) for idx, _ in b.eta]
+    targets = masks if len(masks) < math.comb(len(cols), b.order) else None
+    table, den = _jacobian_table(fs, cols, targets)
+    d = math.lcm(*(coeff.den for _, coeff in b.eta))
+    acc: dict = {}
+    for m, (_, coeff) in zip(masks, b.eta):
+        if m in table:
+            _mul_into(acc, coeff.num, table[m], d // coeff.den)
+    return Poly._of(b.space, acc, d * den)
 
 
 def fi_residual(bracket, n: int, fs: Sequence):
@@ -148,8 +148,6 @@ class Dynamics(_Frozen):
     def __init__(self, bracket: NambuBracket, hamiltonians: tuple, state: tuple,
                  step: float = 1e-3):
         # state: the initial condition, floats
-        if bracket.kind != "canonical":
-            raise InvalidArgumentError("time evolution is defined for the canonical bracket")
         if len(hamiltonians) != bracket.order - 1:
             raise InvalidArgumentError(
                 f"order-{bracket.order} dynamics needs {bracket.order - 1} Hamiltonians"

@@ -886,10 +886,10 @@ def _alternating_sum(rows: Sequence, mul_into, targets=None) -> dict:
     return table
 
 
-def _jacobian_minors(fs: Sequence[Poly], idx: Sequence[int], targets=None) -> dict:
-    """{mask: Poly}: the nonzero len(fs)-row minors of the matrix of partials
-    d f_i / d x_{idx[j]}, keyed as by _alternating_sum, on the integer
-    numerators of the f_i over the product of their denominators."""
+def _jacobian_table(fs: Sequence[Poly], idx: Sequence[int], targets=None) -> tuple:
+    """(table, den): the nonzero len(fs)-row minors of the matrix of partials
+    d f_i / d x_{idx[j]}, keyed as by _alternating_sum, as integer numerators
+    over den, the product of the denominators of the f_i."""
     if len(set(idx)) != len(idx):
         raise InvalidArgumentError("jacobian_det variable indices must be distinct")
     space = fs[0].space
@@ -898,10 +898,8 @@ def _jacobian_minors(fs: Sequence[Poly], idx: Sequence[int], targets=None) -> di
     for i in idx:
         if not 0 <= i < space.nvars:
             raise InvalidArgumentError(f"variable index {i} out of range")
-    den = prod(f.den for f in fs)
     rows = [[_diff_terms(f.num, i) for i in idx] for f in fs]
-    table = _alternating_sum(rows, _mul_into, targets)
-    return {mask: Poly._of(space, row, den) for mask, row in table.items()}
+    return _alternating_sum(rows, _mul_into, targets), prod(f.den for f in fs)
 
 
 def jacobian_det(fs: Sequence[Poly], var_indices: Sequence[int]) -> Poly:
@@ -909,8 +907,8 @@ def jacobian_det(fs: Sequence[Poly], var_indices: Sequence[int]) -> Poly:
     fs, idx = list(fs), list(var_indices)
     if len(fs) != len(idx):
         raise InvalidArgumentError("jacobian_det needs as many variables as functions")
-    det = _jacobian_minors(fs, idx).get((1 << len(idx)) - 1)
-    return Poly.zero(fs[0].space) if det is None else det
+    table, den = _jacobian_table(fs, idx)
+    return Poly._of(fs[0].space, table.get((1 << len(idx)) - 1, {}), den)
 
 
 def leading_monomial(f: Poly) -> Exponent:

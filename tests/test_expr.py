@@ -13,6 +13,7 @@ from nambu_forge.poly import NuObject, Poly, _mul_into, qp_space, su2_space
 from nambu_forge.zariski import (
     TaylorElem,
     ZElem,
+    ZMonomial,
     ZNu,
     jmap,
     zariski_space,
@@ -200,6 +201,27 @@ def test_one_term_zariski_power_in_one_step():
     assert c == 1 and mono.factors == (Poly.variable(SP, 0),) * 41666
 
 
+def test_one_term_zariski_power_counts_its_factors(monkeypatch):
+    # Z[...]^k builds k copies of each of its n factors, so it counts k * n,
+    # refused before the factor tuple is built; counted as k, 100 factors to
+    # the 50000th built 5 million factors in 0.5 s and 55 MB
+    def no_union(mono, k):
+        raise AssertionError(f"a {k}-fold union was built before the term count")
+
+    ten = "; ".join(f"x1 + {i}" for i in range(10))
+    monkeypatch.setattr(ZMonomial, "__mul__", no_union)
+    with pytest.raises(ResourceLimitError) as err:
+        parse_expr(f"Z[{ten}]^50001")
+    assert str(err.value) == "parse of 500010 term products is over the parse term bound 500000"
+    monkeypatch.undo()
+    hundred = [Poly.variable(SP, 0) + i for i in range(100)]
+    value = parse_expr("Z[" + "; ".join(map(str, hundred)) + "]^500")
+    (mono, c), = value.terms.items()
+    assert c == 1 and mono == zmonomial(hundred * 500)
+    # the unit Z[], with no factors, counts k as before
+    assert parse_expr("Z[]^500000") == parse_expr("Z[]")
+
+
 def test_fraction_power_in_one_step():
     # 3/2^200000 reads as (3/2)^200000: 517,000 bits, formed by one c ** k
     want = Poly.const(SP, Fraction(3, 2) ** 200000)
@@ -269,7 +291,9 @@ def test_one_term_products_and_powers_match_mul_into(monkeypatch, zariski):
         for _ in range(k):
             want = _mul_into_route(want, one)
         assert _items(p._pow(one, k)) == _items(want)
-        assert p.products == k  # the count of k one-term products
+        # k one-term products, a Z-monomial's counted by the factors it repeats
+        (key, _), = one.items()
+        assert p.products == k * (max(1, len(key[0].factors)) if zariski else 1)
 
 
 def _taylor(text: str) -> TaylorElem:

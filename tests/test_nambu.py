@@ -1,15 +1,18 @@
 """Nambu brackets: examples, identities, broken tensors, dynamics."""
 
+import hashlib
 import json
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
 
-from nambu_forge import nambu, poly
+from nambu_forge import cli, nambu, poly
 from nambu_forge.errors import IntegrationFailureError, InvalidArgumentError, ResourceLimitError
 from nambu_forge.nambu import (
     Dynamics,
+    NambuBracket,
     bracket_eval,
     canonical_bracket,
     check_fi,
@@ -143,6 +146,61 @@ def test_custom_bracket_matches_canonical():
     assert bracket_eval(b, fs) == bracket_eval(ref, fs)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_named_brackets_are_their_n_vectors(n):
+    # a bracket is (order, space, eta): canonical(n) is e_1 ^ ... ^ e_n, and
+    # linear(n) has eta^{I_k} = (-1)^(n-k) x_k on I_k, every index but k
+    assert NambuBracket._fields == ("order", "space", "eta")
+    sp = coordinate_space(n)
+    canonical = custom_bracket(sp, n, {tuple(range(n)): Poly.const(sp, 1)})
+    sp = coordinate_space(n + 1)
+    linear = custom_bracket(sp, n, {tuple(i for i in range(n + 1) if i != k):
+                                    Poly.variable(sp, k) * (-1) ** (n - k) for k in range(n + 1)})
+    for named, built in ((canonical_bracket(n), canonical), (linear_bracket(n), linear)):
+        assert named == built and hash(named) == hash(built)
+    assert canonical_bracket(n) != linear_bracket(n)
+
+
+# per bracket, the Jacobian term products of its ten trials, and the sha256 of
+# the text of every bracket value and Fundamental Identity residual, recorded
+# while canonical and linear brackets each had an evaluation route of their own
+_BRACKET_WORK = {
+    "canonical2": 335, "canonical3": 1525, "canonical4": 7056, "canonical5": 5551,
+    "canonical6": 20069, "canonical7": 23081, "canonical8": 22512,
+    "linear2": 1444, "linear3": 11490, "linear4": 58976, "linear5": 51045,
+    "linear6": 6676, "linear7": 25710, "linear8": 11678,
+}
+_BRACKET_DIGEST = "f9a7787a40f10c2bb730483a32c7b68fc04dfe36403661a268497eb96753b36c"
+
+
+def test_named_brackets_keep_their_values_and_work():
+    # the check-fi work bound sums these counts, so its refusals stay put
+    digest, work = hashlib.sha256(), {}
+    for name in _BRACKET_WORK:
+        b = cli._bracket_by_name(nambu, name)
+        start = poly.jacobian_work
+        for t in range(10):
+            rng = random.Random(1000 * b.order + t)
+            fs = [cli._rand_poly(b.space, 2, rng) for _ in range(2 * b.order - 1)]
+            value, residual = bracket_eval(b, fs[:b.order]), check_fi(b, fs)
+            digest.update(f"{name}:{t}:{value}|{residual}\n".encode())
+        work[name] = poly.jacobian_work - start
+    assert work == _BRACKET_WORK
+    assert digest.hexdigest() == _BRACKET_DIGEST
+
+
+@pytest.mark.parametrize("idx, coeff, message", [
+    ((0, 1, 5), None, r"custom tensor index \(0, 1, 5\) out of range"),
+    ((-1, 0, 1), None, r"custom tensor index \(-1, 0, 1\) out of range"),
+    ((0, 1, 2), 1, "custom tensor coefficient 1 is not a Poly"),
+], ids=["index-too-large", "negative-index", "int-coefficient"])
+def test_custom_bracket_validates_its_tensor_when_built(idx, coeff, message):
+    sp = coordinate_space(3)
+    eta = {idx: Poly.const(sp, 1) if coeff is None else coeff}
+    with pytest.raises(InvalidArgumentError, match=message):
+        custom_bracket(sp, 3, eta)
+
+
 def _rational_polys(space, rng, count):
     """Random polynomials with coefficients over denominators up to 5, one
     of them sometimes constant."""
@@ -201,8 +259,8 @@ def test_custom_bracket_expands_inside_its_index_sets_only(monkeypatch):
 
         return original(rows, counting, *rest)
 
-    # only the Laplace expansion's products count, not the Poly products
-    # that scale each minor by its coefficient
+    # only the Laplace expansion's products count, not the products that
+    # scale each minor by its coefficient
     monkeypatch.setattr(poly, "_alternating_sum", counting_sum)
     start = poly.jacobian_work
     got = bracket_eval(b, fs)
@@ -233,6 +291,23 @@ def test_velocity_divergence_symbolically_zero(rng):
         hams = (random_poly(b.space, rng, degree=3), random_poly(b.space, rng, degree=3))
         d = Dynamics(b, hams, (0.1, 0.2, 0.3))
         assert divergence_is_zero(velocity_field(d))
+
+
+def test_lie_poisson_rigid_body_on_the_linear_bracket():
+    # so(3)* with H = x1^2/2 + x2^2/4 + x3^2/6: the linear bracket's Casimir
+    # x1^2 + x2^2 + x3^2 is conserved along with H
+    b = linear_bracket(2)
+    x1, x2, x3 = (Poly.variable(b.space, i) for i in range(3))
+    h = x1 * x1 * Fraction(1, 2) + x2 * x2 * Fraction(1, 4) + x3 * x3 * Fraction(1, 6)
+    d = Dynamics(b, (h,), (1.0, 1.0, 1.0))
+    field = velocity_field(d)
+    assert field == [x2 * x3 * Fraction(-1, 6), x1 * x3 * Fraction(2, 3), x1 * x2 * Fraction(-1, 2)]
+    assert divergence_is_zero(field)
+    res = evolve(d, 10, 1e-3)
+    assert res.divergence_zero and res.steps == 10_000
+    assert res.max_relative_drift[0] < 1e-8
+    casimir = [x * x + y * y + z * z for x, y, z in res.states]
+    assert max(abs(c - casimir[0]) for c in casimir) / casimir[0] < 1e-8
 
 
 def test_zero_hamiltonians_constant_trajectory():
