@@ -296,7 +296,7 @@ def _cmd_zariski(args, cfg):
     if len(args.exprs) != arity:
         exactly = "exactly " if len(args.exprs) > arity else ""
         raise InvalidArgumentError(f"zariski {args.op} needs {exactly}{arity} expression(s)")
-    operands = [_zariski_operand(zariski, kind, parse_expr(e, space, space), space) for e in args.exprs]
+    operands = [_zariski_operand(zariski, kind, parse_expr(e, space), space) for e in args.exprs]
     data = {"op": args.op}
     if option:
         key, name = option

@@ -126,11 +126,10 @@ class _Parser:
     Z[...] atom clears it, a closed J(...) or a zeroth power restores it.
     The zariski module is imported only for text in the Zariski algebra."""
 
-    def __init__(self, src: str, space: VarSpace, zspace: VarSpace):
+    def __init__(self, src: str, space: VarSpace):
         self.tokens = _tokenize(src)
         self.pos = 0
         self.space = space
-        self.zspace = zspace
         self.one = (0,) * (space.nvars + 1)
         self.unit = self.one
         self.products = 0
@@ -143,14 +142,14 @@ class _Parser:
             from . import zariski
 
             self.zariski = zariski
-            self.zone = self.unit = (zariski._Z_UNIT,) + (0,) * (zspace.nvars + 1)
+            self.zone = self.unit = (zariski._Z_UNIT,) + (0,) * (space.nvars + 1)
 
     def _is_yvar(self, name: str) -> bool:
-        """Whether name is a y-variable: y1, y2, ... of the Zariski space,
-        unless the active space declares a variable of that name."""
+        """Whether name is a y-variable: y1, y2, ..., one per variable of the
+        active space, unless that space declares a variable of that name."""
         if len(name) < 2 or name[0] != "y" or not name[1:].isdigit() or name in self.space.names:
             return False
-        return 1 <= int(name[1:]) <= self.zspace.nvars
+        return 1 <= int(name[1:]) <= self.space.nvars
 
     # -- token plumbing ----------------------------------------------------
     def peek(self):
@@ -237,7 +236,7 @@ class _Parser:
         for key, c in value.items():
             rows.setdefault(key[1:], {})[key[0]] = c
         z = self.zariski
-        return z.TaylorElem(self.zspace, {k: z.ZElem(row) for k, row in rows.items()}, self.in_a)
+        return z.TaylorElem(self.space, {k: z.ZElem(row) for k, row in rows.items()}, self.in_a)
 
     def expr(self):
         negate = self.peek()[0] == "-"
@@ -353,7 +352,7 @@ class _Parser:
             raise ExprSyntaxError("J(...) takes a nu-free Zariski element", at)
         out: dict = {}
         for key, c in value.items():
-            rows, d = self.zariski._jmap_image(key[0], self.zspace)
+            rows, d = self.zariski._jmap_image(key[0], self.space)
             c = Fraction(c, d) if d > 1 else c  # int text builds no Fraction
             _add_terms(out, {(m,) + k: n * c for k, row in rows.items() for m, n in row.items()}, 1)
         return out
@@ -365,16 +364,16 @@ def is_variable_name(name: str) -> bool:
     return re.fullmatch(_IDENT, name) is not None and name not in ("nu", "Z", "J")
 
 
-def parse_expr(src: str, space: VarSpace = None, zspace: VarSpace = None):
+def parse_expr(src: str, space: VarSpace = None):
     """Parse text into the most specific value it denotes.
 
     Returns a Poly, NuObject, ZElem, ZNu or TaylorElem.  ``space`` is the
-    active variable space for plain polynomials (default x1..x3); ``zspace``
-    is the coordinate space of the Zariski algebra.
+    active variable space (default x1..x3), of the plain polynomials and of
+    the Zariski algebra alike: the factors of Z[...] and J(...) live on it,
+    and it has one y-variable per variable.
     """
     space = _X3 if space is None else space
-    zspace = _X3 if zspace is None else zspace
-    value = _Parser(src, space, zspace).parse()
+    value = _Parser(src, space).parse()
     if isinstance(value, dict):
         return _nu_value(space, value)
     # TaylorElem: demote when it carries no y content / no nu content

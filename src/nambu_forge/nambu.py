@@ -55,9 +55,12 @@ BRACKET_ORDER_BOUND = 8
 
 
 def _check_order(n: int, name: str = "") -> None:
-    # before a space or a tensor is built; a named bracket needs order >= 2
+    # before a space or a tensor is built; a named bracket needs order >= 2,
+    # any other order >= 1
     if name and n < 2:
         raise InvalidArgumentError(f"{name} bracket needs order >= 2")
+    if n < 1:
+        raise InvalidArgumentError(f"bracket needs order >= 1, got {n}")
     if n > BRACKET_ORDER_BOUND:
         raise ResourceLimitError(
             f"bracket order {n} exceeds the bracket order bound {BRACKET_ORDER_BOUND}"

@@ -227,13 +227,11 @@ def _mul_into(row: dict, f: dict, g: dict, w: int = 1) -> None:
 def _graded_mul_into(mul_into, acc: dict, a: Mapping, b: Mapping, c: int = 1) -> None:
     """The graded product c * a . b of integer rows, added into acc: the rows
     keyed ka and kb multiply by mul_into (_mul_into on exponent rows,
-    zariski._z_mul_into on Z-monomial rows) into the row keyed ka + kb.
-    Tuple keys add entrywise; the packed int keys of zariski's y-graded
-    products add as ints."""
+    zariski._z_mul_into on Z-monomial rows) into the row keyed ka + kb,
+    added entrywise."""
     for ka, ra in a.items():
         for kb, rb in b.items():
-            k = ka + kb if type(ka) is int else tuple(map(int.__add__, ka, kb))
-            mul_into(acc.setdefault(k, {}), ra, rb, c)
+            mul_into(acc.setdefault(tuple(map(add, ka, kb)), {}), ra, rb, c)
 
 
 class _Sparse(_Frozen):

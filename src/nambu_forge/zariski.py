@@ -42,17 +42,15 @@ rows over one denominator, which the next recursion step reads as they are;
 one Z-monomial each over one denominator, in one table per star product.
 Every classical product (plain, nu-graded, y-graded, and the y-derivatives
 in ``quantum_nambu``) multiplies rows of {ZMonomial: numerator} with
-``_z_mul_into``, keyed by tuples or ints that add under the product (through
-``poly._graded_mul_into``), with one denominator per operand.  The y-graded
-products of ``a_mul_nu`` and both Nambu brackets key their rows by packed
-ints (y-exponent, or y-exponent + (nu power,), one field per entry, of a
-width taken per call from the operands' largest entries), and unpack each
-output key once.  A ZElem is one such row over its own denominator, in the
-integer layout it shares with Poly (``poly._Rational``).  A ZNu and a
-TaylorElem store such rows keyed by (nu power,) and y-exponent + (nu power,)
-over one denominator, through the base class ``poly._Rows`` they share with
-NuObject, so no product, + or - builds a Fraction; one is built per term
-only when a caller reads ``terms``.
+``_z_mul_into``, keyed by tuples that add entrywise under the product
+(through ``poly._graded_mul_into``), with one denominator per operand; the
+y-graded products of ``a_mul_nu`` and both Nambu brackets run on the tuple
+keys that TaylorElem stores.  A ZElem is one such row over its own
+denominator, in the integer layout it shares with Poly (``poly._Rational``).
+A ZNu and a TaylorElem store such rows keyed by (nu power,) and y-exponent
++ (nu power,) over one denominator, through the base class ``poly._Rows``
+they share with NuObject, so no product, + or - builds a Fraction; one is
+built per term only when a caller reads ``terms``.
 
 Z-monomials are interned: every ZMonomial is built through one cached
 constructor over its tuple of interned factors, so equal factor multisets
@@ -71,7 +69,6 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cache, partial
 from math import comb, lcm, prod
-from operator import lshift
 
 from . import factor
 from .errors import InvalidArgumentError, ResourceLimitError
@@ -411,14 +408,18 @@ def eval_T(factors: Sequence[Poly], s: StarProduct) -> NuObject:
 
 
 def _runs(m: ZMonomial, s: StarProduct) -> list:
-    """[(u, mult(u)), ...] over the distinct factors of m, after the two
-    refusals of T(m): a star product other than the Moyal kinds, and a
-    multiset of more than EVAL_T_SUBSET_BOUND sub-multisets."""
+    """[(u, mult(u)), ...] over the distinct factors of m, after the three
+    refusals of T(m): a star product other than the Moyal kinds, a factor not
+    on the product's space, and a multiset of more than
+    EVAL_T_SUBSET_BOUND sub-multisets."""
     if s.kind not in _MOYAL_KINDS:
         raise InvalidArgumentError(
             f"eval_T runs on the Moyal and partial-Moyal products; {s.kind!r} is not one"
         )
     runs = [(u, len(tuple(run))) for u, run in itertools.groupby(m.factors)]
+    for u, _ in runs:
+        if u.space != s.space:
+            raise InvalidArgumentError(f"eval_T factor {u} is not on the star product's space")
     subsets = prod(mult + 1 for _, mult in runs)
     if subsets > EVAL_T_SUBSET_BOUND:
         raise ResourceLimitError(
@@ -514,12 +515,13 @@ def _deformation_tail(m: ZMonomial, s: StarProduct) -> tuple:
     of the space is central under the product, so T(m) = v T(m - v), and v
     is monic and irreducible, so the tail of m is that of m - v with v
     united into each m_r.  This is the one place T splits off a central
-    factor; it comes after T(m)'s own refusals (_runs), and only where no
-    factorization of a T_r(m) could be refused (_factorable), so every
-    refusal is unchanged.  Elsewhere T(m) takes the even-power recursion."""
+    factor; it comes after T(m)'s own refusals (_runs), which come before
+    _central reads the factors' exponents, and only where no factorization
+    of a T_r(m) could be refused (_factorable), so every refusal is
+    unchanged.  Elsewhere T(m) takes the even-power recursion."""
+    _runs(m, s)
     central = _central(m, s)
     if central and _factorable(m, s.space):
-        _runs(m, s)  # T(m)'s refusals, before the shortcut
         v, rest = central
         table = _tails(s)
         d, parts = table.get(rest) or table.setdefault(rest, _deformation_tail(rest, s))
@@ -543,9 +545,8 @@ def _tails(s: StarProduct) -> dict:
 def _deform(rows: Mapping, d: int, s: StarProduct) -> tuple:
     """(rows keyed key + (r,), d): D(sum c_m Z_m) = sum c_m (Z_m + sum_{r>0}
     nu^r Z(T_r(m))) of each integer row {m: c_m * d} of rows, over one common
-    denominator.  The keys are tuples: a y-graded product unpacks its packed
-    keys before, once per key.  Each tail is read from the one table per
-    star product (_deformation_tail).
+    denominator.  Each tail is read from the one table per star product
+    (_deformation_tail).
     Cancelled (zero) entries never reach eval_T."""
     table = _tails(s)  # s is hashed once; tails are looked up by identity
     tails = [(key, m, c, *(table.get(m) or table.setdefault(m, _deformation_tail(m, s))))
@@ -803,49 +804,18 @@ def _check_deformable(a: TaylorElem, b: TaylorElem) -> None:
         raise InvalidArgumentError("the deformed product is defined on the Taylor subalgebra only")
 
 
-# The y-graded products (a_mul_nu and both Nambu brackets) run on packed
-# keys: the int that holds entry i of a row key (y-exponent + (nu power,)) in
-# bits w*i to w*i + w - 1, so that keys add as ints in poly._graded_mul_into.
-# Each call takes the field width w as the bit length of the sum of its
-# operands' largest key entries, so no entry of a product carries into the
-# next field; the output keys are unpacked once, and TaylorElem stores tuple
-# keys.
-
-
-def _width(args: tuple) -> int:
-    """The field width of packed keys for products of the rows of args."""
-    return sum(max(itertools.chain.from_iterable(x.rows), default=0) for x in args).bit_length()
-
-
-def _packed(rows: Mapping, w: int, n: int) -> dict:
-    """rows keyed by the packed keys of width w of the first n entries of
-    their tuple keys."""
-    shifts = [w * i for i in range(n)]
-    return {sum(map(lshift, key, shifts)): row for key, row in rows.items()}
-
-
-def _unpacked(rows: Mapping, w: int, n: int) -> dict:
-    """rows keyed by the tuples of the first n entries of their packed keys
-    of width w."""
-    mask = (1 << w) - 1
-    shifts = [w * i for i in range(n)]
-    return {tuple([p >> i & mask for i in shifts]): row for p, row in rows.items()}
-
-
-def _y_classical(a: TaylorElem, w: int) -> dict:
-    """The nu^0 rows of a, keyed by packed y-exponents of width w."""
-    return _packed({k: row for k, row in a.rows.items() if not k[-1]}, w, a.space.nvars)
+def _y_classical(a: TaylorElem) -> dict:
+    """The nu^0 rows of a, keyed by y-exponent."""
+    return {k[:-1]: row for k, row in a.rows.items() if not k[-1]}
 
 
 def a_mul_nu(a: TaylorElem, b: TaylorElem, s: StarProduct) -> TaylorElem:
     """Deformed Abelian product on the Taylor subalgebra: D applied to each
     y-degree of the classical product of the nu^0 parts."""
     _check_deformable(a, b)
-    w = _width((a, b))
     acc: dict = {}
-    _graded_mul_into(_z_mul_into, acc, _y_classical(a, w), _y_classical(b, w))
-    return TaylorElem._of(a.space, *_deform(_unpacked(acc, w, a.space.nvars), a.den * b.den, s),
-                          True)
+    _graded_mul_into(_z_mul_into, acc, _y_classical(a), _y_classical(b))
+    return TaylorElem._of(a.space, *_deform(acc, a.den * b.den, s), True)
 
 
 def _axis_index(axis: int, space: VarSpace) -> int:
@@ -856,23 +826,19 @@ def _axis_index(axis: int, space: VarSpace) -> int:
     return axis - 1
 
 
-def _y_diff(rows: dict, i: int, w: int) -> dict:
-    """d/dy_i of integer rows keyed by packed keys of width w."""
-    shift = w * i
-    mask, one = (1 << w) - 1, 1 << shift
+def _y_diff(rows: dict, i: int) -> dict:
+    """d/dy_i of integer rows keyed by a y-exponent, or one with a nu power
+    appended."""
     out = {}
-    for p, row in rows.items():
-        if k := p >> shift & mask:
-            out[p - one] = {m: n * k for m, n in row.items()}
+    for e, row in rows.items():
+        if k := e[i]:
+            out[e[:i] + (k - 1,) + e[i + 1 :]] = {m: n * k for m, n in row.items()}
     return out
 
 
 def delta_y(axis: int, a: TaylorElem) -> TaylorElem:
     """Formal derivative with respect to y^axis (1-based)."""
-    i = _axis_index(axis, a.space)
-    w = _width((a,))
-    rows = _y_diff(_packed(a.rows, w, a.space.nvars + 1), i, w)
-    return TaylorElem._of(a.space, _unpacked(rows, w, a.space.nvars + 1), a.den, a.in_a)
+    return TaylorElem._of(a.space, _y_diff(a.rows, _axis_index(axis, a.space)), a.den, a.in_a)
 
 
 def _check_axes(args: tuple) -> None:
@@ -880,11 +846,10 @@ def _check_axes(args: tuple) -> None:
         _axis_index(axis, x.space)
 
 
-def _y_nambu(rows: list, w: int) -> dict:
+def _y_nambu(rows: list) -> dict:
     """The sum over sigma in S3 of sgn(sigma) d/dy_sigma(1) a . d/dy_sigma(2)
-    b . d/dy_sigma(3) c on the integer rows [a, b, c], keyed by packed keys
-    of width w."""
-    table = _alternating_sum([[_y_diff(r, i, w) for i in range(3)] for r in rows],
+    b . d/dy_sigma(3) c on the integer rows [a, b, c]."""
+    table = _alternating_sum([[_y_diff(r, i) for i in range(3)] for r in rows],
                              partial(_graded_mul_into, _z_mul_into))
     return table.get(0b111, {})
 
@@ -896,8 +861,7 @@ def quantum_nambu(a: TaylorElem, b: TaylorElem, c: TaylorElem, s: StarProduct) -
     _check_axes(args)
     _check_deformable(a, b)
     _check_deformable(a, c)
-    w = _width(args)
-    rows = _unpacked(_y_nambu([_y_classical(x, w) for x in args], w), w, a.space.nvars)
+    rows = _y_nambu([_y_classical(x) for x in args])
     return TaylorElem._of(a.space, *_deform(rows, a.den * b.den * c.den, s), True)
 
 
@@ -907,7 +871,5 @@ def classical_nambu(a: TaylorElem, b: TaylorElem, c: TaylorElem) -> TaylorElem:
     _check_axes(args)
     a._check_space(b)
     a._check_space(c)
-    w = _width(args)
-    n = a.space.nvars + 1
-    rows = _unpacked(_y_nambu([_packed(x.rows, w, n) for x in args], w), w, n)
-    return TaylorElem._of(a.space, rows, a.den * b.den * c.den, a.in_a and b.in_a and c.in_a)
+    return TaylorElem._of(a.space, _y_nambu([x.rows for x in args]), a.den * b.den * c.den,
+                          a.in_a and b.in_a and c.in_a)

@@ -134,6 +134,26 @@ def test_errors_carry_positions():
         assert err.value.position >= 0
 
 
+def test_zariski_text_lives_on_the_active_space():
+    # y1..yn, Z[...] and J(...) on R^4: the value and its factors live on
+    # the one active space
+    sp4 = zariski_space(4)
+    x4 = Poly.variable(sp4, 3)
+    z4 = zelem_from_poly(x4)
+    v = parse_expr("Z[x4]*y1", sp4)
+    assert isinstance(v, TaylorElem) and v.space == sp4
+    assert v == TaylorElem(sp4, {(1, 0, 0, 0, 0): z4})
+    w = parse_expr("J(Z[x4])", sp4)
+    assert w.space == sp4 and w.in_a
+    assert w == jmap(z4, sp4)
+    assert str(w) == "Z[x4] + y4*Z[]"
+    # one y-variable per variable of the active space
+    assert parse_expr("y4", sp4).space == sp4
+    with pytest.raises(ExprSyntaxError, match="unknown variable 'y3'; expected one of q, p"):
+        parse_expr("y3", QP)
+    assert parse_expr("y2", QP).space == QP
+
+
 def test_unknown_variable_lists_space():
     with pytest.raises(ExprSyntaxError) as err:
         parse_expr("q + zz", QP)
@@ -251,7 +271,7 @@ def _many_terms_text(rng, zariski: bool) -> str:
 
 def _parsed_map(text: str, zariski: bool):
     """The parser's term map of text, and the parser that read it."""
-    p = expr._Parser(text, SP, SP)
+    p = expr._Parser(text, SP)
     assert p.zariski_mode == zariski, text
     value = p.expr()
     p.expect("end")
@@ -298,7 +318,7 @@ def test_one_term_products_and_powers_match_mul_into(monkeypatch, zariski):
 
 def _taylor(text: str) -> TaylorElem:
     """The undemoted value of Zariski-context text."""
-    return expr._Parser(text, SP, SP).parse()
+    return expr._Parser(text, SP).parse()
 
 
 @pytest.mark.parametrize("terms, in_a", [

@@ -201,6 +201,21 @@ def test_custom_bracket_validates_its_tensor_when_built(idx, coeff, message):
         custom_bracket(sp, 3, eta)
 
 
+@pytest.mark.parametrize("order", [0, -1])
+def test_custom_bracket_refuses_an_order_below_one(order):
+    # refused before the tensor is read: an order-0 bracket takes no
+    # argument, so bracket_eval would have no space to read
+    with pytest.raises(InvalidArgumentError, match=f"^bracket needs order >= 1, got {order}$"):
+        custom_bracket(coordinate_space(3), order, {("not", "read"): None})
+
+
+def test_custom_bracket_of_order_one_is_a_vector_field():
+    sp = coordinate_space(3)
+    x1, x2, x3 = (Poly.variable(sp, i) for i in range(3))
+    b = custom_bracket(sp, 1, {(0,): x2, (2,): Poly.const(sp, 3)})
+    assert bracket_eval(b, [x1 * x1 * x3]) == x1 * x2 * x3 * 2 + x1 * x1 * 3
+
+
 def _rational_polys(space, rng, count):
     """Random polynomials with coefficients over denominators up to 5, one
     of them sometimes constant."""

@@ -243,6 +243,23 @@ def test_eval_T_rejects_standard_ordering():
         eval_T((Poly.variable(su2.space, 0),) * 2, su2)
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_T_refuses_factors_on_another_space(n):
+    # x1*x3 + x2 and x2*x3 + x1 live on R^3: read on R^2 they lose x3, and on
+    # R^4 their exponents are too short, so every route to T refuses them
+    f, g = x1 * x3 + x2, x2 * x3 + x1
+    assert eval_T((f, g), ST) == NuObject.from_poly(parse_expr(
+        "x1*x2*x3^2 + x1^2*x3 + x2^2*x3 + x1*x2", SP))
+    star = zariski_star(n)
+    z = zelem_from_poly(f * g)
+    taylor = TaylorElem(star.space, {(0,) * (n + 1): z}, in_a=True)
+    for call in (lambda: eval_T((f, g), star), lambda: z_mul_nu(z, ZElem.unit(), star),
+                 lambda: z_mul_nu(z, z, star), lambda: a_mul_nu(taylor, taylor, star)):
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^eval_T factor x1\*x3 \+ x2 is not on the star product's space$"):
+            call()
+
+
 def test_times_alpha():
     assert times_alpha(x1, x2, ST) == NuObject.from_poly(x1 * x2)
     assert times_alpha(H, H, ST) == NuObject(SP, {0: H * H, 2: Poly.const(SP, 4)})
@@ -1125,10 +1142,8 @@ def test_products_match_pairwise_oracles(n, rounds, nterms, qn_terms):
 
 @pytest.mark.parametrize("top", [3, 4, 7, 8, 15, 16])
 def test_classical_nambu_packed_keys_across_field_widths(top):
-    # the y-graded products pack each key into fields as wide as the bit
-    # length of the sum of the operands' largest key entries: at top = 2^k - 1
-    # the nu power of a product fills its field, and at 2^k the field grows
-    # by one bit; both match the tuple-key oracle
+    # the product's nu power reaches top = 2^k - 1 or 2^k, so its key entries
+    # cross each power of two up to 16; both match the tuple-key oracle
     rng = random.Random(top)
     tops = (top // 3, top // 3, top - 2 * (top // 3))
     args = []
@@ -1141,7 +1156,6 @@ def test_classical_nambu_packed_keys_across_field_widths(top):
             key = tuple(rng.randint(0, p) for _ in range(4))
             terms[key] = random_zelem(rng, nterms=1) + terms.get(key, ZElem.zero())
         args.append(TaylorElem(SP, terms))
-    assert zariski._width(args) == top.bit_length()
     got = classical_nambu(*args)
     assert got == _classical_nambu_oracle(*args)
     assert max(k[-1] for k in got.terms) == top
@@ -1149,10 +1163,9 @@ def test_classical_nambu_packed_keys_across_field_widths(top):
 
 @pytest.mark.parametrize("p, q", [(4, 3), (4, 4)])
 def test_deformed_packed_keys_across_field_widths(p, q):
-    # y-exponents of J-images are derivative orders: y1^p times y1^q fills a
-    # 3-bit field at p + q = 7 and needs 4 bits at 8
+    # y-exponents of J-images are derivative orders: y1^p times y1^q reaches
+    # y1^7 and y1^8, on either side of a power of two
     ja, jb = jmap(zelem_from_poly(x1 ** p + x2)), jmap(zelem_from_poly(x1 ** q + x2 + x3))
-    assert zariski._width((ja, jb)) == (p + q).bit_length()
     got = a_mul_nu(ja, jb, ST)
     assert got == oracle_a_mul_nu(ja, jb, ST)
     assert max(k[0] for k in got.terms) == p + q
