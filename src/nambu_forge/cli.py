@@ -218,16 +218,13 @@ def _cmd_check_fi(args, cfg):
     if args.degree < 0:
         raise InvalidArgumentError(f"--degree must be at least 0, got {args.degree}")
     if args.degree > CHECK_FI_DEGREE_BOUND:
-        raise ResourceLimitError(
-            f"--degree {args.degree} is over the check-fi degree bound {CHECK_FI_DEGREE_BOUND}"
-        )
+        raise ResourceLimitError.over(f"--degree {args.degree}", "check-fi degree",
+                                      CHECK_FI_DEGREE_BOUND)
     trials = args.trials
     if trials < 1:
         raise InvalidArgumentError(f"--trials must be at least 1, got {trials}")
     if trials > CHECK_FI_TRIAL_BOUND:
-        raise ResourceLimitError(
-            f"--trials {trials} is over the check-fi trial bound {CHECK_FI_TRIAL_BOUND}"
-        )
+        raise ResourceLimitError.over(f"--trials {trials}", "check-fi trial", CHECK_FI_TRIAL_BOUND)
     arity = 2 * bracket.order - 1
     passes, start = 0, poly.jacobian_work
     for t in range(trials):
@@ -235,8 +232,9 @@ def _cmd_check_fi(args, cfg):
         fs = [_rand_poly(bracket.space, args.degree, rng) for _ in range(arity)]
         passes += nambu.check_fi(bracket, fs).is_zero()
         if (spent := poly.jacobian_work - start) > CHECK_FI_WORK_BOUND:
-            raise ResourceLimitError(f"{t + 1} check-fi trials of {spent} term products are "
-                                     f"over the check-fi work bound {CHECK_FI_WORK_BOUND}")
+            raise ResourceLimitError.over(
+                f"check-fi work of {spent} term products by trial {t + 1}", "check-fi work",
+                CHECK_FI_WORK_BOUND)
     ok = passes == trials
     text = f"{'PASS' if ok else 'FAIL'} residual={'0' if ok else 'nonzero'} ({passes}/{trials})"
     data = {"bracket": args.bracket, "trials": trials, "passes": passes, "all_zero": ok}

@@ -24,6 +24,12 @@ class ResourceLimitError(NambuForgeError):
 
     code = "resource-limit"
 
+    @classmethod
+    def over(cls, what: str, name: str, bound) -> "ResourceLimitError":
+        """The refusal of a named bound, in its one sentence:
+        "<what> is over the <name> bound <bound>"."""
+        return cls(f"{what} is over the {name} bound {bound}")
+
 
 class IntegrationFailureError(NambuForgeError):
     """Numeric time evolution produced a non-finite state."""

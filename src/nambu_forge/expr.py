@@ -179,15 +179,15 @@ class _Parser:
         """Count work products about to be formed and ahead more to follow."""
         self.products += work
         if self.products + ahead > PARSE_TERM_BOUND:
-            raise ResourceLimitError(f"parse of {self.products + ahead} term products is over "
-                                     f"the parse term bound {PARSE_TERM_BOUND}")
+            raise ResourceLimitError.over(f"parse of {self.products + ahead} term products",
+                                          "parse term", PARSE_TERM_BOUND)
 
     def _inner(self):
         """An expr inside one more open '(', 'J(' or 'Z['."""
         self.depth += 1
         if self.depth > PARSE_DEPTH_BOUND:
-            raise ResourceLimitError(f"brackets nested {self.depth} deep are over the parse depth "
-                                     f"bound {PARSE_DEPTH_BOUND}")
+            raise ResourceLimitError.over(f"bracket nesting of depth {self.depth}", "parse depth",
+                                          PARSE_DEPTH_BOUND)
         value = self.expr()
         self.depth -= 1
         return value
@@ -216,8 +216,8 @@ class _Parser:
             self._count(k if self.unit is self.one else k * max(1, len(e[0].factors)))
             self.bits += ceil(k * (log2(abs(c.numerator)) + log2(c.denominator)))
             if self.bits > COEFF_POWER_BIT_BOUND:
-                raise ResourceLimitError(f"coefficient power of {self.bits} bits is over the "
-                                         f"coefficient power bit bound {COEFF_POWER_BIT_BOUND}")
+                raise ResourceLimitError.over(f"coefficient power of {self.bits} bits",
+                                              "coefficient power bit", COEFF_POWER_BIT_BOUND)
             return {tuple(x * k for x in e): c ** k}
         out = self._const(1)
         for _ in range(k):

@@ -751,13 +751,10 @@ def factorize(f: Poly, degree_bound: int = DEFAULT_DEGREE_BOUND) -> Factorizatio
     if f.is_zero():
         raise InvalidArgumentError("cannot factor the zero polynomial")
     if f.total_degree() > degree_bound:
-        raise ResourceLimitError(
-            f"total degree {f.total_degree()} exceeds the configured bound {degree_bound}"
-        )
+        raise ResourceLimitError.over(f"total degree {f.total_degree()}", "degree", degree_bound)
     if len(f.num) > FACTOR_TERM_BOUND:
-        raise ResourceLimitError(
-            f"polynomial of {len(f.num)} terms is over the factor term bound {FACTOR_TERM_BOUND}"
-        )
+        raise ResourceLimitError.over(f"polynomial of {len(f.num)} terms", "factor term",
+                                      FACTOR_TERM_BOUND)
     return _factorize(f)
 
 

@@ -62,9 +62,7 @@ def _check_order(n: int, name: str = "") -> None:
     if n < 1:
         raise InvalidArgumentError(f"bracket needs order >= 1, got {n}")
     if n > BRACKET_ORDER_BOUND:
-        raise ResourceLimitError(
-            f"bracket order {n} exceeds the bracket order bound {BRACKET_ORDER_BOUND}"
-        )
+        raise ResourceLimitError.over(f"bracket order {n}", "bracket order", BRACKET_ORDER_BOUND)
 
 
 def canonical_bracket(n: int) -> NambuBracket:
@@ -218,10 +216,8 @@ def evolve(d: Dynamics, horizon: float, rk4_step: float = None) -> EvolveResult:
     # every state is kept, so the step count bounds time and memory alike
     steps = max(1, round(min(horizon / h, EVOLVE_STEP_BOUND + 1)))
     if steps > EVOLVE_STEP_BOUND:
-        raise ResourceLimitError(
-            f"horizon {horizon} at step {h} needs more RK4 steps than the evolve bound "
-            f"{EVOLVE_STEP_BOUND}"
-        )
+        raise ResourceLimitError.over(f"the RK4 step count of horizon {horizon} at step {h}",
+                                      "evolve step", EVOLVE_STEP_BOUND)
     field = velocity_field(d)
     div_zero = divergence_is_zero(field)
     n = 0

@@ -123,9 +123,8 @@ class VarSpace(_Frozen):
 
     def __init__(self, names: tuple, pairs: tuple = ()):
         if len(names) > VARIABLE_BOUND:
-            raise ResourceLimitError(
-                f"space of {len(names)} variables is over the variable bound {VARIABLE_BOUND}"
-            )
+            raise ResourceLimitError.over(f"space of {len(names)} variables", "variable",
+                                          VARIABLE_BOUND)
         if len(set(names)) != len(names):
             twice = next(n for i, n in enumerate(names) if n in names[:i])
             raise InvalidArgumentError(f"variable name {twice!r} appears twice")
@@ -691,6 +690,16 @@ class NuObject(_Rows):
             return h
 
 
+def _as_nu(x, space: VarSpace) -> NuObject:
+    """x as a NuObject on space, the one checked operand coercion of the star
+    and sun products: a rational scalar is a constant and a Poly sits at
+    nu^0.  Any other type, and a value on another space, is refused."""
+    out = NuObject._coerce(x, space)
+    if out is None or out.space != space:
+        raise InvalidArgumentError(f"cannot interpret {type(x).__name__} as an operand")
+    return out
+
+
 class TSeries(_Frozen):
     """Truncated formal series in t with NuObject coefficients."""
 
@@ -874,8 +883,8 @@ def _alternating_sum(rows: Sequence, mul_into, targets=None) -> dict:
                     continue
                 work += _entries(minor) * _entries(entry)
                 if work > JACOBIAN_TERM_BOUND:
-                    raise ResourceLimitError(f"Jacobian determinant of {work} term products is "
-                                             f"over the Jacobian term bound {JACOBIAN_TERM_BOUND}")
+                    raise ResourceLimitError.over(f"Jacobian determinant of {work} term products",
+                                                  "Jacobian term", JACOBIAN_TERM_BOUND)
                 sign = -1 if (mask >> j).bit_count() & 1 else 1
                 mul_into(grown.setdefault(new, {}), minor, entry, sign)
         table = {mask: minor for mask, acc in grown.items()

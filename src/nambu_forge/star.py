@@ -32,6 +32,7 @@ from .poly import (
     Poly,
     TSeries,
     VarSpace,
+    _as_nu,
     _Frozen,
     _poisson_sum,
     su2_space,
@@ -125,27 +126,17 @@ def su2_product() -> StarProduct:
     return StarProduct("su2", su2_space())
 
 
-def _as_nu(x, space: VarSpace) -> NuObject:
-    out = NuObject._coerce(x, space)
-    if out is None:
-        raise InvalidArgumentError(f"cannot interpret {type(x).__name__} as an operand")
-    return out
-
-
 def _check_degree(degree: int) -> None:
     if degree > STAR_DEGREE_BOUND:
-        raise ResourceLimitError(
-            f"star operand of degree {degree} is over the star degree bound {STAR_DEGREE_BOUND}"
-        )
+        raise ResourceLimitError.over(f"star operand of degree {degree}", "star degree",
+                                      STAR_DEGREE_BOUND)
 
 
 def _check_t_order(t_order: int) -> None:
     if t_order < 0:
         raise InvalidArgumentError("t_order must be non-negative")
     if t_order > EXP_ORDER_BOUND:
-        raise ResourceLimitError(
-            f"t-order {t_order} is over the exponential order bound {EXP_ORDER_BOUND}"
-        )
+        raise ResourceLimitError.over(f"t-order {t_order}", "exponential order", EXP_ORDER_BOUND)
 
 
 # -- su(2)* covariant product ------------------------------------------------
@@ -296,10 +287,8 @@ def _su2_mul(f: NuObject, g: NuObject) -> NuObject:
     words = _to_star_coefficients(small)
     terms = _nterms(big)
     if len(words) * terms > SU2_WORD_BOUND:
-        raise ResourceLimitError(
-            f"su(2)* product of {len(words)} star monomials by {terms} terms is over "
-            f"the su2 word bound {SU2_WORD_BOUND}"
-        )
+        raise ResourceLimitError.over(f"su(2)* product of {len(words)} star monomials by {terms} "
+                                      "terms", "su2 word", SU2_WORD_BOUND)
     memo = {(0, 0, 0): big.rows}
     acc: dict = {}
     for e, k, c in words:
@@ -392,8 +381,6 @@ def star_mul(s: StarProduct, f, g) -> NuObject:
         raise InvalidArgumentError(f"unknown star product kind {s.kind!r}")
     fo = _as_nu(f, s.space)
     go = _as_nu(g, s.space)
-    if fo.space != s.space or go.space != s.space:
-        raise InvalidArgumentError("star operands must live on the product's space")
     _check_degree(max(_degree(fo), _degree(go)))
     if s.kind == "su2":
         return _su2_mul(fo, go)

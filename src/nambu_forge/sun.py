@@ -27,6 +27,7 @@ from .poly import (
     TSeries,
     VarSpace,
     _add_rows,
+    _as_nu,
     _diff_terms,
     _Frozen,
     _poisson_sum,
@@ -37,7 +38,6 @@ from .poly import (
 from .star import (
     _MOYAL_KINDS,
     StarProduct,
-    _as_nu,
     _check_degree,
     _check_t_order,
     _nterms,
@@ -100,9 +100,13 @@ def sun_moyal_standard() -> SunProduct:
     return SunProduct(moyal_product(qp_space()), "moyal_standard_split")
 
 
+_SU2 = sun_su2()  # the su(2)* sun product of sun_closed_form
+
+
 def _classical(x, space: VarSpace) -> Poly:
-    """The nu^0 part of an operand; a Poly is read as itself."""
-    return x if isinstance(x, Poly) else _as_nu(x, space).classical()
+    """The nu^0 part of an operand on space; a Poly on space is read as
+    itself, and poly._as_nu refuses any other operand."""
+    return x if isinstance(x, Poly) and x.space == space else _as_nu(x, space).classical()
 
 
 def sun_lift(sp: SunProduct, x) -> NuObject:
@@ -118,8 +122,9 @@ def _lift(sp: SunProduct, x: NuObject) -> NuObject:
     F + sum_r nu^{2r} a(m, r) Delta^r on each homogeneous degree-m part.
     On the Moyal and partial-Moyal products it is the identity: the graph
     expansion of linear factors has only matchings, whose ordering signs
-    average to zero.  The Moyal-standard split lifts c q^a p^b to
-    c q^a * p^b, all terms summed as integers over one denominator."""
+    average to zero.  The Moyal-standard split, defined on one (q, p) pair,
+    lifts c q^a p^b to c q^a * p^b, all terms summed as integers over one
+    denominator."""
     if sp.alpha_kind == "coordinate_monomial":
         if sp.star.kind == "su2":
             return DiffOpSeries(x.space, inf).apply(x)
@@ -133,11 +138,12 @@ def _lift(sp: SunProduct, x: NuObject) -> NuObject:
             raise InvalidArgumentError(
                 f"the Moyal-standard split needs a Moyal product; {sp.star.kind!r} is not one"
             )
+        if (sp.space.nvars, sp.space.pairs) != (2, ((0, 1),)):
+            raise InvalidArgumentError("the Moyal-standard split is defined on one (q, p) pair")
         for row in x.rows.values():
             for e in row:
-                _check_degree(max(e[:2]))
-        pad = (0,) * (sp.space.nvars - 2)
-        rows, den = _poisson_sum([(k, n, {(e[0], 0) + pad: 1}, {(0, e[1]) + pad: 1})
+                _check_degree(max(e))
+        rows, den = _poisson_sum([(k, n, {(e[0], 0): 1}, {(0, e[1]): 1})
                                   for (k,), row in x.rows.items() for e, n in row.items()],
                                  sp.space)
         return NuObject._of(sp.space, rows, den * x.den)
@@ -159,8 +165,8 @@ def _bounded_mul(x, y):
     work = (len(x.num) if isinstance(x, Poly) else _nterms(x)) * (
         len(y.num) if isinstance(y, Poly) else _nterms(y))
     if work > SUN_PRODUCT_BOUND:
-        raise ResourceLimitError(f"sun product of {work} term products is over the sun product "
-                                 f"bound {SUN_PRODUCT_BOUND}")
+        raise ResourceLimitError.over(f"sun product of {work} term products", "sun product",
+                                      SUN_PRODUCT_BOUND)
     return x * y
 
 
@@ -178,12 +184,14 @@ def sun_exponential(sp: SunProduct, h: Poly, t_order: int) -> TSeries:
     every lift are counted before the first lift.
     """
     _check_t_order(t_order)
+    first = _as_nu(h, sp.space)  # the sun power r = 1 is h itself
+    h = first.classical()
     powers = [h]
     for _ in range(1, t_order):
         powers.append(_bounded_mul(powers[-1], h))
-    if sp == sun_su2():
+    if sp == _SU2:
         _eta_parts({(r,): p.num for r, p in enumerate(powers[1:])}, inf)
-    lifts = [NuObject.from_poly(h)] + [sun_lift(sp, p) for p in powers[1:]]
+    lifts = [first] + [sun_lift(sp, p) for p in powers[1:]]
     coeffs = [x.nu_shift(-r) * Fraction(1, 2**r * factorial(r)) for r, x in enumerate(lifts, 1)]
     return TSeries(t_order, (NuObject.one(sp.space), *coeffs[:t_order]))
 
@@ -205,10 +213,8 @@ def a_recursion(n: int, r: int) -> Fraction:
     if n < 0 or r < 0:
         raise InvalidArgumentError(f"a(n, r) needs n >= 0 and r >= 0, got a({n}, {r})")
     if n * min(n, r) > A_RECURSION_BOUND:
-        raise ResourceLimitError(
-            f"a({n}, {r}) needs {n * min(n, r)} recursion steps, over the a_recursion bound "
-            f"{A_RECURSION_BOUND}"
-        )
+        raise ResourceLimitError.over(f"a({n}, {r}) of {n * min(n, r)} recursion steps",
+                                      "a_recursion", A_RECURSION_BOUND)
     if r == 0:
         return Fraction(1)  # the row loop would still take n passes
     return _a_row(n, r, r)[-1]
@@ -315,17 +321,13 @@ def sun_coefficients(n_max: int, r_max: int) -> SunCoefficients:
     if n_max < 0 or r_max < 0:
         raise InvalidArgumentError("table bounds must be non-negative")
     if r_max > TABLE_ORDER_BOUND:
-        raise ResourceLimitError(
-            f"table order {r_max} is over the table order bound {TABLE_ORDER_BOUND}"
-        )
+        raise ResourceLimitError.over(f"table order {r_max}", "table order", TABLE_ORDER_BOUND)
     steps = 0
     for n in range(n_max + 1):
         steps += sum(n * (min(n, r) + 1) for r in range(r_max + 1))
         if steps > A_RECURSION_BOUND:
-            raise ResourceLimitError(
-                f"the table up to a({n_max}, {r_max}) takes more recursion steps than the "
-                f"a_recursion bound {A_RECURSION_BOUND}"
-            )
+            raise ResourceLimitError.over(f"the recursion step count of the table up to "
+                                          f"a({n_max}, {r_max})", "a_recursion", A_RECURSION_BOUND)
     rec = {(n, r): a_recursion(n, r) for n in range(n_max + 1) for r in range(r_max + 1)}
     closed = {
         (n, r): a_closed_form(n, r)
@@ -378,8 +380,8 @@ def _eta_parts(rows: dict, r_max) -> dict:
     steps = (sum(min(r_max, m // 2) * len(part) for (_, m), part in parts.items())
              + sum(m * min(r_max, m // 2) for m in degrees))
     if steps > LAPLACIAN_STEP_BOUND:
-        raise ResourceLimitError(f"Laplacian passes of {steps} steps are over the Laplacian step "
-                                 f"bound {LAPLACIAN_STEP_BOUND}")
+        raise ResourceLimitError.over(f"Laplacian work of {steps} steps", "Laplacian step",
+                                      LAPLACIAN_STEP_BOUND)
     return parts
 
 
@@ -408,18 +410,17 @@ def _eta_terms(rows: dict, r_max) -> tuple:
     return out, den
 
 
-def sun_closed_form(f: Poly, g: Poly) -> NuObject:
-    """F sun G = FG + sum_r nu^{2r} eta_r(FG), exact (the series stops once
-    the iterated Laplacian kills the product); FG is counted against
-    SUN_PRODUCT_BOUND before it is formed."""
-    if g.space != f.space:
-        raise InvalidArgumentError("operands live on different spaces")
-    return DiffOpSeries(f.space, inf).apply(_bounded_mul(f, g))
+def sun_closed_form(f, g) -> NuObject:
+    """F sun G = FG + sum_r nu^{2r} eta_r(FG) on su(2)*, exact (the series
+    stops once the iterated Laplacian kills the product): sun_mul on the
+    su(2)* sun product."""
+    return sun_mul(_SU2, f, g)
 
 
-def sun_homogeneous_form(f: Poly, g: Poly) -> NuObject:
+def sun_homogeneous_form(f, g) -> NuObject:
     """The simpler display for homogeneous operands of equal degree n:
     sum_r nu^{2r} a(2n, r) Delta^r(FG), which is the closed form."""
+    f, g = _classical(f, _SU2.space), _classical(g, _SU2.space)
     for h in (f, g):
         degs = set(map(sum, h.num))
         if len(degs) > 1:
@@ -478,7 +479,6 @@ class DiffOpSeries(_Frozen):
 
     def apply(self, x) -> NuObject:
         x = _as_nu(x, self.space)
-        x._check_space(self)
         rows, d = _eta_terms(x.rows, self.r_max)
         return NuObject._of(self.space, rows, d * x.den)
 
@@ -534,8 +534,8 @@ def apply_equivalence(
         raise InvalidArgumentError("nu_order must be non-negative")
     if mode not in ("A", "B"):
         raise InvalidArgumentError("mode must be 'A' or 'B'")
-    space = s.space
-    lhs = s.apply(_product_apply(p1, _as_nu(f, space), _as_nu(g, space)))
+    f, g = _as_nu(f, s.space), _as_nu(g, s.space)
+    lhs = s.apply(_product_apply(p1, f, g))
     sf, sg = s.apply(f), s.apply(g)
     rhs = (_product_apply(p2, sf, sg) if mode == "B"
            else _lifted(p2, _bounded_mul(sf, sg).truncate(nu_order)))

@@ -44,9 +44,7 @@ class FockTruncation(_Frozen):
         if dim < 2:
             raise InvalidArgumentError("truncation needs dim >= 2")
         if dim > FOCK_DIM_BOUND:
-            raise ResourceLimitError(
-                f"truncation dim {dim} is over the Fock dimension bound {FOCK_DIM_BOUND}"
-            )
+            raise ResourceLimitError.over(f"truncation dim {dim}", "Fock dimension", FOCK_DIM_BOUND)
         if not 0 < hbar < math.inf:  # NaN included
             raise InvalidArgumentError(f"hbar must be positive and finite, got {hbar}")
         self._set(dim, hbar)
@@ -87,8 +85,8 @@ def weyl_quantize(f: Poly, t: FockTruncation) -> OperatorMatrix:
         raise InvalidArgumentError("weyl_quantize expects a polynomial in (q, p)")
     products = sum(2 * a * b + a + b for a, b in f.terms)
     if products > WEYL_PRODUCT_BOUND:
-        raise ResourceLimitError(f"Weyl quantization needs {products} matrix products, "
-                                 f"over the Weyl product bound {WEYL_PRODUCT_BOUND}")
+        raise ResourceLimitError.over(f"Weyl quantization of {products} matrix products",
+                                      "Weyl product", WEYL_PRODUCT_BOUND)
     qm, pm = position_momentum(t)
     out = np.zeros((t.dim, t.dim), dtype=complex)
     for (a, b), c in f.terms.items():

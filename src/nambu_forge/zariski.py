@@ -422,10 +422,8 @@ def _runs(m: ZMonomial, s: StarProduct) -> list:
             raise InvalidArgumentError(f"eval_T factor {u} is not on the star product's space")
     subsets = prod(mult + 1 for _, mult in runs)
     if subsets > EVAL_T_SUBSET_BOUND:
-        raise ResourceLimitError(
-            f"factor multiset has {subsets} sub-multisets, over the eval_T bound "
-            f"{EVAL_T_SUBSET_BOUND}"
-        )
+        raise ResourceLimitError.over(f"factor multiset of {subsets} sub-multisets",
+                                      "eval_T subset", EVAL_T_SUBSET_BOUND)
     return runs
 
 
@@ -590,7 +588,7 @@ def znu_power_nu(a, m: int, s: StarProduct) -> ZNu:
     if m < 1:
         raise InvalidArgumentError("power needs m >= 1")
     if m > ZNU_POWER_BOUND:
-        raise ResourceLimitError(f"power {m} is over the zariski power bound {ZNU_POWER_BOUND}")
+        raise ResourceLimitError.over(f"power {m}", "zariski power", ZNU_POWER_BOUND)
     out = _as_znu(a)
     for _ in range(m - 1):
         out = z_mul_nu(out, a, s)
@@ -604,10 +602,14 @@ def znu_power_nu(a, m: int, s: StarProduct) -> ZNu:
 def delta(i: int, a: ZElem, space: VarSpace = None) -> ZElem:
     """Derivation fixed by d(Z_u) = Z_{du} on irreducibles plus the Leibniz
     rule across each factor multiset (1-based axis i of space, R^3 by
-    default, checked whatever a is)."""
+    default, checked whatever a is; every factor of a must be on space)."""
     if space is None:
         space = zariski_space(3)
-    return _delta(_axis_index(i, space), a, zelem_from_poly)
+    k = _axis_index(i, space)
+    off = next((f for mono in a.num for f in mono.factors if f.space != space), None)
+    if off is not None:
+        raise InvalidArgumentError(f"delta factor {off} is not on the derivation's space")
+    return _delta(k, a, zelem_from_poly)
 
 
 def _delta(k: int, a: ZElem, zelem) -> ZElem:
@@ -739,8 +741,10 @@ class TaylorElem(_Rows):
         return cls(space, {}, in_a=True)
 
     def coefficient(self, e: tuple) -> ZNu:
-        """The ZNu coefficient of y^e, built from the rows keyed e + (r,)."""
+        """The ZNu coefficient of y^e, e one entry per variable, from the rows keyed e + (r,)."""
         e = tuple(e)
+        if len(e) != self.space.nvars:
+            raise InvalidArgumentError(f"y-exponent {e} needs {self.space.nvars} entries")
         return ZNu._of(None, {k[-1:]: row for k, row in self.rows.items() if k[:-1] == e},
                        self.den)
 

@@ -85,8 +85,8 @@ def test_check_fi_work_bound_refuses_the_sum_of_trials(capsys):
                          "--trials", "100")
     assert code == 1
     assert out == ""
-    assert err == ("error[check-fi.resource-limit]: 24 check-fi trials of 502859 term products "
-                   "are over the check-fi work bound 500000\n")
+    assert err == ("error[check-fi.resource-limit]: check-fi work of 502859 term products by "
+                   "trial 24 is over the check-fi work bound 500000\n")
 
 
 def test_check_fi_degree_zero_runs(capsys):
@@ -306,7 +306,7 @@ def test_domain_error_exit_code(capsys):
         # three terms times four
         (sun, "SUN_PRODUCT_BOUND", ("sun", "L1 + L2 + L3", "L1 + L2 + L3 + 1"), "sun.resource-limit"),
         # L1^2*L2^2 is one degree-4 term: two passes count 2 * 1 terms and
-        # 4 * 1 + 4 * 2 recursion steps
+        # the a-row loop 4 * 2 steps
         (sun, "LAPLACIAN_STEP_BOUND", ("sun", "L1^2", "L2^2"), "sun.resource-limit"),
         # the lifts of (L1 + L2)^2 and (L1 + L2)^3 count 5 and 7 steps, each
         # under the bound, and are refused together before the first
@@ -387,7 +387,7 @@ def test_star_operand_over_the_degree_bound(capsys):
     assert json.loads(out)["error"] == {"code": "star.resource-limit", "message": message}
 
 
-_DEEP = (f"brackets nested {expr.PARSE_DEPTH_BOUND + 1} deep are over the parse depth bound "
+_DEEP = (f"bracket nesting of depth {expr.PARSE_DEPTH_BOUND + 1} is over the parse depth bound "
          f"{expr.PARSE_DEPTH_BOUND}")
 
 
@@ -403,7 +403,8 @@ _DEEP = (f"brackets nested {expr.PARSE_DEPTH_BOUND + 1} deep are over the parse 
         (("check-fi", "--trials", "100000"), "--trials 100000 is over the check-fi trial bound 1000"),
         (("coeffs", "--table", "60", "30"), "table order 30 is over the table order bound 20"),
         (("coeffs", "--table", "100", "5"),
-         "the table up to a(100, 5) takes more recursion steps than the a_recursion bound 100000"),
+         "the recursion step count of the table up to a(100, 5) is over the a_recursion bound "
+         "100000"),
         (("check-fi", "--bracket", "linear6", "--degree", "8", "--trials", "1"),
          "Jacobian determinant of 115719 term products is over the Jacobian term bound 100000"),
         (("zariski", "amul", "y1^100000000", "Z[x1]"),
@@ -421,7 +422,7 @@ _DEEP = (f"brackets nested {expr.PARSE_DEPTH_BOUND + 1} deep are over the parse 
         (("sun", "(L1 + L2 + L3)^45", "(L1 + L2 + L3)^45"),
          "sun product of 1168561 term products is over the sun product bound 1000000"),
         (("sun", "L1^160", "L1^160"),
-         "Laplacian passes of 51360 steps are over the Laplacian step bound 50000"),
+         "Laplacian work of 51360 steps is over the Laplacian step bound 50000"),
     ],
     ids=["dim-3000", "vars-2400", "fi-degree", "fi-trials", "table-order", "table-steps",
          "fi-jacobian", "zariski-power", "parentheses-300", "j-600", "parentheses-in-z-3000",
@@ -626,9 +627,9 @@ _SUN_DENSE = "(L1 + L2 + L3)^80"  # 3321 terms
     "argv, message",
     [
         (("sun", "--exp", "L1^15", "--t-order", "20"),
-         "Laplacian passes of 323583 steps are over the Laplacian step bound 50000"),
+         "Laplacian work of 323583 steps is over the Laplacian step bound 50000"),
         (("sun", "--exp", "L1^16", "--t-order", "20"),
-         "Laplacian passes of 368904 steps are over the Laplacian step bound 50000"),
+         "Laplacian work of 368904 steps is over the Laplacian step bound 50000"),
         (("equiv", "--mode", "A", "--left", "usual", "--right", "usual", "--s", "identity",
           _SUN_DENSE, _SUN_DENSE),
          "sun product of 11029041 term products is over the sun product bound 1000000"),

@@ -357,9 +357,9 @@ def test_evolve_step_bound(monkeypatch):
     d = nahm_dynamics()
     assert evolve(d, 0.01, 1e-3).steps == 10
     for horizon in (0.011, float("inf"), 1e300):
-        with pytest.raises(ResourceLimitError, match="evolve bound 10"):
+        with pytest.raises(ResourceLimitError, match="evolve step bound 10"):
             evolve(d, horizon, 1e-3)
-    with pytest.raises(ResourceLimitError, match="evolve bound 10"):
+    with pytest.raises(ResourceLimitError, match="evolve step bound 10"):
         evolve(d, 1.0, 1e-300)
     with pytest.raises(InvalidArgumentError, match="horizon"):
         evolve(d, float("nan"), 1e-3)

@@ -549,7 +549,7 @@ def test_exponential_counts_each_a_row_loop_once(monkeypatch):
     h = L1 * L1 + L2
     admitted = sun_exponential(SU, h, 20)
     monkeypatch.setattr(sun, "LAPLACIAN_STEP_BOUND", 13_123)
-    with pytest.raises(ResourceLimitError, match="Laplacian passes of 13124 steps"):
+    with pytest.raises(ResourceLimitError, match="Laplacian work of 13124 steps"):
         sun_exponential(SU, h, 20)
     monkeypatch.setattr(sun, "LAPLACIAN_STEP_BOUND", 10**9)
     assert sun_exponential(SU, h, 20) == admitted

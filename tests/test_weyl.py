@@ -155,5 +155,5 @@ def test_weyl_product_bound(monkeypatch):
     monkeypatch.setattr(weyl, "WEYL_PRODUCT_BOUND", 18)
     t = FockTruncation(8, 1.0)
     weyl_quantize(q**2 * p**3 + q, t)
-    with pytest.raises(ResourceLimitError, match="needs 19 matrix products, over the Weyl product bound 18"):
+    with pytest.raises(ResourceLimitError, match="of 19 matrix products is over the Weyl product bound 18"):
         weyl_quantize(q**2 * p**3 + q + p, t)

@@ -1406,10 +1406,10 @@ def test_eval_T_subset_bound(monkeypatch):
     f, g, h = x1 + 5 * x3, x2 + 7 * x3, x1 + x2 + 11 * x3
     assert eval_T((f, g), ST) == NuObject.from_poly(f * g)  # 4 sub-multisets
     assert eval_T((f, f, f), ST).classical() == f * f * f  # 4 sub-multisets
-    with pytest.raises(ResourceLimitError, match="eval_T bound 4") as err:
+    with pytest.raises(ResourceLimitError, match="eval_T subset bound 4") as err:
         eval_T((f, g, h), ST)  # 8 sub-multisets
     assert "8 sub-multisets" in str(err.value)
-    with pytest.raises(ResourceLimitError, match="eval_T bound 4"):
+    with pytest.raises(ResourceLimitError, match="eval_T subset bound 4"):
         eval_T((f, f, g), ST)  # 6 sub-multisets
     # a central factor splits off the deformation tail only after the whole
     # multiset is counted
@@ -1420,7 +1420,7 @@ def test_eval_T_subset_bound(monkeypatch):
                  lambda: z_mul_nu(zmonomial_elem(c, c), zmonomial_elem(f), ST)):
         with pytest.raises(ResourceLimitError) as err:
             call()  # 8 and 6 sub-multisets
-        assert str(err.value).endswith("sub-multisets, over the eval_T bound 4")
+        assert str(err.value).endswith("sub-multisets is over the eval_T subset bound 4")
 
 
 def zmonomial_elem(*factors):
@@ -1432,7 +1432,7 @@ def test_central_tail_keeps_factorize_refusals():
     # factorization is refused, and the central factors split off the tail
     # would leave a degree-8 T_2 that is not, so no split is taken there
     h, c = x1 * x2 + x3, x3 + 1
-    with pytest.raises(ResourceLimitError, match="total degree 13 exceeds the configured bound 12"):
+    with pytest.raises(ResourceLimitError, match="total degree 13 is over the degree bound 12"):
         z_mul_nu(zmonomial_elem(*[h] * 6, *[c] * 5), ZElem.unit(), ST)
     assert not zariski._factorable(zmonomial([h] * 6 + [c] * 5), SP)
     assert zariski._factorable(zmonomial([h] * 4 + [c] * 3), SP)
